@@ -30,6 +30,6 @@ pub use timed::{run_timed, run_timed_partial, run_timed_partial_ctl, RunControl,
 pub use wiser_par::{CancelCause, CancelToken};
 pub use uarch::{
     BpredConfig, BpredStats, CacheConfig, CacheStats, CommitMode, ConfigError, CoreConfig,
-    CoreStats, MemHierConfig, NoProbes, OoOCore, ProbePoint, Prober, ARCH_NAMES,
+    CoreStats, MemHierConfig, NoProbes, OoOCore, ProbePoint, Prober, ARCH_NAMES, MAX_LATENCY,
 };
 pub use trace::{BranchOutcome, ExecRecord, FlowEvent};

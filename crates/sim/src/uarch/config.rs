@@ -62,6 +62,26 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// Upper bound on every latency and penalty, in cycles. It keeps
+/// `cycle + latency` (and a resolved branch's `done + mispredict_penalty`)
+/// far from `u64` overflow, and every single wait in the timing model well
+/// inside its 5M-cycle deadlock window.
+pub const MAX_LATENCY: u64 = 1_000_000;
+
+/// Checks a latency against [`MAX_LATENCY`] and, when `nonzero`, against 0.
+fn check_latency(field: &str, value: u64, nonzero: bool) -> Result<(), ConfigError> {
+    if nonzero && value == 0 {
+        return Err(ConfigError::new(field, "must be non-zero"));
+    }
+    if value > MAX_LATENCY {
+        return Err(ConfigError::new(
+            field,
+            format!("must be at most {MAX_LATENCY} cycles, got {value}"),
+        ));
+    }
+    Ok(())
+}
+
 /// One cache level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -113,10 +133,7 @@ impl CacheConfig {
                 ),
             ));
         }
-        if self.latency == 0 {
-            return Err(ConfigError::new(&field("latency"), "must be non-zero"));
-        }
-        Ok(())
+        check_latency(&field("latency"), self.latency, true)
     }
 }
 
@@ -346,18 +363,12 @@ impl CoreConfig {
     }
 
     /// Checks every field a user-supplied grid can break: pipeline widths,
-    /// window sizes, unit/port counts and latencies must be non-zero, and
+    /// window sizes, unit/port counts and execution latencies must be
+    /// non-zero, every latency and penalty at most [`MAX_LATENCY`], and
     /// each cache level must have an indexable geometry. The first invalid
     /// field wins.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let nonzero_u32 = |field: &str, v: u32| {
-            if v == 0 {
-                Err(ConfigError::new(field, "must be non-zero"))
-            } else {
-                Ok(())
-            }
-        };
-        let nonzero_u64 = |field: &str, v: u64| {
             if v == 0 {
                 Err(ConfigError::new(field, "must be non-zero"))
             } else {
@@ -374,6 +385,8 @@ impl CoreConfig {
         if self.iq_size == 0 {
             return Err(ConfigError::new("iq_size", "must be non-zero"));
         }
+        check_latency("frontend_latency", self.frontend_latency, false)?;
+        check_latency("mispredict_penalty", self.mispredict_penalty, false)?;
         nonzero_u32("int_alu_units", self.int_alu_units)?;
         nonzero_u32("int_mul_units", self.int_mul_units)?;
         nonzero_u32("int_div_units", self.int_div_units)?;
@@ -382,16 +395,17 @@ impl CoreConfig {
         nonzero_u32("load_ports", self.load_ports)?;
         nonzero_u32("store_ports", self.store_ports)?;
         nonzero_u32("mshrs", self.mshrs)?;
-        nonzero_u64("int_mul_latency", self.int_mul_latency)?;
-        nonzero_u64("int_div_latency", self.int_div_latency)?;
-        nonzero_u64("fp_latency", self.fp_latency)?;
-        nonzero_u64("fp_div_latency", self.fp_div_latency)?;
-        nonzero_u64("fp_sqrt_latency", self.fp_sqrt_latency)?;
+        check_latency("int_mul_latency", self.int_mul_latency, true)?;
+        check_latency("int_div_latency", self.int_div_latency, true)?;
+        check_latency("fp_latency", self.fp_latency, true)?;
+        check_latency("fp_div_latency", self.fp_div_latency, true)?;
+        check_latency("fp_sqrt_latency", self.fp_sqrt_latency, true)?;
+        check_latency("syscall_latency", self.syscall_latency, false)?;
         self.mem.l1i.validate("l1i")?;
         self.mem.l1d.validate("l1d")?;
         self.mem.l2.validate("l2")?;
         self.mem.l3.validate("l3")?;
-        nonzero_u64("mem_latency", self.mem.mem_latency)?;
+        check_latency("mem_latency", self.mem.mem_latency, true)?;
         if self.bpred.pht_bits == 0 || self.bpred.pht_bits > 30 {
             return Err(ConfigError::new(
                 "pht_bits",
@@ -572,6 +586,11 @@ mod tests {
         for name in ARCH_NAMES {
             CoreConfig::by_name(name).unwrap().validate().unwrap();
         }
+        let mut capped = CoreConfig::tiny();
+        capped.fp_latency = MAX_LATENCY;
+        capped.mispredict_penalty = MAX_LATENCY;
+        capped.mem.mem_latency = MAX_LATENCY;
+        capped.validate().unwrap();
     }
 
     fn expect_invalid(mutate: impl FnOnce(&mut CoreConfig), field: &str) {
@@ -601,6 +620,17 @@ mod tests {
         expect_invalid(|c| c.mem.l3.size = 0, "l3.size");
         expect_invalid(|c| c.mem.l1i.latency = 0, "l1i.latency");
         expect_invalid(|c| c.mem.mem_latency = 0, "mem_latency");
+        expect_invalid(|c| c.frontend_latency = MAX_LATENCY + 1, "frontend_latency");
+        expect_invalid(|c| c.mispredict_penalty = u64::MAX, "mispredict_penalty");
+        expect_invalid(|c| c.int_mul_latency = MAX_LATENCY + 1, "int_mul_latency");
+        expect_invalid(|c| c.int_div_latency = MAX_LATENCY + 1, "int_div_latency");
+        expect_invalid(|c| c.fp_latency = u64::MAX, "fp_latency");
+        expect_invalid(|c| c.fp_div_latency = MAX_LATENCY + 1, "fp_div_latency");
+        expect_invalid(|c| c.fp_sqrt_latency = MAX_LATENCY + 1, "fp_sqrt_latency");
+        expect_invalid(|c| c.syscall_latency = u64::MAX, "syscall_latency");
+        expect_invalid(|c| c.mem.l1d.latency = MAX_LATENCY + 1, "l1d.latency");
+        expect_invalid(|c| c.mem.l3.latency = u64::MAX, "l3.latency");
+        expect_invalid(|c| c.mem.mem_latency = MAX_LATENCY + 1, "mem_latency");
         expect_invalid(|c| c.bpred.pht_bits = 0, "pht_bits");
         expect_invalid(|c| c.bpred.btb_entries = 0, "btb_entries");
         expect_invalid(|c| c.bpred.ras_depth = 0, "ras_depth");

@@ -9,5 +9,6 @@ pub use bpred::{BpredStats, BranchPredictor};
 pub use cache::{Cache, CacheStats, Hierarchy};
 pub use config::{
     BpredConfig, CacheConfig, CommitMode, ConfigError, CoreConfig, MemHierConfig, ARCH_NAMES,
+    MAX_LATENCY,
 };
 pub use core::{CoreStats, NoProbes, OoOCore, ProbePoint, Prober};
