@@ -4,11 +4,15 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use optiwise::{report, run_optiwise, Analysis, AnalysisOptions, InsnRow, LoopStats, OptiwiseConfig};
+use optiwise::{
+    module_fingerprint, report, run_optiwise, Analysis, AnalysisOptions, InsnRow, LoopStats,
+    OptiwiseConfig,
+};
 use wiser_dbi::{instrument_run, DbiConfig};
 use wiser_isa::{assemble, Module};
 use wiser_sampler::{sample_run, sampling_overhead, Attribution, SamplerConfig};
 use wiser_sim::{run_timed, CodeLoc, CoreConfig, LoadConfig, NoProbes, ProcessImage};
+use wiser_store::{Checkpoint, CheckpointSpec};
 use wiser_workloads::InputSize;
 
 fn build(name: &str, size: InputSize) -> Vec<Module> {
@@ -322,11 +326,11 @@ pub struct Fig7Row {
     pub analysis_ms: f64,
     /// Indirect transfers per instruction (drives the worst case).
     pub indirect_share: f64,
-    /// Size of the serialized sample profile (the paper reports ~160 KiB/s
-    /// of perf data at 1 kHz).
+    /// Size of the `.owp` file `optiwise sample --out` writes (the paper
+    /// reports ~160 KiB/s of perf data at 1 kHz).
     pub sample_bytes: usize,
-    /// Size of the serialized counts profile (the paper reports ≤ 10 MiB,
-    /// proportional to CFG size, not run time).
+    /// Size of the `.owp` file `optiwise instrument --out` writes (the
+    /// paper reports ≤ 10 MiB, proportional to CFG size, not run time).
     pub counts_bytes: usize,
 }
 
@@ -385,8 +389,22 @@ pub fn fig07(size: InputSize) -> Fig7 {
         let indirect_share =
             counts.cost.indirect_execs as f64 / counts.cost.native_insns.max(1) as f64;
 
-        let sample_bytes = samples.to_text().len();
-        let counts_bytes = counts.to_text().len();
+        // The files `optiwise sample --out` / `instrument --out` write:
+        // a checkpoint image holding the run spec plus one profile.
+        let spec = CheckpointSpec::from_config(
+            module_fingerprint(&modules),
+            w.name,
+            size.name(),
+            "xeon",
+            &OptiwiseConfig::default(),
+            0,
+        );
+        let mut split = Checkpoint::fresh(spec);
+        split.samples = Some(samples.clone());
+        let sample_bytes = split.to_bytes().len();
+        split.samples = None;
+        split.counts = Some(counts.clone());
+        let counts_bytes = split.to_bytes().len();
 
         // Analysis time.
         let linked: Vec<Module> = image_b.modules.iter().map(|m| m.linked.clone()).collect();

@@ -97,7 +97,18 @@ fn checkpoint_corpus() -> Result<Vec<Vec<u8>>, OptiwiseError> {
     partial.counts = rich.counts;
     partial.sample_pos = 1500;
     partial.counts_pos = 900;
-    Ok(vec![fresh.to_bytes(), partial.to_bytes()])
+    // The single-pass images `optiwise sample --out` and
+    // `optiwise instrument --out` write.
+    let mut samples_only = partial.clone();
+    samples_only.counts = None;
+    let mut counts_only = partial.clone();
+    counts_only.samples = None;
+    Ok(vec![
+        fresh.to_bytes(),
+        partial.to_bytes(),
+        samples_only.to_bytes(),
+        counts_only.to_bytes(),
+    ])
 }
 
 fn manifest_corpus() -> Vec<Vec<u8>> {

@@ -4,9 +4,9 @@
 //! optiwise check
 //! optiwise list
 //! optiwise run [OPTIONS] <workload>...       # both passes + report
-//! optiwise sample [OPTIONS] <workload>       # sampling pass only
-//! optiwise instrument [OPTIONS] <workload>   # instrumentation pass only
-//! optiwise analyze [OPTIONS] <workload> --samples F --counts F
+//! optiwise sample [OPTIONS] <workload> --out F.owp      # sampling pass only
+//! optiwise instrument [OPTIONS] <workload> --out F.owp  # instrumentation only
+//! optiwise analyze [OPTIONS] <workload> --samples F.owp --counts F.owp
 //! optiwise annotate [OPTIONS] <workload> --function NAME
 //! optiwise show <profile.owp>                # report a saved profile
 //! optiwise report <profile.owp> [--format json]
@@ -49,6 +49,10 @@
 //! `--deadline SECS` stops the run at the next safe instruction boundary
 //! once the wall-clock budget is spent; so does Ctrl-C.
 //!
+//! The split workflow writes each pass as a checkpoint image holding the
+//! run spec plus that pass's profile; `analyze` refuses files recorded
+//! against a different build of the workload.
+//!
 //! Exit codes mirror [`OptiwiseError::exit_code`]: 0 success, 2 load or
 //! disassembly failure, 3 execution fault, 4 instruction limit or disallowed
 //! truncation, 5 run divergence (strict mode), 6 profile parse error,
@@ -68,7 +72,7 @@ use std::time::Duration;
 use optiwise::{
     diff_tables, module_fingerprint, reduce_fleet, report, run_optiwise, run_optiwise_ctl,
     Analysis, AnalysisMode, AnalysisOptions, CancelToken, DiffOptions, OptiwiseConfig,
-    OptiwiseError, OptiwiseRun, Pass, PassEvent, ProfileKind, ProfileTables, ResourceLimits,
+    OptiwiseError, OptiwiseRun, Pass, PassEvent, ProfileTables, ResourceLimits,
     RunControl, StoreError, SweepCell, SweepConfig, SweepGrid, SweepResult, SweepWorkload,
     DEFAULT_DIVERGENCE_THRESHOLD,
 };
@@ -576,25 +580,16 @@ fn checkpoint_spec(
     config: &OptiwiseConfig,
     checkpoint_every: u64,
 ) -> CheckpointSpec {
-    CheckpointSpec {
-        module_hash: module_fingerprint(modules),
-        workload: name.to_string(),
-        size: opts.size.name().to_string(),
-        arch: opts.arch_name.to_string(),
-        overrides: opts.overrides.clone(),
-        rand_seed: opts.seed,
-        period: opts.sampler.period,
-        jitter: opts.sampler.jitter,
-        sampler_seed: opts.sampler.seed,
-        attribution: opts.sampler.attribution,
-        stacks: opts.sampler.stacks,
-        stack_profiling: opts.stack_profiling,
-        merge_threshold: opts.merge_threshold,
-        max_insns: config.max_insns,
-        strict: opts.strict,
-        allow_partial: opts.allow_partial,
+    let mut spec = CheckpointSpec::from_config(
+        module_fingerprint(modules),
+        name,
+        opts.size.name(),
+        opts.arch_name,
+        config,
         checkpoint_every,
-    }
+    );
+    spec.overrides = opts.overrides.clone();
+    spec
 }
 
 /// Runs the pipeline under a cancellation token, checkpointing to `writer`
@@ -964,7 +959,6 @@ fn run_sweep_cell(
     let mut spec = checkpoint_spec(opts, &cell.workload.name, &modules, &config, every);
     spec.arch = cell.config.arch.clone();
     spec.overrides = cell.config.overrides.clone();
-    spec.rand_seed = cell.workload.seed;
     let checkpoint = checkpoints.join(format!("sweep-{}.owp", cell.label()));
     let writer = CheckpointWriter::new(
         &checkpoint,
@@ -1158,19 +1152,7 @@ fn cmd_resume(opts: &Options) -> Result<(), OptiwiseError> {
         ))
     })?;
     let modules = build_named_workload(&spec.workload, size)?;
-    let fingerprint = module_fingerprint(&modules);
-    if fingerprint != spec.module_hash {
-        return Err(OptiwiseError::Store(StoreError::in_section(
-            0,
-            "CKPT",
-            format!(
-                "checkpoint was taken against a different build of `{}` \
-                 (module hash {:016x}, current build {:016x}); \
-                 rerun `optiwise run` instead",
-                spec.workload, spec.module_hash, fingerprint
-            ),
-        )));
-    }
+    let fingerprint = check_fingerprint(path, &spec, &spec.workload, &modules)?;
     let mut config = spec.to_config(opts.jobs)?;
     // Fault injection is never stored in a checkpoint; a resumed leg only
     // gets faults the tests pass explicitly on this command line.
@@ -1209,6 +1191,31 @@ fn cmd_resume(opts: &Options) -> Result<(), OptiwiseError> {
         let _ = std::fs::remove_file(path);
     }
     Ok(())
+}
+
+/// Refuses a checkpoint image recorded against a different program than
+/// `modules` (the current build of `workload`): its profiles would describe
+/// code this build does not contain. Returns the current fingerprint.
+fn check_fingerprint(
+    path: &str,
+    spec: &CheckpointSpec,
+    workload: &str,
+    modules: &[Module],
+) -> Result<u64, OptiwiseError> {
+    let fingerprint = module_fingerprint(modules);
+    if fingerprint != spec.module_hash {
+        return Err(OptiwiseError::Store(StoreError::in_section(
+            0,
+            "CKPT",
+            format!(
+                "{path} was recorded against a different build: `{}` \
+                 (module hash {:016x}), not the current build of `{workload}` \
+                 ({fingerprint:016x}); rerun the profiling passes instead",
+                spec.workload, spec.module_hash
+            ),
+        )));
+    }
+    Ok(fingerprint)
 }
 
 /// The newest incomplete checkpoint under an archive's `checkpoints/`
@@ -1250,7 +1257,36 @@ fn module_of(analysis: &Analysis, func: &str) -> u32 {
         .unwrap_or(0)
 }
 
+/// The `--out` file of `sample`/`instrument`: the profile is a binary
+/// image, so there is no stdout fallback.
+fn split_out<'a>(opts: &'a Options, cmd: &str) -> Result<&'a str, OptiwiseError> {
+    opts.out.as_deref().ok_or_else(|| {
+        OptiwiseError::Usage(format!("{cmd} needs --out FILE (a binary .owp image)"))
+    })
+}
+
+/// Writes one pass of the split workflow as a checkpoint image: the run
+/// spec (which pins the workload build) plus that pass's profile.
+fn save_split(
+    opts: &Options,
+    path: &str,
+    modules: &[Module],
+    samples: Option<SampleProfile>,
+    counts: Option<CountsProfile>,
+) -> Result<(), OptiwiseError> {
+    let spec = checkpoint_spec(opts, &opts.workloads[0], modules, &pipeline_config(opts), 0);
+    let mut ckpt = Checkpoint::fresh(spec);
+    ckpt.sample_pos = samples.as_ref().map_or(0, |p| p.retired);
+    ckpt.counts_pos = counts.as_ref().map_or(0, CountsProfile::total_insns);
+    ckpt.samples = samples;
+    ckpt.counts = counts;
+    let bytes = opts.fault.corrupt_bytes(&ckpt.to_bytes());
+    wiser_store::atomic_write(std::path::Path::new(path), &bytes)
+        .map_err(|e| OptiwiseError::Io(format!("writing {path}: {e}")))
+}
+
 fn cmd_sample(opts: &Options) -> Result<(), OptiwiseError> {
+    let out = split_out(opts, "sample")?;
     let modules = build_workload(opts)?;
     let load = LoadConfig {
         aslr_seed: Some(0x5a5a),
@@ -1276,10 +1312,11 @@ fn cmd_sample(opts: &Options) -> Result<(), OptiwiseError> {
         profile.samples.len(),
         wiser_sampler::sampling_overhead(&profile)
     );
-    emit(opts, &opts.fault.corrupt(&profile.to_text()))
+    save_split(opts, out, &modules, Some(profile), None)
 }
 
 fn cmd_instrument(opts: &Options) -> Result<(), OptiwiseError> {
+    let out = split_out(opts, "instrument")?;
     let modules = build_workload(opts)?;
     let load = LoadConfig {
         aslr_seed: Some(0xa5a5),
@@ -1310,15 +1347,30 @@ fn cmd_instrument(opts: &Options) -> Result<(), OptiwiseError> {
         counts.cost.unique_blocks,
         counts.cost.overhead()
     );
-    emit(opts, &opts.fault.corrupt(&counts.to_text()))
+    save_split(opts, out, &modules, None, Some(counts))
 }
 
-fn read_file(path: &str) -> Result<String, OptiwiseError> {
-    std::fs::read_to_string(path).map_err(|e| OptiwiseError::Io(format!("{path}: {e}")))
+/// Loads one split-workflow file, refusing it unless it was recorded
+/// against the current build of `workload`.
+fn load_split(path: &str, workload: &str, modules: &[Module]) -> Result<Checkpoint, OptiwiseError> {
+    let ckpt = Checkpoint::load(std::path::Path::new(path))?;
+    check_fingerprint(path, &ckpt.spec, workload, modules)?;
+    Ok(ckpt)
+}
+
+/// A split-workflow file that lacks the section an `analyze` flag needs
+/// (e.g. a counts file passed to `--samples`).
+fn missing_section(path: &str, tag: &str, cmd: &str) -> OptiwiseError {
+    OptiwiseError::Store(StoreError::in_section(
+        0,
+        tag,
+        format!("{path} holds no {tag} section; pass a file written by `optiwise {cmd} --out`"),
+    ))
 }
 
 fn cmd_analyze(opts: &Options) -> Result<(), OptiwiseError> {
     let modules = build_workload(opts)?;
+    let workload = &opts.workloads[0];
     let samples_path = opts
         .samples_path
         .as_deref()
@@ -1327,20 +1379,12 @@ fn cmd_analyze(opts: &Options) -> Result<(), OptiwiseError> {
         .counts_path
         .as_deref()
         .ok_or_else(|| OptiwiseError::Usage("analyze needs --counts FILE".into()))?;
-    let samples_text = read_file(samples_path)?;
-    let counts_text = read_file(counts_path)?;
-    let samples = SampleProfile::from_text(&samples_text).map_err(|error| {
-        OptiwiseError::Parse {
-            kind: ProfileKind::Samples,
-            error,
-        }
-    })?;
-    let counts = CountsProfile::from_text(&counts_text).map_err(|error| {
-        OptiwiseError::Parse {
-            kind: ProfileKind::Counts,
-            error,
-        }
-    })?;
+    let samples = load_split(samples_path, workload, &modules)?
+        .samples
+        .ok_or_else(|| missing_section(samples_path, "SAMP", "sample"))?;
+    let counts = load_split(counts_path, workload, &modules)?
+        .counts
+        .ok_or_else(|| missing_section(counts_path, "CNTS", "instrument"))?;
     // Rebuild the linked view for disassembly/line info.
     let load = LoadConfig {
         aslr_seed: Some(0xa5a5),
@@ -1938,9 +1982,15 @@ commands:
   run <workload>...     sample + instrument + fused report; several
                         workloads run concurrently (see --jobs) and their
                         reports merge in command-line order
-  sample <workload>     sampling pass; write profile text
-  instrument <workload> instrumentation pass; write counts text
-  analyze <workload> --samples F --counts F
+  sample <workload> --out F.owp
+                        sampling pass; write its profile as a checkpoint
+                        image (run spec + SAMP section)
+  instrument <workload> --out F.owp
+                        instrumentation pass; write its counts as a
+                        checkpoint image (run spec + CNTS section)
+  analyze <workload> --samples F.owp --counts F.owp
+                        fused report from the two split files; files
+                        recorded against another build exit 6
   annotate <workload> --function NAME
   show <profile.owp>    report a saved binary profile
   report <profile.owp>  tables from a saved profile (--format text|json)

@@ -41,8 +41,8 @@ fn run_produces_report() {
 fn split_sample_instrument_analyze_workflow() {
     let dir = std::env::temp_dir().join("optiwise-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let samples = dir.join("samples.txt");
-    let counts = dir.join("counts.txt");
+    let samples = dir.join("samples.owp");
+    let counts = dir.join("counts.owp");
 
     let out = optiwise(&[
         "sample",
@@ -75,6 +75,28 @@ fn split_sample_instrument_analyze_workflow() {
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("func3"), "{stdout}");
+
+    // Swapped files lack the section each flag needs: parse exit code.
+    let out = optiwise(&[
+        "analyze", "stack_attr", "--size", "test",
+        "--samples", counts.to_str().unwrap(),
+        "--counts", samples.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(6), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("no SAMP section"), "{stderr}");
+
+    // Files recorded against another program are refused, not analyzed
+    // as if they described this one.
+    let out = optiwise(&[
+        "analyze", "mcf_like", "--size", "test",
+        "--samples", samples.to_str().unwrap(),
+        "--counts", counts.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(6), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("mcf_like"), "{stderr}");
+    assert!(stderr.contains("different build"), "{stderr}");
 }
 
 #[test]
@@ -153,8 +175,8 @@ fn injected_truncation_degrades_run_but_fails_strict() {
 fn corrupted_profile_exits_with_parse_code() {
     let dir = std::env::temp_dir().join("optiwise-corrupt-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let samples = dir.join("samples.txt");
-    let counts = dir.join("counts.txt");
+    let samples = dir.join("samples.owp");
+    let counts = dir.join("counts.owp");
     let out = optiwise(&[
         "sample", "stack_attr", "--size", "test",
         "--out", samples.to_str().unwrap(),
@@ -167,7 +189,7 @@ fn corrupted_profile_exits_with_parse_code() {
         "--out", counts.to_str().unwrap(),
     ]);
     assert!(out.status.success(), "{out:?}");
-    // ...and analyzing it fails with the parse exit code and a line number.
+    // ...and analyzing it fails with the parse exit code and a byte offset.
     let out = optiwise(&[
         "analyze", "stack_attr", "--size", "test",
         "--samples", samples.to_str().unwrap(),
@@ -176,7 +198,7 @@ fn corrupted_profile_exits_with_parse_code() {
     assert_eq!(out.status.code(), Some(6), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("parse error"), "{stderr}");
-    assert!(stderr.contains("line"), "{stderr}");
+    assert!(stderr.contains("byte"), "{stderr}");
 }
 
 #[test]
@@ -253,6 +275,15 @@ fn batch_mode_is_run_only() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("one workload"), "{stderr}");
+
+    // The split passes write a binary image, never to stdout.
+    for cmd in ["sample", "instrument"] {
+        let out = optiwise(&[cmd, "loop_merge", "--size", "test"]);
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        assert!(out.stdout.is_empty(), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--out"), "{stderr}");
+    }
 }
 
 #[test]

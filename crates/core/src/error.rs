@@ -8,7 +8,7 @@
 use std::error::Error;
 use std::fmt;
 
-use wiser_sim::{ProfileParseError, SimError, TruncationReason};
+use wiser_sim::{SimError, TruncationReason};
 
 /// Which of the two profiling passes an error concerns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,28 +28,9 @@ impl fmt::Display for Pass {
     }
 }
 
-/// Which profile text format a parse error concerns.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProfileKind {
-    /// `optiwise-samples v1` (sampling profile).
-    Samples,
-    /// `optiwise-counts v1` (instrumentation profile).
-    Counts,
-}
-
-impl fmt::Display for ProfileKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ProfileKind::Samples => "samples",
-            ProfileKind::Counts => "counts",
-        })
-    }
-}
-
 /// A corrupted, truncated or malformed binary profile store file
-/// (`wiser-store`'s `.owp` format). The byte-offset analogue of
-/// [`ProfileParseError`]: it pinpoints where in the file decoding failed
-/// and, when known, which section was being read.
+/// (`wiser-store`'s `.owp` format): pinpoints the byte offset where
+/// decoding failed and, when known, which section was being read.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StoreError {
     /// Absolute byte offset in the file where decoding failed.
@@ -121,13 +102,6 @@ pub enum OptiwiseError {
         pass: Pass,
         /// Why it stopped.
         reason: TruncationReason,
-    },
-    /// A profile text file failed to parse.
-    Parse {
-        /// Which profile format.
-        kind: ProfileKind,
-        /// The parse failure with its line number.
-        error: ProfileParseError,
     },
     /// A binary profile store file was corrupted, truncated or malformed.
     Store(StoreError),
@@ -238,7 +212,7 @@ impl OptiwiseError {
     /// The process exit code for this error, one per failure class:
     /// 2 = load/disassembly, 3 = execution fault, 4 = instruction limit or
     /// disallowed truncation, 5 = run divergence, 6 = profile parse error
-    /// (text or binary store), 7 = regressions detected by `diff` when
+    /// (binary store), 7 = regressions detected by `diff` when
     /// failing on them was requested, 8 = deadline exceeded or run
     /// cancelled, 9 = injected crash kill, 10 = self-check join bug,
     /// 11 = archive damaged but repaired by `fsck`, 12 = archive
@@ -250,7 +224,7 @@ impl OptiwiseError {
             OptiwiseError::Exec { .. } => 3,
             OptiwiseError::InsnLimit(_) | OptiwiseError::Truncated { .. } => 4,
             OptiwiseError::Divergence { .. } => 5,
-            OptiwiseError::Parse { .. } | OptiwiseError::Store(_) => 6,
+            OptiwiseError::Store(_) => 6,
             OptiwiseError::Regression { .. } => 7,
             OptiwiseError::DeadlineExceeded { .. } => 8,
             OptiwiseError::Killed { .. } => 9,
@@ -278,7 +252,6 @@ impl fmt::Display for OptiwiseError {
             OptiwiseError::Truncated { pass, reason } => {
                 write!(f, "{pass} run truncated: {reason} (partial profiles disallowed)")
             }
-            OptiwiseError::Parse { kind, error } => write!(f, "{kind} {error}"),
             OptiwiseError::Store(error) => write!(f, "profile store {error}"),
             OptiwiseError::Regression {
                 count,
@@ -407,13 +380,6 @@ mod tests {
                     summary: "s".into(),
                 },
                 5,
-            ),
-            (
-                OptiwiseError::Parse {
-                    kind: ProfileKind::Counts,
-                    error: ProfileParseError::at_line(3, "bad"),
-                },
-                6,
             ),
             (
                 OptiwiseError::Store(StoreError::in_section(64, "SAMP", "crc mismatch")),

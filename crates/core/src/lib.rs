@@ -39,7 +39,7 @@ pub use analysis::{
 };
 pub use blocks::{block_stats, blocks_table, BlockStats};
 pub use diff::{diff_tables, DiffClass, DiffMetric, DiffOptions, DiffReport, DiffRow, DiffSide};
-pub use error::{OptiwiseError, Pass, ProfileKind, StoreError};
+pub use error::{OptiwiseError, Pass, StoreError};
 pub use limits::ResourceLimits;
 pub use runner::{
     module_fingerprint, run_optiwise, run_optiwise_ctl, OptiwiseConfig, OptiwiseRun, PassEvent,

@@ -2,10 +2,9 @@
 //! counts, edge counters, and the stack-profiling callee table.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 use wiser_isa::CtiKind;
-use wiser_sim::{CodeLoc, ModuleId, ProfileParseError, TruncationReason};
+use wiser_sim::{CodeLoc, TruncationReason};
 
 /// Terminator classification of a DynamoRIO block, determining which edge
 /// instrumentation §IV-C inserts.
@@ -37,28 +36,6 @@ impl TermKind {
         }
     }
 
-    fn code(self) -> char {
-        match self {
-            TermKind::DirectJump => 'j',
-            TermKind::CondBranch => 'c',
-            TermKind::Indirect => 'i',
-            TermKind::DirectCall => 'l',
-            TermKind::Syscall => 's',
-            TermKind::Fallthrough => 'f',
-        }
-    }
-
-    fn from_code(c: char) -> Option<TermKind> {
-        Some(match c {
-            'j' => TermKind::DirectJump,
-            'c' => TermKind::CondBranch,
-            'i' => TermKind::Indirect,
-            'l' => TermKind::DirectCall,
-            's' => TermKind::Syscall,
-            'f' => TermKind::Fallthrough,
-            _ => return None,
-        })
-    }
 }
 
 /// One discovered DynamoRIO block with its counters.
@@ -170,7 +147,7 @@ pub struct CounterPlacement {
 /// The complete output of the instrumentation run (component 2 of figure 3).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CountsProfile {
-    /// Module names, indexed by [`ModuleId`].
+    /// Module names, indexed by [`ModuleId`](wiser_sim::ModuleId).
     pub module_names: Vec<String>,
     /// All discovered blocks with counters, in discovery order.
     pub blocks: Vec<BlockCount>,
@@ -213,90 +190,23 @@ impl CountsProfile {
         self.blocks.iter().map(|b| b.count * b.len as u64).sum()
     }
 
-    /// Serializes to the line-oriented text format.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str("optiwise-counts v1\n");
-        let _ = writeln!(out, "stack_profiling {}", self.stack_profiling as u8);
-        let _ = writeln!(
-            out,
-            "cost {} {} {} {} {} {} {}",
-            self.cost.native_insns,
-            self.cost.instrumented_insns,
-            self.cost.unique_blocks,
-            self.cost.block_execs,
-            self.cost.indirect_execs,
-            self.cost.counters_placed,
-            self.cost.counters_suppressed
-        );
-        if let Some(pl) = &self.placement {
-            let _ = write!(
-                out,
-                "placement {} {} {} {}",
-                pl.recovered as u8,
-                pl.total_insns,
-                pl.vertex_suppressed.len(),
-                pl.fallthrough_suppressed.len()
-            );
-            for i in pl.vertex_suppressed.iter().chain(&pl.fallthrough_suppressed) {
-                let _ = write!(out, " {i}");
-            }
-            out.push('\n');
-        }
-        if let Some(reason) = &self.truncated {
-            out.push_str(&reason.to_profile_line());
-        }
-        let _ = writeln!(out, "modules {}", self.module_names.len());
-        for (i, name) in self.module_names.iter().enumerate() {
-            let _ = writeln!(out, "module {i} {name}");
-        }
-        let _ = writeln!(out, "blocks {}", self.blocks.len());
-        for b in &self.blocks {
-            let _ = write!(
-                out,
-                "b {}:{:x} {} {} {}",
-                b.entry.module.0,
-                b.entry.offset,
-                b.len,
-                b.count,
-                b.term.code()
-            );
-            match b.direct_target {
-                Some(t) => {
-                    let _ = write!(out, " {}:{:x}", t.module.0, t.offset);
-                }
-                None => out.push_str(" -"),
-            }
-            let _ = write!(out, " {} {}", b.fallthrough, b.targets.len());
-            for (t, c) in &b.targets {
-                let _ = write!(out, " {}:{:x}={}", t.module.0, t.offset, c);
-            }
-            out.push('\n');
-        }
-        for (site, count) in sorted_callees(&self.callee_counts) {
-            let _ = writeln!(out, "k {}:{:x} {}", site.module.0, site.offset, count);
-        }
-        out
-    }
-
     /// Callee table in a deterministic order (sorted by call site). Every
     /// serializer must use this instead of iterating the `HashMap` directly
     /// so that identical profiles encode to identical bytes.
     pub fn sorted_callee_counts(&self) -> Vec<(CodeLoc, u64)> {
-        sorted_callees(&self.callee_counts)
+        let mut v: Vec<_> = self.callee_counts.iter().map(|(k, v)| (*k, *v)).collect();
+        v.sort();
+        v
     }
 
     /// Structural consistency check for profiles decoded from untrusted
-    /// bytes (the binary store path, which bypasses [`from_text`]'s inline
-    /// checks): every block entry, branch target and callee site must
+    /// bytes: every block entry, branch target and callee site must
     /// reference a declared module, block extents must not overflow, and
     /// fall-through counts cannot exceed block counts.
     ///
     /// # Errors
     ///
     /// Returns a description of the first inconsistency.
-    ///
-    /// [`from_text`]: CountsProfile::from_text
     pub fn validate(&self) -> Result<(), String> {
         let n = self.module_names.len();
         let check = |loc: CodeLoc, what: &str| -> Result<(), String> {
@@ -353,254 +263,12 @@ impl CountsProfile {
         }
         Ok(())
     }
-
-    /// Parses the text format produced by [`CountsProfile::to_text`].
-    ///
-    /// Every record is validated structurally: block entries, targets and
-    /// callee sites must reference declared modules; block extents must not
-    /// overflow the address space; and the declared `modules`/`blocks`
-    /// counts must match what the file contains, so a file cut off
-    /// mid-write is rejected rather than silently parsed as a smaller
-    /// profile.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ProfileParseError`] locating the first malformed line.
-    pub fn from_text(text: &str) -> Result<CountsProfile, ProfileParseError> {
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, "optiwise-counts v1")) => {}
-            Some((_, other)) => {
-                return Err(ProfileParseError::at_line(1, format!("bad header `{other}`")))
-            }
-            None => return Err(ProfileParseError::whole_file("empty profile")),
-        }
-        let mut p = CountsProfile::default();
-        let mut declared_modules: Option<usize> = None;
-        let mut declared_blocks: Option<usize> = None;
-        for (idx, line) in lines {
-            let lineno = idx + 1;
-            let err = |msg: String| ProfileParseError::at_line(lineno, msg);
-            let mut parts = line.split_whitespace();
-            match parts.next() {
-                None => continue,
-                Some("stack_profiling") => {
-                    p.stack_profiling = parts.next() == Some("1");
-                }
-                Some("cost") => {
-                    let mut take = || -> Result<u64, ProfileParseError> {
-                        parse_num(parts.next(), "cost field", lineno)
-                    };
-                    p.cost.native_insns = take()?;
-                    p.cost.instrumented_insns = take()?;
-                    p.cost.unique_blocks = take()?;
-                    p.cost.block_execs = take()?;
-                    p.cost.indirect_execs = take()?;
-                    // Counter tallies are absent in pre-placement profiles.
-                    let mut opt = || -> Result<u64, ProfileParseError> {
-                        match parts.next() {
-                            None => Ok(0),
-                            Some(s) => parse_num(Some(s), "cost field", lineno),
-                        }
-                    };
-                    p.cost.counters_placed = opt()?;
-                    p.cost.counters_suppressed = opt()?;
-                }
-                Some("placement") => {
-                    let recovered = parse_num::<u8>(parts.next(), "recovered flag", lineno)? != 0;
-                    let total_insns: u64 = parse_num(parts.next(), "placement total", lineno)?;
-                    let nv: usize = parse_num(parts.next(), "vertex count", lineno)?;
-                    let nf: usize = parse_num(parts.next(), "fallthrough count", lineno)?;
-                    let mut idx = |what: &str| -> Result<u32, ProfileParseError> {
-                        parse_num(parts.next(), what, lineno)
-                    };
-                    let mut pl = CounterPlacement {
-                        recovered,
-                        total_insns,
-                        ..CounterPlacement::default()
-                    };
-                    for _ in 0..nv {
-                        pl.vertex_suppressed.push(idx("vertex index")?);
-                    }
-                    for _ in 0..nf {
-                        pl.fallthrough_suppressed.push(idx("fallthrough index")?);
-                    }
-                    if parts.next().is_some() {
-                        return Err(err("trailing fields after placement".into()));
-                    }
-                    p.placement = Some(pl);
-                }
-                Some("truncated") => {
-                    p.truncated = Some(TruncationReason::from_profile_parts(&mut parts, lineno)?);
-                }
-                Some("modules") => {
-                    declared_modules = Some(parse_num(parts.next(), "modules count", lineno)?);
-                }
-                Some("blocks") => {
-                    declared_blocks = Some(parse_num(parts.next(), "blocks count", lineno)?);
-                }
-                Some("module") => {
-                    let idx: usize = parse_num(parts.next(), "module index", lineno)?;
-                    let name = parts
-                        .next()
-                        .ok_or_else(|| err("module without name".into()))?;
-                    if idx != p.module_names.len() {
-                        return Err(err(format!("module index {idx} out of order")));
-                    }
-                    p.module_names.push(name.to_string());
-                }
-                Some("b") => {
-                    let entry = parse_loc(
-                        parts.next().ok_or_else(|| err("block without entry".into()))?,
-                        &p.module_names,
-                        lineno,
-                    )?;
-                    let len: u32 = parse_num(parts.next(), "len", lineno)?;
-                    let count: u64 = parse_num(parts.next(), "count", lineno)?;
-                    // A block's extent must stay addressable: the
-                    // fall-through successor is computed as
-                    // `offset + len * INSN_BYTES` and must not wrap.
-                    if entry
-                        .offset
-                        .checked_add((len as u64).saturating_mul(wiser_isa::INSN_BYTES))
-                        .is_none()
-                    {
-                        return Err(err(format!(
-                            "block extent overflows: offset {:#x} len {len}",
-                            entry.offset
-                        )));
-                    }
-                    let term_str = parts
-                        .next()
-                        .ok_or_else(|| err("block without terminator".into()))?;
-                    let term = term_str
-                        .chars()
-                        .next()
-                        .filter(|_| term_str.len() == 1)
-                        .and_then(TermKind::from_code)
-                        .ok_or_else(|| err(format!("bad terminator `{term_str}`")))?;
-                    let dt = parts
-                        .next()
-                        .ok_or_else(|| err("block without target".into()))?;
-                    let direct_target = if dt == "-" {
-                        None
-                    } else {
-                        Some(parse_loc(dt, &p.module_names, lineno)?)
-                    };
-                    let fallthrough: u64 = parse_num(parts.next(), "fallthrough", lineno)?;
-                    // Placed profiles erase suppressed vertex counters to 0,
-                    // so this block's kept fall-through counter may exceed
-                    // its count; the placement line precedes the blocks.
-                    let vertex_erased = p.placement.as_ref().is_some_and(|pl| {
-                        !pl.recovered
-                            && pl.vertex_suppressed.contains(&(p.blocks.len() as u32))
-                    });
-                    if fallthrough > count && !vertex_erased {
-                        return Err(err(format!(
-                            "fallthrough {fallthrough} exceeds block count {count}"
-                        )));
-                    }
-                    let n_targets: usize = parse_num(parts.next(), "target count", lineno)?;
-                    let mut targets = Vec::with_capacity(n_targets.min(1024));
-                    for _ in 0..n_targets {
-                        let t = parts
-                            .next()
-                            .ok_or_else(|| err("truncated targets".into()))?;
-                        let (loc, c) = t
-                            .split_once('=')
-                            .ok_or_else(|| err(format!("bad target `{t}`")))?;
-                        targets.push((
-                            parse_loc(loc, &p.module_names, lineno)?,
-                            c.parse()
-                                .map_err(|e| err(format!("bad target count: {e}")))?,
-                        ));
-                    }
-                    if parts.next().is_some() {
-                        return Err(err("trailing fields after targets".into()));
-                    }
-                    p.blocks.push(BlockCount {
-                        entry,
-                        len,
-                        count,
-                        term,
-                        direct_target,
-                        fallthrough,
-                        targets,
-                    });
-                }
-                Some("k") => {
-                    let site = parse_loc(
-                        parts.next().ok_or_else(|| err("callee without site".into()))?,
-                        &p.module_names,
-                        lineno,
-                    )?;
-                    let count: u64 = parse_num(parts.next(), "callee count", lineno)?;
-                    p.callee_counts.insert(site, count);
-                }
-                Some(other) => return Err(err(format!("unknown record `{other}`"))),
-            }
-        }
-        if let Some(n) = declared_modules {
-            if n != p.module_names.len() {
-                return Err(ProfileParseError::whole_file(format!(
-                    "declared {n} modules but found {}",
-                    p.module_names.len()
-                )));
-            }
-        }
-        if let Some(n) = declared_blocks {
-            if n != p.blocks.len() {
-                return Err(ProfileParseError::whole_file(format!(
-                    "declared {n} blocks but found {} (file truncated?)",
-                    p.blocks.len()
-                )));
-            }
-        }
-        Ok(p)
-    }
-}
-
-fn sorted_callees(map: &HashMap<CodeLoc, u64>) -> Vec<(CodeLoc, u64)> {
-    let mut v: Vec<_> = map.iter().map(|(k, v)| (*k, *v)).collect();
-    v.sort();
-    v
-}
-
-fn parse_loc(
-    s: &str,
-    module_names: &[String],
-    lineno: usize,
-) -> Result<CodeLoc, ProfileParseError> {
-    let err = |msg: String| ProfileParseError::at_line(lineno, msg);
-    let (m, o) = s
-        .split_once(':')
-        .ok_or_else(|| err(format!("bad loc `{s}`")))?;
-    let module: u32 = m.parse().map_err(|e| err(format!("bad module: {e}")))?;
-    if (module as usize) >= module_names.len() {
-        return Err(err(format!("location references undeclared module {module}")));
-    }
-    Ok(CodeLoc {
-        module: ModuleId(module),
-        offset: u64::from_str_radix(o, 16).map_err(|e| err(format!("bad offset: {e}")))?,
-    })
-}
-
-fn parse_num<T: std::str::FromStr>(
-    s: Option<&str>,
-    what: &str,
-    lineno: usize,
-) -> Result<T, ProfileParseError>
-where
-    T::Err: std::fmt::Display,
-{
-    s.ok_or_else(|| ProfileParseError::at_line(lineno, format!("missing {what}")))?
-        .parse()
-        .map_err(|e| ProfileParseError::at_line(lineno, format!("bad {what}: {e}")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wiser_sim::ModuleId;
 
     fn loc(m: u32, o: u64) -> CodeLoc {
         CodeLoc {
@@ -651,13 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn text_roundtrip() {
-        let p = sample();
-        let back = CountsProfile::from_text(&p.to_text()).unwrap();
-        assert_eq!(back, p);
-    }
-
-    #[test]
     fn insn_counts_sum_overlaps() {
         let mut p = sample();
         // Add an overlapping block covering offset 0x8 onward.
@@ -703,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    fn placement_roundtrips_and_relaxes_fallthrough_check() {
+    fn placement_relaxes_fallthrough_check() {
         let mut p = sample();
         // Suppress block 0's vertex counter: count erased, fall-through 25
         // kept — which now exceeds the stored count.
@@ -717,8 +378,6 @@ mod tests {
         p.cost.counters_placed = 150;
         p.cost.counters_suppressed = 100;
         p.validate().unwrap();
-        let back = CountsProfile::from_text(&p.to_text()).unwrap();
-        assert_eq!(back, p);
 
         // The relaxation is precise: a recovered profile is held to the
         // exhaustive invariant again.
@@ -761,65 +420,9 @@ mod tests {
     }
 
     #[test]
-    fn malformed_rejected() {
-        assert!(CountsProfile::from_text("garbage").is_err());
-        assert!(CountsProfile::from_text("optiwise-counts v1\nmodule 0 m\nb 0:0 4\n").is_err());
-    }
-
-    #[test]
-    fn truncated_profile_roundtrips() {
-        for reason in [
-            TruncationReason::InsnLimit(5000),
-            TruncationReason::Injected(99),
-            TruncationReason::ExecFault {
-                pc: 0x88,
-                message: "stack exhausted".into(),
-            },
-        ] {
-            let mut p = sample();
-            p.truncated = Some(reason);
-            let back = CountsProfile::from_text(&p.to_text()).unwrap();
-            assert_eq!(back, p);
-        }
-    }
-
-    #[test]
-    fn undeclared_module_rejected_with_line() {
-        let text = "optiwise-counts v1\nmodule 0 main\nb 3:0 4 10 j - 0 0\n";
-        let e = CountsProfile::from_text(text).unwrap_err();
-        assert_eq!(e.line, 3);
-        assert!(e.message.contains("undeclared module 3"), "{e}");
-    }
-
-    #[test]
-    fn truncated_file_detected_by_declared_block_count() {
-        let p = sample();
-        let text = p.to_text();
-        // Drop the last block line (the callee record stays) — simulating a
-        // file cut mid-write.
-        let mangled: String = text
-            .lines()
-            .filter(|l| !l.starts_with("b 0:40"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let e = CountsProfile::from_text(&mangled).unwrap_err();
-        assert!(e.message.contains("declared 2 blocks"), "{e}");
-    }
-
-    #[test]
-    fn inconsistent_fallthrough_rejected() {
-        let text = "optiwise-counts v1\nmodule 0 main\nb 0:0 4 10 c - 25 0\n";
-        let e = CountsProfile::from_text(text).unwrap_err();
-        assert!(e.message.contains("fallthrough"), "{e}");
-    }
-
-    #[test]
     fn overflowing_block_extent_rejected() {
-        let text = format!(
-            "optiwise-counts v1\nmodule 0 main\nb 0:{:x} 4294967295 1 j - 0 0\n",
-            u64::MAX - 8
-        );
-        let e = CountsProfile::from_text(&text).unwrap_err();
-        assert!(e.message.contains("overflows"), "{e}");
+        let mut bad = sample();
+        bad.blocks[0].entry.offset = u64::MAX - 8;
+        assert!(bad.validate().unwrap_err().contains("overflows"));
     }
 }

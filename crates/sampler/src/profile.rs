@@ -5,9 +5,8 @@
 //! instrumentation run (§IV-A).
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
-use wiser_sim::{CodeLoc, ModuleId, ProfileParseError, TruncationReason};
+use wiser_sim::{CodeLoc, TruncationReason};
 
 /// One periodic sample.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -26,7 +25,7 @@ pub struct Sample {
 /// A complete sampling profile of one run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SampleProfile {
-    /// Module names, indexed by [`ModuleId`].
+    /// Module names, indexed by [`ModuleId`](wiser_sim::ModuleId).
     pub module_names: Vec<String>,
     /// All samples, in time order.
     pub samples: Vec<Sample>,
@@ -65,47 +64,12 @@ impl SampleProfile {
         map
     }
 
-    /// Serializes to the line-oriented text format.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str("optiwise-samples v1\n");
-        let _ = writeln!(out, "period {}", self.period);
-        let _ = writeln!(out, "total_cycles {}", self.total_cycles);
-        let _ = writeln!(out, "unmapped {}", self.unmapped);
-        let _ = writeln!(out, "retired {}", self.retired);
-        if let Some(reason) = &self.truncated {
-            out.push_str(&reason.to_profile_line());
-        }
-        let _ = writeln!(out, "modules {}", self.module_names.len());
-        for (i, name) in self.module_names.iter().enumerate() {
-            let _ = writeln!(out, "module {i} {name}");
-        }
-        let _ = writeln!(out, "samples {}", self.samples.len());
-        for s in &self.samples {
-            let _ = write!(
-                out,
-                "s {} {:x} {} {}",
-                s.loc.module.0, s.loc.offset, s.weight,
-                s.stack.len()
-            );
-            for frame in &s.stack {
-                let _ = write!(out, " {}:{:x}", frame.module.0, frame.offset);
-            }
-            out.push('\n');
-        }
-        out
-    }
-
     /// Structural consistency check for profiles decoded from untrusted
-    /// bytes (the binary store path, which bypasses [`from_text`]'s inline
-    /// checks): every sample and stack frame must reference a declared
-    /// module.
+    /// bytes: every sample and stack frame must reference a declared module.
     ///
     /// # Errors
     ///
     /// Returns a description of the first dangling reference.
-    ///
-    /// [`from_text`]: SampleProfile::from_text
     pub fn validate(&self) -> Result<(), String> {
         let n = self.module_names.len();
         for (i, s) in self.samples.iter().enumerate() {
@@ -126,164 +90,12 @@ impl SampleProfile {
         }
         Ok(())
     }
-
-    /// Parses the text format produced by [`SampleProfile::to_text`].
-    ///
-    /// Every record is validated structurally: module references must point
-    /// at declared modules, and the declared `modules`/`samples` counts must
-    /// match what the file actually contains — a file cut off mid-write is
-    /// rejected here instead of silently parsing as a smaller profile.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ProfileParseError`] locating the first malformed line.
-    pub fn from_text(text: &str) -> Result<SampleProfile, ProfileParseError> {
-        let mut lines = text.lines().enumerate();
-        let header = lines
-            .next()
-            .ok_or_else(|| ProfileParseError::whole_file("empty profile"))?
-            .1;
-        if header != "optiwise-samples v1" {
-            return Err(ProfileParseError::at_line(1, format!("bad header `{header}`")));
-        }
-        let mut profile = SampleProfile::default();
-        let mut declared_modules: Option<usize> = None;
-        let mut declared_samples: Option<usize> = None;
-        for (idx, line) in lines {
-            let lineno = idx + 1;
-            let err = |msg: String| ProfileParseError::at_line(lineno, msg);
-            let mut parts = line.split_whitespace();
-            match parts.next() {
-                None => continue,
-                Some("period") => {
-                    profile.period = parse_field(parts.next(), "period", lineno)?;
-                }
-                Some("total_cycles") => {
-                    profile.total_cycles = parse_field(parts.next(), "total_cycles", lineno)?;
-                }
-                Some("unmapped") => {
-                    profile.unmapped = parse_field(parts.next(), "unmapped", lineno)?;
-                }
-                Some("retired") => {
-                    profile.retired = parse_field(parts.next(), "retired", lineno)?;
-                }
-                Some("truncated") => {
-                    profile.truncated =
-                        Some(TruncationReason::from_profile_parts(&mut parts, lineno)?);
-                }
-                Some("modules") => {
-                    declared_modules = Some(parse_field(parts.next(), "modules count", lineno)?);
-                }
-                Some("samples") => {
-                    declared_samples = Some(parse_field(parts.next(), "samples count", lineno)?);
-                }
-                Some("module") => {
-                    let module_idx: usize = parse_field(parts.next(), "module index", lineno)?;
-                    let name = parts
-                        .next()
-                        .ok_or_else(|| err("module without name".into()))?
-                        .to_string();
-                    if module_idx != profile.module_names.len() {
-                        return Err(err(format!("module index {module_idx} out of order")));
-                    }
-                    profile.module_names.push(name);
-                }
-                Some("s") => {
-                    let module: u32 = parse_field(parts.next(), "sample module", lineno)?;
-                    let offset = parse_hex(parts.next(), "sample offset", lineno)?;
-                    let weight: u64 = parse_field(parts.next(), "sample weight", lineno)?;
-                    let depth: usize = parse_field(parts.next(), "stack depth", lineno)?;
-                    if (module as usize) >= profile.module_names.len() {
-                        return Err(err(format!(
-                            "sample references undeclared module {module}"
-                        )));
-                    }
-                    let mut stack = Vec::with_capacity(depth.min(256));
-                    for _ in 0..depth {
-                        let frame = parts
-                            .next()
-                            .ok_or_else(|| err("truncated stack".into()))?;
-                        let (m, o) = frame
-                            .split_once(':')
-                            .ok_or_else(|| err(format!("bad frame `{frame}`")))?;
-                        let frame_module: u32 = m
-                            .parse()
-                            .map_err(|e| err(format!("bad frame module: {e}")))?;
-                        if (frame_module as usize) >= profile.module_names.len() {
-                            return Err(err(format!(
-                                "stack frame references undeclared module {frame_module}"
-                            )));
-                        }
-                        stack.push(CodeLoc {
-                            module: ModuleId(frame_module),
-                            offset: u64::from_str_radix(o, 16)
-                                .map_err(|e| err(format!("bad frame offset: {e}")))?,
-                        });
-                    }
-                    if parts.next().is_some() {
-                        return Err(err("trailing fields after stack".into()));
-                    }
-                    profile.samples.push(Sample {
-                        loc: CodeLoc {
-                            module: ModuleId(module),
-                            offset,
-                        },
-                        weight,
-                        stack,
-                    });
-                }
-                Some(other) => return Err(err(format!("unknown record `{other}`"))),
-            }
-        }
-        if let Some(n) = declared_modules {
-            if n != profile.module_names.len() {
-                return Err(ProfileParseError::whole_file(format!(
-                    "declared {n} modules but found {}",
-                    profile.module_names.len()
-                )));
-            }
-        }
-        if let Some(n) = declared_samples {
-            if n != profile.samples.len() {
-                return Err(ProfileParseError::whole_file(format!(
-                    "declared {n} samples but found {} (file truncated?)",
-                    profile.samples.len()
-                )));
-            }
-        }
-        Ok(profile)
-    }
-}
-
-pub(crate) fn parse_field<T: std::str::FromStr>(
-    field: Option<&str>,
-    what: &str,
-    lineno: usize,
-) -> Result<T, ProfileParseError>
-where
-    T::Err: std::fmt::Display,
-{
-    field
-        .ok_or_else(|| ProfileParseError::at_line(lineno, format!("missing {what}")))?
-        .parse()
-        .map_err(|e| ProfileParseError::at_line(lineno, format!("bad {what}: {e}")))
-}
-
-pub(crate) fn parse_hex(
-    field: Option<&str>,
-    what: &str,
-    lineno: usize,
-) -> Result<u64, ProfileParseError> {
-    u64::from_str_radix(
-        field.ok_or_else(|| ProfileParseError::at_line(lineno, format!("missing {what}")))?,
-        16,
-    )
-    .map_err(|e| ProfileParseError::at_line(lineno, format!("bad {what}: {e}")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wiser_sim::ModuleId;
 
     fn loc(m: u32, o: u64) -> CodeLoc {
         CodeLoc {
@@ -321,31 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn text_roundtrip() {
-        let p = sample_profile();
-        let text = p.to_text();
-        let back = SampleProfile::from_text(&text).unwrap();
-        assert_eq!(back, p);
-    }
-
-    #[test]
-    fn truncated_profile_roundtrips() {
-        for reason in [
-            TruncationReason::InsnLimit(5000),
-            TruncationReason::Injected(1234),
-            TruncationReason::ExecFault {
-                pc: 0x40,
-                message: "undecodable instruction word".into(),
-            },
-        ] {
-            let mut p = sample_profile();
-            p.truncated = Some(reason);
-            let back = SampleProfile::from_text(&p.to_text()).unwrap();
-            assert_eq!(back, p);
-        }
-    }
-
-    #[test]
     fn aggregation() {
         let p = sample_profile();
         let agg = p.by_location();
@@ -366,42 +153,5 @@ mod tests {
         let mut bad = sample_profile();
         bad.samples[0].stack[1].module = ModuleId(5);
         assert!(bad.validate().unwrap_err().contains("stack frame"));
-    }
-
-    #[test]
-    fn bad_header_rejected() {
-        assert!(SampleProfile::from_text("nope\n").is_err());
-    }
-
-    #[test]
-    fn truncated_stack_rejected() {
-        let text = "optiwise-samples v1\nmodule 0 main\ns 0 10 5 2 0:8\n";
-        let e = SampleProfile::from_text(text).unwrap_err();
-        assert_eq!(e.line, 3);
-    }
-
-    #[test]
-    fn undeclared_module_rejected() {
-        let text = "optiwise-samples v1\nmodule 0 main\ns 7 10 5 0\n";
-        let e = SampleProfile::from_text(text).unwrap_err();
-        assert!(e.message.contains("undeclared module 7"), "{e}");
-        assert_eq!(e.line, 3);
-    }
-
-    #[test]
-    fn truncated_file_detected_by_declared_count() {
-        let p = sample_profile();
-        let text = p.to_text();
-        // Chop off the final sample line — as if the writer died mid-file.
-        let cut = &text[..text[..text.len() - 1].rfind('\n').unwrap() + 1];
-        let e = SampleProfile::from_text(cut).unwrap_err();
-        assert!(e.message.contains("declared 3 samples"), "{e}");
-    }
-
-    #[test]
-    fn parse_errors_carry_line_numbers() {
-        let text = "optiwise-samples v1\nperiod 2048\nperiod zzz\n";
-        let e = SampleProfile::from_text(text).unwrap_err();
-        assert_eq!(e.line, 3);
     }
 }

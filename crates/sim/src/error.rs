@@ -43,54 +43,6 @@ impl fmt::Display for SimError {
 
 impl Error for SimError {}
 
-/// A profile text file failed to parse.
-///
-/// Shared by the sampler and DBI profile parsers (both crates depend on
-/// `wiser-sim`). Carries a 1-based line number so corrupted or truncated
-/// files can be diagnosed precisely; `line` 0 means the problem concerns the
-/// file as a whole (e.g. missing header).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ProfileParseError {
-    /// 1-based line of the offending input, or 0 for whole-file problems.
-    pub line: usize,
-    /// What was wrong with it.
-    pub message: String,
-}
-
-impl ProfileParseError {
-    /// A whole-file error (no meaningful line number).
-    pub fn whole_file(message: impl Into<String>) -> ProfileParseError {
-        ProfileParseError {
-            line: 0,
-            message: message.into(),
-        }
-    }
-
-    /// An error at a specific 1-based line.
-    pub fn at_line(line: usize, message: impl Into<String>) -> ProfileParseError {
-        ProfileParseError {
-            line,
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for ProfileParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "profile parse error: {}", self.message)
-        } else {
-            write!(
-                f,
-                "profile parse error at line {}: {}",
-                self.line, self.message
-            )
-        }
-    }
-}
-
-impl Error for ProfileParseError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,14 +57,5 @@ mod tests {
         .to_string()
         .contains("0x10"));
         assert!(SimError::InsnLimit(5).to_string().contains('5'));
-    }
-
-    #[test]
-    fn parse_error_display_carries_line() {
-        let e = ProfileParseError::at_line(7, "bad sample record");
-        assert!(e.to_string().contains("line 7"));
-        let w = ProfileParseError::whole_file("missing header");
-        assert!(!w.to_string().contains("line"));
-        assert_eq!(w.line, 0);
     }
 }

@@ -11,8 +11,6 @@
 
 use std::fmt;
 
-use crate::error::ProfileParseError;
-
 /// Why a profiling pass stopped before the program exited.
 ///
 /// Carried by partial profiles (`SampleProfile::truncated`,
@@ -67,60 +65,6 @@ impl TruncationReason {
         matches!(self, TruncationReason::InsnLimit(_))
     }
 
-    /// Serializes as one `truncated ...` record line for the profile text
-    /// formats (both the sampler's and the DBI engine's).
-    pub fn to_profile_line(&self) -> String {
-        match self {
-            TruncationReason::InsnLimit(n) => format!("truncated limit {n}\n"),
-            TruncationReason::Injected(n) => format!("truncated injected {n}\n"),
-            TruncationReason::Cancelled(n) => format!("truncated cancelled {n}\n"),
-            TruncationReason::ExecFault { pc, message } => {
-                format!("truncated fault {pc:x} {message}\n")
-            }
-        }
-    }
-
-    /// Parses the fields after a `truncated` profile-record keyword.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ProfileParseError`] at `lineno` for an unknown kind or a
-    /// malformed field.
-    pub fn from_profile_parts<'a>(
-        parts: &mut impl Iterator<Item = &'a str>,
-        lineno: usize,
-    ) -> Result<TruncationReason, ProfileParseError> {
-        let err = |msg: String| ProfileParseError::at_line(lineno, msg);
-        let num = |field: Option<&str>, what: &str| -> Result<u64, ProfileParseError> {
-            field
-                .ok_or_else(|| err(format!("missing {what}")))?
-                .parse()
-                .map_err(|e| err(format!("bad {what}: {e}")))
-        };
-        match parts.next() {
-            Some("limit") => Ok(TruncationReason::InsnLimit(num(
-                parts.next(),
-                "truncation limit",
-            )?)),
-            Some("injected") => Ok(TruncationReason::Injected(num(
-                parts.next(),
-                "truncation point",
-            )?)),
-            Some("cancelled") => Ok(TruncationReason::Cancelled(num(
-                parts.next(),
-                "cancellation point",
-            )?)),
-            Some("fault") => {
-                let pc_str = parts.next().ok_or_else(|| err("missing fault pc".into()))?;
-                let pc = u64::from_str_radix(pc_str, 16)
-                    .map_err(|e| err(format!("bad fault pc: {e}")))?;
-                let message = parts.collect::<Vec<_>>().join(" ");
-                Ok(TruncationReason::ExecFault { pc, message })
-            }
-            Some(other) => Err(err(format!("unknown truncation kind `{other}`"))),
-            None => Err(err("truncated record without kind".into())),
-        }
-    }
 }
 
 /// A deterministic, seed-driven fault-injection plan.
@@ -141,8 +85,8 @@ pub struct FaultPlan {
     /// Abort the instrumentation pass after this many retired instructions,
     /// truncating the counts profile there.
     pub truncate_counts_at: Option<u64>,
-    /// Corrupt profile text emitted for persistence (flips one numeric
-    /// field), exercising the parser's rejection paths on round-trip.
+    /// Corrupt profile bytes emitted for persistence (flips one bit past
+    /// the file header), exercising the decoder's rejection paths.
     pub corrupt_text: bool,
     /// Run the instrumentation pass with this `rand` seed instead of the
     /// configured one, desynchronizing the two passes' control flow — the
@@ -184,36 +128,9 @@ impl FaultPlan {
         splitmix64(self.seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % 100 < pct
     }
 
-    /// Deterministically corrupts one digit of `text` (when `corrupt_text`
-    /// is set; otherwise returns the text unchanged). The mutation targets a
-    /// numeric field past the header line so the result still *looks* like a
-    /// profile — the parser must catch it structurally, not by magic bytes.
-    pub fn corrupt(&self, text: &str) -> String {
-        if !self.corrupt_text {
-            return text.to_string();
-        }
-        let digit_positions: Vec<usize> = text
-            .char_indices()
-            .skip_while(|&(i, _)| i < text.find('\n').map_or(0, |n| n + 1))
-            .filter(|&(_, c)| c.is_ascii_digit())
-            .map(|(i, _)| i)
-            .collect();
-        let Some(&pos) = digit_positions
-            .get(splitmix64(self.seed) as usize % digit_positions.len().max(1))
-        else {
-            return text.to_string();
-        };
-        let mut bytes = text.as_bytes().to_vec();
-        // Replace the digit with a non-digit so the damage is structural
-        // (field count / type mismatch), not a silently different number.
-        bytes[pos] = b'x';
-        String::from_utf8(bytes).expect("ascii substitution keeps utf8 valid")
-    }
-
     /// Deterministically flips one bit of `data` past the first 16 bytes
-    /// (when `corrupt_text` is set; otherwise returns the data unchanged) —
-    /// the binary-format analogue of [`corrupt`](FaultPlan::corrupt). The
-    /// header is spared so the damage lands in a section body or frame and
+    /// (when `corrupt_text` is set; otherwise returns the data unchanged).
+    /// The header is spared so the damage lands in a section body or frame and
     /// must be caught by checksums, not by magic-number comparison. Inputs
     /// of 16 bytes or fewer are returned unchanged.
     pub fn corrupt_bytes(&self, data: &[u8]) -> Vec<u8> {
@@ -303,7 +220,6 @@ mod tests {
         let plan = FaultPlan::default();
         assert!(plan.is_noop());
         assert!(!plan.should_drop_sample(0));
-        assert_eq!(plan.corrupt("optiwise-samples v1\nperiod 2048\n"), "optiwise-samples v1\nperiod 2048\n");
     }
 
     #[test]
@@ -319,29 +235,6 @@ mod tests {
         for i in 0..100 {
             assert_eq!(plan.should_drop_sample(i), plan.should_drop_sample(i));
         }
-    }
-
-    #[test]
-    fn corrupt_changes_exactly_one_byte_past_header() {
-        let plan = FaultPlan {
-            seed: 3,
-            corrupt_text: true,
-            ..FaultPlan::default()
-        };
-        let text = "optiwise-samples v1\nperiod 2048\ns 0 10 512 0\n";
-        let bad = plan.corrupt(text);
-        assert_ne!(bad, text);
-        let diffs: Vec<usize> = text
-            .bytes()
-            .zip(bad.bytes())
-            .enumerate()
-            .filter(|(_, (a, b))| a != b)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(diffs.len(), 1);
-        assert!(diffs[0] > text.find('\n').unwrap(), "header untouched");
-        // Deterministic.
-        assert_eq!(plan.corrupt(text), bad);
     }
 
     #[test]
@@ -421,29 +314,6 @@ mod tests {
             message: "x".into()
         }
         .retryable());
-    }
-
-    #[test]
-    fn profile_line_roundtrip() {
-        for r in [
-            TruncationReason::InsnLimit(5000),
-            TruncationReason::Injected(77),
-            TruncationReason::Cancelled(4096),
-            TruncationReason::ExecFault {
-                pc: 0x1040,
-                message: "bad jump target".into(),
-            },
-        ] {
-            let line = r.to_profile_line();
-            let mut parts = line.split_whitespace();
-            assert_eq!(parts.next(), Some("truncated"));
-            let back = TruncationReason::from_profile_parts(&mut parts, 1).unwrap();
-            assert_eq!(back, r);
-        }
-        assert!(
-            TruncationReason::from_profile_parts(&mut "weird 5".split_whitespace(), 3)
-                .is_err()
-        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ mod trace;
 pub mod uarch;
 pub mod unwind;
 
-pub use error::{ProfileParseError, SimError};
+pub use error::SimError;
 pub use fault::{FaultPlan, TruncationReason};
 pub use interp::{run_module, Cpu, Frame, Interp, Step};
 pub use loader::{CodeLoc, LoadConfig, LoadedModule, ModuleId, ProcessImage};

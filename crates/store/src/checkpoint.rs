@@ -90,6 +90,39 @@ pub struct CheckpointSpec {
 }
 
 impl CheckpointSpec {
+    /// The spec of a run of `workload` at input `size` under `config`, on
+    /// the core model named `arch` with no overrides: the inverse of
+    /// [`CheckpointSpec::to_config`]. `module_hash` is the
+    /// `optiwise::module_fingerprint` of the build being profiled.
+    pub fn from_config(
+        module_hash: u64,
+        workload: &str,
+        size: &str,
+        arch: &str,
+        config: &OptiwiseConfig,
+        checkpoint_every: u64,
+    ) -> CheckpointSpec {
+        CheckpointSpec {
+            module_hash,
+            workload: workload.to_string(),
+            size: size.to_string(),
+            arch: arch.to_string(),
+            overrides: Vec::new(),
+            rand_seed: config.rand_seed,
+            period: config.sampler.period,
+            jitter: config.sampler.jitter,
+            sampler_seed: config.sampler.seed,
+            attribution: config.sampler.attribution,
+            stacks: config.sampler.stacks,
+            stack_profiling: config.dbi.stack_profiling,
+            merge_threshold: config.analysis.merge_threshold,
+            max_insns: config.max_insns,
+            strict: config.strict,
+            allow_partial: config.allow_partial,
+            checkpoint_every,
+        }
+    }
+
     /// The core model this spec names, with any recorded overrides applied
     /// and the result validated. Name resolution delegates to
     /// [`CoreConfig::by_name`] — the same source the CLI and daemon use —
@@ -708,6 +741,19 @@ mod tests {
         let mut bad = spec();
         bad.arch = "cray".into();
         assert!(bad.to_config(1).is_err());
+
+        // `from_config` inverts `to_config`; overrides are the caller's.
+        let mut back = CheckpointSpec::from_config(
+            s.module_hash,
+            &s.workload,
+            &s.size,
+            &s.arch,
+            &cfg,
+            s.checkpoint_every,
+        );
+        assert!(back.overrides.is_empty());
+        back.overrides = s.overrides.clone();
+        assert_eq!(back, s);
     }
 
     #[test]

@@ -1042,6 +1042,24 @@ mod tests {
     }
 
     #[test]
+    fn unrecovered_placement_roundtrips() {
+        // A placed profile erases suppressed vertex counters to 0, so a
+        // kept fall-through counter may exceed its block's stored count.
+        let mut p = stored();
+        let counts = p.counts.as_mut().unwrap();
+        counts.blocks[0].count = 0;
+        counts.blocks[0].fallthrough = 25;
+        counts.placement = Some(CounterPlacement {
+            vertex_suppressed: vec![0],
+            fallthrough_suppressed: vec![],
+            total_insns: 4321,
+            recovered: false,
+        });
+        let back = StoredProfile::from_bytes(&p.to_bytes()).unwrap();
+        assert_eq!(back, p);
+    }
+
+    #[test]
     fn missing_required_sections_rejected() {
         // Craft an image with only a META section.
         let meta_only = write_store(&[(TAG_META, encode_meta(&RunMeta::default()))]);

@@ -1,7 +1,7 @@
 //! Deterministic fault-injection tests: every recovery path of the
 //! pipeline is driven by a seeded [`FaultPlan`] and asserted end to end —
 //! partial-profile recovery, degraded sampling-only analysis, corrupted
-//! profile text, run-divergence detection on desynced seeds, and
+//! profile images, run-divergence detection on desynced seeds, and
 //! crash-style kills at instruction and checkpoint-write boundaries.
 
 use optiwise::{
@@ -9,9 +9,7 @@ use optiwise::{
     OptiwiseConfig, OptiwiseError, PassEvent, RunControl,
     DEFAULT_DIVERGENCE_THRESHOLD,
 };
-use wiser_dbi::CountsProfile;
 use wiser_isa::Module;
-use wiser_sampler::SampleProfile;
 use wiser_sim::{FaultPlan, TruncationReason};
 use wiser_store::{Checkpoint, CheckpointSpec, CheckpointWriter};
 
@@ -172,25 +170,8 @@ fn injected_abort_at_budget_boundary_is_not_retried() {
 
 /// A checkpoint spec matching `cfg` for `modules`, as the CLI would build.
 fn spec_for(modules: &[Module], cfg: &OptiwiseConfig, every: u64) -> CheckpointSpec {
-    CheckpointSpec {
-        module_hash: module_fingerprint(modules),
-        workload: "counted_loop".into(),
-        size: "test".into(),
-        arch: "xeon".into(),
-        overrides: Vec::new(),
-        rand_seed: cfg.rand_seed,
-        period: cfg.sampler.period,
-        jitter: cfg.sampler.jitter,
-        sampler_seed: cfg.sampler.seed,
-        attribution: cfg.sampler.attribution,
-        stacks: cfg.sampler.stacks,
-        stack_profiling: cfg.dbi.stack_profiling,
-        merge_threshold: cfg.analysis.merge_threshold,
-        max_insns: cfg.max_insns,
-        strict: cfg.strict,
-        allow_partial: cfg.allow_partial,
-        checkpoint_every: every,
-    }
+    let hash = module_fingerprint(modules);
+    CheckpointSpec::from_config(hash, "counted_loop", "test", "xeon", cfg, every)
 }
 
 fn scratch_path(name: &str) -> std::path::PathBuf {
@@ -327,29 +308,34 @@ fn kill_during_checkpoint_write_keeps_previous_checkpoint_readable() {
 }
 
 #[test]
-fn corrupted_profile_text_fails_parse_with_line_number() {
-    let run = run_optiwise(&[counted_loop()], &OptiwiseConfig::default()).unwrap();
+fn corrupted_profile_image_fails_parse_with_byte_offset() {
+    let modules = [counted_loop()];
+    let cfg = OptiwiseConfig::default();
+    let run = run_optiwise(&modules, &cfg).unwrap();
     let plan = FaultPlan {
         corrupt_text: true,
         ..FaultPlan::default()
     };
 
-    let bad_samples = plan.corrupt(&run.samples.to_text());
-    let bad_counts = plan.corrupt(&run.counts.to_text());
-    assert_ne!(bad_samples, run.samples.to_text());
-    assert_ne!(bad_counts, run.counts.to_text());
+    // The two single-pass images the split workflow writes.
+    let mut samples_only = Checkpoint::fresh(spec_for(&modules, &cfg, 0));
+    samples_only.samples = Some(run.samples.clone());
+    let mut counts_only = Checkpoint::fresh(spec_for(&modules, &cfg, 0));
+    counts_only.counts = Some(run.counts.clone());
+    for image in [samples_only.to_bytes(), counts_only.to_bytes()] {
+        let bad = plan.corrupt_bytes(&image);
+        assert_ne!(bad, image);
+        let err = Checkpoint::from_bytes(&bad).unwrap_err();
+        assert!(err.offset >= 16, "corruption is past the header: {err}");
+    }
 
-    let err = SampleProfile::from_text(&bad_samples).unwrap_err();
-    assert!(err.line > 0, "corruption is past the header: {err}");
-    let err = CountsProfile::from_text(&bad_counts).unwrap_err();
-    assert!(err.line > 0, "corruption is past the header: {err}");
-
-    // Uncorrupted text still round-trips, including truncation markers.
+    // Uncorrupted images still round-trip, including truncation markers.
     let mut truncated = run.counts.clone();
     truncated.truncated = Some(TruncationReason::ExecFault {
         pc: 0x40,
         message: "injected".into(),
     });
-    let back = CountsProfile::from_text(&truncated.to_text()).unwrap();
-    assert_eq!(back, truncated);
+    counts_only.counts = Some(truncated);
+    let back = Checkpoint::from_bytes(&counts_only.to_bytes()).unwrap();
+    assert_eq!(back, counts_only);
 }

@@ -1,16 +1,53 @@
 //! The split workflow: run `sample` and `instrument` separately, persist
-//! both profiles as text (as the CLI does), reload, and verify the analysis
-//! is identical to the in-memory pipeline.
+//! each profile as a checkpoint image (as the CLI does), reload, and verify
+//! the analysis is identical to the in-memory pipeline.
 
-use optiwise::{Analysis, AnalysisOptions};
+use std::path::Path;
+
+use optiwise::{module_fingerprint, Analysis, AnalysisOptions, OptiwiseConfig};
 use wiser_dbi::{instrument_run, CountsProfile, DbiConfig};
 use wiser_isa::Module;
 use wiser_sampler::{sample_run, SampleProfile, SamplerConfig};
 use wiser_sim::{CoreConfig, LoadConfig, ProcessImage};
+use wiser_store::{atomic_write, Checkpoint, CheckpointSpec};
 use wiser_workloads::InputSize;
 
+/// Writes one pass's profile to `path` as the split commands do — a
+/// checkpoint image with the run spec and one profile section — and loads
+/// it back.
+fn save_and_load(
+    path: &Path,
+    name: &str,
+    modules: &[Module],
+    samples: Option<SampleProfile>,
+    counts: Option<CountsProfile>,
+) -> Checkpoint {
+    let spec = CheckpointSpec::from_config(
+        module_fingerprint(modules),
+        name,
+        "test",
+        "xeon",
+        &OptiwiseConfig::default(),
+        0,
+    );
+    let mut ckpt = Checkpoint::fresh(spec);
+    ckpt.samples = samples;
+    ckpt.counts = counts;
+    atomic_write(path, &ckpt.to_bytes()).unwrap();
+    let back = Checkpoint::load(path).unwrap();
+    assert_eq!(back, ckpt);
+    assert_eq!(back.spec.module_hash, module_fingerprint(modules));
+    back
+}
+
+fn scratch(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("optiwise-io-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(name)
+}
+
 #[test]
-fn profiles_roundtrip_through_text_files() {
+fn profiles_roundtrip_through_checkpoint_files() {
     let modules = wiser_workloads::by_name("stack_attr")
         .unwrap()
         .build(InputSize::Test)
@@ -40,15 +77,24 @@ fn profiles_roundtrip_through_text_files() {
     let counts = instrument_run(&image_b, &DbiConfig::default()).unwrap();
 
     // Persist both to disk and reload (the `optiwise sample/instrument/
-    // analyze` workflow).
-    let dir = std::env::temp_dir().join("optiwise-io-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let sp = dir.join("samples.txt");
-    let cp = dir.join("counts.txt");
-    std::fs::write(&sp, samples.to_text()).unwrap();
-    std::fs::write(&cp, counts.to_text()).unwrap();
-    let samples2 = SampleProfile::from_text(&std::fs::read_to_string(&sp).unwrap()).unwrap();
-    let counts2 = CountsProfile::from_text(&std::fs::read_to_string(&cp).unwrap()).unwrap();
+    // analyze` workflow). Each file carries only its own pass.
+    let sp = save_and_load(
+        &scratch("samples.owp"),
+        "stack_attr",
+        &modules,
+        Some(samples.clone()),
+        None,
+    );
+    let cp = save_and_load(
+        &scratch("counts.owp"),
+        "stack_attr",
+        &modules,
+        None,
+        Some(counts.clone()),
+    );
+    assert!(sp.counts.is_none() && cp.samples.is_none());
+    let samples2 = sp.samples.unwrap();
+    let counts2 = cp.counts.unwrap();
     assert_eq!(samples, samples2);
     assert_eq!(counts, counts2);
 
@@ -77,8 +123,15 @@ fn large_profile_roundtrip() {
         .unwrap();
     let image = ProcessImage::load(&modules, &LoadConfig::default()).unwrap();
     let counts = instrument_run(&image, &DbiConfig::default()).unwrap();
-    let text = counts.to_text();
-    let back = CountsProfile::from_text(&text).unwrap();
+    let back = save_and_load(
+        &scratch("xalanc.owp"),
+        "xalancbmk_like",
+        &modules,
+        None,
+        Some(counts.clone()),
+    )
+    .counts
+    .unwrap();
     assert_eq!(counts, back);
     assert!(
         back.blocks.iter().any(|b| !b.targets.is_empty()),

@@ -10,6 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use optiwise::OptiwiseConfig;
 use wiser_dbi::{instrument_run, DbiConfig};
 use wiser_isa::{
     decode_insn, encode_insn, AluOp, Cond, FpCmp, FpOp, Fpr, Gpr, Insn, Scale, Width,
@@ -19,6 +20,7 @@ use wiser_sim::{
     run_timed, run_timed_partial, CommitMode, CoreConfig, Interp, Memory, NoProbes, ProbePoint,
     Prober, ProcessImage, Step, ARCH_NAMES, MAX_LATENCY,
 };
+use wiser_store::{Checkpoint, CheckpointSpec};
 
 /// Deterministic case generator.
 struct Gen(StdRng);
@@ -317,7 +319,8 @@ fn memory_endianness() {
     }
 }
 
-/// Sample profiles survive text serialization for arbitrary contents.
+/// Sample profiles survive the binary `SAMP` codec (inside the checkpoint
+/// image the split workflow writes) for arbitrary contents.
 #[test]
 fn sample_profile_roundtrip() {
     let mut gen = Gen::new(0x06);
@@ -348,8 +351,17 @@ fn sample_profile_roundtrip() {
             unmapped: 3,
             ..SampleProfile::default()
         };
-        let back = SampleProfile::from_text(&profile.to_text()).expect("roundtrip parses");
-        assert_eq!(back, profile);
+        let mut ckpt = Checkpoint::fresh(CheckpointSpec::from_config(
+            0,
+            "generated",
+            "test",
+            "xeon",
+            &OptiwiseConfig::default(),
+            0,
+        ));
+        ckpt.samples = Some(profile.clone());
+        let back = Checkpoint::from_bytes(&ckpt.to_bytes()).expect("roundtrip decodes");
+        assert_eq!(back.samples, Some(profile));
     }
 }
 
