@@ -139,7 +139,7 @@ mod imp {
     use optiwise::{module_fingerprint, CancelToken, OptiwiseError, OptiwiseRun};
     use wiser_archive::{Archive, RetentionPolicy};
     use wiser_sim::{CoreConfig, ARCH_NAMES};
-    use wiser_store::{Checkpoint, CheckpointWriter, StoredProfile};
+    use wiser_store::{Checkpoint, StoredProfile};
     use wiser_workloads::InputSize;
 
     use crate::jsonl::{self, Value};
@@ -674,29 +674,21 @@ mod imp {
         let checkpoint_path = lock(&daemon.archive)
             .checkpoints_dir()
             .join(format!("job-{job_id:06}.owp"));
-        let writer = CheckpointWriter::new(
-            &checkpoint_path,
-            Checkpoint::fresh(spec),
-            token.clone(),
-            daemon.opts.fault.kill_in_checkpoint_write,
-        );
-        writer.persist_initial()?;
-
-        let run = supervise(token, &mut |attempt| {
-            if attempt > 0 {
-                eprintln!(
-                    "optiwised: job {job_id} ({workload}): retrying, attempt {}",
-                    attempt + 1
-                );
-            }
-            crate::run_with_control(
-                &modules,
-                &config,
-                token,
-                every,
-                Some(&writer),
-                optiwise::ResumeState::default(),
-            )
+        let target = crate::CheckpointTarget {
+            path: &checkpoint_path,
+            ckpt: Checkpoint::fresh(spec),
+            resumed: false,
+        };
+        let run = crate::run_with_control(&modules, &config, token, Some(target), |run| {
+            supervise(token, &mut |attempt| {
+                if attempt > 0 {
+                    eprintln!(
+                        "optiwised: job {job_id} ({workload}): retrying, attempt {}",
+                        attempt + 1
+                    );
+                }
+                run()
+            })
         })?;
 
         let stored = StoredProfile::from_run(workload, &run, seed, arch, core);

@@ -10,6 +10,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read};
 
+use optiwise::export::json_escape;
+
 /// A protocol value: the subset of JSON the daemon wire format uses.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Value {
@@ -72,10 +74,10 @@ pub fn to_line(object: &BTreeMap<String, Value>) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":", escape(key));
+        let _ = write!(out, "\"{}\":", json_escape(key));
         match value {
             Value::Str(s) => {
-                let _ = write!(out, "\"{}\"", escape(s));
+                let _ = write!(out, "\"{}\"", json_escape(s));
             }
             Value::Int(n) => {
                 let _ = write!(out, "{n}");
@@ -86,26 +88,6 @@ pub fn to_line(object: &BTreeMap<String, Value>) -> String {
         }
     }
     out.push('}');
-    out
-}
-
-/// JSON string escaping for the wire: quotes, backslashes and control
-/// characters; everything else passes through as UTF-8.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

@@ -36,9 +36,9 @@
 //! `--format text|json|yaml`, `--deadline SECS`, `--checkpoint FILE`,
 //! `--checkpoint-every N`.
 //!
-//! `run` accepts multiple workloads: they are profiled concurrently on a
-//! bounded worker pool (`--jobs N` threads) and the reports are merged in
-//! command-line order, so the output is byte-identical for every thread
+//! `run` accepts multiple workloads: they are profiled concurrently on up
+//! to `--jobs N` threads (`wiser_par::par_map`) and the reports are merged
+//! in command-line order, so the output is byte-identical for every thread
 //! count.
 //!
 //! `run --checkpoint FILE` persists a crash-consistent checkpoint every
@@ -51,7 +51,8 @@
 //!
 //! The split workflow writes each pass as a checkpoint image holding the
 //! run spec plus that pass's profile; `analyze` refuses files recorded
-//! against a different build of the workload.
+//! against a different build of the workload, then runs the pipeline with
+//! both passes restored, so its report is the one `run` prints.
 //!
 //! Exit codes mirror [`OptiwiseError::exit_code`]: 0 success, 2 load or
 //! disassembly failure, 3 execution fault, 4 instruction limit or disallowed
@@ -72,15 +73,14 @@ use std::time::Duration;
 use optiwise::{
     diff_tables, module_fingerprint, reduce_fleet, report, run_optiwise, run_optiwise_ctl,
     Analysis, AnalysisMode, AnalysisOptions, CancelToken, DiffOptions, OptiwiseConfig,
-    OptiwiseError, OptiwiseRun, Pass, PassEvent, ProfileTables, ResourceLimits,
+    OptiwiseError, OptiwiseRun, Pass, PassEvent, ProfileTables, ResourceLimits, ResumeState,
     RunControl, StoreError, SweepCell, SweepConfig, SweepGrid, SweepResult, SweepWorkload,
-    DEFAULT_DIVERGENCE_THRESHOLD,
 };
 use wiser_store::{Checkpoint, CheckpointSpec, CheckpointWriter, StoredProfile};
 use wiser_dbi::{instrument_run, CountsProfile, DbiConfig};
 use wiser_isa::Module;
 use wiser_sampler::{sample_run, Attribution, SampleProfile, SamplerConfig};
-use wiser_sim::{CoreConfig, FaultPlan, LoadConfig, ProcessImage, ARCH_NAMES};
+use wiser_sim::{CoreConfig, FaultPlan, LoadConfig, ProcessImage, TruncationReason, ARCH_NAMES};
 use wiser_workloads::InputSize;
 
 struct Options {
@@ -592,32 +592,75 @@ fn checkpoint_spec(
     spec
 }
 
-/// Runs the pipeline under a cancellation token, checkpointing to `writer`
-/// (when given) on every pass event. Checkpoint-persist failures surface
-/// only after the run settles: a sick checkpoint disk must not kill a
-/// healthy profile run, but it must not go unreported either.
+/// The checkpoint file a run persists into, and the image it starts from.
+struct CheckpointTarget<'a> {
+    path: &'a std::path::Path,
+    ckpt: Checkpoint,
+    /// The image was loaded from `path` to resume it: it is already on
+    /// disk, so no initial write is made and `kill-in-write=N` counts only
+    /// the resumed run's own writes.
+    resumed: bool,
+}
+
+/// Runs the pipeline under a cancellation token, checkpointing into
+/// `checkpoint` (when given) on every pass event. The cadence comes from
+/// the image's spec, the restored passes from its completed profiles, and
+/// the injected mid-write crash from `config.fault`. A fresh image is
+/// persisted before the passes start, so an unwritable path fails early
+/// and even a kill at instruction zero leaves a resumable file.
+///
+/// `attempt` drives the pipeline call: the CLI runs it once, the daemon
+/// retries transient failures, every try sharing the one writer.
+/// Checkpoint-persist failures surface only after the run settles: a sick
+/// checkpoint disk must not kill a healthy profile run, but it must not go
+/// unreported either.
 fn run_with_control(
     modules: &[Module],
     config: &OptiwiseConfig,
     token: &CancelToken,
-    checkpoint_every: u64,
-    writer: Option<&CheckpointWriter>,
-    resume: optiwise::ResumeState,
+    checkpoint: Option<CheckpointTarget<'_>>,
+    attempt: impl FnOnce(
+        &mut dyn FnMut() -> Result<OptiwiseRun, OptiwiseError>,
+    ) -> Result<OptiwiseRun, OptiwiseError>,
 ) -> Result<OptiwiseRun, OptiwiseError> {
-    let observe = writer.map(|w| move |event: PassEvent<'_>| w.observe(event));
-    let run = run_optiwise_ctl(
-        modules,
-        config,
-        RunControl {
-            cancel: token.clone(),
-            checkpoint_every,
-            observer: observe
-                .as_ref()
-                .map(|f| f as &(dyn Fn(PassEvent<'_>) + Sync)),
-            resume,
-        },
-    )?;
-    if let Some(w) = writer {
+    let writer = match &checkpoint {
+        Some(target) => {
+            let writer = CheckpointWriter::new(
+                target.path,
+                target.ckpt.clone(),
+                token.clone(),
+                config.fault.kill_in_checkpoint_write,
+            );
+            if !target.resumed {
+                writer.persist_initial()?;
+            }
+            Some(writer)
+        }
+        None => None,
+    };
+    let observe = writer
+        .as_ref()
+        .map(|w| move |event: PassEvent<'_>| w.observe(event));
+    let run = attempt(&mut || {
+        run_optiwise_ctl(
+            modules,
+            config,
+            RunControl {
+                cancel: token.clone(),
+                checkpoint_every: checkpoint
+                    .as_ref()
+                    .map_or(0, |t| t.ckpt.spec.checkpoint_every),
+                observer: observe
+                    .as_ref()
+                    .map(|f| f as &(dyn Fn(PassEvent<'_>) + Sync)),
+                resume: checkpoint
+                    .as_ref()
+                    .map(|t| t.ckpt.resume_state())
+                    .unwrap_or_default(),
+            },
+        )
+    })?;
+    if let Some(w) = &writer {
         w.finish()?;
     }
     Ok(run)
@@ -689,30 +732,18 @@ fn cmd_run(opts: Options) -> Result<(), OptiwiseError> {
         .map(String::as_str)
         .unwrap_or("run")
         .to_string();
-    let writer = match &opts.checkpoint {
-        Some(path) => {
-            let spec = checkpoint_spec(opts, &name, &modules, &config, checkpoint_every);
-            let writer = CheckpointWriter::new(
-                path,
-                Checkpoint::fresh(spec),
-                token.clone(),
-                opts.fault.kill_in_checkpoint_write,
-            );
-            // Fail before profiling if the checkpoint path is unwritable,
-            // and make even a kill-at-instruction-zero resumable.
-            writer.persist_initial()?;
-            Some(writer)
-        }
-        None => None,
-    };
-    let run = run_with_control(
-        &modules,
-        &config,
-        &token,
-        checkpoint_every,
-        writer.as_ref(),
-        optiwise::ResumeState::default(),
-    )?;
+    let checkpoint = opts.checkpoint.as_deref().map(|path| CheckpointTarget {
+        path: std::path::Path::new(path),
+        ckpt: Checkpoint::fresh(checkpoint_spec(
+            opts,
+            &name,
+            &modules,
+            &config,
+            checkpoint_every,
+        )),
+        resumed: false,
+    });
+    let run = run_with_control(&modules, &config, &token, checkpoint, |run| run())?;
     render_run(
         opts,
         &name,
@@ -814,10 +845,9 @@ fn run_one(name: &str, opts: &Options, token: &CancelToken) -> Result<String, Op
     Ok(report::full_report(&run.analysis, opts.top))
 }
 
-/// Batch mode: profile every named workload on a bounded worker pool and
-/// merge the reports in command-line order. The merge key is the shard
-/// index, never completion order, so `--jobs 8` output is byte-identical
-/// to `--jobs 1`.
+/// Batch mode: profile every named workload with `par_map` and merge the
+/// reports in command-line order. The merge key is the shard index, never
+/// completion order, so `--jobs 8` output is byte-identical to `--jobs 1`.
 fn cmd_run_batch(opts: Options) -> Result<(), OptiwiseError> {
     if opts.function.is_some() || opts.csv_dir.is_some() || opts.save.is_some() {
         return Err(OptiwiseError::Usage(
@@ -830,41 +860,28 @@ fn cmd_run_batch(opts: Options) -> Result<(), OptiwiseError> {
         ));
     }
     let token = make_token(&opts);
-    let opts = std::sync::Arc::new(opts);
-    // The pool shares the run's token: a deadline or Ctrl-C stops shards
-    // already executing at their next instruction boundary and discards
-    // shards still queued, then joins every worker.
-    let pool = wiser_par::WorkerPool::with_cancel(
-        opts.jobs.min(opts.workloads.len()),
-        token.clone(),
-    );
-    let (tx, rx) = std::sync::mpsc::channel();
-    for (index, name) in opts.workloads.iter().cloned().enumerate() {
-        let tx = tx.clone();
-        let opts = std::sync::Arc::clone(&opts);
-        let token = token.clone();
-        pool.execute(move || {
-            let _ = tx.send((index, run_one(&name, &opts, &token)));
-        });
-    }
-    drop(tx);
-    pool.finish()
-        .map_err(|e| OptiwiseError::Internal(format!("batch worker: {e}")))?;
-    let mut shards: Vec<(usize, Result<String, OptiwiseError>)> = rx.iter().collect();
-    shards.sort_by_key(|&(index, _)| index);
+    // Every shard shares the run's token: a deadline or Ctrl-C stops shards
+    // already executing at their next instruction boundary, and a shard
+    // that finds the token fired never starts.
+    let shards = wiser_par::par_map(opts.jobs, opts.workloads.clone(), |_, name| {
+        token
+            .cause()
+            .is_none()
+            .then(|| run_one(&name, &opts, &token))
+    })
+    .map_err(|e| OptiwiseError::Internal(format!("batch worker: {e}")))?;
 
     let mut out = String::new();
     let mut first_error: Option<OptiwiseError> = None;
-    for (index, shard) in shards {
-        let name = &opts.workloads[index];
+    for (name, shard) in opts.workloads.iter().zip(shards) {
         match shard {
-            Ok(text) => {
+            Some(Ok(text)) => {
                 let _ = std::fmt::Write::write_fmt(
                     &mut out,
                     format_args!("== workload: {name} ==\n{text}\n"),
                 );
             }
-            Err(e) => {
+            Some(Err(e)) => {
                 eprintln!("optiwise: workload `{name}` failed: {e}");
                 // The reported error is the first by command-line order,
                 // not by completion order: deterministic exit codes.
@@ -872,13 +889,14 @@ fn cmd_run_batch(opts: Options) -> Result<(), OptiwiseError> {
                     first_error = Some(e);
                 }
             }
+            None => {}
         }
     }
     emit(&opts, &out)?;
     if first_error.is_none() {
         if let Some(cause) = token.cause() {
             // Every completed shard succeeded but queued shards were
-            // discarded by the cancellation: the batch did not finish.
+            // skipped by the cancellation: the batch did not finish.
             first_error = Some(OptiwiseError::DeadlineExceeded {
                 retired: 0,
                 deadline: cause == optiwise::CancelCause::Deadline,
@@ -960,21 +978,12 @@ fn run_sweep_cell(
     spec.arch = cell.config.arch.clone();
     spec.overrides = cell.config.overrides.clone();
     let checkpoint = checkpoints.join(format!("sweep-{}.owp", cell.label()));
-    let writer = CheckpointWriter::new(
-        &checkpoint,
-        Checkpoint::fresh(spec),
-        token.clone(),
-        opts.fault.kill_in_checkpoint_write,
-    );
-    writer.persist_initial()?;
-    let run = run_with_control(
-        &modules,
-        &config,
-        token,
-        every,
-        Some(&writer),
-        optiwise::ResumeState::default(),
-    )?;
+    let target = CheckpointTarget {
+        path: &checkpoint,
+        ckpt: Checkpoint::fresh(spec),
+        resumed: false,
+    };
+    let run = run_with_control(&modules, &config, token, Some(target), |run| run())?;
     let stored = StoredProfile::from_run(
         cell.label(),
         &run,
@@ -996,7 +1005,7 @@ fn run_sweep_cell(
 ///
 /// The grid is the cross product of the `--config` specs (default: `xeon`
 /// and `neoverse`) and the positional workloads, expanded workload-major in
-/// declared order. Cells fan out on the shared worker pool; each one runs
+/// declared order. Cells fan out with `par_map`; each one runs
 /// under its own [`CoreConfig`], checkpoints into the archive's
 /// `checkpoints/` directory, and is committed as a self-describing `.owp`
 /// run (with a `UCFG` section) labelled `workload-sSEED-config`. Cells
@@ -1041,45 +1050,31 @@ fn cmd_sweep(opts: Options) -> Result<(), OptiwiseError> {
         .committed()
         .map(|e| (e.workload.clone(), e.run_id))
         .collect();
-    let fresh: Vec<SweepCell> = cells
+    let fresh: Vec<&SweepCell> = cells
         .iter()
         .filter(|c| !committed.contains_key(&c.label()))
-        .cloned()
         .collect();
 
     let token = make_token(&opts);
     let checkpoints = archive.checkpoints_dir();
-    let opts = std::sync::Arc::new(opts);
-    let pool =
-        wiser_par::WorkerPool::with_cancel(opts.jobs.min(fresh.len().max(1)), token.clone());
-    let (tx, rx) = std::sync::mpsc::channel();
-    for cell in fresh {
-        let tx = tx.clone();
-        let opts = std::sync::Arc::clone(&opts);
-        let token = token.clone();
-        let checkpoints = checkpoints.clone();
-        pool.execute(move || {
-            let _ = tx.send((
-                cell.index,
-                run_sweep_cell(&cell, &opts, &token, &checkpoints),
-            ));
-        });
-    }
-    drop(tx);
-    pool.finish()
-        .map_err(|e| OptiwiseError::Internal(format!("sweep worker: {e}")))?;
-    let mut done: Vec<(usize, Result<SweepCellRun, OptiwiseError>)> = rx.iter().collect();
-    done.sort_by_key(|&(index, _)| index);
+    // A cell that finds the run's token fired never starts; cells already
+    // running stop at their next instruction boundary.
+    let done = wiser_par::par_map(opts.jobs, fresh.clone(), |_, cell| {
+        token
+            .cause()
+            .is_none()
+            .then(|| run_sweep_cell(cell, &opts, &token, &checkpoints))
+    })
+    .map_err(|e| OptiwiseError::Internal(format!("sweep worker: {e}")))?;
 
     // Commit after the barrier, in grid order: run ids stay deterministic
     // across `--jobs`. Finished cells commit even when a sibling failed or
     // the sweep was cancelled — that is what makes re-running it a resume.
     let mut results: Vec<SweepResult> = Vec::with_capacity(cells.len());
     let mut first_error: Option<OptiwiseError> = None;
-    for (index, outcome) in done {
-        let cell = &cells[index];
+    for (cell, outcome) in fresh.into_iter().zip(done) {
         match outcome {
-            Ok(run) => {
+            Some(Ok(run)) => {
                 archive.add_run(&run.bytes, run.fingerprint)?;
                 let _ = std::fs::remove_file(&run.checkpoint);
                 results.push(SweepResult {
@@ -1087,12 +1082,13 @@ fn cmd_sweep(opts: Options) -> Result<(), OptiwiseError> {
                     tables: run.tables,
                 });
             }
-            Err(e) => {
+            Some(Err(e)) => {
                 eprintln!("optiwise: sweep cell `{}` failed: {e}", cell.label());
                 if first_error.is_none() {
                     first_error = Some(e);
                 }
             }
+            None => {}
         }
     }
     for cell in &cells {
@@ -1157,21 +1153,14 @@ fn cmd_resume(opts: &Options) -> Result<(), OptiwiseError> {
     // Fault injection is never stored in a checkpoint; a resumed leg only
     // gets faults the tests pass explicitly on this command line.
     config.fault = opts.fault;
-    let token = make_token(opts);
-    let writer = CheckpointWriter::new(
-        path,
-        ckpt.clone(),
-        token.clone(),
-        opts.fault.kill_in_checkpoint_write,
-    );
-    let run = run_with_control(
-        &modules,
-        &config,
-        &token,
-        spec.checkpoint_every,
-        Some(&writer),
-        ckpt.resume_state(),
-    )?;
+    let target = CheckpointTarget {
+        path: std::path::Path::new(path),
+        ckpt,
+        resumed: true,
+    };
+    let run = run_with_control(&modules, &config, &make_token(opts), Some(target), |run| {
+        run()
+    })?;
     // The stored label comes from the checkpoint's own arch and overrides,
     // never this process's defaults: a resumed neoverse run must not be
     // re-stamped "xeon".
@@ -1288,15 +1277,23 @@ fn save_split(
 fn cmd_sample(opts: &Options) -> Result<(), OptiwiseError> {
     let out = split_out(opts, "sample")?;
     let modules = build_workload(opts)?;
+    let config = pipeline_config(opts);
     let load = LoadConfig {
-        aslr_seed: Some(0x5a5a),
+        aslr_seed: Some(config.aslr_seeds.0),
         ..LoadConfig::default()
     };
     let image = ProcessImage::load(&modules, &load)?;
-    let mut sampler_cfg = opts.sampler;
-    sampler_cfg.fault = opts.fault;
-    let (profile, run) =
-        sample_run(&image, opts.seed, opts.core, sampler_cfg, 200_000_000)?;
+    let sampler_cfg = SamplerConfig {
+        fault: config.fault,
+        ..config.sampler
+    };
+    let (profile, run) = sample_run(
+        &image,
+        config.rand_seed,
+        config.core,
+        sampler_cfg,
+        config.max_insns,
+    )?;
     if let Some(reason) = &profile.truncated {
         if opts.strict || !opts.allow_partial {
             return Err(OptiwiseError::Truncated {
@@ -1318,18 +1315,19 @@ fn cmd_sample(opts: &Options) -> Result<(), OptiwiseError> {
 fn cmd_instrument(opts: &Options) -> Result<(), OptiwiseError> {
     let out = split_out(opts, "instrument")?;
     let modules = build_workload(opts)?;
+    let config = pipeline_config(opts);
     let load = LoadConfig {
-        aslr_seed: Some(0xa5a5),
+        aslr_seed: Some(config.aslr_seeds.1),
         ..LoadConfig::default()
     };
     let image = ProcessImage::load(&modules, &load)?;
     let counts = instrument_run(
         &image,
         &DbiConfig {
-            stack_profiling: opts.stack_profiling,
-            rand_seed: opts.seed,
-            fault: opts.fault,
-            ..DbiConfig::default()
+            rand_seed: config.rand_seed,
+            max_insns: config.max_insns,
+            fault: config.fault,
+            ..config.dbi
         },
     )?;
     if let Some(reason) = &counts.truncated {
@@ -1351,10 +1349,27 @@ fn cmd_instrument(opts: &Options) -> Result<(), OptiwiseError> {
 }
 
 /// Loads one split-workflow file, refusing it unless it was recorded
-/// against the current build of `workload`.
+/// against the current build of `workload`. A `run --checkpoint` snapshot
+/// of an interrupted run is refused too: its passes stopped early and
+/// belong to `optiwise resume`, not to `analyze`.
 fn load_split(path: &str, workload: &str, modules: &[Module]) -> Result<Checkpoint, OptiwiseError> {
     let ckpt = Checkpoint::load(std::path::Path::new(path))?;
     check_fingerprint(path, &ckpt.spec, workload, modules)?;
+    let samples_cut = ckpt.samples.as_ref().and_then(|p| p.truncated.as_ref());
+    let counts_cut = ckpt.counts.as_ref().and_then(|p| p.truncated.as_ref());
+    if [samples_cut, counts_cut]
+        .iter()
+        .any(|t| matches!(t, Some(TruncationReason::Cancelled(_))))
+    {
+        return Err(OptiwiseError::Store(StoreError::in_section(
+            0,
+            "CKPT",
+            format!(
+                "{path} is a checkpoint of an interrupted run, not a finished pass; \
+                 complete it with `optiwise resume {path}`"
+            ),
+        )));
+    }
     Ok(ckpt)
 }
 
@@ -1368,6 +1383,10 @@ fn missing_section(path: &str, tag: &str, cmd: &str) -> OptiwiseError {
     ))
 }
 
+/// `optiwise analyze`: the pipeline with both passes restored from split
+/// files. Placement, degradation, warnings and the strict checks all come
+/// from the runner, so the report is the one `run` prints for the same
+/// passes.
 fn cmd_analyze(opts: &Options) -> Result<(), OptiwiseError> {
     let modules = build_workload(opts)?;
     let workload = &opts.workloads[0];
@@ -1385,56 +1404,18 @@ fn cmd_analyze(opts: &Options) -> Result<(), OptiwiseError> {
     let counts = load_split(counts_path, workload, &modules)?
         .counts
         .ok_or_else(|| missing_section(counts_path, "CNTS", "instrument"))?;
-    // Rebuild the linked view for disassembly/line info.
-    let load = LoadConfig {
-        aslr_seed: Some(0xa5a5),
-        ..LoadConfig::default()
-    };
-    let image = ProcessImage::load(&modules, &load)?;
-    let linked: Vec<Module> = image.modules.iter().map(|m| m.linked.clone()).collect();
-    let analysis_opts = AnalysisOptions {
-        merge_threshold: opts.merge_threshold,
-        jobs: opts.jobs,
-    };
-    // Same recovery ladder as the live pipeline: truncated counts are
-    // discarded and the analysis degrades, unless partials are disallowed.
-    let analysis = match &counts.truncated {
-        Some(reason) if opts.strict || !opts.allow_partial => {
-            return Err(OptiwiseError::Truncated {
-                pass: Pass::Instrumentation,
-                reason: reason.clone(),
-            });
-        }
-        Some(reason) => {
-            eprintln!(
-                "optiwise: counts profile truncated ({reason}); \
-                 degrading to sampling-only analysis"
-            );
-            let mut analysis = Analysis::sampling_only(&linked, &samples, analysis_opts)?;
-            analysis.diagnostics.counts_truncated = Some(reason.clone());
-            analysis
-        }
-        None => {
-            match &samples.truncated {
-                Some(reason) if opts.strict || !opts.allow_partial => {
-                    return Err(OptiwiseError::Truncated {
-                        pass: Pass::Sampling,
-                        reason: reason.clone(),
-                    });
-                }
-                _ => {}
-            }
-            Analysis::try_new(&linked, &samples, &counts, analysis_opts)?
-        }
-    };
-    if opts.strict && analysis.diagnostics.diverged(DEFAULT_DIVERGENCE_THRESHOLD) {
-        return Err(OptiwiseError::Divergence {
-            score: analysis.diagnostics.divergence_score,
-            threshold: DEFAULT_DIVERGENCE_THRESHOLD,
-            summary: analysis.diagnostics.summary(),
-        });
-    }
-    emit(opts, &report::full_report(&analysis, opts.top))
+    let run = run_optiwise_ctl(
+        &modules,
+        &pipeline_config(opts),
+        RunControl {
+            resume: ResumeState {
+                samples: Some(samples),
+                counts: Some(counts),
+            },
+            ..RunControl::default()
+        },
+    )?;
+    emit(opts, &report::full_report(&run.analysis, opts.top))
 }
 
 fn cmd_annotate(opts: &Options) -> Result<(), OptiwiseError> {
@@ -2067,10 +2048,11 @@ options:
   --strict                fail on truncation or run divergence
   --allow-partial / --no-partial
                           accept or reject truncated profiles (default: accept)
-  --selective             two-phase pipeline: the sampling pass runs first and
-                          only functions above --hot-threshold of its samples
-                          are fully instrumented; cold code is attributed from
-                          samples only and marked `sampling-only` in the report
+  --selective             (run/selfcheck) two-phase pipeline: the sampling pass
+                          runs first and only functions above --hot-threshold
+                          of its samples are fully instrumented; cold code is
+                          attributed from samples only and marked
+                          `sampling-only` in the report
   --hot-threshold F       (run/selfcheck, with --selective) hotness cutoff as a
                           fraction of total samples, 0..=1 (default: 0.01)
   --exhaustive-counters   disable minimal counter placement: charge one counter
@@ -2147,6 +2129,13 @@ pub fn cli_main() -> ExitCode {
             {
                 Err(OptiwiseError::Usage(format!(
                     "`{cmd}` takes one workload; only `run` and `sweep` accept several"
+                )))
+            }
+            // The split files hold full passes; selective instrumentation
+            // needs the sampling pass to pick what the other one counts.
+            Ok(opts) if opts.selective && matches!(cmd, "sample" | "instrument" | "analyze") => {
+                Err(OptiwiseError::Usage(format!(
+                    "`{cmd}` records or fuses full passes; --selective needs `run`"
                 )))
             }
             Ok(opts) => match cmd {

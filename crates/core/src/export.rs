@@ -116,7 +116,7 @@ pub fn blocks_csv(analysis: &Analysis) -> String {
 /// Escapes `s` as the contents of a JSON string literal (RFC 8259): quote,
 /// backslash and control characters only — everything else passes through
 /// as UTF-8.
-fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

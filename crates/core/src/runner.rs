@@ -128,21 +128,26 @@ pub struct RunControl<'a> {
     /// Receives [`PassEvent`]s; must be `Sync` because concurrent passes
     /// call it from two threads.
     pub observer: Option<&'a (dyn Fn(PassEvent<'_>) + Sync)>,
-    /// Passes restored from a checkpoint, skipping their re-execution.
+    /// Passes restored from a file, skipping their re-execution.
     pub resume: ResumeState,
 }
 
-/// Completed passes restored from a checkpoint.
+/// Passes restored from a file instead of re-executed: the completed passes
+/// of a checkpoint (`optiwise resume`), or both split-workflow files
+/// (`optiwise analyze`).
 ///
-/// Only a pass that *finished* (its stored profile has `truncated = None`)
-/// may be restored — a partial profile is deliberately absent here because
-/// resume replays incomplete passes from instruction zero, which is what
-/// makes a resumed run byte-identical to an uninterrupted one.
+/// A restored profile may be truncated (a split counts pass cut by its
+/// budget, say); it then goes through the same recovery ladder as a fresh
+/// pass truncated the same way — degradation, warnings and the strict
+/// checks alike. Restored passes are never retried. `resume` restores only
+/// passes that finished and replays the others from instruction zero,
+/// which is what makes a resumed run byte-identical to an uninterrupted
+/// one.
 #[derive(Default)]
 pub struct ResumeState {
-    /// Completed sampling profile to restore, if any.
+    /// Sampling profile to restore, if any.
     pub samples: Option<SampleProfile>,
-    /// Completed instrumentation profile to restore, if any.
+    /// Instrumentation profile to restore, if any.
     pub counts: Option<CountsProfile>,
 }
 
@@ -197,8 +202,6 @@ pub struct OptiwiseConfig {
     /// Permit truncated/partial profiles to flow into the analysis (ignored
     /// — treated as `false` — when `strict` is set).
     pub allow_partial: bool,
-    /// Divergence score above which the run is considered inconsistent.
-    pub divergence_threshold: f64,
     /// Re-run policy for budget-truncated passes.
     pub retry: RetryPolicy,
     /// Deterministic fault injection applied to both passes (testing only).
@@ -238,7 +241,6 @@ impl Default for OptiwiseConfig {
             aslr_seeds: (0x5a5a, 0xa5a5),
             strict: false,
             allow_partial: true,
-            divergence_threshold: DEFAULT_DIVERGENCE_THRESHOLD,
             retry: RetryPolicy::default(),
             fault: FaultPlan::default(),
             concurrent_passes: true,
@@ -333,7 +335,7 @@ pub struct OptiwiseRun {
 ///    skew every CPI — and the analysis degrades to sampling-only, again
 ///    unless `strict` or `!allow_partial`.
 /// 4. In strict mode, a post-join divergence score above
-///    `config.divergence_threshold` fails the run.
+///    [`DEFAULT_DIVERGENCE_THRESHOLD`] fails the run.
 ///
 /// # Errors
 ///
@@ -633,10 +635,10 @@ pub fn run_optiwise_ctl(
         }
     };
 
-    if config.strict && analysis.diagnostics.diverged(config.divergence_threshold) {
+    if config.strict && analysis.diagnostics.diverged(DEFAULT_DIVERGENCE_THRESHOLD) {
         return Err(OptiwiseError::Divergence {
             score: analysis.diagnostics.divergence_score,
-            threshold: config.divergence_threshold,
+            threshold: DEFAULT_DIVERGENCE_THRESHOLD,
             summary: analysis.diagnostics.summary(),
         });
     }

@@ -3,9 +3,9 @@
 //!
 //! The token is the single stop channel of the whole pipeline: the CLI
 //! creates one per run, the execution loops (timing model feeder, DBI block
-//! dispatch, worker pools) poll it at safe boundaries, and whichever cause
-//! fires first is latched so every observer agrees on *why* the run
-//! stopped. All operations are lock-free atomics; [`CancelToken::cancel`]
+//! dispatch) poll it at safe boundaries, batch fan-outs check it before
+//! starting each task, and whichever cause fires first is latched so every
+//! observer agrees on *why* the run stopped. All operations are lock-free atomics; [`CancelToken::cancel`]
 //! in particular is async-signal-safe and may be called from a signal
 //! handler.
 

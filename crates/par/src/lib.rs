@@ -13,6 +13,11 @@
 //!   results come back in input order regardless of which worker finished
 //!   first, which is what makes the pipeline's merged output deterministic
 //!   under any `--jobs` setting.
+//!
+//! Neither shape knows about cancellation. A stopped run is the
+//! [`CancelToken`]'s business: the simulator, sampler and DBI engine poll it
+//! at instruction boundaries, and a fan-out that must not start new work
+//! once it fires checks [`CancelToken::cause`] at the top of each task.
 
 #![warn(missing_docs)]
 
@@ -25,30 +30,22 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 
-/// A failure inside a pool: tasks panicked, or a cancellation stopped the
-/// run before every task could execute.
+/// A failure inside a pool: one or more tasks panicked.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PoolError {
     /// Number of tasks that panicked.
     pub panics: usize,
-    /// Payload of the first panic, stringified; or a cancellation note
-    /// when no task panicked.
+    /// Payload of the first panic, stringified.
     pub first: String,
-    /// Number of tasks skipped because the pool's [`CancelToken`] fired.
-    pub cancelled: usize,
 }
 
 impl std::fmt::Display for PoolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.panics == 0 {
-            write!(f, "cancelled with {} task(s) unfinished", self.cancelled)
-        } else {
-            write!(
-                f,
-                "{} worker task(s) panicked; first: {}",
-                self.panics, self.first
-            )
-        }
+        write!(
+            f,
+            "{} worker task(s) panicked; first: {}",
+            self.panics, self.first
+        )
     }
 }
 
@@ -79,12 +76,6 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// [`WorkerPool::finish`]. Dropping the pool without calling `finish` still
 /// drains the queue (every submitted job runs) and joins all workers, but
 /// swallows recorded panics.
-///
-/// A pool built with [`WorkerPool::with_cancel`] additionally polls its
-/// [`CancelToken`] before each dequeued job: once the token fires, queued
-/// jobs are *drained without running* and every worker still joins, so a
-/// cancelled batch shuts down promptly instead of leaking threads or
-/// grinding through stale work.
 pub struct WorkerPool {
     tx: Option<mpsc::Sender<Job>>,
     workers: Vec<thread::JoinHandle<()>>,
@@ -94,13 +85,6 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// Creates a pool with `threads` workers (clamped to at least 1).
     pub fn new(threads: usize) -> WorkerPool {
-        WorkerPool::with_cancel(threads, CancelToken::new())
-    }
-
-    /// Creates a pool whose workers stop running new jobs once `cancel`
-    /// fires. Jobs already executing are not interrupted (they observe the
-    /// token themselves); jobs still queued are discarded.
-    pub fn with_cancel(threads: usize, cancel: CancelToken) -> WorkerPool {
         let threads = threads.max(1);
         let (tx, rx) = mpsc::channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
@@ -109,7 +93,6 @@ impl WorkerPool {
             .map(|_| {
                 let rx = Arc::clone(&rx);
                 let panics = Arc::clone(&panics);
-                let cancel = cancel.clone();
                 thread::spawn(move || loop {
                     // Hold the receiver lock only while dequeuing, never
                     // while running the job.
@@ -120,11 +103,6 @@ impl WorkerPool {
                     let Ok(job) = job else {
                         break; // queue closed and drained
                     };
-                    if cancel.is_cancelled() {
-                        // Drain: drop the job unrun, keep consuming so the
-                        // queue empties and all workers can exit.
-                        continue;
-                    }
                     if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
                         let msg = panic_message(payload);
                         match panics.lock() {
@@ -178,7 +156,6 @@ impl WorkerPool {
             Some(first) => Err(PoolError {
                 panics: panics.len(),
                 first: first.clone(),
-                cancelled: 0,
             }),
         }
     }
@@ -217,30 +194,6 @@ where
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    par_map_cancel(threads, &CancelToken::new(), items, f)
-}
-
-/// [`par_map`] with cooperative cancellation: workers stop claiming items
-/// once `cancel` fires, the call still joins every worker (the map runs
-/// under `thread::scope`, so no thread outlives it), and an incomplete map
-/// is reported as an error instead of returning partial results.
-///
-/// # Errors
-///
-/// Returns a [`PoolError`] if `f` panicked for any item, or — with
-/// `panics == 0` and `cancelled > 0` — if the token fired before every
-/// item was mapped.
-pub fn par_map_cancel<T, R, F>(
-    threads: usize,
-    cancel: &CancelToken,
-    items: Vec<T>,
-    f: F,
-) -> Result<Vec<R>, PoolError>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
     let n = items.len();
     let threads = threads.max(1).min(n.max(1));
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
@@ -249,9 +202,6 @@ where
     let next = AtomicUsize::new(0);
 
     let worker = |_worker_id: usize| loop {
-        if cancel.is_cancelled() {
-            break; // stop claiming; already-claimed items finish normally
-        }
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= n {
             break;
@@ -286,24 +236,15 @@ where
         return Err(PoolError {
             panics: panics.len(),
             first: first.clone(),
-            cancelled: 0,
         });
     }
-    let collected: Vec<Option<R>> = results
+    Ok(results
         .into_iter()
-        .map(|slot| slot.into_inner().unwrap_or_else(|p| p.into_inner()))
-        .collect();
-    let missing = collected.iter().filter(|r| r.is_none()).count();
-    if missing > 0 {
-        return Err(PoolError {
-            panics: 0,
-            first: "cancelled before completion".to_string(),
-            cancelled: missing,
-        });
-    }
-    Ok(collected
-        .into_iter()
-        .map(|slot| slot.expect("every index produced a result"))
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(|p| p.into_inner())
+                .expect("every index produced a result")
+        })
         .collect())
 }
 
@@ -404,61 +345,6 @@ mod tests {
         assert!(err.first.contains("task 4 failed"), "{err}");
         // A panicking task does not kill its worker: the rest still ran.
         assert_eq!(done.load(Ordering::Relaxed), 9);
-    }
-
-    #[test]
-    fn cancel_mid_par_map_errors_and_joins_all_workers() {
-        // Regression: a cancellation fired while a par_map is in flight
-        // must stop workers claiming new items, join every worker (the
-        // scope cannot be left with live threads), and surface the
-        // incomplete map as an error instead of partial results.
-        for threads in [1, 4] {
-            let token = CancelToken::new();
-            let ran = AtomicU64::new(0);
-            let err = par_map_cancel(threads, &token, (0..64u64).collect(), |i, x| {
-                if i == 0 {
-                    token.cancel();
-                }
-                ran.fetch_add(1, Ordering::Relaxed);
-                x
-            })
-            .unwrap_err();
-            assert_eq!(err.panics, 0, "threads={threads}");
-            assert!(err.cancelled > 0, "threads={threads}: {err}");
-            assert!(err.to_string().contains("cancelled"), "{err}");
-            // Workers stopped early: the items the error reports as
-            // unfinished are exactly the ones that never ran.
-            assert_eq!(
-                ran.load(Ordering::Relaxed) + err.cancelled as u64,
-                64,
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn uncancelled_token_leaves_par_map_complete() {
-        let token = CancelToken::new();
-        let out = par_map_cancel(4, &token, vec![1u64, 2, 3], |_, x| x * 2).unwrap();
-        assert_eq!(out, vec![2, 4, 6]);
-    }
-
-    #[test]
-    fn cancelled_pool_drains_queue_without_running_jobs() {
-        let token = CancelToken::new();
-        let pool = WorkerPool::with_cancel(2, token.clone());
-        let ran = Arc::new(AtomicU64::new(0));
-        token.cancel();
-        for _ in 0..32 {
-            let ran = Arc::clone(&ran);
-            pool.execute(move || {
-                ran.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        // finish() must return (queue drained, workers joined) without
-        // running the cancelled backlog.
-        pool.finish().unwrap();
-        assert_eq!(ran.load(Ordering::Relaxed), 0);
     }
 
     #[test]

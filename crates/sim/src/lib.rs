@@ -24,7 +24,7 @@ pub use loader::{CodeLoc, LoadConfig, LoadedModule, ModuleId, ProcessImage};
 pub use mem::{Memory, PAGE_SIZE};
 pub use oracle::{run_oracle, OracleProfile};
 pub use syscall::{SyscallEffect, SyscallNr, SyscallState};
-pub use timed::{run_timed, run_timed_partial, run_timed_partial_ctl, RunControl, TimedRun};
+pub use timed::{run_timed, run_timed_partial_ctl, RunControl, TimedRun};
 // Re-exported so dependents reach the cancellation primitive without a
 // direct `wiser-par` dependency.
 pub use wiser_par::{CancelCause, CancelToken};

@@ -85,7 +85,8 @@ pub fn run_timed<P: Prober>(
     prober: &mut P,
     max_insns: u64,
 ) -> Result<TimedRun, SimError> {
-    match run_timed_partial(image, rand_seed, config, prober, max_insns)? {
+    let ctl = RunControl::default();
+    match run_timed_partial_ctl(image, rand_seed, config, prober, max_insns, ctl)? {
         (run, None) => Ok(run),
         (_, Some(TruncationReason::InsnLimit(limit))) => Err(SimError::InsnLimit(limit)),
         (_, Some(TruncationReason::Injected(limit))) => Err(SimError::InsnLimit(limit)),
@@ -100,28 +101,11 @@ pub fn run_timed<P: Prober>(
 
 /// Like [`run_timed`], but a run that stops early still yields its partial
 /// statistics: the second tuple element says why the run was cut short
-/// (`None` for a clean program exit).
+/// (`None` for a clean program exit). This is the recovery-oriented entry
+/// point: the sampler builds a partial profile from whatever retired before
+/// the fault instead of discarding the whole pass.
 ///
-/// This is the recovery-oriented entry point: the sampler builds a partial
-/// profile from whatever retired before the fault instead of discarding the
-/// whole pass.
-///
-/// # Errors
-///
-/// Returns [`SimError::Load`]-class failures from constructing the
-/// interpreter; execution faults and budget exhaustion are *not* errors here
-/// — they surface as a [`TruncationReason`] alongside the partial run.
-pub fn run_timed_partial<P: Prober>(
-    image: &ProcessImage,
-    rand_seed: u64,
-    config: CoreConfig,
-    prober: &mut P,
-    max_insns: u64,
-) -> Result<(TimedRun, Option<TruncationReason>), SimError> {
-    run_timed_partial_ctl(image, rand_seed, config, prober, max_insns, RunControl::default())
-}
-
-/// Like [`run_timed_partial`], under external [`RunControl`]: a fired
+/// External [`RunControl`] (use `RunControl::default()` for none): a fired
 /// cancellation token stops feeding the pipeline at the next instruction
 /// boundary (the in-flight window still drains, so committed state is
 /// consistent) and surfaces as [`TruncationReason::Cancelled`]; an injected
@@ -264,8 +248,9 @@ mod tests {
         )
         .unwrap();
         let image = ProcessImage::load_single(&m).unwrap();
+        let ctl = RunControl::default();
         let (run, truncated) =
-            run_timed_partial(&image, 0, CoreConfig::tiny(), &mut NoProbes, 1000).unwrap();
+            run_timed_partial_ctl(&image, 0, CoreConfig::tiny(), &mut NoProbes, 1000, ctl).unwrap();
         assert_eq!(truncated, Some(TruncationReason::InsnLimit(1000)));
         assert!(run.stats.retired >= 1000);
         assert!(run.stats.cycles > 0);
@@ -280,8 +265,9 @@ mod tests {
         )
         .unwrap();
         let image = ProcessImage::load_single(&m).unwrap();
+        let ctl = RunControl::default();
         let (run, truncated) =
-            run_timed_partial(&image, 0, CoreConfig::tiny(), &mut NoProbes, 1000).unwrap();
+            run_timed_partial_ctl(&image, 0, CoreConfig::tiny(), &mut NoProbes, 1000, ctl).unwrap();
         assert_eq!(truncated, None);
         assert_eq!(run.exit_code, Some(0));
     }

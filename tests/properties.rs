@@ -17,8 +17,8 @@ use wiser_isa::{
 };
 use wiser_sampler::{Sample, SampleProfile};
 use wiser_sim::{
-    run_timed, run_timed_partial, CommitMode, CoreConfig, Interp, Memory, NoProbes, ProbePoint,
-    Prober, ProcessImage, Step, ARCH_NAMES, MAX_LATENCY,
+    run_timed, run_timed_partial_ctl, CommitMode, CoreConfig, Interp, Memory, NoProbes, ProbePoint,
+    Prober, ProcessImage, RunControl, Step, ARCH_NAMES, MAX_LATENCY,
 };
 use wiser_store::{Checkpoint, CheckpointSpec};
 
@@ -611,13 +611,14 @@ fn timing_model_is_exact_on_random_cores() {
         }
         for _ in 0..2 {
             let cfg = gen.core_config();
+            let ctl = RunControl::default();
             let (skipping, _) =
-                run_timed_partial(&image, 0, cfg, &mut NoProbes, INSNS).expect("runs");
+                run_timed_partial_ctl(&image, 0, cfg, &mut NoProbes, INSNS, ctl).expect("runs");
             let mut sparse = Sparse::new(false, seed);
-            run_timed_partial(&image, 0, cfg, &mut sparse, INSNS).expect("runs");
+            run_timed_partial_ctl(&image, 0, cfg, &mut sparse, INSNS, ctl).expect("runs");
             let mut stepped = Sparse::new(true, seed);
             let (stepping, _) =
-                run_timed_partial(&image, 0, cfg, &mut stepped, INSNS).expect("runs");
+                run_timed_partial_ctl(&image, 0, cfg, &mut stepped, INSNS, ctl).expect("runs");
             assert_eq!(
                 skipping.stats.retired,
                 interp.retired(),
