@@ -74,6 +74,9 @@ struct RtBlock {
     /// Whether this block carries counter instrumentation (always true
     /// outside selective mode).
     counted: bool,
+    /// The two most recently taken exits as `(pc, block id)`, newest first:
+    /// DynamoRIO's linked exits, which skip the block-cache lookup.
+    links: [Option<(u64, usize)>; 2],
 }
 
 /// Charges one execution of an indirect terminator and maintains the inlined
@@ -183,6 +186,8 @@ pub fn instrument_run_ctl(
     let ckpt_every = if ctl.sink.is_some() { ctl.checkpoint_every } else { 0 };
     let mut next_ckpt = if ckpt_every > 0 { ckpt_every } else { u64::MAX };
     let mut next_cancel_poll = CANCEL_POLL_INSNS;
+    // Block that ran last; its exit links are tried before the cache.
+    let mut prev: Option<usize> = None;
 
     'run: loop {
         if interp.exit_code().is_some() {
@@ -227,8 +232,12 @@ pub fn instrument_run_ctl(
             }
         }
         let pc = interp.cpu().pc;
-        let block_id = match cache.get(&pc) {
-            Some(&id) => id,
+        let linked = prev.and_then(|p| {
+            let links = blocks[p].links.iter().flatten();
+            links.copied().find(|&(to, _)| to == pc).map(|(_, id)| id)
+        });
+        let block_id = match linked.or_else(|| cache.get(&pc).copied()) {
+            Some(id) => id,
             None => match translate(image, pc, cfg.selective.as_deref()) {
                 Ok(block) => {
                     cost.unique_blocks += 1;
@@ -245,7 +254,15 @@ pub fn instrument_run_ctl(
                 Err(e) => return Err(e),
             },
         };
+        if let (None, Some(p)) = (linked, prev) {
+            let links = &mut blocks[p].links;
+            *links = [Some((pc, block_id)), links[0]];
+        }
         let len = blocks[block_id].len;
+        // A block that ends below both the kill point and the budget cannot
+        // trip either check, so only blocks that reach a limit step with them.
+        let end = interp.retired() + len as u64;
+        let checked = end > effective_max || kill_after.is_some_and(|k| end >= k);
 
         // Execute the whole block; DynamoRIO blocks have a single exit.
         let mut last = None;
@@ -259,6 +276,9 @@ pub fn instrument_run_ctl(
                 }
                 Err(e) => return Err(e),
             }
+            if !checked {
+                continue;
+            }
             if let Some(k) = kill_after {
                 if interp.retired() >= k {
                     return Err(SimError::Killed(interp.retired()));
@@ -270,6 +290,7 @@ pub fn instrument_run_ctl(
             }
         }
         let Some(last) = last else { break };
+        prev = Some(block_id);
 
         // Vertex counter and per-block costs. Cold blocks (selective mode)
         // still pay the code-cache dispatch but none of the counters.
@@ -448,6 +469,7 @@ fn translate(
                 targets: HashMap::new(),
                 last_target: None,
                 counted,
+                links: [None; 2],
             });
         }
         offset += INSN_BYTES;
@@ -462,6 +484,7 @@ fn translate(
                 targets: HashMap::new(),
                 last_target: None,
                 counted,
+                links: [None; 2],
             });
         }
     }
@@ -864,6 +887,24 @@ mod tests {
         match err {
             SimError::Killed(n) => assert!(n >= 6_000, "killed at {n}"),
             other => panic!("expected Killed, got {other}"),
+        }
+    }
+
+    /// Limits are checked per instruction in the block that reaches them, so
+    /// kill and truncation cut points do not move to block boundaries.
+    #[test]
+    fn limits_cut_at_the_exact_instruction() {
+        let image = ProcessImage::load_single(&assemble("t", COUNTED_LOOP).unwrap()).unwrap();
+        // Blocks end after 5 instructions, then every 3 (the loop body).
+        for n in 5_990..5_996u64 {
+            let mut cfg = DbiConfig::default();
+            cfg.fault.kill_after_insns = Some(n);
+            assert!(matches!(instrument_run(&image, &cfg), Err(SimError::Killed(k)) if k == n));
+            let mut cfg = DbiConfig::default();
+            cfg.fault.truncate_counts_at = Some(n);
+            let p = instrument_run(&image, &cfg).unwrap();
+            assert_eq!(p.truncated, Some(TruncationReason::Injected(n)));
+            assert_eq!(p.total_insns(), n - (n - 5) % 3, "truncate-counts={n}");
         }
     }
 

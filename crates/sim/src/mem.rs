@@ -1,14 +1,23 @@
 //! Sparse paged memory for the simulated process.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Page size in bytes. Also the alignment granule for module bases.
 pub const PAGE_SIZE: u64 = 4096;
 
+type Page = [u8; PAGE_SIZE as usize];
+
 /// Sparse byte-addressed memory backed by 4 KiB pages allocated on demand.
 ///
 /// Reads of untouched memory return zero, which models fresh anonymous
-/// mappings and keeps workloads deterministic.
+/// mappings and keeps workloads deterministic; reading never allocates.
+///
+/// An access of up to 8 bytes that stays inside one page costs one page
+/// lookup; an access that straddles a page boundary takes the byte-at-a-time
+/// path. Addresses wrap at `u64::MAX`: the byte after `u64::MAX` is byte 0,
+/// in debug and release builds alike, matching the guest's wrapping
+/// effective-address arithmetic.
 ///
 /// # Examples
 ///
@@ -21,7 +30,31 @@ pub const PAGE_SIZE: u64 = 4096;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    pages: HashMap<u64, Box<Page>, BuildHasherDefault<PageHasher>>,
+}
+
+/// Multiply-shift hasher for page numbers: one multiply by an odd constant,
+/// with the high half folded onto the low half so both the bucket index
+/// (low bits) and the control tag (high bits) see every key bit. Nothing
+/// iterates `Memory::pages`, so no output depends on the hash order. Keys
+/// are the guest's own page numbers: a program that crafts colliding pages
+/// only slows its own simulation.
+#[derive(Clone, Copy, Debug, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("page numbers are hashed with write_u64");
+    }
+
+    fn write_u64(&mut self, page: u64) {
+        let h = page.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl Memory {
@@ -35,11 +68,11 @@ impl Memory {
         self.pages.len()
     }
 
-    fn page(&self, addr: u64) -> Option<&[u8; PAGE_SIZE as usize]> {
+    fn page(&self, addr: u64) -> Option<&Page> {
         self.pages.get(&(addr / PAGE_SIZE)).map(|p| &**p)
     }
 
-    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE as usize] {
+    fn page_mut(&mut self, addr: u64) -> &mut Page {
         self.pages
             .entry(addr / PAGE_SIZE)
             .or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]))
@@ -62,18 +95,39 @@ impl Memory {
     /// Reads `n <= 8` bytes little-endian, zero-extended.
     pub fn read_uint(&self, addr: u64, n: u64) -> u64 {
         debug_assert!(n <= 8);
-        let mut v = 0u64;
-        for i in 0..n {
-            v |= (self.read_u8(addr + i) as u64) << (8 * i);
+        let off = (addr % PAGE_SIZE) as usize;
+        if off + 8 > PAGE_SIZE as usize {
+            return self.read_uint_bytewise(addr, n);
         }
-        v
+        let Some(p) = self.page(addr) else { return 0 };
+        let word = u64::from_le_bytes(p[off..off + 8].try_into().expect("8-byte slice"));
+        word & u64::MAX.checked_shr(64 - 8 * n as u32).unwrap_or(0)
     }
 
     /// Writes the low `n <= 8` bytes of `value` little-endian.
     pub fn write_uint(&mut self, addr: u64, value: u64, n: u64) {
         debug_assert!(n <= 8);
+        let (off, n) = ((addr % PAGE_SIZE) as usize, n as usize);
+        if n == 0 || off + n > PAGE_SIZE as usize {
+            return self.write_uint_bytewise(addr, value, n as u64);
+        }
+        self.page_mut(addr)[off..off + n].copy_from_slice(&value.to_le_bytes()[..n]);
+    }
+
+    /// Byte-at-a-time [`Memory::read_uint`]: the path for page-straddling
+    /// accesses, and the oracle the in-page path is tested against.
+    fn read_uint_bytewise(&self, addr: u64, n: u64) -> u64 {
+        let mut v = 0u64;
         for i in 0..n {
-            self.write_u8(addr + i, (value >> (8 * i)) as u8);
+            v |= (self.read_u8(addr.wrapping_add(i)) as u64) << (8 * i);
+        }
+        v
+    }
+
+    /// Byte-at-a-time [`Memory::write_uint`].
+    fn write_uint_bytewise(&mut self, addr: u64, value: u64, n: u64) {
+        for i in 0..n {
+            self.write_u8(addr.wrapping_add(i), (value >> (8 * i)) as u8);
         }
     }
 
@@ -112,7 +166,7 @@ impl Memory {
         // Page-at-a-time copy; workloads load whole text/data sections here.
         let mut pos = 0usize;
         while pos < bytes.len() {
-            let a = addr + pos as u64;
+            let a = addr.wrapping_add(pos as u64);
             let off = (a % PAGE_SIZE) as usize;
             let take = ((PAGE_SIZE as usize) - off).min(bytes.len() - pos);
             self.page_mut(a)[off..off + take].copy_from_slice(&bytes[pos..pos + take]);
@@ -122,7 +176,9 @@ impl Memory {
 
     /// Reads `len` bytes starting at `addr`.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len).map(|i| self.read_u8(addr + i as u64)).collect()
+        (0..len)
+            .map(|i| self.read_u8(addr.wrapping_add(i as u64)))
+            .collect()
     }
 }
 
@@ -175,5 +231,49 @@ mod tests {
         mem.write_uint(0, 0x7F, 1);
         assert_eq!(mem.read_uint(0, 1), 0x7F);
         assert_eq!(mem.read_u64(0), 0xFFFF_FFFF_FFFF_FF7F);
+    }
+
+    #[test]
+    fn access_wraps_at_top_of_address_space() {
+        let mut mem = Memory::new();
+        let addr = u64::MAX - 3;
+        mem.write_u64(addr, 0x0102_0304_0506_0708);
+        assert_eq!(mem.read_u64(addr), 0x0102_0304_0506_0708);
+        assert_eq!(mem.read_u32(0), 0x0102_0304);
+        assert_eq!(mem.read_u8(u64::MAX), 0x05);
+        assert_eq!(mem.page_count(), 2);
+        mem.write_bytes(u64::MAX, &[0xAA, 0xBB]);
+        assert_eq!(mem.read_bytes(u64::MAX, 2), [0xAA, 0xBB]);
+        assert_eq!(mem.read_u8(0), 0xBB);
+    }
+
+    #[test]
+    fn reads_and_empty_writes_allocate_nothing() {
+        let mut mem = Memory::new();
+        for addr in [0, PAGE_SIZE - 1, PAGE_SIZE - 8, u64::MAX - 3] {
+            assert_eq!(mem.read_u64(addr), 0);
+            assert_eq!(mem.read_bytes(addr, 9), [0; 9]);
+            mem.write_uint(addr, u64::MAX, 0);
+        }
+        assert_eq!(mem.page_count(), 0);
+    }
+
+    #[test]
+    fn in_page_path_matches_bytewise_near_page_ends() {
+        let (mut fast, mut slow) = (Memory::new(), Memory::new());
+        let mut value = 0x8877_6655_4433_2211u64;
+        for base in [PAGE_SIZE, 2 * PAGE_SIZE, 0] {
+            for addr in (0..16).map(|d| base.wrapping_sub(12).wrapping_add(d)) {
+                for n in 0..=8 {
+                    value = value.rotate_left(8) ^ addr;
+                    fast.write_uint(addr, value, n);
+                    slow.write_uint_bytewise(addr, value, n);
+                    let read = fast.read_uint(addr, n);
+                    assert_eq!(read, slow.read_uint_bytewise(addr, n), "{addr:#x} n={n}");
+                    assert_eq!(fast.read_bytes(addr, 8), slow.read_bytes(addr, 8));
+                }
+            }
+        }
+        assert_eq!(fast.page_count(), slow.page_count());
     }
 }

@@ -18,7 +18,7 @@ use wiser_isa::{
 use wiser_sampler::{Sample, SampleProfile};
 use wiser_sim::{
     run_timed, run_timed_partial_ctl, CommitMode, CoreConfig, Interp, Memory, NoProbes, ProbePoint,
-    Prober, ProcessImage, RunControl, Step, ARCH_NAMES, MAX_LATENCY,
+    Prober, ProcessImage, RunControl, Step, ARCH_NAMES, MAX_LATENCY, PAGE_SIZE,
 };
 use wiser_store::{Checkpoint, CheckpointSpec};
 
@@ -300,6 +300,57 @@ fn memory_matches_model() {
         for _ in 0..gen.range(1, 100) {
             let addr = gen.range(0, 0x10000);
             assert_eq!(mem.read_u8(addr), model.get(&addr).copied().unwrap_or(0));
+        }
+    }
+}
+
+/// Address drawn uniformly, or clustered within 8 bytes of a page boundary
+/// or of the top of the address space (where accesses wrap to byte 0).
+fn memory_addr(gen: &mut Gen) -> u64 {
+    match gen.range(0, 4) {
+        0 => gen.range(0, 4 * PAGE_SIZE),
+        1 => gen.u64(),
+        2 => (gen.range(1, 4) * PAGE_SIZE)
+            .wrapping_add(gen.range(0, 16))
+            .wrapping_sub(8),
+        _ => u64::MAX.wrapping_add(gen.range(0, 16)).wrapping_sub(7),
+    }
+}
+
+/// Every access width, in-page or straddling, agrees with a flat byte map
+/// and with a byte-at-a-time oracle built on `read_u8`/`write_u8`; reads
+/// never allocate pages.
+#[test]
+fn memory_widths_match_bytewise() {
+    let mut gen = Gen::new(0x06);
+    for _ in 0..50 {
+        let (mut mem, mut oracle) = (Memory::new(), Memory::new());
+        let mut model = std::collections::HashMap::new();
+        for _ in 0..gen.range(1, 400) {
+            let (addr, n) = (memory_addr(&mut gen), gen.range(0, 9));
+            if gen.range(0, 2) == 0 {
+                let value = gen.u64();
+                mem.write_uint(addr, value, n);
+                for i in 0..n {
+                    let byte = (value >> (8 * i)) as u8;
+                    oracle.write_u8(addr.wrapping_add(i), byte);
+                    model.insert(addr.wrapping_add(i), byte);
+                }
+                assert_eq!(mem.page_count(), oracle.page_count());
+            } else {
+                let pages = mem.page_count();
+                let mut expect = 0u64;
+                let mut bytewise = 0u64;
+                for i in 0..n {
+                    let a = addr.wrapping_add(i);
+                    expect |= (model.get(&a).copied().unwrap_or(0) as u64) << (8 * i);
+                    bytewise |= (oracle.read_u8(a) as u64) << (8 * i);
+                }
+                let got = mem.read_uint(addr, n);
+                assert_eq!(got, expect, "read {n} bytes at {addr:#x}");
+                assert_eq!(got, bytewise, "read {n} bytes at {addr:#x}");
+                assert_eq!(mem.page_count(), pages, "read at {addr:#x} allocated");
+            }
         }
     }
 }
