@@ -45,6 +45,8 @@
 
 use std::process::ExitCode;
 
+pub(crate) use imp::serve;
+
 /// Usage text for the `optiwised` binary, kept separate from the CLI's:
 /// the daemon takes no subcommand, only options.
 pub const DAEMON_USAGE: &str = "\
@@ -82,6 +84,8 @@ options:
                           (default: 1048576); beyond it submits answer
                           `overloaded`
   --inject SPEC           deterministic fault injection (tests)
+  --period, --attribution, --selective and the other profiling options of
+  `optiwise run` set the pipeline every job runs
 protocol (one JSON object per line):
   {\"cmd\":\"ping\"}
   {\"cmd\":\"status\"}
@@ -103,20 +107,16 @@ pub fn daemon_main() -> ExitCode {
         print!("{DAEMON_USAGE}");
         return ExitCode::SUCCESS;
     }
-    let opts = match crate::parse_options(&args) {
-        Ok(opts) if opts.workloads.is_empty() => opts,
-        Ok(_) => {
-            eprintln!("optiwised: jobs are submitted over the socket, not the command line");
-            eprint!("{DAEMON_USAGE}");
-            return ExitCode::FAILURE;
-        }
+    let daemon = &crate::DAEMON;
+    let result = match crate::parse_options(daemon, &args) {
+        Ok(opts) => (daemon.run)(&opts),
         Err(e) => {
             eprintln!("optiwised: {e}");
             eprint!("{DAEMON_USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    match imp::serve(opts) {
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(error) => {
             eprintln!("optiwised: {error}");
@@ -138,7 +138,7 @@ mod imp {
 
     use optiwise::{module_fingerprint, CancelToken, OptiwiseError, OptiwiseRun};
     use wiser_archive::{Archive, RetentionPolicy};
-    use wiser_sim::{CoreConfig, ARCH_NAMES};
+    use wiser_sim::{ConfigErrorKind, CoreConfig};
     use wiser_store::{Checkpoint, StoredProfile};
     use wiser_workloads::InputSize;
 
@@ -246,7 +246,7 @@ mod imp {
         None
     }
 
-    pub fn serve(opts: Options) -> Result<(), OptiwiseError> {
+    pub fn serve(opts: &Options) -> Result<(), OptiwiseError> {
         let archive_dir = opts
             .archive
             .clone()
@@ -299,7 +299,7 @@ mod imp {
             connections: AtomicUsize::new(0),
             job_queue: Mutex::new(VecDeque::new()),
             queued_bytes: AtomicU64::new(0),
-            opts,
+            opts: opts.clone(),
         });
         eprintln!(
             "optiwised: serving {archive_dir} on {socket} ({} worker(s), queue {})",
@@ -503,42 +503,33 @@ mod imp {
         // the daemon's default config), `set` layers overrides on top.
         // Unknown names, unknown keys and invalid values are all rejected
         // here with a typed response — never deep inside a running job.
-        let (arch, mut core, mut overrides) = match request.get("arch") {
-            None => (
-                daemon.opts.arch_name.to_string(),
-                daemon.opts.core,
-                daemon.opts.overrides.clone(),
-            ),
-            Some(Value::Str(s)) => match CoreConfig::by_name(s) {
-                Some(core) => (s.clone(), core, Vec::new()),
-                None => {
-                    return error_response(&format!(
-                        "unknown arch `{s}`; one of: {}",
-                        ARCH_NAMES.join(", ")
-                    ))
-                }
-            },
+        let (arch, mut overrides) = match request.get("arch") {
+            None => (daemon.opts.arch_name.to_string(), daemon.opts.overrides.clone()),
+            Some(Value::Str(s)) => (s.clone(), Vec::new()),
             Some(_) => return error_response("`arch` must be a string"),
         };
         match request.get("set") {
             None => {}
             Some(Value::Str(s)) => {
                 for entry in s.split(',').filter(|e| !e.is_empty()) {
-                    let (key, value) = match CoreConfig::parse_set(entry) {
-                        Ok(kv) => kv,
+                    match CoreConfig::parse_set(entry) {
+                        Ok(kv) => overrides.push(kv),
                         Err(e) => return error_response(&format!("bad `set` entry: {e}")),
-                    };
-                    if let Err(e) = core.apply_override(&key, &value) {
-                        return error_response(&format!("bad `set` entry: {e}"));
                     }
-                    overrides.push((key, value));
                 }
             }
             Some(_) => return error_response("`set` must be a string of key=value pairs"),
         }
-        if let Err(e) = core.validate() {
-            return error_response(&format!("invalid config: {e}"));
-        }
+        let core = match CoreConfig::resolve(&arch, &overrides) {
+            Ok(core) => core,
+            Err(e) => {
+                return error_response(&match e.kind {
+                    ConfigErrorKind::UnknownArch => e.message,
+                    ConfigErrorKind::Invalid => format!("invalid config: {e}"),
+                    _ => format!("bad `set` entry: {e}"),
+                })
+            }
+        };
 
         if daemon.draining.load(Ordering::Acquire) {
             return error_response("draining");
@@ -746,7 +737,7 @@ mod imp {
 mod imp {
     use optiwise::OptiwiseError;
 
-    pub fn serve(_opts: crate::Options) -> Result<(), OptiwiseError> {
+    pub fn serve(_opts: &crate::Options) -> Result<(), OptiwiseError> {
         Err(OptiwiseError::Usage(
             "optiwised uses Unix sockets; this platform has none".into(),
         ))

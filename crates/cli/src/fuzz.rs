@@ -156,26 +156,17 @@ fn owp_structured(bombs: bool) -> wiser_chaos::StructuredFn {
 /// Builds the requested surfaces (all four by default), each decoding
 /// under the fuzzing resource budget and re-encoding canonically.
 fn build_surfaces(opts: &Options) -> Result<Vec<Surface>, OptiwiseError> {
-    let wanted: Vec<&str> = if opts.surfaces.is_empty() {
-        SURFACE_NAMES.to_vec()
-    } else {
-        let mut names = Vec::new();
-        for name in &opts.surfaces {
-            let known = SURFACE_NAMES
-                .iter()
-                .find(|k| *k == name)
-                .ok_or_else(|| {
-                    OptiwiseError::Usage(format!(
-                        "unknown fuzz surface `{name}`; one of: {}",
-                        SURFACE_NAMES.join(", ")
-                    ))
-                })?;
-            if !names.contains(known) {
-                names.push(*known);
-            }
+    // `parse_options` has already checked the names; keep the first
+    // mention of each, in command-line order.
+    let mut wanted: Vec<&str> = Vec::new();
+    for name in &opts.surfaces {
+        if !wanted.contains(&name.as_str()) {
+            wanted.push(name);
         }
-        names
-    };
+    }
+    if wanted.is_empty() {
+        wanted = SURFACE_NAMES.to_vec();
+    }
     let limits = ResourceLimits::fuzzing();
     let budget = limits.max_decode_alloc;
     let mut surfaces = Vec::new();
@@ -225,7 +216,7 @@ fn build_surfaces(opts: &Options) -> Result<Vec<Surface>, OptiwiseError> {
                 structured: Some(Box::new(|rng, _base| mutate::jsonl_line(rng))),
                 alloc_budget: budget,
             },
-            _ => unreachable!("filtered against SURFACE_NAMES"),
+            _ => unreachable!("parse_options checks --surface against SURFACE_NAMES"),
         });
     }
     Ok(surfaces)
@@ -235,11 +226,6 @@ fn build_surfaces(opts: &Options) -> Result<Vec<Surface>, OptiwiseError> {
 /// requested surface with seeded hostile inputs; exit 13 on any invariant
 /// violation. See the module docs for the invariants.
 pub(crate) fn cmd_fuzz(opts: &Options) -> Result<(), OptiwiseError> {
-    if !opts.workloads.is_empty() {
-        return Err(OptiwiseError::Usage(
-            "`fuzz` generates its own inputs; it takes no workload".into(),
-        ));
-    }
     let (lo, hi) = opts.seed_range.unwrap_or((0, 256));
     let surfaces = build_surfaces(opts)?;
 

@@ -43,10 +43,8 @@ pub struct SweepConfig {
 
 impl SweepConfig {
     /// Parses a `--config` spec: `NAME` or `NAME:key=value,key=value`.
-    /// The preset name must resolve via [`CoreConfig::by_name`], every
-    /// override key must be known, and the resulting configuration must
-    /// pass [`CoreConfig::validate`] — a bad grid entry fails the sweep at
-    /// parse time, before any cell runs.
+    /// The name and overrides must pass [`CoreConfig::resolve`] — a bad
+    /// grid entry fails the sweep at parse time, before any cell runs.
     ///
     /// # Errors
     ///
@@ -56,23 +54,12 @@ impl SweepConfig {
             Some((n, r)) => (n.trim(), Some(r)),
             None => (spec.trim(), None),
         };
-        let mut core = CoreConfig::by_name(name).ok_or_else(|| {
-            OptiwiseError::Usage(format!(
-                "unknown arch `{name}` in config spec `{spec}`; one of: {}",
-                wiser_sim::ARCH_NAMES.join(", ")
-            ))
-        })?;
-        let mut overrides = Vec::new();
-        if let Some(rest) = rest {
-            for part in rest.split(',') {
-                let (key, value) = CoreConfig::parse_set(part)
-                    .map_err(|e| OptiwiseError::Usage(format!("config spec `{spec}`: {e}")))?;
-                core.apply_override(&key, &value)
-                    .map_err(|e| OptiwiseError::Usage(format!("config spec `{spec}`: {e}")))?;
-                overrides.push((key, value));
-            }
-        }
-        core.validate()
+        let overrides = rest
+            .into_iter()
+            .flat_map(|r| r.split(','))
+            .map(CoreConfig::parse_set)
+            .collect::<Result<Vec<_>, _>>()
+            .and_then(|overrides| CoreConfig::resolve(name, &overrides).map(|_| overrides))
             .map_err(|e| OptiwiseError::Usage(format!("config spec `{spec}`: {e}")))?;
         let label = if overrides.is_empty() {
             name.to_string()
@@ -88,14 +75,9 @@ impl SweepConfig {
     }
 
     /// The resolved core configuration (preset plus overrides). Infallible
-    /// because [`SweepConfig::parse`] already applied and validated them.
+    /// because [`SweepConfig::parse`] already resolved it once.
     pub fn core(&self) -> CoreConfig {
-        let mut core = CoreConfig::by_name(&self.arch).expect("parse validated the arch name");
-        for (key, value) in &self.overrides {
-            core.apply_override(key, value)
-                .expect("parse validated the overrides");
-        }
-        core
+        CoreConfig::resolve(&self.arch, &self.overrides).expect("parse resolved the config")
     }
 }
 

@@ -85,9 +85,10 @@ pub struct FaultPlan {
     /// Abort the instrumentation pass after this many retired instructions,
     /// truncating the counts profile there.
     pub truncate_counts_at: Option<u64>,
-    /// Corrupt profile bytes emitted for persistence (flips one bit past
-    /// the file header), exercising the decoder's rejection paths.
-    pub corrupt_text: bool,
+    /// `corrupt`: flip one bit of each binary `.owp` image written for
+    /// persistence, past its header ([`FaultPlan::corrupt_bytes`]),
+    /// exercising the decoder's rejection paths.
+    pub corrupt: bool,
     /// Run the instrumentation pass with this `rand` seed instead of the
     /// configured one, desynchronizing the two passes' control flow — the
     /// exact divergence §IV-F assumes never happens.
@@ -129,13 +130,13 @@ impl FaultPlan {
     }
 
     /// Deterministically flips one bit of `data` past the first 16 bytes
-    /// (when `corrupt_text` is set; otherwise returns the data unchanged).
+    /// (when `corrupt` is set; otherwise returns the data unchanged).
     /// The header is spared so the damage lands in a section body or frame and
     /// must be caught by checksums, not by magic-number comparison. Inputs
     /// of 16 bytes or fewer are returned unchanged.
     pub fn corrupt_bytes(&self, data: &[u8]) -> Vec<u8> {
         let mut out = data.to_vec();
-        if !self.corrupt_text || data.len() <= 16 {
+        if !self.corrupt || data.len() <= 16 {
             return out;
         }
         let span = data.len() - 16;
@@ -158,7 +159,7 @@ impl FaultPlan {
         let mut plan = FaultPlan::default();
         for entry in spec.split(',').filter(|e| !e.is_empty()) {
             match entry.split_once('=') {
-                None if entry == "corrupt" => plan.corrupt_text = true,
+                None if entry == "corrupt" => plan.corrupt = true,
                 None => return Err(format!("unknown fault `{entry}`")),
                 Some((key, value)) => {
                     let num = || {
@@ -246,7 +247,7 @@ mod tests {
         for seed in 0..32 {
             let plan = FaultPlan {
                 seed,
-                corrupt_text: true,
+                corrupt: true,
                 ..FaultPlan::default()
             };
             let bad = plan.corrupt_bytes(&data);
@@ -268,7 +269,7 @@ mod tests {
         let tiny = vec![0u8; 16];
         let plan = FaultPlan {
             seed: 1,
-            corrupt_text: true,
+            corrupt: true,
             ..FaultPlan::default()
         };
         assert_eq!(plan.corrupt_bytes(&tiny), tiny);
@@ -281,7 +282,7 @@ mod tests {
         assert_eq!(plan.seed, 9);
         assert_eq!(plan.drop_sample_pct, 25);
         assert_eq!(plan.abort_sample_at, Some(1000));
-        assert!(plan.corrupt_text);
+        assert!(plan.corrupt);
         assert_eq!(plan.truncate_counts_at, None);
 
         let plan = FaultPlan::parse("truncate-counts=5000,desync-seed=4").unwrap();

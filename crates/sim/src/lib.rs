@@ -29,7 +29,8 @@ pub use timed::{run_timed, run_timed_partial_ctl, RunControl, TimedRun};
 // direct `wiser-par` dependency.
 pub use wiser_par::{CancelCause, CancelToken};
 pub use uarch::{
-    BpredConfig, BpredStats, CacheConfig, CacheStats, CommitMode, ConfigError, CoreConfig,
-    CoreStats, MemHierConfig, NoProbes, OoOCore, ProbePoint, Prober, ARCH_NAMES, MAX_LATENCY,
+    BpredConfig, BpredStats, CacheConfig, CacheStats, CommitMode, ConfigError, ConfigErrorKind,
+    CoreConfig, CoreStats, MemHierConfig, NoProbes, OoOCore, ProbePoint, Prober, ARCH_NAMES,
+    MAX_LATENCY,
 };
 pub use trace::{BranchOutcome, ExecRecord, FlowEvent};

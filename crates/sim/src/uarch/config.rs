@@ -19,38 +19,51 @@ pub enum CommitMode {
 
 /// A typed configuration error: which field was invalid and why.
 ///
-/// Returned by [`CoreConfig::validate`] and the override parser so that
-/// user-supplied grids (CLI `--set`, daemon job specs, sweep config specs)
-/// surface as usage errors instead of panicking inside the timing model —
-/// e.g. the `CacheConfig::sets()` divide-by-zero a zero `assoc` used to hit.
+/// Returned by [`CoreConfig::validate`], the override parser and
+/// [`CoreConfig::resolve`] so that user-supplied grids (CLI `--set`, daemon
+/// job specs, sweep config specs) surface as usage errors instead of
+/// panicking inside the timing model — e.g. the `CacheConfig::sets()`
+/// divide-by-zero a zero `assoc` used to hit.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConfigError {
-    /// The offending field or override key (e.g. `l1d.line`).
+    /// The offending field or override key (e.g. `l1d.line`), or `arch`.
     pub field: String,
     /// What is wrong with its value.
     pub message: String,
-    /// True when the key itself was unrecognised (possibly a field from a
-    /// newer tool version) rather than its value being invalid. Decoders
-    /// of persisted override lists use this to skip unknown keys for
-    /// forward compatibility while still failing closed on corrupt values.
-    pub unknown_key: bool,
+    /// Which step of building a configuration failed.
+    pub kind: ConfigErrorKind,
+}
+
+/// The step of [`CoreConfig::resolve`] a [`ConfigError`] comes from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ConfigErrorKind {
+    /// No preset has the requested arch name.
+    UnknownArch,
+    /// The override key is unrecognised (possibly a field from a newer
+    /// tool version). Decoders of persisted override lists skip these for
+    /// forward compatibility while still failing closed on bad values.
+    UnknownKey,
+    /// The override value does not parse for its key.
+    BadValue,
+    /// The assembled configuration fails [`CoreConfig::validate`].
+    Invalid,
 }
 
 impl ConfigError {
     fn new(field: &str, message: impl Into<String>) -> ConfigError {
+        ConfigError::of(ConfigErrorKind::Invalid, field, message)
+    }
+
+    fn of(kind: ConfigErrorKind, field: &str, message: impl Into<String>) -> ConfigError {
         ConfigError {
             field: field.to_string(),
             message: message.into(),
-            unknown_key: false,
+            kind,
         }
     }
 
     fn unknown(field: &str) -> ConfigError {
-        ConfigError {
-            field: field.to_string(),
-            message: "unknown config key".to_string(),
-            unknown_key: true,
-        }
+        ConfigError::of(ConfigErrorKind::UnknownKey, field, "unknown config key")
     }
 }
 
@@ -230,29 +243,22 @@ pub struct CoreConfig {
 /// checkpoint resume and sweep config specs.
 pub const ARCH_NAMES: &[&str] = &["xeon", "neoverse", "tiny"];
 
-fn parse_u32(field: &str, value: &str) -> Result<u32, ConfigError> {
-    value
-        .parse()
-        .map_err(|_| ConfigError::new(field, format!("expected an unsigned integer, got `{value}`")))
-}
-
-fn parse_u64(field: &str, value: &str) -> Result<u64, ConfigError> {
-    value
-        .parse()
-        .map_err(|_| ConfigError::new(field, format!("expected an unsigned integer, got `{value}`")))
-}
-
-fn parse_usize(field: &str, value: &str) -> Result<usize, ConfigError> {
-    value
-        .parse()
-        .map_err(|_| ConfigError::new(field, format!("expected an unsigned integer, got `{value}`")))
+fn parse_uint<T: std::str::FromStr>(field: &str, value: &str) -> Result<T, ConfigError> {
+    value.parse().map_err(|_| {
+        ConfigError::of(
+            ConfigErrorKind::BadValue,
+            field,
+            format!("expected an unsigned integer, got `{value}`"),
+        )
+    })
 }
 
 fn parse_commit_mode(value: &str) -> Result<CommitMode, ConfigError> {
     match value {
         "in_order" | "inorder" => Ok(CommitMode::InOrder),
         "early_release" | "early" => Ok(CommitMode::EarlyRelease),
-        other => Err(ConfigError::new(
+        other => Err(ConfigError::of(
+            ConfigErrorKind::BadValue,
             "commit_mode",
             format!("expected `in_order` or `early_release`, got `{other}`"),
         )),
@@ -362,6 +368,31 @@ impl CoreConfig {
         }
     }
 
+    /// The preset named `arch` with `overrides` applied in order, then
+    /// validated: the one way the CLI, the daemon, sweep specs and
+    /// checkpoint resume turn a stored or typed `(arch, overrides)` pair
+    /// into a core model.
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] whose `kind` names the failing step: an unknown
+    /// arch, an unknown override key, an unparsable value, or a result
+    /// that fails [`CoreConfig::validate`].
+    pub fn resolve(arch: &str, overrides: &[(String, String)]) -> Result<CoreConfig, ConfigError> {
+        let mut core = CoreConfig::by_name(arch).ok_or_else(|| {
+            ConfigError::of(
+                ConfigErrorKind::UnknownArch,
+                "arch",
+                format!("unknown arch `{arch}`; one of: {}", ARCH_NAMES.join(", ")),
+            )
+        })?;
+        for (key, value) in overrides {
+            core.apply_override(key, value)?;
+        }
+        core.validate()?;
+        Ok(core)
+    }
+
     /// Checks every field a user-supplied grid can break: pipeline widths,
     /// window sizes, unit/port counts and execution latencies must be
     /// non-zero, every latency and penalty at most [`MAX_LATENCY`], and
@@ -431,33 +462,33 @@ impl CoreConfig {
         let key = key.trim();
         let value = value.trim();
         match key {
-            "fetch_width" => self.fetch_width = parse_u32(key, value)?,
-            "dispatch_width" => self.dispatch_width = parse_u32(key, value)?,
-            "issue_width" => self.issue_width = parse_u32(key, value)?,
-            "commit_width" => self.commit_width = parse_u32(key, value)?,
-            "rob_size" => self.rob_size = parse_usize(key, value)?,
-            "iq_size" => self.iq_size = parse_usize(key, value)?,
-            "frontend_latency" => self.frontend_latency = parse_u64(key, value)?,
-            "mispredict_penalty" => self.mispredict_penalty = parse_u64(key, value)?,
+            "fetch_width" => self.fetch_width = parse_uint(key, value)?,
+            "dispatch_width" => self.dispatch_width = parse_uint(key, value)?,
+            "issue_width" => self.issue_width = parse_uint(key, value)?,
+            "commit_width" => self.commit_width = parse_uint(key, value)?,
+            "rob_size" => self.rob_size = parse_uint(key, value)?,
+            "iq_size" => self.iq_size = parse_uint(key, value)?,
+            "frontend_latency" => self.frontend_latency = parse_uint(key, value)?,
+            "mispredict_penalty" => self.mispredict_penalty = parse_uint(key, value)?,
             "commit_mode" => self.commit_mode = parse_commit_mode(value)?,
-            "int_alu_units" => self.int_alu_units = parse_u32(key, value)?,
-            "int_mul_units" => self.int_mul_units = parse_u32(key, value)?,
-            "int_div_units" => self.int_div_units = parse_u32(key, value)?,
-            "fp_units" => self.fp_units = parse_u32(key, value)?,
-            "fp_div_units" => self.fp_div_units = parse_u32(key, value)?,
-            "load_ports" => self.load_ports = parse_u32(key, value)?,
-            "store_ports" => self.store_ports = parse_u32(key, value)?,
-            "mshrs" => self.mshrs = parse_u32(key, value)?,
-            "int_mul_latency" => self.int_mul_latency = parse_u64(key, value)?,
-            "int_div_latency" => self.int_div_latency = parse_u64(key, value)?,
-            "fp_latency" => self.fp_latency = parse_u64(key, value)?,
-            "fp_div_latency" => self.fp_div_latency = parse_u64(key, value)?,
-            "fp_sqrt_latency" => self.fp_sqrt_latency = parse_u64(key, value)?,
-            "syscall_latency" => self.syscall_latency = parse_u64(key, value)?,
-            "mem_latency" => self.mem.mem_latency = parse_u64(key, value)?,
-            "pht_bits" => self.bpred.pht_bits = parse_u32(key, value)?,
-            "btb_entries" => self.bpred.btb_entries = parse_usize(key, value)?,
-            "ras_depth" => self.bpred.ras_depth = parse_usize(key, value)?,
+            "int_alu_units" => self.int_alu_units = parse_uint(key, value)?,
+            "int_mul_units" => self.int_mul_units = parse_uint(key, value)?,
+            "int_div_units" => self.int_div_units = parse_uint(key, value)?,
+            "fp_units" => self.fp_units = parse_uint(key, value)?,
+            "fp_div_units" => self.fp_div_units = parse_uint(key, value)?,
+            "load_ports" => self.load_ports = parse_uint(key, value)?,
+            "store_ports" => self.store_ports = parse_uint(key, value)?,
+            "mshrs" => self.mshrs = parse_uint(key, value)?,
+            "int_mul_latency" => self.int_mul_latency = parse_uint(key, value)?,
+            "int_div_latency" => self.int_div_latency = parse_uint(key, value)?,
+            "fp_latency" => self.fp_latency = parse_uint(key, value)?,
+            "fp_div_latency" => self.fp_div_latency = parse_uint(key, value)?,
+            "fp_sqrt_latency" => self.fp_sqrt_latency = parse_uint(key, value)?,
+            "syscall_latency" => self.syscall_latency = parse_uint(key, value)?,
+            "mem_latency" => self.mem.mem_latency = parse_uint(key, value)?,
+            "pht_bits" => self.bpred.pht_bits = parse_uint(key, value)?,
+            "btb_entries" => self.bpred.btb_entries = parse_uint(key, value)?,
+            "ras_depth" => self.bpred.ras_depth = parse_uint(key, value)?,
             _ => {
                 let (level, field) = key
                     .split_once('.')
@@ -470,10 +501,10 @@ impl CoreConfig {
                     _ => return Err(ConfigError::unknown(key)),
                 };
                 match field {
-                    "size" => cache.size = parse_u64(key, value)?,
-                    "assoc" => cache.assoc = parse_usize(key, value)?,
-                    "line" => cache.line = parse_u64(key, value)?,
-                    "latency" => cache.latency = parse_u64(key, value)?,
+                    "size" => cache.size = parse_uint(key, value)?,
+                    "assoc" => cache.assoc = parse_uint(key, value)?,
+                    "line" => cache.line = parse_uint(key, value)?,
+                    "latency" => cache.latency = parse_uint(key, value)?,
                     _ => return Err(ConfigError::unknown(key)),
                 }
             }
@@ -488,7 +519,11 @@ impl CoreConfig {
             Some((k, v)) if !k.trim().is_empty() && !v.trim().is_empty() => {
                 Ok((k.trim().to_string(), v.trim().to_string()))
             }
-            _ => Err(ConfigError::new(spec, "expected key=value")),
+            _ => Err(ConfigError::of(
+                ConfigErrorKind::BadValue,
+                spec,
+                "expected key=value",
+            )),
         }
     }
 
@@ -669,11 +704,15 @@ mod tests {
         assert_eq!(cfg.commit_mode, CommitMode::EarlyRelease);
         assert_eq!(cfg.mem.l1d.size, 16384);
 
-        assert!(cfg.apply_override("warp_drive", "9").unwrap_err().unknown_key);
-        assert!(cfg.apply_override("l4.size", "1").unwrap_err().unknown_key);
-        assert!(cfg.apply_override("l1d.colour", "1").unwrap_err().unknown_key);
-        assert!(!cfg.apply_override("rob_size", "lots").unwrap_err().unknown_key);
-        assert!(!cfg.apply_override("commit_mode", "sideways").unwrap_err().unknown_key);
+        let kind = |key: &str, value: &str| {
+            let mut scratch = cfg;
+            scratch.apply_override(key, value).unwrap_err().kind
+        };
+        assert_eq!(kind("warp_drive", "9"), ConfigErrorKind::UnknownKey);
+        assert_eq!(kind("l4.size", "1"), ConfigErrorKind::UnknownKey);
+        assert_eq!(kind("l1d.colour", "1"), ConfigErrorKind::UnknownKey);
+        assert_eq!(kind("rob_size", "lots"), ConfigErrorKind::BadValue);
+        assert_eq!(kind("commit_mode", "sideways"), ConfigErrorKind::BadValue);
 
         assert_eq!(
             CoreConfig::parse_set("rob_size=64").unwrap(),
@@ -681,5 +720,26 @@ mod tests {
         );
         assert!(CoreConfig::parse_set("rob_size").is_err());
         assert!(CoreConfig::parse_set("=64").is_err());
+    }
+
+    #[test]
+    fn resolve_applies_overrides_then_validates() {
+        // Every preset resolves from its own pairs back to itself.
+        for name in ARCH_NAMES {
+            let preset = CoreConfig::by_name(name).unwrap();
+            assert_eq!(CoreConfig::resolve(name, &preset.to_pairs()), Ok(preset), "{name}");
+        }
+        let pair = |k: &str, v: &str| vec![(k.to_string(), v.to_string())];
+        let tuned = CoreConfig::resolve("neoverse", &pair("rob_size", "64")).unwrap();
+        assert_eq!(tuned.rob_size, 64);
+        assert_eq!(tuned.commit_mode, CommitMode::EarlyRelease);
+
+        let kind = |arch: &str, overrides: &[(String, String)]| {
+            CoreConfig::resolve(arch, overrides).unwrap_err().kind
+        };
+        assert_eq!(kind("vax", &[]), ConfigErrorKind::UnknownArch);
+        assert_eq!(kind("xeon", &pair("warp_drive", "9")), ConfigErrorKind::UnknownKey);
+        assert_eq!(kind("xeon", &pair("rob_size", "lots")), ConfigErrorKind::BadValue);
+        assert_eq!(kind("xeon", &pair("rob_size", "0")), ConfigErrorKind::Invalid);
     }
 }

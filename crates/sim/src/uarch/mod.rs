@@ -8,7 +8,7 @@ pub mod core;
 pub use bpred::{BpredStats, BranchPredictor};
 pub use cache::{Cache, CacheStats, Hierarchy};
 pub use config::{
-    BpredConfig, CacheConfig, CommitMode, ConfigError, CoreConfig, MemHierConfig, ARCH_NAMES,
-    MAX_LATENCY,
+    BpredConfig, CacheConfig, CommitMode, ConfigError, ConfigErrorKind, CoreConfig, MemHierConfig,
+    ARCH_NAMES, MAX_LATENCY,
 };
 pub use core::{CoreStats, NoProbes, OoOCore, ProbePoint, Prober};

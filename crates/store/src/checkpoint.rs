@@ -124,9 +124,9 @@ impl CheckpointSpec {
     }
 
     /// The core model this spec names, with any recorded overrides applied
-    /// and the result validated. Name resolution delegates to
-    /// [`CoreConfig::by_name`] — the same source the CLI and daemon use —
-    /// so a resumed run cannot drift from the label it will be stored under.
+    /// and the result validated by [`CoreConfig::resolve`] — the same path
+    /// the CLI and daemon use — so a resumed run cannot drift from the
+    /// label it will be stored under.
     ///
     /// # Errors
     ///
@@ -134,16 +134,13 @@ impl CheckpointSpec {
     /// unknown override key, or an override grid that fails
     /// `CoreConfig::validate`.
     pub fn core_config(&self) -> Result<CoreConfig, OptiwiseError> {
-        let in_ckpt = |m: String| OptiwiseError::Store(StoreError::in_section(0, "CKPT", m));
-        let mut core = CoreConfig::by_name(&self.arch)
-            .ok_or_else(|| in_ckpt(format!("unknown core model `{}` in checkpoint", self.arch)))?;
-        for (key, value) in &self.overrides {
-            core.apply_override(key, value)
-                .map_err(|e| in_ckpt(format!("bad override in checkpoint: {e}")))?;
-        }
-        core.validate()
-            .map_err(|e| in_ckpt(format!("invalid config in checkpoint: {e}")))?;
-        Ok(core)
+        CoreConfig::resolve(&self.arch, &self.overrides).map_err(|e| {
+            OptiwiseError::Store(StoreError::in_section(
+                0,
+                "CKPT",
+                format!("bad core model in checkpoint: {e}"),
+            ))
+        })
     }
 
     /// Reconstructs the pipeline configuration of the interrupted run.

@@ -38,7 +38,7 @@ use optiwise::{
 };
 use wiser_dbi::{BlockCount, CounterPlacement, CountsProfile, InstrumentationCost, TermKind};
 use wiser_sampler::{Sample, SampleProfile};
-use wiser_sim::{CodeLoc, CoreConfig, ModuleId, TruncationReason};
+use wiser_sim::{CodeLoc, ConfigErrorKind, CoreConfig, ModuleId, TruncationReason};
 
 use crate::format::{read_sections, write_store, ByteReader, ByteWriter, DecodeBudget};
 
@@ -333,7 +333,7 @@ fn decode_uarch(r: &mut ByteReader<'_>) -> Result<CoreConfig, StoreError> {
         // (forward compat within the section). A known key with an
         // unparsable value is corruption and fails closed.
         if let Err(e) = core.apply_override(&key, &value) {
-            if !e.unknown_key {
+            if e.kind != ConfigErrorKind::UnknownKey {
                 return Err(StoreError::in_section(at, "UCFG", e.to_string()));
             }
         }

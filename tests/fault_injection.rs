@@ -313,7 +313,7 @@ fn corrupted_profile_image_fails_parse_with_byte_offset() {
     let cfg = OptiwiseConfig::default();
     let run = run_optiwise(&modules, &cfg).unwrap();
     let plan = FaultPlan {
-        corrupt_text: true,
+        corrupt: true,
         ..FaultPlan::default()
     };
 
