@@ -68,16 +68,17 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use optiwise::{
-    diff_tables, module_fingerprint, reduce_fleet, report, run_optiwise, run_optiwise_ctl,
-    Analysis, AnalysisMode, AnalysisOptions, CancelToken, DiffOptions, OptiwiseConfig,
-    OptiwiseError, OptiwiseRun, Pass, PassEvent, ProfileTables, ResourceLimits, ResumeState,
-    RunControl, StoreError, SweepCell, SweepConfig, SweepGrid, SweepResult, SweepWorkload,
+    counts_pass, diff_tables, module_fingerprint, reduce_fleet, report, run_optiwise,
+    run_optiwise_ctl, sampling_pass, Analysis, AnalysisMode, AnalysisOptions, CancelToken,
+    DiffOptions, OptiwiseConfig, OptiwiseError, OptiwiseRun, Pass, PassEvent, ProfileTables,
+    ResourceLimits, ResumeState, RunControl, StoreError, SweepCell, SweepConfig, SweepGrid,
+    SweepResult, SweepWorkload,
 };
 use wiser_store::{Checkpoint, CheckpointSpec, CheckpointWriter, StoredProfile};
-use wiser_dbi::{instrument_run, CountsProfile, DbiConfig};
+use wiser_dbi::CountsProfile;
 use wiser_isa::Module;
-use wiser_sampler::{sample_run, Attribution, SampleProfile, SamplerConfig};
-use wiser_sim::{CoreConfig, FaultPlan, LoadConfig, ProcessImage, TruncationReason, ARCH_NAMES};
+use wiser_sampler::{Attribution, SampleProfile, SamplerConfig};
+use wiser_sim::{CoreConfig, FaultPlan, TruncationReason, ARCH_NAMES};
 use wiser_workloads::InputSize;
 
 #[derive(Clone)]
@@ -199,10 +200,12 @@ enum Arity {
 /// One row of the command table: a command's positional arguments, the
 /// flags it accepts and its implementation. A command accepts a flag iff
 /// its code path reads the `Options` field the flag sets, directly or
-/// through `pipeline_config`, `checkpoint_spec`, `render_run`, `emit` or
-/// `make_token`; `--selective` is left out where the command records or
-/// fuses full passes, and `--arch`/`--set` on `sweep`, whose `--config`
-/// cells overwrite the core they pick.
+/// through `checkpoint_spec`, `render_run`, `emit`, `make_token` or the
+/// `pipeline_config` fields its passes and analysis use: a split pass runs
+/// no analysis, and `analyze` restores both passes instead of running them.
+/// `--selective` is left out where the command records or fuses full
+/// passes, and `--arch`/`--set` on `sweep`, whose `--config` cells
+/// overwrite the core they pick.
 struct Command {
     name: &'static str,
     args: Arity,
@@ -219,6 +222,14 @@ const PIPELINE: &[&str] = &[
     "--period", "--attribution", "--no-stack-profiling",
     "--merge-threshold", "--seed", "--jobs", "--strict", "--allow-partial",
     "--no-partial", "--hot-threshold", "--exhaustive-counters", "--inject",
+];
+
+/// The flags one split pass reads: its own pass flags, the ones
+/// `checkpoint_spec` records, and `check_split_cut`'s.
+#[rustfmt::skip]
+const SPLIT_PASS: &[&str] = &[
+    "--period", "--attribution", "--no-stack-profiling", "--merge-threshold", "--seed",
+    "--strict", "--allow-partial", "--no-partial", "--inject", "--size", "--out",
 ];
 
 /// The flags `render_run` reads (with `emit`): what `run` and `resume` do
@@ -248,14 +259,15 @@ const COMMANDS: &[Command] = &[
         ]],
     },
     Command { name: "sample", args: Arity::One("workload"), run: cmd_sample, flags: &[
-        CORE, PIPELINE, &["--size", "--out"],
+        CORE, SPLIT_PASS,
     ] },
     Command { name: "instrument", args: Arity::One("workload"), run: cmd_instrument, flags: &[
-        CORE, PIPELINE, &["--size", "--out"],
+        CORE, SPLIT_PASS,
     ] },
-    Command { name: "analyze", args: Arity::One("workload"), run: cmd_analyze, flags: &[
-        CORE, PIPELINE, &["--size", "--samples", "--counts", "--top", "--out"],
-    ] },
+    Command { name: "analyze", args: Arity::One("workload"), run: cmd_analyze, flags: &[&[
+        "--merge-threshold", "--jobs", "--strict", "--allow-partial", "--no-partial",
+        "--exhaustive-counters", "--size", "--samples", "--counts", "--top", "--out",
+    ]] },
     Command { name: "annotate", args: Arity::One("workload"), run: cmd_annotate, flags: &[
         CORE, PIPELINE, &["--selective", "--size", "--function", "--out"],
     ] },
@@ -505,13 +517,9 @@ fn build_workload(opts: &Options) -> Result<Vec<Module>, OptiwiseError> {
 }
 
 fn pipeline_config(opts: &Options) -> OptiwiseConfig {
-    OptiwiseConfig {
+    let mut config = OptiwiseConfig {
         core: opts.core,
         sampler: opts.sampler,
-        dbi: DbiConfig {
-            stack_profiling: opts.stack_profiling,
-            ..DbiConfig::default()
-        },
         analysis: AnalysisOptions {
             merge_threshold: opts.merge_threshold,
             jobs: opts.jobs,
@@ -527,7 +535,9 @@ fn pipeline_config(opts: &Options) -> OptiwiseConfig {
         // overlaps the two profiling passes as well.
         concurrent_passes: opts.jobs > 1,
         ..OptiwiseConfig::default()
-    }
+    };
+    config.dbi.stack_profiling = opts.stack_profiling;
+    config
 }
 
 fn emit(opts: &Options, text: &str) -> Result<(), OptiwiseError> {
@@ -1322,35 +1332,32 @@ fn save_split(
         .map_err(|e| OptiwiseError::Io(format!("writing {path}: {e}")))
 }
 
+/// A split pass cut short: an error under `--strict` or `--no-partial`,
+/// otherwise a warning that the file holds a partial profile.
+fn check_split_cut(
+    opts: &Options,
+    pass: Pass,
+    cut: &Option<TruncationReason>,
+) -> Result<(), OptiwiseError> {
+    if let Some(reason) = cut {
+        if opts.strict || !opts.allow_partial {
+            return Err(OptiwiseError::Truncated {
+                pass,
+                reason: reason.clone(),
+            });
+        }
+        eprintln!("optiwise: {pass} run truncated ({reason}); emitting partial profile");
+    }
+    Ok(())
+}
+
+/// `optiwise sample`: the runner's sampling pass, written as a split file.
 fn cmd_sample(opts: &Options) -> Result<(), OptiwiseError> {
     let out = split_out(opts, "sample")?;
     let modules = build_workload(opts)?;
     let config = pipeline_config(opts);
-    let load = LoadConfig {
-        aslr_seed: Some(config.aslr_seeds.0),
-        ..LoadConfig::default()
-    };
-    let image = ProcessImage::load(&modules, &load)?;
-    let sampler_cfg = SamplerConfig {
-        fault: config.fault,
-        ..config.sampler
-    };
-    let (profile, run) = sample_run(
-        &image,
-        config.rand_seed,
-        config.core,
-        sampler_cfg,
-        config.max_insns,
-    )?;
-    if let Some(reason) = &profile.truncated {
-        if opts.strict || !opts.allow_partial {
-            return Err(OptiwiseError::Truncated {
-                pass: Pass::Sampling,
-                reason: reason.clone(),
-            });
-        }
-        eprintln!("optiwise: sampling run truncated ({reason}); emitting partial profile");
-    }
+    let (profile, run, _) = sampling_pass(&modules, &config, &RunControl::default())?;
+    check_split_cut(opts, Pass::Sampling, &profile.truncated)?;
     eprintln!(
         "sampled {} cycles, {} samples, overhead estimate {:.3}x",
         run.stats.cycles,
@@ -1360,33 +1367,14 @@ fn cmd_sample(opts: &Options) -> Result<(), OptiwiseError> {
     save_split(opts, out, &modules, Some(profile), None)
 }
 
+/// `optiwise instrument`: the runner's instrumentation pass, written as a
+/// split file.
 fn cmd_instrument(opts: &Options) -> Result<(), OptiwiseError> {
     let out = split_out(opts, "instrument")?;
     let modules = build_workload(opts)?;
     let config = pipeline_config(opts);
-    let load = LoadConfig {
-        aslr_seed: Some(config.aslr_seeds.1),
-        ..LoadConfig::default()
-    };
-    let image = ProcessImage::load(&modules, &load)?;
-    let counts = instrument_run(
-        &image,
-        &DbiConfig {
-            rand_seed: config.rand_seed,
-            max_insns: config.max_insns,
-            fault: config.fault,
-            ..config.dbi
-        },
-    )?;
-    if let Some(reason) = &counts.truncated {
-        if opts.strict || !opts.allow_partial {
-            return Err(OptiwiseError::Truncated {
-                pass: Pass::Instrumentation,
-                reason: reason.clone(),
-            });
-        }
-        eprintln!("optiwise: instrumentation run truncated ({reason}); emitting partial profile");
-    }
+    let (counts, _, _) = counts_pass(&modules, &config, None, &RunControl::default())?;
+    check_split_cut(opts, Pass::Instrumentation, &counts.truncated)?;
     eprintln!(
         "counted {} instructions in {} blocks, overhead estimate {:.1}x",
         counts.cost.native_insns,
@@ -1983,7 +1971,10 @@ commands:
                         checkpoint image (run spec + CNTS section)
   analyze <workload> --samples F.owp --counts F.owp
                         fused report from the two split files; files
-                        recorded against another build exit 6
+                        recorded against another build exit 6; the pass
+                        flags (--arch, --set, --period, --attribution,
+                        --seed, --inject, --no-stack-profiling) belong to
+                        sample/instrument, whose files fix both passes
   annotate <workload> --function NAME
   show <profile.owp>    report a saved binary profile
   report <profile.owp>  tables from a saved profile (--format text|json|yaml)
@@ -2057,7 +2048,7 @@ options (each command accepts only the ones its code reads; others exit 1):
   --jobs N                worker threads (default: available cores); 1 runs
                           every stage sequentially, >1 also overlaps the
                           two profiling passes; reports are identical
-                          for every N
+                          for every N; sample/instrument take no --jobs
   --strict                fail on truncation or run divergence
   --allow-partial / --no-partial
                           accept or reject truncated profiles (default: accept)
@@ -2071,6 +2062,7 @@ options (each command accepts only the ones its code reads; others exit 1):
                           total samples, 0..=1 (default: 0.01)
   --exhaustive-counters   disable minimal counter placement: charge one counter
                           per executed block/edge as in the naive DBI engine
+                          (at analysis: not on sample/instrument)
   --deadline SECS         wall-clock budget; the run stops at the next safe
                           instruction boundary and exits 8 (Ctrl-C does the
                           same without a budget)

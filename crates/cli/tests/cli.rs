@@ -283,6 +283,37 @@ fn desynced_seeds_fail_strict_run_with_divergence_code() {
     // Without the fault the same strict run is clean.
     let out = optiwise(&["run", "rand_walk", "--size", "test", "--strict"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
+
+    // The split workflow runs the same passes: a desynced `instrument`
+    // fails strict `analyze` the same way, and lenient `analyze` prints
+    // the report `run` prints under the same fault.
+    let dir = std::env::temp_dir().join(format!("optiwise-desync-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let samples = dir.join("samples.owp");
+    let counts = dir.join("counts.owp");
+    let (samples, counts) = (samples.to_str().unwrap(), counts.to_str().unwrap());
+    let out = optiwise(&["sample", "rand_walk", "--size", "test", "--out", samples]);
+    assert!(out.status.success(), "{out:?}");
+    let out = optiwise(&[
+        "instrument", "rand_walk", "--size", "test", "--inject", "desync-seed=99", "--out", counts,
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let analyze =
+        ["analyze", "rand_walk", "--size", "test", "--samples", samples, "--counts", counts];
+    let out = optiwise(&[&analyze[..], &["--strict"]].concat());
+    assert_eq!(out.status.code(), Some(5), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("divergence"), "{stderr}");
+    let analyzed = optiwise(&analyze);
+    assert!(analyzed.status.success(), "{analyzed:?}");
+    let run = optiwise(&["run", "rand_walk", "--size", "test", "--inject", "desync-seed=99"]);
+    assert!(run.status.success(), "{run:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&analyzed.stdout),
+        String::from_utf8_lossy(&run.stdout),
+        "split analyze of a desynced counts pass must match `run`"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -370,6 +401,20 @@ fn flags_a_command_never_reads_are_rejected() {
         (vec!["selfcheck", "--seed", "3"], "--seed", "`selfcheck`"),
         (vec!["diff", ck, ck, "--period", "5"], "--period", "`diff`"),
         (vec!["fsck", root, "--jobs", "2"], "--jobs", "`fsck`"),
+        (vec!["sample", "x", "--jobs", "2"], "--jobs", "`sample`"),
+        (vec!["sample", "x", "--hot-threshold", "0.5"], "--hot-threshold", "`sample`"),
+        (vec!["sample", "x", "--exhaustive-counters"], "--exhaustive-counters", "`sample`"),
+        (vec!["instrument", "x", "--jobs", "2"], "--jobs", "`instrument`"),
+        (vec!["instrument", "x", "--hot-threshold", "0.5"], "--hot-threshold", "`instrument`"),
+        (vec!["instrument", "x", "--exhaustive-counters"], "--exhaustive-counters", "`instrument`"),
+        (vec!["analyze", "x", "--period", "5"], "--period", "`analyze`"),
+        (vec!["analyze", "x", "--attribution", "precise"], "--attribution", "`analyze`"),
+        (vec!["analyze", "x", "--seed", "3"], "--seed", "`analyze`"),
+        (vec!["analyze", "x", "--inject", "corrupt"], "--inject", "`analyze`"),
+        (vec!["analyze", "x", "--hot-threshold", "0.5"], "--hot-threshold", "`analyze`"),
+        (vec!["analyze", "x", "--arch", "neoverse"], "--arch", "`analyze`"),
+        (vec!["analyze", "x", "--set", "rob_size=64"], "--set", "`analyze`"),
+        (vec!["analyze", "x", "--no-stack-profiling"], "--no-stack-profiling", "`analyze`"),
     ] {
         let out = optiwise(&args);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");

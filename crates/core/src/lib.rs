@@ -42,8 +42,9 @@ pub use diff::{diff_tables, DiffClass, DiffMetric, DiffOptions, DiffReport, Diff
 pub use error::{OptiwiseError, Pass, StoreError};
 pub use limits::ResourceLimits;
 pub use runner::{
-    module_fingerprint, run_optiwise, run_optiwise_ctl, OptiwiseConfig, OptiwiseRun, PassEvent,
-    ResumeState, RetryPolicy, RunControl, DEFAULT_HOT_THRESHOLD,
+    counts_pass, module_fingerprint, run_optiwise, run_optiwise_ctl, sampling_pass,
+    OptiwiseConfig, OptiwiseRun, PassEvent, ResumeState, RetryPolicy, RunControl,
+    DEFAULT_HOT_THRESHOLD,
 };
 pub use sweep::{reduce_fleet, SweepCell, SweepConfig, SweepGrid, SweepResult, SweepWorkload};
 pub use wiser_sim::{CancelCause, CancelToken};

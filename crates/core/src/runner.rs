@@ -20,11 +20,11 @@
 
 use std::collections::{HashMap, HashSet};
 
-use wiser_dbi::{instrument_run_ctl, CountsPassControl, CountsProfile, DbiConfig};
+use wiser_dbi::{instrument_run_ctl, CountsProfile, DbiConfig};
 use wiser_isa::Module;
-use wiser_sampler::{sample_run_ctl, SamplePassControl, SampleProfile, SamplerConfig};
+use wiser_sampler::{sample_run_ctl, SampleProfile, SamplerConfig};
 use wiser_sim::{
-    CancelCause, CancelToken, CoreConfig, CoreStats, FaultPlan, LoadConfig, ModuleId,
+    CancelCause, CancelToken, CoreConfig, CoreStats, FaultPlan, LoadConfig, ModuleId, PassControl,
     ProcessImage, TimedRun, TruncationReason,
 };
 
@@ -57,23 +57,6 @@ impl Default for RetryPolicy {
             budget_multiplier: 4,
             max_total_insns: 8_000_000_000,
         }
-    }
-}
-
-impl RetryPolicy {
-    /// Whether a pass truncated by `reason` after `attempts` attempts may
-    /// be re-run with `next_budget`, having already spent `spent`
-    /// instructions across its previous attempts.
-    fn may_retry(
-        &self,
-        attempts: u32,
-        spent: u64,
-        next_budget: u64,
-        reason: &TruncationReason,
-    ) -> bool {
-        reason.retryable()
-            && attempts <= self.max_retries
-            && spent.saturating_add(next_budget) <= self.max_total_insns
     }
 }
 
@@ -130,6 +113,24 @@ pub struct RunControl<'a> {
     pub observer: Option<&'a (dyn Fn(PassEvent<'_>) + Sync)>,
     /// Passes restored from a file, skipping their re-execution.
     pub resume: ResumeState,
+}
+
+impl RunControl<'_> {
+    fn notify(&self, event: PassEvent<'_>) {
+        if let Some(observer) = self.observer {
+            observer(event);
+        }
+    }
+
+    /// The engine control of one pass attempt: this run's token and
+    /// cadence, with checkpoints going to `sink` only when someone observes.
+    fn pass<'s, P>(&'s self, sink: &'s mut dyn FnMut(u64, P)) -> PassControl<'s, P> {
+        PassControl {
+            cancel: Some(&self.cancel),
+            checkpoint_every: self.checkpoint_every,
+            sink: self.observer.is_some().then_some(sink),
+        }
+    }
 }
 
 /// Passes restored from a file instead of re-executed: the completed passes
@@ -254,6 +255,11 @@ impl Default for OptiwiseConfig {
 /// Default [`OptiwiseConfig::hot_threshold`]: 1% of total sample weight.
 pub const DEFAULT_HOT_THRESHOLD: f64 = 0.01;
 
+/// Module-relative text spans to fully instrument under `--selective`.
+type SelectiveRanges = Vec<(ModuleId, u64, u64)>;
+/// `(module index, function name)` keys of the fully-counted hot set.
+type HotSet = HashSet<(u32, String)>;
+
 /// Ranks functions by self sample weight and splits them at `hot_threshold`.
 ///
 /// Returns the instrumentation ranges (module-relative text spans) of the
@@ -264,11 +270,6 @@ pub const DEFAULT_HOT_THRESHOLD: f64 = 0.01;
 /// Everything here is a deterministic function of the sampling profile and
 /// the module list, so selective runs inherit the pipeline's bit-identical
 /// reproducibility.
-/// Module-relative text spans to fully instrument under `--selective`.
-type SelectiveRanges = Vec<(ModuleId, u64, u64)>;
-/// `(module index, function name)` keys of the fully-counted hot set.
-type HotSet = HashSet<(u32, String)>;
-
 fn plan_selective(
     modules: &[Module],
     samples: &SampleProfile,
@@ -391,7 +392,7 @@ pub fn run_optiwise(
 pub fn run_optiwise_ctl(
     modules: &[Module],
     config: &OptiwiseConfig,
-    ctl: RunControl<'_>,
+    mut ctl: RunControl<'_>,
 ) -> Result<OptiwiseRun, OptiwiseError> {
     // Central chokepoint for uarch-config validation: every entry into the
     // pipeline — CLI run/resume, daemon jobs, sweep cells — passes through
@@ -402,25 +403,19 @@ pub fn run_optiwise_ctl(
         .validate()
         .map_err(|e| OptiwiseError::Usage(e.to_string()))?;
     let allow_partial = config.allow_partial && !config.strict;
-    let RunControl {
-        cancel,
-        checkpoint_every,
-        observer,
-        resume,
-    } = ctl;
     let ResumeState {
         samples: restored_samples,
         counts: restored_counts,
-    } = resume;
-    let cancel = &cancel;
+    } = std::mem::take(&mut ctl.resume);
+    let ctl = &ctl;
 
-    // Pass 1: sampling on the timing model, retrying on budget exhaustion.
-    let sampling_pass = move || -> Result<(SampleProfile, TimedRun, u32), OptiwiseError> {
-        if let Some(prior) = restored_samples {
-            // Restored from a checkpoint: the profile is used verbatim and
-            // the timing summary is synthesized from its totals (nothing
-            // downstream reads deeper pipeline statistics from a resumed
-            // run). Re-announce it so a continuing checkpoint keeps it.
+    // A restored pass is used verbatim instead of re-run (its attempts read
+    // 0), and re-announced so a continuing checkpoint keeps it.
+    let sampling = move || match restored_samples {
+        Some(prior) => {
+            // The timing summary is synthesized from the profile's totals
+            // (nothing downstream reads deeper pipeline statistics from a
+            // resumed run).
             let timed = TimedRun {
                 stats: CoreStats {
                     cycles: prior.total_cycles,
@@ -430,113 +425,18 @@ pub fn run_optiwise_ctl(
                 exit_code: None,
                 output: String::new(),
             };
-            if let Some(obs) = observer {
-                obs(PassEvent::SampleDone { profile: &prior });
-            }
-            return Ok((prior, timed, 0));
+            ctl.notify(PassEvent::SampleDone { profile: &prior });
+            Ok((prior, timed, 0))
         }
-        let load_a = LoadConfig {
-            aslr_seed: Some(config.aslr_seeds.0),
-            ..LoadConfig::default()
-        };
-        let image_a = ProcessImage::load(modules, &load_a)?;
-        let mut sampler_cfg = config.sampler;
-        sampler_cfg.fault = config.fault;
-        let mut budget = config.max_insns;
-        let mut attempts = 0u32;
-        let mut spent = 0u64;
-        loop {
-            attempts += 1;
-            let mut sink = |retired: u64, profile: SampleProfile| {
-                if let Some(obs) = observer {
-                    obs(PassEvent::SampleCheckpoint { retired, profile });
-                }
-            };
-            let pass_ctl = SamplePassControl {
-                cancel: Some(cancel),
-                checkpoint_every,
-                sink: observer.is_some().then_some(&mut sink as _),
-            };
-            let (samples, timed) = sample_run_ctl(
-                &image_a,
-                config.rand_seed,
-                config.core,
-                sampler_cfg,
-                budget,
-                pass_ctl,
-            )?;
-            spent += timed.stats.retired;
-            let escalated = budget.saturating_mul(config.retry.budget_multiplier);
-            match &samples.truncated {
-                Some(reason) if config.retry.may_retry(attempts, spent, escalated, reason) => {
-                    budget = escalated;
-                }
-                _ => {
-                    if let Some(obs) = observer {
-                        obs(PassEvent::SampleDone { profile: &samples });
-                    }
-                    break Ok((samples, timed, attempts));
-                }
-            }
-        }
+        None => sampling_pass(modules, config, ctl),
     };
-
-    // Pass 2: instrumentation, under a different layout. The fault plan's
-    // desync seed (if any) deliberately runs this pass on different input.
-    // Also returns the linked (module-relative) view the analysis keys on.
-    // `selective_ranges` (from `plan_selective`) restricts full counting to
-    // the listed text spans; `None` counts everything.
-    let counts_pass = move |selective_ranges: Option<Vec<(ModuleId, u64, u64)>>|
-          -> Result<(CountsProfile, Vec<Module>, u32), OptiwiseError> {
-        let load_b = LoadConfig {
-            aslr_seed: Some(config.aslr_seeds.1),
-            ..LoadConfig::default()
-        };
-        let image_b = ProcessImage::load(modules, &load_b)?;
-        let linked: Vec<Module> = image_b.modules.iter().map(|m| m.linked.clone()).collect();
-        if let Some(prior) = restored_counts {
-            if let Some(obs) = observer {
-                obs(PassEvent::CountsDone { profile: &prior });
-            }
-            return Ok((prior, linked, 0));
+    let counting = move |selective| match restored_counts {
+        Some(prior) => {
+            let linked = linked_view(&load_image(modules, config.aslr_seeds.1)?);
+            ctl.notify(PassEvent::CountsDone { profile: &prior });
+            Ok((prior, linked, 0))
         }
-        let dbi_rand_seed = config.fault.desync_rand_seed.unwrap_or(config.rand_seed);
-        let mut budget = config.max_insns;
-        let mut attempts = 0u32;
-        let mut spent = 0u64;
-        let counts = loop {
-            attempts += 1;
-            let dbi_cfg = DbiConfig {
-                rand_seed: dbi_rand_seed,
-                max_insns: budget,
-                fault: config.fault,
-                selective: selective_ranges.clone().or_else(|| config.dbi.selective.clone()),
-                ..config.dbi.clone()
-            };
-            let mut sink = |retired: u64, profile: CountsProfile| {
-                if let Some(obs) = observer {
-                    obs(PassEvent::CountsCheckpoint { retired, profile });
-                }
-            };
-            let pass_ctl = CountsPassControl {
-                cancel: Some(cancel),
-                checkpoint_every,
-                sink: observer.is_some().then_some(&mut sink as _),
-            };
-            let counts = instrument_run_ctl(&image_b, &dbi_cfg, pass_ctl)?;
-            spent += counts.total_insns();
-            let escalated = budget.saturating_mul(config.retry.budget_multiplier);
-            match &counts.truncated {
-                Some(reason) if config.retry.may_retry(attempts, spent, escalated, reason) => {
-                    budget = escalated;
-                }
-                _ => break counts,
-            }
-        };
-        if let Some(obs) = observer {
-            obs(PassEvent::CountsDone { profile: &counts });
-        }
-        Ok((counts, linked, attempts))
+        None => counts_pass(modules, config, selective, ctl),
     };
 
     // The two passes are independent executions of the same program with
@@ -549,18 +449,18 @@ pub fn run_optiwise_ctl(
     // the passes run sequentially and the hot set flows into both the DBI
     // config and the analysis' coverage marking.
     let (sampling_result, counts_result, hot_set) = if config.selective {
-        let sampled = sampling_pass()?;
+        let sampled = sampling()?;
         let (ranges, hot) = match plan_selective(modules, &sampled.0, config.hot_threshold) {
             Some((ranges, hot)) => (Some(ranges), Some(hot)),
             // No sample weight to rank by: instrument everything.
             None => (None, None),
         };
-        let counts_result = counts_pass(ranges);
+        let counts_result = counting(ranges);
         (Ok(sampled), counts_result, hot)
     } else if config.concurrent_passes {
         let (s, c) = std::thread::scope(|scope| {
-            let dbi_thread = scope.spawn(move || counts_pass(None));
-            let sampling_result = sampling_pass();
+            let dbi_thread = scope.spawn(move || counting(None));
+            let sampling_result = sampling();
             let counts_result = dbi_thread
                 .join()
                 .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
@@ -568,7 +468,7 @@ pub fn run_optiwise_ctl(
         });
         (s, c, None)
     } else {
-        (sampling_pass(), counts_pass(None), None)
+        (sampling(), counting(None), None)
     };
     let (samples, timed, sample_attempts) = sampling_result?;
     let (mut counts, linked, count_attempts) = counts_result?;
@@ -585,7 +485,7 @@ pub fn run_optiwise_ctl(
     if let Some(retired) = cancelled {
         return Err(OptiwiseError::DeadlineExceeded {
             retired,
-            deadline: matches!(cancel.cause(), Some(CancelCause::Deadline)),
+            deadline: matches!(ctl.cancel.cause(), Some(CancelCause::Deadline)),
         });
     }
 
@@ -650,6 +550,120 @@ pub fn run_optiwise_ctl(
         timed,
         attempts: (sample_attempts, count_attempts),
     })
+}
+
+/// The sampling pass (run 1, figure 3): loads `modules` under the first
+/// ASLR seed and samples them on `config.core` with the fault plan applied,
+/// re-running a budget cut per `config.retry`. `ctl` supplies the cancel
+/// token, the checkpoint events and the closing `SampleDone` event; its
+/// `resume` is not read (restored passes never reach this function).
+///
+/// Returns the settled profile, its timed run and the attempts it took.
+///
+/// # Errors
+///
+/// Load failures and [`OptiwiseError::Killed`] for an injected crash.
+pub fn sampling_pass(
+    modules: &[Module],
+    config: &OptiwiseConfig,
+    ctl: &RunControl<'_>,
+) -> Result<(SampleProfile, TimedRun, u32), OptiwiseError> {
+    let image = load_image(modules, config.aslr_seeds.0)?;
+    let sampler = SamplerConfig {
+        fault: config.fault,
+        ..config.sampler
+    };
+    let attempt = |budget| {
+        let mut sink = |retired, profile| {
+            ctl.notify(PassEvent::SampleCheckpoint { retired, profile });
+        };
+        let pass = ctl.pass(&mut sink);
+        let run = sample_run_ctl(&image, config.rand_seed, config.core, sampler, budget, pass)?;
+        Ok((run.1.stats.retired, run))
+    };
+    let ((samples, timed), attempts) = retried(config, attempt, |(s, _)| s.truncated.as_ref())?;
+    ctl.notify(PassEvent::SampleDone { profile: &samples });
+    Ok((samples, timed, attempts))
+}
+
+/// The instrumentation pass (run 2): loads `modules` under the second ASLR
+/// seed and counts them on the DBI engine with the fault plan applied —
+/// its desync seed, if any, deliberately runs this pass on different input.
+/// `selective` (from selective planning) restricts full counting to its
+/// text spans; `None` falls back to `config.dbi.selective`. Retries and
+/// events as in [`sampling_pass`].
+///
+/// Returns the settled profile, the linked (module-relative) view of the
+/// modules the analysis keys on, and the attempts it took.
+///
+/// # Errors
+///
+/// Load failures and [`OptiwiseError::Killed`] for an injected crash.
+pub fn counts_pass(
+    modules: &[Module],
+    config: &OptiwiseConfig,
+    selective: Option<SelectiveRanges>,
+    ctl: &RunControl<'_>,
+) -> Result<(CountsProfile, Vec<Module>, u32), OptiwiseError> {
+    let image = load_image(modules, config.aslr_seeds.1)?;
+    let mut dbi = DbiConfig {
+        rand_seed: config.fault.desync_rand_seed.unwrap_or(config.rand_seed),
+        fault: config.fault,
+        selective: selective.or_else(|| config.dbi.selective.clone()),
+        ..config.dbi.clone()
+    };
+    let attempt = |budget| {
+        let mut sink = |retired, profile| {
+            ctl.notify(PassEvent::CountsCheckpoint { retired, profile });
+        };
+        dbi.max_insns = budget;
+        let counts = instrument_run_ctl(&image, &dbi, ctl.pass(&mut sink))?;
+        Ok((counts.total_insns(), counts))
+    };
+    let (counts, attempts) = retried(config, attempt, |c| c.truncated.as_ref())?;
+    ctl.notify(PassEvent::CountsDone { profile: &counts });
+    Ok((counts, linked_view(&image), attempts))
+}
+
+/// The retry loop both passes share. `attempt(budget)` runs the pass once
+/// and returns the instructions it spent and its result; a result `cut` by
+/// a retryable reason re-runs with the budget escalated per `config.retry`
+/// while retries remain and the cumulative spend stays under its cap.
+/// Returns the settled result and the attempts it took.
+fn retried<T>(
+    config: &OptiwiseConfig,
+    mut attempt: impl FnMut(u64) -> Result<(u64, T), OptiwiseError>,
+    cut: fn(&T) -> Option<&TruncationReason>,
+) -> Result<(T, u32), OptiwiseError> {
+    let retry = &config.retry;
+    let (mut budget, mut spent, mut attempts) = (config.max_insns, 0u64, 0u32);
+    loop {
+        attempts += 1;
+        let (used, result) = attempt(budget)?;
+        spent += used;
+        let escalated = budget.saturating_mul(retry.budget_multiplier);
+        let again = cut(&result).is_some_and(TruncationReason::retryable)
+            && attempts <= retry.max_retries
+            && spent.saturating_add(escalated) <= retry.max_total_insns;
+        if !again {
+            return Ok((result, attempts));
+        }
+        budget = escalated;
+    }
+}
+
+/// Loads `modules` in the layout `aslr_seed` picks; each pass has its own.
+fn load_image(modules: &[Module], aslr_seed: u64) -> Result<ProcessImage, OptiwiseError> {
+    let load = LoadConfig {
+        aslr_seed: Some(aslr_seed),
+        ..LoadConfig::default()
+    };
+    Ok(ProcessImage::load(modules, &load)?)
+}
+
+/// The linked (module-relative) modules of a loaded image.
+fn linked_view(image: &ProcessImage) -> Vec<Module> {
+    image.modules.iter().map(|m| m.linked.clone()).collect()
 }
 
 #[cfg(test)]

@@ -12,16 +12,12 @@ use std::collections::HashMap;
 
 use wiser_isa::INSN_BYTES;
 use wiser_sim::{
-    CancelCause, CancelToken, CodeLoc, FaultPlan, Interp, ModuleId, ProcessImage, SimError, Step,
-    TruncationReason,
+    poll_cancel, CancelCause, CodeLoc, FaultPlan, Interp, ModuleId, PassControl, ProcessImage,
+    SimError, Step, TruncationReason, CANCEL_POLL_INSNS,
 };
 
 use crate::cost::CostModel;
 use crate::counts::{BlockCount, CountsProfile, InstrumentationCost, TermKind};
-
-/// How often (in retired instructions) the block-dispatch loop polls its
-/// [`CancelToken`].
-const CANCEL_POLL_INSNS: u64 = 1024;
 
 /// Engine configuration.
 #[derive(Clone, Debug)]
@@ -125,23 +121,10 @@ fn indirect_charge(
 /// Only load-class failures (the process image cannot even start) abort the
 /// pass with no profile.
 pub fn instrument_run(image: &ProcessImage, cfg: &DbiConfig) -> Result<CountsProfile, SimError> {
-    instrument_run_ctl(image, cfg, CountsPassControl::default())
+    instrument_run_ctl(image, cfg, PassControl::default())
 }
 
-/// External controls for one instrumentation pass: cooperative cancellation
-/// and periodic checkpoint snapshots. The default controls nothing.
-#[derive(Default)]
-pub struct CountsPassControl<'a> {
-    /// Cancellation token polled at block boundaries; a fired token
-    /// truncates the profile as `Cancelled`.
-    pub cancel: Option<&'a CancelToken>,
-    /// Checkpoint cadence in retired instructions; 0 disables snapshots.
-    pub checkpoint_every: u64,
-    /// Receives `(retired, snapshot)` at each checkpoint boundary.
-    pub sink: Option<&'a mut dyn FnMut(u64, CountsProfile)>,
-}
-
-/// Like [`instrument_run`], under external [`CountsPassControl`]: a fired
+/// Like [`instrument_run`], under external [`PassControl`]: a fired
 /// cancellation token stops the run at the next block boundary (a safe
 /// point — only completed blocks are counted), and every
 /// `checkpoint_every` retired instructions an in-flight profile snapshot
@@ -156,7 +139,7 @@ pub struct CountsPassControl<'a> {
 pub fn instrument_run_ctl(
     image: &ProcessImage,
     cfg: &DbiConfig,
-    mut ctl: CountsPassControl<'_>,
+    mut ctl: PassControl<'_, CountsProfile>,
 ) -> Result<CountsProfile, SimError> {
     let mut interp = Interp::new(image, cfg.rand_seed)?;
     let mut cache: HashMap<u64, usize> = HashMap::new();
@@ -172,19 +155,10 @@ pub fn instrument_run_ctl(
     let model = cfg.cost;
     let injected_limit = cfg.fault.truncate_counts_at;
     let effective_max = injected_limit.map_or(cfg.max_insns, |n| n.min(cfg.max_insns));
-    // When the injection point ties with the instruction budget, the
-    // injected fault wins the label: `Injected` is deterministic and
-    // non-retryable, while `InsnLimit` would make the caller's retry loop
-    // escalate the budget and replay a cut that can never move.
-    let limit_reason = |hit: u64| match injected_limit {
-        Some(inj) if hit == inj => TruncationReason::Injected(inj),
-        _ => TruncationReason::InsnLimit(hit),
-    };
     let mut truncated: Option<TruncationReason> = None;
 
     let kill_after = cfg.fault.kill_after_insns;
-    let ckpt_every = if ctl.sink.is_some() { ctl.checkpoint_every } else { 0 };
-    let mut next_ckpt = if ckpt_every > 0 { ckpt_every } else { u64::MAX };
+    let mut next_ckpt = ctl.first_checkpoint();
     let mut next_cancel_poll = CANCEL_POLL_INSNS;
     // Block that ran last; its exit links are tried before the cache.
     let mut prev: Option<usize> = None;
@@ -202,7 +176,6 @@ pub fn instrument_run_ctl(
             }
         }
         if retired >= next_ckpt {
-            next_ckpt = (retired / ckpt_every + 1) * ckpt_every;
             // Snapshots fire at block boundaries, so the actual cut point
             // can overshoot the nominal cadence by one block; resume
             // replays deterministically either way.
@@ -214,22 +187,15 @@ pub fn instrument_run_ctl(
                 cost,
                 Some(TruncationReason::Cancelled(retired)),
             );
-            if let Some(sink) = ctl.sink.as_mut() {
-                sink(retired, snap);
-            }
+            next_ckpt = ctl.checkpoint(retired, snap);
         }
-        if retired >= next_cancel_poll {
-            next_cancel_poll = retired + CANCEL_POLL_INSNS;
-            if let Some(token) = ctl.cancel {
-                match token.cause() {
-                    Some(CancelCause::Kill) => return Err(SimError::Killed(retired)),
-                    Some(_) => {
-                        truncated = Some(TruncationReason::Cancelled(retired));
-                        break 'run;
-                    }
-                    None => {}
-                }
+        match poll_cancel(ctl.cancel, retired, &mut next_cancel_poll) {
+            Some(CancelCause::Kill) => return Err(SimError::Killed(retired)),
+            Some(_) => {
+                truncated = Some(TruncationReason::Cancelled(retired));
+                break 'run;
             }
+            None => {}
         }
         let pc = interp.cpu().pc;
         let linked = prev.and_then(|p| {
@@ -285,7 +251,7 @@ pub fn instrument_run_ctl(
                 }
             }
             if interp.retired() > effective_max {
-                truncated = Some(limit_reason(effective_max));
+                truncated = Some(TruncationReason::at_limit(effective_max, injected_limit));
                 break 'run;
             }
         }
@@ -494,7 +460,7 @@ fn translate(
 mod tests {
     use super::*;
     use wiser_isa::assemble;
-    use wiser_sim::ModuleId;
+    use wiser_sim::{CancelToken, ModuleId};
 
     fn loc(m: u32, o: u64) -> CodeLoc {
         CodeLoc {
@@ -930,9 +896,9 @@ mod tests {
         let p = instrument_run_ctl(
             &image,
             &DbiConfig::default(),
-            CountsPassControl {
+            PassControl {
                 cancel: Some(&token),
-                ..CountsPassControl::default()
+                ..PassControl::default()
             },
         )
         .unwrap();
@@ -957,7 +923,7 @@ mod tests {
         let p = instrument_run_ctl(
             &image,
             &DbiConfig::default(),
-            CountsPassControl {
+            PassControl {
                 cancel: None,
                 checkpoint_every: 5_000,
                 sink: Some(&mut sink),

@@ -14,4 +14,4 @@ mod engine;
 
 pub use cost::CostModel;
 pub use counts::{BlockCount, CounterPlacement, CountsProfile, InstrumentationCost, TermKind};
-pub use engine::{instrument_run, instrument_run_ctl, CountsPassControl, DbiConfig};
+pub use engine::{instrument_run, instrument_run_ctl, DbiConfig};

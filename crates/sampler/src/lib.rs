@@ -16,6 +16,5 @@ mod sampler;
 pub use config::{Attribution, SamplerConfig, StackMode};
 pub use profile::{Sample, SampleProfile};
 pub use sampler::{
-    sample_run, sample_run_ctl, sampling_overhead, PerfSampler, SamplePassControl,
-    SAMPLE_SERVICE_COST,
+    sample_run, sample_run_ctl, sampling_overhead, PerfSampler, SAMPLE_SERVICE_COST,
 };

@@ -14,8 +14,8 @@ use rand::{Rng, SeedableRng};
 
 use wiser_isa::INSN_BYTES;
 use wiser_sim::{
-    CancelToken, CodeLoc, CoreConfig, ModuleId, ProbePoint, ProcessImage, Prober, RunControl,
-    SimError, TimedRun, TruncationReason,
+    CodeLoc, CoreConfig, ModuleId, PassControl, ProbePoint, Prober, ProcessImage, SimError,
+    TimedRun, TruncationReason,
 };
 
 use crate::config::{Attribution, SamplerConfig, StackMode};
@@ -45,10 +45,9 @@ pub struct PerfSampler<'a> {
     last_sample_cycle: u64,
     samples: Vec<Sample>,
     unmapped: u64,
-    /// Checkpoint cadence in retired instructions; 0 disables snapshots.
-    ckpt_every: u64,
+    /// Checkpoint cadence and sink; the timed driver polls its token.
+    ctl: PassControl<'a, SampleProfile>,
     next_ckpt: u64,
-    sink: Option<&'a mut dyn FnMut(u64, SampleProfile)>,
 }
 
 impl<'a> PerfSampler<'a> {
@@ -80,31 +79,20 @@ impl<'a> PerfSampler<'a> {
             last_sample_cycle: 0,
             samples: Vec::new(),
             unmapped: 0,
-            ckpt_every: 0,
+            ctl: PassControl::default(),
             next_ckpt: u64::MAX,
-            sink: None,
         }
     }
 
-    /// Arms periodic checkpoint snapshots: every `every` retired
+    /// Arms periodic checkpoint snapshots: on `ctl`'s cadence of retired
     /// instructions (as observed at probe time, so the granularity is
     /// bounded below by the sampling period) the sampler hands an
-    /// in-flight [`SampleProfile`] snapshot to `sink`. Snapshots carry
+    /// in-flight [`SampleProfile`] snapshot to its sink. Snapshots carry
     /// `truncated = Cancelled(retired)` to mark them as partial.
-    pub fn with_checkpoints(
-        mut self,
-        every: u64,
-        sink: &'a mut dyn FnMut(u64, SampleProfile),
-    ) -> PerfSampler<'a> {
-        self.ckpt_every = every.max(1);
-        self.next_ckpt = self.ckpt_every;
-        self.sink = Some(sink);
+    pub fn with_checkpoints(mut self, ctl: PassControl<'a, SampleProfile>) -> PerfSampler<'a> {
+        self.next_ckpt = ctl.first_checkpoint();
+        self.ctl = ctl;
         self
-    }
-
-    /// Number of samples recorded so far.
-    pub fn sample_count(&self) -> usize {
-        self.samples.len()
     }
 
     fn resolve(&self, addr: u64) -> Option<CodeLoc> {
@@ -181,20 +169,36 @@ impl<'a> PerfSampler<'a> {
 
     /// Consumes the sampler, producing the finished profile.
     ///
-    /// Applies the config's [`wiser_sim::FaultPlan`] sample-dropping here —
-    /// modelling samples lost in perf's ring buffer — and stamps the profile
-    /// with the run's retired-instruction total and truncation marker so
-    /// downstream analysis can reconcile it against the instrumentation run.
+    /// Stamps the profile with the run's retired-instruction total and
+    /// truncation marker so downstream analysis can reconcile it against
+    /// the instrumentation run.
     pub fn finish_with(
-        self,
+        mut self,
+        total_cycles: u64,
+        retired: u64,
+        truncated: Option<TruncationReason>,
+    ) -> SampleProfile {
+        let module_names = std::mem::take(&mut self.module_names);
+        let samples = std::mem::take(&mut self.samples);
+        self.profile(module_names, samples, total_cycles, retired, truncated)
+    }
+
+    /// The profile of `samples` (the recorded ones, in order) less those
+    /// the config's [`wiser_sim::FaultPlan`] drops — modelling samples lost
+    /// in perf's ring buffer. Both the finished profile and the checkpoint
+    /// snapshots are built here, so a snapshot is exactly the profile a
+    /// cancellation at that point would produce.
+    fn profile(
+        &self,
+        module_names: Vec<String>,
+        samples: impl IntoIterator<Item = Sample>,
         total_cycles: u64,
         retired: u64,
         truncated: Option<TruncationReason>,
     ) -> SampleProfile {
         let fault = self.cfg.fault;
         let mut dropped = 0u64;
-        let samples: Vec<Sample> = self
-            .samples
+        let samples: Vec<Sample> = samples
             .into_iter()
             .enumerate()
             .filter(|(i, _)| {
@@ -205,7 +209,7 @@ impl<'a> PerfSampler<'a> {
             .map(|(_, s)| s)
             .collect();
         SampleProfile {
-            module_names: self.module_names,
+            module_names,
             samples,
             period: self.cfg.period,
             total_cycles,
@@ -214,42 +218,6 @@ impl<'a> PerfSampler<'a> {
             unmapped: self.unmapped + dropped,
             retired,
             truncated,
-        }
-    }
-
-    /// Consumes the sampler, producing the finished profile of a complete
-    /// (untruncated) run. See [`PerfSampler::finish_with`].
-    pub fn finish(self, total_cycles: u64) -> SampleProfile {
-        self.finish_with(total_cycles, 0, None)
-    }
-
-    /// A non-consuming snapshot of the in-flight profile, used for
-    /// periodic checkpoints. Applies the same fault-plan sample dropping
-    /// as [`PerfSampler::finish_with`] so a snapshot is exactly the
-    /// profile a cancellation at this point would produce; `truncated` is
-    /// stamped `Cancelled(retired)` to mark it partial.
-    fn snapshot(&mut self, total_cycles: u64, retired: u64) -> SampleProfile {
-        let fault = self.cfg.fault;
-        let mut dropped = 0u64;
-        let samples: Vec<Sample> = self
-            .samples
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| {
-                let drop = fault.should_drop_sample(*i as u64);
-                dropped += drop as u64;
-                !drop
-            })
-            .map(|(_, s)| s.clone())
-            .collect();
-        SampleProfile {
-            module_names: self.module_names.clone(),
-            samples,
-            period: self.cfg.period,
-            total_cycles,
-            unmapped: self.unmapped + dropped,
-            retired,
-            truncated: Some(TruncationReason::Cancelled(retired)),
         }
     }
 }
@@ -274,16 +242,16 @@ impl Prober for PerfSampler<'_> {
     }
 
     fn probe(&mut self, point: ProbePoint<'_>) {
-        if self.ckpt_every > 0 && point.retired >= self.next_ckpt {
+        if point.retired >= self.next_ckpt {
             // Checkpoint boundary. Probes fire at most one sampling period
             // apart, so the snapshot lands within one period of the
             // requested cadence — close enough, since resume replays the
             // pass deterministically rather than splicing at this point.
-            self.next_ckpt = (point.retired / self.ckpt_every + 1) * self.ckpt_every;
-            let snap = self.snapshot(point.cycle, point.retired);
-            if let Some(sink) = self.sink.as_mut() {
-                sink(point.retired, snap);
-            }
+            let samples = self.samples.iter().cloned();
+            let cut = Some(TruncationReason::Cancelled(point.retired));
+            let names = self.module_names.clone();
+            let snap = self.profile(names, samples, point.cycle, point.retired, cut);
+            self.next_ckpt = self.ctl.checkpoint(point.retired, snap);
         }
         if !self.pending && point.cycle >= self.next_interrupt {
             if self.cfg.attribution == Attribution::Precise {
@@ -361,30 +329,14 @@ pub fn sample_run(
     sampler_cfg: SamplerConfig,
     max_insns: u64,
 ) -> Result<(SampleProfile, TimedRun), SimError> {
-    sample_run_ctl(
-        image,
-        rand_seed,
-        core_cfg,
-        sampler_cfg,
-        max_insns,
-        SamplePassControl::default(),
-    )
+    let ctl = PassControl::default();
+    sample_run_ctl(image, rand_seed, core_cfg, sampler_cfg, max_insns, ctl)
 }
 
-/// External controls for one sampling pass: cooperative cancellation and
-/// periodic checkpoint snapshots. The default controls nothing.
-#[derive(Default)]
-pub struct SamplePassControl<'a> {
-    /// Cancellation token polled at instruction boundaries; a fired token
-    /// truncates the profile as `Cancelled`.
-    pub cancel: Option<&'a CancelToken>,
-    /// Checkpoint cadence in retired instructions; 0 disables snapshots.
-    pub checkpoint_every: u64,
-    /// Receives `(retired, snapshot)` at each checkpoint boundary.
-    pub sink: Option<&'a mut dyn FnMut(u64, SampleProfile)>,
-}
-
-/// Like [`sample_run`], under external [`SamplePassControl`].
+/// Like [`sample_run`], under external [`PassControl`]: a fired
+/// cancellation token truncates the profile as `Cancelled`, and every
+/// `checkpoint_every` retired instructions an in-flight profile snapshot is
+/// handed to the sink.
 ///
 /// The config's `FaultPlan::kill_after_insns` (crash-style kill) also takes
 /// effect here, surfacing as [`SimError::Killed`] with no partial profile —
@@ -399,38 +351,19 @@ pub fn sample_run_ctl(
     core_cfg: CoreConfig,
     sampler_cfg: SamplerConfig,
     max_insns: u64,
-    ctl: SamplePassControl<'_>,
+    ctl: PassControl<'_, SampleProfile>,
 ) -> Result<(SampleProfile, TimedRun), SimError> {
-    let injected_limit = sampler_cfg.fault.abort_sample_at;
-    let kill_after = sampler_cfg.fault.kill_after_insns;
-    let effective_max = injected_limit.map_or(max_insns, |n| n.min(max_insns));
-    let mut sampler = PerfSampler::new(image, sampler_cfg);
-    if let Some(sink) = ctl.sink {
-        if ctl.checkpoint_every > 0 {
-            sampler = sampler.with_checkpoints(ctl.checkpoint_every, sink);
-        }
-    }
-    let (run, mut truncated) = wiser_sim::run_timed_partial_ctl(
+    let cancel = ctl.cancel;
+    let mut sampler = PerfSampler::new(image, sampler_cfg).with_checkpoints(ctl);
+    let (run, truncated) = wiser_sim::run_timed_partial_ctl(
         image,
         rand_seed,
         core_cfg,
         &mut sampler,
-        effective_max,
-        RunControl {
-            cancel: ctl.cancel,
-            kill_after,
-        },
+        max_insns,
+        sampler_cfg.fault,
+        cancel,
     )?;
-    // Relabel a budget cut at the fault plan's abort point: it is an
-    // injected (deterministic, non-retryable) abort, not a real limit. The
-    // injection wins even when it ties with the configured budget —
-    // labelling the tie `InsnLimit` would make the retry loop re-run a
-    // fault that recurs at any budget.
-    if let (Some(TruncationReason::InsnLimit(hit)), Some(inj)) = (&truncated, injected_limit) {
-        if *hit == inj {
-            truncated = Some(TruncationReason::Injected(inj));
-        }
-    }
     let profile = sampler.finish_with(run.stats.cycles, run.stats.retired, truncated);
     Ok((profile, run))
 }

@@ -65,6 +65,17 @@ impl TruncationReason {
         matches!(self, TruncationReason::InsnLimit(_))
     }
 
+    /// The label of a pass stopped at `limit`, the lower of its budget and
+    /// the fault plan's `injected` abort point. The injection wins a tie:
+    /// `Injected` is deterministic and non-retryable, while `InsnLimit`
+    /// would make the retry loop escalate the budget and replay a cut that
+    /// recurs at any budget.
+    pub fn at_limit(limit: u64, injected: Option<u64>) -> TruncationReason {
+        match injected {
+            Some(inj) if inj == limit => TruncationReason::Injected(inj),
+            _ => TruncationReason::InsnLimit(limit),
+        }
+    }
 }
 
 /// A deterministic, seed-driven fault-injection plan.

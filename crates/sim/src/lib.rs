@@ -5,6 +5,7 @@
 
 #![warn(missing_docs)]
 
+mod control;
 mod error;
 mod fault;
 mod interp;
@@ -17,6 +18,7 @@ mod trace;
 pub mod uarch;
 pub mod unwind;
 
+pub use control::{poll_cancel, PassControl, CANCEL_POLL_INSNS};
 pub use error::SimError;
 pub use fault::{FaultPlan, TruncationReason};
 pub use interp::{run_module, Cpu, Frame, Interp, Step};
@@ -24,7 +26,7 @@ pub use loader::{CodeLoc, LoadConfig, LoadedModule, ModuleId, ProcessImage};
 pub use mem::{Memory, PAGE_SIZE};
 pub use oracle::{run_oracle, OracleProfile};
 pub use syscall::{SyscallEffect, SyscallNr, SyscallState};
-pub use timed::{run_timed, run_timed_partial_ctl, RunControl, TimedRun};
+pub use timed::{run_timed, run_timed_partial_ctl, TimedRun};
 // Re-exported so dependents reach the cancellation primitive without a
 // direct `wiser-par` dependency.
 pub use wiser_par::{CancelCause, CancelToken};

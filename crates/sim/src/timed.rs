@@ -2,31 +2,13 @@
 
 use wiser_par::{CancelCause, CancelToken};
 
+use crate::control::poll_cancel;
 use crate::error::SimError;
-use crate::fault::TruncationReason;
+use crate::fault::{FaultPlan, TruncationReason};
 use crate::interp::{Interp, Step};
 use crate::loader::ProcessImage;
 use crate::uarch::config::CoreConfig;
 use crate::uarch::core::{CoreStats, OoOCore, Prober};
-
-/// How often (in retired instructions) the execution loop polls its
-/// [`CancelToken`]: frequent enough that a deadline lands within a few
-/// microseconds of simulated work, rare enough to stay off the hot path.
-const CANCEL_POLL_INSNS: u64 = 1024;
-
-/// External controls for one timed execution: cooperative cancellation and
-/// the injected crash-style kill. The default controls nothing.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RunControl<'a> {
-    /// Cancellation token polled at instruction boundaries. A fired token
-    /// stops feeding the pipeline; the run surfaces as
-    /// [`TruncationReason::Cancelled`] (or [`SimError::Killed`] for a
-    /// [`CancelCause::Kill`]).
-    pub cancel: Option<&'a CancelToken>,
-    /// Injected crash: terminate the run abruptly once this many
-    /// instructions have retired (`FaultPlan::kill_after_insns`).
-    pub kill_after: Option<u64>,
-}
 
 /// Result of a timed run.
 #[derive(Clone, Debug)]
@@ -85,17 +67,14 @@ pub fn run_timed<P: Prober>(
     prober: &mut P,
     max_insns: u64,
 ) -> Result<TimedRun, SimError> {
-    let ctl = RunControl::default();
-    match run_timed_partial_ctl(image, rand_seed, config, prober, max_insns, ctl)? {
+    let fault = FaultPlan::default();
+    match run_timed_partial_ctl(image, rand_seed, config, prober, max_insns, fault, None)? {
         (run, None) => Ok(run),
-        (_, Some(TruncationReason::InsnLimit(limit))) => Err(SimError::InsnLimit(limit)),
-        (_, Some(TruncationReason::Injected(limit))) => Err(SimError::InsnLimit(limit)),
-        // Unreachable without a RunControl token, but kept total: a
-        // cancelled run is budget-like (stopped early, no fault).
-        (_, Some(TruncationReason::Cancelled(n))) => Err(SimError::InsnLimit(n)),
         (_, Some(TruncationReason::ExecFault { pc, message })) => {
             Err(SimError::Exec { pc, message })
         }
+        // With no fault plan and no cancel token, only the budget is left.
+        (_, Some(_)) => Err(SimError::InsnLimit(max_insns)),
     }
 }
 
@@ -105,12 +84,13 @@ pub fn run_timed<P: Prober>(
 /// point: the sampler builds a partial profile from whatever retired before
 /// the fault instead of discarding the whole pass.
 ///
-/// External [`RunControl`] (use `RunControl::default()` for none): a fired
-/// cancellation token stops feeding the pipeline at the next instruction
-/// boundary (the in-flight window still drains, so committed state is
-/// consistent) and surfaces as [`TruncationReason::Cancelled`]; an injected
-/// kill aborts the run as [`SimError::Killed`], discarding the partial run
-/// like a real crash would.
+/// The fault plan's `abort_sample_at` lowers the budget, and a cut there
+/// is labelled [`TruncationReason::Injected`]. A fired `cancel` token stops
+/// feeding the pipeline at the next instruction boundary (the in-flight
+/// window still drains, so committed state is consistent) and surfaces as
+/// [`TruncationReason::Cancelled`]; the injected kill (`kill_after_insns`,
+/// or a [`CancelCause::Kill`] token) aborts the run as
+/// [`SimError::Killed`], discarding the partial run like a real crash would.
 ///
 /// # Errors
 ///
@@ -124,8 +104,10 @@ pub fn run_timed_partial_ctl<P: Prober>(
     config: CoreConfig,
     prober: &mut P,
     max_insns: u64,
-    ctl: RunControl<'_>,
+    fault: FaultPlan,
+    cancel: Option<&CancelToken>,
 ) -> Result<(TimedRun, Option<TruncationReason>), SimError> {
+    let max_insns = max_insns.min(fault.abort_sample_at.unwrap_or(u64::MAX));
     let mut interp = Interp::new(image, rand_seed)?;
     let mut core = OoOCore::new(config);
     let mut error: Option<SimError> = None;
@@ -136,27 +118,22 @@ pub fn run_timed_partial_ctl<P: Prober>(
     let stats = core.run(
         || {
             let retired = interp.retired();
-            if let Some(k) = ctl.kill_after {
+            if let Some(k) = fault.kill_after_insns {
                 if retired >= k {
                     killed = Some(retired);
                     return None;
                 }
             }
-            if retired >= next_cancel_poll {
-                next_cancel_poll = retired + CANCEL_POLL_INSNS;
-                if let Some(token) = ctl.cancel {
-                    match token.cause() {
-                        Some(CancelCause::Kill) => {
-                            killed = Some(retired);
-                            return None;
-                        }
-                        Some(_) => {
-                            cancelled = Some(retired);
-                            return None;
-                        }
-                        None => {}
-                    }
+            match poll_cancel(cancel, retired, &mut next_cancel_poll) {
+                Some(CancelCause::Kill) => {
+                    killed = Some(retired);
+                    return None;
                 }
+                Some(_) => {
+                    cancelled = Some(retired);
+                    return None;
+                }
+                None => {}
             }
             if retired >= max_insns {
                 limit_hit = true;
@@ -185,7 +162,7 @@ pub fn run_timed_partial_ctl<P: Prober>(
             Some(TruncationReason::Cancelled(cancelled.unwrap_or(0)))
         }
         None if limit_hit && interp.exit_code().is_none() => {
-            Some(TruncationReason::InsnLimit(max_insns))
+            Some(TruncationReason::at_limit(max_insns, fault.abort_sample_at))
         }
         None => None,
     };
@@ -248,9 +225,9 @@ mod tests {
         )
         .unwrap();
         let image = ProcessImage::load_single(&m).unwrap();
-        let ctl = RunControl::default();
+        let (fault, tiny) = (FaultPlan::default(), CoreConfig::tiny());
         let (run, truncated) =
-            run_timed_partial_ctl(&image, 0, CoreConfig::tiny(), &mut NoProbes, 1000, ctl).unwrap();
+            run_timed_partial_ctl(&image, 0, tiny, &mut NoProbes, 1000, fault, None).unwrap();
         assert_eq!(truncated, Some(TruncationReason::InsnLimit(1000)));
         assert!(run.stats.retired >= 1000);
         assert!(run.stats.cycles > 0);
@@ -265,9 +242,9 @@ mod tests {
         )
         .unwrap();
         let image = ProcessImage::load_single(&m).unwrap();
-        let ctl = RunControl::default();
+        let (fault, tiny) = (FaultPlan::default(), CoreConfig::tiny());
         let (run, truncated) =
-            run_timed_partial_ctl(&image, 0, CoreConfig::tiny(), &mut NoProbes, 1000, ctl).unwrap();
+            run_timed_partial_ctl(&image, 0, tiny, &mut NoProbes, 1000, fault, None).unwrap();
         assert_eq!(truncated, None);
         assert_eq!(run.exit_code, Some(0));
     }

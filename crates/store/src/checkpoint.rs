@@ -41,7 +41,8 @@ use wiser_sim::CoreConfig;
 use crate::atomic::{atomic_write, temp_path};
 use crate::format::{read_sections, write_store, ByteReader, ByteWriter, DecodeBudget};
 use crate::profile::{
-    decode_counts, decode_samples, encode_counts, encode_samples, TAG_CNTS, TAG_SAMP,
+    checked, decode_counts, decode_samples, encode_counts, encode_samples, whole, TAG_CNTS,
+    TAG_SAMP,
 };
 
 pub(crate) const TAG_CKPT: [u8; 4] = *b"CKPT";
@@ -278,25 +279,12 @@ impl Checkpoint {
                 budget.clone(),
             );
             match section.tag {
-                TAG_CKPT => {
-                    ckpt = Some(decode_ckpt(&mut r)?);
-                    r.expect_end()?;
-                }
+                TAG_CKPT => ckpt = Some(whole(&mut r, decode_ckpt)?),
                 TAG_SAMP => {
-                    let start = r.offset();
-                    let p = decode_samples(&mut r)?;
-                    r.expect_end()?;
-                    p.validate()
-                        .map_err(|m| StoreError::in_section(start, section.tag_name(), m))?;
-                    samples = Some(p);
+                    samples = Some(checked(&mut r, decode_samples, SampleProfile::validate)?);
                 }
                 TAG_CNTS => {
-                    let start = r.offset();
-                    let p = decode_counts(&mut r)?;
-                    r.expect_end()?;
-                    p.validate()
-                        .map_err(|m| StoreError::in_section(start, section.tag_name(), m))?;
-                    counts = Some(p);
+                    counts = Some(checked(&mut r, decode_counts, CountsProfile::validate)?);
                 }
                 _ => {} // unknown but checksum-valid: skip (forward compat)
             }

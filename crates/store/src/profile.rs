@@ -179,52 +179,19 @@ impl StoredProfile {
                 budget.clone(),
             );
             match section.tag {
-                TAG_META => {
-                    meta = Some(decode_meta(&mut r)?);
-                    r.expect_end()?;
-                }
+                TAG_META => meta = Some(whole(&mut r, decode_meta)?),
                 TAG_SAMP => {
-                    let start = r.offset();
-                    let p = decode_samples(&mut r)?;
-                    r.expect_end()?;
-                    p.validate().map_err(|m| {
-                        StoreError::in_section(start, section.tag_name(), m)
-                    })?;
-                    samples = Some(p);
+                    samples = Some(checked(&mut r, decode_samples, SampleProfile::validate)?);
                 }
                 TAG_CNTS => {
-                    let start = r.offset();
-                    let p = decode_counts(&mut r)?;
-                    r.expect_end()?;
-                    p.validate().map_err(|m| {
-                        StoreError::in_section(start, section.tag_name(), m)
-                    })?;
-                    counts = Some(p);
+                    counts = Some(checked(&mut r, decode_counts, CountsProfile::validate)?);
                 }
                 TAG_TABL => {
-                    let start = r.offset();
-                    let t = decode_tables(&mut r)?;
-                    r.expect_end()?;
-                    t.validate().map_err(|m| {
-                        StoreError::in_section(start, section.tag_name(), m)
-                    })?;
-                    tables = Some(t);
+                    tables = Some(checked(&mut r, decode_tables, ProfileTables::validate)?);
                 }
-                TAG_COVR => {
-                    let start = r.offset();
-                    let c = decode_coverage(&mut r)?;
-                    r.expect_end()?;
-                    coverage = Some((start, c));
-                }
-                TAG_XFRM => {
-                    let t = decode_transforms(&mut r)?;
-                    r.expect_end()?;
-                    transforms = t;
-                }
-                TAG_UCFG => {
-                    uarch = Some(decode_uarch(&mut r)?);
-                    r.expect_end()?;
-                }
+                TAG_COVR => coverage = Some((r.offset(), whole(&mut r, decode_coverage)?)),
+                TAG_XFRM => transforms = whole(&mut r, decode_transforms)?,
+                TAG_UCFG => uarch = Some(whole(&mut r, decode_uarch)?),
                 _ => {} // unknown but checksum-valid: skip (forward compat)
             }
         }
@@ -300,6 +267,33 @@ fn encode_meta(meta: &RunMeta) -> Vec<u8> {
     w.string(&meta.tool_version);
     w.string(&meta.arch);
     w.into_bytes()
+}
+
+/// Decodes one section body with `decode`, which must consume all of it.
+pub(crate) fn whole<T>(
+    r: &mut ByteReader<'_>,
+    decode: fn(&mut ByteReader<'_>) -> Result<T, StoreError>,
+) -> Result<T, StoreError> {
+    let value = decode(r)?;
+    r.expect_end()?;
+    Ok(value)
+}
+
+/// Decodes one whole section body with `decode` and checks the result's
+/// own invariants, reporting a violation at the body's start. Both images
+/// decode their `SAMP`/`CNTS` sections (and the profile its `TABL`) here.
+pub(crate) fn checked<T>(
+    r: &mut ByteReader<'_>,
+    decode: fn(&mut ByteReader<'_>) -> Result<T, StoreError>,
+    validate: fn(&T) -> Result<(), String>,
+) -> Result<T, StoreError> {
+    let start = r.offset();
+    let value = whole(r, decode)?;
+    validate(&value).map_err(|m| StoreError {
+        offset: start,
+        ..r.error(m)
+    })?;
+    Ok(value)
 }
 
 fn decode_meta(r: &mut ByteReader<'_>) -> Result<RunMeta, StoreError> {

@@ -17,8 +17,8 @@ use wiser_isa::{
 };
 use wiser_sampler::{Sample, SampleProfile};
 use wiser_sim::{
-    run_timed, run_timed_partial_ctl, CommitMode, CoreConfig, Interp, Memory, NoProbes, ProbePoint,
-    Prober, ProcessImage, RunControl, Step, ARCH_NAMES, MAX_LATENCY, PAGE_SIZE,
+    run_timed, run_timed_partial_ctl, CommitMode, CoreConfig, FaultPlan, Interp, Memory, NoProbes,
+    ProbePoint, Prober, ProcessImage, Step, ARCH_NAMES, MAX_LATENCY, PAGE_SIZE,
 };
 use wiser_store::{Checkpoint, CheckpointSpec};
 
@@ -662,14 +662,16 @@ fn timing_model_is_exact_on_random_cores() {
         }
         for _ in 0..2 {
             let cfg = gen.core_config();
-            let ctl = RunControl::default();
+            let (fault, cancel) = (FaultPlan::default(), None);
             let (skipping, _) =
-                run_timed_partial_ctl(&image, 0, cfg, &mut NoProbes, INSNS, ctl).expect("runs");
+                run_timed_partial_ctl(&image, 0, cfg, &mut NoProbes, INSNS, fault, cancel)
+                    .expect("runs");
             let mut sparse = Sparse::new(false, seed);
-            run_timed_partial_ctl(&image, 0, cfg, &mut sparse, INSNS, ctl).expect("runs");
+            run_timed_partial_ctl(&image, 0, cfg, &mut sparse, INSNS, fault, cancel).expect("runs");
             let mut stepped = Sparse::new(true, seed);
             let (stepping, _) =
-                run_timed_partial_ctl(&image, 0, cfg, &mut stepped, INSNS, ctl).expect("runs");
+                run_timed_partial_ctl(&image, 0, cfg, &mut stepped, INSNS, fault, cancel)
+                    .expect("runs");
             assert_eq!(
                 skipping.stats.retired,
                 interp.retired(),
