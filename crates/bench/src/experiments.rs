@@ -396,6 +396,7 @@ pub fn fig07(size: InputSize) -> Fig7 {
             w.name,
             size.name(),
             "xeon",
+            &[],
             &OptiwiseConfig::default(),
             0,
         );

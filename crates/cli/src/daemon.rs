@@ -24,10 +24,9 @@
 //! withholding a newline. Each admitted job gets its own
 //! [`CancelToken`], armed with `--job-deadline` at *admission* (the budget
 //! includes queue wait: a stuck daemon must not hold clients forever).
-//! Jobs run on the shared `wiser-par` worker pool, checkpoint into the
-//! archive's `checkpoints/` directory, and retry transient failures
-//! (truncation, divergence) with bounded exponential backoff before
-//! reporting the job's own exit code back over the wire.
+//! Jobs run on the shared `wiser-par` worker pool and checkpoint into the
+//! archive's `checkpoints/` directory; a failed job reports its own exit
+//! code back over the wire.
 //!
 //! ## Shutdown
 //!
@@ -136,10 +135,10 @@ mod imp {
     use std::sync::{Arc, Mutex, MutexGuard};
     use std::time::Duration;
 
-    use optiwise::{module_fingerprint, CancelToken, OptiwiseError, OptiwiseRun};
+    use optiwise::{module_fingerprint, CancelToken, OptiwiseError};
     use wiser_archive::{Archive, RetentionPolicy};
     use wiser_sim::{ConfigErrorKind, CoreConfig};
-    use wiser_store::{Checkpoint, StoredProfile};
+    use wiser_store::{Checkpoint, CheckpointSpec, StoredProfile};
     use wiser_workloads::InputSize;
 
     use crate::jsonl::{self, Value};
@@ -147,12 +146,6 @@ mod imp {
 
     /// How often the accept loop wakes to pump jobs and check signals.
     const POLL: Duration = Duration::from_millis(15);
-    /// Transient job failures are retried up to this many attempts total.
-    const MAX_ATTEMPTS: u32 = 3;
-    /// First retry backoff; doubles per attempt, capped at [`BACKOFF_CAP`].
-    const BACKOFF: Duration = Duration::from_millis(25);
-    /// Upper bound on the retry backoff.
-    const BACKOFF_CAP: Duration = Duration::from_millis(200);
 
     type Job = Box<dyn FnOnce() + Send + 'static>;
     type Response = BTreeMap<String, Value>;
@@ -634,8 +627,10 @@ mod imp {
         response
     }
 
-    /// Runs one admitted job end to end: build, profile (with checkpoint
-    /// and bounded retries), commit to the archive, prune, clean up.
+    /// Runs one admitted job end to end: build, profile (with checkpoint),
+    /// commit to the archive, prune, clean up. The pipeline's own
+    /// budget-escalating retry is the only one: the job's config is
+    /// deterministic, so re-running a failed job would repeat its failure.
     #[allow(clippy::too_many_arguments)]
     fn run_job(
         daemon: &Daemon,
@@ -653,15 +648,16 @@ mod imp {
         config.rand_seed = seed;
         config.core = core;
 
-        let every = daemon
-            .opts
-            .checkpoint_every
-            .unwrap_or(crate::DEFAULT_CHECKPOINT_EVERY);
-        let mut spec = crate::checkpoint_spec(&daemon.opts, workload, &modules, &config, every);
-        spec.size = size.name().to_string();
-        spec.rand_seed = seed;
-        spec.arch = arch.to_string();
-        spec.overrides = overrides.to_vec();
+        let spec = CheckpointSpec::from_config(
+            module_fingerprint(&modules),
+            workload,
+            size.name(),
+            arch,
+            overrides,
+            &config,
+            daemon.opts.checkpoint_every.unwrap_or(crate::DEFAULT_CHECKPOINT_EVERY),
+        );
+        let fingerprint = spec.module_hash;
         let checkpoint_path = lock(&daemon.archive)
             .checkpoints_dir()
             .join(format!("job-{job_id:06}.owp"));
@@ -670,20 +666,9 @@ mod imp {
             ckpt: Checkpoint::fresh(spec),
             resumed: false,
         };
-        let run = crate::run_with_control(&modules, &config, token, Some(target), |run| {
-            supervise(token, &mut |attempt| {
-                if attempt > 0 {
-                    eprintln!(
-                        "optiwised: job {job_id} ({workload}): retrying, attempt {}",
-                        attempt + 1
-                    );
-                }
-                run()
-            })
-        })?;
+        let run = crate::run_with_control(&modules, &config, token, Some(target))?;
 
         let stored = StoredProfile::from_run(workload, &run, seed, arch, core);
-        let fingerprint = module_fingerprint(&modules);
         {
             let mut archive = lock(&daemon.archive);
             let run_id = archive.add_run(&stored.to_bytes(), fingerprint)?;
@@ -695,41 +680,6 @@ mod imp {
             let _ = std::fs::remove_file(&checkpoint_path);
             Ok(run_id)
         }
-    }
-
-    /// Supervised retry with bounded exponential backoff. Only transient
-    /// failure classes retry — truncation, divergence, worker death;
-    /// deterministic failures (bad workload, cancellation, injected kills)
-    /// surface immediately, as does anything after the last attempt.
-    fn supervise(
-        token: &CancelToken,
-        attempt_fn: &mut dyn FnMut(u32) -> Result<OptiwiseRun, OptiwiseError>,
-    ) -> Result<OptiwiseRun, OptiwiseError> {
-        let mut attempt = 0;
-        loop {
-            match attempt_fn(attempt) {
-                Ok(run) => return Ok(run),
-                Err(e)
-                    if attempt + 1 < MAX_ATTEMPTS && retryable(&e) && token.cause().is_none() =>
-                {
-                    let backoff = BACKOFF
-                        .saturating_mul(1 << attempt.min(8))
-                        .min(BACKOFF_CAP);
-                    std::thread::sleep(backoff);
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn retryable(e: &OptiwiseError) -> bool {
-        matches!(
-            e,
-            OptiwiseError::Truncated { .. }
-                | OptiwiseError::Divergence { .. }
-                | OptiwiseError::Internal(_)
-        )
     }
 }
 

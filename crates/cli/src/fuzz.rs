@@ -88,6 +88,9 @@ fn checkpoint_corpus() -> Result<Vec<Vec<u8>>, OptiwiseError> {
         max_insns: 200_000_000,
         strict: false,
         allow_partial: true,
+        selective: true,
+        hot_threshold: 0.05,
+        exhaustive_counters: false,
         checkpoint_every: 10_000,
     };
     let fresh = Checkpoint::fresh(spec);

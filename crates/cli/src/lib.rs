@@ -200,9 +200,10 @@ enum Arity {
 /// One row of the command table: a command's positional arguments, the
 /// flags it accepts and its implementation. A command accepts a flag iff
 /// its code path reads the `Options` field the flag sets, directly or
-/// through `checkpoint_spec`, `render_run`, `emit`, `make_token` or the
-/// `pipeline_config` fields its passes and analysis use: a split pass runs
-/// no analysis, and `analyze` restores both passes instead of running them.
+/// through the `CheckpointSpec` it records, `render_run`, `emit`,
+/// `make_token` or the `pipeline_config` fields its passes and analysis
+/// use: a split pass runs no analysis, and `analyze` restores both passes
+/// instead of running them.
 /// `--selective` is left out where the command records or fuses full
 /// passes, and `--arch`/`--set` on `sweep`, whose `--config` cells
 /// overwrite the core they pick.
@@ -224,8 +225,8 @@ const PIPELINE: &[&str] = &[
     "--no-partial", "--hot-threshold", "--exhaustive-counters", "--inject",
 ];
 
-/// The flags one split pass reads: its own pass flags, the ones
-/// `checkpoint_spec` records, and `check_split_cut`'s.
+/// The flags one split pass reads: its own pass flags, the ones its
+/// `CheckpointSpec` records, and `check_split_cut`'s.
 #[rustfmt::skip]
 const SPLIT_PASS: &[&str] = &[
     "--period", "--attribution", "--no-stack-profiling", "--merge-threshold", "--seed",
@@ -370,7 +371,10 @@ fn parse_options(cmd: &Command, args: &[String]) -> Result<Options, String> {
                 .push(CoreConfig::parse_set(&value()?).map_err(|e| e.to_string())?),
             "--config" => opts.configs.push(value()?),
             "--strict-config" => opts.strict_config = true,
-            "--period" => opts.sampler = SamplerConfig::with_period(at_least(arg, &value()?, 0)?),
+            "--period" => {
+                opts.sampler.period = at_least(arg, &value()?, 0)?;
+                opts.sampler.jitter = opts.sampler.period / 4;
+            }
             "--attribution" => {
                 opts.sampler.attribution = match value()?.as_str() {
                     "interrupt" => Attribution::Interrupt,
@@ -636,27 +640,6 @@ fn checkpoint_cadence(opts: &Options) -> Result<u64, OptiwiseError> {
     }
 }
 
-/// The identity-and-config spec stored in a fresh checkpoint, pinning it to
-/// this exact workload build and run configuration.
-fn checkpoint_spec(
-    opts: &Options,
-    name: &str,
-    modules: &[Module],
-    config: &OptiwiseConfig,
-    checkpoint_every: u64,
-) -> CheckpointSpec {
-    let mut spec = CheckpointSpec::from_config(
-        module_fingerprint(modules),
-        name,
-        opts.size.name(),
-        opts.arch_name,
-        config,
-        checkpoint_every,
-    );
-    spec.overrides = opts.overrides.clone();
-    spec
-}
-
 /// The checkpoint file a run persists into, and the image it starts from.
 struct CheckpointTarget<'a> {
     path: &'a std::path::Path,
@@ -673,9 +656,6 @@ struct CheckpointTarget<'a> {
 /// the injected mid-write crash from `config.fault`. A fresh image is
 /// persisted before the passes start, so an unwritable path fails early
 /// and even a kill at instruction zero leaves a resumable file.
-///
-/// `attempt` drives the pipeline call: the CLI runs it once, the daemon
-/// retries transient failures, every try sharing the one writer.
 /// Checkpoint-persist failures surface only after the run settles: a sick
 /// checkpoint disk must not kill a healthy profile run, but it must not go
 /// unreported either.
@@ -684,9 +664,6 @@ fn run_with_control(
     config: &OptiwiseConfig,
     token: &CancelToken,
     checkpoint: Option<CheckpointTarget<'_>>,
-    attempt: impl FnOnce(
-        &mut dyn FnMut() -> Result<OptiwiseRun, OptiwiseError>,
-    ) -> Result<OptiwiseRun, OptiwiseError>,
 ) -> Result<OptiwiseRun, OptiwiseError> {
     let writer = match &checkpoint {
         Some(target) => {
@@ -706,25 +683,23 @@ fn run_with_control(
     let observe = writer
         .as_ref()
         .map(|w| move |event: PassEvent<'_>| w.observe(event));
-    let run = attempt(&mut || {
-        run_optiwise_ctl(
-            modules,
-            config,
-            RunControl {
-                cancel: token.clone(),
-                checkpoint_every: checkpoint
-                    .as_ref()
-                    .map_or(0, |t| t.ckpt.spec.checkpoint_every),
-                observer: observe
-                    .as_ref()
-                    .map(|f| f as &(dyn Fn(PassEvent<'_>) + Sync)),
-                resume: checkpoint
-                    .as_ref()
-                    .map(|t| t.ckpt.resume_state())
-                    .unwrap_or_default(),
-            },
-        )
-    })?;
+    let run = run_optiwise_ctl(
+        modules,
+        config,
+        RunControl {
+            cancel: token.clone(),
+            checkpoint_every: checkpoint
+                .as_ref()
+                .map_or(0, |t| t.ckpt.spec.checkpoint_every),
+            observer: observe
+                .as_ref()
+                .map(|f| f as &(dyn Fn(PassEvent<'_>) + Sync)),
+            resume: checkpoint
+                .as_ref()
+                .map(|t| t.ckpt.resume_state())
+                .unwrap_or_default(),
+        },
+    )?;
     if let Some(w) = &writer {
         w.finish()?;
     }
@@ -790,42 +765,34 @@ fn cmd_run(opts: &Options) -> Result<(), OptiwiseError> {
     let modules = build_workload(opts)?;
     let config = pipeline_config(opts);
     let token = make_token(opts);
-    let name = &opts.workloads[0];
+    let spec = CheckpointSpec::from_config(
+        module_fingerprint(&modules),
+        &opts.workloads[0],
+        opts.size.name(),
+        opts.arch_name,
+        &opts.overrides,
+        &config,
+        checkpoint_every,
+    );
     let checkpoint = opts.checkpoint.as_deref().map(|path| CheckpointTarget {
         path: std::path::Path::new(path),
-        ckpt: Checkpoint::fresh(checkpoint_spec(
-            opts,
-            name,
-            &modules,
-            &config,
-            checkpoint_every,
-        )),
+        ckpt: Checkpoint::fresh(spec.clone()),
         resumed: false,
     });
-    let run = run_with_control(&modules, &config, &token, checkpoint, |run| run())?;
-    render_run(
-        opts,
-        name,
-        opts.seed,
-        opts.arch_name,
-        config.core,
-        module_fingerprint(&modules),
-        &run,
-    )
+    let run = run_with_control(&modules, &config, &token, checkpoint)?;
+    render_run(opts, &spec, config.core, &run)
 }
 
 /// Everything that happens after a (fresh or resumed) run settles: retry
-/// and degradation notices, `--save`, the report, `--function` annotation
-/// and `--csv-dir` exports. Shared by `run` and `resume` so a resumed run
-/// is rendered through the exact same path — byte-identical output.
-#[allow(clippy::too_many_arguments)]
+/// and degradation notices, `--save`, `--archive`, the report,
+/// `--function` annotation and `--csv-dir` exports. Shared by `run` and
+/// `resume` so a resumed run is rendered through the exact same path —
+/// byte-identical output. The stored profile is labelled from `spec`, the
+/// run's record, and `core` is the model `spec` names.
 fn render_run(
     opts: &Options,
-    name: &str,
-    seed: u64,
-    arch: &str,
+    spec: &CheckpointSpec,
     core: CoreConfig,
-    fingerprint: u64,
     run: &OptiwiseRun,
 ) -> Result<(), OptiwiseError> {
     if run.attempts.0 > 1 || run.attempts.1 > 1 {
@@ -837,16 +804,18 @@ fn render_run(
     if run.analysis.mode == AnalysisMode::SamplingOnly {
         eprintln!("optiwise: DEGRADED sampling-only analysis (see report header)");
     }
-    if let Some(path) = &opts.save {
-        let stored = StoredProfile::from_run(name, run, seed, arch, core);
-        stored.save(std::path::Path::new(path))?;
+    let stored = (opts.save.is_some() || opts.archive.is_some()).then(|| {
+        StoredProfile::from_run(&spec.workload, run, spec.rand_seed, &spec.arch, core).to_bytes()
+    });
+    if let (Some(path), Some(bytes)) = (&opts.save, &stored) {
+        wiser_store::atomic_write(std::path::Path::new(path), bytes)
+            .map_err(|e| OptiwiseError::Io(format!("{path}: {e}")))?;
         eprintln!("saved profile to {path}");
     }
-    if let Some(dir) = &opts.archive {
-        let stored = StoredProfile::from_run(name, run, seed, arch, core);
+    if let (Some(dir), Some(bytes)) = (&opts.archive, &stored) {
         let mut archive = wiser_archive::Archive::open_or_create(std::path::Path::new(dir))?;
         archive.set_faults(&opts.fault);
-        let run_id = archive.add_run(&stored.to_bytes(), fingerprint)?;
+        let run_id = archive.add_run(bytes, spec.module_hash)?;
         archive.retain(wiser_archive::RetentionPolicy {
             max_runs: opts.max_runs,
             max_bytes: opts.max_bytes,
@@ -1033,21 +1002,26 @@ fn run_sweep_cell(
     checkpoints: &std::path::Path,
 ) -> Result<SweepCellRun, OptiwiseError> {
     let modules = build_sweep_modules(&cell.workload, opts.size)?;
-    let fingerprint = module_fingerprint(&modules);
     let mut config = pipeline_config(opts);
     config.core = cell.config.core();
     config.rand_seed = cell.workload.seed;
-    let every = opts.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY);
-    let mut spec = checkpoint_spec(opts, &cell.workload.name, &modules, &config, every);
-    spec.arch = cell.config.arch.clone();
-    spec.overrides = cell.config.overrides.clone();
+    let spec = CheckpointSpec::from_config(
+        module_fingerprint(&modules),
+        &cell.workload.name,
+        opts.size.name(),
+        &cell.config.arch,
+        &cell.config.overrides,
+        &config,
+        opts.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY),
+    );
+    let fingerprint = spec.module_hash;
     let checkpoint = checkpoints.join(format!("sweep-{}.owp", cell.label()));
     let target = CheckpointTarget {
         path: &checkpoint,
         ckpt: Checkpoint::fresh(spec),
         resumed: false,
     };
-    let run = run_with_control(&modules, &config, token, Some(target), |run| run())?;
+    let run = run_with_control(&modules, &config, token, Some(target))?;
     let stored = StoredProfile::from_run(
         cell.label(),
         &run,
@@ -1206,7 +1180,7 @@ fn cmd_resume(opts: &Options) -> Result<(), OptiwiseError> {
         ))
     })?;
     let modules = build_named_workload(&spec.workload, size)?;
-    let fingerprint = check_fingerprint(path, &spec, &spec.workload, &modules)?;
+    check_fingerprint(path, &spec, &spec.workload, &modules)?;
     let mut config = spec.to_config(opts.jobs)?;
     // Fault injection is never stored in a checkpoint; a resumed leg only
     // gets faults the tests pass explicitly on this command line.
@@ -1216,21 +1190,11 @@ fn cmd_resume(opts: &Options) -> Result<(), OptiwiseError> {
         ckpt,
         resumed: true,
     };
-    let run = run_with_control(&modules, &config, &make_token(opts), Some(target), |run| {
-        run()
-    })?;
+    let run = run_with_control(&modules, &config, &make_token(opts), Some(target))?;
     // The stored label comes from the checkpoint's own arch and overrides,
     // never this process's defaults: a resumed neoverse run must not be
     // re-stamped "xeon".
-    render_run(
-        opts,
-        &spec.workload,
-        spec.rand_seed,
-        &spec.arch,
-        config.core,
-        fingerprint,
-        &run,
-    )?;
+    render_run(opts, &spec, config.core, &run)?;
     // The run completed: the checkpoint has served its purpose. Only
     // daemon-style archive checkpoints are reclaimed; an explicit
     // `resume FILE` leaves the caller's file alone (tests re-resume them).
@@ -1242,13 +1206,13 @@ fn cmd_resume(opts: &Options) -> Result<(), OptiwiseError> {
 
 /// Refuses a checkpoint image recorded against a different program than
 /// `modules` (the current build of `workload`): its profiles would describe
-/// code this build does not contain. Returns the current fingerprint.
+/// code this build does not contain.
 fn check_fingerprint(
     path: &str,
     spec: &CheckpointSpec,
     workload: &str,
     modules: &[Module],
-) -> Result<u64, OptiwiseError> {
+) -> Result<(), OptiwiseError> {
     let fingerprint = module_fingerprint(modules);
     if fingerprint != spec.module_hash {
         return Err(OptiwiseError::Store(StoreError::in_section(
@@ -1262,7 +1226,7 @@ fn check_fingerprint(
             ),
         )));
     }
-    Ok(fingerprint)
+    Ok(())
 }
 
 /// The newest incomplete checkpoint under an archive's `checkpoints/`
@@ -1321,8 +1285,15 @@ fn save_split(
     samples: Option<SampleProfile>,
     counts: Option<CountsProfile>,
 ) -> Result<(), OptiwiseError> {
-    let spec = checkpoint_spec(opts, &opts.workloads[0], modules, &pipeline_config(opts), 0);
-    let mut ckpt = Checkpoint::fresh(spec);
+    let mut ckpt = Checkpoint::fresh(CheckpointSpec::from_config(
+        module_fingerprint(modules),
+        &opts.workloads[0],
+        opts.size.name(),
+        opts.arch_name,
+        &opts.overrides,
+        &pipeline_config(opts),
+        0,
+    ));
     ckpt.sample_pos = samples.as_ref().map_or(0, |p| p.retired);
     ckpt.counts_pos = counts.as_ref().map_or(0, CountsProfile::total_insns);
     ckpt.samples = samples;
@@ -2193,6 +2164,12 @@ mod tests {
         assert_eq!(o.function.as_deref(), Some("main"));
         assert_eq!(o.jobs, 3);
         assert_eq!(o.workloads, vec!["udiv_chain".to_string()]);
+        // `--period` after `--attribution` keeps the attribution.
+        let reversed = parse("run", &[
+            "--attribution", "precise", "--period", "4096", "udiv_chain",
+        ])
+        .unwrap();
+        assert_eq!(format!("{:?}", reversed.sampler), format!("{:?}", o.sampler));
     }
 
     /// Asserts `run` with `args` and a workload fails with an error that

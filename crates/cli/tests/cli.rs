@@ -640,37 +640,56 @@ fn usage_on_no_args() {
 fn kill_checkpoint_resume_is_byte_identical() {
     let dir = std::env::temp_dir().join("optiwise-ckpt-e2e");
     std::fs::create_dir_all(&dir).unwrap();
-    let golden = dir.join("golden.owp");
-    let ck = dir.join("ck.owp");
-    let resumed = dir.join("resumed.owp");
+    // long_haul with default flags, then mcf_like under each setting the
+    // checkpoint records beyond the sampler and analysis options.
+    let legs: [(&str, &[&str]); 5] = [
+        ("long_haul", &[]),
+        ("mcf_like", &[]),
+        ("mcf_like", &["--selective"]),
+        ("mcf_like", &["--selective", "--hot-threshold", "0.2"]),
+        ("mcf_like", &["--exhaustive-counters"]),
+    ];
+    for (leg, (workload, flags)) in legs.iter().enumerate() {
+        let golden = dir.join(format!("golden-{leg}.owp"));
+        let ck = dir.join(format!("ck-{leg}.owp"));
+        let resumed = dir.join(format!("resumed-{leg}.owp"));
+        let run = |extra: &[&str]| {
+            let mut args = vec!["run", workload, "--size", "test", "--seed", "5"];
+            args.extend_from_slice(flags);
+            args.extend_from_slice(extra);
+            optiwise(&args)
+        };
 
-    let out = optiwise(&[
-        "run", "long_haul", "--size", "test", "--seed", "5",
-        "--save", golden.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{out:?}");
+        let uninterrupted = run(&["--save", golden.to_str().unwrap()]);
+        assert!(uninterrupted.status.success(), "{flags:?}: {uninterrupted:?}");
 
-    // The same run, killed mid-flight while checkpointing, exits 9 and
-    // leaves a decodable checkpoint behind.
-    let out = optiwise(&[
-        "run", "long_haul", "--size", "test", "--seed", "5",
-        "--checkpoint", ck.to_str().unwrap(),
-        "--checkpoint-every", "2000",
-        "--inject", "kill-after=8000",
-    ]);
-    assert_eq!(out.status.code(), Some(9), "{out:?}");
+        // The same run, killed mid-flight while checkpointing, exits 9 and
+        // leaves a decodable checkpoint behind.
+        let out = run(&[
+            "--checkpoint", ck.to_str().unwrap(),
+            "--checkpoint-every", "2000",
+            "--inject", "kill-after=8000",
+        ]);
+        assert_eq!(out.status.code(), Some(9), "{workload} {flags:?}: {out:?}");
 
-    // Resuming the checkpoint completes the run with the same bytes.
-    let out = optiwise(&[
-        "resume", ck.to_str().unwrap(),
-        "--save", resumed.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    assert_eq!(
-        std::fs::read(&golden).unwrap(),
-        std::fs::read(&resumed).unwrap(),
-        "resumed profile must be byte-identical to the uninterrupted run"
-    );
+        // Resuming the checkpoint completes the run with the same bytes
+        // and the same report.
+        let out = optiwise(&[
+            "resume", ck.to_str().unwrap(),
+            "--save", resumed.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{workload} {flags:?}: {out:?}");
+        assert_eq!(
+            std::fs::read(&golden).unwrap(),
+            std::fs::read(&resumed).unwrap(),
+            "{workload} {flags:?}: resumed profile must be byte-identical to the uninterrupted run"
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&uninterrupted.stdout),
+            "{workload} {flags:?}: resumed report differs"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -571,3 +571,35 @@ fn daemon_submit_accepts_arch_and_overrides_and_rejects_bad_ones() {
     assert!(text.contains("uarch configs differ"), "{text}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn failed_job_answers_its_exit_code_and_runs_once() {
+    let dir = scratch("failed-job");
+    let root = dir.to_str().unwrap().to_string();
+    let socket = dir.join("d.sock");
+    let sock = socket.to_str().unwrap();
+    let mut daemon = spawn_daemon(&[
+        "--archive", &root, "--socket", sock, "--size", "test",
+        "--strict", "--inject", "truncate-counts=5000",
+    ]);
+    wait_for_socket(&socket, &mut daemon);
+
+    // Under --strict a truncated counts pass fails the job with exit 4.
+    // Its config is deterministic, so it runs once: the client gets the
+    // job's exit code and nothing is archived.
+    let out = optiwise(&["submit", "--socket", sock, "mcf_like"]);
+    assert_eq!(out.status.code(), Some(4), "{out:?}");
+    let line = String::from_utf8_lossy(&out.stdout);
+    assert!(line.contains("\"exit\":4"), "{line}");
+    let out = optiwise(&["status", "--socket", sock]);
+    assert!(out.status.success(), "{out:?}");
+    let line = String::from_utf8_lossy(&out.stdout);
+    assert!(line.contains("\"runs\":0"), "{line}");
+
+    let out = optiwise(&["shutdown", "--socket", sock]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(daemon.wait().unwrap().code(), Some(0));
+    let stderr = drain_stderr(&mut daemon);
+    assert!(!stderr.contains("retrying"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -23,16 +23,17 @@
 //! of the workload is refused, because the restored pass would describe
 //! code the replayed pass never ran.
 //!
-//! The spec deliberately does **not** carry a fault-injection plan: fault
-//! injection is a test instrument, and a resume continues the *real* run.
-//! Tests that need faults on the resumed leg pass them explicitly.
+//! The spec records every configuration field that affects a run's output
+//! except the fault-injection plan: fault injection is a test instrument,
+//! and a resume continues the *real* run. Tests that need faults on the
+//! resumed leg pass them explicitly.
 
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use optiwise::{
-    CancelToken, OptiwiseConfig, OptiwiseError, PassEvent, ResourceLimits, ResumeState,
-    StoreError,
+    AnalysisOptions, CancelToken, OptiwiseConfig, OptiwiseError, PassEvent, ResourceLimits,
+    ResumeState, StoreError, DEFAULT_HOT_THRESHOLD,
 };
 use wiser_dbi::{CountsProfile, DbiConfig};
 use wiser_sampler::{Attribution, SampleProfile, SamplerConfig, StackMode};
@@ -86,13 +87,21 @@ pub struct CheckpointSpec {
     pub strict: bool,
     /// Whether partial profiles may flow into the analysis.
     pub allow_partial: bool,
+    /// Two-phase selective instrumentation (`--selective`).
+    pub selective: bool,
+    /// Minimum sample-weight fraction of a fully instrumented function
+    /// under `selective`.
+    pub hot_threshold: f64,
+    /// One counter per executed block/edge instead of the minimal
+    /// placement.
+    pub exhaustive_counters: bool,
     /// Checkpoint cadence in committed instructions.
     pub checkpoint_every: u64,
 }
 
 impl CheckpointSpec {
     /// The spec of a run of `workload` at input `size` under `config`, on
-    /// the core model named `arch` with no overrides: the inverse of
+    /// the core model named `arch` with `overrides` applied: the inverse of
     /// [`CheckpointSpec::to_config`]. `module_hash` is the
     /// `optiwise::module_fingerprint` of the build being profiled.
     pub fn from_config(
@@ -100,26 +109,43 @@ impl CheckpointSpec {
         workload: &str,
         size: &str,
         arch: &str,
+        overrides: &[(String, String)],
         config: &OptiwiseConfig,
         checkpoint_every: u64,
     ) -> CheckpointSpec {
+        // No `..`: a new config field fails to compile until it is recorded
+        // here or named as not recorded. Not recorded: `core` (resolved
+        // again from `arch` and `overrides`), the fault plans, the thread
+        // counts (no output byte depends on them), and the fields the CLI
+        // never sets or each pass sets for itself.
+        #[rustfmt::skip]
+        let OptiwiseConfig {
+            sampler: SamplerConfig { period, jitter, seed: sampler_seed, attribution, stacks, fault: _ },
+            dbi: DbiConfig { stack_profiling, cost: _, max_insns: _, rand_seed: _, fault: _, selective: _ },
+            analysis: AnalysisOptions { merge_threshold, jobs: _ },
+            rand_seed, max_insns, strict, allow_partial, selective, hot_threshold, exhaustive_counters,
+            core: _, aslr_seeds: _, retry: _, fault: _, concurrent_passes: _,
+        } = *config;
         CheckpointSpec {
             module_hash,
             workload: workload.to_string(),
             size: size.to_string(),
             arch: arch.to_string(),
-            overrides: Vec::new(),
-            rand_seed: config.rand_seed,
-            period: config.sampler.period,
-            jitter: config.sampler.jitter,
-            sampler_seed: config.sampler.seed,
-            attribution: config.sampler.attribution,
-            stacks: config.sampler.stacks,
-            stack_profiling: config.dbi.stack_profiling,
-            merge_threshold: config.analysis.merge_threshold,
-            max_insns: config.max_insns,
-            strict: config.strict,
-            allow_partial: config.allow_partial,
+            overrides: overrides.to_vec(),
+            rand_seed,
+            period,
+            jitter,
+            sampler_seed,
+            attribution,
+            stacks,
+            stack_profiling,
+            merge_threshold,
+            max_insns,
+            strict,
+            allow_partial,
+            selective,
+            hot_threshold,
+            exhaustive_counters,
             checkpoint_every,
         }
     }
@@ -166,7 +192,7 @@ impl CheckpointSpec {
                 stack_profiling: self.stack_profiling,
                 ..DbiConfig::default()
             },
-            analysis: optiwise::AnalysisOptions {
+            analysis: AnalysisOptions {
                 merge_threshold: self.merge_threshold,
                 jobs,
             },
@@ -174,6 +200,9 @@ impl CheckpointSpec {
             max_insns: self.max_insns,
             strict: self.strict,
             allow_partial: self.allow_partial,
+            selective: self.selective,
+            hot_threshold: self.hot_threshold,
+            exhaustive_counters: self.exhaustive_counters,
             concurrent_passes: jobs > 1,
             ..OptiwiseConfig::default()
         })
@@ -356,13 +385,17 @@ fn encode_ckpt(c: &Checkpoint) -> Vec<u8> {
     w.u64(s.checkpoint_every);
     w.u64(c.sample_pos);
     w.u64(c.counts_pos);
-    // Optional tail (newer than the base format): uarch overrides. Old
-    // images simply end here; the decoder gates on remaining bytes.
+    // Optional tails (newer than the base format), each gated on the
+    // bytes left by the decoder: the uarch overrides, then the selective
+    // instrumentation and counter placement. Older images end before them.
     w.u64(s.overrides.len() as u64);
     for (key, value) in &s.overrides {
         w.string(key);
         w.string(value);
     }
+    w.u8(s.selective as u8);
+    w.u64(s.hot_threshold.to_bits());
+    w.u8(s.exhaustive_counters as u8);
     w.into_bytes()
 }
 
@@ -416,6 +449,16 @@ fn decode_ckpt(r: &mut ByteReader<'_>) -> Result<(CheckpointSpec, u64, u64), Sto
             overrides.push((key, value));
         }
     }
+    let (selective, hot_threshold, exhaustive_counters) = if r.remaining() > 0 {
+        let selective = get_bool(r, "selective")?;
+        let threshold = f64::from_bits(r.u64("hot_threshold")?);
+        if !(0.0..=1.0).contains(&threshold) {
+            return Err(r.error(format!("hot_threshold {threshold} is not a fraction in 0..=1")));
+        }
+        (selective, threshold, get_bool(r, "exhaustive_counters")?)
+    } else {
+        (false, DEFAULT_HOT_THRESHOLD, false)
+    };
     Ok((
         CheckpointSpec {
             module_hash,
@@ -434,6 +477,9 @@ fn decode_ckpt(r: &mut ByteReader<'_>) -> Result<(CheckpointSpec, u64, u64), Sto
             max_insns,
             strict,
             allow_partial,
+            selective,
+            hot_threshold,
+            exhaustive_counters,
             checkpoint_every,
         },
         sample_pos,
@@ -600,6 +646,9 @@ mod tests {
             max_insns: 200_000_000,
             strict: false,
             allow_partial: true,
+            selective: true,
+            hot_threshold: 0.2,
+            exhaustive_counters: true,
             checkpoint_every: 10_000,
         }
     }
@@ -646,16 +695,46 @@ mod tests {
 
     #[test]
     fn pre_override_images_decode_with_empty_overrides() {
-        // An image written before the overrides tail existed ends right
-        // after counts_pos; decoding must yield an empty override list,
-        // not an error.
+        // An image written before the optional tails existed ends right
+        // after counts_pos; one written before the selective tail ends
+        // after the overrides. Both decode, not error, with the missing
+        // fields at their defaults.
         let mut c = Checkpoint::fresh(spec());
         c.spec.overrides.clear();
         let full = encode_ckpt(&c);
-        let legacy = full[..full.len() - 8].to_vec(); // drop the zero count
-        let image = write_store(&[(TAG_CKPT, legacy)]);
-        let back = Checkpoint::from_bytes(&image).unwrap();
-        assert_eq!(back.spec, c.spec);
+        let legacy = CheckpointSpec {
+            selective: false,
+            hot_threshold: DEFAULT_HOT_THRESHOLD,
+            exhaustive_counters: false,
+            ..c.spec.clone()
+        };
+        // The selective tail is 10 bytes, the empty overrides tail 8.
+        for cut in [10, 18] {
+            let image = write_store(&[(TAG_CKPT, full[..full.len() - cut].to_vec())]);
+            assert_eq!(Checkpoint::from_bytes(&image).unwrap().spec, legacy, "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn hostile_selective_tails_are_rejected() {
+        let full = encode_ckpt(&Checkpoint::fresh(spec()));
+        let tail = full.len() - 10; // selective flag, threshold, exhaustive flag
+        let mut bad_images = Vec::new();
+        for threshold in [f64::NAN, f64::INFINITY, -0.5, 1.5] {
+            let mut bytes = full.clone();
+            bytes[tail + 1..tail + 9].copy_from_slice(&threshold.to_bits().to_le_bytes());
+            bad_images.push((bytes, "hot_threshold"));
+        }
+        for (at, what) in [(tail, "selective"), (full.len() - 1, "exhaustive_counters")] {
+            let mut bytes = full.clone();
+            bytes[at] = 2;
+            bad_images.push((bytes, what));
+        }
+        for (bytes, what) in bad_images {
+            let err = Checkpoint::from_bytes(&write_store(&[(TAG_CKPT, bytes)])).unwrap_err();
+            assert_eq!(err.section.as_deref(), Some("CKPT"), "{err}");
+            assert!(err.message.contains(what), "{what}: {err}");
+        }
     }
 
     #[test]
@@ -727,18 +806,49 @@ mod tests {
         bad.arch = "cray".into();
         assert!(bad.to_config(1).is_err());
 
-        // `from_config` inverts `to_config`; overrides are the caller's.
-        let mut back = CheckpointSpec::from_config(
+        // `from_config` and `to_config` are inverses both ways: every
+        // recorded field, each off its default here, survives.
+        let back = CheckpointSpec::from_config(
             s.module_hash,
             &s.workload,
             &s.size,
             &s.arch,
+            &s.overrides,
             &cfg,
             s.checkpoint_every,
         );
-        assert!(back.overrides.is_empty());
-        back.overrides = s.overrides.clone();
         assert_eq!(back, s);
+        let c = OptiwiseConfig {
+            core: s.core_config().unwrap(),
+            sampler: SamplerConfig {
+                period: 4096,
+                jitter: 100,
+                seed: 9,
+                attribution: Attribution::Precise,
+                stacks: StackMode::None,
+                ..SamplerConfig::default()
+            },
+            dbi: DbiConfig {
+                stack_profiling: false,
+                ..DbiConfig::default()
+            },
+            analysis: AnalysisOptions {
+                merge_threshold: None,
+                jobs: 4,
+            },
+            rand_seed: 7,
+            max_insns: 1234,
+            strict: true,
+            allow_partial: false,
+            concurrent_passes: true,
+            selective: true,
+            hot_threshold: 0.2,
+            exhaustive_counters: true,
+            ..OptiwiseConfig::default()
+        };
+        assert_ne!(format!("{:?}", c.core), format!("{:?}", OptiwiseConfig::default().core));
+        let spec = CheckpointSpec::from_config(1, "w", "test", &s.arch, &s.overrides, &c, 0);
+        assert_eq!(format!("{:?}", spec.to_config(4).unwrap()), format!("{c:?}"));
     }
 
     #[test]

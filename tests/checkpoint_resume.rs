@@ -50,6 +50,9 @@ fn spec(modules: &[wiser_isa::Module]) -> CheckpointSpec {
         max_insns: defaults.max_insns,
         strict: false,
         allow_partial: true,
+        selective: defaults.selective,
+        hot_threshold: defaults.hot_threshold,
+        exhaustive_counters: defaults.exhaustive_counters,
         checkpoint_every: CADENCE,
     }
 }

@@ -207,6 +207,7 @@ fn undersampled_run_yields_no_samples_but_valid_profile() {
         "tiny",
         "test",
         "xeon",
+        &[],
         &OptiwiseConfig::default(),
         0,
     ));

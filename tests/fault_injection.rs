@@ -171,7 +171,7 @@ fn injected_abort_at_budget_boundary_is_not_retried() {
 /// A checkpoint spec matching `cfg` for `modules`, as the CLI would build.
 fn spec_for(modules: &[Module], cfg: &OptiwiseConfig, every: u64) -> CheckpointSpec {
     let hash = module_fingerprint(modules);
-    CheckpointSpec::from_config(hash, "counted_loop", "test", "xeon", cfg, every)
+    CheckpointSpec::from_config(hash, "counted_loop", "test", "xeon", &[], cfg, every)
 }
 
 fn scratch_path(name: &str) -> std::path::PathBuf {

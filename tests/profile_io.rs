@@ -27,6 +27,7 @@ fn save_and_load(
         name,
         "test",
         "xeon",
+        &[],
         &OptiwiseConfig::default(),
         0,
     );

@@ -407,6 +407,7 @@ fn sample_profile_roundtrip() {
             "generated",
             "test",
             "xeon",
+            &[],
             &OptiwiseConfig::default(),
             0,
         ));
