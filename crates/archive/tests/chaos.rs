@@ -2,7 +2,7 @@
 //!
 //! One scenario — ingest runs, then compact — is replayed with an injected
 //! crash at *every* write boundary in turn (`FaultPlan::kill_in_archive_write`,
-//! the same mechanism `--fault kill-in-archive=N` arms from the CLI). After
+//! the same mechanism `--inject kill-in-archive=N` arms from the CLI). After
 //! each crash the oracle checks the paper-level robustness contract:
 //!
 //! 1. `fsck` restores the archive to a servable state (clean or repaired,

@@ -91,7 +91,8 @@ protocol (one JSON object per line):
   {\"cmd\":\"submit\",\"workload\":W[,\"size\":S][,\"seed\":N]
                    [,\"arch\":A][,\"set\":\"k=v,k=v\"]}
   unknown arch names, unknown override keys and invalid values are
-  rejected with a typed error before the job is admitted
+  rejected with a typed error before the job is admitted; the workload
+  `generated` is the random program built from the job's seed
   {\"cmd\":\"shutdown\"}
 exit codes: 0 drained cleanly, 8 stopped by SIGINT/SIGTERM, 1 other
 ";
@@ -135,10 +136,11 @@ mod imp {
     use std::sync::{Arc, Mutex, MutexGuard};
     use std::time::Duration;
 
-    use optiwise::{module_fingerprint, CancelToken, OptiwiseError};
+    use optiwise::{module_fingerprint, CancelToken, OptiwiseConfig, OptiwiseError};
     use wiser_archive::{Archive, RetentionPolicy};
+    use wiser_isa::Module;
     use wiser_sim::{ConfigErrorKind, CoreConfig};
-    use wiser_store::{Checkpoint, CheckpointSpec, StoredProfile};
+    use wiser_store::{Checkpoint, CheckpointSpec};
     use wiser_workloads::InputSize;
 
     use crate::jsonl::{self, Value};
@@ -513,16 +515,13 @@ mod imp {
             }
             Some(_) => return error_response("`set` must be a string of key=value pairs"),
         }
-        let core = match CoreConfig::resolve(&arch, &overrides) {
-            Ok(core) => core,
-            Err(e) => {
-                return error_response(&match e.kind {
-                    ConfigErrorKind::UnknownArch => e.message,
-                    ConfigErrorKind::Invalid => format!("invalid config: {e}"),
-                    _ => format!("bad `set` entry: {e}"),
-                })
-            }
-        };
+        if let Err(e) = CoreConfig::resolve(&arch, &overrides) {
+            return error_response(&match e.kind {
+                ConfigErrorKind::UnknownArch => e.message,
+                ConfigErrorKind::Invalid => format!("invalid config: {e}"),
+                _ => format!("bad `set` entry: {e}"),
+            });
+        }
 
         if daemon.draining.load(Ordering::Acquire) {
             return error_response("draining");
@@ -591,13 +590,26 @@ mod imp {
             let daemon = Arc::clone(daemon);
             let workload = workload.clone();
             let token = token.clone();
-            let arch = arch.clone();
-            let overrides = overrides.clone();
             Box::new(move || {
                 let _slot = CountGuard(&daemon.pending);
-                let result = run_job(
-                    &daemon, job_id, &token, &workload, size, seed, &arch, core, &overrides,
-                );
+                // The job is its spec: the program, the request's core
+                // model and seed, and the daemon's pipeline settings.
+                let result = crate::build_program(&workload, seed, size).and_then(|modules| {
+                    let config = OptiwiseConfig {
+                        rand_seed: seed,
+                        ..crate::pipeline_config(&daemon.opts)
+                    };
+                    let spec = CheckpointSpec::from_config(
+                        module_fingerprint(&modules),
+                        &workload,
+                        size.name(),
+                        &arch,
+                        &overrides,
+                        &config,
+                        daemon.opts.checkpoint_every.unwrap_or(crate::DEFAULT_CHECKPOINT_EVERY),
+                    );
+                    serve_job(&daemon, job_id, &token, &modules, &Checkpoint::fresh(spec))
+                });
                 lock(&daemon.tokens).retain(|(id, _)| *id != job_id);
                 let _ = tx.send(result);
             })
@@ -627,59 +639,32 @@ mod imp {
         response
     }
 
-    /// Runs one admitted job end to end: build, profile (with checkpoint),
-    /// commit to the archive, prune, clean up. The pipeline's own
-    /// budget-escalating retry is the only one: the job's config is
-    /// deterministic, so re-running a failed job would repeat its failure.
-    #[allow(clippy::too_many_arguments)]
-    fn run_job(
+    /// Runs one admitted job from its image with `crate::run_job`
+    /// (checkpointing into `checkpoints/job-N.owp`), commits it to the
+    /// archive, prunes, cleans up. The pipeline's own budget-escalating retry is the only one: the
+    /// job's config is deterministic, so re-running a failed job would
+    /// repeat its failure.
+    fn serve_job(
         daemon: &Daemon,
         job_id: u64,
         token: &CancelToken,
-        workload: &str,
-        size: InputSize,
-        seed: u64,
-        arch: &str,
-        core: CoreConfig,
-        overrides: &[(String, String)],
+        modules: &[Module],
+        ckpt: &Checkpoint,
     ) -> Result<u64, OptiwiseError> {
-        let modules = crate::build_named_workload(workload, size)?;
-        let mut config = crate::pipeline_config(&daemon.opts);
-        config.rand_seed = seed;
-        config.core = core;
-
-        let spec = CheckpointSpec::from_config(
-            module_fingerprint(&modules),
-            workload,
-            size.name(),
-            arch,
-            overrides,
-            &config,
-            daemon.opts.checkpoint_every.unwrap_or(crate::DEFAULT_CHECKPOINT_EVERY),
-        );
-        let fingerprint = spec.module_hash;
         let checkpoint_path = lock(&daemon.archive)
             .checkpoints_dir()
             .join(format!("job-{job_id:06}.owp"));
-        let target = crate::CheckpointTarget {
-            path: &checkpoint_path,
-            ckpt: Checkpoint::fresh(spec),
-            resumed: false,
-        };
-        let run = crate::run_with_control(&modules, &config, token, Some(target))?;
-
-        let stored = StoredProfile::from_run(workload, &run, seed, arch, core);
-        {
-            let mut archive = lock(&daemon.archive);
-            let run_id = archive.add_run(&stored.to_bytes(), fingerprint)?;
-            archive.retain(RetentionPolicy {
-                max_runs: daemon.opts.max_runs,
-                max_bytes: daemon.opts.max_bytes,
-            })?;
-            // The run is committed: its checkpoint has served its purpose.
-            let _ = std::fs::remove_file(&checkpoint_path);
-            Ok(run_id)
-        }
+        let (_, stored) =
+            crate::run_job(modules, ckpt, Some(&checkpoint_path), &daemon.opts, token)?;
+        let mut archive = lock(&daemon.archive);
+        let run_id = archive.add_run(&stored.to_bytes(), ckpt.spec.module_hash)?;
+        archive.retain(RetentionPolicy {
+            max_runs: daemon.opts.max_runs,
+            max_bytes: daemon.opts.max_bytes,
+        })?;
+        // The run is committed: its checkpoint has served its purpose.
+        let _ = std::fs::remove_file(&checkpoint_path);
+        Ok(run_id)
     }
 }
 

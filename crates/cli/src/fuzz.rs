@@ -54,7 +54,7 @@ fn samp_bomb() -> Vec<u8> {
 /// run of a small workload, carrying every section kind (META, SAMP,
 /// CNTS, TABL, COVR). Deterministic: fixed workload, size and seed.
 fn pipeline_profile() -> Result<StoredProfile, OptiwiseError> {
-    let modules = crate::build_named_workload("loop_merge", InputSize::Test)?;
+    let modules = crate::build_program("loop_merge", 0, InputSize::Test)?;
     let config = OptiwiseConfig::default();
     let run = optiwise::run_optiwise(&modules, &config)?;
     Ok(StoredProfile::from_run("fuzz-corpus", &run, config.rand_seed, "xeon", config.core))
@@ -74,6 +74,7 @@ fn checkpoint_corpus() -> Result<Vec<Vec<u8>>, OptiwiseError> {
     let spec = CheckpointSpec {
         module_hash: 0x0f1e_2d3c_4b5a_6978,
         workload: "loop_merge".into(),
+        label: "loop_merge-s0-xeon".into(),
         size: "test".into(),
         arch: "xeon".into(),
         overrides: Vec::new(),

@@ -200,10 +200,11 @@ enum Arity {
 /// One row of the command table: a command's positional arguments, the
 /// flags it accepts and its implementation. A command accepts a flag iff
 /// its code path reads the `Options` field the flag sets, directly or
-/// through the `CheckpointSpec` it records, `render_run`, `emit`,
-/// `make_token` or the `pipeline_config` fields its passes and analysis
-/// use: a split pass runs no analysis, and `analyze` restores both passes
-/// instead of running them.
+/// through the `CheckpointSpec` it records, `run_job` (`--jobs`,
+/// `--inject`), `render_run`, `emit`, `make_token` or the
+/// `pipeline_config` fields its passes and analysis use: a split pass
+/// runs no analysis, and `analyze` restores both passes instead of
+/// running them.
 /// `--selective` is left out where the command records or fuses full
 /// passes, and `--arch`/`--set` on `sweep`, whose `--config` cells
 /// overwrite the core they pick.
@@ -507,17 +508,25 @@ fn seconds(flag: &str, text: &str) -> Result<f64, String> {
     finite(flag, text, |x| x > 0.0, "a positive number of seconds")
 }
 
-fn build_named_workload(name: &str, size: InputSize) -> Result<Vec<Module>, OptiwiseError> {
+/// The program name of a generated program, built from a seed: `--seed`,
+/// or `generated:SEED` in a sweep.
+const GENERATED_WORKLOAD: &str = "generated";
+
+/// Builds the program `name` names: a registered workload at `size`, or a
+/// generated program from `seed`. Every command that runs a program, and
+/// `resume` (from its spec's `workload`, `rand_seed` and `size`), builds it
+/// here.
+fn build_program(name: &str, seed: u64, size: InputSize) -> Result<Vec<Module>, OptiwiseError> {
+    if name == GENERATED_WORKLOAD {
+        return wiser_workloads::generated::generate(seed)
+            .map_err(|e| OptiwiseError::Load(format!("generating seed {seed}: {e}")));
+    }
     let workload = wiser_workloads::by_name(name).ok_or_else(|| {
         OptiwiseError::Usage(format!("unknown workload `{name}`; see `optiwise list`"))
     })?;
     workload
         .build(size)
         .map_err(|e| OptiwiseError::Load(format!("assembling `{name}`: {e}")))
-}
-
-fn build_workload(opts: &Options) -> Result<Vec<Module>, OptiwiseError> {
-    build_named_workload(&opts.workloads[0], opts.size)
 }
 
 fn pipeline_config(opts: &Options) -> OptiwiseConfig {
@@ -544,13 +553,23 @@ fn pipeline_config(opts: &Options) -> OptiwiseConfig {
     config
 }
 
+/// Writes a command's output to `--out`, or to stdout. A reader that
+/// closed stdout early (`optiwise list | head -1`) has read all it wants:
+/// the broken pipe ends the output, not the command.
 fn emit(opts: &Options, text: &str) -> Result<(), OptiwiseError> {
+    use std::io::Write;
+
     match &opts.out {
         Some(path) => wiser_store::atomic_write(std::path::Path::new(path), text.as_bytes())
             .map_err(|e| OptiwiseError::Io(format!("writing {path}: {e}"))),
         None => {
-            print!("{text}");
-            Ok(())
+            let mut stdout = std::io::stdout().lock();
+            match stdout.write_all(text.as_bytes()).and_then(|()| stdout.flush()) {
+                Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+                    Err(OptiwiseError::Io(format!("writing stdout: {e}")))
+                }
+                _ => Ok(()),
+            }
         }
     }
 }
@@ -640,73 +659,62 @@ fn checkpoint_cadence(opts: &Options) -> Result<u64, OptiwiseError> {
     }
 }
 
-/// The checkpoint file a run persists into, and the image it starts from.
-struct CheckpointTarget<'a> {
-    path: &'a std::path::Path,
-    ckpt: Checkpoint,
-    /// The image was loaded from `path` to resume it: it is already on
-    /// disk, so no initial write is made and `kill-in-write=N` counts only
-    /// the resumed run's own writes.
-    resumed: bool,
-}
-
-/// Runs the pipeline under a cancellation token, checkpointing into
-/// `checkpoint` (when given) on every pass event. The cadence comes from
-/// the image's spec, the restored passes from its completed profiles, and
-/// the injected mid-write crash from `config.fault`. A fresh image is
-/// persisted before the passes start, so an unwritable path fails early
-/// and even a kill at instruction zero leaves a resumable file.
-/// Checkpoint-persist failures surface only after the run settles: a sick
+/// Runs one job from its checkpoint image: `run`, every sweep cell, every
+/// `optiwised` job and `resume` come here. The config is the spec's
+/// ([`CheckpointSpec::to_config`]) under this process's `--jobs` and
+/// `--inject`, so a resumed job runs exactly as the job it continues; the
+/// image's completed passes are restored, the rest run from instruction
+/// zero. The returned profile is stored under the spec's label.
+///
+/// With a checkpoint `file`, the image is persisted before the passes start
+/// (an unwritable path fails early, and a kill at instruction zero leaves a
+/// resumable file) and again on every pass event at the spec's cadence.
+/// Those later persist failures surface only after the run settles: a sick
 /// checkpoint disk must not kill a healthy profile run, but it must not go
 /// unreported either.
-fn run_with_control(
+fn run_job(
     modules: &[Module],
-    config: &OptiwiseConfig,
+    ckpt: &Checkpoint,
+    file: Option<&std::path::Path>,
+    opts: &Options,
     token: &CancelToken,
-    checkpoint: Option<CheckpointTarget<'_>>,
-) -> Result<OptiwiseRun, OptiwiseError> {
-    let writer = match &checkpoint {
-        Some(target) => {
-            let writer = CheckpointWriter::new(
-                target.path,
-                target.ckpt.clone(),
-                token.clone(),
-                config.fault.kill_in_checkpoint_write,
-            );
-            if !target.resumed {
-                writer.persist_initial()?;
-            }
-            Some(writer)
-        }
-        None => None,
+) -> Result<(OptiwiseRun, StoredProfile), OptiwiseError> {
+    let spec = &ckpt.spec;
+    // Fault injection is never recorded in a spec: each leg of a job gets
+    // only the faults its own command line asks for.
+    let config = OptiwiseConfig {
+        fault: opts.fault,
+        ..spec.to_config(opts.jobs)?
     };
+    let writer = file.map(|path| {
+        CheckpointWriter::new(path, ckpt.clone(), token.clone(), opts.fault.kill_in_checkpoint_write)
+    });
+    if let Some(w) = &writer {
+        w.persist_initial()?;
+    }
     let observe = writer
         .as_ref()
         .map(|w| move |event: PassEvent<'_>| w.observe(event));
     let run = run_optiwise_ctl(
         modules,
-        config,
+        &config,
         RunControl {
             cancel: token.clone(),
-            checkpoint_every: checkpoint
-                .as_ref()
-                .map_or(0, |t| t.ckpt.spec.checkpoint_every),
+            checkpoint_every: spec.checkpoint_every,
             observer: observe
                 .as_ref()
                 .map(|f| f as &(dyn Fn(PassEvent<'_>) + Sync)),
-            resume: checkpoint
-                .as_ref()
-                .map(|t| t.ckpt.resume_state())
-                .unwrap_or_default(),
+            resume: ckpt.resume_state(),
         },
     )?;
     if let Some(w) = &writer {
         w.finish()?;
     }
-    Ok(run)
+    let stored = StoredProfile::from_run(&spec.label, &run, spec.rand_seed, &spec.arch, config.core);
+    Ok((run, stored))
 }
 
-fn cmd_check(_: &Options) -> Result<(), OptiwiseError> {
+fn cmd_check(opts: &Options) -> Result<(), OptiwiseError> {
     // Assemble, run both passes, fuse. The artifact's `optiwise check`.
     let module = wiser_isa::assemble(
         "check",
@@ -736,25 +744,37 @@ fn cmd_check(_: &Options) -> Result<(), OptiwiseError> {
             "self-check failed: expected exactly one loop".into(),
         ));
     }
-    println!(
-        "optiwise check: ok (sampled {} cycles, counted {} instructions, divergence {:.4})",
-        run.analysis.wall_cycles,
-        run.analysis.total_insns,
-        run.analysis.diagnostics.divergence_score
-    );
-    Ok(())
+    emit(
+        opts,
+        &format!(
+            "optiwise check: ok (sampled {} cycles, counted {} instructions, divergence {:.4})\n",
+            run.analysis.wall_cycles,
+            run.analysis.total_insns,
+            run.analysis.diagnostics.divergence_score
+        ),
+    )
 }
 
-fn cmd_list(_: &Options) -> Result<(), OptiwiseError> {
-    println!("{:<22} {:<9} DESCRIPTION", "NAME", "KIND");
-    for w in wiser_workloads::all() {
+fn cmd_list(opts: &Options) -> Result<(), OptiwiseError> {
+    let rows = wiser_workloads::all().into_iter().map(|w| {
         let kind = match w.kind {
             wiser_workloads::Kind::Micro => "micro",
             wiser_workloads::Kind::SpecLike => "spec-like",
         };
-        println!("{:<22} {:<9} {}", w.name, kind, w.description);
+        (w.name, kind, w.description)
+    });
+    let generated = (
+        GENERATED_WORKLOAD,
+        "generated",
+        "random program built from --seed (generated:SEED in a sweep)",
+    );
+    let mut text = String::new();
+    for (name, kind, description) in
+        std::iter::once(("NAME", "KIND", "DESCRIPTION")).chain(rows).chain([generated])
+    {
+        text.push_str(&format!("{name:<22} {kind:<9} {description}\n"));
     }
-    Ok(())
+    emit(opts, &text)
 }
 
 fn cmd_run(opts: &Options) -> Result<(), OptiwiseError> {
@@ -762,38 +782,33 @@ fn cmd_run(opts: &Options) -> Result<(), OptiwiseError> {
         return cmd_run_batch(opts);
     }
     let checkpoint_every = checkpoint_cadence(opts)?;
-    let modules = build_workload(opts)?;
-    let config = pipeline_config(opts);
-    let token = make_token(opts);
-    let spec = CheckpointSpec::from_config(
+    let name = &opts.workloads[0];
+    let modules = build_program(name, opts.seed, opts.size)?;
+    let ckpt = Checkpoint::fresh(CheckpointSpec::from_config(
         module_fingerprint(&modules),
-        &opts.workloads[0],
+        name,
         opts.size.name(),
         opts.arch_name,
         &opts.overrides,
-        &config,
+        &pipeline_config(opts),
         checkpoint_every,
-    );
-    let checkpoint = opts.checkpoint.as_deref().map(|path| CheckpointTarget {
-        path: std::path::Path::new(path),
-        ckpt: Checkpoint::fresh(spec.clone()),
-        resumed: false,
-    });
-    let run = run_with_control(&modules, &config, &token, checkpoint)?;
-    render_run(opts, &spec, config.core, &run)
+    ));
+    let file = opts.checkpoint.as_deref().map(std::path::Path::new);
+    let (run, stored) = run_job(&modules, &ckpt, file, opts, &make_token(opts))?;
+    render_run(opts, ckpt.spec.module_hash, &run, &stored)
 }
 
 /// Everything that happens after a (fresh or resumed) run settles: retry
 /// and degradation notices, `--save`, `--archive`, the report,
 /// `--function` annotation and `--csv-dir` exports. Shared by `run` and
 /// `resume` so a resumed run is rendered through the exact same path —
-/// byte-identical output. The stored profile is labelled from `spec`, the
-/// run's record, and `core` is the model `spec` names.
+/// byte-identical output. `stored` is the run's labelled profile and
+/// `module_hash` the fingerprint of the program it profiled.
 fn render_run(
     opts: &Options,
-    spec: &CheckpointSpec,
-    core: CoreConfig,
+    module_hash: u64,
     run: &OptiwiseRun,
+    stored: &StoredProfile,
 ) -> Result<(), OptiwiseError> {
     if run.attempts.0 > 1 || run.attempts.1 > 1 {
         eprintln!(
@@ -804,9 +819,7 @@ fn render_run(
     if run.analysis.mode == AnalysisMode::SamplingOnly {
         eprintln!("optiwise: DEGRADED sampling-only analysis (see report header)");
     }
-    let stored = (opts.save.is_some() || opts.archive.is_some()).then(|| {
-        StoredProfile::from_run(&spec.workload, run, spec.rand_seed, &spec.arch, core).to_bytes()
-    });
+    let stored = (opts.save.is_some() || opts.archive.is_some()).then(|| stored.to_bytes());
     if let (Some(path), Some(bytes)) = (&opts.save, &stored) {
         wiser_store::atomic_write(std::path::Path::new(path), bytes)
             .map_err(|e| OptiwiseError::Io(format!("{path}: {e}")))?;
@@ -815,7 +828,7 @@ fn render_run(
     if let (Some(dir), Some(bytes)) = (&opts.archive, &stored) {
         let mut archive = wiser_archive::Archive::open_or_create(std::path::Path::new(dir))?;
         archive.set_faults(&opts.fault);
-        let run_id = archive.add_run(bytes, spec.module_hash)?;
+        let run_id = archive.add_run(bytes, module_hash)?;
         archive.retain(wiser_archive::RetentionPolicy {
             max_runs: opts.max_runs,
             max_bytes: opts.max_bytes,
@@ -861,7 +874,7 @@ fn render_run(
 /// token lets a deadline or Ctrl-C stop every in-flight shard at its next
 /// instruction boundary.
 fn run_one(name: &str, opts: &Options, token: &CancelToken) -> Result<String, OptiwiseError> {
-    let modules = build_named_workload(name, opts.size)?;
+    let modules = build_program(name, opts.seed, opts.size)?;
     let run = run_optiwise_ctl(
         &modules,
         &pipeline_config(opts),
@@ -942,10 +955,6 @@ fn cmd_run_batch(opts: &Options) -> Result<(), OptiwiseError> {
     }
 }
 
-/// The pseudo-workload name that sweeps a generated program instead of a
-/// registered one; `generated:SEED` picks the generator seed.
-const GENERATED_WORKLOAD: &str = "generated";
-
 /// Parses one sweep workload argument: a registered workload name,
 /// `generated:SEED`, or plain `generated` (which takes `--seed`).
 fn parse_sweep_workload(arg: &str, default_seed: u64) -> Result<SweepWorkload, OptiwiseError> {
@@ -974,67 +983,43 @@ fn parse_sweep_workload(arg: &str, default_seed: u64) -> Result<SweepWorkload, O
     })
 }
 
-/// Builds one sweep cell's module set: a registered workload, or a
-/// generated program from the cell's seed.
-fn build_sweep_modules(w: &SweepWorkload, size: InputSize) -> Result<Vec<Module>, OptiwiseError> {
-    if w.name == GENERATED_WORKLOAD {
-        return wiser_workloads::generated::generate(w.seed)
-            .map_err(|e| OptiwiseError::Load(format!("generating seed {}: {e}", w.seed)));
-    }
-    build_named_workload(&w.name, size)
+/// The checkpoint file of one sweep cell, under the archive's
+/// `checkpoints/` directory.
+fn sweep_checkpoint(checkpoints: &std::path::Path, cell: &SweepCell) -> std::path::PathBuf {
+    checkpoints.join(format!("sweep-{}.owp", cell.label()))
 }
 
-/// One freshly profiled sweep cell, ready to commit to the archive.
-struct SweepCellRun {
-    bytes: Vec<u8>,
-    fingerprint: u64,
-    tables: ProfileTables,
-    checkpoint: std::path::PathBuf,
-}
-
-/// Profiles one sweep cell under its own core config, checkpointing into
-/// the archive's `checkpoints/` directory like a daemon job so a killed
-/// sweep leaves resumable state behind.
+/// Profiles one sweep cell under its own core config, checkpointing like
+/// a daemon job so a killed sweep leaves resumable state behind: the spec
+/// labels the profile with the cell, so `optiwise resume` commits it under
+/// the label the sweep looks for. Returns the profile and the program's
+/// fingerprint.
 fn run_sweep_cell(
     cell: &SweepCell,
     opts: &Options,
     token: &CancelToken,
     checkpoints: &std::path::Path,
-) -> Result<SweepCellRun, OptiwiseError> {
-    let modules = build_sweep_modules(&cell.workload, opts.size)?;
-    let mut config = pipeline_config(opts);
-    config.core = cell.config.core();
-    config.rand_seed = cell.workload.seed;
-    let spec = CheckpointSpec::from_config(
-        module_fingerprint(&modules),
-        &cell.workload.name,
-        opts.size.name(),
-        &cell.config.arch,
-        &cell.config.overrides,
-        &config,
-        opts.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY),
-    );
-    let fingerprint = spec.module_hash;
-    let checkpoint = checkpoints.join(format!("sweep-{}.owp", cell.label()));
-    let target = CheckpointTarget {
-        path: &checkpoint,
-        ckpt: Checkpoint::fresh(spec),
-        resumed: false,
+) -> Result<(StoredProfile, u64), OptiwiseError> {
+    let modules = build_program(&cell.workload.name, cell.workload.seed, opts.size)?;
+    let config = OptiwiseConfig {
+        rand_seed: cell.workload.seed,
+        ..pipeline_config(opts)
     };
-    let run = run_with_control(&modules, &config, token, Some(target))?;
-    let stored = StoredProfile::from_run(
-        cell.label(),
-        &run,
-        cell.workload.seed,
-        &cell.config.arch,
-        config.core,
-    );
-    Ok(SweepCellRun {
-        bytes: stored.to_bytes(),
-        fingerprint,
-        tables: stored.tables,
-        checkpoint,
-    })
+    let ckpt = Checkpoint::fresh(CheckpointSpec {
+        label: cell.label(),
+        ..CheckpointSpec::from_config(
+            module_fingerprint(&modules),
+            &cell.workload.name,
+            opts.size.name(),
+            &cell.config.arch,
+            &cell.config.overrides,
+            &config,
+            opts.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY),
+        )
+    });
+    let file = sweep_checkpoint(checkpoints, cell);
+    let (_, stored) = run_job(&modules, &ckpt, Some(&file), opts, token)?;
+    Ok((stored, ckpt.spec.module_hash))
 }
 
 /// `optiwise sweep <workload|generated:SEED>... --archive DIR
@@ -1106,12 +1091,12 @@ fn cmd_sweep(opts: &Options) -> Result<(), OptiwiseError> {
     let mut first_error: Option<OptiwiseError> = None;
     for (cell, outcome) in fresh.into_iter().zip(done) {
         match outcome {
-            Some(Ok(run)) => {
-                archive.add_run(&run.bytes, run.fingerprint)?;
-                let _ = std::fs::remove_file(&run.checkpoint);
+            Some(Ok((stored, module_hash))) => {
+                archive.add_run(&stored.to_bytes(), module_hash)?;
+                let _ = std::fs::remove_file(sweep_checkpoint(&checkpoints, cell));
                 results.push(SweepResult {
                     cell: cell.clone(),
-                    tables: run.tables,
+                    tables: stored.tables,
                 });
             }
             Some(Err(e)) => {
@@ -1149,29 +1134,31 @@ fn cmd_sweep(opts: &Options) -> Result<(), OptiwiseError> {
 
 /// `optiwise resume CHECKPOINT.owp`: continue an interrupted run.
 ///
-/// The checkpoint pins the run's whole configuration, so the command takes
-/// no workload and no profiling options — only execution-environment flags
-/// (`--jobs`, `--deadline`, `--out`, `--save`, `--top`, `--function`,
-/// `--csv-dir`, and `--inject` for tests). Completed passes are restored
-/// verbatim from the checkpoint; interrupted passes are replayed
-/// deterministically from instruction zero, so the report and any `--save`
-/// profile are byte-identical to an uninterrupted run. The resumed run
-/// keeps checkpointing into the same file and may itself be interrupted
-/// and resumed again.
+/// The checkpoint's spec is the job: it names the program (a generated one
+/// is rebuilt from its seed), pins the run's whole configuration and the
+/// label its profile is stored under. So the command takes no workload and
+/// no profiling options, only execution-environment and output flags
+/// (`--jobs`, `--deadline`, `--out`, `--save`, `--archive`, `--max-runs`,
+/// `--max-bytes`, `--top`, `--function`, `--csv-dir`, and `--inject` for
+/// tests). Completed passes are restored verbatim from the checkpoint;
+/// interrupted passes are replayed deterministically from instruction zero,
+/// so the report and any `--save`/`--archive` profile are byte-identical to
+/// an uninterrupted run. The resumed run keeps checkpointing into the same
+/// file and may itself be interrupted and resumed again.
 fn cmd_resume(opts: &Options) -> Result<(), OptiwiseError> {
     let arg = &opts.workloads[0];
     // An archive directory stands for "whatever was interrupted there":
     // resume the newest incomplete checkpoint left behind by a crashed or
-    // drained daemon job (or a `run --checkpoint` pointed at the archive's
-    // checkpoints directory).
-    let path = if std::path::Path::new(arg).is_dir() {
+    // drained daemon job or sweep cell (or a `run --checkpoint` pointed at
+    // the archive's checkpoints directory).
+    let in_archive = std::path::Path::new(arg).is_dir();
+    let path = if in_archive {
         newest_checkpoint(std::path::Path::new(arg))?
     } else {
         arg.clone()
     };
-    let path = path.as_str();
-    let ckpt = Checkpoint::load(std::path::Path::new(path))?;
-    let spec = ckpt.spec.clone();
+    let ckpt = Checkpoint::load(std::path::Path::new(&path))?;
+    let spec = &ckpt.spec;
     let size = InputSize::parse(&spec.size).ok_or_else(|| {
         OptiwiseError::Store(StoreError::in_section(
             0,
@@ -1179,27 +1166,16 @@ fn cmd_resume(opts: &Options) -> Result<(), OptiwiseError> {
             format!("unknown input size `{}` in checkpoint", spec.size),
         ))
     })?;
-    let modules = build_named_workload(&spec.workload, size)?;
-    check_fingerprint(path, &spec, &spec.workload, &modules)?;
-    let mut config = spec.to_config(opts.jobs)?;
-    // Fault injection is never stored in a checkpoint; a resumed leg only
-    // gets faults the tests pass explicitly on this command line.
-    config.fault = opts.fault;
-    let target = CheckpointTarget {
-        path: std::path::Path::new(path),
-        ckpt,
-        resumed: true,
-    };
-    let run = run_with_control(&modules, &config, &make_token(opts), Some(target))?;
-    // The stored label comes from the checkpoint's own arch and overrides,
-    // never this process's defaults: a resumed neoverse run must not be
-    // re-stamped "xeon".
-    render_run(opts, &spec, config.core, &run)?;
+    let modules = build_program(&spec.workload, spec.rand_seed, size)?;
+    check_fingerprint(&path, spec, &spec.workload, &modules)?;
+    let file = Some(std::path::Path::new(&path));
+    let (run, stored) = run_job(&modules, &ckpt, file, opts, &make_token(opts))?;
+    render_run(opts, spec.module_hash, &run, &stored)?;
     // The run completed: the checkpoint has served its purpose. Only
-    // daemon-style archive checkpoints are reclaimed; an explicit
-    // `resume FILE` leaves the caller's file alone (tests re-resume them).
-    if std::path::Path::new(arg).is_dir() {
-        let _ = std::fs::remove_file(path);
+    // archive checkpoints are reclaimed; an explicit `resume FILE` leaves
+    // the caller's file alone (tests re-resume them).
+    if in_archive {
+        let _ = std::fs::remove_file(&path);
     }
     Ok(())
 }
@@ -1325,7 +1301,7 @@ fn check_split_cut(
 /// `optiwise sample`: the runner's sampling pass, written as a split file.
 fn cmd_sample(opts: &Options) -> Result<(), OptiwiseError> {
     let out = split_out(opts, "sample")?;
-    let modules = build_workload(opts)?;
+    let modules = build_program(&opts.workloads[0], opts.seed, opts.size)?;
     let config = pipeline_config(opts);
     let (profile, run, _) = sampling_pass(&modules, &config, &RunControl::default())?;
     check_split_cut(opts, Pass::Sampling, &profile.truncated)?;
@@ -1342,7 +1318,7 @@ fn cmd_sample(opts: &Options) -> Result<(), OptiwiseError> {
 /// split file.
 fn cmd_instrument(opts: &Options) -> Result<(), OptiwiseError> {
     let out = split_out(opts, "instrument")?;
-    let modules = build_workload(opts)?;
+    let modules = build_program(&opts.workloads[0], opts.seed, opts.size)?;
     let config = pipeline_config(opts);
     let (counts, _, _) = counts_pass(&modules, &config, None, &RunControl::default())?;
     check_split_cut(opts, Pass::Instrumentation, &counts.truncated)?;
@@ -1395,8 +1371,10 @@ fn missing_section(path: &str, tag: &str, cmd: &str) -> OptiwiseError {
 /// from the runner, so the report is the one `run` prints for the same
 /// passes.
 fn cmd_analyze(opts: &Options) -> Result<(), OptiwiseError> {
-    let modules = build_workload(opts)?;
     let workload = &opts.workloads[0];
+    // `analyze` takes no `--seed`: a generated program is rebuilt at seed 0,
+    // and files recorded at another seed are refused as another build.
+    let modules = build_program(workload, opts.seed, opts.size)?;
     let samples_path = opts
         .samples_path
         .as_deref()
@@ -1431,7 +1409,7 @@ fn cmd_annotate(opts: &Options) -> Result<(), OptiwiseError> {
         .as_deref()
         .ok_or_else(|| OptiwiseError::Usage("annotate needs --function NAME".into()))?
         .to_string();
-    let modules = build_workload(opts)?;
+    let modules = build_program(&opts.workloads[0], opts.seed, opts.size)?;
     let run = run_optiwise(&modules, &pipeline_config(opts))?;
     let rows = run
         .analysis
@@ -1563,7 +1541,7 @@ fn cmd_optimize(opts: &Options) -> Result<(), OptiwiseError> {
         Some(s) => (s.meta.label.clone(), s.meta.rand_seed),
         None => (arg.to_string(), opts.seed),
     };
-    let modules = build_named_workload(&name, opts.size)?;
+    let modules = build_program(&name, seed, opts.size)?;
     let mut config = pipeline_config(opts);
     // A stored baseline was produced under its own seed; re-profile the
     // rewritten binary under the same one so the diff compares like runs.
@@ -1679,8 +1657,7 @@ fn cmd_selfcheck(opts: &Options) -> Result<(), OptiwiseError> {
 
     let seeds: Vec<u64> = (lo..hi).collect();
     let results = wiser_par::par_map(opts.jobs, seeds, |_, seed| {
-        let modules = wiser_workloads::generated::generate(seed)
-            .map_err(|e| OptiwiseError::Load(format!("generating seed {seed}: {e}")))?;
+        let modules = build_program(GENERATED_WORKLOAD, seed, opts.size)?;
         optiwise::selfcheck::check_modules(&modules, &check_opts).map(|c| (seed, c))
     })
     .map_err(|e| OptiwiseError::Internal(format!("selfcheck worker: {e}")))?;
@@ -1930,10 +1907,11 @@ const USAGE: &str = "\
 usage: optiwise <command> [options] [workload]
 commands:
   check                 end-to-end self test
-  list                  list registered workloads
+  list                  list registered workloads and `generated`
   run <workload>...     sample + instrument + fused report; several
                         workloads run concurrently (see --jobs) and their
-                        reports merge in command-line order
+                        reports merge in command-line order; the workload
+                        `generated` is a random program built from --seed
   sample <workload> --out F.owp
                         sampling pass; write its profile as a checkpoint
                         image (run spec + SAMP section)
@@ -1977,6 +1955,9 @@ commands:
                         continue an interrupted run from its checkpoint;
                         given an archive directory, the newest incomplete
                         checkpoint under its checkpoints/ is resumed;
+                        generated programs are rebuilt from their seed, and
+                        --archive commits the run under the job's label (a
+                        sweep cell's, so re-running the sweep skips it);
                         the report is byte-identical to an uninterrupted run
   selfcheck             differential self-check: run the full pipeline and
                         the exact oracle over generated programs and compare
@@ -2045,7 +2026,7 @@ options (each command accepts only the ones its code reads; others exit 1):
   --inject SPEC           deterministic fault injection, SPEC is a comma list:
                           seed=N, drop-samples=PCT, abort-sample=N,
                           truncate-counts=N, desync-seed=N, corrupt,
-                          kill-after=N, kill-in-write=N
+                          kill-after=N, kill-in-write=N, kill-in-archive=N
   --save FILE             (run/resume/optimize) also save the profile as a
                           binary .owp store
   --format text|json|yaml (report) output format (default: text)

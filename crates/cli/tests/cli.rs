@@ -26,6 +26,7 @@ fn list_shows_workloads() {
     assert!(stdout.contains("mcf_like"));
     assert!(stdout.contains("xalancbmk_like"));
     assert!(stdout.contains("slow_store"));
+    assert!(stdout.contains("\ngenerated "), "{stdout}");
 }
 
 #[test]
@@ -1142,4 +1143,104 @@ fn sweep_rejects_bad_grids_before_running() {
     }
     assert!(!dir.exists(), "a rejected sweep must not create the archive");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn closed_stdout_ends_output_not_the_command() {
+    // `optiwise list | head -1`: the reader closed its end of the pipe
+    // (here before the command even starts). The broken pipe ends the
+    // output; the command still exits 0 and does not panic.
+    for cmd in ["list", "check"] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_optiwise"))
+            .arg(cmd)
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{cmd}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
+    }
+}
+
+#[test]
+fn generated_is_a_program_name() {
+    // `generated` builds the random program of `--seed` wherever a command
+    // takes a workload, so one sweep cell of a generated program (or a
+    // failing selfcheck seed) reruns on its own.
+    let dir = std::env::temp_dir().join(format!("optiwise-generated-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let out = optiwise(&[
+        "run", "generated", "--seed", "3", "--size", "test", "--save", &path("g.owp"),
+        "--out", "/dev/null",
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let out = optiwise(&[
+        "sweep", "generated:3", "--size", "test", "--config", "xeon", "--archive", &path("A"),
+        "--out", "/dev/null",
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let json = |file: &str| {
+        let out = optiwise(&["report", file, "--format", "json"]);
+        assert!(out.status.success(), "{out:?}");
+        out.stdout
+    };
+    assert_eq!(json(&path("g.owp")), json(&path("A/runs/run-000001.owp")));
+
+    // `analyze` takes no --seed: it rebuilds seed 0, so files recorded at
+    // seed 3 are another build.
+    for (cmd, file) in [("sample", "s.owp"), ("instrument", "c.owp")] {
+        let out = optiwise(&[cmd, "generated", "--seed", "3", "--size", "test", "--out", &path(file)]);
+        assert!(out.status.success(), "{out:?}");
+    }
+    let out = optiwise(&[
+        "analyze", "generated", "--size", "test", "--samples", &path("s.owp"),
+        "--counts", &path("c.owp"),
+    ]);
+    assert_eq!(out.status.code(), Some(6), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("different build"), "{out:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn killed_sweep_cell_resumes_into_the_sweep() {
+    // A cell killed mid-run leaves a checkpoint whose spec names the cell's
+    // program (a generated one by its seed) and label. `resume --archive`
+    // commits it under that label, so re-running the sweep loads it instead
+    // of profiling the cell again: one run, byte-identical to the
+    // uninterrupted sweep's, and the same report.
+    let base = std::env::temp_dir().join(format!("optiwise-sweep-resume-{}", std::process::id()));
+    for workload in ["generated:3", "mcf_like"] {
+        let _ = std::fs::remove_dir_all(&base);
+        std::fs::create_dir_all(&base).unwrap();
+        let (a, b) = (base.join("A"), base.join("B"));
+        let sweep = |archive: &std::path::Path, extra: &[&str]| {
+            let mut args = vec![
+                "sweep", workload, "--size", "test", "--config", "xeon", "--jobs", "1",
+                "--checkpoint-every", "2000", "--archive", archive.to_str().unwrap(),
+            ];
+            args.extend(extra);
+            optiwise(&args)
+        };
+        let out = sweep(&a, &["--inject", "kill-after=8000"]);
+        assert_eq!(out.status.code(), Some(9), "{workload}: {out:?}");
+        let root = a.to_str().unwrap();
+        let out = optiwise(&["resume", root, "--archive", root, "--out", "/dev/null"]);
+        assert!(out.status.success(), "{workload}: {out:?}");
+        let resumed = sweep(&a, &[]);
+        assert!(resumed.status.success(), "{workload}: {resumed:?}");
+        let fresh = sweep(&b, &[]);
+        assert!(fresh.status.success(), "{workload}: {fresh:?}");
+
+        assert_eq!(resumed.stdout, fresh.stdout, "{workload}: sweep report diverged");
+        let run = |archive: &std::path::Path, id: u64| {
+            std::fs::read(archive.join("runs").join(format!("run-{id:06}.owp")))
+        };
+        assert_eq!(run(&a, 1).unwrap(), run(&b, 1).unwrap(), "{workload}: run differs");
+        assert!(run(&a, 2).is_err(), "{workload}: the sweep profiled the resumed cell again");
+    }
+    let _ = std::fs::remove_dir_all(&base);
 }

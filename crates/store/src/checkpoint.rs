@@ -23,10 +23,11 @@
 //! of the workload is refused, because the restored pass would describe
 //! code the replayed pass never ran.
 //!
-//! The spec records every configuration field that affects a run's output
-//! except the fault-injection plan: fault injection is a test instrument,
-//! and a resume continues the *real* run. Tests that need faults on the
-//! resumed leg pass them explicitly.
+//! The spec records every configuration field that affects a run's output,
+//! the label of its stored profile included, except the fault-injection
+//! plan: fault injection is a test instrument, and a resume continues the
+//! *real* run. Tests that need faults on the resumed leg pass them
+//! explicitly.
 
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -55,8 +56,13 @@ pub struct CheckpointSpec {
     /// Fingerprint of the workload's module set
     /// (`optiwise::module_fingerprint`).
     pub module_hash: u64,
-    /// Workload name (`optiwise list`).
+    /// Program name: a workload from `optiwise list`, or `generated`
+    /// (built from `rand_seed`).
     pub workload: String,
+    /// META label of the finished run's stored profile: the workload name,
+    /// or a sweep cell's label. Encoded as the last optional tail; older
+    /// images decode it as `workload`.
+    pub label: String,
     /// Input size name (`test`/`train`/`ref`).
     pub size: String,
     /// Core model name (see `wiser_sim::ARCH_NAMES`).
@@ -103,7 +109,8 @@ impl CheckpointSpec {
     /// The spec of a run of `workload` at input `size` under `config`, on
     /// the core model named `arch` with `overrides` applied: the inverse of
     /// [`CheckpointSpec::to_config`]. `module_hash` is the
-    /// `optiwise::module_fingerprint` of the build being profiled.
+    /// `optiwise::module_fingerprint` of the build being profiled; the
+    /// stored profile is labelled `workload`.
     pub fn from_config(
         module_hash: u64,
         workload: &str,
@@ -129,6 +136,7 @@ impl CheckpointSpec {
         CheckpointSpec {
             module_hash,
             workload: workload.to_string(),
+            label: workload.to_string(),
             size: size.to_string(),
             arch: arch.to_string(),
             overrides: overrides.to_vec(),
@@ -386,8 +394,9 @@ fn encode_ckpt(c: &Checkpoint) -> Vec<u8> {
     w.u64(c.sample_pos);
     w.u64(c.counts_pos);
     // Optional tails (newer than the base format), each gated on the
-    // bytes left by the decoder: the uarch overrides, then the selective
-    // instrumentation and counter placement. Older images end before them.
+    // bytes left by the decoder: the uarch overrides, the selective
+    // instrumentation and counter placement, then the stored profile's
+    // label. Older images end before them.
     w.u64(s.overrides.len() as u64);
     for (key, value) in &s.overrides {
         w.string(key);
@@ -396,6 +405,7 @@ fn encode_ckpt(c: &Checkpoint) -> Vec<u8> {
     w.u8(s.selective as u8);
     w.u64(s.hot_threshold.to_bits());
     w.u8(s.exhaustive_counters as u8);
+    w.string(&s.label);
     w.into_bytes()
 }
 
@@ -459,10 +469,16 @@ fn decode_ckpt(r: &mut ByteReader<'_>) -> Result<(CheckpointSpec, u64, u64), Sto
     } else {
         (false, DEFAULT_HOT_THRESHOLD, false)
     };
+    let label = if r.remaining() > 0 {
+        r.string("label")?
+    } else {
+        workload.clone()
+    };
     Ok((
         CheckpointSpec {
             module_hash,
             workload,
+            label,
             size,
             arch,
             overrides,
@@ -632,6 +648,7 @@ mod tests {
         CheckpointSpec {
             module_hash: 0xfeed_beef_cafe_0001,
             workload: "counted_loop".into(),
+            label: "counted_loop-s7-xeon:rob_size=96".into(),
             size: "test".into(),
             arch: "xeon".into(),
             overrides: vec![("rob_size".into(), "96".into())],
@@ -697,35 +714,43 @@ mod tests {
     fn pre_override_images_decode_with_empty_overrides() {
         // An image written before the optional tails existed ends right
         // after counts_pos; one written before the selective tail ends
-        // after the overrides. Both decode, not error, with the missing
-        // fields at their defaults.
+        // after the overrides, one written before the label tail after the
+        // selective tail. All decode, not error, with the missing fields at
+        // their defaults and the label at the workload name.
         let mut c = Checkpoint::fresh(spec());
         c.spec.overrides.clear();
         let full = encode_ckpt(&c);
+        let unlabelled = CheckpointSpec {
+            label: c.spec.workload.clone(),
+            ..c.spec.clone()
+        };
         let legacy = CheckpointSpec {
             selective: false,
             hot_threshold: DEFAULT_HOT_THRESHOLD,
             exhaustive_counters: false,
-            ..c.spec.clone()
+            ..unlabelled.clone()
         };
-        // The selective tail is 10 bytes, the empty overrides tail 8.
-        for cut in [10, 18] {
+        // The label tail is a u32 length and the label's bytes, the
+        // selective tail 10 bytes, the empty overrides tail 8.
+        let label = 4 + c.spec.label.len();
+        for (cut, want) in [(label, &unlabelled), (label + 10, &legacy), (label + 18, &legacy)] {
             let image = write_store(&[(TAG_CKPT, full[..full.len() - cut].to_vec())]);
-            assert_eq!(Checkpoint::from_bytes(&image).unwrap().spec, legacy, "cut {cut}");
+            assert_eq!(&Checkpoint::from_bytes(&image).unwrap().spec, want, "cut {cut}");
         }
     }
 
     #[test]
     fn hostile_selective_tails_are_rejected() {
         let full = encode_ckpt(&Checkpoint::fresh(spec()));
-        let tail = full.len() - 10; // selective flag, threshold, exhaustive flag
+        // Selective flag, threshold, exhaustive flag, then the label tail.
+        let tail = full.len() - 10 - (4 + spec().label.len());
         let mut bad_images = Vec::new();
         for threshold in [f64::NAN, f64::INFINITY, -0.5, 1.5] {
             let mut bytes = full.clone();
             bytes[tail + 1..tail + 9].copy_from_slice(&threshold.to_bits().to_le_bytes());
             bad_images.push((bytes, "hot_threshold"));
         }
-        for (at, what) in [(tail, "selective"), (full.len() - 1, "exhaustive_counters")] {
+        for (at, what) in [(tail, "selective"), (tail + 9, "exhaustive_counters")] {
             let mut bytes = full.clone();
             bytes[at] = 2;
             bad_images.push((bytes, what));
@@ -817,7 +842,11 @@ mod tests {
             &cfg,
             s.checkpoint_every,
         );
-        assert_eq!(back, s);
+        let unlabelled = CheckpointSpec {
+            label: s.workload.clone(),
+            ..s.clone()
+        };
+        assert_eq!(back, unlabelled, "from_config labels the profile with the workload");
         let c = OptiwiseConfig {
             core: s.core_config().unwrap(),
             sampler: SamplerConfig {

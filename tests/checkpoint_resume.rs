@@ -36,6 +36,7 @@ fn spec(modules: &[wiser_isa::Module]) -> CheckpointSpec {
     CheckpointSpec {
         module_hash: module_fingerprint(modules),
         workload: WORKLOAD.into(),
+        label: WORKLOAD.into(),
         size: "test".into(),
         arch: "xeon".into(),
         overrides: Vec::new(),
