@@ -58,7 +58,7 @@
 //! or cancelled (SIGINT and SIGTERM both land here), 9 injected crash,
 //! 10 join-bug discrepancies found by `selfcheck`, 11 archive damage
 //! repaired by `fsck`, 12 archive unrepairable, 13 fuzz invariant
-//! violation, 1 usage/io/other.
+//! violation, 14 timing model stuck, 1 usage/io/other.
 
 pub mod daemon;
 mod fuzz;
@@ -2059,7 +2059,8 @@ exit codes:
   0 ok   2 load/disasm   3 exec fault   4 truncated   5 divergence
   6 parse error   7 regression   8 deadline/cancelled (SIGINT or SIGTERM)
   9 injected crash   10 selfcheck join bug   11 archive repaired by fsck
-  12 archive unrepairable   13 fuzz invariant violation   1 usage/other
+  12 archive unrepairable   13 fuzz invariant violation
+  14 timing model stuck   1 usage/other
 ";
 
 /// The `optiwise` binary's entry point (`src/main.rs` is a one-liner into

@@ -191,6 +191,16 @@ pub enum OptiwiseError {
         /// `surface:seed` reproducers, one per violating case (bounded).
         cases: Vec<String>,
     },
+    /// The timing model could not go on: no progress for its deadlock
+    /// window, or a record it cannot time. Reachable only through a core
+    /// configuration `CoreConfig::validate` would reject, or a corrupt
+    /// record stream; a failed job, not a crashed worker.
+    ModelStuck {
+        /// Cycle at which the model gave up.
+        cycle: u64,
+        /// What stopped it.
+        message: String,
+    },
     /// A daemon (`optiwised`) job failed remotely. The daemon reports the
     /// failing job's own exit code over the wire; the client reproduces it
     /// so `optiwise submit` exits exactly as running the job locally would.
@@ -216,8 +226,8 @@ impl OptiwiseError {
     /// failing on them was requested, 8 = deadline exceeded or run
     /// cancelled, 9 = injected crash kill, 10 = self-check join bug,
     /// 11 = archive damaged but repaired by `fsck`, 12 = archive
-    /// unrepairable, 13 = fuzz invariant violation, 1 = everything else
-    /// (usage, I/O).
+    /// unrepairable, 13 = fuzz invariant violation, 14 = timing model
+    /// stuck, 1 = everything else (usage, I/O).
     pub fn exit_code(&self) -> u8 {
         match self {
             OptiwiseError::Load(_) | OptiwiseError::Disasm { .. } => 2,
@@ -232,6 +242,7 @@ impl OptiwiseError {
             OptiwiseError::ArchiveRepaired { .. } => 11,
             OptiwiseError::ArchiveUnrepairable { .. } => 12,
             OptiwiseError::FuzzViolation { .. } => 13,
+            OptiwiseError::ModelStuck { .. } => 14,
             // Forwarded verbatim: the remote job already classified itself.
             OptiwiseError::Daemon { exit, .. } => *exit,
             OptiwiseError::Usage(_) | OptiwiseError::Io(_) | OptiwiseError::Internal(_) => 1,
@@ -314,6 +325,9 @@ impl fmt::Display for OptiwiseError {
                     cases.join(", ")
                 )
             }
+            OptiwiseError::ModelStuck { cycle, message } => {
+                write!(f, "timing model stuck at cycle {cycle}: {message}")
+            }
             OptiwiseError::Daemon { message, exit } => {
                 write!(f, "daemon job failed (exit {exit}): {message}")
             }
@@ -339,6 +353,7 @@ impl From<SimError> for OptiwiseError {
             SimError::Exec { pc, message } => OptiwiseError::Exec { pc, message },
             SimError::InsnLimit(n) => OptiwiseError::InsnLimit(n),
             SimError::Killed(n) => OptiwiseError::Killed { retired: n },
+            SimError::ModelStuck { cycle, message } => OptiwiseError::ModelStuck { cycle, message },
         }
     }
 }
@@ -436,6 +451,13 @@ mod tests {
                 13,
             ),
             (
+                OptiwiseError::ModelStuck {
+                    cycle: 5_000_000,
+                    message: "no progress".into(),
+                },
+                14,
+            ),
+            (
                 OptiwiseError::Daemon {
                     message: "run divergence".into(),
                     exit: 5,
@@ -469,5 +491,10 @@ mod tests {
             OptiwiseError::Load("bad".into())
         );
         assert_eq!(OptiwiseError::from(SimError::InsnLimit(9)).exit_code(), 4);
+        let stuck = SimError::ModelStuck {
+            cycle: 7,
+            message: "m".into(),
+        };
+        assert_eq!(OptiwiseError::from(stuck).exit_code(), 14);
     }
 }

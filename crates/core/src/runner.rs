@@ -562,7 +562,8 @@ pub fn run_optiwise_ctl(
 ///
 /// # Errors
 ///
-/// Load failures and [`OptiwiseError::Killed`] for an injected crash.
+/// Load failures, [`OptiwiseError::Killed`] for an injected crash and
+/// [`OptiwiseError::ModelStuck`] when the timing model cannot go on.
 pub fn sampling_pass(
     modules: &[Module],
     config: &OptiwiseConfig,
@@ -748,6 +749,29 @@ mod tests {
             }
         ));
         assert_eq!(err.exit_code(), 4);
+    }
+
+    #[test]
+    fn stuck_timing_model_fails_the_pass_with_its_own_exit_code() {
+        // A syscall latency past the core's 5M-cycle deadlock window; only a
+        // config built without `CoreConfig::validate` holds one, and
+        // `run_optiwise` rejects it before either pass runs.
+        let core = CoreConfig {
+            syscall_latency: 6_000_000,
+            ..CoreConfig::tiny()
+        };
+        let cfg = OptiwiseConfig {
+            core,
+            ..OptiwiseConfig::default()
+        };
+        let rejected = run_optiwise(&[counted_loop()], &cfg).err();
+        assert!(matches!(rejected, Some(OptiwiseError::Usage(_))));
+        let err = match sampling_pass(&[counted_loop()], &cfg, &RunControl::default()) {
+            Err(e) => e,
+            Ok(_) => panic!("a stuck timing model should fail the pass"),
+        };
+        assert!(matches!(err, OptiwiseError::ModelStuck { .. }), "{err}");
+        assert_eq!(err.exit_code(), 14);
     }
 
     #[test]

@@ -24,6 +24,15 @@ pub enum SimError {
     /// graceful truncation, no partial profile — the pass simply dies, and
     /// only previously persisted checkpoints survive.
     Killed(u64),
+    /// The timing model cannot go on: it made no progress for the deadlock
+    /// window (5M cycles; only a latency no validated `CoreConfig` allows
+    /// gets there), or it was handed a memory access without an address.
+    ModelStuck {
+        /// Cycle at which the model gave up.
+        cycle: u64,
+        /// What stopped it.
+        message: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -36,6 +45,9 @@ impl fmt::Display for SimError {
             }
             SimError::Killed(n) => {
                 write!(f, "injected crash killed the pass after {n} instructions")
+            }
+            SimError::ModelStuck { cycle, message } => {
+                write!(f, "timing model stuck at cycle {cycle}: {message}")
             }
         }
     }

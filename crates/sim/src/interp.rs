@@ -211,6 +211,7 @@ impl Interp {
     ///
     /// Returns [`SimError::Exec`] for fetches outside mapped code or other
     /// execution faults.
+    #[inline(always)]
     pub fn step(&mut self) -> Result<Step, SimError> {
         if let Some(code) = self.exited {
             return Ok(Step::Exited(code));

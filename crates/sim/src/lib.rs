@@ -32,7 +32,7 @@ pub use timed::{run_timed, run_timed_partial_ctl, TimedRun};
 pub use wiser_par::{CancelCause, CancelToken};
 pub use uarch::{
     BpredConfig, BpredStats, CacheConfig, CacheStats, CommitMode, ConfigError, ConfigErrorKind,
-    CoreConfig, CoreStats, MemHierConfig, NoProbes, OoOCore, ProbePoint, Prober, ARCH_NAMES,
-    MAX_LATENCY,
+    CoreConfig, CoreStats, CoreWork, MemHierConfig, NoProbes, OoOCore, ProbePoint, Prober,
+    ARCH_NAMES, MAX_LATENCY,
 };
 pub use trace::{BranchOutcome, ExecRecord, FlowEvent};

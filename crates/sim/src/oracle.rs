@@ -133,8 +133,9 @@ impl Prober for OracleProber {
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] only for loader-class failures; execution faults and
-/// budget exhaustion surface as [`OracleProfile::truncated`].
+/// Returns [`SimError`] only for loader-class failures and a stuck timing
+/// model ([`SimError::ModelStuck`]); execution faults and budget exhaustion
+/// surface as [`OracleProfile::truncated`].
 pub fn run_oracle(
     image: &ProcessImage,
     rand_seed: u64,
@@ -181,7 +182,7 @@ pub fn run_oracle(
             }
         },
         &mut prober,
-    );
+    )?;
 
     let truncated = match error {
         Some(SimError::Exec { pc, message }) => Some(TruncationReason::ExecFault { pc, message }),

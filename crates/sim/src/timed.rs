@@ -29,8 +29,9 @@ pub struct TimedRun {
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] for execution faults or when `max_insns` is
-/// exhausted before the program exits.
+/// Returns [`SimError`] for execution faults, when `max_insns` is
+/// exhausted before the program exits, or when the timing model is stuck
+/// ([`SimError::ModelStuck`]).
 ///
 /// # Examples
 ///
@@ -94,10 +95,11 @@ pub fn run_timed<P: Prober>(
 ///
 /// # Errors
 ///
-/// [`SimError::Load`]-class failures from constructing the interpreter, and
-/// [`SimError::Killed`] for the injected crash. Execution faults, budget
-/// exhaustion and cancellation are *not* errors here — they surface as a
-/// [`TruncationReason`] alongside the partial run.
+/// [`SimError::Load`]-class failures from constructing the interpreter,
+/// [`SimError::Killed`] for the injected crash, and
+/// [`SimError::ModelStuck`] when the timing model cannot go on. Execution
+/// faults, budget exhaustion and cancellation are *not* errors here — they
+/// surface as a [`TruncationReason`] alongside the partial run.
 pub fn run_timed_partial_ctl<P: Prober>(
     image: &ProcessImage,
     rand_seed: u64,
@@ -154,6 +156,7 @@ pub fn run_timed_partial_ctl<P: Prober>(
         // Crash semantics: no partial profile, no graceful truncation.
         return Err(SimError::Killed(n));
     }
+    let stats = stats?;
     let truncated = match error {
         Some(SimError::Exec { pc, message }) => Some(TruncationReason::ExecFault { pc, message }),
         Some(SimError::InsnLimit(n)) => Some(TruncationReason::InsnLimit(n)),
@@ -247,5 +250,27 @@ mod tests {
             run_timed_partial_ctl(&image, 0, tiny, &mut NoProbes, 1000, fault, None).unwrap();
         assert_eq!(truncated, None);
         assert_eq!(run.exit_code, Some(0));
+    }
+
+    #[test]
+    fn stuck_model_is_a_typed_error() {
+        // A syscall latency past the 5M-cycle deadlock window, which only a
+        // config that skipped `CoreConfig::validate` can hold.
+        let m = assemble(
+            "t",
+            ".func _start global\nli x0, 0\nsyscall\n.endfunc\n.entry _start",
+        )
+        .unwrap();
+        let image = ProcessImage::load_single(&m).unwrap();
+        let stuck = CoreConfig {
+            syscall_latency: 6_000_000,
+            ..CoreConfig::tiny()
+        };
+        assert!(stuck.validate().is_err());
+        let err = run_timed(&image, 0, stuck, &mut NoProbes, 1000);
+        assert!(
+            matches!(err, Err(SimError::ModelStuck { cycle, .. }) if cycle >= 5_000_000),
+            "{err:?}"
+        );
     }
 }

@@ -12,6 +12,7 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use wiser_isa::{AluOp, FpOp, Insn};
 
+use crate::error::SimError;
 use crate::trace::{ExecRecord, FlowEvent};
 use crate::uarch::bpred::{BpredStats, BranchPredictor};
 use crate::uarch::cache::{CacheStats, Hierarchy};
@@ -112,6 +113,20 @@ pub struct CoreStats {
     pub iq_full_stalls: u64,
 }
 
+/// Work the scheduler did in one run: deterministic, independent of the
+/// host, and kept out of [`CoreStats`] because it describes the simulator,
+/// not the simulated core.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CoreWork {
+    /// Cycles in which something commits, issues, dispatches or fetches
+    /// (or the front end or slab changes).
+    pub active_cycles: u64,
+    /// Cycles the idle-cycle skip jumped over without simulating them.
+    pub skipped_cycles: u64,
+    /// Issue candidates the issue stage examined, issued or refused.
+    pub issue_candidates: u64,
+}
+
 impl CoreStats {
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
@@ -157,6 +172,15 @@ impl FuClass {
         FuClass::Store,
         FuClass::Syscall,
     ];
+
+    /// The divider pool (0 integer, 1 FP) of a non-pipelined class.
+    fn pool(self) -> Option<usize> {
+        match self {
+            FuClass::IntDiv => Some(0),
+            FuClass::FpDiv => Some(1),
+            _ => None,
+        }
+    }
 }
 
 struct Uses {
@@ -309,10 +333,49 @@ fn issue_key(seq: u64, fu: FuClass) -> u64 {
     seq << 3 | fu as u64
 }
 
-/// Inserts `key` into the age-ordered ready list.
-fn insert_by_age(ready: &mut Vec<u64>, key: u64) {
-    let at = ready.partition_point(|&k| k < key);
-    ready.insert(at, key);
+/// Inserts `key` into an age-ordered candidate list.
+fn insert_by_age(list: &mut Vec<u64>, key: u64) {
+    let at = list.partition_point(|&k| k < key);
+    list.insert(at, key);
+}
+
+/// The list an issue candidate waits in: its pool's parked list for a
+/// non-pipelined class, `ready` for the rest.
+fn list_of<'a>(
+    ready: &'a mut Vec<u64>,
+    parked: &'a mut [Vec<u64>; 2],
+    key: u64,
+) -> &'a mut Vec<u64> {
+    match FuClass::ALL[(key & 7) as usize].pool() {
+        Some(d) => &mut parked[d],
+        None => ready,
+    }
+}
+
+/// The oldest parked candidate whose pool has a free unit, with its pool
+/// and that unit; `taken[d]` of pool `d`'s list have issued this cycle.
+fn open_head(
+    parked: &[Vec<u64>; 2],
+    taken: [usize; 2],
+    free_unit: [Option<usize>; 2],
+) -> Option<(u64, (usize, usize))> {
+    (0..2)
+        .filter_map(|d| Some((*parked[d].get(taken[d])?, (d, free_unit[d]?))))
+        .min_by_key(|&(key, _)| key)
+}
+
+/// Units each class may issue to per cycle from `ready`. The non-pipelined
+/// classes get none: they wait in their parked lists, never in `ready`.
+fn ready_units(cfg: &CoreConfig) -> [u32; 8] {
+    FuClass::ALL.map(|fu| match fu {
+        FuClass::IntAlu => cfg.int_alu_units,
+        FuClass::IntMul => cfg.int_mul_units,
+        FuClass::Fp => cfg.fp_units,
+        FuClass::Load => cfg.load_ports,
+        FuClass::Store => cfg.store_ports,
+        FuClass::Syscall => u32::MAX,
+        FuClass::IntDiv | FuClass::FpDiv => 0,
+    })
 }
 
 /// The out-of-order core. Create one per run.
@@ -320,6 +383,7 @@ pub struct OoOCore {
     cfg: CoreConfig,
     hier: Hierarchy,
     bpred: BranchPredictor,
+    work: CoreWork,
 }
 
 impl OoOCore {
@@ -329,7 +393,13 @@ impl OoOCore {
             hier: Hierarchy::new(&cfg.mem),
             bpred: BranchPredictor::new(&cfg.bpred),
             cfg,
+            work: CoreWork::default(),
         }
+    }
+
+    /// The scheduler's work counters of the last [`OoOCore::run`].
+    pub fn work(&self) -> CoreWork {
+        self.work
     }
 
     /// Replays a retired-instruction stream through the pipeline.
@@ -343,7 +413,12 @@ impl OoOCore {
     /// consumer lists), and after a cycle in which nothing happened the
     /// clock jumps to the next cycle at which something can (see the
     /// [`Prober`] contract and DESIGN.md's timing-model section).
-    pub fn run<F, P>(&mut self, mut next_rec: F, prober: &mut P) -> CoreStats
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::ModelStuck`] when the model makes no progress for 5M
+    /// cycles, or when a load or store record carries no address.
+    pub fn run<F, P>(&mut self, mut next_rec: F, prober: &mut P) -> Result<CoreStats, SimError>
     where
         F: FnMut() -> Option<ExecRecord>,
         P: Prober,
@@ -359,8 +434,11 @@ impl OoOCore {
         // Dispatched, not yet issued (issue-queue occupancy).
         let mut iq_len = 0usize;
         // Issue keys of the candidates whose operands are available, oldest
-        // first.
+        // first: the non-pipelined classes parked per divider pool (integer,
+        // FP), the rest in `ready`.
         let mut ready: Vec<u64> = Vec::with_capacity(cfg.iq_size);
+        let mut parked: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+        let units = ready_units(&cfg);
         // Woken this cycle, ready next cycle.
         let mut wake_next: Vec<u64> = Vec::with_capacity(cfg.iq_size);
         // Woken, ready at a later cycle: (ready_at, issue key).
@@ -371,9 +449,11 @@ impl OoOCore {
         let mut last_writer: [u64; 24] = [NO_PRODUCER; 24];
         let mut last_store_blk: HashMap<u64, u64> = HashMap::new();
 
-        // Non-pipelined units: busy-until cycles.
-        let mut div_busy: Vec<u64> = vec![0; cfg.int_div_units as usize];
-        let mut fpdiv_busy: Vec<u64> = vec![0; cfg.fp_div_units as usize];
+        // Non-pipelined units per divider pool: busy-until cycles.
+        let mut div_busy: [Vec<u64>; 2] = [
+            vec![0; cfg.int_div_units as usize],
+            vec![0; cfg.fp_div_units as usize],
+        ];
         // Outstanding cache misses (completion cycles); bounds MLP.
         let mut mshr_busy: Vec<u64> = Vec::with_capacity(cfg.mshrs as usize);
 
@@ -384,6 +464,7 @@ impl OoOCore {
 
         let mut cycle: u64 = 0;
         let mut last_progress = 0u64;
+        let mut work = CoreWork::default();
 
         // Fetch buffer bound: fetch stops when this many instructions are
         // waiting to dispatch (decoupling queue).
@@ -436,109 +517,97 @@ impl OoOCore {
 
             // ---- issue -------------------------------------------------------
             for key in wake_next.drain(..) {
-                insert_by_age(&mut ready, key);
+                insert_by_age(list_of(&mut ready, &mut parked, key), key);
             }
             while let Some(&Reverse((at, key))) = wake_later.peek() {
                 if at > cycle {
                     break;
                 }
                 wake_later.pop();
-                insert_by_age(&mut ready, key);
+                insert_by_age(list_of(&mut ready, &mut parked, key), key);
             }
-            if !ready.is_empty() {
+            if !ready.is_empty() || parked.iter().any(|p| !p.is_empty()) {
                 mshr_busy.retain(|&done| done > cycle);
-                let mut alu_used = 0u32;
-                let mut mul_used = 0u32;
-                let mut fp_used = 0u32;
-                let mut load_used = 0u32;
-                let mut store_used = 0u32;
+                let mut used = [0u32; 8];
                 let mut issued_budget = cfg.issue_width;
                 let mut kept = 0;
                 let mut i = 0;
-                while i < ready.len() && issued_budget > 0 {
-                    let key = ready[i];
-                    i += 1;
-                    // Check functional-unit availability. Memory operations
-                    // also need a free MSHR if they are about to miss.
-                    let fu = FuClass::ALL[(key & 7) as usize];
-                    let unit_free = match fu {
-                        FuClass::IntAlu => alu_used < cfg.int_alu_units,
-                        FuClass::IntMul => mul_used < cfg.int_mul_units,
-                        FuClass::Fp => fp_used < cfg.fp_units,
-                        FuClass::Load => load_used < cfg.load_ports,
-                        FuClass::Store => store_used < cfg.store_ports,
-                        FuClass::IntDiv => div_busy.iter().any(|&b| b <= cycle),
-                        FuClass::FpDiv => fpdiv_busy.iter().any(|&b| b <= cycle),
-                        FuClass::Syscall => true,
+                // Per divider pool: parked candidates issued this cycle, and a
+                // free unit while one is left. A pool only gets busier within
+                // a cycle, so once none is free every parked candidate of it
+                // would be refused, without side effect, and the walk leaves
+                // them unread. The rest of the walk merges by age, so it meets
+                // candidates in the order of one age-ordered list.
+                let mut taken = [0usize; 2];
+                let free = |busy: &[u64]| busy.iter().position(|&b| b <= cycle);
+                let mut free_unit = [0, 1].map(|d| match parked[d].is_empty() {
+                    true => None,
+                    false => free(&div_busy[d]),
+                });
+                let mut head = open_head(&parked, taken, free_unit);
+                while issued_budget > 0 {
+                    // The oldest candidate that may issue: the next in `ready`
+                    // or the oldest parked head whose pool has a free unit.
+                    let ready_key = ready.get(i).copied().unwrap_or(u64::MAX);
+                    let (key, pool) = match head {
+                        Some((parked_key, pool)) if parked_key < ready_key => (parked_key, Some(pool)),
+                        _ if ready_key == u64::MAX => break,
+                        _ => (ready_key, None),
                     };
+                    work.issue_candidates += 1;
                     let idx = ((key >> 3) - base_seq) as usize;
-                    let would_miss = unit_free
-                        && matches!(fu, FuClass::Load | FuClass::Store)
-                        && !slab[idx].is_prefetch
-                        && slab[idx].mem_addr.is_some_and(|a| !self.hier.l1d.probe(a));
-                    if !unit_free || (would_miss && mshr_busy.len() >= cfg.mshrs as usize) {
-                        ready[kept] = key;
-                        kept += 1;
-                        continue;
-                    }
-                    // Issue it.
-                    let e = &mut slab[idx];
-                    let latency = match fu {
-                        FuClass::IntAlu => {
-                            alu_used += 1;
-                            e.base_latency
+                    let latency = if let Some((d, unit)) = pool {
+                        taken[d] += 1;
+                        let latency = slab[idx].base_latency;
+                        div_busy[d][unit] = cycle + latency;
+                        free_unit[d] = free(&div_busy[d]);
+                        head = open_head(&parked, taken, free_unit);
+                        latency
+                    } else {
+                        i += 1;
+                        // Check functional-unit availability. Memory operations
+                        // also need a free MSHR if they are about to miss.
+                        let fu = FuClass::ALL[(key & 7) as usize];
+                        let unit_free = used[fu as usize] < units[fu as usize];
+                        let would_miss = unit_free
+                            && matches!(fu, FuClass::Load | FuClass::Store)
+                            && !slab[idx].is_prefetch
+                            && slab[idx].mem_addr.is_some_and(|a| !self.hier.l1d.probe(a));
+                        if !unit_free || (would_miss && mshr_busy.len() >= cfg.mshrs as usize) {
+                            ready[kept] = key;
+                            kept += 1;
+                            continue;
                         }
-                        FuClass::IntMul => {
-                            mul_used += 1;
-                            e.base_latency
-                        }
-                        FuClass::Fp => {
-                            fp_used += 1;
-                            e.base_latency
-                        }
-                        FuClass::Load => {
-                            load_used += 1;
-                            if e.is_prefetch {
-                                if let Some(a) = e.mem_addr {
-                                    self.hier.access_data(a);
-                                }
-                                1
-                            } else {
-                                let a = e.mem_addr.expect("load without address");
+                        used[fu as usize] += 1;
+                        let e = &slab[idx];
+                        let is_mem = matches!(fu, FuClass::Load | FuClass::Store) && !e.is_prefetch;
+                        match (is_mem, e.mem_addr) {
+                            (true, Some(a)) => {
                                 let lat = self.hier.access_data(a);
                                 if would_miss {
                                     mshr_busy.push(cycle + lat);
                                 }
                                 lat
                             }
-                        }
-                        FuClass::Store => {
-                            store_used += 1;
-                            let a = e.mem_addr.expect("store without address");
-                            let lat = self.hier.access_data(a);
-                            if would_miss {
-                                mshr_busy.push(cycle + lat);
+                            (true, None) => {
+                                self.work = work;
+                                return Err(SimError::ModelStuck {
+                                    cycle,
+                                    message: format!(
+                                        "load or store at {:#x} has no effective address",
+                                        e.addr
+                                    ),
+                                });
                             }
-                            lat
+                            (false, Some(a)) if e.is_prefetch => {
+                                self.hier.access_data(a);
+                                e.base_latency
+                            }
+                            (false, _) => e.base_latency,
                         }
-                        FuClass::IntDiv => {
-                            let unit = div_busy
-                                .iter_mut()
-                                .find(|b| **b <= cycle)
-                                .expect("checked free divider");
-                            *unit = cycle + e.base_latency;
-                            e.base_latency
-                        }
-                        FuClass::FpDiv => {
-                            let unit = fpdiv_busy
-                                .iter_mut()
-                                .find(|b| **b <= cycle)
-                                .expect("checked free fp divider");
-                            *unit = cycle + e.base_latency;
-                            e.base_latency
-                        }
-                        FuClass::Syscall => e.base_latency,
                     };
+                    // Issue it.
+                    let e = &mut slab[idx];
                     let done = cycle + latency.max(1);
                     e.done_cycle = done;
                     issued_budget -= 1;
@@ -562,10 +631,18 @@ impl OoOCore {
                         }
                     }
                 }
+                for (list, n) in parked.iter_mut().zip(taken) {
+                    // Each pool issues a prefix of its list.
+                    if n > 0 {
+                        list.drain(..n);
+                    }
+                }
                 if kept < i {
                     // Close the gaps the issued entries left.
                     ready.copy_within(i.., kept);
                     ready.truncate(ready.len() - (i - kept));
+                }
+                if issued_budget < cfg.issue_width {
                     active = true;
                     last_progress = cycle;
                 }
@@ -618,7 +695,7 @@ impl OoOCore {
                     let key = issue_key(seq, e.fu);
                     if ready_at <= cycle + 1 {
                         // The youngest in the queue: appending keeps age order.
-                        ready.push(key);
+                        list_of(&mut ready, &mut parked, key).push(key);
                     } else {
                         wake_later.push(Reverse((ready_at, key)));
                     }
@@ -762,11 +839,15 @@ impl OoOCore {
             if lookahead.is_none() && slab.is_empty() {
                 break;
             }
-            assert!(
-                cycle - last_progress < DEADLOCK_CYCLES,
-                "timing model made no progress for 5M cycles (deadlock at cycle {cycle})"
-            );
+            if cycle - last_progress >= DEADLOCK_CYCLES {
+                self.work = work;
+                return Err(SimError::ModelStuck {
+                    cycle,
+                    message: format!("no progress for {DEADLOCK_CYCLES} cycles"),
+                });
+            }
             if active {
+                work.active_cycles += 1;
                 cycle += 1;
                 continue;
             }
@@ -805,14 +886,19 @@ impl OoOCore {
                 event_at(slab[(dispatched - base_seq) as usize].ready_at);
             }
             event_at(fetch_stall_until);
-            if !ready.is_empty() {
-                // Ready but refused a unit: a divider or an MSHR must free.
-                for &free_at in div_busy.iter().chain(&fpdiv_busy).chain(&mshr_busy) {
-                    event_at(free_at);
+            // Parked but not issued: a unit of its pool must free.
+            for (list, busy) in parked.iter().zip(&div_busy) {
+                if !list.is_empty() {
+                    busy.iter().for_each(|&free_at| event_at(free_at));
                 }
+            }
+            if !ready.is_empty() {
+                // Ready but refused, with every unit free: an MSHR must free.
+                mshr_busy.iter().for_each(|&free_at| event_at(free_at));
             }
             // Every skipped cycle would have counted this cycle's stall.
             let skipped = next - cycle - 1;
+            work.skipped_cycles += skipped;
             if rob_stall {
                 stats.rob_full_stalls += skipped;
             }
@@ -828,7 +914,8 @@ impl OoOCore {
         stats.l1d = self.hier.l1d.stats;
         stats.l2 = self.hier.l2.stats;
         stats.l3 = self.hier.l3.stats;
-        stats
+        self.work = work;
+        Ok(stats)
     }
 }
 
@@ -845,17 +932,19 @@ mod tests {
         let mut interp = Interp::new(&image, 0).unwrap();
         let mut core = OoOCore::new(cfg);
         let mut err = None;
-        let stats = core.run(
-            || match interp.step() {
-                Ok(Step::Retired(rec)) => Some(rec),
-                Ok(Step::Exited(_)) => None,
-                Err(e) => {
-                    err = Some(e);
-                    None
-                }
-            },
-            &mut NoProbes,
-        );
+        let stats = core
+            .run(
+                || match interp.step() {
+                    Ok(Step::Retired(rec)) => Some(rec),
+                    Ok(Step::Exited(_)) => None,
+                    Err(e) => {
+                        err = Some(e);
+                        None
+                    }
+                },
+                &mut NoProbes,
+            )
+            .unwrap();
         assert!(err.is_none(), "{err:?}");
         stats
     }
@@ -1050,7 +1139,8 @@ mod tests {
                 _ => None,
             },
             &mut probes,
-        );
+        )
+        .unwrap();
         assert!(probes.seen.iter().any(|s| s.is_some()));
     }
 
@@ -1099,7 +1189,8 @@ mod tests {
                     _ => None,
                 },
                 &mut probes,
-            );
+            )
+            .unwrap();
             probes.heads
         };
 
@@ -1139,5 +1230,111 @@ mod tests {
              divide, got +{} insns",
             (early_peak_addr - udiv_addr) / 8
         );
+    }
+    /// Both dividers kept busy by a loop of `udiv`, `fdiv` and `fsqrt` with
+    /// younger ALU ops and loads issuing past them (and both pools freeing in
+    /// the same cycle now and then), then a loop in which a load wakes five
+    /// ALU ops and a `udiv` at once, so the issue width runs out before the
+    /// free integer divider's candidate.
+    const DIVIDER_MIX: &str = r#"
+        .func _start global
+            li x0, 4
+            li x1, 4096
+            syscall
+            mov x7, x0
+            li x8, 400
+            li x6, 7
+            fcvtif f1, x6
+            fcvtif f2, x8
+        loop:
+            udiv x1, x8, x6
+            fdiv f3, f2, f1
+            fsqrt f4, f2
+            addi x2, x2, 1
+            addi x3, x3, 3
+            andi x2, x2, 511
+            ldx.8 x13, [x7+x2*8]
+            fdiv f5, f4, f1
+            add x4, x13, x2
+            add x5, x13, x3
+            xor x10, x13, x8
+            sub x12, x13, x6
+            or x14, x13, x2
+            udiv x0, x13, x6
+            fdiv f6, f3, f2
+            addi x4, x4, 1
+            addi x5, x5, 1
+            subi x8, x8, 1
+            li x9, 0
+            bne x8, x9, loop
+            li x8, 200
+            li x0, 0
+        burst:
+            add x2, x2, x0
+            andi x2, x2, 511
+            ldx.8 x13, [x7+x2*8]
+            add x4, x13, x2
+            add x5, x13, x3
+            xor x10, x13, x8
+            sub x12, x13, x6
+            or x14, x13, x2
+            udiv x0, x13, x6
+            subi x8, x8, 1
+            bne x8, x9, burst
+            li x0, 0
+            syscall
+        .endfunc
+        .entry _start
+    "#;
+
+    /// `CoreStats` of [`DIVIDER_MIX`], recorded with the single age-ordered
+    /// ready list the parked divider lists replaced.
+    const DIVIDER_MIX_STATS: [&str; 2] = [
+        "CoreStats { cycles: 38737, retired: 10212, bpred: BpredStats { cond_branches: 600, cond_mispredicts: 2, indirect: 0, indirect_mispredicts: 0, returns: 0, return_mispredicts: 0 }, l1i: CacheStats { hits: 1797, misses: 6 }, l1d: CacheStats { hits: 549, misses: 51 }, l2: CacheStats { hits: 0, misses: 57 }, l3: CacheStats { hits: 0, misses: 57 }, rob_full_stalls: 27508, iq_full_stalls: 7836 }",
+        "CoreStats { cycles: 36431, retired: 10212, bpred: BpredStats { cond_branches: 600, cond_mispredicts: 2, indirect: 0, indirect_mispredicts: 0, returns: 0, return_mispredicts: 0 }, l1i: CacheStats { hits: 1797, misses: 6 }, l1d: CacheStats { hits: 549, misses: 51 }, l2: CacheStats { hits: 0, misses: 57 }, l3: CacheStats { hits: 0, misses: 57 }, rob_full_stalls: 0, iq_full_stalls: 34286 }",
+    ];
+
+    #[test]
+    fn parked_dividers_keep_the_issue_order() {
+        let presets = [CoreConfig::xeon_like(), CoreConfig::neoverse_like()];
+        for (cfg, want) in presets.into_iter().zip(DIVIDER_MIX_STATS) {
+            assert_eq!(format!("{:?}", time_src(DIVIDER_MIX, cfg)), want);
+        }
+    }
+
+    #[test]
+    fn busy_divider_pile_is_not_rewalked() {
+        // Forty independent divides per iteration queue behind the one FP
+        // divider. A walk that examined each of them on every active cycle
+        // would read dozens of candidates per cycle.
+        let mut src = String::from(
+            ".func _start global\n li x8, 20\n li x7, 3\n fcvtif f1, x7\n fcvtif f2, x8\nloop:\n",
+        );
+        for _ in 0..40 {
+            src.push_str(" fdiv f3, f2, f1\n addi x1, x1, 1\n");
+        }
+        src.push_str(" subi x8, x8, 1\n li x9, 0\n bne x8, x9, loop\n li x0, 0\n syscall\n.endfunc\n.entry _start\n");
+        for cfg in [CoreConfig::xeon_like(), CoreConfig::neoverse_like()] {
+            let image = ProcessImage::load_single(&assemble("t", &src).unwrap()).unwrap();
+            let mut interp = Interp::new(&image, 0).unwrap();
+            let mut core = OoOCore::new(cfg);
+            let stats = core
+                .run(
+                    || match interp.step() {
+                        Ok(Step::Retired(rec)) => Some(rec),
+                        _ => None,
+                    },
+                    &mut NoProbes,
+                )
+                .unwrap();
+            assert_eq!(stats.retired, 4 + 20 * 83 + 2);
+            let work = core.work();
+            assert!(work.skipped_cycles > 0, "{work:?}");
+            let per_cycle = u64::from(cfg.issue_width) + 2;
+            assert!(
+                work.issue_candidates <= per_cycle * work.active_cycles,
+                "{work:?}: more than {per_cycle} candidates per active cycle"
+            );
+        }
     }
 }

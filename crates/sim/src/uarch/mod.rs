@@ -11,4 +11,4 @@ pub use config::{
     BpredConfig, CacheConfig, CommitMode, ConfigError, ConfigErrorKind, CoreConfig, MemHierConfig,
     ARCH_NAMES, MAX_LATENCY,
 };
-pub use core::{CoreStats, NoProbes, OoOCore, ProbePoint, Prober};
+pub use core::{CoreStats, CoreWork, NoProbes, OoOCore, ProbePoint, Prober};

@@ -37,9 +37,12 @@ pub const FORMAT_VERSION: u32 = 1;
 const HEADER_LEN: usize = 16;
 const SECTION_FRAME_LEN: usize = 4 + 8 + 4;
 
-/// IEEE CRC-32 lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// IEEE CRC-32 lookup tables for slicing-by-8, built at compile time.
+/// `CRC_TABLES[0]` is the bytewise table; entry `i` of `CRC_TABLES[k]` is
+/// the CRC state of byte `i` followed by `k` zero bytes, so eight bytes fold
+/// in with eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -52,27 +55,52 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
+
+/// Folds `data` into the running (inverted) CRC-32 state `crc`.
+fn crc_update(mut crc: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][(lo >> 8 & 0xff) as usize]
+            ^ t[5][(lo >> 16 & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][(hi >> 8 & 0xff) as usize]
+            ^ t[1][(hi >> 16 & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
+    }
+    crc
+}
 
 /// IEEE CRC-32 of `data` (the polynomial used by zip/png/ethernet).
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xff) as usize];
-    }
-    !crc
+    !crc_update(!0, data)
 }
 
+/// CRC-32 of a section's tag followed by its payload.
 fn section_crc(tag: [u8; 4], payload: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in tag.iter().chain(payload) {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xff) as usize];
-    }
-    !crc
+    !crc_update(crc_update(!0, &tag), payload)
 }
 
 /// Frames `sections` into a complete `.owp` byte image.
@@ -491,6 +519,34 @@ mod tests {
         // Standard check value for the IEEE polynomial.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The one-byte-at-a-time CRC-32 the sliced one must equal.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xff) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc_matches_bytewise() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut byte = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 56) as u8
+        };
+        let payloads = (0..=64usize)
+            .chain([255, 1000, 4099])
+            .map(|len| (0..len).map(|_| byte()).collect::<Vec<u8>>());
+        for p in payloads {
+            assert_eq!(crc32(&p), crc32_bytewise(&p), "length {}", p.len());
+            let tagged = [b"SAMP".as_slice(), &p].concat();
+            assert_eq!(section_crc(*b"SAMP", &p), crc32(&tagged), "length {}", p.len());
+        }
     }
 
     #[test]
