@@ -113,20 +113,6 @@ pub struct CoreStats {
     pub iq_full_stalls: u64,
 }
 
-/// Work the scheduler did in one run: deterministic, independent of the
-/// host, and kept out of [`CoreStats`] because it describes the simulator,
-/// not the simulated core.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CoreWork {
-    /// Cycles in which something commits, issues, dispatches or fetches
-    /// (or the front end or slab changes).
-    pub active_cycles: u64,
-    /// Cycles the idle-cycle skip jumped over without simulating them.
-    pub skipped_cycles: u64,
-    /// Issue candidates the issue stage examined, issued or refused.
-    pub issue_candidates: u64,
-}
-
 impl CoreStats {
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
@@ -145,6 +131,20 @@ impl CoreStats {
             self.cycles as f64 / self.retired as f64
         }
     }
+}
+
+/// Work the scheduler did in one run: deterministic, independent of the
+/// host, and kept out of [`CoreStats`] because it describes the simulator,
+/// not the simulated core.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CoreWork {
+    /// Cycles in which something commits, issues, dispatches or fetches
+    /// (or the front end or slab changes).
+    pub active_cycles: u64,
+    /// Cycles the idle-cycle skip jumped over without simulating them.
+    pub skipped_cycles: u64,
+    /// Issue candidates the issue stage examined, issued or refused.
+    pub issue_candidates: u64,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
