@@ -690,6 +690,7 @@ mod tests {
             },
             transforms: Default::default(),
             uarch: None,
+            job: None,
         }
         .to_bytes()
     }

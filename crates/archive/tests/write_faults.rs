@@ -41,6 +41,7 @@ fn profile_bytes(label: &str, seed: u64) -> Vec<u8> {
         },
         transforms: Default::default(),
         uarch: None,
+        job: None,
     }
     .to_bytes()
 }

@@ -136,11 +136,11 @@ mod imp {
     use std::sync::{Arc, Mutex, MutexGuard};
     use std::time::Duration;
 
-    use optiwise::{module_fingerprint, CancelToken, OptiwiseConfig, OptiwiseError};
+    use optiwise::{CancelToken, OptiwiseError};
     use wiser_archive::{Archive, RetentionPolicy};
     use wiser_isa::Module;
     use wiser_sim::{ConfigErrorKind, CoreConfig};
-    use wiser_store::{Checkpoint, CheckpointSpec};
+    use wiser_store::{Checkpoint, CheckpointSpec, StoredProfile};
     use wiser_workloads::InputSize;
 
     use crate::jsonl::{self, Value};
@@ -270,7 +270,8 @@ mod imp {
         } else {
             Archive::create(root)?
         };
-        let unfinished = incomplete_checkpoints(&archive);
+        let unfinished = crate::incomplete_checkpoints(&archive.checkpoints_dir());
+        let unfinished = unfinished.map_or(0, |found| found.len());
         if unfinished > 0 {
             eprintln!(
                 "optiwised: {unfinished} incomplete checkpoint(s) left by interrupted jobs; \
@@ -376,21 +377,6 @@ mod imp {
             });
         }
         Ok(())
-    }
-
-    /// Checkpoints of interrupted jobs surviving under `checkpoints/`.
-    fn incomplete_checkpoints(archive: &Archive) -> usize {
-        std::fs::read_dir(archive.checkpoints_dir())
-            .map(|entries| {
-                entries
-                    .flatten()
-                    .filter(|e| {
-                        let name = e.file_name().to_string_lossy().into_owned();
-                        name.ends_with(".owp") && !wiser_store::is_temp_debris(&name)
-                    })
-                    .count()
-            })
-            .unwrap_or(0)
     }
 
     /// One connection: one request line, one response line. The read is
@@ -594,21 +580,16 @@ mod imp {
                 let _slot = CountGuard(&daemon.pending);
                 // The job is its spec: the program, the request's core
                 // model and seed, and the daemon's pipeline settings.
-                let result = crate::build_program(&workload, seed, size).and_then(|modules| {
-                    let config = OptiwiseConfig {
-                        rand_seed: seed,
-                        ..crate::pipeline_config(&daemon.opts)
-                    };
-                    let spec = CheckpointSpec::from_config(
-                        module_fingerprint(&modules),
-                        &workload,
-                        size.name(),
-                        &arch,
-                        &overrides,
-                        &config,
-                        daemon.opts.checkpoint_every.unwrap_or(crate::DEFAULT_CHECKPOINT_EVERY),
-                    );
-                    serve_job(&daemon, job_id, &token, &modules, &Checkpoint::fresh(spec))
+                let every = daemon.opts.checkpoint_every;
+                let job = crate::fresh_job(&daemon.opts, &workload, seed, size);
+                let result = job.and_then(|(modules, spec)| {
+                    let ckpt = Checkpoint::fresh(CheckpointSpec {
+                        arch,
+                        overrides,
+                        checkpoint_every: every.unwrap_or(crate::DEFAULT_CHECKPOINT_EVERY),
+                        ..spec
+                    });
+                    serve_job(&daemon, job_id, &token, &modules, &ckpt)
                 });
                 lock(&daemon.tokens).retain(|(id, _)| *id != job_id);
                 let _ = tx.send(result);
@@ -654,8 +635,8 @@ mod imp {
         let checkpoint_path = lock(&daemon.archive)
             .checkpoints_dir()
             .join(format!("job-{job_id:06}.owp"));
-        let (_, stored) =
-            crate::run_job(modules, ckpt, Some(&checkpoint_path), &daemon.opts, token)?;
+        let run = crate::run_job(modules, ckpt, Some(&checkpoint_path), &daemon.opts, token)?;
+        let stored = StoredProfile::from_job(&ckpt.spec, &run)?;
         let mut archive = lock(&daemon.archive);
         let run_id = archive.add_run(&stored.to_bytes(), ckpt.spec.module_hash)?;
         archive.retain(RetentionPolicy {

@@ -51,8 +51,8 @@ fn samp_bomb() -> Vec<u8> {
 }
 
 /// The rich end of the corpus: a real profile from an end-to-end pipeline
-/// run of a small workload, carrying every section kind (META, SAMP,
-/// CNTS, TABL, COVR). Deterministic: fixed workload, size and seed.
+/// run of a small workload, carrying META, SAMP, CNTS, TABL, COVR and
+/// UCFG. Deterministic: fixed workload, size and seed.
 fn pipeline_profile() -> Result<StoredProfile, OptiwiseError> {
     let modules = crate::build_program("loop_merge", 0, InputSize::Test)?;
     let config = OptiwiseConfig::default();
@@ -60,18 +60,9 @@ fn pipeline_profile() -> Result<StoredProfile, OptiwiseError> {
     Ok(StoredProfile::from_run("fuzz-corpus", &run, config.rand_seed, "xeon", config.core))
 }
 
-fn profile_corpus() -> Result<Vec<Vec<u8>>, OptiwiseError> {
-    let rich = pipeline_profile()?;
-    let mut transformed = rich.clone();
-    transformed.transforms.notes = vec!["fuzz: corpus variant with XFRM".into()];
-    let mut minimal = rich.clone();
-    minimal.samples = None;
-    minimal.counts = None;
-    Ok(vec![rich.to_bytes(), transformed.to_bytes(), minimal.to_bytes()])
-}
-
-fn checkpoint_corpus() -> Result<Vec<Vec<u8>>, OptiwiseError> {
-    let spec = CheckpointSpec {
+/// The spec of every checkpoint image, and the transformed profile's job.
+fn corpus_spec() -> CheckpointSpec {
+    CheckpointSpec {
         module_hash: 0x0f1e_2d3c_4b5a_6978,
         workload: "loop_merge".into(),
         label: "loop_merge-s0-xeon".into(),
@@ -93,8 +84,23 @@ fn checkpoint_corpus() -> Result<Vec<Vec<u8>>, OptiwiseError> {
         hot_threshold: 0.05,
         exhaustive_counters: false,
         checkpoint_every: 10_000,
-    };
-    let fresh = Checkpoint::fresh(spec);
+    }
+}
+
+fn profile_corpus() -> Result<Vec<Vec<u8>>, OptiwiseError> {
+    let rich = pipeline_profile()?;
+    // What `optimize --save` writes: an XFRM section and a JOB.
+    let mut transformed = rich.clone();
+    transformed.transforms.notes = vec!["fuzz: corpus variant with XFRM".into()];
+    transformed.job = Some(corpus_spec());
+    let mut minimal = rich.clone();
+    minimal.samples = None;
+    minimal.counts = None;
+    Ok(vec![rich.to_bytes(), transformed.to_bytes(), minimal.to_bytes()])
+}
+
+fn checkpoint_corpus() -> Result<Vec<Vec<u8>>, OptiwiseError> {
+    let fresh = Checkpoint::fresh(corpus_spec());
     let mut partial = fresh.clone();
     let rich = pipeline_profile()?;
     partial.samples = rich.samples;

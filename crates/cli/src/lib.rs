@@ -64,6 +64,7 @@ pub mod daemon;
 mod fuzz;
 pub mod jsonl;
 
+use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -75,9 +76,8 @@ use optiwise::{
     SweepResult, SweepWorkload,
 };
 use wiser_store::{Checkpoint, CheckpointSpec, CheckpointWriter, StoredProfile};
-use wiser_dbi::CountsProfile;
 use wiser_isa::Module;
-use wiser_sampler::{Attribution, SampleProfile, SamplerConfig};
+use wiser_sampler::{Attribution, SamplerConfig};
 use wiser_sim::{CoreConfig, FaultPlan, TruncationReason, ARCH_NAMES};
 use wiser_workloads::InputSize;
 
@@ -227,7 +227,7 @@ const PIPELINE: &[&str] = &[
 ];
 
 /// The flags one split pass reads: its own pass flags, the ones its
-/// `CheckpointSpec` records, and `check_split_cut`'s.
+/// `CheckpointSpec` records, and those that judge a cut pass.
 #[rustfmt::skip]
 const SPLIT_PASS: &[&str] = &[
     "--period", "--attribution", "--no-stack-profiling", "--merge-threshold", "--seed",
@@ -553,6 +553,41 @@ fn pipeline_config(opts: &Options) -> OptiwiseConfig {
     config
 }
 
+/// A fresh job: the program `name` names (built at `size`, or generated
+/// from `seed`) and its spec, which records this command's pipeline flags
+/// and core with input `seed`, labelled `name` and never checkpointed.
+/// Every job that does not come from a file starts here; a sweep cell or
+/// an `optiwised` job then sets its own core, label and cadence.
+fn fresh_job(
+    opts: &Options,
+    name: &str,
+    seed: u64,
+    size: InputSize,
+) -> Result<(Vec<Module>, CheckpointSpec), OptiwiseError> {
+    let modules = build_program(name, seed, size)?;
+    let config = OptiwiseConfig {
+        rand_seed: seed,
+        ..pipeline_config(opts)
+    };
+    let hash = module_fingerprint(&modules);
+    let (arch, overrides) = (opts.arch_name, &opts.overrides);
+    let spec = CheckpointSpec::from_config(hash, name, size.name(), arch, overrides, &config, 0);
+    Ok((modules, spec))
+}
+
+/// The program a recorded job (`path`'s section `tag`) names, refused
+/// unless it is the build the job ran: `resume` and `optimize` rebuild
+/// their jobs here.
+fn job_program(path: &str, spec: &CheckpointSpec, tag: &str) -> Result<Vec<Module>, OptiwiseError> {
+    let size = InputSize::parse(&spec.size).ok_or_else(|| {
+        let message = format!("unknown input size `{}` in {path}", spec.size);
+        StoreError::in_section(0, tag, message)
+    })?;
+    let modules = build_program(&spec.workload, spec.rand_seed, size)?;
+    check_fingerprint(path, spec, &spec.workload, &modules, tag)?;
+    Ok(modules)
+}
+
 /// Writes a command's output to `--out`, or to stdout. A reader that
 /// closed stdout early (`optiwise list | head -1`) has read all it wants:
 /// the broken pipe ends the output, not the command.
@@ -659,12 +694,14 @@ fn checkpoint_cadence(opts: &Options) -> Result<u64, OptiwiseError> {
     }
 }
 
-/// Runs one job from its checkpoint image: `run`, every sweep cell, every
-/// `optiwised` job and `resume` come here. The config is the spec's
-/// ([`CheckpointSpec::to_config`]) under this process's `--jobs` and
-/// `--inject`, so a resumed job runs exactly as the job it continues; the
-/// image's completed passes are restored, the rest run from instruction
-/// zero. The returned profile is stored under the spec's label.
+/// Runs one job from its checkpoint image: every command that profiles a
+/// program (`run`, each batch shard and sweep cell, every `optiwised` job,
+/// `resume`, `annotate` and `optimize`) comes here. The config is the
+/// spec's ([`CheckpointSpec::to_config`]) under this process's `--jobs`
+/// and `--inject`, so a resumed job runs exactly as the job it continues;
+/// the image's completed passes are restored, the rest run from
+/// instruction zero. Callers that keep the run store it with
+/// [`StoredProfile::from_job`].
 ///
 /// With a checkpoint `file`, the image is persisted before the passes start
 /// (an unwritable path fails early, and a kill at instruction zero leaves a
@@ -678,7 +715,7 @@ fn run_job(
     file: Option<&std::path::Path>,
     opts: &Options,
     token: &CancelToken,
-) -> Result<(OptiwiseRun, StoredProfile), OptiwiseError> {
+) -> Result<OptiwiseRun, OptiwiseError> {
     let spec = &ckpt.spec;
     // Fault injection is never recorded in a spec: each leg of a job gets
     // only the faults its own command line asks for.
@@ -710,8 +747,7 @@ fn run_job(
     if let Some(w) = &writer {
         w.finish()?;
     }
-    let stored = StoredProfile::from_run(&spec.label, &run, spec.rand_seed, &spec.arch, config.core);
-    Ok((run, stored))
+    Ok(run)
 }
 
 fn cmd_check(opts: &Options) -> Result<(), OptiwiseError> {
@@ -782,33 +818,25 @@ fn cmd_run(opts: &Options) -> Result<(), OptiwiseError> {
         return cmd_run_batch(opts);
     }
     let checkpoint_every = checkpoint_cadence(opts)?;
-    let name = &opts.workloads[0];
-    let modules = build_program(name, opts.seed, opts.size)?;
-    let ckpt = Checkpoint::fresh(CheckpointSpec::from_config(
-        module_fingerprint(&modules),
-        name,
-        opts.size.name(),
-        opts.arch_name,
-        &opts.overrides,
-        &pipeline_config(opts),
+    let (modules, spec) = fresh_job(opts, &opts.workloads[0], opts.seed, opts.size)?;
+    let ckpt = Checkpoint::fresh(CheckpointSpec {
         checkpoint_every,
-    ));
+        ..spec
+    });
     let file = opts.checkpoint.as_deref().map(std::path::Path::new);
-    let (run, stored) = run_job(&modules, &ckpt, file, opts, &make_token(opts))?;
-    render_run(opts, ckpt.spec.module_hash, &run, &stored)
+    let run = run_job(&modules, &ckpt, file, opts, &make_token(opts))?;
+    render_run(opts, &ckpt.spec, &run)
 }
 
 /// Everything that happens after a (fresh or resumed) run settles: retry
 /// and degradation notices, `--save`, `--archive`, the report,
 /// `--function` annotation and `--csv-dir` exports. Shared by `run` and
 /// `resume` so a resumed run is rendered through the exact same path —
-/// byte-identical output. `stored` is the run's labelled profile and
-/// `module_hash` the fingerprint of the program it profiled.
+/// byte-identical output. `spec` is the job that made `run`.
 fn render_run(
     opts: &Options,
-    module_hash: u64,
+    spec: &CheckpointSpec,
     run: &OptiwiseRun,
-    stored: &StoredProfile,
 ) -> Result<(), OptiwiseError> {
     if run.attempts.0 > 1 || run.attempts.1 > 1 {
         eprintln!(
@@ -819,7 +847,10 @@ fn render_run(
     if run.analysis.mode == AnalysisMode::SamplingOnly {
         eprintln!("optiwise: DEGRADED sampling-only analysis (see report header)");
     }
-    let stored = (opts.save.is_some() || opts.archive.is_some()).then(|| stored.to_bytes());
+    let mut stored = None;
+    if opts.save.is_some() || opts.archive.is_some() {
+        stored = Some(StoredProfile::from_job(spec, run)?.to_bytes());
+    }
     if let (Some(path), Some(bytes)) = (&opts.save, &stored) {
         wiser_store::atomic_write(std::path::Path::new(path), bytes)
             .map_err(|e| OptiwiseError::Io(format!("{path}: {e}")))?;
@@ -828,7 +859,7 @@ fn render_run(
     if let (Some(dir), Some(bytes)) = (&opts.archive, &stored) {
         let mut archive = wiser_archive::Archive::open_or_create(std::path::Path::new(dir))?;
         archive.set_faults(&opts.fault);
-        let run_id = archive.add_run(bytes, module_hash)?;
+        let run_id = archive.add_run(bytes, spec.module_hash)?;
         archive.retain(wiser_archive::RetentionPolicy {
             max_runs: opts.max_runs,
             max_bytes: opts.max_bytes,
@@ -874,15 +905,8 @@ fn render_run(
 /// token lets a deadline or Ctrl-C stop every in-flight shard at its next
 /// instruction boundary.
 fn run_one(name: &str, opts: &Options, token: &CancelToken) -> Result<String, OptiwiseError> {
-    let modules = build_program(name, opts.seed, opts.size)?;
-    let run = run_optiwise_ctl(
-        &modules,
-        &pipeline_config(opts),
-        RunControl {
-            cancel: token.clone(),
-            ..RunControl::default()
-        },
-    )?;
+    let (modules, spec) = fresh_job(opts, name, opts.seed, opts.size)?;
+    let run = run_job(&modules, &Checkpoint::fresh(spec), None, opts, token)?;
     Ok(report::full_report(&run.analysis, opts.top))
 }
 
@@ -918,40 +942,38 @@ fn cmd_run_batch(opts: &Options) -> Result<(), OptiwiseError> {
     .map_err(|e| OptiwiseError::Internal(format!("batch worker: {e}")))?;
 
     let mut out = String::new();
-    let mut first_error: Option<OptiwiseError> = None;
+    let mut first_error = None;
     for (name, shard) in opts.workloads.iter().zip(shards) {
         match shard {
             Some(Ok(text)) => {
-                let _ = std::fmt::Write::write_fmt(
-                    &mut out,
-                    format_args!("== workload: {name} ==\n{text}\n"),
-                );
+                let _ = writeln!(out, "== workload: {name} ==\n{text}");
             }
             Some(Err(e)) => {
                 eprintln!("optiwise: workload `{name}` failed: {e}");
-                // The reported error is the first by command-line order,
-                // not by completion order: deterministic exit codes.
-                if first_error.is_none() {
-                    first_error = Some(e);
-                }
+                first_error.get_or_insert(e);
             }
             None => {}
         }
     }
     emit(opts, &out)?;
-    if first_error.is_none() {
-        if let Some(cause) = token.cause() {
-            // Every completed shard succeeded but queued shards were
-            // skipped by the cancellation: the batch did not finish.
-            first_error = Some(OptiwiseError::DeadlineExceeded {
-                retired: 0,
-                deadline: cause == optiwise::CancelCause::Deadline,
-            });
-        }
-    }
-    match first_error {
-        Some(e) => Err(e),
-        None => Ok(()),
+    fanout_result(first_error, &token)
+}
+
+/// How a fan-out (batch shards, sweep cells) ends: its first failure in
+/// command-line order, not completion order, so exit codes are
+/// deterministic; else, when every finished shard succeeded but the
+/// cancellation skipped queued ones, a deadline error; else success.
+fn fanout_result(
+    first_error: Option<OptiwiseError>,
+    token: &CancelToken,
+) -> Result<(), OptiwiseError> {
+    match (first_error, token.cause()) {
+        (Some(e), _) => Err(e),
+        (None, Some(cause)) => Err(OptiwiseError::DeadlineExceeded {
+            retired: 0,
+            deadline: cause == optiwise::CancelCause::Deadline,
+        }),
+        (None, None) => Ok(()),
     }
 }
 
@@ -1000,25 +1022,17 @@ fn run_sweep_cell(
     token: &CancelToken,
     checkpoints: &std::path::Path,
 ) -> Result<(StoredProfile, u64), OptiwiseError> {
-    let modules = build_program(&cell.workload.name, cell.workload.seed, opts.size)?;
-    let config = OptiwiseConfig {
-        rand_seed: cell.workload.seed,
-        ..pipeline_config(opts)
-    };
+    let (modules, spec) = fresh_job(opts, &cell.workload.name, cell.workload.seed, opts.size)?;
     let ckpt = Checkpoint::fresh(CheckpointSpec {
         label: cell.label(),
-        ..CheckpointSpec::from_config(
-            module_fingerprint(&modules),
-            &cell.workload.name,
-            opts.size.name(),
-            &cell.config.arch,
-            &cell.config.overrides,
-            &config,
-            opts.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY),
-        )
+        arch: cell.config.arch.clone(),
+        overrides: cell.config.overrides.clone(),
+        checkpoint_every: opts.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY),
+        ..spec
     });
     let file = sweep_checkpoint(checkpoints, cell);
-    let (_, stored) = run_job(&modules, &ckpt, Some(&file), opts, token)?;
+    let run = run_job(&modules, &ckpt, Some(&file), opts, token)?;
+    let stored = StoredProfile::from_job(&ckpt.spec, &run)?;
     Ok((stored, ckpt.spec.module_hash))
 }
 
@@ -1088,7 +1102,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), OptiwiseError> {
     // across `--jobs`. Finished cells commit even when a sibling failed or
     // the sweep was cancelled — that is what makes re-running it a resume.
     let mut results: Vec<SweepResult> = Vec::with_capacity(cells.len());
-    let mut first_error: Option<OptiwiseError> = None;
+    let mut first_error = None;
     for (cell, outcome) in fresh.into_iter().zip(done) {
         match outcome {
             Some(Ok((stored, module_hash))) => {
@@ -1101,9 +1115,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), OptiwiseError> {
             }
             Some(Err(e)) => {
                 eprintln!("optiwise: sweep cell `{}` failed: {e}", cell.label());
-                if first_error.is_none() {
-                    first_error = Some(e);
-                }
+                first_error.get_or_insert(e);
             }
             None => {}
         }
@@ -1116,15 +1128,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), OptiwiseError> {
             });
         }
     }
-    if let Some(e) = first_error {
-        return Err(e);
-    }
-    if let Some(cause) = token.cause() {
-        return Err(OptiwiseError::DeadlineExceeded {
-            retired: 0,
-            deadline: cause == optiwise::CancelCause::Deadline,
-        });
-    }
+    fanout_result(first_error, &token)?;
     let options = DiffOptions {
         threshold_pct: opts.threshold,
         ..DiffOptions::default()
@@ -1137,10 +1141,8 @@ fn cmd_sweep(opts: &Options) -> Result<(), OptiwiseError> {
 /// The checkpoint's spec is the job: it names the program (a generated one
 /// is rebuilt from its seed), pins the run's whole configuration and the
 /// label its profile is stored under. So the command takes no workload and
-/// no profiling options, only execution-environment and output flags
-/// (`--jobs`, `--deadline`, `--out`, `--save`, `--archive`, `--max-runs`,
-/// `--max-bytes`, `--top`, `--function`, `--csv-dir`, and `--inject` for
-/// tests). Completed passes are restored verbatim from the checkpoint;
+/// no profiling options, only the execution-environment and output flags
+/// of its [`COMMANDS`] row. Completed passes are restored verbatim from the checkpoint;
 /// interrupted passes are replayed deterministically from instruction zero,
 /// so the report and any `--save`/`--archive` profile are byte-identical to
 /// an uninterrupted run. The resumed run keeps checkpointing into the same
@@ -1158,19 +1160,10 @@ fn cmd_resume(opts: &Options) -> Result<(), OptiwiseError> {
         arg.clone()
     };
     let ckpt = Checkpoint::load(std::path::Path::new(&path))?;
-    let spec = &ckpt.spec;
-    let size = InputSize::parse(&spec.size).ok_or_else(|| {
-        OptiwiseError::Store(StoreError::in_section(
-            0,
-            "CKPT",
-            format!("unknown input size `{}` in checkpoint", spec.size),
-        ))
-    })?;
-    let modules = build_program(&spec.workload, spec.rand_seed, size)?;
-    check_fingerprint(&path, spec, &spec.workload, &modules)?;
+    let modules = job_program(&path, &ckpt.spec, "CKPT")?;
     let file = Some(std::path::Path::new(&path));
-    let (run, stored) = run_job(&modules, &ckpt, file, opts, &make_token(opts))?;
-    render_run(opts, spec.module_hash, &run, &stored)?;
+    let run = run_job(&modules, &ckpt, file, opts, &make_token(opts))?;
+    render_run(opts, &ckpt.spec, &run)?;
     // The run completed: the checkpoint has served its purpose. Only
     // archive checkpoints are reclaimed; an explicit `resume FILE` leaves
     // the caller's file alone (tests re-resume them).
@@ -1180,59 +1173,60 @@ fn cmd_resume(opts: &Options) -> Result<(), OptiwiseError> {
     Ok(())
 }
 
-/// Refuses a checkpoint image recorded against a different program than
-/// `modules` (the current build of `workload`): its profiles would describe
-/// code this build does not contain.
+/// Refuses a job (`path`'s section `tag`) recorded against a different
+/// program than `modules` (the current build of `workload`): its profiles
+/// would describe code this build does not contain.
 fn check_fingerprint(
     path: &str,
     spec: &CheckpointSpec,
     workload: &str,
     modules: &[Module],
+    tag: &str,
 ) -> Result<(), OptiwiseError> {
     let fingerprint = module_fingerprint(modules);
     if fingerprint != spec.module_hash {
-        return Err(OptiwiseError::Store(StoreError::in_section(
-            0,
-            "CKPT",
-            format!(
-                "{path} was recorded against a different build: `{}` \
-                 (module hash {:016x}), not the current build of `{workload}` \
-                 ({fingerprint:016x}); rerun the profiling passes instead",
-                spec.workload, spec.module_hash
-            ),
-        )));
+        let message = format!(
+            "{path} was recorded against a different build: `{}` \
+             (module hash {:016x}), not the current build of `{workload}` \
+             ({fingerprint:016x}); rerun the profiling passes instead",
+            spec.workload, spec.module_hash
+        );
+        return Err(StoreError::in_section(0, tag, message).into());
     }
     Ok(())
 }
 
 /// The newest incomplete checkpoint under an archive's `checkpoints/`
-/// directory, by modification time with the file name as a deterministic
-/// tie-break.
+/// directory.
 fn newest_checkpoint(archive_root: &std::path::Path) -> Result<String, OptiwiseError> {
     let dir = archive_root.join(wiser_archive::CHECKPOINTS_DIR);
-    let entries = std::fs::read_dir(&dir)
+    let found = incomplete_checkpoints(&dir)
         .map_err(|e| OptiwiseError::Io(format!("{}: {e}", dir.display())))?;
-    let mut candidates: Vec<(std::time::SystemTime, String, std::path::PathBuf)> = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| OptiwiseError::Io(format!("{}: {e}", dir.display())))?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if !name.ends_with(".owp") || wiser_store::is_temp_debris(&name) {
-            continue;
-        }
-        let mtime = entry
-            .metadata()
-            .and_then(|m| m.modified())
-            .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-        candidates.push((mtime, name, entry.path()));
-    }
-    candidates.sort();
-    match candidates.pop() {
-        Some((_, _, path)) => Ok(path.display().to_string()),
+    match found.last() {
+        Some(path) => Ok(path.display().to_string()),
         None => Err(OptiwiseError::Usage(format!(
             "no incomplete checkpoint found in {}",
             dir.display()
         ))),
     }
+}
+
+/// The checkpoint files in `dir` (temp-file debris left by a torn write
+/// excluded), oldest first by modification time, with the file name as a
+/// deterministic tie-break.
+fn incomplete_checkpoints(dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf>> {
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if name.ends_with(".owp") && !wiser_store::is_temp_debris(&name) {
+            let mtime = entry.metadata().and_then(|m| m.modified());
+            let mtime = mtime.unwrap_or(std::time::SystemTime::UNIX_EPOCH);
+            found.push((mtime, name, entry.path()));
+        }
+    }
+    found.sort();
+    Ok(found.into_iter().map(|(_, _, path)| path).collect())
 }
 
 fn module_of(analysis: &Analysis, func: &str) -> u32 {
@@ -1244,91 +1238,63 @@ fn module_of(analysis: &Analysis, func: &str) -> u32 {
         .unwrap_or(0)
 }
 
-/// The `--out` file of `sample`/`instrument`: the profile is a binary
-/// image, so there is no stdout fallback.
-fn split_out<'a>(opts: &'a Options, cmd: &str) -> Result<&'a str, OptiwiseError> {
-    opts.out.as_deref().ok_or_else(|| {
-        OptiwiseError::Usage(format!("{cmd} needs --out FILE (a binary .owp image)"))
-    })
-}
-
-/// Writes one pass of the split workflow as a checkpoint image: the run
-/// spec (which pins the workload build) plus that pass's profile.
-fn save_split(
-    opts: &Options,
-    path: &str,
-    modules: &[Module],
-    samples: Option<SampleProfile>,
-    counts: Option<CountsProfile>,
-) -> Result<(), OptiwiseError> {
-    let mut ckpt = Checkpoint::fresh(CheckpointSpec::from_config(
-        module_fingerprint(modules),
-        &opts.workloads[0],
-        opts.size.name(),
-        opts.arch_name,
-        &opts.overrides,
-        &pipeline_config(opts),
-        0,
-    ));
-    ckpt.sample_pos = samples.as_ref().map_or(0, |p| p.retired);
-    ckpt.counts_pos = counts.as_ref().map_or(0, CountsProfile::total_insns);
-    ckpt.samples = samples;
-    ckpt.counts = counts;
-    let bytes = opts.fault.corrupt_bytes(&ckpt.to_bytes());
-    wiser_store::atomic_write(std::path::Path::new(path), &bytes)
-        .map_err(|e| OptiwiseError::Io(format!("writing {path}: {e}")))
-}
-
-/// A split pass cut short: an error under `--strict` or `--no-partial`,
-/// otherwise a warning that the file holds a partial profile.
-fn check_split_cut(
-    opts: &Options,
-    pass: Pass,
-    cut: &Option<TruncationReason>,
-) -> Result<(), OptiwiseError> {
-    if let Some(reason) = cut {
-        if opts.strict || !opts.allow_partial {
-            return Err(OptiwiseError::Truncated {
-                pass,
-                reason: reason.clone(),
-            });
-        }
-        eprintln!("optiwise: {pass} run truncated ({reason}); emitting partial profile");
-    }
-    Ok(())
-}
-
 /// `optiwise sample`: the runner's sampling pass, written as a split file.
 fn cmd_sample(opts: &Options) -> Result<(), OptiwiseError> {
-    let out = split_out(opts, "sample")?;
-    let modules = build_program(&opts.workloads[0], opts.seed, opts.size)?;
-    let config = pipeline_config(opts);
-    let (profile, run, _) = sampling_pass(&modules, &config, &RunControl::default())?;
-    check_split_cut(opts, Pass::Sampling, &profile.truncated)?;
-    eprintln!(
-        "sampled {} cycles, {} samples, overhead estimate {:.3}x",
-        run.stats.cycles,
-        profile.samples.len(),
-        wiser_sampler::sampling_overhead(&profile)
-    );
-    save_split(opts, out, &modules, Some(profile), None)
+    split_pass(opts, Pass::Sampling, "sample")
 }
 
 /// `optiwise instrument`: the runner's instrumentation pass, written as a
 /// split file.
 fn cmd_instrument(opts: &Options) -> Result<(), OptiwiseError> {
-    let out = split_out(opts, "instrument")?;
-    let modules = build_program(&opts.workloads[0], opts.seed, opts.size)?;
+    split_pass(opts, Pass::Instrumentation, "instrument")
+}
+
+/// Runs `pass` for the split command `cmd` and writes it to `--out` (a
+/// binary image: no stdout fallback) as a checkpoint image of the job's
+/// spec, which pins the workload build, and that pass's profile. A pass
+/// cut short is an error under `--strict` or `--no-partial`, otherwise a
+/// warning that the file holds a partial profile.
+fn split_pass(opts: &Options, pass: Pass, cmd: &str) -> Result<(), OptiwiseError> {
+    let out = opts.out.as_deref().ok_or_else(|| {
+        OptiwiseError::Usage(format!("{cmd} needs --out FILE (a binary .owp image)"))
+    })?;
+    let (modules, spec) = fresh_job(opts, &opts.workloads[0], opts.seed, opts.size)?;
     let config = pipeline_config(opts);
-    let (counts, _, _) = counts_pass(&modules, &config, None, &RunControl::default())?;
-    check_split_cut(opts, Pass::Instrumentation, &counts.truncated)?;
-    eprintln!(
-        "counted {} instructions in {} blocks, overhead estimate {:.1}x",
-        counts.cost.native_insns,
-        counts.cost.unique_blocks,
-        counts.cost.overhead()
-    );
-    save_split(opts, out, &modules, None, Some(counts))
+    let mut ckpt = Checkpoint::fresh(spec);
+    let (cut, summary) = match pass {
+        Pass::Sampling => {
+            let (profile, run, _) = sampling_pass(&modules, &config, &RunControl::default())?;
+            let summary = format!(
+                "sampled {} cycles, {} samples, overhead estimate {:.3}x",
+                run.stats.cycles,
+                profile.samples.len(),
+                wiser_sampler::sampling_overhead(&profile)
+            );
+            ckpt.sample_pos = profile.retired;
+            (ckpt.samples.insert(profile).truncated.clone(), summary)
+        }
+        Pass::Instrumentation => {
+            let (counts, _, _) = counts_pass(&modules, &config, None, &RunControl::default())?;
+            let summary = format!(
+                "counted {} instructions in {} blocks, overhead estimate {:.1}x",
+                counts.cost.native_insns,
+                counts.cost.unique_blocks,
+                counts.cost.overhead()
+            );
+            ckpt.counts_pos = counts.total_insns();
+            (ckpt.counts.insert(counts).truncated.clone(), summary)
+        }
+    };
+    if let Some(reason) = cut {
+        if opts.strict || !opts.allow_partial {
+            return Err(OptiwiseError::Truncated { pass, reason });
+        }
+        eprintln!("optiwise: {pass} run truncated ({reason}); emitting partial profile");
+    }
+    eprintln!("{summary}");
+    let bytes = opts.fault.corrupt_bytes(&ckpt.to_bytes());
+    wiser_store::atomic_write(std::path::Path::new(out), &bytes)
+        .map_err(|e| OptiwiseError::Io(format!("writing {out}: {e}")))
 }
 
 /// Loads one split-workflow file, refusing it unless it was recorded
@@ -1337,7 +1303,7 @@ fn cmd_instrument(opts: &Options) -> Result<(), OptiwiseError> {
 /// belong to `optiwise resume`, not to `analyze`.
 fn load_split(path: &str, workload: &str, modules: &[Module]) -> Result<Checkpoint, OptiwiseError> {
     let ckpt = Checkpoint::load(std::path::Path::new(path))?;
-    check_fingerprint(path, &ckpt.spec, workload, modules)?;
+    check_fingerprint(path, &ckpt.spec, workload, modules, "CKPT")?;
     let samples_cut = ckpt.samples.as_ref().and_then(|p| p.truncated.as_ref());
     let counts_cut = ckpt.counts.as_ref().and_then(|p| p.truncated.as_ref());
     if [samples_cut, counts_cut]
@@ -1409,8 +1375,9 @@ fn cmd_annotate(opts: &Options) -> Result<(), OptiwiseError> {
         .as_deref()
         .ok_or_else(|| OptiwiseError::Usage("annotate needs --function NAME".into()))?
         .to_string();
-    let modules = build_program(&opts.workloads[0], opts.seed, opts.size)?;
-    let run = run_optiwise(&modules, &pipeline_config(opts))?;
+    let (modules, spec) = fresh_job(opts, &opts.workloads[0], opts.seed, opts.size)?;
+    let ckpt = Checkpoint::fresh(spec);
+    let run = run_job(&modules, &ckpt, None, opts, &CancelToken::new())?;
     let rows = run
         .analysis
         .annotate_function(module_of(&run.analysis, &func), &func);
@@ -1515,7 +1482,10 @@ const ORACLE_MAX_INSNS: u64 = 200_000_000;
 ///
 /// The baseline profile comes either from a stored `.owp` run (the argument
 /// is an existing file; it must carry its counts section) or from a fresh
-/// profiling run of the named workload. The optimizer (`wiser-opt`) rewrites
+/// profiling run of the named workload. A stored run's `JOB` is the job:
+/// its program, size, seed and core, not this command's flags, which apply
+/// only to a workload argument or an image without `JOB` (rebuilt from its
+/// label). The optimizer (`wiser-opt`) rewrites
 /// the module set — hot-path block layout, guarded indirect-call promotion,
 /// loop-invariant hoisting — then three independent checks gate the result:
 ///
@@ -1523,7 +1493,8 @@ const ORACLE_MAX_INSNS: u64 = 200_000_000;
 /// 2. the simulator oracle runs baseline and rewritten binaries on
 ///    [`ORACLE_SEEDS`] generated seeds and compares observable behaviour
 ///    (exit code and output bytes) — any divergence exits 5;
-/// 3. the rewritten binary is re-profiled and the differential engine
+/// 3. the rewritten binary is re-profiled (the baseline's job with the
+///    rewritten build's fingerprint) and the differential engine
 ///    classifies the change under the sampling-noise bound; with `--verify`
 ///    a statistically significant regression exits 7.
 ///
@@ -1532,32 +1503,31 @@ const ORACLE_MAX_INSNS: u64 = 200_000_000;
 /// `--jobs` value.
 fn cmd_optimize(opts: &Options) -> Result<(), OptiwiseError> {
     let arg = &opts.workloads[0];
-    let stored = if std::path::Path::new(arg).is_file() {
-        Some(load_profile(arg)?)
-    } else {
-        None
+    let is_file = std::path::Path::new(arg).is_file();
+    let stored = is_file.then(|| load_profile(arg)).transpose()?;
+    // A profile's job is the baseline's program, size, seed and core. A
+    // workload argument, or an image written before profiles carried their
+    // job, gets a fresh job under this command's flags.
+    let (modules, spec) = match &stored {
+        Some(StoredProfile { job: Some(job), .. }) => (job_program(arg, job, "JOB")?, job.clone()),
+        Some(legacy) => fresh_job(opts, &legacy.meta.label, legacy.meta.rand_seed, opts.size)?,
+        None => fresh_job(opts, arg, opts.seed, opts.size)?,
     };
-    let (name, seed) = match &stored {
-        Some(s) => (s.meta.label.clone(), s.meta.rand_seed),
-        None => (arg.to_string(), opts.seed),
-    };
-    let modules = build_program(&name, seed, opts.size)?;
-    let mut config = pipeline_config(opts);
-    // A stored baseline was produced under its own seed; re-profile the
-    // rewritten binary under the same one so the diff compares like runs.
-    config.rand_seed = seed;
+    let token = CancelToken::new();
     let (baseline, counts) = match stored {
         Some(s) => {
             let counts = s.counts.ok_or_else(|| {
                 OptiwiseError::Usage(format!(
                     "{arg} has no counts section; optimize needs the \
-                     instrumentation profile (`optiwise run {name} --save`)"
+                     instrumentation profile (`optiwise run {} --save`)",
+                    spec.workload
                 ))
             })?;
             (s.tables, counts)
         }
         None => {
-            let run = run_optiwise(&modules, &config)?;
+            let ckpt = Checkpoint::fresh(spec.clone());
+            let run = run_job(&modules, &ckpt, None, opts, &token)?;
             (ProfileTables::from_analysis(&run.analysis), run.counts)
         }
     };
@@ -1585,7 +1555,13 @@ fn cmd_optimize(opts: &Options) -> Result<(), OptiwiseError> {
         },
     )?;
 
-    let verify_run = run_optiwise(&rewritten, &config)?;
+    // The re-profile is the baseline's job on the rewritten program.
+    let reprofile = CheckpointSpec {
+        module_hash: module_fingerprint(&rewritten),
+        ..spec
+    };
+    let ckpt = Checkpoint::fresh(reprofile);
+    let verify_run = run_job(&rewritten, &ckpt, None, opts, &token)?;
     let optimized = ProfileTables::from_analysis(&verify_run.analysis);
     let diff = diff_tables(
         &baseline,
@@ -1597,8 +1573,7 @@ fn cmd_optimize(opts: &Options) -> Result<(), OptiwiseError> {
     );
 
     if let Some(path) = &opts.save {
-        let mut profile =
-            StoredProfile::from_run(&name, &verify_run, seed, opts.arch_name, config.core);
+        let mut profile = StoredProfile::from_job(&ckpt.spec, &verify_run)?;
         profile.transforms = log.clone();
         profile.save(std::path::Path::new(path))?;
         eprintln!("saved optimized-run profile to {path}");
@@ -1616,7 +1591,7 @@ fn cmd_optimize(opts: &Options) -> Result<(), OptiwiseError> {
         })
         .count();
 
-    let mut text = format!("== optimize: {name} ==\n");
+    let mut text = format!("== optimize: {} ==\n", ckpt.spec.label);
     text.push_str(&log.render());
     text.push_str(&format!(
         "oracle: {ORACLE_SEEDS} seeds, behaviour preserved\n\
@@ -1668,30 +1643,25 @@ fn cmd_selfcheck(opts: &Options) -> Result<(), OptiwiseError> {
     for result in results {
         let (seed, check) = result?;
         let bugs = check.join_bugs();
-        let _ = std::fmt::Write::write_fmt(
-            &mut out,
-            format_args!("seed {seed}: {}\n", check.summary()),
-        );
+        let _ = writeln!(out, "seed {seed}: {}", check.summary());
         for d in check
             .discrepancies
             .iter()
             .filter(|d| d.class == optiwise::selfcheck::DiscrepancyClass::JoinBug)
             .take(opts.top)
         {
-            let _ = std::fmt::Write::write_fmt(&mut out, format_args!("  {d}\n"));
+            let _ = writeln!(out, "  {d}");
         }
         if bugs > 0 {
             bug_seeds.push(seed);
             total_bugs += bugs;
         }
     }
-    let _ = std::fmt::Write::write_fmt(
-        &mut out,
-        format_args!(
-            "selfcheck: seeds {lo}..{hi}, {} clean, {} with join bugs\n",
-            (hi - lo) as usize - bug_seeds.len(),
-            bug_seeds.len(),
-        ),
+    let _ = writeln!(
+        out,
+        "selfcheck: seeds {lo}..{hi}, {} clean, {} with join bugs",
+        (hi - lo) as usize - bug_seeds.len(),
+        bug_seeds.len(),
     );
     emit(opts, &out)?;
     if total_bugs > 0 {
@@ -1764,12 +1734,10 @@ fn cmd_query(opts: &Options) -> Result<(), OptiwiseError> {
     for (i, diff) in diffs.iter().enumerate() {
         let (old_id, old) = &runs[i];
         let (new_id, new) = &runs[i + 1];
-        let _ = std::fmt::Write::write_fmt(
-            &mut out,
-            format_args!(
-                "== diff: run {old_id} ({}) -> run {new_id} ({}) ==\n",
-                old.meta.label, new.meta.label
-            ),
+        let _ = writeln!(
+            out,
+            "== diff: run {old_id} ({}) -> run {new_id} ({}) ==",
+            old.meta.label, new.meta.label
         );
         out.push_str(&report::diff_report(diff, opts.top));
         out.push('\n');
@@ -1949,8 +1917,11 @@ commands:
                         diffed against the baseline; --verify exits 7 on a
                         statistically significant regression, --save stores
                         the optimized run with its XFRM provenance section;
-                        with a .owp baseline, pass the --size it was
-                        recorded at (the store does not carry it)
+                        a .owp baseline's JOB section supplies the program,
+                        size, seed and core, so the profiling flags apply
+                        only to a workload or to an image without JOB
+                        (rebuilt from its label); a profile of an optimized
+                        build is refused (exit 6)
   resume <checkpoint.owp|archive>
                         continue an interrupted run from its checkpoint;
                         given an archive directory, the newest incomplete

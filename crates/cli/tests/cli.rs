@@ -730,25 +730,126 @@ fn checkpoint_flags_are_validated() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A fresh scratch directory for one test, and a path maker inside it.
+fn scratch(name: &str) -> (std::path::PathBuf, impl Fn(&str) -> String) {
+    let dir = std::env::temp_dir().join(format!("optiwise-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let root = dir.clone();
+    (dir, move |file: &str| root.join(file).to_str().unwrap().to_string())
+}
+
 #[test]
 fn optimize_verifies_and_is_deterministic_across_thread_counts() {
-    let seq = optiwise(&[
-        "optimize", "recip_loop", "--size", "test", "--verify", "--jobs", "1",
-    ]);
-    assert_eq!(seq.status.code(), Some(0), "{seq:?}");
-    let stdout = String::from_utf8_lossy(&seq.stdout);
+    let (dir, path) = scratch("optimize-jobs");
+    let optimize = |jobs: &str| {
+        let save = path(&format!("jobs{jobs}.owp"));
+        let out = optiwise(&[
+            "optimize", "recip_loop", "--size", "test", "--verify", "--jobs", jobs,
+            "--save", &save,
+        ]);
+        assert_eq!(out.status.code(), Some(0), "--jobs {jobs}: {out:?}");
+        (out.stdout, std::fs::read(&save).unwrap())
+    };
+    let (seq, seq_owp) = optimize("1");
+    let stdout = String::from_utf8_lossy(&seq);
     assert!(stdout.contains("== transforms =="), "{stdout}");
     assert!(stdout.contains("oracle: 20 seeds, behaviour preserved"), "{stdout}");
     assert!(stdout.contains("== re-profile: baseline -> optimized =="), "{stdout}");
 
-    let par = optiwise(&[
-        "optimize", "recip_loop", "--size", "test", "--verify", "--jobs", "8",
+    let (par, par_owp) = optimize("8");
+    assert_eq!(seq, par, "optimize report differs between --jobs 1 and --jobs 8");
+    assert!(seq_owp == par_owp, "optimized .owp differs between --jobs 1 and --jobs 8");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn optimize_takes_a_sweep_cells_profile() {
+    // A sweep cell's profile is labelled with the cell, not the program;
+    // its JOB names the program and size, so no --size is needed.
+    let (dir, path) = scratch("optimize-sweep-cell");
+    let out = optiwise(&[
+        "sweep", "loop_merge", "--size", "test", "--archive", &path("A"), "--out", "/dev/null",
     ]);
-    assert_eq!(par.status.code(), Some(0), "{par:?}");
+    assert!(out.status.success(), "{out:?}");
+    let cell = optiwise(&["optimize", &path("A/runs/run-000001.owp")]);
+    assert_eq!(cell.status.code(), Some(0), "{cell:?}");
+    let fresh = optiwise(&["optimize", "loop_merge", "--size", "test"]);
+    assert_eq!(fresh.status.code(), Some(0), "{fresh:?}");
+    let body = |out: &[u8]| {
+        let text = String::from_utf8_lossy(out).into_owned();
+        let (header, rest) = text.split_once('\n').unwrap();
+        assert!(header.starts_with("== optimize: loop_merge"), "{header}");
+        rest.to_string()
+    };
+    assert_eq!(body(&cell.stdout), body(&fresh.stdout));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn optimize_reprofiles_on_the_baselines_machine() {
+    // The re-profile runs the baseline's job: its core, not the command's
+    // default xeon, so the diff shows the rewrite, not a change of machine.
+    let (dir, path) = scratch("optimize-machine");
+    let (baseline, optimized) = (path("n.owp"), path("o.owp"));
+    let machine = ["--size", "test", "--arch", "neoverse", "--set", "rob_size=64"];
+    let mut args = vec!["run", "udiv_chain", "--save", &baseline, "--out", "/dev/null"];
+    args.extend(machine);
+    assert!(optiwise(&args).status.success());
+
+    let stored = optiwise(&["optimize", &baseline, "--verify", "--save", &optimized]);
+    assert_eq!(stored.status.code(), Some(0), "{stored:?}");
+    let mut args = vec!["optimize", "udiv_chain", "--verify"];
+    args.extend(machine);
+    let fresh = optiwise(&args);
+    assert_eq!(fresh.status.code(), Some(0), "{fresh:?}");
     assert_eq!(
-        seq.stdout, par.stdout,
-        "optimize report differs between --jobs 1 and --jobs 8"
+        String::from_utf8_lossy(&stored.stdout),
+        String::from_utf8_lossy(&fresh.stdout)
     );
+    let show = optiwise(&["show", &optimized]);
+    assert!(String::from_utf8_lossy(&show.stdout).contains("arch neoverse"), "{show:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn optimizing_an_optimized_profile_is_refused() {
+    // An optimized run's JOB names the rewritten build, which the original
+    // program's build is not: its counts would describe other code.
+    let (dir, path) = scratch("optimize-twice");
+    let (baseline, optimized) = (path("m.owp"), path("mo.owp"));
+    let out = optiwise(&["run", "mcf_like", "--size", "test", "--save", &baseline]);
+    assert!(out.status.success(), "{out:?}");
+    let out = optiwise(&["optimize", &baseline, "--save", &optimized]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let out = optiwise(&["optimize", &optimized, "--size", "test"]);
+    assert_eq!(out.status.code(), Some(6), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("different build"), "{out:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn optimize_rebuilds_a_profile_without_a_job_from_its_label() {
+    // An image written before profiles carried their job optimizes as its
+    // label's workload under the command's flags.
+    use std::path::Path;
+    let (dir, path) = scratch("optimize-legacy");
+    let (baseline, legacy) = (path("m.owp"), path("legacy.owp"));
+    let out = optiwise(&["run", "loop_merge", "--size", "test", "--save", &baseline]);
+    assert!(out.status.success(), "{out:?}");
+    let mut profile = wiser_store::StoredProfile::load(Path::new(&baseline)).unwrap();
+    assert!(profile.job.is_some());
+    profile.job = None;
+    profile.save(Path::new(&legacy)).unwrap();
+
+    let stored = optiwise(&["optimize", &legacy, "--size", "test"]);
+    assert_eq!(stored.status.code(), Some(0), "{stored:?}");
+    let fresh = optiwise(&["optimize", "loop_merge", "--size", "test"]);
+    assert_eq!(
+        String::from_utf8_lossy(&stored.stdout),
+        String::from_utf8_lossy(&fresh.stdout)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

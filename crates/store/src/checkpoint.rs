@@ -366,7 +366,7 @@ fn stacks_code(s: StackMode) -> u8 {
     }
 }
 
-fn encode_ckpt(c: &Checkpoint) -> Vec<u8> {
+pub(crate) fn encode_ckpt(c: &Checkpoint) -> Vec<u8> {
     let s = &c.spec;
     let mut w = ByteWriter::new();
     w.u64(s.module_hash);
@@ -417,7 +417,9 @@ fn get_bool(r: &mut ByteReader<'_>, what: &str) -> Result<bool, StoreError> {
     }
 }
 
-fn decode_ckpt(r: &mut ByteReader<'_>) -> Result<(CheckpointSpec, u64, u64), StoreError> {
+pub(crate) fn decode_ckpt(
+    r: &mut ByteReader<'_>,
+) -> Result<(CheckpointSpec, u64, u64), StoreError> {
     let module_hash = r.u64("module_hash")?;
     let workload = r.string("workload")?;
     let size = r.string("size")?;

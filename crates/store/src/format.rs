@@ -134,9 +134,10 @@ pub struct RawSection<'a> {
 }
 
 impl RawSection<'_> {
-    /// The tag as text (lossy for non-ASCII tags).
+    /// The tag as text, less the spaces that pad a short tag such as
+    /// `JOB ` (lossy for non-ASCII tags).
     pub fn tag_name(&self) -> String {
-        String::from_utf8_lossy(&self.tag).into_owned()
+        String::from_utf8_lossy(&self.tag).trim_end().to_owned()
     }
 }
 

@@ -11,7 +11,9 @@
 //! | `CNTS` | raw [`CountsProfile`]               | optional |
 //! | `TABL` | joined [`ProfileTables`]            | required |
 //! | `COVR` | per-function [`Coverage`] markers   | optional |
+//! | `XFRM` | optimizer [`TransformLog`]          | optional |
 //! | `UCFG` | full resolved [`CoreConfig`]        | optional |
+//! | `JOB ` | the [`CheckpointSpec`] the run ran  | optional |
 //!
 //! Forward compatibility: `CNTS` carries the counter-placement tallies and
 //! suppression lists as an *optional tail* (older images simply end before
@@ -23,6 +25,9 @@
 //! an archived run is self-describing even when its `META.arch` preset
 //! name later changes meaning; readers predating `UCFG` skip it as
 //! unknown, and unknown *keys* inside it are skipped as future fields.
+//! `JOB ` (named `JOB` in errors) is the job that made the run, in the
+//! `CKPT` spec codec: what `optimize` re-profiles. Images without it (and
+//! [`StoredProfile::from_run`] profiles) have `job: None`.
 //!
 //! Encoding is fully deterministic — collections are written in their
 //! already-deterministic in-memory order and the one `HashMap`
@@ -40,6 +45,7 @@ use wiser_dbi::{BlockCount, CounterPlacement, CountsProfile, InstrumentationCost
 use wiser_sampler::{Sample, SampleProfile};
 use wiser_sim::{CodeLoc, ConfigErrorKind, CoreConfig, ModuleId, TruncationReason};
 
+use crate::checkpoint::{decode_ckpt, encode_ckpt, Checkpoint, CheckpointSpec};
 use crate::format::{read_sections, write_store, ByteReader, ByteWriter, DecodeBudget};
 
 const TAG_META: [u8; 4] = *b"META";
@@ -49,6 +55,7 @@ const TAG_TABL: [u8; 4] = *b"TABL";
 const TAG_COVR: [u8; 4] = *b"COVR";
 const TAG_XFRM: [u8; 4] = *b"XFRM";
 const TAG_UCFG: [u8; 4] = *b"UCFG";
+const TAG_JOB: [u8; 4] = *b"JOB ";
 
 /// Identity of a stored run, for labelling reports and diffs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -82,6 +89,9 @@ pub struct StoredProfile {
     /// The full resolved uarch configuration the run simulated (stored as a
     /// `UCFG` section). `None` for images written before `UCFG` existed.
     pub uarch: Option<CoreConfig>,
+    /// The job the run ran (stored as a `JOB` section), or `None` for a
+    /// profile not made by a job, or written before `JOB` existed.
+    pub job: Option<CheckpointSpec>,
 }
 
 impl StoredProfile {
@@ -109,7 +119,29 @@ impl StoredProfile {
             tables: ProfileTables::from_analysis(&run.analysis),
             transforms: TransformLog::default(),
             uarch: Some(core),
+            job: None,
         }
+    }
+
+    /// The stored profile of a run of `spec`: labelled `spec.label`, on the
+    /// core the spec resolves to, carrying the spec as its job. The job's
+    /// checkpoint cadence is dropped: it is how the run was checkpointed,
+    /// not what it computed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CheckpointSpec::core_config`] failures.
+    pub fn from_job(
+        spec: &CheckpointSpec,
+        run: &OptiwiseRun,
+    ) -> Result<StoredProfile, OptiwiseError> {
+        let core = spec.core_config()?;
+        let mut stored = Self::from_run(&spec.label, run, spec.rand_seed, &spec.arch, core);
+        stored.job = Some(CheckpointSpec {
+            checkpoint_every: 0,
+            ..spec.clone()
+        });
+        Ok(stored)
     }
 
     /// Serializes to a complete `.owp` byte image. Deterministic: equal
@@ -129,6 +161,9 @@ impl StoredProfile {
         }
         if let Some(core) = &self.uarch {
             sections.push((TAG_UCFG, encode_uarch(core)));
+        }
+        if let Some(job) = &self.job {
+            sections.push((TAG_JOB, encode_ckpt(&Checkpoint::fresh(job.clone()))));
         }
         write_store(&sections)
     }
@@ -171,6 +206,7 @@ impl StoredProfile {
         let mut coverage: Option<(u64, Vec<Coverage>)> = None;
         let mut transforms = TransformLog::default();
         let mut uarch = None;
+        let mut job = None;
         for section in read_sections(data)? {
             let mut r = ByteReader::with_budget(
                 section.payload,
@@ -192,6 +228,7 @@ impl StoredProfile {
                 TAG_COVR => coverage = Some((r.offset(), whole(&mut r, decode_coverage)?)),
                 TAG_XFRM => transforms = whole(&mut r, decode_transforms)?,
                 TAG_UCFG => uarch = Some(whole(&mut r, decode_uarch)?),
+                TAG_JOB => job = Some(whole(&mut r, decode_ckpt)?.0),
                 _ => {} // unknown but checksum-valid: skip (forward compat)
             }
         }
@@ -234,6 +271,7 @@ impl StoredProfile {
             tables,
             transforms,
             uarch,
+            job,
         })
     }
 
@@ -926,6 +964,106 @@ mod tests {
         ]);
         let back = StoredProfile::from_bytes(&image).unwrap();
         assert_eq!(back.uarch, None);
+    }
+
+    /// `stored()`'s job: a neoverse core with an override, relabelled, with
+    /// a distinctive sampler seed and hot threshold to find on the wire.
+    fn job() -> CheckpointSpec {
+        let config = OptiwiseConfig {
+            hot_threshold: 0.0625,
+            ..OptiwiseConfig::default()
+        };
+        let overrides = [("rob_size".to_string(), "96".to_string())];
+        let mut spec = CheckpointSpec::from_config(
+            0xabcd,
+            "store_test",
+            "test",
+            "neoverse",
+            &overrides,
+            &config,
+            0,
+        );
+        spec.label = "store_test-s0-neoverse".into();
+        spec.sampler_seed = 0x5eed_5eed_5eed_5eed;
+        spec
+    }
+
+    #[test]
+    fn job_section_round_trips() {
+        let mut p = stored();
+        assert_eq!(StoredProfile::from_bytes(&p.to_bytes()).unwrap().job, None);
+        p.job = Some(job());
+        let bytes = p.to_bytes();
+        let back = StoredProfile::from_bytes(&bytes).unwrap();
+        assert_eq!(back, p);
+        assert_eq!(back.to_bytes(), bytes);
+        let spans = crate::format::section_spans(&bytes).unwrap();
+        assert_eq!(spans.last().map(|s| s.0.as_str()), Some("JOB"));
+    }
+
+    #[test]
+    fn from_job_labels_and_carries_the_job_without_its_cadence() {
+        let module = assemble(
+            "store_test",
+            ".func _start global\n li x1, 0\n li x0, 0\n syscall\n .endfunc\n .entry _start\n",
+        )
+        .unwrap();
+        let spec = CheckpointSpec {
+            checkpoint_every: 2000,
+            ..job()
+        };
+        let run = run_optiwise(&[module], &spec.to_config(1).unwrap()).unwrap();
+        let p = StoredProfile::from_job(&spec, &run).unwrap();
+        assert_eq!(p.meta.label, "store_test-s0-neoverse");
+        assert_eq!(p.meta.arch, "neoverse");
+        assert_eq!(p.uarch, Some(spec.core_config().unwrap()));
+        assert_eq!(p.job, Some(job()));
+    }
+
+    #[test]
+    fn images_without_job_decode_to_none() {
+        // A pre-JOB writer's image: every other section, no JOB.
+        let p = stored();
+        let image = write_store(&[
+            (TAG_META, encode_meta(&p.meta)),
+            (TAG_TABL, encode_tables(&p.tables)),
+            (TAG_COVR, encode_coverage(&p.tables)),
+            (TAG_UCFG, encode_uarch(&CoreConfig::xeon_like())),
+        ]);
+        assert_eq!(StoredProfile::from_bytes(&image).unwrap().job, None);
+    }
+
+    #[test]
+    fn hostile_job_payloads_fail_in_section_job() {
+        let mut p = stored();
+        p.job = Some(job());
+        let good = p.to_bytes();
+        let spans = crate::format::section_spans(&good).unwrap();
+        let (_, start, end) = spans.iter().find(|s| s.0 == "JOB").unwrap();
+        let payload = &good[*start as usize..*end as usize];
+        let find = |bytes: [u8; 8]| payload.windows(8).position(|w| w == bytes).unwrap();
+        // The attribution code follows the sampler seed; the hot threshold
+        // is an f64 that must stay a fraction.
+        let attribution = find(0x5eed_5eed_5eed_5eed_u64.to_le_bytes()) + 8;
+        let threshold = find(0.0625_f64.to_bits().to_le_bytes());
+        let hostile = [
+            (attribution, vec![9]),
+            (threshold, 1.5_f64.to_bits().to_le_bytes().to_vec()),
+        ];
+        for (at, patch) in hostile {
+            let mut bad = payload.to_vec();
+            bad[at..at + patch.len()].copy_from_slice(&patch);
+            let image = write_store(&[
+                (TAG_META, encode_meta(&p.meta)),
+                (TAG_TABL, encode_tables(&p.tables)),
+                (TAG_JOB, bad),
+            ]);
+            let err = StoredProfile::from_bytes(&image).unwrap_err();
+            let job_start = crate::format::section_spans(&image).unwrap()[2].1;
+            assert_eq!(err.section.as_deref(), Some("JOB"), "{err}");
+            let end_of_field = job_start + (at + patch.len()) as u64;
+            assert_eq!(err.offset, end_of_field, "{err}");
+        }
     }
 
     #[test]

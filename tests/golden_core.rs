@@ -63,6 +63,7 @@ fn golden_line(name: &str, arch: &str) -> String {
         },
         transforms: Default::default(),
         uarch: None,
+        job: None,
     }
     .to_bytes();
     let sections = read_sections(&owp).expect("own encoding decodes");
