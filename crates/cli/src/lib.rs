@@ -125,6 +125,8 @@ struct Options {
     max_bytes: Option<u64>,
     surfaces: Vec<String>,
     limits: ResourceLimits,
+    /// Every flag on the command line, in order.
+    flags: Vec<String>,
 }
 
 /// `report --format`.
@@ -184,6 +186,7 @@ impl Default for Options {
             max_bytes: None,
             surfaces: Vec::new(),
             limits: ResourceLimits::default(),
+            flags: Vec::new(),
         }
     }
 }
@@ -348,8 +351,11 @@ fn parse_options(cmd: &Command, args: &[String]) -> Result<Options, String> {
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         let arg = arg.as_str();
-        if arg.starts_with("--") && arg != "--" && !cmd.accepts(arg) {
-            return Err(format!("`{arg}` is not an option of `{}`", cmd.name));
+        if arg.starts_with("--") && arg != "--" {
+            if !cmd.accepts(arg) {
+                return Err(format!("`{arg}` is not an option of `{}`", cmd.name));
+            }
+            opts.flags.push(arg.to_string());
         }
         let mut value = || {
             args.next()
@@ -1477,15 +1483,21 @@ const ORACLE_SEEDS: u64 = 20;
 /// Per-seed instruction budget of one oracle execution.
 const ORACLE_MAX_INSNS: u64 = 200_000_000;
 
+/// The flags of `optimize`'s row that a stored profile's `JOB` leaves to
+/// the command line: the rest would change the job, so they are refused.
+#[rustfmt::skip]
+const OPTIMIZE_OVER_A_JOB: &[&str] =
+    &["--jobs", "--inject", "--threshold", "--verify", "--save", "--top", "--out"];
+
 /// `optiwise optimize [--verify] <workload|profile.owp>`: profile-guided
 /// binary rewriting closed into a verification loop.
 ///
 /// The baseline profile comes either from a stored `.owp` run (the argument
 /// is an existing file; it must carry its counts section) or from a fresh
 /// profiling run of the named workload. A stored run's `JOB` is the job:
-/// its program, size, seed and core, not this command's flags, which apply
-/// only to a workload argument or an image without `JOB` (rebuilt from its
-/// label). The optimizer (`wiser-opt`) rewrites
+/// its program, size, seed, core and pass settings; a flag that would
+/// change them is a usage error. The flags apply to a workload argument or an image without
+/// `JOB` (rebuilt from its label). The optimizer (`wiser-opt`) rewrites
 /// the module set — hot-path block layout, guarded indirect-call promotion,
 /// loop-invariant hoisting — then three independent checks gate the result:
 ///
@@ -1509,7 +1521,19 @@ fn cmd_optimize(opts: &Options) -> Result<(), OptiwiseError> {
     // workload argument, or an image written before profiles carried their
     // job, gets a fresh job under this command's flags.
     let (modules, spec) = match &stored {
-        Some(StoredProfile { job: Some(job), .. }) => (job_program(arg, job, "JOB")?, job.clone()),
+        Some(StoredProfile { job: Some(job), .. }) => {
+            let decided = opts
+                .flags
+                .iter()
+                .find(|f| !OPTIMIZE_OVER_A_JOB.contains(&f.as_str()));
+            if let Some(flag) = decided {
+                return Err(OptiwiseError::Usage(format!(
+                    "`{flag}` does not apply to {arg}: its JOB section records how the \
+                     baseline was profiled"
+                )));
+            }
+            (job_program(arg, job, "JOB")?, job.clone())
+        }
         Some(legacy) => fresh_job(opts, &legacy.meta.label, legacy.meta.rand_seed, opts.size)?,
         None => fresh_job(opts, arg, opts.seed, opts.size)?,
     };
@@ -1920,8 +1944,9 @@ commands:
                         a .owp baseline's JOB section supplies the program,
                         size, seed and core, so the profiling flags apply
                         only to a workload or to an image without JOB
-                        (rebuilt from its label); a profile of an optimized
-                        build is refused (exit 6)
+                        (rebuilt from its label) and exit 1 on a JOB image
+                        (--jobs and --inject still apply); a profile of an
+                        optimized build is refused (exit 6)
   resume <checkpoint.owp|archive>
                         continue an interrupted run from its checkpoint;
                         given an archive directory, the newest incomplete

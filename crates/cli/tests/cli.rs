@@ -1,6 +1,7 @@
 //! End-to-end tests of the `optiwise` binary, driving the same workflows
 //! the paper's artifact documents.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn optiwise(args: &[&str]) -> std::process::Output {
@@ -8,6 +9,31 @@ fn optiwise(args: &[&str]) -> std::process::Output {
         .args(args)
         .output()
         .expect("binary runs")
+}
+
+/// A fresh scratch directory for one test, removed when the test ends. It
+/// is per process and cleared first, so files of an earlier run, or of a
+/// debug and a release run on one host, never mix.
+struct Scratch(PathBuf);
+
+fn scratch(name: &str) -> Scratch {
+    let dir = std::env::temp_dir().join(format!("optiwise-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    Scratch(dir)
+}
+
+impl Scratch {
+    /// The path of `file` inside the directory.
+    fn path(&self, file: &str) -> String {
+        self.0.join(file).to_str().unwrap().to_string()
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 #[test]
@@ -40,59 +66,40 @@ fn run_produces_report() {
 
 #[test]
 fn split_sample_instrument_analyze_workflow() {
-    let dir = std::env::temp_dir().join("optiwise-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let samples = dir.join("samples.owp");
-    let counts = dir.join("counts.owp");
+    let dir = scratch("split");
+    for w in ["stack_attr", "mcf_like", "rand_walk"] {
+        let samples = dir.path(&format!("{w}-samples.owp"));
+        let counts = dir.path(&format!("{w}-counts.owp"));
+        let out = optiwise(&["sample", w, "--size", "test", "--out", &samples]);
+        assert!(out.status.success(), "{w}: {out:?}");
+        let out = optiwise(&["instrument", w, "--size", "test", "--out", &counts]);
+        assert!(out.status.success(), "{w}: {out:?}");
+        // `analyze` runs the pipeline with both passes restored: the report
+        // is the one `run` prints.
+        let analyzed =
+            optiwise(&["analyze", w, "--size", "test", "--samples", &samples, "--counts", &counts]);
+        assert!(analyzed.status.success(), "{w}: {analyzed:?}");
+        let run = optiwise(&["run", w, "--size", "test"]);
+        assert!(run.status.success(), "{w}: {run:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&analyzed.stdout),
+            String::from_utf8_lossy(&run.stdout),
+            "{w}: split analyze must match `run`"
+        );
 
-    let out = optiwise(&[
-        "sample",
-        "stack_attr",
-        "--size",
-        "test",
-        "--out",
-        samples.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let out = optiwise(&[
-        "instrument",
-        "stack_attr",
-        "--size",
-        "test",
-        "--out",
-        counts.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let out = optiwise(&[
-        "analyze",
-        "stack_attr",
-        "--size",
-        "test",
-        "--samples",
-        samples.to_str().unwrap(),
-        "--counts",
-        counts.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("func3"), "{stdout}");
-
-    // Swapped files lack the section each flag needs: parse exit code.
-    let out = optiwise(&[
-        "analyze", "stack_attr", "--size", "test",
-        "--samples", counts.to_str().unwrap(),
-        "--counts", samples.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(6), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("no SAMP section"), "{stderr}");
+        // Swapped files lack the section each flag needs: parse exit code.
+        let out =
+            optiwise(&["analyze", w, "--size", "test", "--samples", &counts, "--counts", &samples]);
+        assert_eq!(out.status.code(), Some(6), "{w}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("no SAMP section"), "{w}: {stderr}");
+    }
+    let (samples, counts) = (dir.path("stack_attr-samples.owp"), dir.path("stack_attr-counts.owp"));
 
     // Files recorded against another program are refused, not analyzed
     // as if they described this one.
     let out = optiwise(&[
-        "analyze", "mcf_like", "--size", "test",
-        "--samples", samples.to_str().unwrap(),
-        "--counts", counts.to_str().unwrap(),
+        "analyze", "mcf_like", "--size", "test", "--samples", &samples, "--counts", &counts,
     ]);
     assert_eq!(out.status.code(), Some(6), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -101,21 +108,15 @@ fn split_sample_instrument_analyze_workflow() {
 
     // A truncated counts pass degrades `analyze` exactly as it degrades
     // `run`: same sampling-only report, same warning lines.
-    let mcf_samples = dir.join("mcf-samples.owp");
-    let mcf_counts = dir.join("mcf-counts-truncated.owp");
-    let out = optiwise(&[
-        "sample", "mcf_like", "--size", "test", "--out", mcf_samples.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{out:?}");
+    let mcf_counts = dir.path("mcf-counts-truncated.owp");
     let out = optiwise(&[
         "instrument", "mcf_like", "--size", "test", "--inject", "truncate-counts=5000",
-        "--out", mcf_counts.to_str().unwrap(),
+        "--out", &mcf_counts,
     ]);
     assert!(out.status.success(), "{out:?}");
     let analyzed = optiwise(&[
         "analyze", "mcf_like", "--size", "test",
-        "--samples", mcf_samples.to_str().unwrap(),
-        "--counts", mcf_counts.to_str().unwrap(),
+        "--samples", &dir.path("mcf_like-samples.owp"), "--counts", &mcf_counts,
     ]);
     assert!(analyzed.status.success(), "{analyzed:?}");
     let run = optiwise(&["run", "mcf_like", "--size", "test", "--inject", "truncate-counts=5000"]);
@@ -133,8 +134,7 @@ fn split_sample_instrument_analyze_workflow() {
         vec!["instrument", "stack_attr", "--size", "test", "--selective", "--out", "/dev/null"],
         vec![
             "analyze", "stack_attr", "--size", "test", "--selective",
-            "--samples", samples.to_str().unwrap(),
-            "--counts", counts.to_str().unwrap(),
+            "--samples", &samples, "--counts", &counts,
         ],
     ] {
         let out = optiwise(&args);
@@ -145,21 +145,16 @@ fn split_sample_instrument_analyze_workflow() {
 
     // A mid-pass `run --checkpoint` snapshot is not a finished pass: it is
     // refused with the parse exit code and pointed at `resume`.
-    let snapshot = dir.join("snapshot.owp");
+    let snapshot = dir.path("snapshot.owp");
     let out = optiwise(&[
-        "run", "long_haul", "--size", "test",
-        "--checkpoint", snapshot.to_str().unwrap(),
+        "run", "long_haul", "--size", "test", "--checkpoint", &snapshot,
         "--checkpoint-every", "2000", "--inject", "kill-after=8000",
     ]);
     assert_eq!(out.status.code(), Some(9), "{out:?}");
-    let out = optiwise(&[
-        "instrument", "long_haul", "--size", "test", "--out", counts.to_str().unwrap(),
-    ]);
+    let out = optiwise(&["instrument", "long_haul", "--size", "test", "--out", &counts]);
     assert!(out.status.success(), "{out:?}");
     let out = optiwise(&[
-        "analyze", "long_haul", "--size", "test",
-        "--samples", snapshot.to_str().unwrap(),
-        "--counts", counts.to_str().unwrap(),
+        "analyze", "long_haul", "--size", "test", "--samples", &snapshot, "--counts", &counts,
     ]);
     assert_eq!(out.status.code(), Some(6), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -186,23 +181,15 @@ fn annotate_prints_instruction_rows() {
 
 #[test]
 fn run_exports_csv_tables() {
-    let dir = std::env::temp_dir().join("optiwise-csv-test");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch("csv");
     let out = optiwise(&[
-        "run",
-        "loop_merge",
-        "--size",
-        "test",
-        "--csv-dir",
-        dir.to_str().unwrap(),
-        "--out",
-        dir.join("report.txt").to_str().unwrap(),
+        "run", "loop_merge", "--size", "test",
+        "--csv-dir", &dir.path("csv"), "--out", &dir.path("csv/report.txt"),
     ]);
     assert!(out.status.success(), "{out:?}");
     for name in ["functions.csv", "loops.csv", "blocks.csv", "report.txt"] {
-        let path = dir.join(name);
-        let contents = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let path = dir.path(&format!("csv/{name}"));
+        let contents = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
         assert!(contents.lines().count() >= 2, "{name} too small");
     }
 }
@@ -240,27 +227,18 @@ fn injected_truncation_degrades_run_but_fails_strict() {
 
 #[test]
 fn corrupted_profile_exits_with_parse_code() {
-    let dir = std::env::temp_dir().join("optiwise-corrupt-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let samples = dir.join("samples.owp");
-    let counts = dir.join("counts.owp");
-    let out = optiwise(&[
-        "sample", "stack_attr", "--size", "test",
-        "--out", samples.to_str().unwrap(),
-    ]);
+    let dir = scratch("corrupt");
+    let (samples, counts) = (dir.path("samples.owp"), dir.path("counts.owp"));
+    let out = optiwise(&["sample", "stack_attr", "--size", "test", "--out", &samples]);
     assert!(out.status.success(), "{out:?}");
     // Emit a deterministically corrupted counts profile...
     let out = optiwise(&[
-        "instrument", "stack_attr", "--size", "test",
-        "--inject", "corrupt",
-        "--out", counts.to_str().unwrap(),
+        "instrument", "stack_attr", "--size", "test", "--inject", "corrupt", "--out", &counts,
     ]);
     assert!(out.status.success(), "{out:?}");
     // ...and analyzing it fails with the parse exit code and a byte offset.
     let out = optiwise(&[
-        "analyze", "stack_attr", "--size", "test",
-        "--samples", samples.to_str().unwrap(),
-        "--counts", counts.to_str().unwrap(),
+        "analyze", "stack_attr", "--size", "test", "--samples", &samples, "--counts", &counts,
     ]);
     assert_eq!(out.status.code(), Some(6), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -288,19 +266,16 @@ fn desynced_seeds_fail_strict_run_with_divergence_code() {
     // The split workflow runs the same passes: a desynced `instrument`
     // fails strict `analyze` the same way, and lenient `analyze` prints
     // the report `run` prints under the same fault.
-    let dir = std::env::temp_dir().join(format!("optiwise-desync-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let samples = dir.join("samples.owp");
-    let counts = dir.join("counts.owp");
-    let (samples, counts) = (samples.to_str().unwrap(), counts.to_str().unwrap());
-    let out = optiwise(&["sample", "rand_walk", "--size", "test", "--out", samples]);
+    let dir = scratch("desync");
+    let (samples, counts) = (dir.path("samples.owp"), dir.path("counts.owp"));
+    let out = optiwise(&["sample", "rand_walk", "--size", "test", "--out", &samples]);
     assert!(out.status.success(), "{out:?}");
     let out = optiwise(&[
-        "instrument", "rand_walk", "--size", "test", "--inject", "desync-seed=99", "--out", counts,
+        "instrument", "rand_walk", "--size", "test", "--inject", "desync-seed=99", "--out", &counts,
     ]);
     assert!(out.status.success(), "{out:?}");
     let analyze =
-        ["analyze", "rand_walk", "--size", "test", "--samples", samples, "--counts", counts];
+        ["analyze", "rand_walk", "--size", "test", "--samples", &samples, "--counts", &counts];
     let out = optiwise(&[&analyze[..], &["--strict"]].concat());
     assert_eq!(out.status.code(), Some(5), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -314,7 +289,6 @@ fn desynced_seeds_fail_strict_run_with_divergence_code() {
         String::from_utf8_lossy(&run.stdout),
         "split analyze of a desynced counts pass must match `run`"
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -322,7 +296,7 @@ fn report_is_byte_identical_across_thread_counts() {
     // `--jobs 1` runs every stage sequentially; `--jobs 8` overlaps the
     // two profiling passes and shards the per-module analysis. The merge
     // is keyed on ModuleId order, so the report must not change by a byte.
-    for workload in ["rand_walk", "loop_merge"] {
+    for workload in ["rand_walk", "loop_merge", "udiv_chain"] {
         let seq = optiwise(&["run", workload, "--size", "test", "--jobs", "1"]);
         assert!(seq.status.success(), "{seq:?}");
         let par = optiwise(&["run", workload, "--size", "test", "--jobs", "8"]);
@@ -386,10 +360,8 @@ fn batch_mode_is_run_only() {
 
 #[test]
 fn flags_a_command_never_reads_are_rejected() {
-    let dir = std::env::temp_dir().join(format!("optiwise-foreign-flags-{}", std::process::id()));
-    let root = dir.to_str().unwrap();
-    let ck = dir.join("ck.owp");
-    let ck = ck.to_str().unwrap();
+    let dir = scratch("foreign-flags");
+    let (root, ck) = (&dir.path("archive"), &dir.path("ck.owp"));
     for (args, flag, cmd) in [
         (vec!["resume", ck, "--size", "ref"], "--size", "`resume`"),
         (vec!["resume", ck, "--arch", "neoverse"], "--arch", "`resume`"),
@@ -423,7 +395,7 @@ fn flags_a_command_never_reads_are_rejected() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(flag) && stderr.contains(cmd), "{args:?}: {stderr}");
     }
-    assert!(!dir.exists(), "a rejected command must not touch the archive");
+    assert!(!Path::new(root).exists(), "a rejected command must not touch the archive");
 }
 
 #[test]
@@ -452,12 +424,10 @@ fn sweep_deadline_commits_finished_cells_and_resumes() {
     // One worker, four cells in grid order: both loop_merge cells finish,
     // long_haul-xeon (ref) is cut mid-run, and long_haul-neoverse is still
     // queued when the deadline fires, so it never starts.
-    let base = std::env::temp_dir().join(format!("optiwise-sweep-deadline-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    let archive = base.join("archive");
+    let dir = scratch("sweep-deadline");
     let grid = [
         "sweep", "loop_merge", "long_haul", "--size", "ref", "--jobs", "1",
-        "--archive", archive.to_str().unwrap(),
+        "--archive", &dir.path("archive"),
     ];
     let out = optiwise(&[&grid[..], &["--deadline", "5"]].concat());
     assert_eq!(out.status.code(), Some(8), "{out:?}");
@@ -465,13 +435,13 @@ fn sweep_deadline_commits_finished_cells_and_resumes() {
     assert!(stderr.contains("sweep cell `long_haul-s0-xeon` failed"), "{stderr}");
     assert!(!stderr.contains("long_haul-s0-neoverse"), "queued cell ran: {stderr}");
     assert!(!stderr.contains("loop_merge"), "{stderr}");
-    let committed = |n: u64| std::fs::read(archive.join("runs").join(format!("run-{n:06}.owp")));
+    let committed = |n: u64| std::fs::read(dir.path(&format!("archive/runs/run-{n:06}.owp")));
     let first = committed(1).expect("finished cells commit despite the deadline");
     let second = committed(2).expect("finished cells commit despite the deadline");
     assert!(committed(3).is_err(), "a cancelled cell must not commit");
-    let checkpoints = archive.join("checkpoints");
-    assert!(checkpoints.join("sweep-long_haul-s0-xeon.owp").is_file());
-    assert!(!checkpoints.join("sweep-long_haul-s0-neoverse.owp").exists());
+    let checkpoint = |cell: &str| dir.path(&format!("archive/checkpoints/sweep-{cell}.owp"));
+    assert!(Path::new(&checkpoint("long_haul-s0-xeon")).is_file());
+    assert!(!Path::new(&checkpoint("long_haul-s0-neoverse")).exists());
 
     // Re-running the grid resumes it: with a budget no fresh cell
     // survives, only the long_haul cells are profiled (and die); the
@@ -483,29 +453,23 @@ fn sweep_deadline_commits_finished_cells_and_resumes() {
     assert!(!stderr.contains("loop_merge"), "committed cells re-ran: {stderr}");
     assert_eq!(committed(1).unwrap(), first);
     assert_eq!(committed(2).unwrap(), second);
-    let _ = std::fs::remove_dir_all(&base);
 }
 
 #[test]
 fn save_show_report_roundtrip() {
-    let dir = std::env::temp_dir().join("optiwise-store-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let owp = dir.join("loop_merge.owp");
-
-    let out = optiwise(&[
-        "run", "loop_merge", "--size", "test",
-        "--save", owp.to_str().unwrap(),
-    ]);
+    let dir = scratch("store");
+    let owp = dir.path("loop_merge.owp");
+    let out = optiwise(&["run", "loop_merge", "--size", "test", "--save", &owp]);
     assert!(out.status.success(), "{out:?}");
-    assert!(owp.exists());
+    assert!(Path::new(&owp).exists());
 
-    let out = optiwise(&["show", owp.to_str().unwrap()]);
+    let out = optiwise(&["show", &owp]);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("stored profile: loop_merge"), "{stdout}");
     assert!(stdout.contains("-- loops --"), "{stdout}");
 
-    let out = optiwise(&["report", owp.to_str().unwrap(), "--format", "json"]);
+    let out = optiwise(&["report", &owp, "--format", "json"]);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"functions\":"), "{stdout}");
@@ -514,25 +478,26 @@ fn save_show_report_roundtrip() {
 
 #[test]
 fn saved_profile_is_byte_identical_across_thread_counts() {
-    let dir = std::env::temp_dir().join("optiwise-store-jobs-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let seq = dir.join("jobs1.owp");
-    let par = dir.join("jobs8.owp");
-    let out = optiwise(&[
-        "run", "rand_walk", "--size", "test", "--jobs", "1",
-        "--save", seq.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let out = optiwise(&[
-        "run", "rand_walk", "--size", "test", "--jobs", "8",
-        "--save", par.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    assert_eq!(
-        std::fs::read(&seq).unwrap(),
-        std::fs::read(&par).unwrap(),
-        "saved .owp differs between --jobs 1 and --jobs 8"
-    );
+    // Exhaustive and selective runs: the report and the saved `.owp` bytes
+    // do not depend on the worker count, and the saved file reads back.
+    let dir = scratch("store-jobs");
+    for (mode, flags) in [("exhaustive", &[][..]), ("selective", &["--selective"][..])] {
+        let run = |jobs: &str| {
+            let save = dir.path(&format!("{mode}-jobs{jobs}.owp"));
+            let mut args = vec!["run", "rand_walk", "--size", "test", "--jobs", jobs];
+            args.extend(flags);
+            args.extend(["--save", &save]);
+            let out = optiwise(&args);
+            assert!(out.status.success(), "{mode} --jobs {jobs}: {out:?}");
+            (out.stdout, std::fs::read(&save).unwrap(), save)
+        };
+        let (seq, seq_owp, saved) = run("1");
+        let (par, par_owp, _) = run("8");
+        assert_eq!(seq, par, "{mode}: report differs between --jobs 1 and --jobs 8");
+        assert!(seq_owp == par_owp, "{mode}: saved .owp differs between --jobs 1 and --jobs 8");
+        let out = optiwise(&["show", &saved]);
+        assert!(out.status.success(), "{mode}: {out:?}");
+    }
 }
 
 #[test]
@@ -541,24 +506,14 @@ fn diff_workflow_flags_known_regression() {
     // the loop's udiv with a multiply-shift. Diffing optimized -> unoptimized
     // must flag the known-hotter loop body as a regression and exit 7 under
     // --fail-on-regression.
-    let dir = std::env::temp_dir().join("optiwise-diff-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let old = dir.join("opt.owp");
-    let new = dir.join("unopt.owp");
+    let dir = scratch("diff");
+    let (old, new) = (dir.path("opt.owp"), dir.path("unopt.owp"));
     for (name, path) in [("recip_loop_opt", &old), ("recip_loop", &new)] {
-        let out = optiwise(&[
-            "run", name, "--size", "test",
-            "--save", path.to_str().unwrap(),
-        ]);
+        let out = optiwise(&["run", name, "--size", "test", "--save", path]);
         assert!(out.status.success(), "{out:?}");
     }
 
-    let out = optiwise(&[
-        "diff",
-        old.to_str().unwrap(),
-        new.to_str().unwrap(),
-        "--fail-on-regression",
-    ]);
+    let out = optiwise(&["diff", &old, &new, "--fail-on-regression"]);
     assert_eq!(out.status.code(), Some(7), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("REGRESSION"), "{stdout}");
@@ -568,14 +523,9 @@ fn diff_workflow_flags_known_regression() {
 
     // The same comparison without --fail-on-regression still reports but
     // exits cleanly, and a self-diff finds nothing to fail on.
-    let out = optiwise(&["diff", old.to_str().unwrap(), new.to_str().unwrap()]);
+    let out = optiwise(&["diff", &old, &new]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let out = optiwise(&[
-        "diff",
-        old.to_str().unwrap(),
-        old.to_str().unwrap(),
-        "--fail-on-regression",
-    ]);
+    let out = optiwise(&["diff", &old, &old, "--fail-on-regression"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("regressions: 0"), "{stdout}");
@@ -583,13 +533,9 @@ fn diff_workflow_flags_known_regression() {
 
 #[test]
 fn corrupted_store_file_is_diagnosed_with_offset() {
-    let dir = std::env::temp_dir().join("optiwise-store-corrupt-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let owp = dir.join("victim.owp");
-    let out = optiwise(&[
-        "run", "loop_merge", "--size", "test",
-        "--save", owp.to_str().unwrap(),
-    ]);
+    let dir = scratch("store-corrupt");
+    let owp = dir.path("victim.owp");
+    let out = optiwise(&["run", "loop_merge", "--size", "test", "--save", &owp]);
     assert!(out.status.success(), "{out:?}");
 
     // Flip one bit in the middle of the file: exit 6, offset diagnosed.
@@ -597,7 +543,7 @@ fn corrupted_store_file_is_diagnosed_with_offset() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x08;
     std::fs::write(&owp, &bytes).unwrap();
-    let out = optiwise(&["show", owp.to_str().unwrap()]);
+    let out = optiwise(&["show", &owp]);
     assert_eq!(out.status.code(), Some(6), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("byte"), "{stderr}");
@@ -605,7 +551,7 @@ fn corrupted_store_file_is_diagnosed_with_offset() {
     // Truncation is equally fatal, and not a panic.
     bytes[mid] ^= 0x08;
     std::fs::write(&owp, &bytes[..bytes.len() - 7]).unwrap();
-    let out = optiwise(&["diff", owp.to_str().unwrap(), owp.to_str().unwrap()]);
+    let out = optiwise(&["diff", &owp, &owp]);
     assert_eq!(out.status.code(), Some(6), "{out:?}");
 }
 
@@ -639,51 +585,47 @@ fn usage_on_no_args() {
 
 #[test]
 fn kill_checkpoint_resume_is_byte_identical() {
-    let dir = std::env::temp_dir().join("optiwise-ckpt-e2e");
-    std::fs::create_dir_all(&dir).unwrap();
-    // long_haul with default flags, then mcf_like under each setting the
-    // checkpoint records beyond the sampler and analysis options.
-    let legs: [(&str, &[&str]); 5] = [
-        ("long_haul", &[]),
-        ("mcf_like", &[]),
-        ("mcf_like", &["--selective"]),
-        ("mcf_like", &["--selective", "--hot-threshold", "0.2"]),
-        ("mcf_like", &["--exhaustive-counters"]),
+    let dir = scratch("ckpt-e2e");
+    // long_haul with default flags on one worker and on eight, then
+    // mcf_like under each setting the checkpoint records beyond the sampler
+    // and analysis options. `--jobs` is not recorded: the resume passes it.
+    let legs: [(&str, &str, &[&str]); 6] = [
+        ("long_haul", "1", &[]),
+        ("long_haul", "8", &[]),
+        ("mcf_like", "8", &[]),
+        ("mcf_like", "8", &["--selective"]),
+        ("mcf_like", "8", &["--selective", "--hot-threshold", "0.2"]),
+        ("mcf_like", "8", &["--exhaustive-counters"]),
     ];
-    for (leg, (workload, flags)) in legs.iter().enumerate() {
-        let golden = dir.join(format!("golden-{leg}.owp"));
-        let ck = dir.join(format!("ck-{leg}.owp"));
-        let resumed = dir.join(format!("resumed-{leg}.owp"));
+    for (leg, (workload, jobs, flags)) in legs.iter().enumerate() {
+        let golden = dir.path(&format!("golden-{leg}.owp"));
+        let ck = dir.path(&format!("ck-{leg}.owp"));
+        let resumed = dir.path(&format!("resumed-{leg}.owp"));
         let run = |extra: &[&str]| {
-            let mut args = vec!["run", workload, "--size", "test", "--seed", "5"];
+            let mut args = vec!["run", workload, "--size", "test", "--seed", "5", "--jobs", jobs];
             args.extend_from_slice(flags);
             args.extend_from_slice(extra);
             optiwise(&args)
         };
 
-        let uninterrupted = run(&["--save", golden.to_str().unwrap()]);
+        let uninterrupted = run(&["--save", &golden]);
         assert!(uninterrupted.status.success(), "{flags:?}: {uninterrupted:?}");
 
         // The same run, killed mid-flight while checkpointing, exits 9 and
         // leaves a decodable checkpoint behind.
         let out = run(&[
-            "--checkpoint", ck.to_str().unwrap(),
-            "--checkpoint-every", "2000",
-            "--inject", "kill-after=8000",
+            "--checkpoint", &ck, "--checkpoint-every", "2000", "--inject", "kill-after=8000",
         ]);
         assert_eq!(out.status.code(), Some(9), "{workload} {flags:?}: {out:?}");
 
         // Resuming the checkpoint completes the run with the same bytes
         // and the same report.
-        let out = optiwise(&[
-            "resume", ck.to_str().unwrap(),
-            "--save", resumed.to_str().unwrap(),
-        ]);
+        let out = optiwise(&["resume", &ck, "--jobs", jobs, "--save", &resumed]);
         assert!(out.status.success(), "{workload} {flags:?}: {out:?}");
-        assert_eq!(
-            std::fs::read(&golden).unwrap(),
-            std::fs::read(&resumed).unwrap(),
-            "{workload} {flags:?}: resumed profile must be byte-identical to the uninterrupted run"
+        assert!(
+            std::fs::read(&golden).unwrap() == std::fs::read(&resumed).unwrap(),
+            "{workload} --jobs {jobs} {flags:?}: resumed profile must be byte-identical to the \
+             uninterrupted run"
         );
         assert_eq!(
             String::from_utf8_lossy(&out.stdout),
@@ -691,7 +633,11 @@ fn kill_checkpoint_resume_is_byte_identical() {
             "{workload} {flags:?}: resumed report differs"
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        std::fs::read(dir.path("golden-0.owp")).unwrap()
+            == std::fs::read(dir.path("golden-1.owp")).unwrap(),
+        "long_haul profile differs between --jobs 1 and --jobs 8"
+    );
 }
 
 #[test]
@@ -711,39 +657,25 @@ fn checkpoint_flags_are_validated() {
     assert!(stderr.contains("--checkpoint"), "{stderr}");
 
     // Checkpoints are single-run only, like --save.
+    let dir = scratch("ckpt-reject");
     let out = optiwise(&[
-        "run", "loop_merge", "rand_walk", "--size", "test",
-        "--checkpoint", "/tmp/batch-ck.owp",
+        "run", "loop_merge", "rand_walk", "--size", "test", "--checkpoint", &dir.path("batch.owp"),
     ]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
 
     // A stored profile is not a checkpoint: resume rejects it cleanly.
-    let dir = std::env::temp_dir().join("optiwise-ckpt-reject");
-    std::fs::create_dir_all(&dir).unwrap();
-    let profile = dir.join("profile.owp");
-    let out = optiwise(&[
-        "run", "loop_merge", "--size", "test", "--save", profile.to_str().unwrap(),
-    ]);
+    let profile = dir.path("profile.owp");
+    let out = optiwise(&["run", "loop_merge", "--size", "test", "--save", &profile]);
     assert!(out.status.success(), "{out:?}");
-    let out = optiwise(&["resume", profile.to_str().unwrap()]);
+    let out = optiwise(&["resume", &profile]);
     assert_eq!(out.status.code(), Some(6), "{out:?}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A fresh scratch directory for one test, and a path maker inside it.
-fn scratch(name: &str) -> (std::path::PathBuf, impl Fn(&str) -> String) {
-    let dir = std::env::temp_dir().join(format!("optiwise-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let root = dir.clone();
-    (dir, move |file: &str| root.join(file).to_str().unwrap().to_string())
 }
 
 #[test]
 fn optimize_verifies_and_is_deterministic_across_thread_counts() {
-    let (dir, path) = scratch("optimize-jobs");
+    let dir = scratch("optimize-jobs");
     let optimize = |jobs: &str| {
-        let save = path(&format!("jobs{jobs}.owp"));
+        let save = dir.path(&format!("jobs{jobs}.owp"));
         let out = optiwise(&[
             "optimize", "recip_loop", "--size", "test", "--verify", "--jobs", jobs,
             "--save", &save,
@@ -760,19 +692,18 @@ fn optimize_verifies_and_is_deterministic_across_thread_counts() {
     let (par, par_owp) = optimize("8");
     assert_eq!(seq, par, "optimize report differs between --jobs 1 and --jobs 8");
     assert!(seq_owp == par_owp, "optimized .owp differs between --jobs 1 and --jobs 8");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn optimize_takes_a_sweep_cells_profile() {
     // A sweep cell's profile is labelled with the cell, not the program;
     // its JOB names the program and size, so no --size is needed.
-    let (dir, path) = scratch("optimize-sweep-cell");
+    let dir = scratch("optimize-sweep-cell");
     let out = optiwise(&[
-        "sweep", "loop_merge", "--size", "test", "--archive", &path("A"), "--out", "/dev/null",
+        "sweep", "loop_merge", "--size", "test", "--archive", &dir.path("A"), "--out", "/dev/null",
     ]);
     assert!(out.status.success(), "{out:?}");
-    let cell = optiwise(&["optimize", &path("A/runs/run-000001.owp")]);
+    let cell = optiwise(&["optimize", &dir.path("A/runs/run-000001.owp")]);
     assert_eq!(cell.status.code(), Some(0), "{cell:?}");
     let fresh = optiwise(&["optimize", "loop_merge", "--size", "test"]);
     assert_eq!(fresh.status.code(), Some(0), "{fresh:?}");
@@ -783,21 +714,21 @@ fn optimize_takes_a_sweep_cells_profile() {
         rest.to_string()
     };
     assert_eq!(body(&cell.stdout), body(&fresh.stdout));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn optimize_reprofiles_on_the_baselines_machine() {
     // The re-profile runs the baseline's job: its core, not the command's
     // default xeon, so the diff shows the rewrite, not a change of machine.
-    let (dir, path) = scratch("optimize-machine");
-    let (baseline, optimized) = (path("n.owp"), path("o.owp"));
+    let dir = scratch("optimize-machine");
+    let (baseline, optimized) = (dir.path("n.owp"), dir.path("o.owp"));
     let machine = ["--size", "test", "--arch", "neoverse", "--set", "rob_size=64"];
     let mut args = vec!["run", "udiv_chain", "--save", &baseline, "--out", "/dev/null"];
     args.extend(machine);
     assert!(optiwise(&args).status.success());
 
-    let stored = optiwise(&["optimize", &baseline, "--verify", "--save", &optimized]);
+    let stored =
+        optiwise(&["optimize", &baseline, "--verify", "--jobs", "1", "--save", &optimized]);
     assert_eq!(stored.status.code(), Some(0), "{stored:?}");
     let mut args = vec!["optimize", "udiv_chain", "--verify"];
     args.extend(machine);
@@ -809,32 +740,49 @@ fn optimize_reprofiles_on_the_baselines_machine() {
     );
     let show = optiwise(&["show", &optimized]);
     assert!(String::from_utf8_lossy(&show.stdout).contains("arch neoverse"), "{show:?}");
-    let _ = std::fs::remove_dir_all(&dir);
+
+    // The job fixes the core, size, seed and passes: a flag that would
+    // change it is refused and named. `--jobs` still applies, and changes
+    // no saved byte.
+    for flags in [
+        &["--arch", "xeon"][..], &["--set", "rob_size=32"], &["--size", "ref"], &["--seed", "9"],
+        &["--selective"], &["--period", "5"], &["--strict"], &["--hot-threshold", "0.5"],
+    ] {
+        let out = optiwise(&[&["optimize", &baseline][..], flags].concat());
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("`{}`", flags[0])), "{flags:?}: {stderr}");
+    }
+    let par = dir.path("o8.owp");
+    let out = optiwise(&["optimize", &baseline, "--jobs", "8", "--save", &par]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(
+        std::fs::read(&optimized).unwrap() == std::fs::read(&par).unwrap(),
+        "optimized .owp differs between --jobs 1 and --jobs 8"
+    );
 }
 
 #[test]
 fn optimizing_an_optimized_profile_is_refused() {
     // An optimized run's JOB names the rewritten build, which the original
     // program's build is not: its counts would describe other code.
-    let (dir, path) = scratch("optimize-twice");
-    let (baseline, optimized) = (path("m.owp"), path("mo.owp"));
+    let dir = scratch("optimize-twice");
+    let (baseline, optimized) = (dir.path("m.owp"), dir.path("mo.owp"));
     let out = optiwise(&["run", "mcf_like", "--size", "test", "--save", &baseline]);
     assert!(out.status.success(), "{out:?}");
     let out = optiwise(&["optimize", &baseline, "--save", &optimized]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let out = optiwise(&["optimize", &optimized, "--size", "test"]);
+    let out = optiwise(&["optimize", &optimized]);
     assert_eq!(out.status.code(), Some(6), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("different build"), "{out:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn optimize_rebuilds_a_profile_without_a_job_from_its_label() {
     // An image written before profiles carried their job optimizes as its
     // label's workload under the command's flags.
-    use std::path::Path;
-    let (dir, path) = scratch("optimize-legacy");
-    let (baseline, legacy) = (path("m.owp"), path("legacy.owp"));
+    let dir = scratch("optimize-legacy");
+    let (baseline, legacy) = (dir.path("m.owp"), dir.path("legacy.owp"));
     let out = optiwise(&["run", "loop_merge", "--size", "test", "--save", &baseline]);
     assert!(out.status.success(), "{out:?}");
     let mut profile = wiser_store::StoredProfile::load(Path::new(&baseline)).unwrap();
@@ -849,51 +797,36 @@ fn optimize_rebuilds_a_profile_without_a_job_from_its_label() {
         String::from_utf8_lossy(&stored.stdout),
         String::from_utf8_lossy(&fresh.stdout)
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn optimize_accepts_a_stored_profile_and_saves_provenance() {
-    let dir = std::env::temp_dir().join("optiwise-optimize-store-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let baseline = dir.join("mcf.owp");
-    let optimized = dir.join("mcf-opt.owp");
-
-    let out = optiwise(&[
-        "run", "mcf_like", "--size", "test",
-        "--save", baseline.to_str().unwrap(),
-    ]);
+    let dir = scratch("optimize-store");
+    let (baseline, optimized) = (dir.path("mcf.owp"), dir.path("mcf-opt.owp"));
+    let out = optiwise(&["run", "mcf_like", "--size", "test", "--save", &baseline]);
     assert!(out.status.success(), "{out:?}");
 
-    let out = optiwise(&[
-        "optimize", baseline.to_str().unwrap(),
-        "--save", optimized.to_str().unwrap(),
-    ]);
+    let out = optiwise(&["optimize", &baseline, "--save", &optimized]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("layout"), "{stdout}");
 
     // The optimized-run profile carries an XFRM section; `show` surfaces it.
-    let out = optiwise(&["show", optimized.to_str().unwrap()]);
+    let out = optiwise(&["show", &optimized]);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("transforms"), "{stdout}");
     assert!(stdout.contains("layout"), "{stdout}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn yaml_report_matches_golden_file() {
-    let dir = std::env::temp_dir().join("optiwise-yaml-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let owp = dir.join("loop_merge.owp");
-    let out = optiwise(&[
-        "run", "loop_merge", "--size", "test",
-        "--save", owp.to_str().unwrap(),
-    ]);
+    let dir = scratch("yaml");
+    let owp = dir.path("loop_merge.owp");
+    let out = optiwise(&["run", "loop_merge", "--size", "test", "--save", &owp]);
     assert!(out.status.success(), "{out:?}");
 
-    let out = optiwise(&["report", owp.to_str().unwrap(), "--format", "yaml"]);
+    let out = optiwise(&["report", &owp, "--format", "yaml"]);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let golden = include_str!("golden/loop_merge_report.yaml");
@@ -902,28 +835,23 @@ fn yaml_report_matches_golden_file() {
         "yaml report drifted from tests/golden/loop_merge_report.yaml; \
          regenerate it if the change is intentional"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn query_last_clamps_to_archive_size() {
-    let dir = std::env::temp_dir().join("optiwise-query-clamp-test");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch("query-clamp");
+    let archive = dir.path("archive");
     for _ in 0..2 {
-        let out = optiwise(&[
-            "run", "loop_merge", "--size", "test",
-            "--archive", dir.to_str().unwrap(),
-        ]);
+        let out = optiwise(&["run", "loop_merge", "--size", "test", "--archive", &archive]);
         assert!(out.status.success(), "{out:?}");
     }
 
     // Asking for far more runs than the archive holds must not panic or
     // error: the window clamps to everything committed.
-    let out = optiwise(&["query", dir.to_str().unwrap(), "--last", "100"]);
+    let out = optiwise(&["query", &archive, "--last", "100"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.matches("loop_merge").count() >= 2, "{stdout}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -932,33 +860,21 @@ fn coverage_flip_diffs_as_coverage_change_not_regression() {
     // aggressive hotness cutoff leaves cold functions sampling-only. The
     // diff must report those rows as coverage changes, not regressions,
     // and must not apply the zero-noise exact-count fallback to them.
-    let dir = std::env::temp_dir().join("optiwise-coverage-flip-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let full = dir.join("full.owp");
-    let selective = dir.join("selective.owp");
-    let out = optiwise(&[
-        "run", "stack_attr", "--size", "test",
-        "--save", full.to_str().unwrap(),
-    ]);
+    let dir = scratch("coverage-flip");
+    let (full, selective) = (dir.path("full.owp"), dir.path("selective.owp"));
+    let out = optiwise(&["run", "stack_attr", "--size", "test", "--save", &full]);
     assert!(out.status.success(), "{out:?}");
     let out = optiwise(&[
-        "run", "stack_attr", "--size", "test",
-        "--selective", "--hot-threshold", "0.9",
-        "--save", selective.to_str().unwrap(),
+        "run", "stack_attr", "--size", "test", "--selective", "--hot-threshold", "0.9",
+        "--save", &selective,
     ]);
     assert!(out.status.success(), "{out:?}");
 
-    let out = optiwise(&[
-        "diff",
-        full.to_str().unwrap(),
-        selective.to_str().unwrap(),
-        "--fail-on-regression",
-    ]);
+    let out = optiwise(&["diff", &full, &selective, "--fail-on-regression"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("coverage"), "{stdout}");
     assert!(!stdout.contains("REGRESSION"), "{stdout}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -1024,22 +940,18 @@ fn mixed_arch_diff_classifies_config_change_not_regression() {
     // cross-arch diff attributes significant deltas to the config and
     // keeps the `--fail-on-regression` gate closed; `--strict-config`
     // restores the old, gating behaviour for single-machine CI.
-    let dir = std::env::temp_dir().join(format!("optiwise-mixed-arch-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let xeon = dir.join("xeon.owp");
-    let neoverse = dir.join("neoverse.owp");
+    let dir = scratch("mixed-arch");
+    let (xeon, neoverse) = (dir.path("xeon.owp"), dir.path("neoverse.owp"));
     for (arch, path) in [("xeon", &xeon), ("neoverse", &neoverse)] {
         let out = optiwise(&[
             "run", "udiv_chain", "--size", "test", "--seed", "3", "--arch", arch,
-            "--save", path.to_str().unwrap(), "--out", "/dev/null",
+            "--save", path, "--out", "/dev/null",
         ]);
         assert!(out.status.success(), "{out:?}");
     }
 
     for (old, new) in [(&xeon, &neoverse), (&neoverse, &xeon)] {
-        let out = optiwise(&[
-            "diff", old.to_str().unwrap(), new.to_str().unwrap(), "--fail-on-regression",
-        ]);
+        let out = optiwise(&["diff", old, new, "--fail-on-regression"]);
         assert_eq!(out.status.code(), Some(0), "{out:?}");
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.contains("uarch configs differ"), "{stdout}");
@@ -1047,15 +959,11 @@ fn mixed_arch_diff_classifies_config_change_not_regression() {
         assert!(!stdout.contains("REGRESSION"), "{stdout}");
 
         // Same pair, strict mode: the delta gates again, exit 7.
-        let out = optiwise(&[
-            "diff", old.to_str().unwrap(), new.to_str().unwrap(),
-            "--fail-on-regression", "--strict-config",
-        ]);
+        let out = optiwise(&["diff", old, new, "--fail-on-regression", "--strict-config"]);
         assert_eq!(out.status.code(), Some(7), "{out:?}");
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(!stdout.contains("uarch configs differ"), "{stdout}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -1064,28 +972,24 @@ fn resumed_profile_round_trips_its_arch() {
     // store exactly the bytes of the uninterrupted neoverse run — in
     // particular META.arch and the UCFG section. (The resume path once
     // re-stamped a hardcoded model name, poisoning cross-config diffs.)
-    let dir = std::env::temp_dir().join(format!("optiwise-resume-arch-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let golden = dir.join("golden.owp");
+    let dir = scratch("resume-arch");
+    let golden = dir.path("golden.owp");
     let out = optiwise(&[
         "run", "long_haul", "--size", "test", "--seed", "5", "--arch", "neoverse",
-        "--save", golden.to_str().unwrap(), "--out", "/dev/null",
+        "--save", &golden, "--out", "/dev/null",
     ]);
     assert!(out.status.success(), "{out:?}");
 
-    let ck = dir.join("ck.owp");
+    let ck = dir.path("ck.owp");
     let out = optiwise(&[
         "run", "long_haul", "--size", "test", "--seed", "5", "--arch", "neoverse",
-        "--checkpoint", ck.to_str().unwrap(), "--checkpoint-every", "2000",
+        "--checkpoint", &ck, "--checkpoint-every", "2000",
         "--inject", "kill-after=8000", "--out", "/dev/null",
     ]);
     assert_eq!(out.status.code(), Some(9), "{out:?}");
 
-    let resumed = dir.join("resumed.owp");
-    let out = optiwise(&[
-        "resume", ck.to_str().unwrap(),
-        "--save", resumed.to_str().unwrap(), "--out", "/dev/null",
-    ]);
+    let resumed = dir.path("resumed.owp");
+    let out = optiwise(&["resume", &ck, "--save", &resumed, "--out", "/dev/null"]);
     assert!(out.status.success(), "{out:?}");
     assert_eq!(
         std::fs::read(&golden).unwrap(),
@@ -1095,39 +999,35 @@ fn resumed_profile_round_trips_its_arch() {
 
     // Cross-check the stamp end-to-end: against a xeon profile of the
     // same workload the resumed file diffs as a config change.
-    let xeon = dir.join("xeon.owp");
+    let xeon = dir.path("xeon.owp");
     let out = optiwise(&[
-        "run", "long_haul", "--size", "test", "--seed", "5",
-        "--save", xeon.to_str().unwrap(), "--out", "/dev/null",
+        "run", "long_haul", "--size", "test", "--seed", "5", "--save", &xeon, "--out", "/dev/null",
     ]);
     assert!(out.status.success(), "{out:?}");
-    let out = optiwise(&[
-        "diff", xeon.to_str().unwrap(), resumed.to_str().unwrap(), "--fail-on-regression",
-    ]);
+    let out = optiwise(&["diff", &xeon, &resumed, "--fail-on-regression"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("uarch configs differ"), "{stdout}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn sweep_report_and_fleet_are_byte_identical_across_jobs() {
     // The sweep inherits the tool-wide determinism contract: the reduced
     // comparison tables AND the committed `.owp` fleet (run ids included)
-    // must not depend on worker count.
-    let base = std::env::temp_dir().join(format!("optiwise-sweep-jobs-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    std::fs::create_dir_all(&base).unwrap();
+    // must not depend on worker count, and each archive passes `fsck`.
+    let dir = scratch("sweep-jobs");
     let mut reports = Vec::new();
     for jobs in ["1", "8"] {
-        let archive = base.join(format!("archive-{jobs}"));
+        let archive = dir.path(&format!("archive-{jobs}"));
         let out = optiwise(&[
             "sweep", "loop_merge", "generated:7", "--size", "test",
             "--config", "xeon", "--config", "neoverse:rob_size=64",
-            "--archive", archive.to_str().unwrap(), "--jobs", jobs,
+            "--archive", &archive, "--jobs", jobs,
         ]);
         assert!(out.status.success(), "{out:?}");
         reports.push(out.stdout);
+        let out = optiwise(&["fsck", &archive]);
+        assert_eq!(out.status.code(), Some(0), "--jobs {jobs} archive: {out:?}");
     }
     assert_eq!(reports[0], reports[1], "sweep report differs across --jobs");
     let text = String::from_utf8_lossy(&reports[0]);
@@ -1140,11 +1040,10 @@ fn sweep_report_and_fleet_are_byte_identical_across_jobs() {
 
     for id in 1..=4u64 {
         let name = format!("run-{id:06}.owp");
-        let seq = std::fs::read(base.join("archive-1").join("runs").join(&name)).unwrap();
-        let par = std::fs::read(base.join("archive-8").join("runs").join(&name)).unwrap();
-        assert_eq!(seq, par, "{name} differs between --jobs 1 and --jobs 8");
+        let seq = std::fs::read(dir.path(&format!("archive-1/runs/{name}"))).unwrap();
+        let par = std::fs::read(dir.path(&format!("archive-8/runs/{name}"))).unwrap();
+        assert!(seq == par, "{name} differs between --jobs 1 and --jobs 8");
     }
-    let _ = std::fs::remove_dir_all(&base);
 }
 
 #[test]
@@ -1154,12 +1053,8 @@ fn interrupted_sweep_resumes_without_rerunning_finished_cells() {
     // not). The finished cells commit; re-running the same sweep command
     // resumes: committed cells are loaded, not re-profiled, and the final
     // fleet + report are byte-identical to a never-interrupted sweep.
-    let base = std::env::temp_dir().join(format!("optiwise-sweep-kill-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    std::fs::create_dir_all(&base).unwrap();
-    let archive = base.join("archive");
-    let root = archive.to_str().unwrap();
-    let grid = ["sweep", "loop_merge", "long_haul", "--size", "test", "--archive", root];
+    let dir = scratch("sweep-kill");
+    let grid = ["sweep", "loop_merge", "long_haul", "--size", "test", "--archive", &dir.path("A")];
 
     let mut killed = grid.to_vec();
     killed.extend(["--jobs", "2", "--inject", "kill-after=15000"]);
@@ -1167,12 +1062,13 @@ fn interrupted_sweep_resumes_without_rerunning_finished_cells() {
     assert_eq!(out.status.code(), Some(9), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("sweep cell `long_haul-s0-xeon` failed"), "{stderr}");
-    let committed = |n: u64| std::fs::read(archive.join("runs").join(format!("run-{n:06}.owp")));
+    let committed = |n: u64| std::fs::read(dir.path(&format!("A/runs/run-{n:06}.owp")));
     let first = committed(1).expect("short cells commit despite the crash");
     let second = committed(2).expect("short cells commit despite the crash");
     assert!(committed(3).is_err(), "killed cells must not commit");
     // The killed cells leave their checkpoints behind for inspection.
-    assert!(archive.join("checkpoints").join("sweep-long_haul-s0-xeon.owp").is_file());
+    let checkpoint = dir.path("A/checkpoints/sweep-long_haul-s0-xeon.owp");
+    assert!(Path::new(&checkpoint).is_file());
 
     // Re-run with a budget no fresh cell survives: only the missing cells
     // are profiled (and die) — the committed ones are never re-run, or
@@ -1195,34 +1091,31 @@ fn interrupted_sweep_resumes_without_rerunning_finished_cells() {
     assert_eq!(committed(1).unwrap(), first);
     assert_eq!(committed(2).unwrap(), second);
     assert!(committed(3).is_ok() && committed(4).is_ok(), "resume must finish the grid");
-    assert!(!archive.join("checkpoints").join("sweep-long_haul-s0-xeon.owp").exists());
+    assert!(!Path::new(&checkpoint).exists());
 
     // A sweep that was never interrupted produces the same fleet and the
     // same report.
-    let fresh = base.join("fresh");
     let out = optiwise(&[
-        "sweep", "loop_merge", "long_haul", "--size", "test",
-        "--archive", fresh.to_str().unwrap(), "--jobs", "2",
+        "sweep", "loop_merge", "long_haul", "--size", "test", "--archive", &dir.path("fresh"),
+        "--jobs", "2",
     ]);
     assert!(out.status.success(), "{out:?}");
     assert_eq!(out.stdout, resumed_report, "resumed sweep report diverged");
     for id in 1..=4u64 {
         let name = format!("run-{id:06}.owp");
         assert_eq!(
-            std::fs::read(archive.join("runs").join(&name)).unwrap(),
-            std::fs::read(fresh.join("runs").join(&name)).unwrap(),
+            std::fs::read(dir.path(&format!("A/runs/{name}"))).unwrap(),
+            std::fs::read(dir.path(&format!("fresh/runs/{name}"))).unwrap(),
             "{name} diverged between resumed and uninterrupted sweeps"
         );
     }
-    let _ = std::fs::remove_dir_all(&base);
 }
 
 #[test]
 fn sweep_rejects_bad_grids_before_running() {
     // Grid validation is all-up-front: no cell runs, no archive mutation.
-    let dir = std::env::temp_dir().join(format!("optiwise-sweep-usage-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let root = dir.to_str().unwrap();
+    let dir = scratch("sweep-usage");
+    let root = &dir.path("archive");
     for (args, expect) in [
         (vec!["sweep", "loop_merge"], "needs --archive"),
         (vec!["sweep", "--archive", root], "at least one workload"),
@@ -1242,8 +1135,7 @@ fn sweep_rejects_bad_grids_before_running() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(expect), "{args:?}: {stderr}");
     }
-    assert!(!dir.exists(), "a rejected sweep must not create the archive");
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!Path::new(root).exists(), "a rejected sweep must not create the archive");
 }
 
 #[test]
@@ -1270,17 +1162,14 @@ fn generated_is_a_program_name() {
     // `generated` builds the random program of `--seed` wherever a command
     // takes a workload, so one sweep cell of a generated program (or a
     // failing selfcheck seed) reruns on its own.
-    let dir = std::env::temp_dir().join(format!("optiwise-generated-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let dir = scratch("generated");
     let out = optiwise(&[
-        "run", "generated", "--seed", "3", "--size", "test", "--save", &path("g.owp"),
+        "run", "generated", "--seed", "3", "--size", "test", "--save", &dir.path("g.owp"),
         "--out", "/dev/null",
     ]);
     assert!(out.status.success(), "{out:?}");
     let out = optiwise(&[
-        "sweep", "generated:3", "--size", "test", "--config", "xeon", "--archive", &path("A"),
+        "sweep", "generated:3", "--size", "test", "--config", "xeon", "--archive", &dir.path("A"),
         "--out", "/dev/null",
     ]);
     assert!(out.status.success(), "{out:?}");
@@ -1289,21 +1178,22 @@ fn generated_is_a_program_name() {
         assert!(out.status.success(), "{out:?}");
         out.stdout
     };
-    assert_eq!(json(&path("g.owp")), json(&path("A/runs/run-000001.owp")));
+    assert_eq!(json(&dir.path("g.owp")), json(&dir.path("A/runs/run-000001.owp")));
 
     // `analyze` takes no --seed: it rebuilds seed 0, so files recorded at
     // seed 3 are another build.
     for (cmd, file) in [("sample", "s.owp"), ("instrument", "c.owp")] {
-        let out = optiwise(&[cmd, "generated", "--seed", "3", "--size", "test", "--out", &path(file)]);
+        let out = optiwise(&[
+            cmd, "generated", "--seed", "3", "--size", "test", "--out", &dir.path(file),
+        ]);
         assert!(out.status.success(), "{out:?}");
     }
     let out = optiwise(&[
-        "analyze", "generated", "--size", "test", "--samples", &path("s.owp"),
-        "--counts", &path("c.owp"),
+        "analyze", "generated", "--size", "test", "--samples", &dir.path("s.owp"),
+        "--counts", &dir.path("c.owp"),
     ]);
     assert_eq!(out.status.code(), Some(6), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("different build"), "{out:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -1313,35 +1203,29 @@ fn killed_sweep_cell_resumes_into_the_sweep() {
     // commits it under that label, so re-running the sweep loads it instead
     // of profiling the cell again: one run, byte-identical to the
     // uninterrupted sweep's, and the same report.
-    let base = std::env::temp_dir().join(format!("optiwise-sweep-resume-{}", std::process::id()));
     for workload in ["generated:3", "mcf_like"] {
-        let _ = std::fs::remove_dir_all(&base);
-        std::fs::create_dir_all(&base).unwrap();
-        let (a, b) = (base.join("A"), base.join("B"));
-        let sweep = |archive: &std::path::Path, extra: &[&str]| {
+        let dir = scratch("sweep-resume");
+        let (a, b) = (&dir.path("A"), &dir.path("B"));
+        let sweep = |archive: &str, extra: &[&str]| {
             let mut args = vec![
                 "sweep", workload, "--size", "test", "--config", "xeon", "--jobs", "1",
-                "--checkpoint-every", "2000", "--archive", archive.to_str().unwrap(),
+                "--checkpoint-every", "2000", "--archive", archive,
             ];
             args.extend(extra);
             optiwise(&args)
         };
-        let out = sweep(&a, &["--inject", "kill-after=8000"]);
+        let out = sweep(a, &["--inject", "kill-after=8000"]);
         assert_eq!(out.status.code(), Some(9), "{workload}: {out:?}");
-        let root = a.to_str().unwrap();
-        let out = optiwise(&["resume", root, "--archive", root, "--out", "/dev/null"]);
+        let out = optiwise(&["resume", a, "--archive", a, "--out", "/dev/null"]);
         assert!(out.status.success(), "{workload}: {out:?}");
-        let resumed = sweep(&a, &[]);
+        let resumed = sweep(a, &[]);
         assert!(resumed.status.success(), "{workload}: {resumed:?}");
-        let fresh = sweep(&b, &[]);
+        let fresh = sweep(b, &[]);
         assert!(fresh.status.success(), "{workload}: {fresh:?}");
 
         assert_eq!(resumed.stdout, fresh.stdout, "{workload}: sweep report diverged");
-        let run = |archive: &std::path::Path, id: u64| {
-            std::fs::read(archive.join("runs").join(format!("run-{id:06}.owp")))
-        };
-        assert_eq!(run(&a, 1).unwrap(), run(&b, 1).unwrap(), "{workload}: run differs");
-        assert!(run(&a, 2).is_err(), "{workload}: the sweep profiled the resumed cell again");
+        let run = |archive: &str, id: u64| std::fs::read(format!("{archive}/runs/run-{id:06}.owp"));
+        assert_eq!(run(a, 1).unwrap(), run(b, 1).unwrap(), "{workload}: run differs");
+        assert!(run(a, 2).is_err(), "{workload}: the sweep profiled the resumed cell again");
     }
-    let _ = std::fs::remove_dir_all(&base);
 }
