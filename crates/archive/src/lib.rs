@@ -535,13 +535,8 @@ pub fn fsck(root: &Path) -> Result<FsckReport, OptiwiseError> {
                 } else {
                     let qname = quarantine_name(&quarantine_dir, &entry.file);
                     let qpath = quarantine_dir.join(&qname);
-                    fs::rename(&path, &qpath).map_err(|e| {
-                        OptiwiseError::ArchiveUnrepairable {
-                            reason: format!(
-                                "cannot quarantine {}: {e}",
-                                path.display()
-                            ),
-                        }
+                    fs::rename(&path, &qpath).map_err(|e| OptiwiseError::ArchiveUnrepairable {
+                        reason: format!("cannot quarantine {}: {e}", path.display()),
                     })?;
                     report.quarantined += 1;
                     repaired.insert(ManifestEntry {
@@ -566,10 +561,7 @@ pub fn fsck(root: &Path) -> Result<FsckReport, OptiwiseError> {
     // Orphan scan: run files the manifest does not know. Valid ones are
     // adopted (conservative resurrection — fsck never deletes payload);
     // invalid ones are impounded.
-    let listed_runs: Vec<String> = repaired
-        .committed()
-        .map(|e| e.file.clone())
-        .collect();
+    let listed_runs: Vec<String> = repaired.committed().map(|e| e.file.clone()).collect();
     for name in scan_dir(&runs_dir, &mut report.debris_removed)? {
         if listed_runs.contains(&name) {
             continue;
@@ -599,10 +591,8 @@ pub fn fsck(root: &Path) -> Result<FsckReport, OptiwiseError> {
             Err(_) => {
                 let qname = quarantine_name(&quarantine_dir, &name);
                 let qpath = quarantine_dir.join(&qname);
-                fs::rename(&path, &qpath).map_err(|e| {
-                    OptiwiseError::ArchiveUnrepairable {
-                        reason: format!("cannot quarantine {}: {e}", path.display()),
-                    }
+                fs::rename(&path, &qpath).map_err(|e| OptiwiseError::ArchiveUnrepairable {
+                    reason: format!("cannot quarantine {}: {e}", path.display()),
                 })?;
                 report.quarantined += 1;
                 repaired.insert(ManifestEntry {
@@ -621,10 +611,7 @@ pub fn fsck(root: &Path) -> Result<FsckReport, OptiwiseError> {
 
     // Quarantine files nothing references: index them so they are visible
     // in reports (still never served, never deleted).
-    let listed_quarantine: Vec<String> = repaired
-        .quarantined()
-        .map(|e| e.file.clone())
-        .collect();
+    let listed_quarantine: Vec<String> = repaired.quarantined().map(|e| e.file.clone()).collect();
     for name in scan_dir(&quarantine_dir, &mut report.debris_removed)? {
         if listed_quarantine.contains(&name) {
             continue;
@@ -696,10 +683,7 @@ mod tests {
     }
 
     fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "wiser-archive-{name}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("wiser-archive-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir

@@ -126,9 +126,7 @@ impl Manifest {
     /// `next_run_id` above it.
     pub fn insert(&mut self, entry: ManifestEntry) {
         self.next_run_id = self.next_run_id.max(entry.run_id + 1);
-        let at = self
-            .entries
-            .partition_point(|e| e.run_id < entry.run_id);
+        let at = self.entries.partition_point(|e| e.run_id < entry.run_id);
         self.entries.insert(at, entry);
     }
 
@@ -196,19 +194,15 @@ impl Manifest {
                 )));
             }
             let next_run_id = r.u64("next_run_id")?;
-            let count = r.len_mem(
-                30,
-                std::mem::size_of::<ManifestEntry>(),
-                "manifest entries",
-            )?;
+            let count = r.len_mem(30, std::mem::size_of::<ManifestEntry>(), "manifest entries")?;
             let mut entries = Vec::with_capacity(count);
             let mut last_id = None;
             for _ in 0..count {
                 let run_id = r.u64("run_id")?;
                 if last_id.is_some_and(|prev| prev >= run_id) {
-                    return Err(r.error(format!(
-                        "manifest entries out of order at run id {run_id}"
-                    )));
+                    return Err(
+                        r.error(format!("manifest entries out of order at run id {run_id}"))
+                    );
                 }
                 last_id = Some(run_id);
                 let file = r.string("file name")?;
@@ -223,9 +217,7 @@ impl Manifest {
                 let status = match r.u8("status")? {
                     0 => RunStatus::Committed,
                     1 => RunStatus::Quarantined,
-                    other => {
-                        return Err(r.error(format!("unknown run status code {other}")))
-                    }
+                    other => return Err(r.error(format!("unknown run status code {other}"))),
                 };
                 if run_id >= next_run_id {
                     return Err(r.error(format!(

@@ -53,10 +53,8 @@ fn profile_bytes(label: &str, seed: u64) -> Vec<u8> {
 }
 
 fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "wiser-archive-chaos-{name}-{}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("wiser-archive-chaos-{name}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     dir
@@ -110,11 +108,7 @@ fn replay(root: &PathBuf, kill: u64) -> Replay {
             }
         }
         // Compaction may evict the oldest committed run(s) down to 3.
-        let committed: Vec<u64> = archive
-            .manifest()
-            .committed()
-            .map(|e| e.run_id)
-            .collect();
+        let committed: Vec<u64> = archive.manifest().committed().map(|e| e.run_id).collect();
         for &id in committed.iter().take(committed.len().saturating_sub(3)) {
             evictable.insert(id);
         }
@@ -259,10 +253,7 @@ fn kill_between_run_write_and_manifest_commit_leaves_adoptable_orphan() {
     // Before fsck: the old manifest is intact, the new run invisible.
     let fresh = Archive::open(&root).unwrap();
     assert_eq!(fresh.manifest().committed().count(), 1);
-    assert!(fresh
-        .runs_dir()
-        .join(ManifestEntry::file_name(2))
-        .is_file());
+    assert!(fresh.runs_dir().join(ManifestEntry::file_name(2)).is_file());
 
     let report = fsck(&root).unwrap();
     assert_eq!(report.adopted, 1, "{report}");

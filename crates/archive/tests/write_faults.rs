@@ -129,8 +129,10 @@ fn enospc_sweep_has_zero_accepted_then_lost_runs() {
                 // staging files are never counted as runs.
                 for entry in b.manifest().committed() {
                     b.load_run(entry.run_id).unwrap_or_else(|e| {
-                        panic!("{kind:?}/{stage:?}/{occurrence}: entry {} unservable: {e}",
-                            entry.run_id)
+                        panic!(
+                            "{kind:?}/{stage:?}/{occurrence}: entry {} unservable: {e}",
+                            entry.run_id
+                        )
                     });
                 }
                 // fsck swept all staging debris.

@@ -5,8 +5,16 @@ use std::process::Command;
 
 fn main() {
     let bins = [
-        "fig01", "fig02", "fig04", "fig06_table1", "fig07", "fig08", "fig09", "fig10",
-        "attribution_accuracy", "case_studies",
+        "fig01",
+        "fig02",
+        "fig04",
+        "fig06_table1",
+        "fig07",
+        "fig08",
+        "fig09",
+        "fig10",
+        "attribution_accuracy",
+        "case_studies",
     ];
     let me = std::env::current_exe().expect("current exe");
     let dir = me.parent().expect("bin dir");

@@ -26,7 +26,14 @@ fn main() {
     out.push_str("DBI overhead: exhaustive counting vs minimal counter placement\n\n");
     out.push_str(&format!(
         "{:<18} {:>12} {:>12} {:>12} {:>8} {:>8} {:>9} {:>9} {:>6}\n",
-        "BENCHMARK", "NATIVE", "EXH INSNS", "PLACED", "EXH x", "PLC x", "INSN -%", "CNTR -%",
+        "BENCHMARK",
+        "NATIVE",
+        "EXH INSNS",
+        "PLACED",
+        "EXH x",
+        "PLC x",
+        "INSN -%",
+        "CNTR -%",
         "EXACT"
     ));
     let mut csv = String::from(

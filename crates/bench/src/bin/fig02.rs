@@ -10,7 +10,10 @@ fn main() {
          (instructions that always commit alongside an older instruction are\n\
          never observed at the head of the complete queue)\n\n",
     );
-    out.push_str(&format!("{:>8}  {:<34} {:>10} {:>8}\n", "OFFSET", "INSTRUCTION", "SAMPLES", "SHARE"));
+    out.push_str(&format!(
+        "{:>8}  {:<34} {:>10} {:>8}\n",
+        "OFFSET", "INSTRUCTION", "SAMPLES", "SHARE"
+    ));
     for (off, text, samples) in &data.rows {
         out.push_str(&format!(
             "{:>8x}  {:<34} {:>10} {:>7.1}%\n",

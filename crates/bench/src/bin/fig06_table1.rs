@@ -29,7 +29,12 @@ fn main() {
         "{:>6} {:>12} {:>10} {:>7}\n",
         "DEPTH", "ITERATIONS", "INVOCS", "CYCLE%"
     ));
-    let total: u64 = data.merged_loops.iter().map(|l| l.cycles).max().unwrap_or(1);
+    let total: u64 = data
+        .merged_loops
+        .iter()
+        .map(|l| l.cycles)
+        .max()
+        .unwrap_or(1);
     for l in &data.merged_loops {
         out.push_str(&format!(
             "{:>6} {:>12} {:>10} {:>6.1}%\n",

@@ -14,8 +14,16 @@ fn main() {
     out.push_str("Figure 7: OptiWISE overhead per benchmark (both profiling runs)\n\n");
     out.push_str(&format!(
         "{:<18} {:>14} {:>12} {:>9} {:>9} {:>9} {:>10} {:>9} {:>9} {:>9}\n",
-        "BENCHMARK", "NATIVE CYC", "INSNS", "SAMPLE x", "INSTR x", "TOTAL x", "ANALYZE ms",
-        "INDIRECT", "SAMP KiB", "CNT KiB"
+        "BENCHMARK",
+        "NATIVE CYC",
+        "INSNS",
+        "SAMPLE x",
+        "INSTR x",
+        "TOTAL x",
+        "ANALYZE ms",
+        "INDIRECT",
+        "SAMP KiB",
+        "CNT KiB"
     ));
     let mut csv = String::from(
         "benchmark,native_cycles,insns,sample_x,instr_x,total_x,analyze_ms,indirect_share,sample_bytes,counts_bytes\n",

@@ -7,7 +7,10 @@ fn main() {
     let data = fig08(InputSize::Train);
     let mut out = String::new();
     out.push_str("Figure 8: slow store followed by independent arithmetic (x86-like core)\n\n");
-    out.push_str(&format!("{:>8}  {:<34} {:>8}\n", "OFFSET", "INSTRUCTION", "SAMPLES"));
+    out.push_str(&format!(
+        "{:>8}  {:<34} {:>8}\n",
+        "OFFSET", "INSTRUCTION", "SAMPLES"
+    ));
     for (off, text, samples) in &data.rows {
         let marker = if text.starts_with("st.4") {
             "  <- the slow store"
@@ -16,7 +19,10 @@ fn main() {
         } else {
             ""
         };
-        out.push_str(&format!("{:>8x}  {:<34} {:>8}{}\n", off, text, samples, marker));
+        out.push_str(&format!(
+            "{:>8x}  {:<34} {:>8}{}\n",
+            off, text, samples, marker
+        ));
     }
     out.push_str(&format!(
         "\nstore itself: {} samples; instruction after it: {} samples;\n\

@@ -12,7 +12,10 @@ fn main() {
         "DELTA", "IN-ORDER", "EARLY-RELEASE"
     ));
     let lookup = |hist: &[(i64, u64)], d: i64| {
-        hist.iter().find(|(x, _)| *x == d).map(|(_, n)| *n).unwrap_or(0)
+        hist.iter()
+            .find(|(x, _)| *x == d)
+            .map(|(_, n)| *n)
+            .unwrap_or(0)
     };
     for d in -2..=70 {
         let a = lookup(&data.inorder, d);

@@ -63,7 +63,10 @@ fn main() {
     let mut failed = false;
     for r in &rows {
         if !r.oracle_ok {
-            eprintln!("GATE FAIL: {} diverged under the differential oracle", r.name);
+            eprintln!(
+                "GATE FAIL: {} diverged under the differential oracle",
+                r.name
+            );
             failed = true;
         }
         if r.cpi_regressions > 0 {
@@ -93,9 +96,7 @@ fn main() {
         .iter()
         .any(|r| r.transforms > 0 && r.optimized_cycles < r.baseline_cycles)
     {
-        eprintln!(
-            "GATE FAIL: no rewritten workload improved its timed cycle count"
-        );
+        eprintln!("GATE FAIL: no rewritten workload improved its timed cycle count");
         failed = true;
     }
     if failed {

@@ -137,8 +137,8 @@ pub fn fig02() -> Fig2 {
     let image = ProcessImage::load_single(&module).expect("load");
     let mut cfg = SamplerConfig::with_period(1);
     cfg.jitter = 0;
-    let (profile, _) = sample_run(&image, 0, CoreConfig::xeon_like(), cfg, 50_000_000)
-        .expect("sampling run");
+    let (profile, _) =
+        sample_run(&image, 0, CoreConfig::xeon_like(), cfg, 50_000_000).expect("sampling run");
     let by_loc = profile.by_location();
     let dis = wiser_isa::Disassembly::of_module(&image.modules[0].linked).expect("disasm");
     // The loop body: 7 instructions starting at the chain add.
@@ -504,8 +504,7 @@ pub fn dbi_overhead(size: InputSize) -> Vec<DbiOverheadRow> {
                 ..LoadConfig::default()
             };
             let image = ProcessImage::load(&modules, &load).expect("load");
-            let linked: Vec<Module> =
-                image.modules.iter().map(|m| m.linked.clone()).collect();
+            let linked: Vec<Module> = image.modules.iter().map(|m| m.linked.clone()).collect();
             let config = DbiConfig::default();
             let exhaustive = instrument_run(&image, &config).expect("instrument");
             let mut placed = exhaustive.clone();
@@ -956,17 +955,12 @@ pub fn pgo_speedup(size: InputSize) -> Vec<PgoSpeedupRow> {
                 &wiser_opt::OptimizeOptions::default(),
             )
             .expect("optimize");
-            let oracle_ok = wiser_opt::oracle_check(
-                &modules,
-                &rewritten,
-                PGO_ORACLE_SEEDS,
-                ORACLE_MAX_INSNS,
-            )
-            .is_ok();
+            let oracle_ok =
+                wiser_opt::oracle_check(&modules, &rewritten, PGO_ORACLE_SEEDS, ORACLE_MAX_INSNS)
+                    .is_ok();
             let rerun = pipeline(&rewritten, &config);
             let optimized = optiwise::ProfileTables::from_analysis(&rerun.analysis);
-            let diff =
-                optiwise::diff_tables(&tables, &optimized, optiwise::DiffOptions::default());
+            let diff = optiwise::diff_tables(&tables, &optimized, optiwise::DiffOptions::default());
             let cpi_regressions = diff
                 .rows()
                 .filter(|r| {

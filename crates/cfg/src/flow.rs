@@ -133,8 +133,7 @@ impl FlowSystem {
             .into_iter()
             .zip(constants)
             .map(|(map, constant)| {
-                let mut terms: Vec<(Var, i64)> =
-                    map.into_iter().filter(|&(_, c)| c != 0).collect();
+                let mut terms: Vec<(Var, i64)> = map.into_iter().filter(|&(_, c)| c != 0).collect();
                 terms.sort_unstable();
                 Equation { terms, constant }
             })
@@ -454,8 +453,7 @@ mod tests {
         let (placed, exhaustive, _) = placed_and_exhaustive(LOOP_SRC);
         let placement = placed.placement.as_ref().unwrap();
         assert!(
-            !placement.vertex_suppressed.is_empty()
-                || !placement.fallthrough_suppressed.is_empty(),
+            !placement.vertex_suppressed.is_empty() || !placement.fallthrough_suppressed.is_empty(),
             "a counted loop must offer at least one suppressible counter"
         );
         // The hot self-loop fall-through counter is the big win.

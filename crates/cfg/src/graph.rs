@@ -84,10 +84,7 @@ impl Cfg {
 
     /// The block containing `offset`.
     pub fn block_containing(&self, offset: u64) -> Option<BlockId> {
-        let idx = match self
-            .blocks
-            .binary_search_by_key(&offset, |b| b.start)
-        {
+        let idx = match self.blocks.binary_search_by_key(&offset, |b| b.start) {
             Ok(i) => i,
             Err(0) => return None,
             Err(i) => i - 1,
@@ -123,7 +120,9 @@ pub fn build_cfg(module_id: ModuleId, module: &Module, counts: &CountsProfile) -
     for b in counts.blocks.iter().filter(|b| b.entry.module == module_id) {
         leaders.insert(b.entry.offset);
         for i in 0..b.len as u64 {
-            *insn_count.entry(b.entry.offset + i * INSN_BYTES).or_insert(0) += b.count;
+            *insn_count
+                .entry(b.entry.offset + i * INSN_BYTES)
+                .or_insert(0) += b.count;
         }
         let term_offset = b.entry.offset + (b.len as u64 - 1) * INSN_BYTES;
         let agg = terms.entry(term_offset).or_insert_with(|| TermAgg {

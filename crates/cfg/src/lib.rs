@@ -16,6 +16,4 @@ pub use dom::Dominators;
 pub use dot::function_to_dot;
 pub use flow::{optimize_placement, recover};
 pub use graph::{build_cfg, BlockId, Cfg, CfgBlock, FuncCfg};
-pub use loops::{
-    find_all_loops, find_loops, Loop, LoopForest, MergeIteration, MERGE_THRESHOLD,
-};
+pub use loops::{find_all_loops, find_loops, Loop, LoopForest, MergeIteration, MERGE_THRESHOLD};

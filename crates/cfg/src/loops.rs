@@ -172,9 +172,7 @@ impl LoopForest {
             }
             let parent = &self.loops[p];
             if !parent.body.is_superset(&l.body) {
-                return Err(format!(
-                    "parent {p} of loop {i} does not contain its body"
-                ));
+                return Err(format!("parent {p} of loop {i} does not contain its body"));
             }
             if parent.depth >= l.depth {
                 return Err(format!(

@@ -143,7 +143,11 @@ fn bounded(text: &str) -> String {
 /// Deterministic: same surface definition and seed, same outcome,
 /// regardless of thread, process or machine.
 pub fn run_case(surface: &Surface, seed: u64) -> CaseOutcome {
-    assert!(!surface.corpus.is_empty(), "surface {} has an empty corpus", surface.name);
+    assert!(
+        !surface.corpus.is_empty(),
+        "surface {} has an empty corpus",
+        surface.name
+    );
     let mut rng = case_rng(surface.name, seed);
     let input = derive_input(surface, &mut rng);
     let tracking = alloc::tracking_installed();
@@ -246,7 +250,11 @@ mod tests {
         let surface = id_surface(1 << 20);
         let lens: std::collections::BTreeSet<usize> =
             (0..64).map(|s| run_case(&surface, s).input_len).collect();
-        assert!(lens.len() > 8, "64 seeds produced only {} input shapes", lens.len());
+        assert!(
+            lens.len() > 8,
+            "64 seeds produced only {} input shapes",
+            lens.len()
+        );
     }
 
     #[test]
@@ -361,7 +369,10 @@ mod tests {
         }
         // Most frame mutations re-frame validly (that is the point: get
         // past the CRC gate); the occasional raw smash must also occur.
-        assert!(parses >= 32, "only {parses}/64 frame mutations re-framed validly");
+        assert!(
+            parses >= 32,
+            "only {parses}/64 frame mutations re-framed validly"
+        );
         assert!(parses < 64, "raw-byte smashing never triggered");
         // Garbage input is a polite None, not a panic.
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);

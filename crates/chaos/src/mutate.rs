@@ -119,10 +119,8 @@ fn byte_op(rng: &mut StdRng, data: &mut Vec<u8>, corpus: &[Vec<u8>]) {
 /// falls back to byte-level mutation).
 pub fn owp_frames(rng: &mut StdRng, base: &[u8]) -> Option<Vec<u8>> {
     let parsed = read_sections(base).ok()?;
-    let mut sections: Vec<([u8; 4], Vec<u8>)> = parsed
-        .iter()
-        .map(|s| (s.tag, s.payload.to_vec()))
-        .collect();
+    let mut sections: Vec<([u8; 4], Vec<u8>)> =
+        parsed.iter().map(|s| (s.tag, s.payload.to_vec())).collect();
     if sections.is_empty() {
         return None;
     }
@@ -230,8 +228,14 @@ pub fn jsonl_line(rng: &mut StdRng) -> Vec<u8> {
         }
         3 => {
             // Numeric edges: overflow, negatives, floats, exponents.
-            let n = ["18446744073709551616", "-1", "1.5", "1e9", "0", "18446744073709551615"]
-                [rng.gen_range(0..6u64) as usize];
+            let n = [
+                "18446744073709551616",
+                "-1",
+                "1.5",
+                "1e9",
+                "0",
+                "18446744073709551615",
+            ][rng.gen_range(0..6u64) as usize];
             format!("{{\"{}\":{n}}}", key(rng)).into_bytes()
         }
         4 => {
@@ -276,7 +280,10 @@ fn key(rng: &mut StdRng) -> String {
 
 fn value(rng: &mut StdRng) -> String {
     match rng.gen_range(0..3u64) {
-        0 => format!("\"{}\"", ["submit", "status", "ping", "x"][rng.gen_range(0..4u64) as usize]),
+        0 => format!(
+            "\"{}\"",
+            ["submit", "status", "ping", "x"][rng.gen_range(0..4u64) as usize]
+        ),
         1 => format!("{}", rng.gen_range(0..=u64::MAX)),
         _ => ["true", "false"][rng.gen_range(0..2u64) as usize].to_string(),
     }

@@ -485,7 +485,10 @@ mod imp {
         // Unknown names, unknown keys and invalid values are all rejected
         // here with a typed response — never deep inside a running job.
         let (arch, mut overrides) = match request.get("arch") {
-            None => (daemon.opts.arch_name.to_string(), daemon.opts.overrides.clone()),
+            None => (
+                daemon.opts.arch_name.to_string(),
+                daemon.opts.overrides.clone(),
+            ),
             Some(Value::Str(s)) => (s.clone(), Vec::new()),
             Some(_) => return error_response("`arch` must be a string"),
         };
@@ -605,10 +608,7 @@ mod imp {
             ]),
             Ok(Err(error)) => {
                 let mut response = error_response(&error.to_string());
-                response.insert(
-                    "exit".to_string(),
-                    Value::Int(u64::from(error.exit_code())),
-                );
+                response.insert("exit".to_string(), Value::Int(u64::from(error.exit_code())));
                 response
             }
             // The job never reported: its closure panicked (the pool logs

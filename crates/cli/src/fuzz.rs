@@ -57,7 +57,13 @@ fn pipeline_profile() -> Result<StoredProfile, OptiwiseError> {
     let modules = crate::build_program("loop_merge", 0, InputSize::Test)?;
     let config = OptiwiseConfig::default();
     let run = optiwise::run_optiwise(&modules, &config)?;
-    Ok(StoredProfile::from_run("fuzz-corpus", &run, config.rand_seed, "xeon", config.core))
+    Ok(StoredProfile::from_run(
+        "fuzz-corpus",
+        &run,
+        config.rand_seed,
+        "xeon",
+        config.core,
+    ))
 }
 
 /// The spec of every checkpoint image, and the transformed profile's job.
@@ -96,7 +102,11 @@ fn profile_corpus() -> Result<Vec<Vec<u8>>, OptiwiseError> {
     let mut minimal = rich.clone();
     minimal.samples = None;
     minimal.counts = None;
-    Ok(vec![rich.to_bytes(), transformed.to_bytes(), minimal.to_bytes()])
+    Ok(vec![
+        rich.to_bytes(),
+        transformed.to_bytes(),
+        minimal.to_bytes(),
+    ])
 }
 
 fn checkpoint_corpus() -> Result<Vec<Vec<u8>>, OptiwiseError> {
@@ -124,7 +134,11 @@ fn checkpoint_corpus() -> Result<Vec<Vec<u8>>, OptiwiseError> {
 fn manifest_corpus() -> Vec<Vec<u8>> {
     let empty = Manifest::new();
     let mut populated = Manifest::new();
-    for (id, status) in [(1, RunStatus::Committed), (2, RunStatus::Quarantined), (3, RunStatus::Committed)] {
+    for (id, status) in [
+        (1, RunStatus::Committed),
+        (2, RunStatus::Quarantined),
+        (3, RunStatus::Committed),
+    ] {
         populated.insert(ManifestEntry {
             run_id: id,
             file: ManifestEntry::file_name(id),
@@ -253,8 +267,7 @@ pub(crate) fn cmd_fuzz(opts: &Options) -> Result<(), OptiwiseError> {
             .collect::<Vec<(&'static str, CaseOutcome)>>()
     });
     std::panic::set_hook(previous_hook);
-    let per_seed =
-        results.map_err(|e| OptiwiseError::Internal(format!("fuzz worker: {e}")))?;
+    let per_seed = results.map_err(|e| OptiwiseError::Internal(format!("fuzz worker: {e}")))?;
 
     let mut out = String::new();
     let _ = writeln!(out, "fuzz: seeds {lo}..{hi}, {} surface(s)", surfaces.len());

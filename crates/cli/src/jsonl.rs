@@ -294,11 +294,17 @@ mod tests {
     #[test]
     fn bounded_reader_stops_buffering_a_newline_free_flood() {
         let flood = vec![b'x'; 1 << 20];
-        assert_eq!(read_bounded_line(&flood[..], 4096).unwrap(), LineRead::TooLong);
+        assert_eq!(
+            read_bounded_line(&flood[..], 4096).unwrap(),
+            LineRead::TooLong
+        );
         // Too long even when a newline exists past the cap.
         let mut late = vec![b'y'; 8192];
         late.push(b'\n');
-        assert_eq!(read_bounded_line(&late[..], 4096).unwrap(), LineRead::TooLong);
+        assert_eq!(
+            read_bounded_line(&late[..], 4096).unwrap(),
+            LineRead::TooLong
+        );
     }
 
     #[test]

@@ -75,10 +75,10 @@ use optiwise::{
     ResourceLimits, ResumeState, RunControl, StoreError, SweepCell, SweepConfig, SweepGrid,
     SweepResult, SweepWorkload,
 };
-use wiser_store::{Checkpoint, CheckpointSpec, CheckpointWriter, StoredProfile};
 use wiser_isa::Module;
 use wiser_sampler::{Attribution, SamplerConfig};
 use wiser_sim::{CoreConfig, FaultPlan, TruncationReason, ARCH_NAMES};
+use wiser_store::{Checkpoint, CheckpointSpec, CheckpointWriter, StoredProfile};
 use wiser_workloads::InputSize;
 
 #[derive(Clone)]
@@ -493,7 +493,9 @@ where
     T: std::str::FromStr + PartialOrd + std::fmt::Display,
     T::Err: std::fmt::Display,
 {
-    let n: T = text.parse().map_err(|e| format!("bad {flag} `{text}`: {e}"))?;
+    let n: T = text
+        .parse()
+        .map_err(|e| format!("bad {flag} `{text}`: {e}"))?;
     if n < min {
         return Err(format!("{flag} must be at least {min}"));
     }
@@ -502,7 +504,9 @@ where
 
 /// `flag`'s value as a finite, non-negative number that passes `ok`.
 fn finite(flag: &str, text: &str, ok: fn(f64) -> bool, want: &str) -> Result<f64, String> {
-    let x: f64 = text.parse().map_err(|e| format!("bad {flag} `{text}`: {e}"))?;
+    let x: f64 = text
+        .parse()
+        .map_err(|e| format!("bad {flag} `{text}`: {e}"))?;
     if !x.is_finite() || x < 0.0 || !ok(x) {
         return Err(format!("{flag} must be {want}"));
     }
@@ -605,7 +609,10 @@ fn emit(opts: &Options, text: &str) -> Result<(), OptiwiseError> {
             .map_err(|e| OptiwiseError::Io(format!("writing {path}: {e}"))),
         None => {
             let mut stdout = std::io::stdout().lock();
-            match stdout.write_all(text.as_bytes()).and_then(|()| stdout.flush()) {
+            match stdout
+                .write_all(text.as_bytes())
+                .and_then(|()| stdout.flush())
+            {
                 Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
                     Err(OptiwiseError::Io(format!("writing stdout: {e}")))
                 }
@@ -730,7 +737,12 @@ fn run_job(
         ..spec.to_config(opts.jobs)?
     };
     let writer = file.map(|path| {
-        CheckpointWriter::new(path, ckpt.clone(), token.clone(), opts.fault.kill_in_checkpoint_write)
+        CheckpointWriter::new(
+            path,
+            ckpt.clone(),
+            token.clone(),
+            opts.fault.kill_in_checkpoint_write,
+        )
     });
     if let Some(w) = &writer {
         w.persist_initial()?;
@@ -811,8 +823,9 @@ fn cmd_list(opts: &Options) -> Result<(), OptiwiseError> {
         "random program built from --seed (generated:SEED in a sweep)",
     );
     let mut text = String::new();
-    for (name, kind, description) in
-        std::iter::once(("NAME", "KIND", "DESCRIPTION")).chain(rows).chain([generated])
+    for (name, kind, description) in std::iter::once(("NAME", "KIND", "DESCRIPTION"))
+        .chain(rows)
+        .chain([generated])
     {
         text.push_str(&format!("{name:<22} {kind:<9} {description}\n"));
     }
@@ -889,17 +902,16 @@ fn render_run(
             wiser_store::atomic_write(&path, contents.as_bytes())
                 .map_err(|e| OptiwiseError::Io(format!("{}: {e}", path.display())))
         };
-        write("functions.csv", optiwise::export::functions_csv(&run.analysis))?;
+        write(
+            "functions.csv",
+            optiwise::export::functions_csv(&run.analysis),
+        )?;
         write("loops.csv", optiwise::export::loops_csv(&run.analysis))?;
         write("blocks.csv", optiwise::export::blocks_csv(&run.analysis))?;
         if let Some(func) = &opts.function {
             write(
                 "annotate.csv",
-                optiwise::export::annotate_csv(
-                    &run.analysis,
-                    module_of(&run.analysis, func),
-                    func,
-                ),
+                optiwise::export::annotate_csv(&run.analysis, module_of(&run.analysis, func), func),
             )?;
         }
         eprintln!("wrote CSV tables to {}", dir.display());
@@ -1059,10 +1071,9 @@ fn run_sweep_cell(
 /// against the first one per workload, so run ids, the `.owp` fleet and
 /// the report are byte-identical for every `--jobs` value.
 fn cmd_sweep(opts: &Options) -> Result<(), OptiwiseError> {
-    let archive_dir = opts
-        .archive
-        .as_deref()
-        .ok_or_else(|| OptiwiseError::Usage("sweep needs --archive DIR for its cell fleet".into()))?;
+    let archive_dir = opts.archive.as_deref().ok_or_else(|| {
+        OptiwiseError::Usage("sweep needs --archive DIR for its cell fleet".into())
+    })?;
     let specs: Vec<String> = if opts.configs.is_empty() {
         vec!["xeon".into(), "neoverse".into()]
     } else {
@@ -1426,9 +1437,21 @@ fn cmd_show(opts: &Options) -> Result<(), OptiwiseError> {
         meta.tool_version,
         meta.arch,
         meta.rand_seed,
-        if stored.samples.is_some() { " samples" } else { "" },
-        if stored.counts.is_some() { " counts" } else { "" },
-        if stored.transforms.is_empty() { "" } else { " transforms" },
+        if stored.samples.is_some() {
+            " samples"
+        } else {
+            ""
+        },
+        if stored.counts.is_some() {
+            " counts"
+        } else {
+            ""
+        },
+        if stored.transforms.is_empty() {
+            ""
+        } else {
+            " transforms"
+        },
     );
     text.push_str(&report::tables_report(&stored.tables, opts.top));
     if !stored.transforms.is_empty() {
@@ -1571,13 +1594,13 @@ fn cmd_optimize(opts: &Options) -> Result<(), OptiwiseError> {
         &wiser_opt::OptimizeOptions::default(),
     )
     .map_err(|e| OptiwiseError::Internal(format!("optimizer: {e}")))?;
-    wiser_opt::oracle_check(&modules, &rewritten, ORACLE_SEEDS, ORACLE_MAX_INSNS).map_err(
-        |e| OptiwiseError::Divergence {
+    wiser_opt::oracle_check(&modules, &rewritten, ORACLE_SEEDS, ORACLE_MAX_INSNS).map_err(|e| {
+        OptiwiseError::Divergence {
             score: 1.0,
             threshold: 0.0,
             summary: format!("optimizer oracle: {e}"),
-        },
-    )?;
+        }
+    })?;
 
     // The re-profile is the baseline's job on the rewritten program.
     let reprofile = CheckpointSpec {
@@ -2073,7 +2096,9 @@ pub fn cli_main() -> ExitCode {
             Ok(())
         }
         Some(name) => match COMMANDS.iter().find(|c| c.name == name) {
-            None => Err(OptiwiseError::Usage(format!("unknown command `{name}`\n{USAGE}"))),
+            None => Err(OptiwiseError::Usage(format!(
+                "unknown command `{name}`\n{USAGE}"
+            ))),
             Some(cmd) => parse_options(cmd, &args[1..])
                 .map_err(OptiwiseError::Usage)
                 .and_then(|opts| (cmd.run)(&opts)),
@@ -2116,20 +2141,33 @@ mod tests {
 
     #[test]
     fn all_options_parse() {
-        let o = parse("run", &[
-            "--size", "ref",
-            "--arch", "neoverse",
-            "--period", "4096",
-            "--attribution", "precise",
-            "--no-stack-profiling",
-            "--merge-threshold", "off",
-            "--seed", "42",
-            "--top", "5",
-            "--out", "/tmp/x.txt",
-            "--function", "main",
-            "--jobs", "3",
-            "udiv_chain",
-        ])
+        let o = parse(
+            "run",
+            &[
+                "--size",
+                "ref",
+                "--arch",
+                "neoverse",
+                "--period",
+                "4096",
+                "--attribution",
+                "precise",
+                "--no-stack-profiling",
+                "--merge-threshold",
+                "off",
+                "--seed",
+                "42",
+                "--top",
+                "5",
+                "--out",
+                "/tmp/x.txt",
+                "--function",
+                "main",
+                "--jobs",
+                "3",
+                "udiv_chain",
+            ],
+        )
         .unwrap();
         assert_eq!(o.size, InputSize::Ref);
         assert_eq!(o.sampler.period, 4096);
@@ -2143,18 +2181,24 @@ mod tests {
         assert_eq!(o.jobs, 3);
         assert_eq!(o.workloads, vec!["udiv_chain".to_string()]);
         // `--period` after `--attribution` keeps the attribution.
-        let reversed = parse("run", &[
-            "--attribution", "precise", "--period", "4096", "udiv_chain",
-        ])
+        let reversed = parse(
+            "run",
+            &["--attribution", "precise", "--period", "4096", "udiv_chain"],
+        )
         .unwrap();
-        assert_eq!(format!("{:?}", reversed.sampler), format!("{:?}", o.sampler));
+        assert_eq!(
+            format!("{:?}", reversed.sampler),
+            format!("{:?}", o.sampler)
+        );
     }
 
     /// Asserts `run` with `args` and a workload fails with an error that
     /// mentions `names`, so an arity error cannot stand in for it.
     fn rejects(args: &[&str], names: &str) {
         let args: Vec<&str> = args.iter().copied().chain(["x"]).collect();
-        let err = parse("run", &args).err().unwrap_or_else(|| panic!("{args:?} parsed"));
+        let err = parse("run", &args)
+            .err()
+            .unwrap_or_else(|| panic!("{args:?} parsed"));
         assert!(err.contains(names), "{args:?}: {err}");
     }
 
@@ -2167,7 +2211,10 @@ mod tests {
         rejects(&["--attribution", "psychic"], "psychic");
         // A value-taking flag at the end of the line has no value.
         let err = parse("run", &["x", "--size"]).err().unwrap();
-        assert!(err.contains("--size") && err.contains("needs a value"), "{err}");
+        assert!(
+            err.contains("--size") && err.contains("needs a value"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -2198,17 +2245,23 @@ mod tests {
         assert_eq!(o.format, Format::Text);
         assert!((o.threshold - 5.0).abs() < 1e-9);
 
-        let o = parse("diff", &[
-            "--threshold",
-            "12.5",
-            "--fail-on-regression",
-            "old.owp",
-            "new.owp",
-        ])
+        let o = parse(
+            "diff",
+            &[
+                "--threshold",
+                "12.5",
+                "--fail-on-regression",
+                "old.owp",
+                "new.owp",
+            ],
+        )
         .unwrap();
         assert!((o.threshold - 12.5).abs() < 1e-9);
         assert!(o.fail_on_regression);
-        assert_eq!(o.workloads, vec!["old.owp".to_string(), "new.owp".to_string()]);
+        assert_eq!(
+            o.workloads,
+            vec!["old.owp".to_string(), "new.owp".to_string()]
+        );
 
         let o = parse("report", &["--format", "json", "p.owp"]).unwrap();
         assert_eq!(o.format, Format::Json);
@@ -2230,12 +2283,18 @@ mod tests {
 
     #[test]
     fn checkpoint_and_deadline_flags_parse() {
-        let o = parse("run", &[
-            "--deadline", "2.5",
-            "--checkpoint", "ck.owp",
-            "--checkpoint-every", "5000",
-            "long_haul",
-        ])
+        let o = parse(
+            "run",
+            &[
+                "--deadline",
+                "2.5",
+                "--checkpoint",
+                "ck.owp",
+                "--checkpoint-every",
+                "5000",
+                "long_haul",
+            ],
+        )
         .unwrap();
         assert_eq!(o.deadline, Some(2.5));
         assert_eq!(o.checkpoint.as_deref(), Some("ck.owp"));
@@ -2277,7 +2336,11 @@ mod tests {
         assert!(!o.exhaustive_counters);
         assert!((o.hot_threshold - optiwise::DEFAULT_HOT_THRESHOLD).abs() < 1e-12);
 
-        let o = parse("run", &["--selective", "--hot-threshold", "0.05", "mcf_like"]).unwrap();
+        let o = parse(
+            "run",
+            &["--selective", "--hot-threshold", "0.05", "mcf_like"],
+        )
+        .unwrap();
         assert!(o.selective);
         assert!((o.hot_threshold - 0.05).abs() < 1e-12);
         let cfg = pipeline_config(&o);
@@ -2292,7 +2355,10 @@ mod tests {
         rejects(&["--hot-threshold", "-0.1"], "--hot-threshold");
         rejects(&["--hot-threshold", "warm"], "--hot-threshold");
         let err = parse("run", &["x", "--hot-threshold"]).err().unwrap();
-        assert!(err.contains("--hot-threshold") && err.contains("needs a value"), "{err}");
+        assert!(
+            err.contains("--hot-threshold") && err.contains("needs a value"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -2329,20 +2395,21 @@ mod tests {
 
     #[test]
     fn sweep_flags_parse() {
-        let o = parse("sweep", &[
-            "--config",
-            "xeon",
-            "--config",
-            "neoverse:rob_size=64",
-            "x",
-        ])
+        let o = parse(
+            "sweep",
+            &["--config", "xeon", "--config", "neoverse:rob_size=64", "x"],
+        )
         .unwrap();
         assert_eq!(
             o.configs,
             vec!["xeon".to_string(), "neoverse:rob_size=64".to_string()]
         );
         assert!(!o.strict_config);
-        assert!(parse("query", &["--strict-config", "x"]).unwrap().strict_config);
+        assert!(
+            parse("query", &["--strict-config", "x"])
+                .unwrap()
+                .strict_config
+        );
     }
 
     #[test]
@@ -2364,11 +2431,14 @@ mod tests {
         assert!(o.allow_partial);
         let o = parse("run", &["--no-partial", "mcf_like"]).unwrap();
         assert!(!o.allow_partial);
-        let o = parse("run", &[
-            "--inject",
-            "seed=7,drop-samples=25,truncate-counts=5000,corrupt",
-            "mcf_like",
-        ])
+        let o = parse(
+            "run",
+            &[
+                "--inject",
+                "seed=7,drop-samples=25,truncate-counts=5000,corrupt",
+                "mcf_like",
+            ],
+        )
         .unwrap();
         assert_eq!(o.fault.seed, 7);
         assert_eq!(o.fault.drop_sample_pct, 25);
@@ -2382,7 +2452,10 @@ mod tests {
         let err = parse("diff", &["only-one.owp"]).err().unwrap();
         assert!(err.contains("`diff`") && err.contains("two"), "{err}");
         let err = parse("sample", &["loop_merge", "rand_walk"]).err().unwrap();
-        assert!(err.contains("`sample`") && err.contains("one workload"), "{err}");
+        assert!(
+            err.contains("`sample`") && err.contains("one workload"),
+            "{err}"
+        );
         let err = parse("sweep", &[]).err().unwrap();
         assert!(err.contains("at least one workload"), "{err}");
         assert!(parse("run", &[]).is_err());
@@ -2430,7 +2503,10 @@ mod tests {
             assert!(handled.contains(flag), "row flag {flag} has no parse arm");
         }
         for &flag in &handled {
-            assert!(rows().any(|r| r.accepts(flag)), "{flag} is parsed but in no row");
+            assert!(
+                rows().any(|r| r.accepts(flag)),
+                "{flag} is parsed but in no row"
+            );
         }
         for row in rows() {
             let positionals: &[&str] = match row.args {
@@ -2474,7 +2550,10 @@ mod tests {
             }
         }
         for flag in &named {
-            assert!(rows().any(|r| r.accepts(flag)), "usage names {flag}, which no row accepts");
+            assert!(
+                rows().any(|r| r.accepts(flag)),
+                "usage names {flag}, which no row accepts"
+            );
         }
         for flag in rows().flat_map(|r| r.flags.iter().copied().flatten()) {
             assert!(named.contains(flag), "usage never names {flag}");

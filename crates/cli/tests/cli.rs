@@ -76,8 +76,16 @@ fn split_sample_instrument_analyze_workflow() {
         assert!(out.status.success(), "{w}: {out:?}");
         // `analyze` runs the pipeline with both passes restored: the report
         // is the one `run` prints.
-        let analyzed =
-            optiwise(&["analyze", w, "--size", "test", "--samples", &samples, "--counts", &counts]);
+        let analyzed = optiwise(&[
+            "analyze",
+            w,
+            "--size",
+            "test",
+            "--samples",
+            &samples,
+            "--counts",
+            &counts,
+        ]);
         assert!(analyzed.status.success(), "{w}: {analyzed:?}");
         let run = optiwise(&["run", w, "--size", "test"]);
         assert!(run.status.success(), "{w}: {run:?}");
@@ -88,18 +96,36 @@ fn split_sample_instrument_analyze_workflow() {
         );
 
         // Swapped files lack the section each flag needs: parse exit code.
-        let out =
-            optiwise(&["analyze", w, "--size", "test", "--samples", &counts, "--counts", &samples]);
+        let out = optiwise(&[
+            "analyze",
+            w,
+            "--size",
+            "test",
+            "--samples",
+            &counts,
+            "--counts",
+            &samples,
+        ]);
         assert_eq!(out.status.code(), Some(6), "{w}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("no SAMP section"), "{w}: {stderr}");
     }
-    let (samples, counts) = (dir.path("stack_attr-samples.owp"), dir.path("stack_attr-counts.owp"));
+    let (samples, counts) = (
+        dir.path("stack_attr-samples.owp"),
+        dir.path("stack_attr-counts.owp"),
+    );
 
     // Files recorded against another program are refused, not analyzed
     // as if they described this one.
     let out = optiwise(&[
-        "analyze", "mcf_like", "--size", "test", "--samples", &samples, "--counts", &counts,
+        "analyze",
+        "mcf_like",
+        "--size",
+        "test",
+        "--samples",
+        &samples,
+        "--counts",
+        &counts,
     ]);
     assert_eq!(out.status.code(), Some(6), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -110,16 +136,35 @@ fn split_sample_instrument_analyze_workflow() {
     // `run`: same sampling-only report, same warning lines.
     let mcf_counts = dir.path("mcf-counts-truncated.owp");
     let out = optiwise(&[
-        "instrument", "mcf_like", "--size", "test", "--inject", "truncate-counts=5000",
-        "--out", &mcf_counts,
+        "instrument",
+        "mcf_like",
+        "--size",
+        "test",
+        "--inject",
+        "truncate-counts=5000",
+        "--out",
+        &mcf_counts,
     ]);
     assert!(out.status.success(), "{out:?}");
     let analyzed = optiwise(&[
-        "analyze", "mcf_like", "--size", "test",
-        "--samples", &dir.path("mcf_like-samples.owp"), "--counts", &mcf_counts,
+        "analyze",
+        "mcf_like",
+        "--size",
+        "test",
+        "--samples",
+        &dir.path("mcf_like-samples.owp"),
+        "--counts",
+        &mcf_counts,
     ]);
     assert!(analyzed.status.success(), "{analyzed:?}");
-    let run = optiwise(&["run", "mcf_like", "--size", "test", "--inject", "truncate-counts=5000"]);
+    let run = optiwise(&[
+        "run",
+        "mcf_like",
+        "--size",
+        "test",
+        "--inject",
+        "truncate-counts=5000",
+    ]);
     assert!(run.status.success(), "{run:?}");
     assert_eq!(
         String::from_utf8_lossy(&analyzed.stdout),
@@ -130,11 +175,34 @@ fn split_sample_instrument_analyze_workflow() {
     // The split files hold full passes: --selective is a usage error on
     // every split command.
     for args in [
-        vec!["sample", "stack_attr", "--size", "test", "--selective", "--out", "/dev/null"],
-        vec!["instrument", "stack_attr", "--size", "test", "--selective", "--out", "/dev/null"],
         vec![
-            "analyze", "stack_attr", "--size", "test", "--selective",
-            "--samples", &samples, "--counts", &counts,
+            "sample",
+            "stack_attr",
+            "--size",
+            "test",
+            "--selective",
+            "--out",
+            "/dev/null",
+        ],
+        vec![
+            "instrument",
+            "stack_attr",
+            "--size",
+            "test",
+            "--selective",
+            "--out",
+            "/dev/null",
+        ],
+        vec![
+            "analyze",
+            "stack_attr",
+            "--size",
+            "test",
+            "--selective",
+            "--samples",
+            &samples,
+            "--counts",
+            &counts,
         ],
     ] {
         let out = optiwise(&args);
@@ -147,14 +215,36 @@ fn split_sample_instrument_analyze_workflow() {
     // refused with the parse exit code and pointed at `resume`.
     let snapshot = dir.path("snapshot.owp");
     let out = optiwise(&[
-        "run", "long_haul", "--size", "test", "--checkpoint", &snapshot,
-        "--checkpoint-every", "2000", "--inject", "kill-after=8000",
+        "run",
+        "long_haul",
+        "--size",
+        "test",
+        "--checkpoint",
+        &snapshot,
+        "--checkpoint-every",
+        "2000",
+        "--inject",
+        "kill-after=8000",
     ]);
     assert_eq!(out.status.code(), Some(9), "{out:?}");
-    let out = optiwise(&["instrument", "long_haul", "--size", "test", "--out", &counts]);
+    let out = optiwise(&[
+        "instrument",
+        "long_haul",
+        "--size",
+        "test",
+        "--out",
+        &counts,
+    ]);
     assert!(out.status.success(), "{out:?}");
     let out = optiwise(&[
-        "analyze", "long_haul", "--size", "test", "--samples", &snapshot, "--counts", &counts,
+        "analyze",
+        "long_haul",
+        "--size",
+        "test",
+        "--samples",
+        &snapshot,
+        "--counts",
+        &counts,
     ]);
     assert_eq!(out.status.code(), Some(6), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -183,8 +273,14 @@ fn annotate_prints_instruction_rows() {
 fn run_exports_csv_tables() {
     let dir = scratch("csv");
     let out = optiwise(&[
-        "run", "loop_merge", "--size", "test",
-        "--csv-dir", &dir.path("csv"), "--out", &dir.path("csv/report.txt"),
+        "run",
+        "loop_merge",
+        "--size",
+        "test",
+        "--csv-dir",
+        &dir.path("csv"),
+        "--out",
+        &dir.path("csv/report.txt"),
     ]);
     assert!(out.status.success(), "{out:?}");
     for name in ["functions.csv", "loops.csv", "blocks.csv", "report.txt"] {
@@ -207,8 +303,12 @@ fn unknown_workload_fails_gracefully() {
 fn injected_truncation_degrades_run_but_fails_strict() {
     // Default (lenient) mode: the report still appears, labelled degraded.
     let out = optiwise(&[
-        "run", "loop_merge", "--size", "test",
-        "--inject", "truncate-counts=2000",
+        "run",
+        "loop_merge",
+        "--size",
+        "test",
+        "--inject",
+        "truncate-counts=2000",
     ]);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -217,8 +317,13 @@ fn injected_truncation_degrades_run_but_fails_strict() {
 
     // Strict mode: same fault is a hard error with the truncation exit code.
     let out = optiwise(&[
-        "run", "loop_merge", "--size", "test", "--strict",
-        "--inject", "truncate-counts=2000",
+        "run",
+        "loop_merge",
+        "--size",
+        "test",
+        "--strict",
+        "--inject",
+        "truncate-counts=2000",
     ]);
     assert_eq!(out.status.code(), Some(4), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -233,12 +338,26 @@ fn corrupted_profile_exits_with_parse_code() {
     assert!(out.status.success(), "{out:?}");
     // Emit a deterministically corrupted counts profile...
     let out = optiwise(&[
-        "instrument", "stack_attr", "--size", "test", "--inject", "corrupt", "--out", &counts,
+        "instrument",
+        "stack_attr",
+        "--size",
+        "test",
+        "--inject",
+        "corrupt",
+        "--out",
+        &counts,
     ]);
     assert!(out.status.success(), "{out:?}");
     // ...and analyzing it fails with the parse exit code and a byte offset.
     let out = optiwise(&[
-        "analyze", "stack_attr", "--size", "test", "--samples", &samples, "--counts", &counts,
+        "analyze",
+        "stack_attr",
+        "--size",
+        "test",
+        "--samples",
+        &samples,
+        "--counts",
+        &counts,
     ]);
     assert_eq!(out.status.code(), Some(6), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -252,8 +371,13 @@ fn desynced_seeds_fail_strict_run_with_divergence_code() {
     // desyncing the instrumentation run's seed makes the two passes observe
     // different executions — exactly what strict mode must reject.
     let out = optiwise(&[
-        "run", "rand_walk", "--size", "test", "--strict",
-        "--inject", "desync-seed=99",
+        "run",
+        "rand_walk",
+        "--size",
+        "test",
+        "--strict",
+        "--inject",
+        "desync-seed=99",
     ]);
     assert_eq!(out.status.code(), Some(5), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -271,18 +395,40 @@ fn desynced_seeds_fail_strict_run_with_divergence_code() {
     let out = optiwise(&["sample", "rand_walk", "--size", "test", "--out", &samples]);
     assert!(out.status.success(), "{out:?}");
     let out = optiwise(&[
-        "instrument", "rand_walk", "--size", "test", "--inject", "desync-seed=99", "--out", &counts,
+        "instrument",
+        "rand_walk",
+        "--size",
+        "test",
+        "--inject",
+        "desync-seed=99",
+        "--out",
+        &counts,
     ]);
     assert!(out.status.success(), "{out:?}");
-    let analyze =
-        ["analyze", "rand_walk", "--size", "test", "--samples", &samples, "--counts", &counts];
+    let analyze = [
+        "analyze",
+        "rand_walk",
+        "--size",
+        "test",
+        "--samples",
+        &samples,
+        "--counts",
+        &counts,
+    ];
     let out = optiwise(&[&analyze[..], &["--strict"]].concat());
     assert_eq!(out.status.code(), Some(5), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("divergence"), "{stderr}");
     let analyzed = optiwise(&analyze);
     assert!(analyzed.status.success(), "{analyzed:?}");
-    let run = optiwise(&["run", "rand_walk", "--size", "test", "--inject", "desync-seed=99"]);
+    let run = optiwise(&[
+        "run",
+        "rand_walk",
+        "--size",
+        "test",
+        "--inject",
+        "desync-seed=99",
+    ]);
     assert!(run.status.success(), "{run:?}");
     assert_eq!(
         String::from_utf8_lossy(&analyzed.stdout),
@@ -310,7 +456,14 @@ fn report_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn batch_run_merges_reports_in_argument_order() {
-    let args = ["run", "loop_merge", "rand_walk", "udiv_chain", "--size", "test"];
+    let args = [
+        "run",
+        "loop_merge",
+        "rand_walk",
+        "udiv_chain",
+        "--size",
+        "test",
+    ];
     let seq = optiwise(&[&args[..], &["--jobs", "1"]].concat());
     assert!(seq.status.success(), "{seq:?}");
     let par = optiwise(&[&args[..], &["--jobs", "8"]].concat());
@@ -322,7 +475,7 @@ fn batch_run_merges_reports_in_argument_order() {
     let stdout = String::from_utf8_lossy(&par.stdout);
     let pos = |name: &str| {
         stdout
-            .find(&format!("== workload: {name} ==" ))
+            .find(&format!("== workload: {name} =="))
             .unwrap_or_else(|| panic!("missing {name} header in: {stdout}"))
     };
     assert!(pos("loop_merge") < pos("rand_walk"));
@@ -364,38 +517,116 @@ fn flags_a_command_never_reads_are_rejected() {
     let (root, ck) = (&dir.path("archive"), &dir.path("ck.owp"));
     for (args, flag, cmd) in [
         (vec!["resume", ck, "--size", "ref"], "--size", "`resume`"),
-        (vec!["resume", ck, "--arch", "neoverse"], "--arch", "`resume`"),
         (
-            vec!["sweep", "loop_merge", "--size", "test", "--archive", root, "--save", ck],
+            vec!["resume", ck, "--arch", "neoverse"],
+            "--arch",
+            "`resume`",
+        ),
+        (
+            vec![
+                "sweep",
+                "loop_merge",
+                "--size",
+                "test",
+                "--archive",
+                root,
+                "--save",
+                ck,
+            ],
             "--save",
             "`sweep`",
         ),
-        (vec!["sweep", "loop_merge", "--archive", root, "--arch", "neoverse"], "--arch", "`sweep`"),
+        (
+            vec![
+                "sweep",
+                "loop_merge",
+                "--archive",
+                root,
+                "--arch",
+                "neoverse",
+            ],
+            "--arch",
+            "`sweep`",
+        ),
         (vec!["selfcheck", "--seed", "3"], "--seed", "`selfcheck`"),
         (vec!["diff", ck, ck, "--period", "5"], "--period", "`diff`"),
         (vec!["fsck", root, "--jobs", "2"], "--jobs", "`fsck`"),
         (vec!["sample", "x", "--jobs", "2"], "--jobs", "`sample`"),
-        (vec!["sample", "x", "--hot-threshold", "0.5"], "--hot-threshold", "`sample`"),
-        (vec!["sample", "x", "--exhaustive-counters"], "--exhaustive-counters", "`sample`"),
-        (vec!["instrument", "x", "--jobs", "2"], "--jobs", "`instrument`"),
-        (vec!["instrument", "x", "--hot-threshold", "0.5"], "--hot-threshold", "`instrument`"),
-        (vec!["instrument", "x", "--exhaustive-counters"], "--exhaustive-counters", "`instrument`"),
-        (vec!["analyze", "x", "--period", "5"], "--period", "`analyze`"),
-        (vec!["analyze", "x", "--attribution", "precise"], "--attribution", "`analyze`"),
+        (
+            vec!["sample", "x", "--hot-threshold", "0.5"],
+            "--hot-threshold",
+            "`sample`",
+        ),
+        (
+            vec!["sample", "x", "--exhaustive-counters"],
+            "--exhaustive-counters",
+            "`sample`",
+        ),
+        (
+            vec!["instrument", "x", "--jobs", "2"],
+            "--jobs",
+            "`instrument`",
+        ),
+        (
+            vec!["instrument", "x", "--hot-threshold", "0.5"],
+            "--hot-threshold",
+            "`instrument`",
+        ),
+        (
+            vec!["instrument", "x", "--exhaustive-counters"],
+            "--exhaustive-counters",
+            "`instrument`",
+        ),
+        (
+            vec!["analyze", "x", "--period", "5"],
+            "--period",
+            "`analyze`",
+        ),
+        (
+            vec!["analyze", "x", "--attribution", "precise"],
+            "--attribution",
+            "`analyze`",
+        ),
         (vec!["analyze", "x", "--seed", "3"], "--seed", "`analyze`"),
-        (vec!["analyze", "x", "--inject", "corrupt"], "--inject", "`analyze`"),
-        (vec!["analyze", "x", "--hot-threshold", "0.5"], "--hot-threshold", "`analyze`"),
-        (vec!["analyze", "x", "--arch", "neoverse"], "--arch", "`analyze`"),
-        (vec!["analyze", "x", "--set", "rob_size=64"], "--set", "`analyze`"),
-        (vec!["analyze", "x", "--no-stack-profiling"], "--no-stack-profiling", "`analyze`"),
+        (
+            vec!["analyze", "x", "--inject", "corrupt"],
+            "--inject",
+            "`analyze`",
+        ),
+        (
+            vec!["analyze", "x", "--hot-threshold", "0.5"],
+            "--hot-threshold",
+            "`analyze`",
+        ),
+        (
+            vec!["analyze", "x", "--arch", "neoverse"],
+            "--arch",
+            "`analyze`",
+        ),
+        (
+            vec!["analyze", "x", "--set", "rob_size=64"],
+            "--set",
+            "`analyze`",
+        ),
+        (
+            vec!["analyze", "x", "--no-stack-profiling"],
+            "--no-stack-profiling",
+            "`analyze`",
+        ),
     ] {
         let out = optiwise(&args);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
         assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(flag) && stderr.contains(cmd), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(flag) && stderr.contains(cmd),
+            "{args:?}: {stderr}"
+        );
     }
-    assert!(!Path::new(root).exists(), "a rejected command must not touch the archive");
+    assert!(
+        !Path::new(root).exists(),
+        "a rejected command must not touch the archive"
+    );
 }
 
 #[test]
@@ -404,8 +635,16 @@ fn batch_deadline_keeps_finished_shards_and_skips_queued_ones() {
     // deadline, long_haul (ref) is cut mid-run, and rand_walk is still
     // queued when the deadline fires, so it never starts.
     let out = optiwise(&[
-        "run", "loop_merge", "long_haul", "rand_walk", "--size", "ref",
-        "--jobs", "1", "--deadline", "5",
+        "run",
+        "loop_merge",
+        "long_haul",
+        "rand_walk",
+        "--size",
+        "ref",
+        "--jobs",
+        "1",
+        "--deadline",
+        "5",
     ]);
     assert_eq!(out.status.code(), Some(8), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -426,14 +665,27 @@ fn sweep_deadline_commits_finished_cells_and_resumes() {
     // queued when the deadline fires, so it never starts.
     let dir = scratch("sweep-deadline");
     let grid = [
-        "sweep", "loop_merge", "long_haul", "--size", "ref", "--jobs", "1",
-        "--archive", &dir.path("archive"),
+        "sweep",
+        "loop_merge",
+        "long_haul",
+        "--size",
+        "ref",
+        "--jobs",
+        "1",
+        "--archive",
+        &dir.path("archive"),
     ];
     let out = optiwise(&[&grid[..], &["--deadline", "5"]].concat());
     assert_eq!(out.status.code(), Some(8), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("sweep cell `long_haul-s0-xeon` failed"), "{stderr}");
-    assert!(!stderr.contains("long_haul-s0-neoverse"), "queued cell ran: {stderr}");
+    assert!(
+        stderr.contains("sweep cell `long_haul-s0-xeon` failed"),
+        "{stderr}"
+    );
+    assert!(
+        !stderr.contains("long_haul-s0-neoverse"),
+        "queued cell ran: {stderr}"
+    );
     assert!(!stderr.contains("loop_merge"), "{stderr}");
     let committed = |n: u64| std::fs::read(dir.path(&format!("archive/runs/run-{n:06}.owp")));
     let first = committed(1).expect("finished cells commit despite the deadline");
@@ -450,7 +702,10 @@ fn sweep_deadline_commits_finished_cells_and_resumes() {
     assert_eq!(out.status.code(), Some(9), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("long_haul"), "{stderr}");
-    assert!(!stderr.contains("loop_merge"), "committed cells re-ran: {stderr}");
+    assert!(
+        !stderr.contains("loop_merge"),
+        "committed cells re-ran: {stderr}"
+    );
     assert_eq!(committed(1).unwrap(), first);
     assert_eq!(committed(2).unwrap(), second);
 }
@@ -493,8 +748,14 @@ fn saved_profile_is_byte_identical_across_thread_counts() {
         };
         let (seq, seq_owp, saved) = run("1");
         let (par, par_owp, _) = run("8");
-        assert_eq!(seq, par, "{mode}: report differs between --jobs 1 and --jobs 8");
-        assert!(seq_owp == par_owp, "{mode}: saved .owp differs between --jobs 1 and --jobs 8");
+        assert_eq!(
+            seq, par,
+            "{mode}: report differs between --jobs 1 and --jobs 8"
+        );
+        assert!(
+            seq_owp == par_owp,
+            "{mode}: saved .owp differs between --jobs 1 and --jobs 8"
+        );
         let out = optiwise(&["show", &saved]);
         assert!(out.status.success(), "{mode}: {out:?}");
     }
@@ -567,8 +828,13 @@ fn store_commands_validate_their_arguments() {
 
     // --save is single-run only, like the CSV exports.
     let out = optiwise(&[
-        "run", "loop_merge", "rand_walk", "--size", "test",
-        "--save", "/tmp/batch.owp",
+        "run",
+        "loop_merge",
+        "rand_walk",
+        "--size",
+        "test",
+        "--save",
+        "/tmp/batch.owp",
     ]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -602,19 +868,29 @@ fn kill_checkpoint_resume_is_byte_identical() {
         let ck = dir.path(&format!("ck-{leg}.owp"));
         let resumed = dir.path(&format!("resumed-{leg}.owp"));
         let run = |extra: &[&str]| {
-            let mut args = vec!["run", workload, "--size", "test", "--seed", "5", "--jobs", jobs];
+            let mut args = vec![
+                "run", workload, "--size", "test", "--seed", "5", "--jobs", jobs,
+            ];
             args.extend_from_slice(flags);
             args.extend_from_slice(extra);
             optiwise(&args)
         };
 
         let uninterrupted = run(&["--save", &golden]);
-        assert!(uninterrupted.status.success(), "{flags:?}: {uninterrupted:?}");
+        assert!(
+            uninterrupted.status.success(),
+            "{flags:?}: {uninterrupted:?}"
+        );
 
         // The same run, killed mid-flight while checkpointing, exits 9 and
         // leaves a decodable checkpoint behind.
         let out = run(&[
-            "--checkpoint", &ck, "--checkpoint-every", "2000", "--inject", "kill-after=8000",
+            "--checkpoint",
+            &ck,
+            "--checkpoint-every",
+            "2000",
+            "--inject",
+            "kill-after=8000",
         ]);
         assert_eq!(out.status.code(), Some(9), "{workload} {flags:?}: {out:?}");
 
@@ -651,7 +927,14 @@ fn deadline_exits_with_code_8() {
 #[test]
 fn checkpoint_flags_are_validated() {
     // Cadence without a file has nowhere to write.
-    let out = optiwise(&["run", "long_haul", "--size", "test", "--checkpoint-every", "2000"]);
+    let out = optiwise(&[
+        "run",
+        "long_haul",
+        "--size",
+        "test",
+        "--checkpoint-every",
+        "2000",
+    ]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--checkpoint"), "{stderr}");
@@ -659,7 +942,13 @@ fn checkpoint_flags_are_validated() {
     // Checkpoints are single-run only, like --save.
     let dir = scratch("ckpt-reject");
     let out = optiwise(&[
-        "run", "loop_merge", "rand_walk", "--size", "test", "--checkpoint", &dir.path("batch.owp"),
+        "run",
+        "loop_merge",
+        "rand_walk",
+        "--size",
+        "test",
+        "--checkpoint",
+        &dir.path("batch.owp"),
     ]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
 
@@ -677,8 +966,15 @@ fn optimize_verifies_and_is_deterministic_across_thread_counts() {
     let optimize = |jobs: &str| {
         let save = dir.path(&format!("jobs{jobs}.owp"));
         let out = optiwise(&[
-            "optimize", "recip_loop", "--size", "test", "--verify", "--jobs", jobs,
-            "--save", &save,
+            "optimize",
+            "recip_loop",
+            "--size",
+            "test",
+            "--verify",
+            "--jobs",
+            jobs,
+            "--save",
+            &save,
         ]);
         assert_eq!(out.status.code(), Some(0), "--jobs {jobs}: {out:?}");
         (out.stdout, std::fs::read(&save).unwrap())
@@ -686,12 +982,24 @@ fn optimize_verifies_and_is_deterministic_across_thread_counts() {
     let (seq, seq_owp) = optimize("1");
     let stdout = String::from_utf8_lossy(&seq);
     assert!(stdout.contains("== transforms =="), "{stdout}");
-    assert!(stdout.contains("oracle: 20 seeds, behaviour preserved"), "{stdout}");
-    assert!(stdout.contains("== re-profile: baseline -> optimized =="), "{stdout}");
+    assert!(
+        stdout.contains("oracle: 20 seeds, behaviour preserved"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("== re-profile: baseline -> optimized =="),
+        "{stdout}"
+    );
 
     let (par, par_owp) = optimize("8");
-    assert_eq!(seq, par, "optimize report differs between --jobs 1 and --jobs 8");
-    assert!(seq_owp == par_owp, "optimized .owp differs between --jobs 1 and --jobs 8");
+    assert_eq!(
+        seq, par,
+        "optimize report differs between --jobs 1 and --jobs 8"
+    );
+    assert!(
+        seq_owp == par_owp,
+        "optimized .owp differs between --jobs 1 and --jobs 8"
+    );
 }
 
 #[test]
@@ -700,7 +1008,14 @@ fn optimize_takes_a_sweep_cells_profile() {
     // its JOB names the program and size, so no --size is needed.
     let dir = scratch("optimize-sweep-cell");
     let out = optiwise(&[
-        "sweep", "loop_merge", "--size", "test", "--archive", &dir.path("A"), "--out", "/dev/null",
+        "sweep",
+        "loop_merge",
+        "--size",
+        "test",
+        "--archive",
+        &dir.path("A"),
+        "--out",
+        "/dev/null",
     ]);
     assert!(out.status.success(), "{out:?}");
     let cell = optiwise(&["optimize", &dir.path("A/runs/run-000001.owp")]);
@@ -722,13 +1037,28 @@ fn optimize_reprofiles_on_the_baselines_machine() {
     // default xeon, so the diff shows the rewrite, not a change of machine.
     let dir = scratch("optimize-machine");
     let (baseline, optimized) = (dir.path("n.owp"), dir.path("o.owp"));
-    let machine = ["--size", "test", "--arch", "neoverse", "--set", "rob_size=64"];
-    let mut args = vec!["run", "udiv_chain", "--save", &baseline, "--out", "/dev/null"];
+    let machine = [
+        "--size",
+        "test",
+        "--arch",
+        "neoverse",
+        "--set",
+        "rob_size=64",
+    ];
+    let mut args = vec![
+        "run",
+        "udiv_chain",
+        "--save",
+        &baseline,
+        "--out",
+        "/dev/null",
+    ];
     args.extend(machine);
     assert!(optiwise(&args).status.success());
 
-    let stored =
-        optiwise(&["optimize", &baseline, "--verify", "--jobs", "1", "--save", &optimized]);
+    let stored = optiwise(&[
+        "optimize", &baseline, "--verify", "--jobs", "1", "--save", &optimized,
+    ]);
     assert_eq!(stored.status.code(), Some(0), "{stored:?}");
     let mut args = vec!["optimize", "udiv_chain", "--verify"];
     args.extend(machine);
@@ -739,19 +1069,31 @@ fn optimize_reprofiles_on_the_baselines_machine() {
         String::from_utf8_lossy(&fresh.stdout)
     );
     let show = optiwise(&["show", &optimized]);
-    assert!(String::from_utf8_lossy(&show.stdout).contains("arch neoverse"), "{show:?}");
+    assert!(
+        String::from_utf8_lossy(&show.stdout).contains("arch neoverse"),
+        "{show:?}"
+    );
 
     // The job fixes the core, size, seed and passes: a flag that would
     // change it is refused and named. `--jobs` still applies, and changes
     // no saved byte.
     for flags in [
-        &["--arch", "xeon"][..], &["--set", "rob_size=32"], &["--size", "ref"], &["--seed", "9"],
-        &["--selective"], &["--period", "5"], &["--strict"], &["--hot-threshold", "0.5"],
+        &["--arch", "xeon"][..],
+        &["--set", "rob_size=32"],
+        &["--size", "ref"],
+        &["--seed", "9"],
+        &["--selective"],
+        &["--period", "5"],
+        &["--strict"],
+        &["--hot-threshold", "0.5"],
     ] {
         let out = optiwise(&[&["optimize", &baseline][..], flags].concat());
         assert_eq!(out.status.code(), Some(1), "{flags:?}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(&format!("`{}`", flags[0])), "{flags:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("`{}`", flags[0])),
+            "{flags:?}: {stderr}"
+        );
     }
     let par = dir.path("o8.owp");
     let out = optiwise(&["optimize", &baseline, "--jobs", "8", "--save", &par]);
@@ -774,7 +1116,10 @@ fn optimizing_an_optimized_profile_is_refused() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let out = optiwise(&["optimize", &optimized]);
     assert_eq!(out.status.code(), Some(6), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("different build"), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("different build"),
+        "{out:?}"
+    );
 }
 
 #[test]
@@ -865,8 +1210,15 @@ fn coverage_flip_diffs_as_coverage_change_not_regression() {
     let out = optiwise(&["run", "stack_attr", "--size", "test", "--save", &full]);
     assert!(out.status.success(), "{out:?}");
     let out = optiwise(&[
-        "run", "stack_attr", "--size", "test", "--selective", "--hot-threshold", "0.9",
-        "--save", &selective,
+        "run",
+        "stack_attr",
+        "--size",
+        "test",
+        "--selective",
+        "--hot-threshold",
+        "0.9",
+        "--save",
+        &selective,
     ]);
     assert!(out.status.success(), "{out:?}");
 
@@ -889,7 +1241,10 @@ fn fuzz_sweep_is_clean_and_jobs_invariant() {
     );
     let report = String::from_utf8_lossy(&first.stdout);
     for surface in ["profile", "checkpoint", "manifest", "jsonl"] {
-        assert!(report.contains(surface), "missing surface in report: {report}");
+        assert!(
+            report.contains(surface),
+            "missing surface in report: {report}"
+        );
     }
     assert!(report.contains("0 violation(s)"), "{report}");
 }
@@ -944,8 +1299,18 @@ fn mixed_arch_diff_classifies_config_change_not_regression() {
     let (xeon, neoverse) = (dir.path("xeon.owp"), dir.path("neoverse.owp"));
     for (arch, path) in [("xeon", &xeon), ("neoverse", &neoverse)] {
         let out = optiwise(&[
-            "run", "udiv_chain", "--size", "test", "--seed", "3", "--arch", arch,
-            "--save", path, "--out", "/dev/null",
+            "run",
+            "udiv_chain",
+            "--size",
+            "test",
+            "--seed",
+            "3",
+            "--arch",
+            arch,
+            "--save",
+            path,
+            "--out",
+            "/dev/null",
         ]);
         assert!(out.status.success(), "{out:?}");
     }
@@ -975,16 +1340,39 @@ fn resumed_profile_round_trips_its_arch() {
     let dir = scratch("resume-arch");
     let golden = dir.path("golden.owp");
     let out = optiwise(&[
-        "run", "long_haul", "--size", "test", "--seed", "5", "--arch", "neoverse",
-        "--save", &golden, "--out", "/dev/null",
+        "run",
+        "long_haul",
+        "--size",
+        "test",
+        "--seed",
+        "5",
+        "--arch",
+        "neoverse",
+        "--save",
+        &golden,
+        "--out",
+        "/dev/null",
     ]);
     assert!(out.status.success(), "{out:?}");
 
     let ck = dir.path("ck.owp");
     let out = optiwise(&[
-        "run", "long_haul", "--size", "test", "--seed", "5", "--arch", "neoverse",
-        "--checkpoint", &ck, "--checkpoint-every", "2000",
-        "--inject", "kill-after=8000", "--out", "/dev/null",
+        "run",
+        "long_haul",
+        "--size",
+        "test",
+        "--seed",
+        "5",
+        "--arch",
+        "neoverse",
+        "--checkpoint",
+        &ck,
+        "--checkpoint-every",
+        "2000",
+        "--inject",
+        "kill-after=8000",
+        "--out",
+        "/dev/null",
     ]);
     assert_eq!(out.status.code(), Some(9), "{out:?}");
 
@@ -1001,7 +1389,16 @@ fn resumed_profile_round_trips_its_arch() {
     // same workload the resumed file diffs as a config change.
     let xeon = dir.path("xeon.owp");
     let out = optiwise(&[
-        "run", "long_haul", "--size", "test", "--seed", "5", "--save", &xeon, "--out", "/dev/null",
+        "run",
+        "long_haul",
+        "--size",
+        "test",
+        "--seed",
+        "5",
+        "--save",
+        &xeon,
+        "--out",
+        "/dev/null",
     ]);
     assert!(out.status.success(), "{out:?}");
     let out = optiwise(&["diff", &xeon, &resumed, "--fail-on-regression"]);
@@ -1020,9 +1417,19 @@ fn sweep_report_and_fleet_are_byte_identical_across_jobs() {
     for jobs in ["1", "8"] {
         let archive = dir.path(&format!("archive-{jobs}"));
         let out = optiwise(&[
-            "sweep", "loop_merge", "generated:7", "--size", "test",
-            "--config", "xeon", "--config", "neoverse:rob_size=64",
-            "--archive", &archive, "--jobs", jobs,
+            "sweep",
+            "loop_merge",
+            "generated:7",
+            "--size",
+            "test",
+            "--config",
+            "xeon",
+            "--config",
+            "neoverse:rob_size=64",
+            "--archive",
+            &archive,
+            "--jobs",
+            jobs,
         ]);
         assert!(out.status.success(), "{out:?}");
         reports.push(out.stdout);
@@ -1032,7 +1439,10 @@ fn sweep_report_and_fleet_are_byte_identical_across_jobs() {
     assert_eq!(reports[0], reports[1], "sweep report differs across --jobs");
     let text = String::from_utf8_lossy(&reports[0]);
     assert!(text.contains("== OptiWISE sweep: 4 cell(s) =="), "{text}");
-    assert!(text.contains("loop_merge-s0-neoverse:rob_size=64"), "{text}");
+    assert!(
+        text.contains("loop_merge-s0-neoverse:rob_size=64"),
+        "{text}"
+    );
     assert!(
         text.contains("sweep diff: generated (seed 7): xeon -> neoverse:rob_size=64"),
         "{text}"
@@ -1054,14 +1464,25 @@ fn interrupted_sweep_resumes_without_rerunning_finished_cells() {
     // resumes: committed cells are loaded, not re-profiled, and the final
     // fleet + report are byte-identical to a never-interrupted sweep.
     let dir = scratch("sweep-kill");
-    let grid = ["sweep", "loop_merge", "long_haul", "--size", "test", "--archive", &dir.path("A")];
+    let grid = [
+        "sweep",
+        "loop_merge",
+        "long_haul",
+        "--size",
+        "test",
+        "--archive",
+        &dir.path("A"),
+    ];
 
     let mut killed = grid.to_vec();
     killed.extend(["--jobs", "2", "--inject", "kill-after=15000"]);
     let out = optiwise(&killed);
     assert_eq!(out.status.code(), Some(9), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("sweep cell `long_haul-s0-xeon` failed"), "{stderr}");
+    assert!(
+        stderr.contains("sweep cell `long_haul-s0-xeon` failed"),
+        "{stderr}"
+    );
     let committed = |n: u64| std::fs::read(dir.path(&format!("A/runs/run-{n:06}.owp")));
     let first = committed(1).expect("short cells commit despite the crash");
     let second = committed(2).expect("short cells commit despite the crash");
@@ -1079,8 +1500,15 @@ fn interrupted_sweep_resumes_without_rerunning_finished_cells() {
     assert_eq!(out.status.code(), Some(9), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("long_haul"), "{stderr}");
-    assert!(!stderr.contains("loop_merge"), "committed cells re-ran: {stderr}");
-    assert_eq!(committed(1).unwrap(), first, "resume must not rewrite committed runs");
+    assert!(
+        !stderr.contains("loop_merge"),
+        "committed cells re-ran: {stderr}"
+    );
+    assert_eq!(
+        committed(1).unwrap(),
+        first,
+        "resume must not rewrite committed runs"
+    );
 
     // The clean re-run finishes the grid and reclaims the checkpoints.
     let mut finish = grid.to_vec();
@@ -1090,14 +1518,24 @@ fn interrupted_sweep_resumes_without_rerunning_finished_cells() {
     let resumed_report = out.stdout;
     assert_eq!(committed(1).unwrap(), first);
     assert_eq!(committed(2).unwrap(), second);
-    assert!(committed(3).is_ok() && committed(4).is_ok(), "resume must finish the grid");
+    assert!(
+        committed(3).is_ok() && committed(4).is_ok(),
+        "resume must finish the grid"
+    );
     assert!(!Path::new(&checkpoint).exists());
 
     // A sweep that was never interrupted produces the same fleet and the
     // same report.
     let out = optiwise(&[
-        "sweep", "loop_merge", "long_haul", "--size", "test", "--archive", &dir.path("fresh"),
-        "--jobs", "2",
+        "sweep",
+        "loop_merge",
+        "long_haul",
+        "--size",
+        "test",
+        "--archive",
+        &dir.path("fresh"),
+        "--jobs",
+        "2",
     ]);
     assert!(out.status.success(), "{out:?}");
     assert_eq!(out.stdout, resumed_report, "resumed sweep report diverged");
@@ -1119,14 +1557,27 @@ fn sweep_rejects_bad_grids_before_running() {
     for (args, expect) in [
         (vec!["sweep", "loop_merge"], "needs --archive"),
         (vec!["sweep", "--archive", root], "at least one workload"),
-        (vec!["sweep", "no_such", "--archive", root], "unknown workload"),
-        (vec!["sweep", "loop_merge:9", "--archive", root], "takes a :SEED suffix"),
+        (
+            vec!["sweep", "no_such", "--archive", root],
+            "unknown workload",
+        ),
+        (
+            vec!["sweep", "loop_merge:9", "--archive", root],
+            "takes a :SEED suffix",
+        ),
         (
             vec!["sweep", "loop_merge", "--archive", root, "--config", "vax"],
             "unknown arch",
         ),
         (
-            vec!["sweep", "loop_merge", "--archive", root, "--config", "xeon:rob_size=0"],
+            vec![
+                "sweep",
+                "loop_merge",
+                "--archive",
+                root,
+                "--config",
+                "xeon:rob_size=0",
+            ],
             "rob_size",
         ),
     ] {
@@ -1135,7 +1586,10 @@ fn sweep_rejects_bad_grids_before_running() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(expect), "{args:?}: {stderr}");
     }
-    assert!(!Path::new(root).exists(), "a rejected sweep must not create the archive");
+    assert!(
+        !Path::new(root).exists(),
+        "a rejected sweep must not create the archive"
+    );
 }
 
 #[test]
@@ -1164,13 +1618,29 @@ fn generated_is_a_program_name() {
     // failing selfcheck seed) reruns on its own.
     let dir = scratch("generated");
     let out = optiwise(&[
-        "run", "generated", "--seed", "3", "--size", "test", "--save", &dir.path("g.owp"),
-        "--out", "/dev/null",
+        "run",
+        "generated",
+        "--seed",
+        "3",
+        "--size",
+        "test",
+        "--save",
+        &dir.path("g.owp"),
+        "--out",
+        "/dev/null",
     ]);
     assert!(out.status.success(), "{out:?}");
     let out = optiwise(&[
-        "sweep", "generated:3", "--size", "test", "--config", "xeon", "--archive", &dir.path("A"),
-        "--out", "/dev/null",
+        "sweep",
+        "generated:3",
+        "--size",
+        "test",
+        "--config",
+        "xeon",
+        "--archive",
+        &dir.path("A"),
+        "--out",
+        "/dev/null",
     ]);
     assert!(out.status.success(), "{out:?}");
     let json = |file: &str| {
@@ -1178,22 +1648,41 @@ fn generated_is_a_program_name() {
         assert!(out.status.success(), "{out:?}");
         out.stdout
     };
-    assert_eq!(json(&dir.path("g.owp")), json(&dir.path("A/runs/run-000001.owp")));
+    assert_eq!(
+        json(&dir.path("g.owp")),
+        json(&dir.path("A/runs/run-000001.owp"))
+    );
 
     // `analyze` takes no --seed: it rebuilds seed 0, so files recorded at
     // seed 3 are another build.
     for (cmd, file) in [("sample", "s.owp"), ("instrument", "c.owp")] {
         let out = optiwise(&[
-            cmd, "generated", "--seed", "3", "--size", "test", "--out", &dir.path(file),
+            cmd,
+            "generated",
+            "--seed",
+            "3",
+            "--size",
+            "test",
+            "--out",
+            &dir.path(file),
         ]);
         assert!(out.status.success(), "{out:?}");
     }
     let out = optiwise(&[
-        "analyze", "generated", "--size", "test", "--samples", &dir.path("s.owp"),
-        "--counts", &dir.path("c.owp"),
+        "analyze",
+        "generated",
+        "--size",
+        "test",
+        "--samples",
+        &dir.path("s.owp"),
+        "--counts",
+        &dir.path("c.owp"),
     ]);
     assert_eq!(out.status.code(), Some(6), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("different build"), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("different build"),
+        "{out:?}"
+    );
 }
 
 #[test]
@@ -1208,8 +1697,18 @@ fn killed_sweep_cell_resumes_into_the_sweep() {
         let (a, b) = (&dir.path("A"), &dir.path("B"));
         let sweep = |archive: &str, extra: &[&str]| {
             let mut args = vec![
-                "sweep", workload, "--size", "test", "--config", "xeon", "--jobs", "1",
-                "--checkpoint-every", "2000", "--archive", archive,
+                "sweep",
+                workload,
+                "--size",
+                "test",
+                "--config",
+                "xeon",
+                "--jobs",
+                "1",
+                "--checkpoint-every",
+                "2000",
+                "--archive",
+                archive,
             ];
             args.extend(extra);
             optiwise(&args)
@@ -1223,9 +1722,19 @@ fn killed_sweep_cell_resumes_into_the_sweep() {
         let fresh = sweep(b, &[]);
         assert!(fresh.status.success(), "{workload}: {fresh:?}");
 
-        assert_eq!(resumed.stdout, fresh.stdout, "{workload}: sweep report diverged");
+        assert_eq!(
+            resumed.stdout, fresh.stdout,
+            "{workload}: sweep report diverged"
+        );
         let run = |archive: &str, id: u64| std::fs::read(format!("{archive}/runs/run-{id:06}.owp"));
-        assert_eq!(run(a, 1).unwrap(), run(b, 1).unwrap(), "{workload}: run differs");
-        assert!(run(a, 2).is_err(), "{workload}: the sweep profiled the resumed cell again");
+        assert_eq!(
+            run(a, 1).unwrap(),
+            run(b, 1).unwrap(),
+            "{workload}: run differs"
+        );
+        assert!(
+            run(a, 2).is_err(),
+            "{workload}: the sweep profiled the resumed cell again"
+        );
     }
 }

@@ -40,7 +40,10 @@ fn wait_for_socket(socket: &Path, daemon: &mut Child) {
             return;
         }
         if let Ok(Some(status)) = daemon.try_wait() {
-            panic!("daemon died before serving: {status} — {}", drain_stderr(daemon));
+            panic!(
+                "daemon died before serving: {status} — {}",
+                drain_stderr(daemon)
+            );
         }
         std::thread::sleep(Duration::from_millis(50));
     }
@@ -87,8 +90,16 @@ fn archive_fsck_query_workflow() {
     let root = dir.to_str().unwrap();
     for (workload, seed) in [("loop_merge", "1"), ("rand_walk", "2"), ("udiv_chain", "3")] {
         let out = optiwise(&[
-            "run", workload, "--size", "test", "--seed", seed, "--archive", root,
-            "--out", "/dev/null",
+            "run",
+            workload,
+            "--size",
+            "test",
+            "--seed",
+            seed,
+            "--archive",
+            root,
+            "--out",
+            "/dev/null",
         ]);
         assert!(out.status.success(), "{out:?}");
     }
@@ -103,8 +114,14 @@ fn archive_fsck_query_workflow() {
     assert!(par.status.success(), "{par:?}");
     assert_eq!(seq.stdout, par.stdout, "query differs across --jobs");
     let text = String::from_utf8_lossy(&seq.stdout);
-    assert!(text.contains("== diff: run 1 (loop_merge) -> run 2 (rand_walk) =="), "{text}");
-    assert!(text.contains("== diff: run 2 (rand_walk) -> run 3 (udiv_chain) =="), "{text}");
+    assert!(
+        text.contains("== diff: run 1 (loop_merge) -> run 2 (rand_walk) =="),
+        "{text}"
+    );
+    assert!(
+        text.contains("== diff: run 2 (rand_walk) -> run 3 (udiv_chain) =="),
+        "{text}"
+    );
 
     // Corrupt one run on disk: fsck quarantines it and exits 11; a second
     // pass is clean; the file survives as evidence in quarantine/.
@@ -121,7 +138,10 @@ fn archive_fsck_query_workflow() {
     let out = optiwise(&["query", root, "--last", "2"]);
     assert!(out.status.success(), "{out:?}");
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("== diff: run 1 (loop_merge) -> run 3 (udiv_chain) =="), "{text}");
+    assert!(
+        text.contains("== diff: run 1 (loop_merge) -> run 3 (udiv_chain) =="),
+        "{text}"
+    );
 
     // A path that is not a directory is beyond repair: exit 12.
     let file = dir.join("not-an-archive");
@@ -137,8 +157,18 @@ fn archive_retention_prunes_oldest_runs() {
     let root = dir.to_str().unwrap();
     for seed in ["1", "2", "3", "4"] {
         let out = optiwise(&[
-            "run", "loop_merge", "--size", "test", "--seed", seed,
-            "--archive", root, "--max-runs", "2", "--out", "/dev/null",
+            "run",
+            "loop_merge",
+            "--size",
+            "test",
+            "--seed",
+            seed,
+            "--archive",
+            root,
+            "--max-runs",
+            "2",
+            "--out",
+            "/dev/null",
         ]);
         assert!(out.status.success(), "{out:?}");
     }
@@ -159,7 +189,14 @@ fn query_needs_two_committed_runs() {
     let dir = scratch("query-two");
     let root = dir.to_str().unwrap();
     let out = optiwise(&[
-        "run", "loop_merge", "--size", "test", "--archive", root, "--out", "/dev/null",
+        "run",
+        "loop_merge",
+        "--size",
+        "test",
+        "--archive",
+        root,
+        "--out",
+        "/dev/null",
     ]);
     assert!(out.status.success(), "{out:?}");
     let out = optiwise(&["query", root]);
@@ -194,7 +231,14 @@ fn serve_round_trip(jobs: &str) -> Vec<u8> {
     let socket = dir.join("d.sock");
     let sock = socket.to_str().unwrap();
     let mut daemon = spawn_daemon(&[
-        "--archive", &root, "--socket", sock, "--jobs", jobs, "--size", "test",
+        "--archive",
+        &root,
+        "--socket",
+        sock,
+        "--jobs",
+        jobs,
+        "--size",
+        "test",
     ]);
     wait_for_socket(&socket, &mut daemon);
 
@@ -208,7 +252,10 @@ fn serve_round_trip(jobs: &str) -> Vec<u8> {
     assert!(line.contains("\"run\":1"), "{line}");
     let out = optiwise(&["submit", "--socket", sock, "loop_merge", "--seed", "9"]);
     assert!(out.status.success(), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("\"run\":2"), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("\"run\":2"),
+        "{out:?}"
+    );
 
     let out = optiwise(&["status", "--socket", sock]);
     assert!(out.status.success(), "{out:?}");
@@ -221,15 +268,26 @@ fn serve_round_trip(jobs: &str) -> Vec<u8> {
     let query = optiwise(&["query", &root, "--last", "2", "--jobs", jobs]);
     assert!(query.status.success(), "{query:?}");
     let text = String::from_utf8_lossy(&query.stdout);
-    assert!(text.contains("== diff: run 1 (rand_walk) -> run 2 (loop_merge) =="), "{text}");
+    assert!(
+        text.contains("== diff: run 1 (rand_walk) -> run 2 (loop_merge) =="),
+        "{text}"
+    );
 
     // Graceful drain: shutdown answers, the daemon exits 0, the socket
     // file is gone, the archive is clean.
     let out = optiwise(&["shutdown", "--socket", sock]);
     assert!(out.status.success(), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("\"draining\":true"), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("\"draining\":true"),
+        "{out:?}"
+    );
     let status = daemon.wait().unwrap();
-    assert_eq!(status.code(), Some(0), "daemon: {}", drain_stderr(&mut daemon));
+    assert_eq!(
+        status.code(),
+        Some(0),
+        "daemon: {}",
+        drain_stderr(&mut daemon)
+    );
     assert!(!socket.exists(), "socket file not removed");
     let out = optiwise(&["fsck", &root]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
@@ -242,7 +300,10 @@ fn serve_round_trip(jobs: &str) -> Vec<u8> {
 fn daemon_round_trip_is_byte_identical_across_worker_counts() {
     let seq = serve_round_trip("1");
     let par = serve_round_trip("8");
-    assert_eq!(seq, par, "serve-mode query differs between --jobs 1 and --jobs 8");
+    assert_eq!(
+        seq, par,
+        "serve-mode query differs between --jobs 1 and --jobs 8"
+    );
 }
 
 #[test]
@@ -251,7 +312,10 @@ fn daemon_rejects_malformed_and_unknown_requests() {
     let socket = dir.join("d.sock");
     let sock = socket.to_str().unwrap();
     let mut daemon = spawn_daemon(&[
-        "--archive", dir.join("archive").to_str().unwrap(), "--socket", sock,
+        "--archive",
+        dir.join("archive").to_str().unwrap(),
+        "--socket",
+        sock,
     ]);
     wait_for_socket(&socket, &mut daemon);
 
@@ -260,7 +324,10 @@ fn daemon_rejects_malformed_and_unknown_requests() {
         ("{\"cmd\":\"explode\"}", "unknown cmd"),
         ("{\"no\":\"cmd\"}", "needs a string `cmd`"),
         ("{\"cmd\":\"submit\"}", "needs a string `workload`"),
-        ("{\"cmd\":\"submit\",\"workload\":\"x\",\"size\":\"huge\"}", "unknown size"),
+        (
+            "{\"cmd\":\"submit\",\"workload\":\"x\",\"size\":\"huge\"}",
+            "unknown size",
+        ),
     ] {
         let response = raw_request(&socket, request);
         assert!(response.contains("\"ok\":false"), "{request} -> {response}");
@@ -286,8 +353,12 @@ fn daemon_sigterm_drains_with_exit_8_and_preserves_checkpoints() {
     let socket = dir.join("d.sock");
     let sock = socket.to_str().unwrap().to_string();
     let mut daemon = spawn_daemon(&[
-        "--archive", &root, "--socket", &sock,
-        "--checkpoint-every", "2000",
+        "--archive",
+        &root,
+        "--socket",
+        &sock,
+        "--checkpoint-every",
+        "2000",
     ]);
     wait_for_socket(&socket, &mut daemon);
 
@@ -301,7 +372,10 @@ fn daemon_sigterm_drains_with_exit_8_and_preserves_checkpoints() {
     // Wait until the job is admitted, then give it a moment to start.
     let start = Instant::now();
     loop {
-        assert!(start.elapsed() < Duration::from_secs(60), "job never admitted");
+        assert!(
+            start.elapsed() < Duration::from_secs(60),
+            "job never admitted"
+        );
         let status = raw_request(&socket, "{\"cmd\":\"status\"}");
         if status.contains("\"pending\":1") {
             break;
@@ -312,7 +386,12 @@ fn daemon_sigterm_drains_with_exit_8_and_preserves_checkpoints() {
 
     send_sigterm(daemon.id());
     let status = daemon.wait().unwrap();
-    assert_eq!(status.code(), Some(8), "daemon: {}", drain_stderr(&mut daemon));
+    assert_eq!(
+        status.code(),
+        Some(8),
+        "daemon: {}",
+        drain_stderr(&mut daemon)
+    );
 
     // The in-flight job was answered, never dropped: either the drain
     // cancelled it (its checkpoint survives for `resume`) or it won the
@@ -342,16 +421,36 @@ fn resume_from_archive_finds_newest_checkpoint_and_reclaims_it() {
     // daemon-style checkpoint in it with an injected kill.
     let golden = dir.join("golden.owp");
     let out = optiwise(&[
-        "run", "long_haul", "--size", "test", "--seed", "5",
-        "--archive", root, "--save", golden.to_str().unwrap(), "--out", "/dev/null",
+        "run",
+        "long_haul",
+        "--size",
+        "test",
+        "--seed",
+        "5",
+        "--archive",
+        root,
+        "--save",
+        golden.to_str().unwrap(),
+        "--out",
+        "/dev/null",
     ]);
     assert!(out.status.success(), "{out:?}");
     let ck = dir.join("checkpoints").join("job-000001.owp");
     let out = optiwise(&[
-        "run", "long_haul", "--size", "test", "--seed", "5",
-        "--checkpoint", ck.to_str().unwrap(),
-        "--checkpoint-every", "2000", "--inject", "kill-after=8000",
-        "--out", "/dev/null",
+        "run",
+        "long_haul",
+        "--size",
+        "test",
+        "--seed",
+        "5",
+        "--checkpoint",
+        ck.to_str().unwrap(),
+        "--checkpoint-every",
+        "2000",
+        "--inject",
+        "kill-after=8000",
+        "--out",
+        "/dev/null",
     ]);
     assert_eq!(out.status.code(), Some(9), "{out:?}");
 
@@ -359,7 +458,12 @@ fn resume_from_archive_finds_newest_checkpoint_and_reclaims_it() {
     // the run byte-identically, and reclaims the checkpoint file.
     let resumed = dir.join("resumed.owp");
     let out = optiwise(&[
-        "resume", root, "--save", resumed.to_str().unwrap(), "--out", "/dev/null",
+        "resume",
+        root,
+        "--save",
+        resumed.to_str().unwrap(),
+        "--out",
+        "/dev/null",
     ]);
     assert!(out.status.success(), "{out:?}");
     assert_eq!(
@@ -383,8 +487,16 @@ fn daemon_boot_heals_damaged_archive() {
     let root = dir.to_str().unwrap().to_string();
     for seed in ["1", "2"] {
         let out = optiwise(&[
-            "run", "loop_merge", "--size", "test", "--seed", seed,
-            "--archive", &root, "--out", "/dev/null",
+            "run",
+            "loop_merge",
+            "--size",
+            "test",
+            "--seed",
+            seed,
+            "--archive",
+            &root,
+            "--out",
+            "/dev/null",
         ]);
         assert!(out.status.success(), "{out:?}");
     }
@@ -415,9 +527,12 @@ fn newline_free_flood_gets_typed_error_and_daemon_survives() {
     let socket = dir.join("d.sock");
     let sock = socket.to_str().unwrap();
     let mut daemon = spawn_daemon(&[
-        "--archive", dir.join("archive").to_str().unwrap(),
-        "--socket", sock,
-        "--max-line-bytes", "4096",
+        "--archive",
+        dir.join("archive").to_str().unwrap(),
+        "--socket",
+        sock,
+        "--max-line-bytes",
+        "4096",
     ]);
     wait_for_socket(&socket, &mut daemon);
 
@@ -465,9 +580,12 @@ fn exhausted_resource_budgets_answer_typed_overloaded() {
     let socket = dir.join("headroom.sock");
     let sock = socket.to_str().unwrap();
     let mut daemon = spawn_daemon(&[
-        "--archive", dir.join("archive-a").to_str().unwrap(),
-        "--socket", sock,
-        "--min-headroom", &u64::MAX.to_string(),
+        "--archive",
+        dir.join("archive-a").to_str().unwrap(),
+        "--socket",
+        sock,
+        "--min-headroom",
+        &u64::MAX.to_string(),
     ]);
     wait_for_socket(&socket, &mut daemon);
     let response = raw_request(
@@ -488,9 +606,12 @@ fn exhausted_resource_budgets_answer_typed_overloaded() {
     let socket = dir.join("bytes.sock");
     let sock = socket.to_str().unwrap();
     let mut daemon = spawn_daemon(&[
-        "--archive", dir.join("archive-b").to_str().unwrap(),
-        "--socket", sock,
-        "--max-queued-bytes", "1",
+        "--archive",
+        dir.join("archive-b").to_str().unwrap(),
+        "--socket",
+        sock,
+        "--max-queued-bytes",
+        "1",
     ]);
     wait_for_socket(&socket, &mut daemon);
     let response = raw_request(
@@ -517,15 +638,29 @@ fn daemon_submit_accepts_arch_and_overrides_and_rejects_bad_ones() {
     // A submission may carry its own machine: `--arch` restarts from the
     // named preset and `--set` tunes it, exactly like the offline CLI.
     let out = optiwise(&[
-        "submit", "--socket", sock, "udiv_chain", "--seed", "3",
-        "--arch", "neoverse", "--set", "rob_size=64",
+        "submit",
+        "--socket",
+        sock,
+        "udiv_chain",
+        "--seed",
+        "3",
+        "--arch",
+        "neoverse",
+        "--set",
+        "rob_size=64",
     ]);
     assert!(out.status.success(), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("\"run\":1"), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("\"run\":1"),
+        "{out:?}"
+    );
     // And one under the daemon's default (xeon) config.
     let out = optiwise(&["submit", "--socket", sock, "udiv_chain", "--seed", "3"]);
     assert!(out.status.success(), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("\"run\":2"), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("\"run\":2"),
+        "{out:?}"
+    );
 
     // Unknown or invalid configuration is refused at admission with a
     // typed error — never half-admitted, never a crashed job.
@@ -579,8 +714,15 @@ fn failed_job_answers_its_exit_code_and_runs_once() {
     let socket = dir.join("d.sock");
     let sock = socket.to_str().unwrap();
     let mut daemon = spawn_daemon(&[
-        "--archive", &root, "--socket", sock, "--size", "test",
-        "--strict", "--inject", "truncate-counts=5000",
+        "--archive",
+        &root,
+        "--socket",
+        sock,
+        "--size",
+        "test",
+        "--strict",
+        "--inject",
+        "truncate-counts=5000",
     ]);
     wait_for_socket(&socket, &mut daemon);
 

@@ -198,7 +198,14 @@ impl Analysis {
         opts: AnalysisOptions,
         hot: &HashSet<(u32, String)>,
     ) -> Result<Analysis, OptiwiseError> {
-        Analysis::build(modules, samples, counts, opts, AnalysisMode::Full, Some(hot))
+        Analysis::build(
+            modules,
+            samples,
+            counts,
+            opts,
+            AnalysisMode::Full,
+            Some(hot),
+        )
     }
 
     /// Degraded-mode analysis from the sampling profile alone, for when the
@@ -219,7 +226,14 @@ impl Analysis {
             module_names: modules.iter().map(|m| m.name.clone()).collect(),
             ..CountsProfile::default()
         };
-        Analysis::build(modules, samples, &empty, opts, AnalysisMode::SamplingOnly, None)
+        Analysis::build(
+            modules,
+            samples,
+            &empty,
+            opts,
+            AnalysisMode::SamplingOnly,
+            None,
+        )
     }
 
     fn build(
@@ -268,9 +282,7 @@ impl Analysis {
                 wiser_par::par_map(opts.jobs, modules.iter().collect(), |i, m| {
                     build_module(i, m)
                 })
-                .map_err(|e| {
-                    OptiwiseError::Internal(format!("module-analysis worker: {e}"))
-                })?
+                .map_err(|e| OptiwiseError::Internal(format!("module-analysis worker: {e}")))?
             } else {
                 modules
                     .iter()
@@ -293,9 +305,9 @@ impl Analysis {
         let mut func_ids: HashMap<(u32, String), usize> = HashMap::new();
         let mut funcs: Vec<FuncStats> = Vec::new();
         let func_of = |mods: &Vec<ModuleAnalysis>,
-                           funcs: &mut Vec<FuncStats>,
-                           func_ids: &mut HashMap<(u32, String), usize>,
-                           loc: CodeLoc|
+                       funcs: &mut Vec<FuncStats>,
+                       func_ids: &mut HashMap<(u32, String), usize>,
+                       loc: CodeLoc|
          -> Option<usize> {
             let m = mods.get(loc.module.0 as usize)?;
             let name = m
@@ -675,7 +687,8 @@ fn reconcile(
         d.warnings.push(format!("sampling run truncated: {r}"));
     }
     if let Some(r) = &d.counts_truncated {
-        d.warnings.push(format!("instrumentation run truncated: {r}"));
+        d.warnings
+            .push(format!("instrumentation run truncated: {r}"));
     }
     if mode == AnalysisMode::SamplingOnly {
         // No counts to reconcile against; the caller already knows this is
@@ -686,9 +699,8 @@ fn reconcile(
     }
 
     if hot.is_some() {
-        d.warnings.push(
-            "selective instrumentation: reconciliation restricted to hot functions".into(),
-        );
+        d.warnings
+            .push("selective instrumentation: reconciliation restricted to hot functions".into());
     }
 
     let mut total_weight = 0u64;
@@ -721,8 +733,7 @@ fn reconcile(
         // stalling one, so a sample whose immediate predecessor executed is
         // legitimate even if its own count is zero (e.g. the never-taken
         // fall-through after a loop's back edge).
-        let skid_excused =
-            s.loc.offset >= INSN_BYTES && executed(s.loc.offset - INSN_BYTES);
+        let skid_excused = s.loc.offset >= INSN_BYTES && executed(s.loc.offset - INSN_BYTES);
         if !executed(s.loc.offset) && !skid_excused {
             d.phantom_samples += 1;
             d.phantom_cycles += s.weight;
@@ -744,8 +755,8 @@ fn reconcile(
         && d.counts_truncated.is_none()
         && hot.is_none();
     if totals_comparable {
-        d.insn_total_rel_error = (d.sampled_retired as f64 - d.counted_insns as f64).abs()
-            / d.sampled_retired as f64;
+        d.insn_total_rel_error =
+            (d.sampled_retired as f64 - d.counted_insns as f64).abs() / d.sampled_retired as f64;
     }
 
     if phantom_frac > 0.0 {
@@ -815,8 +826,7 @@ mod tests {
             },
         )
         .unwrap();
-        let modules: Vec<Module> =
-            image_b.modules.iter().map(|m| m.linked.clone()).collect();
+        let modules: Vec<Module> = image_b.modules.iter().map(|m| m.linked.clone()).collect();
         Analysis::new(&modules, &samples, &counts, AnalysisOptions::default())
     }
 

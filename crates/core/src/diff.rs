@@ -641,8 +641,14 @@ mod tests {
             .iter()
             .map(|r| (r.key.as_str(), r.class))
             .collect();
-        assert!(classes.contains(&("m:hot", DiffClass::Removed)), "{classes:?}");
-        assert!(classes.contains(&("m:renamed", DiffClass::Added)), "{classes:?}");
+        assert!(
+            classes.contains(&("m:hot", DiffClass::Removed)),
+            "{classes:?}"
+        );
+        assert!(
+            classes.contains(&("m:renamed", DiffClass::Added)),
+            "{classes:?}"
+        );
     }
 
     #[test]
@@ -674,7 +680,10 @@ mod tests {
         // Coverage changes never count toward --fail-on-regression.
         assert!(!report.has_regressions());
         // Loops and lines carry no coverage, so they classify as usual.
-        assert!(report.loops.iter().all(|r| r.class != DiffClass::CoverageChange));
+        assert!(report
+            .loops
+            .iter()
+            .all(|r| r.class != DiffClass::CoverageChange));
     }
 
     #[test]
@@ -710,8 +719,8 @@ mod tests {
         assert_eq!(row.class, DiffClass::ConfigChange, "{row:?}");
         assert!(!report.has_regressions());
         assert_eq!(report.config_changes(), 3); // function + loop + line
-        // Insignificant rows stay noise — config awareness does not
-        // manufacture significance.
+                                                // Insignificant rows stay noise — config awareness does not
+                                                // manufacture significance.
         let quiet = diff_tables(&tables(1000, 400, 1000), &tables(1010, 400, 1000), opts);
         assert_eq!(quiet.functions[0].class, DiffClass::Noise);
         assert_eq!(quiet.config_changes(), 0);

@@ -422,9 +422,6 @@ mod tests {
         assert!(doc.contains("\"summary\""), "{doc}");
         assert!(doc.contains("\"modules\":[\"csv\"]"), "{doc}");
         // Rows match the table lengths: one object per row.
-        assert_eq!(
-            funcs.matches("\"function\"").count(),
-            t.functions.len(),
-        );
+        assert_eq!(funcs.matches("\"function\"").count(), t.functions.len(),);
     }
 }

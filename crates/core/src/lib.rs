@@ -42,12 +42,11 @@ pub use diff::{diff_tables, DiffClass, DiffMetric, DiffOptions, DiffReport, Diff
 pub use error::{OptiwiseError, Pass, StoreError};
 pub use limits::ResourceLimits;
 pub use runner::{
-    counts_pass, module_fingerprint, run_optiwise, run_optiwise_ctl, sampling_pass,
-    OptiwiseConfig, OptiwiseRun, PassEvent, ResumeState, RetryPolicy, RunControl,
-    DEFAULT_HOT_THRESHOLD,
+    counts_pass, module_fingerprint, run_optiwise, run_optiwise_ctl, sampling_pass, OptiwiseConfig,
+    OptiwiseRun, PassEvent, ResumeState, RetryPolicy, RunControl, DEFAULT_HOT_THRESHOLD,
 };
 pub use sweep::{reduce_fleet, SweepCell, SweepConfig, SweepGrid, SweepResult, SweepWorkload};
-pub use wiser_sim::{CancelCause, CancelToken};
 pub use tables::ProfileTables;
 pub use types::{Coverage, FuncStats, InsnRow, LineStats, LoopStats};
+pub use wiser_sim::{CancelCause, CancelToken};
 pub use xfrm::{TransformKind, TransformLog, TransformRecord};

@@ -211,7 +211,11 @@ pub fn full_report(analysis: &Analysis, limit: usize) -> String {
     if !diag.is_empty() {
         let _ = writeln!(out, "\n-- run health --\n{diag}");
     }
-    let _ = writeln!(out, "\n-- functions --\n{}", functions_table(analysis, limit));
+    let _ = writeln!(
+        out,
+        "\n-- functions --\n{}",
+        functions_table(analysis, limit)
+    );
     let _ = writeln!(out, "-- loops --\n{}", loops_table(analysis, limit));
     let _ = writeln!(out, "-- lines --\n{}", lines_table(analysis, limit));
     out
@@ -226,7 +230,10 @@ pub fn tables_report(tables: &ProfileTables, limit: usize) -> String {
     let overall_ipc = if tables.wall_cycles == 0 || tables.total_insns == 0 {
         "-".to_string()
     } else {
-        format!("{:.2}", tables.total_insns as f64 / tables.wall_cycles as f64)
+        format!(
+            "{:.2}",
+            tables.total_insns as f64 / tables.wall_cycles as f64
+        )
     };
     let _ = writeln!(
         out,
@@ -269,9 +276,7 @@ fn diff_table(rows: &[DiffRow], limit: usize) -> String {
             (Some(o), Some(n)) => match r.metric {
                 crate::diff::DiffMetric::Cpi => (fmt_opt(o.cpi), fmt_opt(n.cpi)),
                 crate::diff::DiffMetric::Execs => (o.execs.to_string(), n.execs.to_string()),
-                crate::diff::DiffMetric::Cycles => {
-                    (o.cycles.to_string(), n.cycles.to_string())
-                }
+                crate::diff::DiffMetric::Cycles => (o.cycles.to_string(), n.cycles.to_string()),
             },
             (Some(o), None) => (o.cycles.to_string(), "-".to_string()),
             (None, Some(n)) => ("-".to_string(), n.cycles.to_string()),

@@ -671,8 +671,8 @@ fn linked_view(image: &ProcessImage) -> Vec<Module> {
 mod tests {
     use super::*;
     use crate::analysis::AnalysisMode;
-    use wiser_sim::TruncationReason;
     use wiser_isa::assemble;
+    use wiser_sim::TruncationReason;
 
     fn counted_loop() -> Module {
         assemble(
@@ -717,7 +717,10 @@ mod tests {
         let run = run_optiwise(&[counted_loop()], &cfg).unwrap();
         // Injected aborts are deterministic: no retry is spent on them.
         assert_eq!(run.attempts.1, 1);
-        assert_eq!(run.counts.truncated, Some(TruncationReason::Injected(5_000)));
+        assert_eq!(
+            run.counts.truncated,
+            Some(TruncationReason::Injected(5_000))
+        );
         assert_eq!(run.analysis.mode, AnalysisMode::SamplingOnly);
         assert!(run
             .analysis
@@ -821,7 +824,10 @@ mod tests {
         };
         let run = run_optiwise(&[counted_loop()], &cfg).unwrap();
         assert_eq!(run.attempts, (1, 1));
-        assert_eq!(run.counts.truncated, Some(TruncationReason::InsnLimit(8_000)));
+        assert_eq!(
+            run.counts.truncated,
+            Some(TruncationReason::InsnLimit(8_000))
+        );
         assert_eq!(run.analysis.mode, AnalysisMode::SamplingOnly);
 
         // Same workload with a permissive cap retries and completes.
@@ -985,12 +991,8 @@ mod tests {
         .unwrap();
         assert!(exhaustive.counts.placement.is_none());
         // The placed run drops real instrumentation work...
-        assert!(
-            placed.counts.cost.instrumented_insns < exhaustive.counts.cost.instrumented_insns
-        );
-        assert!(
-            placed.counts.cost.counters_placed < exhaustive.counts.cost.counters_placed
-        );
+        assert!(placed.counts.cost.instrumented_insns < exhaustive.counts.cost.instrumented_insns);
+        assert!(placed.counts.cost.counters_placed < exhaustive.counts.cost.counters_placed);
         // ...and recovery reproduces the exhaustive profile's counts
         // exactly, so the analyses agree verbatim.
         let recovered = wiser_cfg::recover(&placed.counts).unwrap();

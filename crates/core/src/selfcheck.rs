@@ -244,7 +244,10 @@ pub fn check_modules(
             for bid in &ma.cfg.functions[fidx].blocks {
                 let ids = forest.loops_containing(*bid);
                 for w in ids.windows(2) {
-                    if !forest.loops[w[1]].body.is_superset(&forest.loops[w[0]].body) {
+                    if !forest.loops[w[1]]
+                        .body
+                        .is_superset(&forest.loops[w[0]].body)
+                    {
                         out.push(Discrepancy {
                             class: DiscrepancyClass::JoinBug,
                             check: "loop-attribution-chain",
@@ -389,7 +392,9 @@ pub fn check_modules(
         }
         let m = run.analysis.modules[loc.module.0 as usize].module();
         if let Some(sym) = m.function_at(loc.offset) {
-            *fn_insns.entry((loc.module.0, sym.name.clone())).or_insert(0) += n;
+            *fn_insns
+                .entry((loc.module.0, sym.name.clone()))
+                .or_insert(0) += n;
         }
         if let Some((file, line)) = m.line_at(loc.offset) {
             *line_counts
@@ -401,7 +406,9 @@ pub fn check_modules(
         mod_oracle_cycles[loc.module.0 as usize] += c;
         let m = run.analysis.modules[loc.module.0 as usize].module();
         if let Some(sym) = m.function_at(loc.offset) {
-            *fn_cycles.entry((loc.module.0, sym.name.clone())).or_insert(0) += c;
+            *fn_cycles
+                .entry((loc.module.0, sym.name.clone()))
+                .or_insert(0) += c;
         }
     }
 
@@ -731,12 +738,7 @@ mod tests {
     fn clean_program_has_no_join_bugs() {
         let check = check_modules(&[loop_with_call()], &SelfCheckOptions::default()).unwrap();
         assert!(!check.degraded);
-        assert_eq!(
-            check.join_bugs(),
-            0,
-            "{:#?}",
-            check.discrepancies
-        );
+        assert_eq!(check.join_bugs(), 0, "{:#?}", check.discrepancies);
         // 2 setup + 5*2000 (call+sub+bne+addi+addi... helper 3, loop 2... )
         assert!(check.total_insns > 10_000);
         assert!(check.samples > 0);
@@ -760,13 +762,8 @@ mod tests {
     fn oracle_tables_are_consistent_and_exact() {
         let module = loop_with_call();
         let image = ProcessImage::load_single(&module).unwrap();
-        let (oracle, _) = run_oracle(
-            &image,
-            0,
-            wiser_sim::CoreConfig::xeon_like(),
-            1_000_000,
-        )
-        .unwrap();
+        let (oracle, _) =
+            run_oracle(&image, 0, wiser_sim::CoreConfig::xeon_like(), 1_000_000).unwrap();
         let tables = oracle_tables(std::slice::from_ref(&module), &oracle);
         tables.validate().unwrap();
         assert_eq!(tables.total_insns, oracle.total_retired);

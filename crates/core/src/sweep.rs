@@ -200,10 +200,7 @@ pub fn reduce_fleet(results: &[SweepResult], options: DiffOptions, limit: usize)
             let _ = writeln!(
                 out,
                 "\n== sweep diff: {} (seed {}): {} -> {} ==",
-                workload.name,
-                workload.seed,
-                baseline.cell.config.label,
-                other.cell.config.label
+                workload.name, workload.seed, baseline.cell.config.label, other.cell.config.label
             );
             let opts = DiffOptions {
                 config_changed: baseline.cell.config != other.cell.config,
@@ -294,7 +291,10 @@ mod tests {
                 "generated-s7-neoverse:rob_size=64",
             ]
         );
-        assert_eq!(cells.iter().map(|c| c.index).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+        assert_eq!(
+            cells.iter().map(|c| c.index).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3]
+        );
         // Pure function: expanding twice gives identical cells.
         assert_eq!(cells, grid().expand());
     }
@@ -314,7 +314,10 @@ mod tests {
         let forward = reduce_fleet(&results, DiffOptions::default(), 20);
         results.reverse();
         let reversed = reduce_fleet(&results, DiffOptions::default(), 20);
-        assert_eq!(forward, reversed, "reduction must not depend on arrival order");
+        assert_eq!(
+            forward, reversed,
+            "reduction must not depend on arrival order"
+        );
         // The 2x delta is attributed to the config, not reported as a
         // regression.
         assert!(forward.contains("config"), "{forward}");

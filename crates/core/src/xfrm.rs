@@ -92,7 +92,13 @@ impl TransformLog {
             out.push_str("(none fired)\n");
         }
         for r in &self.records {
-            let _ = writeln!(out, "{:<16} {:<24} {}", r.kind.to_string(), r.function, r.detail);
+            let _ = writeln!(
+                out,
+                "{:<16} {:<24} {}",
+                r.kind.to_string(),
+                r.function,
+                r.detail
+            );
         }
         for note in &self.notes {
             let _ = writeln!(out, "note: {note}");

@@ -35,7 +35,6 @@ impl TermKind {
             CtiKind::Syscall => TermKind::Syscall,
         }
     }
-
 }
 
 /// One discovered DynamoRIO block with its counters.
@@ -211,7 +210,10 @@ impl CountsProfile {
         let n = self.module_names.len();
         let check = |loc: CodeLoc, what: &str| -> Result<(), String> {
             if (loc.module.0 as usize) >= n {
-                Err(format!("{what} references undeclared module {}", loc.module.0))
+                Err(format!(
+                    "{what} references undeclared module {}",
+                    loc.module.0
+                ))
             } else {
                 Ok(())
             }
@@ -224,7 +226,11 @@ impl CountsProfile {
             _ => std::collections::HashSet::new(),
         };
         if let Some(pl) = &self.placement {
-            for &i in pl.vertex_suppressed.iter().chain(&pl.fallthrough_suppressed) {
+            for &i in pl
+                .vertex_suppressed
+                .iter()
+                .chain(&pl.fallthrough_suppressed)
+            {
                 if i as usize >= self.blocks.len() {
                     return Err(format!(
                         "placement references block {i} but the profile has {}",

@@ -1010,11 +1010,7 @@ mod tests {
         let sel = instrument_run(
             &image,
             &DbiConfig {
-                selective: Some(vec![(
-                    ModuleId(0),
-                    start.offset,
-                    start.offset + start.size,
-                )]),
+                selective: Some(vec![(ModuleId(0), start.offset, start.offset + start.size)]),
                 ..DbiConfig::default()
             },
         )

@@ -271,10 +271,7 @@ impl Asm {
             0
         };
         if hi != sign_extended_hi {
-            self.emit(Insn::Lui {
-                rd,
-                imm: hi as i32,
-            });
+            self.emit(Insn::Lui { rd, imm: hi as i32 });
         }
     }
 

@@ -192,8 +192,7 @@ fn render_text(module: &Module, out: &mut String) -> Result<(), IsaError> {
             return Err(bad("overlapping function symbols"));
         }
     }
-    let func_starts: BTreeMap<u64, &Symbol> =
-        functions.iter().map(|f| (f.offset, *f)).collect();
+    let func_starts: BTreeMap<u64, &Symbol> = functions.iter().map(|f| (f.offset, *f)).collect();
     let func_ends: HashSet<u64> = functions.iter().map(|f| f.offset + f.size).collect();
 
     out.push_str(".text\n");
@@ -224,11 +223,7 @@ fn render_text(module: &Module, out: &mut String) -> Result<(), IsaError> {
                 let _ = writeln!(out, "{label}:");
             }
         }
-        if let Some(idx) = module
-            .line_table
-            .iter()
-            .position(|e| e.text_offset == off)
-        {
+        if let Some(idx) = module.line_table.iter().position(|e| e.text_offset == off) {
             let entry = module.line_table[idx];
             let file = &module.files[entry.file as usize];
             let _ = writeln!(out, ".loc \"{file}\" {}", entry.line);
@@ -269,7 +264,9 @@ fn render_reloc_insn(module: &Module, insn: &Insn, reloc: &Reloc) -> Result<Stri
             }
             Ok(format!("call {}", reloc.symbol))
         }
-        other => Err(bad(format!("relocation on unexpected instruction {other:?}"))),
+        other => Err(bad(format!(
+            "relocation on unexpected instruction {other:?}"
+        ))),
     }
 }
 
@@ -314,24 +311,57 @@ fn render_insn(
         Insn::SetCond { cond, rd, rs1, rs2 } => {
             format!("set.{} {rd}, {rs1}, {rs2}", cond.mnemonic())
         }
-        Insn::Ld { width, rd, base, disp } => {
+        Insn::Ld {
+            width,
+            rd,
+            base,
+            disp,
+        } => {
             format!("ld.{width} {rd}, {}", mem(base, None, disp))
         }
-        Insn::St { width, rs, base, disp } => {
+        Insn::St {
+            width,
+            rs,
+            base,
+            disp,
+        } => {
             format!("st.{width} {rs}, {}", mem(base, None, disp))
         }
-        Insn::Ldx { width, rd, base, index, scale, disp } => {
+        Insn::Ldx {
+            width,
+            rd,
+            base,
+            index,
+            scale,
+            disp,
+        } => {
             format!("ld.{width} {rd}, {}", mem(base, Some((index, scale)), disp))
         }
-        Insn::Stx { width, rs, base, index, scale, disp } => {
+        Insn::Stx {
+            width,
+            rs,
+            base,
+            index,
+            scale,
+            disp,
+        } => {
             format!("st.{width} {rs}, {}", mem(base, Some((index, scale)), disp))
         }
         Insn::Prefetch { base, disp } => format!("prefetch {}", mem(base, None, disp)),
         Insn::Push { rs } => format!("push {rs}"),
         Insn::Pop { rd } => format!("pop {rd}"),
         Insn::Jmp { target } => format!("jmp {}", target_name(target)?),
-        Insn::B { cond, rs1, rs2, target } => {
-            format!("b{} {rs1}, {rs2}, {}", cond.mnemonic(), target_name(target)?)
+        Insn::B {
+            cond,
+            rs1,
+            rs2,
+            target,
+        } => {
+            format!(
+                "b{} {rs1}, {rs2}, {}",
+                cond.mnemonic(),
+                target_name(target)?
+            )
         }
         Insn::Jr { rs } => format!("jr {rs}"),
         Insn::JmpGot { .. } => return Err(bad("jmpgot is loader-generated, not printable")),
@@ -350,10 +380,22 @@ fn render_insn(
         Insn::Fcvtfi { rd, fs } => format!("fcvtfi {rd}, {fs}"),
         Insn::Fld { fd, base, disp } => format!("fld {fd}, {}", mem(base, None, disp)),
         Insn::Fst { fs, base, disp } => format!("fst {fs}, {}", mem(base, None, disp)),
-        Insn::Fldx { fd, base, index, scale, disp } => {
+        Insn::Fldx {
+            fd,
+            base,
+            index,
+            scale,
+            disp,
+        } => {
             format!("fld {fd}, {}", mem(base, Some((index, scale)), disp))
         }
-        Insn::Fstx { fs, base, index, scale, disp } => {
+        Insn::Fstx {
+            fs,
+            base,
+            index,
+            scale,
+            disp,
+        } => {
             format!("fst {fs}, {}", mem(base, Some((index, scale)), disp))
         }
     })

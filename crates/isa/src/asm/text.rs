@@ -143,7 +143,9 @@ pub fn assemble(name: &str, source: &str) -> Result<Module, IsaError> {
                 "func" => {
                     mode = Mode::Text;
                     let mut parts = tail.split_whitespace();
-                    let name = parts.next().ok_or_else(|| err(".func needs a name".into()))?;
+                    let name = parts
+                        .next()
+                        .ok_or_else(|| err(".func needs a name".into()))?;
                     let global = match parts.next() {
                         None => false,
                         Some("global") => true,
@@ -161,9 +163,8 @@ pub fn assemble(name: &str, source: &str) -> Result<Module, IsaError> {
                 }
                 "endfunc" => asm.endfunc(),
                 "loc" => {
-                    let (file, line) = parse_loc(tail).ok_or_else(|| {
-                        err("expected `.loc \"file\" line`".to_string())
-                    })?;
+                    let (file, line) = parse_loc(tail)
+                        .ok_or_else(|| err("expected `.loc \"file\" line`".to_string()))?;
                     asm.loc(&file, line);
                 }
                 "u8" | "u32" | "u64" | "f64" | "zero" | "ascii" | "space" => {
@@ -176,9 +177,7 @@ pub fn assemble(name: &str, source: &str) -> Result<Module, IsaError> {
         }
 
         if mode != Mode::Text {
-            return Err(err(format!(
-                "instruction `{head}` outside .text section"
-            )));
+            return Err(err(format!("instruction `{head}` outside .text section")));
         }
         parse_insn(&mut asm, head, tail).map_err(err)?;
     }
@@ -379,9 +378,9 @@ impl<'a> Operands<'a> {
     }
 
     fn gpr(&self, i: usize) -> Result<Gpr, String> {
-        self.parts[i].parse().map_err(|_| {
-            format!("bad register `{}`", self.parts[i])
-        })
+        self.parts[i]
+            .parse()
+            .map_err(|_| format!("bad register `{}`", self.parts[i]))
     }
 
     fn fpr(&self, i: usize) -> Result<Fpr, String> {
@@ -411,7 +410,9 @@ impl<'a> Operands<'a> {
 /// Parses `sym`, `sym+imm` or `sym-imm` (the `la` operand form).
 fn parse_symbol_addend(s: &str) -> Result<(&str, i64), String> {
     let s = s.trim();
-    let split = s.char_indices().find(|&(i, c)| (c == '+' || c == '-') && i > 0);
+    let split = s
+        .char_indices()
+        .find(|&(i, c)| (c == '+' || c == '-') && i > 0);
     let (sym, addend) = match split {
         Some((i, _)) => {
             let addend =
@@ -453,7 +454,8 @@ fn parse_mem(s: &str) -> Result<MemOperand, String> {
                 .trim()
                 .parse()
                 .map_err(|_| format!("bad index register `{reg_part}`"))?;
-            let factor = parse_int(scale_part).ok_or_else(|| format!("bad scale `{scale_part}`"))?;
+            let factor =
+                parse_int(scale_part).ok_or_else(|| format!("bad scale `{scale_part}`"))?;
             let scale = Scale::from_factor(factor as u64)
                 .ok_or_else(|| format!("scale must be 1, 2, 4 or 8, found `{scale_part}`"))?;
             if index.is_some() {
@@ -547,7 +549,11 @@ fn parse_insn(asm: &mut Asm, mnemonic: &str, tail: &str) -> Result<(), String> {
         "cmovz" | "cmovnz" => {
             ops.count(3, mnemonic)?;
             asm.emit(Insn::Cmov {
-                cond: if mnemonic == "cmovz" { Cond::Eq } else { Cond::Ne },
+                cond: if mnemonic == "cmovz" {
+                    Cond::Eq
+                } else {
+                    Cond::Ne
+                },
                 rd: ops.gpr(0)?,
                 rs: ops.gpr(1)?,
                 rc: ops.gpr(2)?,
@@ -680,8 +686,7 @@ fn parse_insn(asm: &mut Asm, mnemonic: &str, tail: &str) -> Result<(), String> {
 fn parse_composite(asm: &mut Asm, mnemonic: &str, ops: &Operands<'_>) -> Result<(), String> {
     // set.<cond>
     if let Some(stem) = mnemonic.strip_prefix("set.") {
-        let cond =
-            cond_suffix(stem).ok_or_else(|| format!("unknown condition `{stem}`"))?;
+        let cond = cond_suffix(stem).ok_or_else(|| format!("unknown condition `{stem}`"))?;
         ops.count(3, mnemonic)?;
         asm.emit(Insn::SetCond {
             cond,

@@ -21,12 +21,7 @@ pub fn format_insn(insn: &Insn) -> String {
         Li { rd, imm } => format!("li {rd}, {imm}"),
         Lui { rd, imm } => format!("lui {rd}, {:#x}", *imm as u32),
         Mov { rd, rs } => format!("mov {rd}, {rs}"),
-        Cmov {
-            cond,
-            rd,
-            rs,
-            rc,
-        } => {
+        Cmov { cond, rd, rs, rc } => {
             let mn = if *cond == crate::insn::Cond::Eq {
                 "cmovz"
             } else {
@@ -181,9 +176,7 @@ impl Disassembly {
                 insn,
                 text,
                 function: module.function_at(offset).map(|s| s.name.clone()),
-                source: module
-                    .line_at(offset)
-                    .map(|(f, l)| (f.to_string(), l)),
+                source: module.line_at(offset).map(|(f, l)| (f.to_string(), l)),
             });
         }
         Ok(Disassembly {

@@ -466,9 +466,7 @@ pub fn decode_insn(bytes: &[u8; INSN_BYTES as usize]) -> Result<Insn, IsaError> 
             target: f.imm as u32,
         },
         JR => Insn::Jr { rs: gpr(f.a)? },
-        JMPGOT => Insn::JmpGot {
-            slot: f.imm as u32,
-        },
+        JMPGOT => Insn::JmpGot { slot: f.imm as u32 },
         CALL => Insn::Call {
             target: f.imm as u32,
         },

@@ -855,7 +855,11 @@ mod tests {
             assert_eq!(cond.inverse().inverse(), cond);
             for &a in &samples {
                 for &b in &samples {
-                    assert_ne!(cond.eval(a, b), cond.inverse().eval(a, b), "{cond:?} {a} {b}");
+                    assert_ne!(
+                        cond.eval(a, b),
+                        cond.inverse().eval(a, b),
+                        "{cond:?} {a} {b}"
+                    );
                 }
             }
         }

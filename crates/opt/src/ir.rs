@@ -112,9 +112,10 @@ pub(crate) fn decompose(module: &Module, cfg: Option<&Cfg>) -> Result<ModuleIr, 
     // data, whose layout we never change.
     for r in &module.relocs {
         if r.addend != 0 {
-            let into_data = module.symbols.iter().any(|s| {
-                s.name == r.symbol && matches!(s.section, Section::Data | Section::Bss)
-            });
+            let into_data = module
+                .symbols
+                .iter()
+                .any(|s| s.name == r.symbol && matches!(s.section, Section::Data | Section::Bss));
             if !into_data {
                 return Err(bail(format!(
                     "relocation `{}`+{} does not target data",
@@ -226,9 +227,10 @@ pub(crate) fn decompose(module: &Module, cfg: Option<&Cfg>) -> Result<ModuleIr, 
         let last = block.insns.last_mut().unwrap();
         if last.reloc.is_none() {
             if let Some(t) = last.insn.direct_target() {
-                last.target = Some(*block_at.get(&(t as u64)).ok_or_else(|| {
-                    bail(format!("direct target {t:#x} is not a block start"))
-                })?);
+                last.target =
+                    Some(*block_at.get(&(t as u64)).ok_or_else(|| {
+                        bail(format!("direct target {t:#x} is not a block start"))
+                    })?);
             }
         }
         let can_fall = !matches!(
@@ -281,10 +283,7 @@ pub(crate) fn decompose(module: &Module, cfg: Option<&Cfg>) -> Result<ModuleIr, 
     let mut funcs: Vec<FuncIr> = Vec::new();
     for f in &functions {
         let range = f.offset..f.offset + f.size;
-        let order: Vec<usize> = block_at
-            .range(range.clone())
-            .map(|(_, &idx)| idx)
-            .collect();
+        let order: Vec<usize> = block_at.range(range.clone()).map(|(_, &idx)| idx).collect();
         if order.is_empty() {
             return Err(bail(format!("function `{}` has no blocks", f.name)));
         }
@@ -330,10 +329,7 @@ pub(crate) fn decompose(module: &Module, cfg: Option<&Cfg>) -> Result<ModuleIr, 
 /// symbols, relocations, the line table and the entry point.
 pub(crate) fn emit(module: &Module, ir: &mut ModuleIr) -> Result<Module, Bail> {
     let global_order: Vec<usize> = ir.funcs.iter().flat_map(|f| f.order.clone()).collect();
-    let next_of: HashMap<usize, usize> = global_order
-        .windows(2)
-        .map(|w| (w[0], w[1]))
-        .collect();
+    let next_of: HashMap<usize, usize> = global_order.windows(2).map(|w| (w[0], w[1])).collect();
 
     // Terminator fixup: adjacency decides which branches survive.
     for &bi in &global_order {
@@ -345,7 +341,9 @@ pub(crate) fn emit(module: &Module, ir: &mut ModuleIr) -> Result<Module, Bail> {
         let loc = last.loc;
         match last.insn.cti_kind() {
             Some(CtiKind::CondBranch) => {
-                let taken = last.target.ok_or_else(|| bail("cond branch without target"))?;
+                let taken = last
+                    .target
+                    .ok_or_else(|| bail("cond branch without target"))?;
                 let fall = block.fall.ok_or_else(|| bail("cond branch without fall"))?;
                 if next == Some(fall) {
                     // Already laid out as written.
@@ -451,10 +449,9 @@ pub(crate) fn emit(module: &Module, ir: &mut ModuleIr) -> Result<Module, Bail> {
                     sym.size = func_ranges[fi].1 - func_ranges[fi].0;
                 }
                 SymbolKind::Object => {
-                    let bi = *ir
-                        .block_at
-                        .get(&sym.offset)
-                        .ok_or_else(|| bail(format!("anchor `{}` is not a block start", sym.name)))?;
+                    let bi = *ir.block_at.get(&sym.offset).ok_or_else(|| {
+                        bail(format!("anchor `{}` is not a block start", sym.name))
+                    })?;
                     sym.offset = *new_start
                         .get(&bi)
                         .ok_or_else(|| bail(format!("anchor `{}` block not placed", sym.name)))?;
@@ -471,7 +468,11 @@ pub(crate) fn emit(module: &Module, ir: &mut ModuleIr) -> Result<Module, Bail> {
                 .block_at
                 .get(&old)
                 .ok_or_else(|| bail("entry is not a block start"))?;
-            Some(*new_start.get(&bi).ok_or_else(|| bail("entry block not placed"))?)
+            Some(
+                *new_start
+                    .get(&bi)
+                    .ok_or_else(|| bail("entry block not placed"))?,
+            )
         }
     };
 

@@ -127,8 +127,10 @@ pub fn optimize_modules(
             .position(|n| n == &module.name)
             .map(|i| i as u32);
         let Some(module_id) = module_id else {
-            log.notes
-                .push(format!("{}: no instrumentation counts, kept original", module.name));
+            log.notes.push(format!(
+                "{}: no instrumentation counts, kept original",
+                module.name
+            ));
             out.push(module.clone());
             continue;
         };

@@ -32,7 +32,9 @@ pub(crate) fn reads(insn: &Insn) -> u32 {
         Insn::Ld { base, .. } => g(base),
         Insn::St { rs, base, .. } => g(rs) | g(base),
         Insn::Ldx { base, index, .. } => g(base) | g(index),
-        Insn::Stx { rs, base, index, .. } => g(rs) | g(base) | g(index),
+        Insn::Stx {
+            rs, base, index, ..
+        } => g(rs) | g(base) | g(index),
         Insn::Prefetch { base, .. } => g(base),
         Insn::Push { rs } => g(rs) | SP,
         Insn::Pop { .. } => SP,
@@ -51,7 +53,9 @@ pub(crate) fn reads(insn: &Insn) -> u32 {
         Insn::Fld { base, .. } => g(base),
         Insn::Fst { fs, base, .. } => f(fs) | g(base),
         Insn::Fldx { base, index, .. } => g(base) | g(index),
-        Insn::Fstx { fs, base, index, .. } => f(fs) | g(base) | g(index),
+        Insn::Fstx {
+            fs, base, index, ..
+        } => f(fs) | g(base) | g(index),
     }
 }
 

@@ -20,11 +20,13 @@ fn retired(modules: &[Module], seed: u64) -> u64 {
     interp.retired()
 }
 
-fn optimize(src: &str, opts: &OptimizeOptions) -> (Vec<Module>, Vec<Module>, optiwise::TransformLog) {
+fn optimize(
+    src: &str,
+    opts: &OptimizeOptions,
+) -> (Vec<Module>, Vec<Module>, optiwise::TransformLog) {
     let modules = vec![assemble("t", src).expect("assemble")];
     let counts = counts_for(&modules);
-    let (rewritten, log) =
-        optimize_modules(&modules, &counts, None, opts).expect("optimize");
+    let (rewritten, log) = optimize_modules(&modules, &counts, None, opts).expect("optimize");
     oracle_check(&modules, &rewritten, 20, MAX_INSNS).expect("oracle");
     (modules, rewritten, log)
 }

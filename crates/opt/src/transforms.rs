@@ -358,8 +358,7 @@ pub(crate) fn layout_blocks(ir: &mut ModuleIr, ctx: &Ctx<'_>, log: &mut Transfor
         edges.sort_by_key(|&(s, d, w)| (std::cmp::Reverse(w), s, d));
 
         let mut chain_of: HashMap<usize, usize> = order.iter().map(|&b| (b, b)).collect();
-        let mut chains: HashMap<usize, Vec<usize>> =
-            order.iter().map(|&b| (b, vec![b])).collect();
+        let mut chains: HashMap<usize, Vec<usize>> = order.iter().map(|&b| (b, vec![b])).collect();
         for (src, dst, _) in edges {
             let cs = chain_of[&src];
             let cd = chain_of[&dst];

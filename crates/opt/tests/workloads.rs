@@ -33,7 +33,10 @@ fn rewritten_workloads_round_trip_through_the_text_assembler() {
             let text = module_to_text(module)
                 .unwrap_or_else(|e| panic!("{name}/{}: render: {e}", module.name));
             let again = assemble(&module.name, &text).unwrap_or_else(|e| {
-                panic!("{name}/{}: re-assemble: {e}\n--- rendered ---\n{text}", module.name)
+                panic!(
+                    "{name}/{}: re-assemble: {e}\n--- rendered ---\n{text}",
+                    module.name
+                )
             });
             assert_eq!(
                 module.text, again.text,

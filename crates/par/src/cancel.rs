@@ -85,10 +85,10 @@ impl CancelToken {
     /// Async-signal-safe: a single atomic compare-exchange, no locks, no
     /// allocation. A cause that already latched is kept.
     pub fn cancel(&self) {
-        let _ = self
-            .inner
-            .state
-            .compare_exchange(LIVE, SIGNAL, Ordering::AcqRel, Ordering::Acquire);
+        let _ =
+            self.inner
+                .state
+                .compare_exchange(LIVE, SIGNAL, Ordering::AcqRel, Ordering::Acquire);
     }
 
     /// Latches [`CancelCause::Kill`]: the run must stop as if the process

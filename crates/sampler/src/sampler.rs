@@ -102,17 +102,20 @@ impl<'a> PerfSampler<'a> {
     /// Like [`resolve`](Self::resolve), also returning the index of the
     /// containing range.
     fn resolve_idx(&self, addr: u64) -> Option<(usize, CodeLoc)> {
-        self.ranges.iter().enumerate().find_map(|(i, &(base, end, id))| {
-            (addr >= base && addr < end).then(|| {
-                (
-                    i,
-                    CodeLoc {
-                        module: ModuleId(id),
-                        offset: addr - base,
-                    },
-                )
+        self.ranges
+            .iter()
+            .enumerate()
+            .find_map(|(i, &(base, end, id))| {
+                (addr >= base && addr < end).then(|| {
+                    (
+                        i,
+                        CodeLoc {
+                            module: ModuleId(id),
+                            offset: addr - base,
+                        },
+                    )
+                })
             })
-        })
     }
 
     /// Maps a stack frame's return address to its call site: one instruction
@@ -445,10 +448,8 @@ mod tests {
         let image = image_of(HOT_LOOP);
         let mut cfg = SamplerConfig::with_period(700);
         cfg.jitter = 0;
-        let (a, _) =
-            sample_run(&image, 0, CoreConfig::xeon_like(), cfg, 10_000_000).unwrap();
-        let (b, _) =
-            sample_run(&image, 0, CoreConfig::xeon_like(), cfg, 10_000_000).unwrap();
+        let (a, _) = sample_run(&image, 0, CoreConfig::xeon_like(), cfg, 10_000_000).unwrap();
+        let (b, _) = sample_run(&image, 0, CoreConfig::xeon_like(), cfg, 10_000_000).unwrap();
         assert_eq!(a, b);
     }
 
@@ -490,12 +491,7 @@ mod tests {
         .unwrap();
         // Samples in `spin` should carry the call site in `_start`.
         let spin = image.modules[0].linked.symbol("spin").unwrap();
-        let call_site_offset = image.modules[0]
-            .linked
-            .symbol("_start")
-            .unwrap()
-            .offset
-            + 16; // call is the 3rd insn of _start
+        let call_site_offset = image.modules[0].linked.symbol("_start").unwrap().offset + 16; // call is the 3rd insn of _start
         let in_spin_with_stack = profile
             .samples
             .iter()
@@ -536,8 +532,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let image =
-            ProcessImage::load(&[main, lib], &wiser_sim::LoadConfig::default()).unwrap();
+        let image = ProcessImage::load(&[main, lib], &wiser_sim::LoadConfig::default()).unwrap();
         let sampler = PerfSampler::new(&image, SamplerConfig::default());
         let m0 = &image.modules[0];
         let m1 = &image.modules[1];
@@ -621,8 +616,7 @@ mod tests {
         let image = image_of(HOT_LOOP);
         let mut cfg = SamplerConfig::with_period(512);
         cfg.fault.abort_sample_at = Some(30_000);
-        let (profile, _) =
-            sample_run(&image, 0, CoreConfig::xeon_like(), cfg, 10_000_000).unwrap();
+        let (profile, _) = sample_run(&image, 0, CoreConfig::xeon_like(), cfg, 10_000_000).unwrap();
         assert_eq!(profile.truncated, Some(TruncationReason::Injected(30_000)));
         assert!(!profile.samples.is_empty());
     }
@@ -632,12 +626,10 @@ mod tests {
         let image = image_of(HOT_LOOP);
         let mut cfg = SamplerConfig::with_period(512);
         cfg.jitter = 0;
-        let (full, _) =
-            sample_run(&image, 0, CoreConfig::xeon_like(), cfg, 10_000_000).unwrap();
+        let (full, _) = sample_run(&image, 0, CoreConfig::xeon_like(), cfg, 10_000_000).unwrap();
         cfg.fault.drop_sample_pct = 50;
         cfg.fault.seed = 11;
-        let (lossy, _) =
-            sample_run(&image, 0, CoreConfig::xeon_like(), cfg, 10_000_000).unwrap();
+        let (lossy, _) = sample_run(&image, 0, CoreConfig::xeon_like(), cfg, 10_000_000).unwrap();
         assert!(lossy.samples.len() < full.samples.len());
         assert_eq!(
             lossy.samples.len() as u64 + lossy.unmapped,
@@ -655,8 +647,7 @@ mod tests {
         let image = image_of(HOT_LOOP);
         let mut cfg = SamplerConfig::with_period(512);
         cfg.attribution = Attribution::Precise;
-        let (profile, _) =
-            sample_run(&image, 0, CoreConfig::xeon_like(), cfg, 10_000_000).unwrap();
+        let (profile, _) = sample_run(&image, 0, CoreConfig::xeon_like(), cfg, 10_000_000).unwrap();
         assert!(!profile.samples.is_empty());
     }
 }

@@ -288,8 +288,7 @@ mod tests {
 
     #[test]
     fn spec_parsing() {
-        let plan =
-            FaultPlan::parse("seed=9,drop-samples=25,abort-sample=1000,corrupt").unwrap();
+        let plan = FaultPlan::parse("seed=9,drop-samples=25,abort-sample=1000,corrupt").unwrap();
         assert_eq!(plan.seed, 9);
         assert_eq!(plan.drop_sample_pct, 25);
         assert_eq!(plan.abort_sample_at, Some(1000));

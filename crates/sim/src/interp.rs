@@ -51,12 +51,14 @@ impl CodeCache {
     fn build(image: &ProcessImage) -> Result<CodeCache, SimError> {
         let mut ranges = Vec::new();
         for module in &image.modules {
-            let bytes = image.memory.read_bytes(module.base, module.text_size as usize);
+            let bytes = image
+                .memory
+                .read_bytes(module.base, module.text_size as usize);
             let mut insns = Vec::with_capacity((module.text_size / INSN_BYTES) as usize);
             for i in 0..module.text_size / INSN_BYTES {
-                let insn = decode_at(&bytes, i * INSN_BYTES).map_err(|e| SimError::Load(
-                    format!("undecodable text in `{}`: {e}", module.linked.name),
-                ))?;
+                let insn = decode_at(&bytes, i * INSN_BYTES).map_err(|e| {
+                    SimError::Load(format!("undecodable text in `{}`: {e}", module.linked.name))
+                })?;
                 insns.push(insn);
             }
             ranges.push(CodeRange {
@@ -284,7 +286,8 @@ impl Interp {
             } => {
                 let ea = gpr(&self.cpu, base).wrapping_add(disp as i64 as u64);
                 mem_addr = Some(ea);
-                self.memory.write_uint(ea, gpr(&self.cpu, rs), width.bytes());
+                self.memory
+                    .write_uint(ea, gpr(&self.cpu, rs), width.bytes());
             }
             Insn::Ldx {
                 width,
@@ -313,7 +316,8 @@ impl Interp {
                     .wrapping_add(gpr(&self.cpu, index).wrapping_mul(scale.factor()))
                     .wrapping_add(disp as i64 as u64);
                 mem_addr = Some(ea);
-                self.memory.write_uint(ea, gpr(&self.cpu, rs), width.bytes());
+                self.memory
+                    .write_uint(ea, gpr(&self.cpu, rs), width.bytes());
             }
             Insn::Prefetch { base, disp } => {
                 // Architecturally a no-op; the timing model warms the cache.
@@ -429,11 +433,7 @@ impl Interp {
                 flow = Some(FlowEvent::Ret { to: next });
                 // Pop matching frame; tolerate hand-rolled control flow by
                 // popping through non-matching frames.
-                if let Some(pos) = self
-                    .shadow_stack
-                    .iter()
-                    .rposition(|f| f.ret_addr == next)
-                {
+                if let Some(pos) = self.shadow_stack.iter().rposition(|f| f.ret_addr == next) {
                     self.shadow_stack.truncate(pos);
                 } else {
                     self.shadow_stack.pop();
@@ -817,10 +817,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(matches!(
-            run_module(&m, 1000),
-            Err(SimError::Exec { .. })
-        ));
+        assert!(matches!(run_module(&m, 1000), Err(SimError::Exec { .. })));
     }
 
     #[test]

@@ -29,10 +29,10 @@ pub use syscall::{SyscallEffect, SyscallNr, SyscallState};
 pub use timed::{run_timed, run_timed_partial_ctl, TimedRun};
 // Re-exported so dependents reach the cancellation primitive without a
 // direct `wiser-par` dependency.
-pub use wiser_par::{CancelCause, CancelToken};
+pub use trace::{BranchOutcome, ExecRecord, FlowEvent};
 pub use uarch::{
     BpredConfig, BpredStats, CacheConfig, CacheStats, CommitMode, ConfigError, ConfigErrorKind,
     CoreConfig, CoreStats, CoreWork, MemHierConfig, NoProbes, OoOCore, ProbePoint, Prober,
     ARCH_NAMES, MAX_LATENCY,
 };
-pub use trace::{BranchOutcome, ExecRecord, FlowEvent};
+pub use wiser_par::{CancelCause, CancelToken};

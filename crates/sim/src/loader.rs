@@ -241,8 +241,7 @@ impl ProcessImage {
                     }
                     Insn::Li { rd, .. } => {
                         // Address-of: absolute address of the symbol.
-                        let addr = if let Some((slot, _)) = import_addr.get(reloc.symbol.as_str())
-                        {
+                        let addr = if let Some((slot, _)) = import_addr.get(reloc.symbol.as_str()) {
                             // Imported object: read its resolved address.
                             memory.read_u64(*slot)
                         } else {
@@ -368,12 +367,7 @@ impl ProcessImage {
             Some(loc) => {
                 let m = &self.modules[loc.module.0 as usize];
                 match m.linked.function_at(loc.offset) {
-                    Some(f) => format!(
-                        "{}:{}+{:#x}",
-                        m.linked.name,
-                        f.name,
-                        loc.offset - f.offset
-                    ),
+                    Some(f) => format!("{}:{}+{:#x}", m.linked.name, f.name, loc.offset - f.offset),
                     None => format!("{}:{:#x}", m.linked.name, loc.offset),
                 }
             }
@@ -446,8 +440,8 @@ mod tests {
 
     #[test]
     fn import_resolved_via_plt() {
-        let image = ProcessImage::load(&[main_module(), lib_module()], &LoadConfig::default())
-            .unwrap();
+        let image =
+            ProcessImage::load(&[main_module(), lib_module()], &LoadConfig::default()).unwrap();
         let main = &image.modules[0];
         let lib = &image.modules[1];
         // The PLT stub is appended after the original text.
@@ -461,8 +455,8 @@ mod tests {
 
     #[test]
     fn call_rebased_to_absolute_in_memory() {
-        let image = ProcessImage::load(&[main_module(), lib_module()], &LoadConfig::default())
-            .unwrap();
+        let image =
+            ProcessImage::load(&[main_module(), lib_module()], &LoadConfig::default()).unwrap();
         let main = &image.modules[0];
         // Instruction 2 (`call helper`) in memory must target the absolute
         // PLT stub address.
@@ -482,8 +476,8 @@ mod tests {
 
     #[test]
     fn la_patched_to_absolute_data_address() {
-        let image = ProcessImage::load(&[main_module(), lib_module()], &LoadConfig::default())
-            .unwrap();
+        let image =
+            ProcessImage::load(&[main_module(), lib_module()], &LoadConfig::default()).unwrap();
         let main = &image.modules[0];
         let la_insn = main.linked.insn_at(0).unwrap();
         match la_insn {
@@ -529,16 +523,16 @@ mod tests {
 
     #[test]
     fn resolve_out_of_range_is_none() {
-        let image = ProcessImage::load(&[main_module(), lib_module()], &LoadConfig::default())
-            .unwrap();
+        let image =
+            ProcessImage::load(&[main_module(), lib_module()], &LoadConfig::default()).unwrap();
         assert!(image.resolve(1).is_none());
         assert!(image.resolve(0x7FFF_FFFF).is_none());
     }
 
     #[test]
     fn describe_names_functions() {
-        let image = ProcessImage::load(&[main_module(), lib_module()], &LoadConfig::default())
-            .unwrap();
+        let image =
+            ProcessImage::load(&[main_module(), lib_module()], &LoadConfig::default()).unwrap();
         let desc = image.describe(image.entry);
         assert!(desc.contains("_start"), "{desc}");
     }

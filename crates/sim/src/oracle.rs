@@ -250,8 +250,7 @@ mod tests {
     #[test]
     fn oracle_counts_match_functional_execution() {
         let image = ProcessImage::load_single(&counted_loop(500)).unwrap();
-        let (profile, run) =
-            run_oracle(&image, 0, CoreConfig::xeon_like(), 1_000_000).unwrap();
+        let (profile, run) = run_oracle(&image, 0, CoreConfig::xeon_like(), 1_000_000).unwrap();
         assert_eq!(run.exit_code, Some(0));
         assert_eq!(profile.truncated, None);
         // 2 setup + 3*500 loop + 3 exit.
@@ -271,8 +270,7 @@ mod tests {
     #[test]
     fn oracle_cycles_are_exhaustive() {
         let image = ProcessImage::load_single(&counted_loop(200)).unwrap();
-        let (profile, run) =
-            run_oracle(&image, 0, CoreConfig::xeon_like(), 1_000_000).unwrap();
+        let (profile, run) = run_oracle(&image, 0, CoreConfig::xeon_like(), 1_000_000).unwrap();
         let attributed: u64 = profile.cycles.values().sum();
         assert_eq!(attributed + profile.unattributed_cycles, run.stats.cycles);
         assert_eq!(profile.total_cycles, run.stats.cycles);

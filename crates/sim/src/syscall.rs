@@ -162,10 +162,7 @@ mod tests {
     fn exit_reports_code() {
         let mut s = state();
         let mut mem = Memory::new();
-        assert_eq!(
-            s.service(0, [7, 0, 0], &mut mem),
-            SyscallEffect::Exit(7)
-        );
+        assert_eq!(s.service(0, [7, 0, 0], &mut mem), SyscallEffect::Exit(7));
     }
 
     #[test]
@@ -198,7 +195,10 @@ mod tests {
         let mut a = state();
         let mut b = state();
         for _ in 0..10 {
-            assert_eq!(a.service(5, [0; 3], &mut mem), b.service(5, [0; 3], &mut mem));
+            assert_eq!(
+                a.service(5, [0; 3], &mut mem),
+                b.service(5, [0; 3], &mut mem)
+            );
         }
     }
 

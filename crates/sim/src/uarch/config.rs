@@ -542,7 +542,10 @@ impl CoreConfig {
         p("iq_size", self.iq_size.to_string());
         p("frontend_latency", self.frontend_latency.to_string());
         p("mispredict_penalty", self.mispredict_penalty.to_string());
-        p("commit_mode", commit_mode_name(self.commit_mode).to_string());
+        p(
+            "commit_mode",
+            commit_mode_name(self.commit_mode).to_string(),
+        );
         p("int_alu_units", self.int_alu_units.to_string());
         p("int_mul_units", self.int_mul_units.to_string());
         p("int_div_units", self.int_div_units.to_string());
@@ -727,7 +730,11 @@ mod tests {
         // Every preset resolves from its own pairs back to itself.
         for name in ARCH_NAMES {
             let preset = CoreConfig::by_name(name).unwrap();
-            assert_eq!(CoreConfig::resolve(name, &preset.to_pairs()), Ok(preset), "{name}");
+            assert_eq!(
+                CoreConfig::resolve(name, &preset.to_pairs()),
+                Ok(preset),
+                "{name}"
+            );
         }
         let pair = |k: &str, v: &str| vec![(k.to_string(), v.to_string())];
         let tuned = CoreConfig::resolve("neoverse", &pair("rob_size", "64")).unwrap();
@@ -738,8 +745,17 @@ mod tests {
             CoreConfig::resolve(arch, overrides).unwrap_err().kind
         };
         assert_eq!(kind("vax", &[]), ConfigErrorKind::UnknownArch);
-        assert_eq!(kind("xeon", &pair("warp_drive", "9")), ConfigErrorKind::UnknownKey);
-        assert_eq!(kind("xeon", &pair("rob_size", "lots")), ConfigErrorKind::BadValue);
-        assert_eq!(kind("xeon", &pair("rob_size", "0")), ConfigErrorKind::Invalid);
+        assert_eq!(
+            kind("xeon", &pair("warp_drive", "9")),
+            ConfigErrorKind::UnknownKey
+        );
+        assert_eq!(
+            kind("xeon", &pair("rob_size", "lots")),
+            ConfigErrorKind::BadValue
+        );
+        assert_eq!(
+            kind("xeon", &pair("rob_size", "0")),
+            ConfigErrorKind::Invalid
+        );
     }
 }

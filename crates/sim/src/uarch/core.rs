@@ -208,7 +208,9 @@ fn uses_of(insn: &Insn) -> Uses {
         Insn::SetCond { rd, rs1, rs2, .. } => ([g(rs1), g(rs2), NO_REG, NO_REG], g(rd)),
         Insn::Ld { rd, base, .. } => ([g(base), NO_REG, NO_REG, NO_REG], g(rd)),
         Insn::St { rs, base, .. } => ([g(rs), g(base), NO_REG, NO_REG], NO_REG),
-        Insn::Ldx { rd, base, index, .. } => ([g(base), g(index), NO_REG, NO_REG], g(rd)),
+        Insn::Ldx {
+            rd, base, index, ..
+        } => ([g(base), g(index), NO_REG, NO_REG], g(rd)),
         Insn::Stx {
             rs, base, index, ..
         } => ([g(rs), g(base), g(index), NO_REG], NO_REG),
@@ -550,7 +552,9 @@ impl OoOCore {
                     // or the oldest parked head whose pool has a free unit.
                     let ready_key = ready.get(i).copied().unwrap_or(u64::MAX);
                     let (key, pool) = match head {
-                        Some((parked_key, pool)) if parked_key < ready_key => (parked_key, Some(pool)),
+                        Some((parked_key, pool)) if parked_key < ready_key => {
+                            (parked_key, Some(pool))
+                        }
                         _ if ready_key == u64::MAX => break,
                         _ => (ready_key, None),
                     };
@@ -770,8 +774,7 @@ impl OoOCore {
                     if uses.dest != NO_REG {
                         last_writer[uses.dest as usize] = seq;
                     }
-                    let abortable =
-                        rec.insn.is_load() || rec.insn.is_store() || rec.insn.is_cti();
+                    let abortable = rec.insn.is_load() || rec.insn.is_store() || rec.insn.is_cti();
                     let correct = self.bpred.process(&rec);
                     slab.push_back(InFlight {
                         addr: rec.addr,

@@ -88,7 +88,13 @@ pub mod faults {
     /// [`atomic_write`](super::atomic_write) reaches `stage`, it fails as
     /// `kind` dictates. The fault fires once, then disarms itself.
     pub fn inject_fault(stage: WriteStage, kind: FaultKind, nth: u32) {
-        PLAN.with(|p| p.set(Some(Plan { stage, kind, skip: nth })));
+        PLAN.with(|p| {
+            p.set(Some(Plan {
+                stage,
+                kind,
+                skip: nth,
+            }))
+        });
     }
 
     /// Disarms any pending fault on the current thread.
@@ -213,7 +219,10 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// Runs one protocol stage, injecting any armed fault and retrying
 /// `EINTR` (whether injected or real — a signal landing in `fsync` or
 /// `rename` must not fail the write).
-fn retry_eintr<T>(stage: faults::WriteStage, mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+fn retry_eintr<T>(
+    stage: faults::WriteStage,
+    mut op: impl FnMut() -> io::Result<T>,
+) -> io::Result<T> {
     loop {
         if let Some(kind) = faults::due(stage) {
             let err = faults::error_for(kind);

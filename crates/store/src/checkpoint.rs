@@ -326,9 +326,8 @@ impl Checkpoint {
                 _ => {} // unknown but checksum-valid: skip (forward compat)
             }
         }
-        let (spec, sample_pos, counts_pos) = ckpt.ok_or_else(|| {
-            StoreError::at(data.len() as u64, "missing required CKPT section")
-        })?;
+        let (spec, sample_pos, counts_pos) =
+            ckpt.ok_or_else(|| StoreError::at(data.len() as u64, "missing required CKPT section"))?;
         Ok(Checkpoint {
             spec,
             sample_pos,
@@ -465,7 +464,9 @@ pub(crate) fn decode_ckpt(
         let selective = get_bool(r, "selective")?;
         let threshold = f64::from_bits(r.u64("hot_threshold")?);
         if !(0.0..=1.0).contains(&threshold) {
-            return Err(r.error(format!("hot_threshold {threshold} is not a fraction in 0..=1")));
+            return Err(r.error(format!(
+                "hot_threshold {threshold} is not a fraction in 0..=1"
+            )));
         }
         (selective, threshold, get_bool(r, "exhaustive_counters")?)
     } else {
@@ -735,9 +736,17 @@ mod tests {
         // The label tail is a u32 length and the label's bytes, the
         // selective tail 10 bytes, the empty overrides tail 8.
         let label = 4 + c.spec.label.len();
-        for (cut, want) in [(label, &unlabelled), (label + 10, &legacy), (label + 18, &legacy)] {
+        for (cut, want) in [
+            (label, &unlabelled),
+            (label + 10, &legacy),
+            (label + 18, &legacy),
+        ] {
             let image = write_store(&[(TAG_CKPT, full[..full.len() - cut].to_vec())]);
-            assert_eq!(&Checkpoint::from_bytes(&image).unwrap().spec, want, "cut {cut}");
+            assert_eq!(
+                &Checkpoint::from_bytes(&image).unwrap().spec,
+                want,
+                "cut {cut}"
+            );
         }
     }
 
@@ -772,7 +781,10 @@ mod tests {
 
         let mut unknown = s.clone();
         unknown.arch = "wiser-ooo".into();
-        assert!(unknown.core_config().is_err(), "stale label must not resolve");
+        assert!(
+            unknown.core_config().is_err(),
+            "stale label must not resolve"
+        );
 
         let mut bad_key = s.clone();
         bad_key.overrides.push(("warp_drive".into(), "9".into()));
@@ -848,7 +860,10 @@ mod tests {
             label: s.workload.clone(),
             ..s.clone()
         };
-        assert_eq!(back, unlabelled, "from_config labels the profile with the workload");
+        assert_eq!(
+            back, unlabelled,
+            "from_config labels the profile with the workload"
+        );
         let c = OptiwiseConfig {
             core: s.core_config().unwrap(),
             sampler: SamplerConfig {
@@ -877,9 +892,15 @@ mod tests {
             exhaustive_counters: true,
             ..OptiwiseConfig::default()
         };
-        assert_ne!(format!("{:?}", c.core), format!("{:?}", OptiwiseConfig::default().core));
+        assert_ne!(
+            format!("{:?}", c.core),
+            format!("{:?}", OptiwiseConfig::default().core)
+        );
         let spec = CheckpointSpec::from_config(1, "w", "test", &s.arch, &s.overrides, &c, 0);
-        assert_eq!(format!("{:?}", spec.to_config(4).unwrap()), format!("{c:?}"));
+        assert_eq!(
+            format!("{:?}", spec.to_config(4).unwrap()),
+            format!("{c:?}")
+        );
     }
 
     #[test]
@@ -887,12 +908,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("wiser-ckpt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("writer.owp");
-        let writer = CheckpointWriter::new(
-            &path,
-            Checkpoint::fresh(spec()),
-            CancelToken::new(),
-            None,
-        );
+        let writer =
+            CheckpointWriter::new(&path, Checkpoint::fresh(spec()), CancelToken::new(), None);
         writer.persist_initial().unwrap();
         let on_disk = Checkpoint::load(&path).unwrap();
         assert!(on_disk.samples.is_none());
@@ -920,12 +937,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("torn.owp");
         let token = CancelToken::new();
-        let writer = CheckpointWriter::new(
-            &path,
-            Checkpoint::fresh(spec()),
-            token.clone(),
-            Some(2),
-        );
+        let writer =
+            CheckpointWriter::new(&path, Checkpoint::fresh(spec()), token.clone(), Some(2));
         writer.persist_initial().unwrap(); // write 1: survives
         let good = std::fs::read(&path).unwrap();
 

@@ -183,7 +183,10 @@ pub fn read_sections(data: &[u8]) -> Result<Vec<RawSection<'_>>, StoreError> {
         let crc = u32::from_le_bytes(data[pos + 12..pos + 16].try_into().expect("4 bytes"));
         let payload_start = pos + SECTION_FRAME_LEN;
         let payload_len = usize::try_from(len).map_err(|_| {
-            StoreError::at(pos as u64 + 4, format!("section length {len} unrepresentable"))
+            StoreError::at(
+                pos as u64 + 4,
+                format!("section length {len} unrepresentable"),
+            )
         })?;
         if data.len() - payload_start < payload_len {
             return Err(StoreError::in_section(
@@ -419,12 +422,16 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self, what: &str) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            self.take(4, what)?.try_into().expect("4 bytes"),
+        ))
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self, what: &str) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.take(8, what)?.try_into().expect("8 bytes"),
+        ))
     }
 
     /// Reads a length-prefixed UTF-8 string, charging its bytes against
@@ -442,7 +449,11 @@ impl<'a> ByteReader<'a> {
         }
         let bytes = self.take(len, what)?;
         String::from_utf8(bytes.to_vec()).map_err(|e| {
-            StoreError::in_section(at, self.section.clone(), format!("{what} is not UTF-8: {e}"))
+            StoreError::in_section(
+                at,
+                self.section.clone(),
+                format!("{what} is not UTF-8: {e}"),
+            )
         })
     }
 
@@ -546,7 +557,12 @@ mod tests {
         for p in payloads {
             assert_eq!(crc32(&p), crc32_bytewise(&p), "length {}", p.len());
             let tagged = [b"SAMP".as_slice(), &p].concat();
-            assert_eq!(section_crc(*b"SAMP", &p), crc32(&tagged), "length {}", p.len());
+            assert_eq!(
+                section_crc(*b"SAMP", &p),
+                crc32(&tagged),
+                "length {}",
+                p.len()
+            );
         }
     }
 

@@ -232,8 +232,8 @@ impl StoredProfile {
                 _ => {} // unknown but checksum-valid: skip (forward compat)
             }
         }
-        let meta = meta
-            .ok_or_else(|| StoreError::at(data.len() as u64, "missing required META section"))?;
+        let meta =
+            meta.ok_or_else(|| StoreError::at(data.len() as u64, "missing required META section"))?;
         let mut tables: ProfileTables = tables
             .ok_or_else(|| StoreError::at(data.len() as u64, "missing required TABL section"))?;
         match coverage {

@@ -177,7 +177,7 @@ fn emit_leaf(asm: &mut Asm, shape: &LeafShape, line: &mut u32, rng: &mut StdRng)
     asm.prologue();
     asm.mov(x(0), x(1));
     asm.li(x(7), 0); // constant zero for loop exits
-    // Counter registers x2 (outer), x3, x4 (innermost); set up outermost.
+                     // Counter registers x2 (outer), x3, x4 (innermost); set up outermost.
     let counter = |level: usize| x(2 + level as u8);
     let mut headers: Vec<wiser_isa::asm::Label> = Vec::new();
     for level in 0..shape.depth {
@@ -196,7 +196,11 @@ fn emit_leaf(asm: &mut Asm, shape: &LeafShape, line: &mut u32, rng: &mut StdRng)
             2 => AluOp::Mul,
             _ => AluOp::Sub,
         };
-        let (rd, rs) = if k % 2 == 0 { (x(5), x(6)) } else { (x(6), x(5)) };
+        let (rd, rs) = if k % 2 == 0 {
+            (x(5), x(6))
+        } else {
+            (x(6), x(5))
+        };
         asm.alu(op, rd, rd, rs);
         asm.alu_imm(AluOp::Add, rd, rd, (k + 1) as i32);
     }

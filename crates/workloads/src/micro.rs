@@ -154,8 +154,14 @@ fn slow_store(size: InputSize) -> Result<Vec<Module>, IsaError> {
     for i in 0..8 {
         // Alternating xor/add on registers independent of the store chain,
         // mirroring figure 8's instruction sequence.
-        arith.push_str(&format!("            xor x{r}, x{r}, x10\n", r = 1 + (i % 5)));
-        arith.push_str(&format!("            add x{r}, x{r}, x10\n", r = 1 + ((i + 2) % 5)));
+        arith.push_str(&format!(
+            "            xor x{r}, x{r}, x10\n",
+            r = 1 + (i % 5)
+        ));
+        arith.push_str(&format!(
+            "            add x{r}, x{r}, x10\n",
+            r = 1 + ((i + 2) % 5)
+        ));
     }
     let src = format!(
         r#"

@@ -224,8 +224,7 @@ mod tests {
     #[test]
     fn variants_agree_numerically() {
         let (_, _, base) = run_module(&build(InputSize::Test).unwrap()[0], 50_000_000).unwrap();
-        let (_, _, opt) =
-            run_module(&build_opt(InputSize::Test).unwrap()[0], 50_000_000).unwrap();
+        let (_, _, opt) = run_module(&build_opt(InputSize::Test).unwrap()[0], 50_000_000).unwrap();
         assert_eq!(base, opt);
     }
 }

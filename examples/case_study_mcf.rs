@@ -35,10 +35,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         100.0 * cc.self_cycles as f64 / analysis.total_cycles as f64,
         cc.ipc().unwrap_or(0.0)
     );
-    println!("{}", report::annotate(
-        &analysis.annotate_function(cc.module, "cost_compare"),
-        analysis.total_cycles,
-    ));
+    println!(
+        "{}",
+        report::annotate(
+            &analysis.annotate_function(cc.module, "cost_compare"),
+            analysis.total_cycles,
+        )
+    );
 
     // Problem 2: a divide with a constant second operand inside spec_qsort.
     let qsort_rows = analysis.annotate_function(1, "spec_qsort");
@@ -67,11 +70,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Apply the fixes (the _opt variant) and measure on the ref input.
     let time = |name: &str| -> Result<u64, Box<dyn std::error::Error>> {
-        let modules = wiser_workloads::by_name(name).unwrap().build(InputSize::Ref)?;
+        let modules = wiser_workloads::by_name(name)
+            .unwrap()
+            .build(InputSize::Ref)?;
         let image = ProcessImage::load(&modules, &LoadConfig::default())?;
-        Ok(run_timed(&image, 0, CoreConfig::xeon_like(), &mut NoProbes, 1_000_000_000)?
-            .stats
-            .cycles)
+        Ok(run_timed(
+            &image,
+            0,
+            CoreConfig::xeon_like(),
+            &mut NoProbes,
+            1_000_000_000,
+        )?
+        .stats
+        .cycles)
     };
     let base = time("mcf_like")?;
     let opt = time("mcf_like_opt")?;

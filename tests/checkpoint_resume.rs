@@ -10,8 +10,8 @@
 use std::path::PathBuf;
 
 use optiwise::{
-    module_fingerprint, run_optiwise_ctl, CancelToken, OptiwiseConfig, OptiwiseError,
-    OptiwiseRun, PassEvent, RunControl,
+    module_fingerprint, run_optiwise_ctl, CancelToken, OptiwiseConfig, OptiwiseError, OptiwiseRun,
+    PassEvent, RunControl,
 };
 use wiser_store::{Checkpoint, CheckpointSpec, CheckpointWriter, StoredProfile};
 use wiser_workloads::InputSize;
@@ -95,7 +95,14 @@ fn run_checkpointed(
 }
 
 fn profile_bytes(run: &OptiwiseRun) -> Vec<u8> {
-    StoredProfile::from_run(WORKLOAD, run, SEED, "xeon", wiser_sim::CoreConfig::xeon_like()).to_bytes()
+    StoredProfile::from_run(
+        WORKLOAD,
+        run,
+        SEED,
+        "xeon",
+        wiser_sim::CoreConfig::xeon_like(),
+    )
+    .to_bytes()
 }
 
 fn expect_kill(result: Result<OptiwiseRun, OptiwiseError>) -> OptiwiseError {
@@ -221,7 +228,10 @@ fn crash_mid_write_after_sampling_restores_one_pass_and_replays_the_other() {
     assert_eq!(err.exit_code(), 9);
 
     let ckpt = Checkpoint::load(&path).unwrap();
-    assert!(ckpt.sample_done(), "sampling pass must be durable pre-crash");
+    assert!(
+        ckpt.sample_done(),
+        "sampling pass must be durable pre-crash"
+    );
     assert!(!ckpt.counts_done(), "counts pass must be mid-flight");
     assert!(ckpt.counts_pos > 0, "one counts snapshot must have landed");
 
@@ -246,8 +256,7 @@ fn resume_is_jobs_invariant() {
     let concurrent = spec.to_config(4).unwrap();
     assert!(concurrent.concurrent_passes);
 
-    let golden_run =
-        run_optiwise_ctl(&modules, &sequential, RunControl::default()).unwrap();
+    let golden_run = run_optiwise_ctl(&modules, &sequential, RunControl::default()).unwrap();
     let golden = profile_bytes(&golden_run);
 
     let path = scratch("jobs-invariant.owp");

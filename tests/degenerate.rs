@@ -149,7 +149,11 @@ fn degenerate_profiles_keep_divergence_finite_and_reports_nan_free() {
             optiwise::report::full_report(analysis, 10),
             format!(
                 "{:?}",
-                analysis.functions().iter().map(|f| f.cpi()).collect::<Vec<_>>()
+                analysis
+                    .functions()
+                    .iter()
+                    .map(|f| f.cpi())
+                    .collect::<Vec<_>>()
             ),
         ] {
             assert!(!text.contains("NaN"), "{label}: NaN leaked into: {text}");
@@ -259,4 +263,3 @@ fn straight_line_program_has_no_loops_or_back_edges() {
     assert!(run.analysis.loops().is_empty());
     assert_eq!(run.analysis.functions().len(), 1);
 }
-

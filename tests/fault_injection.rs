@@ -6,8 +6,7 @@
 
 use optiwise::{
     module_fingerprint, report, run_optiwise, run_optiwise_ctl, AnalysisMode, CancelToken,
-    OptiwiseConfig, OptiwiseError, PassEvent, RunControl,
-    DEFAULT_DIVERGENCE_THRESHOLD,
+    OptiwiseConfig, OptiwiseError, PassEvent, RunControl, DEFAULT_DIVERGENCE_THRESHOLD,
 };
 use wiser_isa::Module;
 use wiser_sim::{FaultPlan, TruncationReason};
@@ -47,7 +46,10 @@ fn truncated_counts_still_produce_labelled_degraded_report() {
     let run = run_optiwise(&[counted_loop()], &cfg).unwrap();
 
     assert_eq!(run.analysis.mode, AnalysisMode::SamplingOnly);
-    assert_eq!(run.counts.truncated, Some(TruncationReason::Injected(4_000)));
+    assert_eq!(
+        run.counts.truncated,
+        Some(TruncationReason::Injected(4_000))
+    );
     // Sampling data survives: cycles are attributed even without counts.
     assert!(run.analysis.total_cycles > 0);
     assert_eq!(run.analysis.total_insns, 0);
@@ -138,7 +140,10 @@ fn injected_sampling_abort_is_retried_only_for_real_limits() {
     cfg.fault.abort_sample_at = Some(3_000);
     let run = run_optiwise(&[counted_loop()], &cfg).unwrap();
     assert_eq!(run.attempts.0, 1);
-    assert_eq!(run.samples.truncated, Some(TruncationReason::Injected(3_000)));
+    assert_eq!(
+        run.samples.truncated,
+        Some(TruncationReason::Injected(3_000))
+    );
     // The sampling profile is partial but still used in full mode (counts
     // pass is healthy).
     assert_eq!(run.analysis.mode, AnalysisMode::Full);
@@ -157,7 +162,11 @@ fn injected_abort_at_budget_boundary_is_not_retried() {
     cfg.fault.abort_sample_at = Some(10_000);
     cfg.fault.truncate_counts_at = Some(10_000);
     let run = run_optiwise(&[counted_loop()], &cfg).unwrap();
-    assert_eq!(run.attempts, (1, 1), "no retry may be spent on injected cuts");
+    assert_eq!(
+        run.attempts,
+        (1, 1),
+        "no retry may be spent on injected cuts"
+    );
     assert_eq!(
         run.samples.truncated,
         Some(TruncationReason::Injected(10_000))

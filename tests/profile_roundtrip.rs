@@ -13,7 +13,13 @@ fn profile() -> StoredProfile {
         .build(wiser_workloads::InputSize::Test)
         .unwrap();
     let run = run_optiwise(&modules, &OptiwiseConfig::default()).unwrap();
-    StoredProfile::from_run("recip_loop", &run, 0, "xeon", wiser_sim::CoreConfig::xeon_like())
+    StoredProfile::from_run(
+        "recip_loop",
+        &run,
+        0,
+        "xeon",
+        wiser_sim::CoreConfig::xeon_like(),
+    )
 }
 
 #[test]
@@ -45,7 +51,16 @@ fn stored_bytes_are_identical_for_every_thread_count() {
         cfg.analysis.jobs = jobs;
         cfg.concurrent_passes = jobs > 1;
         let run = run_optiwise(&modules, &cfg).unwrap();
-        images.push(StoredProfile::from_run("recip_loop", &run, 0, "xeon", wiser_sim::CoreConfig::xeon_like()).to_bytes());
+        images.push(
+            StoredProfile::from_run(
+                "recip_loop",
+                &run,
+                0,
+                "xeon",
+                wiser_sim::CoreConfig::xeon_like(),
+            )
+            .to_bytes(),
+        );
     }
     assert_eq!(images[0], images[1], "--jobs 2 must not change the file");
     assert_eq!(images[0], images[2], "--jobs 8 must not change the file");
@@ -56,9 +71,10 @@ fn every_section_rejects_targeted_bit_flips() {
     let bytes = profile().to_bytes();
     let spans = section_spans(&bytes).unwrap();
     assert!(
-        spans.iter().map(|(tag, _, _)| tag.as_str()).eq([
-            "META", "SAMP", "CNTS", "TABL", "COVR", "UCFG"
-        ]),
+        spans
+            .iter()
+            .map(|(tag, _, _)| tag.as_str())
+            .eq(["META", "SAMP", "CNTS", "TABL", "COVR", "UCFG"]),
         "fixture should carry all six sections, got {spans:?}"
     );
     for (tag, start, end) in &spans {
@@ -103,10 +119,7 @@ fn truncation_at_every_length_is_rejected_without_panic() {
     for len in 0..bytes.len() {
         let err = StoredProfile::from_bytes(&bytes[..len])
             .expect_err("every proper prefix must be rejected");
-        assert!(matches!(
-            OptiwiseError::from(err).exit_code(),
-            6
-        ));
+        assert!(matches!(OptiwiseError::from(err).exit_code(), 6));
     }
 }
 
@@ -116,7 +129,9 @@ fn header_damage_is_diagnosed() {
 
     let mut bad_magic = bytes.clone();
     bad_magic[0] ^= 0xff;
-    let msg = StoredProfile::from_bytes(&bad_magic).unwrap_err().to_string();
+    let msg = StoredProfile::from_bytes(&bad_magic)
+        .unwrap_err()
+        .to_string();
     assert!(msg.contains("magic"), "bad magic should be named: {msg}");
 
     let mut bad_version = bytes.clone();
@@ -124,7 +139,10 @@ fn header_damage_is_diagnosed() {
     let msg = StoredProfile::from_bytes(&bad_version)
         .unwrap_err()
         .to_string();
-    assert!(msg.contains("version"), "bad version should be named: {msg}");
+    assert!(
+        msg.contains("version"),
+        "bad version should be named: {msg}"
+    );
 }
 
 #[test]

@@ -12,9 +12,7 @@ use rand::{Rng, SeedableRng};
 
 use optiwise::OptiwiseConfig;
 use wiser_dbi::{instrument_run, DbiConfig};
-use wiser_isa::{
-    decode_insn, encode_insn, AluOp, Cond, FpCmp, FpOp, Fpr, Gpr, Insn, Scale, Width,
-};
+use wiser_isa::{decode_insn, encode_insn, AluOp, Cond, FpCmp, FpOp, Fpr, Gpr, Insn, Scale, Width};
 use wiser_sampler::{Sample, SampleProfile};
 use wiser_sim::{
     run_timed, run_timed_partial_ctl, CommitMode, CoreConfig, FaultPlan, Interp, Memory, NoProbes,
@@ -56,8 +54,7 @@ impl Gen {
     }
 
     fn cond(&mut self) -> Cond {
-        [Cond::Eq, Cond::Ne, Cond::Lt, Cond::Ge, Cond::Ltu, Cond::Geu]
-            [self.range(0, 6) as usize]
+        [Cond::Eq, Cond::Ne, Cond::Lt, Cond::Ge, Cond::Ltu, Cond::Geu][self.range(0, 6) as usize]
     }
 
     fn alu_op(&mut self) -> AluOp {
@@ -158,7 +155,11 @@ impl Gen {
             },
             8 => Insn::Cmov {
                 // Only Eq/Ne are meaningful in the surface syntax.
-                cond: if self.range(0, 2) == 0 { Cond::Eq } else { Cond::Ne },
+                cond: if self.range(0, 2) == 0 {
+                    Cond::Eq
+                } else {
+                    Cond::Ne
+                },
                 rd: self.gpr(),
                 rs: self.gpr(),
                 rc: self.gpr(),
@@ -509,7 +510,11 @@ fn placement_recovery_matches_exhaustive_on_generated_seeds() {
             recovered.blocks, exhaustive.blocks,
             "seed {seed}: recovered counts diverge from exhaustive"
         );
-        assert_eq!(recovered.total_insns(), exhaustive.total_insns(), "seed {seed}");
+        assert_eq!(
+            recovered.total_insns(),
+            exhaustive.total_insns(),
+            "seed {seed}"
+        );
         assert!(
             placed.cost.instrumented_insns <= exhaustive.cost.instrumented_insns,
             "seed {seed}: placement made instrumentation more expensive"
@@ -589,8 +594,8 @@ fn timing_conserves_instructions() {
         asm.set_entry("_start");
         let module = asm.finish().expect("assembles");
         let image = ProcessImage::load_single(&module).expect("loads");
-        let run = run_timed(&image, 0, CoreConfig::xeon_like(), &mut NoProbes, 1_000_000)
-            .expect("runs");
+        let run =
+            run_timed(&image, 0, CoreConfig::xeon_like(), &mut NoProbes, 1_000_000).expect("runs");
         let n = n_ops as u64 + 3;
         assert_eq!(run.stats.retired, n);
         assert!(run.stats.cycles >= n / 4);

@@ -216,8 +216,14 @@ fn two_module_samples_and_stacks_stay_within_module_text() {
         module: image.modules[0].id,
         offset: 16,
     };
-    let unwound = in_lib.iter().filter(|s| s.stack.contains(&call_site)).count();
-    assert!(unwound > 10, "only {unwound} lib samples unwound to call site");
+    let unwound = in_lib
+        .iter()
+        .filter(|s| s.stack.contains(&call_site))
+        .count();
+    assert!(
+        unwound > 10,
+        "only {unwound} lib samples unwound to call site"
+    );
 }
 
 /// The analysis-side skid excuse is bounded at module offset 0: a sample on

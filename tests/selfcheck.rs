@@ -34,8 +34,14 @@ fn selfcheck_results_are_deterministic() {
     let b = check_modules(&modules, &opts).unwrap();
     assert_eq!(a.summary(), b.summary());
     assert_eq!(
-        a.discrepancies.iter().map(|d| d.to_string()).collect::<Vec<_>>(),
-        b.discrepancies.iter().map(|d| d.to_string()).collect::<Vec<_>>(),
+        a.discrepancies
+            .iter()
+            .map(|d| d.to_string())
+            .collect::<Vec<_>>(),
+        b.discrepancies
+            .iter()
+            .map(|d| d.to_string())
+            .collect::<Vec<_>>(),
     );
 }
 
