@@ -1,5 +1,7 @@
 //! Dominator-tree construction (Cooper–Harvey–Kennedy iterative algorithm).
 
+use wiser_sim::{FastMap, FastSet};
+
 use crate::graph::{BlockId, Cfg};
 
 /// Immediate-dominator table for one function's subgraph.
@@ -9,7 +11,7 @@ pub struct Dominators {
     pub rpo: Vec<BlockId>,
     /// `idom[block]` — immediate dominator; the entry dominates itself.
     /// Blocks unreachable from the entry are absent.
-    idom: std::collections::HashMap<BlockId, BlockId>,
+    idom: FastMap<BlockId, BlockId>,
     entry: BlockId,
 }
 
@@ -18,7 +20,7 @@ impl Dominators {
     /// only intra-function edges of `cfg`.
     pub fn compute(cfg: &Cfg, entry: BlockId) -> Dominators {
         // Reverse postorder over the reachable subgraph.
-        let mut visited = std::collections::HashSet::new();
+        let mut visited = FastSet::default();
         let mut postorder = Vec::new();
         let mut stack: Vec<(BlockId, usize)> = vec![(entry, 0)];
         visited.insert(entry);
@@ -36,10 +38,10 @@ impl Dominators {
             }
         }
         let rpo: Vec<BlockId> = postorder.iter().rev().copied().collect();
-        let order_of: std::collections::HashMap<BlockId, usize> =
+        let order_of: FastMap<BlockId, usize> =
             rpo.iter().enumerate().map(|(i, &b)| (b, i)).collect();
 
-        let mut idom: std::collections::HashMap<BlockId, BlockId> = Default::default();
+        let mut idom: FastMap<BlockId, BlockId> = Default::default();
         idom.insert(entry, entry);
         let mut changed = true;
         while changed {
@@ -101,8 +103,8 @@ impl Dominators {
 fn intersect(
     mut a: BlockId,
     mut b: BlockId,
-    idom: &std::collections::HashMap<BlockId, BlockId>,
-    order: &std::collections::HashMap<BlockId, usize>,
+    idom: &FastMap<BlockId, BlockId>,
+    order: &FastMap<BlockId, usize>,
 ) -> BlockId {
     loop {
         if a == b {

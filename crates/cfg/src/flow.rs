@@ -22,11 +22,11 @@
 //! system and the planner only suppresses what that system provably
 //! reproduces.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 use wiser_dbi::{BlockCount, CostModel, CounterPlacement, CountsProfile, TermKind};
 use wiser_isa::Module;
-use wiser_sim::{CodeLoc, ModuleId};
+use wiser_sim::{CodeLoc, FastMap, FastSet, ModuleId};
 
 use crate::dom::Dominators;
 use crate::graph::build_cfg;
@@ -84,12 +84,13 @@ impl FlowSystem {
     }
 
     fn new(blocks: &[BlockCount]) -> FlowSystem {
-        let index: HashMap<CodeLoc, usize> = blocks
+        let index: FastMap<CodeLoc, usize> = blocks
             .iter()
             .enumerate()
             .map(|(i, b)| (b.entry, i))
             .collect();
-        let mut terms: Vec<HashMap<Var, i64>> = (0..blocks.len()).map(|_| HashMap::new()).collect();
+        let mut terms: Vec<FastMap<Var, i64>> =
+            (0..blocks.len()).map(|_| FastMap::default()).collect();
         let mut constants: Vec<i128> = vec![0; blocks.len()];
         for (i, t) in terms.iter_mut().enumerate() {
             *t.entry(Var::Count(i)).or_insert(0) -= 1;
@@ -145,7 +146,7 @@ impl FlowSystem {
     /// of unit coefficient yields that unknown. Deterministic (fixed
     /// equation order, exact integer arithmetic) so the planner and the
     /// analysis-time recovery always agree.
-    fn solve(&self, knowns: &mut HashMap<Var, u64>) {
+    fn solve(&self, knowns: &mut FastMap<Var, u64>) {
         loop {
             let mut progress = false;
             for eq in &self.equations {
@@ -185,8 +186,8 @@ impl FlowSystem {
 
     /// Whether solving with `suppressed` removed from the knowns reproduces
     /// every suppressed value exactly.
-    fn recovers_exactly(&self, truth: &HashMap<Var, u64>, suppressed: &BTreeSet<Var>) -> bool {
-        let mut knowns: HashMap<Var, u64> = truth
+    fn recovers_exactly(&self, truth: &FastMap<Var, u64>, suppressed: &BTreeSet<Var>) -> bool {
+        let mut knowns: FastMap<Var, u64> = truth
             .iter()
             .filter(|(v, _)| !suppressed.contains(v))
             .map(|(&v, &x)| (v, x))
@@ -198,8 +199,8 @@ impl FlowSystem {
 
 /// Every counter value of the profile: vertex counters for all blocks,
 /// fall-through counters for conditional blocks.
-fn truth_of(blocks: &[BlockCount]) -> HashMap<Var, u64> {
-    let mut truth = HashMap::new();
+fn truth_of(blocks: &[BlockCount]) -> FastMap<Var, u64> {
+    let mut truth = FastMap::default();
     for (i, b) in blocks.iter().enumerate() {
         truth.insert(Var::Count(i), b.count);
         if b.term == TermKind::CondBranch {
@@ -231,7 +232,7 @@ pub fn optimize_placement(counts: &mut CountsProfile, modules: &[Module], model:
 
     // Dominator-tree interior nodes (those that strictly dominate another
     // block) are the classically derivable ones; prefer suppressing them.
-    let mut interior: HashSet<CodeLoc> = HashSet::new();
+    let mut interior: FastSet<CodeLoc> = FastSet::default();
     for (m, module) in modules.iter().enumerate() {
         let module_id = ModuleId(m as u32);
         let cfg = build_cfg(module_id, module, counts);
@@ -368,17 +369,17 @@ pub fn recover(counts: &CountsProfile) -> Result<CountsProfile, String> {
             return Err(format!("placement references block {i} of {n}"));
         }
     }
-    let vset: HashSet<usize> = placement
+    let vset: FastSet<usize> = placement
         .vertex_suppressed
         .iter()
         .map(|&i| i as usize)
         .collect();
-    let fset: HashSet<usize> = placement
+    let fset: FastSet<usize> = placement
         .fallthrough_suppressed
         .iter()
         .map(|&i| i as usize)
         .collect();
-    let mut knowns: HashMap<Var, u64> = HashMap::new();
+    let mut knowns: FastMap<Var, u64> = FastMap::default();
     for (i, b) in counts.blocks.iter().enumerate() {
         if !vset.contains(&i) {
             knowns.insert(Var::Count(i), b.count);

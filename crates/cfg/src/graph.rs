@@ -5,11 +5,12 @@
 //! at every block entry ("leader") and summing the counts of all DynamoRIO
 //! blocks that cover each instruction.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 
 use wiser_dbi::{CountsProfile, TermKind};
 use wiser_isa::{Module, INSN_BYTES};
-use wiser_sim::{CodeLoc, ModuleId};
+use wiser_sim::{CodeLoc, FastMap, ModuleId};
 
 /// Index of a basic block within a [`Cfg`].
 pub type BlockId = usize;
@@ -73,7 +74,7 @@ pub struct Cfg {
     pub blocks: Vec<CfgBlock>,
     /// Functions (only those containing executed code).
     pub functions: Vec<FuncCfg>,
-    by_offset: HashMap<u64, BlockId>,
+    by_offset: FastMap<u64, BlockId>,
 }
 
 impl Cfg {
@@ -114,7 +115,7 @@ pub fn build_cfg(module_id: ModuleId, module: &Module, counts: &CountsProfile) -
     // 1. Per-instruction execution counts and terminator aggregation, for
     //    this module only.
     let mut insn_count: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut terms: HashMap<u64, TermAgg> = HashMap::new();
+    let mut terms: FastMap<u64, TermAgg> = FastMap::default();
     let mut leaders: BTreeSet<u64> = BTreeSet::new();
 
     for b in counts.blocks.iter().filter(|b| b.entry.module == module_id) {
@@ -167,7 +168,7 @@ pub fn build_cfg(module_id: ModuleId, module: &Module, counts: &CountsProfile) -
 
     // 2. Carve executed instructions into compiler blocks.
     let mut blocks: Vec<CfgBlock> = Vec::new();
-    let mut by_offset: HashMap<u64, BlockId> = HashMap::new();
+    let mut by_offset: FastMap<u64, BlockId> = FastMap::default();
     let executed: Vec<u64> = insn_count.keys().copied().collect();
     let mut i = 0;
     while i < executed.len() {
@@ -203,24 +204,31 @@ pub fn build_cfg(module_id: ModuleId, module: &Module, counts: &CountsProfile) -
 
     // 3. Assign functions.
     let mut functions: Vec<FuncCfg> = Vec::new();
-    let mut func_by_name: HashMap<String, usize> = HashMap::new();
+    let mut func_by_name: FastMap<Cow<'_, str>, usize> = FastMap::default();
     for (id, block) in blocks.iter_mut().enumerate() {
         let (name, range) = match module.function_at(block.start) {
-            Some(sym) => (sym.name.clone(), (sym.offset, sym.offset + sym.size)),
+            Some(sym) => (
+                Cow::Borrowed(sym.name.as_str()),
+                (sym.offset, sym.offset + sym.size),
+            ),
             None => (
-                format!("<anon@{:#x}>", block.start),
+                Cow::Owned(format!("<anon@{:#x}>", block.start)),
                 (block.start, block.end()),
             ),
         };
-        let fidx = *func_by_name.entry(name.clone()).or_insert_with(|| {
-            functions.push(FuncCfg {
-                name,
-                range,
-                entry: None,
-                blocks: Vec::new(),
-            });
-            functions.len() - 1
-        });
+        let fidx = match func_by_name.get(&*name) {
+            Some(&fidx) => fidx,
+            None => {
+                functions.push(FuncCfg {
+                    name: name.to_string(),
+                    range,
+                    entry: None,
+                    blocks: Vec::new(),
+                });
+                func_by_name.insert(name, functions.len() - 1);
+                functions.len() - 1
+            }
+        };
         let f = &mut functions[fidx];
         f.range = (f.range.0.min(range.0), f.range.1.max(range.1));
         f.blocks.push(id);
@@ -241,7 +249,7 @@ pub fn build_cfg(module_id: ModuleId, module: &Module, counts: &CountsProfile) -
     let mut call_edges: Vec<(BlockId, CodeLoc, u64)> = Vec::new();
     for (id, block) in blocks.iter().enumerate() {
         let fidx = block.function;
-        let same_function = |target: u64, blocks: &Vec<CfgBlock>, by: &HashMap<u64, BlockId>| {
+        let same_function = |target: u64, blocks: &Vec<CfgBlock>, by: &FastMap<u64, BlockId>| {
             by.get(&target)
                 .copied()
                 .filter(|&t| blocks[t].function == fidx)

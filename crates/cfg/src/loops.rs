@@ -6,7 +6,9 @@
 //! and which are merely different control paths of one program loop
 //! (figure 6 / Table I).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
+
+use wiser_sim::FastMap;
 
 use crate::dom::Dominators;
 use crate::graph::{BlockId, Cfg};
@@ -223,7 +225,7 @@ impl LoopForest {
 pub fn find_loops(cfg: &Cfg, dom: &Dominators, function: usize, t: Option<u64>) -> LoopForest {
     // 1. Back edges: u -> v where v dominates u.
     let mut raw: Vec<RawLoop> = Vec::new();
-    let mut tails: HashMap<(BlockId, BlockId), BlockId> = HashMap::new(); // (header, idx)->tail (for trace)
+    let mut tails: FastMap<(BlockId, BlockId), BlockId> = FastMap::default(); // (header, idx)->tail (for trace)
     for &u in &cfg.functions[function].blocks {
         if !dom.reachable(u) {
             continue;
@@ -242,7 +244,7 @@ pub fn find_loops(cfg: &Cfg, dom: &Dominators, function: usize, t: Option<u64>) 
     }
 
     // 2. Group by header; merge per algorithm 2.
-    let mut by_header: HashMap<BlockId, Vec<(usize, BlockId)>> = HashMap::new(); // header -> (raw idx, tail)
+    let mut by_header: FastMap<BlockId, Vec<(usize, BlockId)>> = FastMap::default(); // header -> (raw idx, tail)
     for (i, l) in raw.iter().enumerate() {
         let tail = tails[&(l.header, i)];
         by_header.entry(l.header).or_default().push((i, tail));

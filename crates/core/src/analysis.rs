@@ -6,13 +6,14 @@
 //! CPI, and aggregates to functions, loops (with stack-profiling
 //! attribution across calls, §IV-D) and source lines.
 
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashSet;
 
 use wiser_cfg::{build_cfg, find_all_loops, Cfg, LoopForest, MERGE_THRESHOLD};
 use wiser_dbi::CountsProfile;
-use wiser_isa::{Disassembly, Module, INSN_BYTES};
+use wiser_isa::{symbolized, Disassembly, Module, INSN_BYTES};
 use wiser_sampler::SampleProfile;
-use wiser_sim::{CodeLoc, ModuleId, TruncationReason};
+use wiser_sim::{CodeLoc, FastMap, FastSet, ModuleId, TruncationReason};
 
 use crate::error::OptiwiseError;
 use crate::types::{Coverage, FuncStats, InsnRow, LineStats, LoopStats};
@@ -106,8 +107,6 @@ impl Default for AnalysisOptions {
 pub struct ModuleAnalysis {
     /// Module name.
     pub name: String,
-    /// Symbolized disassembly.
-    pub disasm: Disassembly,
     /// Reconstructed CFG with edge counts.
     pub cfg: Cfg,
     /// Loop forests, one per function.
@@ -126,8 +125,8 @@ impl ModuleAnalysis {
 pub struct Analysis {
     /// Per-module artifacts, indexed by module id.
     pub modules: Vec<ModuleAnalysis>,
-    insn_counts: HashMap<CodeLoc, u64>,
-    insn_samples: HashMap<CodeLoc, (u64, u64)>,
+    insn_counts: FastMap<CodeLoc, u64>,
+    insn_samples: FastMap<CodeLoc, (u64, u64)>,
     funcs: Vec<FuncStats>,
     loops: Vec<LoopStats>,
     lines: Vec<LineStats>,
@@ -264,14 +263,19 @@ impl Analysis {
         // in input order — i.e. ModuleId order — so the merged result is
         // identical for any worker count.
         let build_module = |i: usize, m: &Module| -> Result<ModuleAnalysis, OptiwiseError> {
+            // Every instruction must decode; the text of the few rows a
+            // caller asks for is rendered on demand.
+            for k in 0..m.insn_count() {
+                m.insn_at(k * INSN_BYTES)
+                    .map_err(|e| OptiwiseError::Disasm {
+                        module: m.name.clone(),
+                        message: e.to_string(),
+                    })?;
+            }
             let cfg = build_cfg(ModuleId(i as u32), m, counts);
             let forests = find_all_loops(&cfg, opts.merge_threshold);
             Ok(ModuleAnalysis {
                 name: m.name.clone(),
-                disasm: Disassembly::of_module(m).map_err(|e| OptiwiseError::Disasm {
-                    module: m.name.clone(),
-                    message: e.to_string(),
-                })?,
                 cfg,
                 forests,
                 module: m.clone(),
@@ -292,63 +296,62 @@ impl Analysis {
             };
         let mods: Vec<ModuleAnalysis> = shards.into_iter().collect::<Result<_, _>>()?;
 
-        let insn_counts: HashMap<CodeLoc, u64> = counts.insn_counts();
-        let mut insn_samples: HashMap<CodeLoc, (u64, u64)> = HashMap::new();
-        for s in &samples.samples {
-            let e = insn_samples.entry(s.loc).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += s.weight;
-        }
+        let insn_counts: FastMap<CodeLoc, u64> = counts.insn_counts();
+        let insn_samples = samples.by_location();
 
         // ---- function table ------------------------------------------------
-        // Keyed by (module, function name).
-        let mut func_ids: HashMap<(u32, String), usize> = HashMap::new();
+        // One map per module from function name to index in `funcs`. A
+        // symbol's name is borrowed from the module, so a lookup allocates
+        // nothing; a name is copied only when its function is first seen.
+        let mut func_ids: Vec<FastMap<Cow<'_, str>, usize>> =
+            mods.iter().map(|_| FastMap::default()).collect();
         let mut funcs: Vec<FuncStats> = Vec::new();
-        let func_of = |mods: &Vec<ModuleAnalysis>,
-                       funcs: &mut Vec<FuncStats>,
-                       func_ids: &mut HashMap<(u32, String), usize>,
-                       loc: CodeLoc|
-         -> Option<usize> {
+        let mut func_of = |funcs: &mut Vec<FuncStats>, loc: CodeLoc| -> Option<usize> {
             let m = mods.get(loc.module.0 as usize)?;
-            let name = m
-                .module
-                .function_at(loc.offset)
-                .map(|s| s.name.clone())
-                .unwrap_or_else(|| format!("<anon@{:#x}>", loc.offset));
-            let key = (loc.module.0, name.clone());
-            Some(*func_ids.entry(key).or_insert_with_key(|key| {
-                // Coverage is decided by the pre-run instrumentation plan,
-                // never by observed counts: a hot function that happens to
-                // execute zero instructions is still Counted.
-                let coverage = match (mode, hot) {
-                    (AnalysisMode::SamplingOnly, _) => Coverage::SamplingOnly,
-                    (AnalysisMode::Full, None) => Coverage::Counted,
-                    (AnalysisMode::Full, Some(set)) if set.contains(key) => Coverage::Counted,
-                    (AnalysisMode::Full, Some(_)) => Coverage::SamplingOnly,
-                };
-                funcs.push(FuncStats {
-                    module: loc.module.0,
-                    name,
-                    self_cycles: 0,
-                    incl_cycles: 0,
-                    self_samples: 0,
-                    self_insns: 0,
-                    incl_insns: 0,
-                    coverage,
-                });
-                funcs.len() - 1
-            }))
+            let ids = &mut func_ids[loc.module.0 as usize];
+            let name = match m.module.function_at(loc.offset) {
+                Some(sym) => Cow::Borrowed(sym.name.as_str()),
+                None => Cow::Owned(format!("<anon@{:#x}>", loc.offset)),
+            };
+            if let Some(&fid) = ids.get(&*name) {
+                return Some(fid);
+            }
+            // Coverage is decided by the pre-run instrumentation plan,
+            // never by observed counts: a hot function that happens to
+            // execute zero instructions is still Counted.
+            let coverage = match (mode, hot) {
+                (AnalysisMode::SamplingOnly, _) => Coverage::SamplingOnly,
+                (AnalysisMode::Full, None) => Coverage::Counted,
+                (AnalysisMode::Full, Some(set))
+                    if set.contains(&(loc.module.0, name.to_string())) =>
+                {
+                    Coverage::Counted
+                }
+                (AnalysisMode::Full, Some(_)) => Coverage::SamplingOnly,
+            };
+            funcs.push(FuncStats {
+                module: loc.module.0,
+                name: name.to_string(),
+                self_cycles: 0,
+                incl_cycles: 0,
+                self_samples: 0,
+                self_insns: 0,
+                incl_insns: 0,
+                coverage,
+            });
+            ids.insert(name, funcs.len() - 1);
+            Some(funcs.len() - 1)
         };
 
         // Execution counts per function.
         for (&loc, &count) in &insn_counts {
-            if let Some(fid) = func_of(&mods, &mut funcs, &mut func_ids, loc) {
+            if let Some(fid) = func_of(&mut funcs, loc) {
                 funcs[fid].self_insns += count;
             }
         }
         // Callee instruction totals attributed to the calling function.
         for (&site, &callee_insns) in &counts.callee_counts {
-            if let Some(fid) = func_of(&mods, &mut funcs, &mut func_ids, site) {
+            if let Some(fid) = func_of(&mut funcs, site) {
                 funcs[fid].incl_insns += callee_insns;
             }
         }
@@ -359,7 +362,7 @@ impl Analysis {
         // ---- loop table ----------------------------------------------------
         // Flatten forests into a global list; map (module, function, local
         // loop index) -> global index.
-        let mut loop_ids: HashMap<(u32, usize, usize), usize> = HashMap::new();
+        let mut loop_ids: FastMap<(u32, usize, usize), usize> = FastMap::default();
         let mut loops: Vec<LoopStats> = Vec::new();
         for (mi, m) in mods.iter().enumerate() {
             for (fi, forest) in m.forests.iter().enumerate() {
@@ -424,12 +427,18 @@ impl Analysis {
 
         // ---- sample attribution via stacks ----------------------------------
         let mut total_cycles = 0;
+        let mut seen_funcs: FastSet<(u32, usize)> = FastSet::default();
+        let mut credited_fids: FastSet<usize> = FastSet::default();
+        let mut credited_loops: FastSet<usize> = FastSet::default();
+        // Global ids of the loops a block is credited to, innermost first,
+        // by (module, block): many samples share a block.
+        let mut chains: FastMap<(u32, usize), Vec<usize>> = FastMap::default();
         for s in &samples.samples {
             total_cycles += s.weight;
+            seen_funcs.clear();
+            credited_fids.clear();
+            credited_loops.clear();
             // Chain: sample PC first, then call sites innermost-first.
-            let mut seen_funcs: HashSet<(u32, usize)> = HashSet::new();
-            let mut credited_fids: HashSet<usize> = HashSet::new();
-            let mut credited_loops: HashSet<usize> = HashSet::new();
             let chain = std::iter::once(s.loc).chain(s.stack.iter().rev().copied());
             for (depth, loc) in chain.enumerate() {
                 let Some(m) = mods.get(loc.module.0 as usize) else {
@@ -439,7 +448,7 @@ impl Analysis {
                     // Sample in cold code (sampling skid); functions still
                     // get self-credit below.
                     if depth == 0 {
-                        if let Some(fid) = func_of(&mods, &mut funcs, &mut func_ids, loc) {
+                        if let Some(fid) = func_of(&mut funcs, loc) {
                             funcs[fid].self_cycles += s.weight;
                             funcs[fid].self_samples += 1;
                             if credited_fids.insert(fid) {
@@ -456,7 +465,7 @@ impl Analysis {
                 if !seen_funcs.insert((loc.module.0, fidx)) {
                     continue;
                 }
-                if let Some(fid) = func_of(&mods, &mut funcs, &mut func_ids, loc) {
+                if let Some(fid) = func_of(&mut funcs, loc) {
                     if depth == 0 {
                         funcs[fid].self_cycles += s.weight;
                         funcs[fid].self_samples += 1;
@@ -465,8 +474,14 @@ impl Analysis {
                         funcs[fid].incl_cycles += s.weight;
                     }
                 }
-                for li in m.forests[fidx].loops_containing(block) {
-                    let gid = loop_ids[&(loc.module.0, fidx, li)];
+                let chain = chains.entry((loc.module.0, block)).or_insert_with(|| {
+                    m.forests[fidx]
+                        .loops_containing(block)
+                        .into_iter()
+                        .map(|li| loop_ids[&(loc.module.0, fidx, li)])
+                        .collect()
+                });
+                for &gid in chain.iter() {
                     if credited_loops.insert(gid) {
                         loops[gid].cycles += s.weight;
                         loops[gid].samples += 1;
@@ -476,28 +491,30 @@ impl Analysis {
         }
 
         // ---- line table ------------------------------------------------------
-        let mut line_map: HashMap<(u32, String, u32), LineStats> = HashMap::new();
-        let all_locs: HashSet<CodeLoc> = insn_counts
+        // Keyed by (module, file, line) with the file name borrowed from the
+        // module; a row copies it once. Every location that was counted or
+        // sampled is visited once.
+        let mut line_map: FastMap<(u32, &str, u32), LineStats> = FastMap::default();
+        let sampled_only = insn_samples
             .keys()
-            .chain(insn_samples.keys())
-            .copied()
-            .collect();
-        for loc in all_locs {
+            .filter(|loc| !insn_counts.contains_key(loc));
+        for &loc in insn_counts.keys().chain(sampled_only) {
             let Some(m) = mods.get(loc.module.0 as usize) else {
                 continue;
             };
             let Some((file, line)) = m.module.line_at(loc.offset) else {
                 continue;
             };
-            let key = (loc.module.0, file.to_string(), line);
-            let entry = line_map.entry(key.clone()).or_insert_with(|| LineStats {
-                module: key.0,
-                file: key.1.clone(),
-                line: key.2,
-                cycles: 0,
-                samples: 0,
-                count: 0,
-            });
+            let entry = line_map
+                .entry((loc.module.0, file, line))
+                .or_insert_with(|| LineStats {
+                    module: loc.module.0,
+                    file: file.to_string(),
+                    line,
+                    cycles: 0,
+                    samples: 0,
+                    count: 0,
+                });
             if let Some(&(s, w)) = insn_samples.get(&loc) {
                 entry.samples += s;
                 entry.cycles += w;
@@ -595,7 +612,8 @@ impl Analysis {
         let Some(m) = self.modules.get(module as usize) else {
             return Vec::new();
         };
-        m.disasm
+        let disasm = Disassembly::of_module(&m.module).expect("analysed modules decode");
+        disasm
             .function_lines(name)
             .map(|line| {
                 let loc = CodeLoc {
@@ -624,15 +642,9 @@ impl Analysis {
             .iter()
             .map(|(&loc, &(samples, cycles))| {
                 let count = self.count_at(loc);
-                let text = self
-                    .modules
-                    .get(loc.module.0 as usize)
-                    .and_then(|m| m.disasm.line_at(loc.offset))
-                    .map(|l| l.text.clone())
-                    .unwrap_or_default();
                 InsnRow {
                     loc,
-                    text,
+                    text: String::new(),
                     samples,
                     cycles,
                     count,
@@ -642,6 +654,13 @@ impl Analysis {
             .collect();
         rows.sort_by(|a, b| b.cycles.cmp(&a.cycles).then(a.loc.cmp(&b.loc)));
         rows.truncate(limit);
+        for r in &mut rows {
+            if let Some(m) = self.modules.get(r.loc.module.0 as usize) {
+                if let Ok(insn) = m.module.insn_at(r.loc.offset) {
+                    r.text = symbolized(&m.module, &insn);
+                }
+            }
+        }
         rows
     }
 }
@@ -672,7 +691,7 @@ fn reconcile(
     mods: &[ModuleAnalysis],
     samples: &SampleProfile,
     counts: &CountsProfile,
-    insn_counts: &HashMap<CodeLoc, u64>,
+    insn_counts: &FastMap<CodeLoc, u64>,
     mode: AnalysisMode,
     hot: Option<&HashSet<(u32, String)>>,
 ) -> JoinDiagnostics {

@@ -18,14 +18,14 @@
 //! analysis is built from the joined results exactly as in the sequential
 //! order — output is bit-identical either way.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use wiser_dbi::{instrument_run_ctl, CountsProfile, DbiConfig};
 use wiser_isa::Module;
 use wiser_sampler::{sample_run_ctl, SampleProfile, SamplerConfig};
 use wiser_sim::{
-    CancelCause, CancelToken, CoreConfig, CoreStats, FaultPlan, LoadConfig, ModuleId, PassControl,
-    ProcessImage, TimedRun, TruncationReason,
+    CancelCause, CancelToken, CoreConfig, CoreStats, FastMap, FaultPlan, LoadConfig, ModuleId,
+    PassControl, ProcessImage, TimedRun, TruncationReason,
 };
 
 use crate::analysis::{Analysis, AnalysisOptions, DEFAULT_DIVERGENCE_THRESHOLD};
@@ -275,7 +275,7 @@ fn plan_selective(
     samples: &SampleProfile,
     hot_threshold: f64,
 ) -> Option<(SelectiveRanges, HotSet)> {
-    let mut weight_by_func: HashMap<(u32, u64), u64> = HashMap::new();
+    let mut weight_by_func: FastMap<(u32, u64), u64> = FastMap::default();
     let mut total: u64 = 0;
     for s in &samples.samples {
         total += s.weight;

@@ -1,10 +1,8 @@
 //! The instrumentation profile: DynamoRIO-style blocks with execution
 //! counts, edge counters, and the stack-profiling callee table.
 
-use std::collections::HashMap;
-
 use wiser_isa::CtiKind;
-use wiser_sim::{CodeLoc, TruncationReason};
+use wiser_sim::{CodeLoc, FastMap, FastSet, TruncationReason};
 
 /// Terminator classification of a DynamoRIO block, determining which edge
 /// instrumentation §IV-C inserts.
@@ -153,7 +151,7 @@ pub struct CountsProfile {
     /// Stack profiling output: per call site, total instructions executed in
     /// the callee and everything below it (algorithm 1's
     /// `callee_count_table`).
-    pub callee_counts: HashMap<CodeLoc, u64>,
+    pub callee_counts: FastMap<CodeLoc, u64>,
     /// Whether stack profiling was enabled.
     pub stack_profiling: bool,
     /// Cost accounting for the overhead estimate.
@@ -170,8 +168,8 @@ pub struct CountsProfile {
 impl CountsProfile {
     /// Per-instruction execution counts: each block contributes its count to
     /// every instruction it covers; overlapping blocks sum.
-    pub fn insn_counts(&self) -> HashMap<CodeLoc, u64> {
-        let mut map: HashMap<CodeLoc, u64> = HashMap::new();
+    pub fn insn_counts(&self) -> FastMap<CodeLoc, u64> {
+        let mut map: FastMap<CodeLoc, u64> = FastMap::default();
         for b in &self.blocks {
             for i in 0..b.len as u64 {
                 let loc = CodeLoc {
@@ -221,9 +219,9 @@ impl CountsProfile {
         // A placed (not yet recovered) profile stores 0 for suppressed
         // vertex counters, so a kept fall-through counter may legitimately
         // exceed the erased block count.
-        let vertex_erased: std::collections::HashSet<u32> = match &self.placement {
+        let vertex_erased: FastSet<u32> = match &self.placement {
             Some(pl) if !pl.recovered => pl.vertex_suppressed.iter().copied().collect(),
-            _ => std::collections::HashSet::new(),
+            _ => FastSet::default(),
         };
         if let Some(pl) = &self.placement {
             for &i in pl
@@ -284,7 +282,7 @@ mod tests {
     }
 
     fn sample() -> CountsProfile {
-        let mut callee_counts = HashMap::new();
+        let mut callee_counts = FastMap::default();
         callee_counts.insert(loc(0, 0x20), 1234);
         CountsProfile {
             module_names: vec!["main".into()],

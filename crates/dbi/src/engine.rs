@@ -8,12 +8,10 @@
 //! profiling (algorithm 1) to attribute callee instruction counts to call
 //! sites.
 
-use std::collections::HashMap;
-
 use wiser_isa::INSN_BYTES;
 use wiser_sim::{
-    poll_cancel, CancelCause, CodeLoc, FaultPlan, Interp, ModuleId, PassControl, ProcessImage,
-    SimError, Step, TruncationReason, CANCEL_POLL_INSNS,
+    poll_cancel, CancelCause, CodeLoc, FastMap, FaultPlan, Interp, ModuleId, PassControl,
+    ProcessImage, SimError, Step, TruncationReason, CANCEL_POLL_INSNS,
 };
 
 use crate::cost::CostModel;
@@ -63,7 +61,7 @@ struct RtBlock {
     direct_target: Option<CodeLoc>,
     count: u64,
     fallthrough: u64,
-    targets: HashMap<CodeLoc, u64>,
+    targets: FastMap<CodeLoc, u64>,
     /// Last observed indirect target (models DynamoRIO's inlined
     /// last-target comparison).
     last_target: Option<CodeLoc>,
@@ -142,7 +140,7 @@ pub fn instrument_run_ctl(
     mut ctl: PassControl<'_, CountsProfile>,
 ) -> Result<CountsProfile, SimError> {
     let mut interp = Interp::new(image, cfg.rand_seed)?;
-    let mut cache: HashMap<u64, usize> = HashMap::new();
+    let mut cache: FastMap<u64, usize> = FastMap::default();
     let mut blocks: Vec<RtBlock> = Vec::new();
     let mut cost = InstrumentationCost::default();
 
@@ -150,7 +148,7 @@ pub fn instrument_run_ctl(
     let mut global_counter: u64 = 0;
     let mut call_stack: Vec<CodeLoc> = Vec::new();
     let mut counter_stack: Vec<u64> = Vec::new();
-    let mut callee_counts: HashMap<CodeLoc, u64> = HashMap::new();
+    let mut callee_counts: FastMap<CodeLoc, u64> = FastMap::default();
 
     let model = cfg.cost;
     let injected_limit = cfg.fault.truncate_counts_at;
@@ -355,7 +353,7 @@ pub fn instrument_run_ctl(
 fn build_profile(
     image: &ProcessImage,
     blocks: &[RtBlock],
-    callee_counts: &HashMap<CodeLoc, u64>,
+    callee_counts: &FastMap<CodeLoc, u64>,
     stack_profiling: bool,
     cost: InstrumentationCost,
     truncated: Option<TruncationReason>,
@@ -432,7 +430,7 @@ fn translate(
                 direct_target,
                 count: 0,
                 fallthrough: 0,
-                targets: HashMap::new(),
+                targets: FastMap::default(),
                 last_target: None,
                 counted,
                 links: [None; 2],
@@ -447,7 +445,7 @@ fn translate(
                 direct_target: None,
                 count: 0,
                 fallthrough: 0,
-                targets: HashMap::new(),
+                targets: FastMap::default(),
                 last_target: None,
                 counted,
                 links: [None; 2],
@@ -604,7 +602,7 @@ mod tests {
         // The callr executes through two blocks (one per inbound path); the
         // union of their indirect targets is fa (3 odd iterations) and fb
         // (3 even iterations).
-        let mut by_target: HashMap<CodeLoc, u64> = HashMap::new();
+        let mut by_target: FastMap<CodeLoc, u64> = FastMap::default();
         for b in p.blocks.iter().filter(|b| b.term == TermKind::Indirect) {
             for (t, c) in &b.targets {
                 *by_target.entry(*t).or_insert(0) += c;

@@ -126,6 +126,24 @@ fn fmt_mem(base: crate::reg::Gpr, index: Option<(crate::reg::Gpr, u64)>, disp: i
     s
 }
 
+/// Renders `insn` as [`format_insn`] does, with a direct branch or call
+/// target named after the function containing it (`<f>` or `<f+0x10>`):
+/// the text of one [`DisasmLine`].
+pub fn symbolized(module: &Module, insn: &Insn) -> String {
+    let mut text = format_insn(insn);
+    if let Some(target) = insn.direct_target() {
+        if let Some(sym) = module.function_at(target as u64) {
+            let suffix = if sym.offset == target as u64 {
+                format!(" <{}>", sym.name)
+            } else {
+                format!(" <{}+{:#x}>", sym.name, target as u64 - sym.offset)
+            };
+            text.push_str(&suffix);
+        }
+    }
+    text
+}
+
 /// One disassembled instruction with its context.
 #[derive(Clone, Debug)]
 pub struct DisasmLine {
@@ -160,21 +178,10 @@ impl Disassembly {
         for i in 0..module.insn_count() {
             let offset = i * INSN_BYTES;
             let insn = module.insn_at(offset)?;
-            let mut text = format_insn(&insn);
-            if let Some(target) = insn.direct_target() {
-                if let Some(sym) = module.function_at(target as u64) {
-                    let suffix = if sym.offset == target as u64 {
-                        format!(" <{}>", sym.name)
-                    } else {
-                        format!(" <{}+{:#x}>", sym.name, target as u64 - sym.offset)
-                    };
-                    text.push_str(&suffix);
-                }
-            }
             lines.push(DisasmLine {
                 offset,
                 insn,
-                text,
+                text: symbolized(module, &insn),
                 function: module.function_at(offset).map(|s| s.name.clone()),
                 source: module.line_at(offset).map(|(f, l)| (f.to_string(), l)),
             });

@@ -46,7 +46,7 @@ mod reg;
 
 pub use asm::module_to_text;
 pub use asm::text::assemble;
-pub use disasm::{format_insn, DisasmLine, Disassembly};
+pub use disasm::{format_insn, symbolized, DisasmLine, Disassembly};
 pub use encode::{decode_at, decode_insn, encode_insn};
 pub use error::IsaError;
 pub use insn::{AluOp, Cond, CtiKind, FpCmp, FpOp, Insn, Scale, Width, INSN_BYTES};

@@ -4,9 +4,7 @@
 //! changes absolute addresses between the sampling run and the
 //! instrumentation run (§IV-A).
 
-use std::collections::HashMap;
-
-use wiser_sim::{CodeLoc, TruncationReason};
+use wiser_sim::{CodeLoc, FastMap, TruncationReason};
 
 /// One periodic sample.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,8 +52,8 @@ impl SampleProfile {
     }
 
     /// Aggregates to per-location `(sample count, total weight)`.
-    pub fn by_location(&self) -> HashMap<CodeLoc, (u64, u64)> {
-        let mut map: HashMap<CodeLoc, (u64, u64)> = HashMap::new();
+    pub fn by_location(&self) -> FastMap<CodeLoc, (u64, u64)> {
+        let mut map: FastMap<CodeLoc, (u64, u64)> = FastMap::default();
         for s in &self.samples {
             let e = map.entry(s.loc).or_insert((0, 0));
             e.0 += 1;

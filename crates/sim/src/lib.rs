@@ -8,6 +8,7 @@
 mod control;
 mod error;
 mod fault;
+mod hash;
 mod interp;
 mod loader;
 mod mem;
@@ -21,6 +22,7 @@ pub mod unwind;
 pub use control::{poll_cancel, PassControl, CANCEL_POLL_INSNS};
 pub use error::SimError;
 pub use fault::{FaultPlan, TruncationReason};
+pub use hash::{FastHasher, FastMap, FastSet, FastState};
 pub use interp::{run_module, Cpu, Frame, Interp, Step};
 pub use loader::{CodeLoc, LoadConfig, LoadedModule, ModuleId, ProcessImage};
 pub use mem::{Memory, PAGE_SIZE};

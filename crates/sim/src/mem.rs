@@ -1,7 +1,6 @@
 //! Sparse paged memory for the simulated process.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use crate::hash::FastMap;
 
 /// Page size in bytes. Also the alignment granule for module bases.
 pub const PAGE_SIZE: u64 = 4096;
@@ -30,31 +29,10 @@ type Page = [u8; PAGE_SIZE as usize];
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Box<Page>, BuildHasherDefault<PageHasher>>,
-}
-
-/// Multiply-shift hasher for page numbers: one multiply by an odd constant,
-/// with the high half folded onto the low half so both the bucket index
-/// (low bits) and the control tag (high bits) see every key bit. Nothing
-/// iterates `Memory::pages`, so no output depends on the hash order. Keys
-/// are the guest's own page numbers: a program that crafts colliding pages
-/// only slows its own simulation.
-#[derive(Clone, Copy, Debug, Default)]
-struct PageHasher(u64);
-
-impl Hasher for PageHasher {
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("page numbers are hashed with write_u64");
-    }
-
-    fn write_u64(&mut self, page: u64) {
-        let h = page.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+    // Nothing iterates the pages, so no output depends on their hash
+    // order. Keys are the guest's own page numbers: a program that crafts
+    // colliding pages only slows its own simulation.
+    pages: FastMap<u64, Box<Page>>,
 }
 
 impl Memory {

@@ -8,11 +8,12 @@
 //! perf-style periodic sampling actually observes (§II-A, figures 2, 8, 9).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use wiser_isa::{AluOp, FpOp, Insn};
 
 use crate::error::SimError;
+use crate::hash::FastMap;
 use crate::trace::{ExecRecord, FlowEvent};
 use crate::uarch::bpred::{BpredStats, BranchPredictor};
 use crate::uarch::cache::{CacheStats, Hierarchy};
@@ -449,7 +450,7 @@ impl OoOCore {
         let mut last_commit_addr: Option<u64> = None;
 
         let mut last_writer: [u64; 24] = [NO_PRODUCER; 24];
-        let mut last_store_blk: HashMap<u64, u64> = HashMap::new();
+        let mut last_store_blk: FastMap<u64, u64> = FastMap::default();
 
         // Non-pipelined units per divider pool: busy-until cycles.
         let mut div_busy: [Vec<u64>; 2] = [

@@ -30,11 +30,10 @@
 //! [`StoredProfile::from_run`] profiles) have `job: None`.
 //!
 //! Encoding is fully deterministic — collections are written in their
-//! already-deterministic in-memory order and the one `HashMap`
+//! already-deterministic in-memory order and the one hash map
 //! (`callee_counts`) is sorted first — so the same run serializes to the
 //! same bytes whatever the thread count.
 
-use std::collections::HashMap;
 use std::mem::size_of;
 
 use optiwise::{
@@ -43,7 +42,7 @@ use optiwise::{
 };
 use wiser_dbi::{BlockCount, CounterPlacement, CountsProfile, InstrumentationCost, TermKind};
 use wiser_sampler::{Sample, SampleProfile};
-use wiser_sim::{CodeLoc, ConfigErrorKind, CoreConfig, ModuleId, TruncationReason};
+use wiser_sim::{CodeLoc, ConfigErrorKind, CoreConfig, FastMap, ModuleId, TruncationReason};
 
 use crate::checkpoint::{decode_ckpt, encode_ckpt, Checkpoint, CheckpointSpec};
 use crate::format::{read_sections, write_store, ByteReader, ByteWriter, DecodeBudget};
@@ -541,7 +540,7 @@ pub(crate) fn encode_counts(p: &CountsProfile) -> Vec<u8> {
             w.u64(*c);
         }
     }
-    // The one HashMap in the document: sort before writing so identical
+    // The one hash map in the document: sort before writing so identical
     // profiles are byte-identical.
     let callees = p.sorted_callee_counts();
     w.len(callees.len());
@@ -624,7 +623,9 @@ pub(crate) fn decode_counts(r: &mut ByteReader<'_>) -> Result<CountsProfile, Sto
     // A hash map over-allocates past its load factor: charge double the
     // entry size so the budget covers what the table actually reserves.
     let n_callees = r.len_mem(20, 2 * size_of::<(CodeLoc, u64)>(), "callee count")?;
-    let mut callee_counts = HashMap::with_capacity(n_callees);
+    // The sites come from the file; the map's per-map seed keeps their
+    // buckets unpredictable to whoever wrote it (DESIGN.md, "Hashing").
+    let mut callee_counts = FastMap::with_capacity_and_hasher(n_callees, Default::default());
     for _ in 0..n_callees {
         let site = get_loc(r, "callee site")?;
         callee_counts.insert(site, r.u64("callee total")?);

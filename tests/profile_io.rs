@@ -2,7 +2,7 @@
 //! each profile as a checkpoint image (as the CLI does), reload, and verify
 //! the analysis is identical to the in-memory pipeline.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use optiwise::{module_fingerprint, Analysis, AnalysisOptions, OptiwiseConfig};
 use wiser_dbi::{instrument_run, CountsProfile, DbiConfig};
@@ -41,10 +41,29 @@ fn save_and_load(
     back
 }
 
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("optiwise-io-test-{}", std::process::id()));
+/// A fresh scratch directory for one test, removed when the test ends. It
+/// is per test and per process and cleared first, so files of an earlier
+/// run never mix in.
+struct Scratch(PathBuf);
+
+fn scratch(name: &str) -> Scratch {
+    let dir = std::env::temp_dir().join(format!("optiwise-io-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+    Scratch(dir)
+}
+
+impl Scratch {
+    /// The path of `file` inside the directory.
+    fn path(&self, file: &str) -> PathBuf {
+        self.0.join(file)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 #[test]
@@ -53,6 +72,7 @@ fn profiles_roundtrip_through_checkpoint_files() {
         .unwrap()
         .build(InputSize::Test)
         .unwrap();
+    let dir = scratch("roundtrip");
 
     // Pass 1: sampling.
     let load_a = LoadConfig {
@@ -80,14 +100,14 @@ fn profiles_roundtrip_through_checkpoint_files() {
     // Persist both to disk and reload (the `optiwise sample/instrument/
     // analyze` workflow). Each file carries only its own pass.
     let sp = save_and_load(
-        &scratch("samples.owp"),
+        &dir.path("samples.owp"),
         "stack_attr",
         &modules,
         Some(samples.clone()),
         None,
     );
     let cp = save_and_load(
-        &scratch("counts.owp"),
+        &dir.path("counts.owp"),
         "stack_attr",
         &modules,
         None,
@@ -124,8 +144,9 @@ fn large_profile_roundtrip() {
         .unwrap();
     let image = ProcessImage::load(&modules, &LoadConfig::default()).unwrap();
     let counts = instrument_run(&image, &DbiConfig::default()).unwrap();
+    let dir = scratch("large");
     let back = save_and_load(
-        &scratch("xalanc.owp"),
+        &dir.path("xalanc.owp"),
         "xalancbmk_like",
         &modules,
         None,

@@ -3,7 +3,9 @@
 //! every flavour of file damage (bit flips, truncation, header corruption),
 //! driven by the same seeded fault harness as the pipeline tests.
 
-use optiwise::{run_optiwise, OptiwiseConfig, OptiwiseError};
+use optiwise::report::full_report;
+use optiwise::{run_optiwise, Analysis, OptiwiseConfig, OptiwiseError, ProfileTables};
+use wiser_isa::Module;
 use wiser_sim::FaultPlan;
 use wiser_store::{read_sections, section_spans, write_store, StoredProfile, MAGIC};
 
@@ -64,6 +66,47 @@ fn stored_bytes_are_identical_for_every_thread_count() {
     }
     assert_eq!(images[0], images[1], "--jobs 2 must not change the file");
     assert_eq!(images[0], images[2], "--jobs 8 must not change the file");
+}
+
+/// Every hash map in the analysis draws its own seed, so two analyses of
+/// one run in one process iterate their maps in different orders. Their
+/// tables, report text and `.owp` bytes must still be identical: anything
+/// that leaks a map's order into output fails here.
+#[test]
+fn reanalysis_in_one_process_is_identical() {
+    let modules = wiser_workloads::by_name("mcf_like")
+        .unwrap()
+        .build(wiser_workloads::InputSize::Test)
+        .unwrap();
+    let run = run_optiwise(&modules, &OptiwiseConfig::default()).unwrap();
+    let linked: Vec<Module> = run
+        .analysis
+        .modules
+        .iter()
+        .map(|m| m.module().clone())
+        .collect();
+    let mut stored = StoredProfile::from_run(
+        "mcf_like",
+        &run,
+        0,
+        "xeon",
+        wiser_sim::CoreConfig::xeon_like(),
+    );
+    let first = stored.to_bytes();
+    let report = full_report(&run.analysis, 20);
+    assert!(run.analysis.loops().len() > 1 && linked.len() > 1);
+    for _ in 0..4 {
+        let again = Analysis::new(
+            &linked,
+            &run.samples,
+            &run.counts,
+            OptiwiseConfig::default().analysis,
+        );
+        assert_eq!(full_report(&again, 20), report);
+        stored.tables = ProfileTables::from_analysis(&again);
+        assert_eq!(stored.tables, ProfileTables::from_analysis(&run.analysis));
+        assert_eq!(stored.to_bytes(), first);
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 use wiser_isa::Disassembly;
 use wiser_sampler::{sample_run, Attribution, SamplerConfig};
-use wiser_sim::{CodeLoc, CoreConfig, ModuleId, ProcessImage};
+use wiser_sim::{CodeLoc, CoreConfig, FastMap, ModuleId, ProcessImage};
 use wiser_workloads::InputSize;
 
 fn image_of(name: &str) -> ProcessImage {
@@ -28,7 +28,7 @@ fn samples_at(
     image: &ProcessImage,
     core: CoreConfig,
     attribution: Attribution,
-) -> std::collections::HashMap<CodeLoc, (u64, u64)> {
+) -> FastMap<CodeLoc, (u64, u64)> {
     let cfg = SamplerConfig {
         attribution,
         ..SamplerConfig::with_period(127)
@@ -37,7 +37,7 @@ fn samples_at(
     profile.by_location()
 }
 
-fn get(map: &std::collections::HashMap<CodeLoc, (u64, u64)>, offset: u64) -> u64 {
+fn get(map: &FastMap<CodeLoc, (u64, u64)>, offset: u64) -> u64 {
     map.get(&CodeLoc {
         module: ModuleId(0),
         offset,
