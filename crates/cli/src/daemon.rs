@@ -475,7 +475,7 @@ mod imp {
             Some(_) => return error_response("`size` must be a string"),
         };
         let seed = match request.get("seed") {
-            None => daemon.opts.seed,
+            None => daemon.opts.job.rand_seed,
             Some(&Value::Int(n)) => n,
             Some(_) => return error_response("`seed` must be an integer"),
         };
@@ -486,8 +486,8 @@ mod imp {
         // here with a typed response — never deep inside a running job.
         let (arch, mut overrides) = match request.get("arch") {
             None => (
-                daemon.opts.arch_name.to_string(),
-                daemon.opts.overrides.clone(),
+                daemon.opts.job.arch.clone(),
+                daemon.opts.job.overrides.clone(),
             ),
             Some(Value::Str(s)) => (s.clone(), Vec::new()),
             Some(_) => return error_response("`arch` must be a string"),

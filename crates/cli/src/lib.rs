@@ -70,29 +70,25 @@ use std::time::Duration;
 
 use optiwise::{
     counts_pass, diff_tables, module_fingerprint, reduce_fleet, report, run_optiwise,
-    run_optiwise_ctl, sampling_pass, Analysis, AnalysisMode, AnalysisOptions, CancelToken,
-    DiffOptions, OptiwiseConfig, OptiwiseError, OptiwiseRun, Pass, PassEvent, ProfileTables,
-    ResourceLimits, ResumeState, RunControl, StoreError, SweepCell, SweepConfig, SweepGrid,
-    SweepResult, SweepWorkload,
+    run_optiwise_ctl, sampling_pass, Analysis, AnalysisMode, CancelToken, DiffOptions,
+    OptiwiseConfig, OptiwiseError, OptiwiseRun, Pass, PassEvent, ProfileTables, ResourceLimits,
+    ResumeState, RunControl, StoreError, SweepCell, SweepConfig, SweepGrid, SweepResult,
+    SweepWorkload,
 };
 use wiser_isa::Module;
-use wiser_sampler::{Attribution, SamplerConfig};
+use wiser_sampler::Attribution;
 use wiser_sim::{CoreConfig, FaultPlan, TruncationReason, ARCH_NAMES};
 use wiser_store::{Checkpoint, CheckpointSpec, CheckpointWriter, StoredProfile};
 use wiser_workloads::InputSize;
 
 #[derive(Clone)]
 struct Options {
+    /// The job template the pipeline flags write: a fresh job is this spec
+    /// with its program, size and seed filled in.
+    job: CheckpointSpec,
     size: InputSize,
-    core: CoreConfig,
-    arch_name: &'static str,
-    overrides: Vec<(String, String)>,
     configs: Vec<String>,
     strict_config: bool,
-    sampler: SamplerConfig,
-    stack_profiling: bool,
-    merge_threshold: Option<u64>,
-    seed: u64,
     top: usize,
     out: Option<String>,
     samples_path: Option<String>,
@@ -101,11 +97,6 @@ struct Options {
     csv_dir: Option<String>,
     workloads: Vec<String>,
     jobs: usize,
-    strict: bool,
-    allow_partial: bool,
-    selective: bool,
-    hot_threshold: f64,
-    exhaustive_counters: bool,
     fault: FaultPlan,
     save: Option<String>,
     threshold: f64,
@@ -144,16 +135,10 @@ const DEFAULT_CHECKPOINT_EVERY: u64 = 1_000_000;
 impl Default for Options {
     fn default() -> Options {
         Options {
+            job: CheckpointSpec::from_config(0, "", "", "xeon", &[], &OptiwiseConfig::default(), 0),
             size: InputSize::Train,
-            core: CoreConfig::xeon_like(),
-            arch_name: "xeon",
-            overrides: Vec::new(),
             configs: Vec::new(),
             strict_config: false,
-            sampler: SamplerConfig::default(),
-            stack_profiling: true,
-            merge_threshold: Some(wiser_cfg::MERGE_THRESHOLD),
-            seed: 0,
             top: 15,
             out: None,
             samples_path: None,
@@ -162,11 +147,6 @@ impl Default for Options {
             csv_dir: None,
             workloads: Vec::new(),
             jobs: wiser_par::available_jobs(),
-            strict: false,
-            allow_partial: true,
-            selective: false,
-            hot_threshold: optiwise::DEFAULT_HOT_THRESHOLD,
-            exhaustive_counters: false,
             fault: FaultPlan::default(),
             save: None,
             threshold: optiwise::DiffOptions::default().threshold_pct,
@@ -203,11 +183,10 @@ enum Arity {
 /// One row of the command table: a command's positional arguments, the
 /// flags it accepts and its implementation. A command accepts a flag iff
 /// its code path reads the `Options` field the flag sets, directly or
-/// through the `CheckpointSpec` it records, `run_job` (`--jobs`,
-/// `--inject`), `render_run`, `emit`, `make_token` or the
-/// `pipeline_config` fields its passes and analysis use: a split pass
-/// runs no analysis, and `analyze` restores both passes instead of
-/// running them.
+/// through `run_job` (`--jobs`, `--inject`), `render_run`, `emit`,
+/// `make_token` or the fields of the job template (`Options::job`) that
+/// its passes and analysis use under `job_config`: a split pass runs no
+/// analysis, and `analyze` restores both passes instead of running them.
 /// `--selective` is left out where the command records or fuses full
 /// passes, and `--arch`/`--set` on `sweep`, whose `--config` cells
 /// overwrite the core they pick.
@@ -218,10 +197,11 @@ struct Command {
     run: fn(&Options) -> Result<(), OptiwiseError>,
 }
 
-/// The flags that pick the core model `pipeline_config` reads.
+/// The flags that pick the job template's core model.
 const CORE: &[&str] = &["--arch", "--set"];
 
-/// The other flags `pipeline_config` reads, less `--selective`.
+/// The other flags a job's config reads, less `--selective`: the rest of
+/// the job template, and `job_config`'s `--jobs` and `--inject`.
 #[rustfmt::skip]
 const PIPELINE: &[&str] = &[
     "--period", "--attribution", "--no-stack-profiling",
@@ -369,35 +349,40 @@ fn parse_options(cmd: &Command, args: &[String]) -> Result<Options, String> {
             }
             "--arch" => {
                 let v = value()?;
-                opts.arch_name = ARCH_NAMES.iter().find(|&&n| n == v).ok_or_else(|| {
-                    format!("unknown arch `{v}`; one of: {}", ARCH_NAMES.join(", "))
-                })?;
+                if !ARCH_NAMES.contains(&v.as_str()) {
+                    return Err(format!(
+                        "unknown arch `{v}`; one of: {}",
+                        ARCH_NAMES.join(", ")
+                    ));
+                }
+                opts.job.arch = v;
             }
             "--set" => opts
+                .job
                 .overrides
                 .push(CoreConfig::parse_set(&value()?).map_err(|e| e.to_string())?),
             "--config" => opts.configs.push(value()?),
             "--strict-config" => opts.strict_config = true,
             "--period" => {
-                opts.sampler.period = at_least(arg, &value()?, 0)?;
-                opts.sampler.jitter = opts.sampler.period / 4;
+                opts.job.period = at_least(arg, &value()?, 0)?;
+                opts.job.jitter = opts.job.period / 4;
             }
             "--attribution" => {
-                opts.sampler.attribution = match value()?.as_str() {
+                opts.job.attribution = match value()?.as_str() {
                     "interrupt" => Attribution::Interrupt,
                     "precise" => Attribution::Precise,
                     "predecessor" => Attribution::Predecessor,
                     other => return Err(format!("unknown attribution `{other}`")),
                 }
             }
-            "--no-stack-profiling" => opts.stack_profiling = false,
+            "--no-stack-profiling" => opts.job.stack_profiling = false,
             "--merge-threshold" => {
-                opts.merge_threshold = match value()?.as_str() {
+                opts.job.merge_threshold = match value()?.as_str() {
                     "off" => None,
                     v => Some(at_least(arg, v, 0)?),
                 }
             }
-            "--seed" => opts.seed = at_least(arg, &value()?, 0)?,
+            "--seed" => opts.job.rand_seed = at_least(arg, &value()?, 0)?,
             "--top" => opts.top = at_least(arg, &value()?, 0)?,
             "--out" => opts.out = Some(value()?),
             "--samples" => opts.samples_path = Some(value()?),
@@ -405,14 +390,15 @@ fn parse_options(cmd: &Command, args: &[String]) -> Result<Options, String> {
             "--function" => opts.function = Some(value()?),
             "--csv-dir" => opts.csv_dir = Some(value()?),
             "--jobs" => opts.jobs = at_least(arg, &value()?, 1)?,
-            "--strict" => opts.strict = true,
-            "--allow-partial" => opts.allow_partial = true,
-            "--no-partial" => opts.allow_partial = false,
-            "--selective" => opts.selective = true,
+            "--strict" => opts.job.strict = true,
+            "--allow-partial" => opts.job.allow_partial = true,
+            "--no-partial" => opts.job.allow_partial = false,
+            "--selective" => opts.job.selective = true,
             "--hot-threshold" => {
-                opts.hot_threshold = finite(arg, &value()?, |x| x <= 1.0, "a fraction in 0..=1")?
+                opts.job.hot_threshold =
+                    finite(arg, &value()?, |x| x <= 1.0, "a fraction in 0..=1")?
             }
-            "--exhaustive-counters" => opts.exhaustive_counters = true,
+            "--exhaustive-counters" => opts.job.exhaustive_counters = true,
             "--inject" => {
                 opts.fault =
                     FaultPlan::parse(&value()?).map_err(|e| format!("bad --inject spec: {e}"))?
@@ -483,7 +469,7 @@ fn parse_options(cmd: &Command, args: &[String]) -> Result<Options, String> {
     // `--set` applies on top of whatever `--arch` picked, regardless of
     // flag order, and the resulting config is validated before any command
     // runs: nonsense like `rob_size=0` dies here, not deep in the model.
-    opts.core = CoreConfig::resolve(opts.arch_name, &opts.overrides).map_err(|e| e.to_string())?;
+    CoreConfig::resolve(&opts.job.arch, &opts.job.overrides).map_err(|e| e.to_string())?;
     Ok(opts)
 }
 
@@ -539,35 +525,11 @@ fn build_program(name: &str, seed: u64, size: InputSize) -> Result<Vec<Module>, 
         .map_err(|e| OptiwiseError::Load(format!("assembling `{name}`: {e}")))
 }
 
-fn pipeline_config(opts: &Options) -> OptiwiseConfig {
-    let mut config = OptiwiseConfig {
-        core: opts.core,
-        sampler: opts.sampler,
-        analysis: AnalysisOptions {
-            merge_threshold: opts.merge_threshold,
-            jobs: opts.jobs,
-        },
-        rand_seed: opts.seed,
-        strict: opts.strict,
-        allow_partial: opts.allow_partial,
-        selective: opts.selective,
-        hot_threshold: opts.hot_threshold,
-        exhaustive_counters: opts.exhaustive_counters,
-        fault: opts.fault,
-        // `--jobs 1` is the fully sequential reference mode; anything above
-        // overlaps the two profiling passes as well.
-        concurrent_passes: opts.jobs > 1,
-        ..OptiwiseConfig::default()
-    };
-    config.dbi.stack_profiling = opts.stack_profiling;
-    config
-}
-
 /// A fresh job: the program `name` names (built at `size`, or generated
-/// from `seed`) and its spec, which records this command's pipeline flags
-/// and core with input `seed`, labelled `name` and never checkpointed.
-/// Every job that does not come from a file starts here; a sweep cell or
-/// an `optiwised` job then sets its own core, label and cadence.
+/// from `seed`) and its spec, which is this command's job template with
+/// input `seed`, labelled `name` and never checkpointed. Every job that
+/// does not come from a file starts here; a sweep cell or an `optiwised`
+/// job then sets its own core, label and cadence.
 fn fresh_job(
     opts: &Options,
     name: &str,
@@ -575,14 +537,26 @@ fn fresh_job(
     size: InputSize,
 ) -> Result<(Vec<Module>, CheckpointSpec), OptiwiseError> {
     let modules = build_program(name, seed, size)?;
-    let config = OptiwiseConfig {
+    let spec = CheckpointSpec {
+        module_hash: module_fingerprint(&modules),
+        workload: name.to_string(),
+        label: name.to_string(),
+        size: size.name().to_string(),
         rand_seed: seed,
-        ..pipeline_config(opts)
+        ..opts.job.clone()
     };
-    let hash = module_fingerprint(&modules);
-    let (arch, overrides) = (opts.arch_name, &opts.overrides);
-    let spec = CheckpointSpec::from_config(hash, name, size.name(), arch, overrides, &config, 0);
     Ok((modules, spec))
+}
+
+/// The config a job runs under: the spec's ([`CheckpointSpec::to_config`])
+/// at this process's `--jobs`, with this command line's `--inject` faults.
+/// Fault injection is never recorded in a spec: each leg of a job gets
+/// only the faults its own command line asks for.
+fn job_config(spec: &CheckpointSpec, opts: &Options) -> Result<OptiwiseConfig, OptiwiseError> {
+    Ok(OptiwiseConfig {
+        fault: opts.fault,
+        ..spec.to_config(opts.jobs)?
+    })
 }
 
 /// The program a recorded job (`path`'s section `tag`) names, refused
@@ -730,12 +704,7 @@ fn run_job(
     token: &CancelToken,
 ) -> Result<OptiwiseRun, OptiwiseError> {
     let spec = &ckpt.spec;
-    // Fault injection is never recorded in a spec: each leg of a job gets
-    // only the faults its own command line asks for.
-    let config = OptiwiseConfig {
-        fault: opts.fault,
-        ..spec.to_config(opts.jobs)?
-    };
+    let config = job_config(spec, opts)?;
     let writer = file.map(|path| {
         CheckpointWriter::new(
             path,
@@ -837,7 +806,7 @@ fn cmd_run(opts: &Options) -> Result<(), OptiwiseError> {
         return cmd_run_batch(opts);
     }
     let checkpoint_every = checkpoint_cadence(opts)?;
-    let (modules, spec) = fresh_job(opts, &opts.workloads[0], opts.seed, opts.size)?;
+    let (modules, spec) = fresh_job(opts, &opts.workloads[0], opts.job.rand_seed, opts.size)?;
     let ckpt = Checkpoint::fresh(CheckpointSpec {
         checkpoint_every,
         ..spec
@@ -923,7 +892,7 @@ fn render_run(
 /// token lets a deadline or Ctrl-C stop every in-flight shard at its next
 /// instruction boundary.
 fn run_one(name: &str, opts: &Options, token: &CancelToken) -> Result<String, OptiwiseError> {
-    let (modules, spec) = fresh_job(opts, name, opts.seed, opts.size)?;
+    let (modules, spec) = fresh_job(opts, name, opts.job.rand_seed, opts.size)?;
     let run = run_job(&modules, &Checkpoint::fresh(spec), None, opts, token)?;
     Ok(report::full_report(&run.analysis, opts.top))
 }
@@ -1085,7 +1054,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), OptiwiseError> {
     }
     let mut workloads = Vec::with_capacity(opts.workloads.len());
     for arg in &opts.workloads {
-        workloads.push(parse_sweep_workload(arg, opts.seed)?);
+        workloads.push(parse_sweep_workload(arg, opts.job.rand_seed)?);
     }
     let cells = SweepGrid { configs, workloads }.expand();
 
@@ -1275,8 +1244,8 @@ fn split_pass(opts: &Options, pass: Pass, cmd: &str) -> Result<(), OptiwiseError
     let out = opts.out.as_deref().ok_or_else(|| {
         OptiwiseError::Usage(format!("{cmd} needs --out FILE (a binary .owp image)"))
     })?;
-    let (modules, spec) = fresh_job(opts, &opts.workloads[0], opts.seed, opts.size)?;
-    let config = pipeline_config(opts);
+    let (modules, spec) = fresh_job(opts, &opts.workloads[0], opts.job.rand_seed, opts.size)?;
+    let config = job_config(&spec, opts)?;
     let mut ckpt = Checkpoint::fresh(spec);
     let (cut, summary) = match pass {
         Pass::Sampling => {
@@ -1303,7 +1272,7 @@ fn split_pass(opts: &Options, pass: Pass, cmd: &str) -> Result<(), OptiwiseError
         }
     };
     if let Some(reason) = cut {
-        if opts.strict || !opts.allow_partial {
+        if ckpt.spec.strict || !ckpt.spec.allow_partial {
             return Err(OptiwiseError::Truncated { pass, reason });
         }
         eprintln!("optiwise: {pass} run truncated ({reason}); emitting partial profile");
@@ -1357,7 +1326,7 @@ fn cmd_analyze(opts: &Options) -> Result<(), OptiwiseError> {
     let workload = &opts.workloads[0];
     // `analyze` takes no `--seed`: a generated program is rebuilt at seed 0,
     // and files recorded at another seed are refused as another build.
-    let modules = build_program(workload, opts.seed, opts.size)?;
+    let modules = build_program(workload, opts.job.rand_seed, opts.size)?;
     let samples_path = opts
         .samples_path
         .as_deref()
@@ -1374,7 +1343,7 @@ fn cmd_analyze(opts: &Options) -> Result<(), OptiwiseError> {
         .ok_or_else(|| missing_section(counts_path, "CNTS", "instrument"))?;
     let run = run_optiwise_ctl(
         &modules,
-        &pipeline_config(opts),
+        &job_config(&opts.job, opts)?,
         RunControl {
             resume: ResumeState {
                 samples: Some(samples),
@@ -1392,7 +1361,7 @@ fn cmd_annotate(opts: &Options) -> Result<(), OptiwiseError> {
         .as_deref()
         .ok_or_else(|| OptiwiseError::Usage("annotate needs --function NAME".into()))?
         .to_string();
-    let (modules, spec) = fresh_job(opts, &opts.workloads[0], opts.seed, opts.size)?;
+    let (modules, spec) = fresh_job(opts, &opts.workloads[0], opts.job.rand_seed, opts.size)?;
     let ckpt = Checkpoint::fresh(spec);
     let run = run_job(&modules, &ckpt, None, opts, &CancelToken::new())?;
     let rows = run
@@ -1558,7 +1527,7 @@ fn cmd_optimize(opts: &Options) -> Result<(), OptiwiseError> {
             (job_program(arg, job, "JOB")?, job.clone())
         }
         Some(legacy) => fresh_job(opts, &legacy.meta.label, legacy.meta.rand_seed, opts.size)?,
-        None => fresh_job(opts, arg, opts.seed, opts.size)?,
+        None => fresh_job(opts, arg, opts.job.rand_seed, opts.size)?,
     };
     let token = CancelToken::new();
     let (baseline, counts) = match stored {
@@ -1670,12 +1639,13 @@ fn cmd_optimize(opts: &Options) -> Result<(), OptiwiseError> {
 fn cmd_selfcheck(opts: &Options) -> Result<(), OptiwiseError> {
     let (lo, hi) = opts.seed_range.unwrap_or((0, 10));
     let mut check_opts = optiwise::selfcheck::SelfCheckOptions::default();
-    check_opts.config.sampler = opts.sampler;
-    check_opts.config.core = opts.core;
-    check_opts.config.analysis.merge_threshold = opts.merge_threshold;
-    check_opts.config.selective = opts.selective;
-    check_opts.config.hot_threshold = opts.hot_threshold;
-    check_opts.config.exhaustive_counters = opts.exhaustive_counters;
+    // One analysis thread per seed, as the pool spreads the seeds; the two
+    // passes still overlap, and the check keeps its own instruction budget.
+    check_opts.config = OptiwiseConfig {
+        max_insns: check_opts.config.max_insns,
+        concurrent_passes: true,
+        ..opts.job.to_config(1)?
+    };
 
     let seeds: Vec<u64> = (lo..hi).collect();
     let results = wiser_par::par_map(opts.jobs, seeds, |_, seed| {
@@ -1881,14 +1851,12 @@ fn cmd_submit(opts: &Options) -> Result<(), OptiwiseError> {
             "size".to_string(),
             jsonl::Value::Str(opts.size.name().to_string()),
         ),
-        ("seed".to_string(), jsonl::Value::Int(opts.seed)),
-        (
-            "arch".to_string(),
-            jsonl::Value::Str(opts.arch_name.to_string()),
-        ),
+        ("seed".to_string(), jsonl::Value::Int(opts.job.rand_seed)),
+        ("arch".to_string(), jsonl::Value::Str(opts.job.arch.clone())),
     ]);
-    if !opts.overrides.is_empty() {
+    if !opts.job.overrides.is_empty() {
         let set = opts
+            .job
             .overrides
             .iter()
             .map(|(k, v)| format!("{k}={v}"))
@@ -2133,8 +2101,8 @@ mod tests {
         let o = parse("run", &["mcf_like"]).unwrap();
         assert_eq!(o.workloads, vec!["mcf_like".to_string()]);
         assert_eq!(o.size, InputSize::Train);
-        assert!(o.stack_profiling);
-        assert_eq!(o.merge_threshold, Some(wiser_cfg::MERGE_THRESHOLD));
+        assert!(o.job.stack_profiling);
+        assert_eq!(o.job.merge_threshold, Some(wiser_cfg::MERGE_THRESHOLD));
         assert_eq!(o.jobs, wiser_par::available_jobs());
         assert!(o.jobs >= 1);
     }
@@ -2170,11 +2138,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(o.size, InputSize::Ref);
-        assert_eq!(o.sampler.period, 4096);
-        assert_eq!(o.sampler.attribution, Attribution::Precise);
-        assert!(!o.stack_profiling);
-        assert_eq!(o.merge_threshold, None);
-        assert_eq!(o.seed, 42);
+        assert_eq!(o.job.period, 4096);
+        assert_eq!(o.job.attribution, Attribution::Precise);
+        assert!(!o.job.stack_profiling);
+        assert_eq!(o.job.merge_threshold, None);
+        assert_eq!(o.job.rand_seed, 42);
         assert_eq!(o.top, 5);
         assert_eq!(o.out.as_deref(), Some("/tmp/x.txt"));
         assert_eq!(o.function.as_deref(), Some("main"));
@@ -2187,8 +2155,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            format!("{:?}", reversed.sampler),
-            format!("{:?}", o.sampler)
+            (
+                reversed.job.period,
+                reversed.job.jitter,
+                reversed.job.attribution
+            ),
+            (o.job.period, o.job.jitter, o.job.attribution)
         );
     }
 
@@ -2233,7 +2205,7 @@ mod tests {
     #[test]
     fn merge_threshold_numeric() {
         let o = parse("run", &["--merge-threshold", "7", "x"]).unwrap();
-        assert_eq!(o.merge_threshold, Some(7));
+        assert_eq!(o.job.merge_threshold, Some(7));
         rejects(&["--merge-threshold", "many"], "--merge-threshold");
     }
 
@@ -2332,24 +2304,24 @@ mod tests {
     #[test]
     fn selective_flags_parse() {
         let o = parse("run", &["mcf_like"]).unwrap();
-        assert!(!o.selective);
-        assert!(!o.exhaustive_counters);
-        assert!((o.hot_threshold - optiwise::DEFAULT_HOT_THRESHOLD).abs() < 1e-12);
+        assert!(!o.job.selective);
+        assert!(!o.job.exhaustive_counters);
+        assert!((o.job.hot_threshold - optiwise::DEFAULT_HOT_THRESHOLD).abs() < 1e-12);
 
         let o = parse(
             "run",
             &["--selective", "--hot-threshold", "0.05", "mcf_like"],
         )
         .unwrap();
-        assert!(o.selective);
-        assert!((o.hot_threshold - 0.05).abs() < 1e-12);
-        let cfg = pipeline_config(&o);
+        assert!(o.job.selective);
+        assert!((o.job.hot_threshold - 0.05).abs() < 1e-12);
+        let cfg = job_config(&o.job, &o).unwrap();
         assert!(cfg.selective);
         assert!((cfg.hot_threshold - 0.05).abs() < 1e-12);
 
         let o = parse("run", &["--exhaustive-counters", "mcf_like"]).unwrap();
-        assert!(o.exhaustive_counters);
-        assert!(pipeline_config(&o).exhaustive_counters);
+        assert!(o.job.exhaustive_counters);
+        assert!(job_config(&o.job, &o).unwrap().exhaustive_counters);
 
         rejects(&["--hot-threshold", "1.5"], "--hot-threshold");
         rejects(&["--hot-threshold", "-0.1"], "--hot-threshold");
@@ -2363,13 +2335,13 @@ mod tests {
 
     #[test]
     fn arch_flag_tracks_spec_name() {
-        assert_eq!(parse("run", &["x"]).unwrap().arch_name, "xeon");
+        assert_eq!(parse("run", &["x"]).unwrap().job.arch, "xeon");
         let o = parse("run", &["--arch", "neoverse", "x"]).unwrap();
-        assert_eq!(o.arch_name, "neoverse");
+        assert_eq!(o.job.arch, "neoverse");
         // Every preset in ARCH_NAMES is addressable, not just the two the
         // old hardcoded match knew.
         let o = parse("run", &["--arch", "tiny", "x"]).unwrap();
-        assert_eq!(o.arch_name, "tiny");
+        assert_eq!(o.job.arch, "tiny");
         assert!(parse("run", &["--arch", "warp9", "x"]).is_err());
     }
 
@@ -2377,14 +2349,14 @@ mod tests {
     fn set_overrides_apply_and_validate() {
         let o = parse("run", &["--set", "rob_size=128", "x"]).unwrap();
         assert_eq!(
-            o.overrides,
+            o.job.overrides,
             vec![("rob_size".to_string(), "128".to_string())]
         );
-        assert_eq!(o.core.rob_size, 128);
+        assert_eq!(o.job.core_config().unwrap().rob_size, 128);
         // Overrides win over --arch regardless of flag order.
         let o = parse("run", &["--set", "rob_size=128", "--arch", "neoverse", "x"]).unwrap();
-        assert_eq!(o.core.rob_size, 128);
-        assert_eq!(o.arch_name, "neoverse");
+        assert_eq!(o.job.core_config().unwrap().rob_size, 128);
+        assert_eq!(o.job.arch, "neoverse");
         // Malformed specs, unknown keys and invalid values all die at
         // parse time with a field-naming message.
         assert!(parse("run", &["--set", "rob_size", "x"]).is_err());
@@ -2427,10 +2399,10 @@ mod tests {
     #[test]
     fn robustness_flags_parse() {
         let o = parse("run", &["--strict", "mcf_like"]).unwrap();
-        assert!(o.strict);
-        assert!(o.allow_partial);
+        assert!(o.job.strict);
+        assert!(o.job.allow_partial);
         let o = parse("run", &["--no-partial", "mcf_like"]).unwrap();
-        assert!(!o.allow_partial);
+        assert!(!o.job.allow_partial);
         let o = parse(
             "run",
             &[

@@ -67,16 +67,35 @@ fn run_produces_report() {
 #[test]
 fn split_sample_instrument_analyze_workflow() {
     let dir = scratch("split");
-    for w in ["stack_attr", "mcf_like", "rand_walk"] {
+    // Each leg: a workload, the flags its passes and `run` take, and those
+    // `analyze` takes (the passes' files record the rest).
+    let non_default = [
+        "--period",
+        "4096",
+        "--attribution",
+        "precise",
+        "--no-stack-profiling",
+        "--merge-threshold",
+        "off",
+    ];
+    let legs: [(&str, &[&str], &[&str]); 4] = [
+        ("stack_attr", &[], &[]),
+        ("mcf_like", &[], &[]),
+        ("rand_walk", &[], &[]),
+        ("loop_merge", &non_default, &["--merge-threshold", "off"]),
+    ];
+    for (w, pass_flags, analyze_flags) in legs {
         let samples = dir.path(&format!("{w}-samples.owp"));
         let counts = dir.path(&format!("{w}-counts.owp"));
-        let out = optiwise(&["sample", w, "--size", "test", "--out", &samples]);
+        let sample = ["sample", w, "--size", "test", "--out", &samples];
+        let out = optiwise(&[&sample[..], pass_flags].concat());
         assert!(out.status.success(), "{w}: {out:?}");
-        let out = optiwise(&["instrument", w, "--size", "test", "--out", &counts]);
+        let instrument = ["instrument", w, "--size", "test", "--out", &counts];
+        let out = optiwise(&[&instrument[..], pass_flags].concat());
         assert!(out.status.success(), "{w}: {out:?}");
         // `analyze` runs the pipeline with both passes restored: the report
         // is the one `run` prints.
-        let analyzed = optiwise(&[
+        let analyze = [
             "analyze",
             w,
             "--size",
@@ -85,9 +104,10 @@ fn split_sample_instrument_analyze_workflow() {
             &samples,
             "--counts",
             &counts,
-        ]);
+        ];
+        let analyzed = optiwise(&[&analyze[..], analyze_flags].concat());
         assert!(analyzed.status.success(), "{w}: {analyzed:?}");
-        let run = optiwise(&["run", w, "--size", "test"]);
+        let run = optiwise(&[&["run", w, "--size", "test"][..], pass_flags].concat());
         assert!(run.status.success(), "{w}: {run:?}");
         assert_eq!(
             String::from_utf8_lossy(&analyzed.stdout),
@@ -1247,6 +1267,32 @@ fn fuzz_sweep_is_clean_and_jobs_invariant() {
         );
     }
     assert!(report.contains("0 violation(s)"), "{report}");
+}
+
+#[test]
+fn selfcheck_sweep_is_clean_jobs_invariant_and_takes_pipeline_flags() {
+    let first = optiwise(&["selfcheck", "--seed-range", "0..10", "--jobs", "1"]);
+    assert!(first.status.success(), "{first:?}");
+    let second = optiwise(&["selfcheck", "--seed-range", "0..10", "--jobs", "2"]);
+    assert!(second.status.success(), "{second:?}");
+    assert_eq!(
+        first.stdout, second.stdout,
+        "selfcheck report must be byte-identical for every --jobs value"
+    );
+    // The pipeline flags reach the checked runs: a shorter period takes
+    // other sample counts on the same seeds.
+    let denser = optiwise(&["selfcheck", "--seed-range", "0..2", "--period", "1024"]);
+    assert!(denser.status.success(), "{denser:?}");
+    let samples = |out: &std::process::Output| -> Vec<String> {
+        String::from_utf8_lossy(&out.stdout)
+            .split_whitespace()
+            .filter(|t| t.starts_with("samples="))
+            .map(str::to_string)
+            .collect()
+    };
+    assert_eq!(samples(&first).len(), 10, "{first:?}");
+    assert_eq!(samples(&denser).len(), 2, "{denser:?}");
+    assert_ne!(samples(&first)[..2], samples(&denser), "{denser:?}");
 }
 
 #[test]

@@ -261,21 +261,40 @@ fn write_payload(f: &mut File, bytes: &[u8]) -> io::Result<()> {
 mod tests {
     use super::*;
 
-    fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("wiser-atomic-{}", std::process::id()));
+    /// A fresh scratch directory for one test, removed when the test ends. It
+    /// is per process and cleared first, so files of an earlier run never mix
+    /// with this one's.
+    struct Scratch(PathBuf);
+
+    fn scratch(name: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("wiser-atomic-{name}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+        Scratch(dir)
+    }
+
+    impl Scratch {
+        /// The path of `file` inside the directory.
+        fn path(&self, file: &str) -> PathBuf {
+            self.0.join(file)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
     }
 
     #[test]
     fn writes_and_replaces() {
-        let path = scratch("replace.bin");
+        let dir = scratch("replace");
+        let path = dir.path("replace.bin");
         atomic_write(&path, b"first").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"first");
         atomic_write(&path, b"second, longer contents").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"second, longer contents");
         assert!(!temp_path(&path).exists(), "temp file left behind");
-        let _ = fs::remove_file(&path);
     }
 
     #[test]
@@ -313,8 +332,8 @@ mod tests {
 
     #[test]
     fn concurrent_writers_to_same_path_last_committed_wins_never_torn() {
-        let path = scratch("contended.bin");
-        let _ = fs::remove_file(&path);
+        let dir = scratch("contended");
+        let path = dir.path("contended.bin");
         // Each writer repeatedly commits a payload that is self-describing
         // (one repeated byte), so any torn mixture is detectable by a
         // reader observing two distinct bytes in one file.
@@ -360,7 +379,6 @@ mod tests {
             .filter(|n| n.contains("contended") && is_temp_debris(n))
             .collect();
         assert!(debris.is_empty(), "{debris:?}");
-        let _ = fs::remove_file(&path);
     }
 
     #[test]
@@ -370,7 +388,8 @@ mod tests {
         // made durable by the write+fsync+rename+dir-fsync sequence — must
         // survive that, and a later successful write of the same target
         // must neither read nor resurrect the debris.
-        let path = scratch("durable.bin");
+        let dir = scratch("durable");
+        let path = dir.path("durable.bin");
         atomic_write(&path, b"committed v1").unwrap();
         // Simulate the crash: torn bytes in a staging name, never renamed.
         let torn = temp_path(&path);
@@ -380,7 +399,5 @@ mod tests {
         assert_eq!(fs::read(&path).unwrap(), b"committed v2");
         // The debris is still recognizable as debris, not payload.
         assert!(is_temp_debris(&torn.file_name().unwrap().to_string_lossy()));
-        let _ = fs::remove_file(&torn);
-        let _ = fs::remove_file(&path);
     }
 }

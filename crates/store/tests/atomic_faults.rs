@@ -15,10 +15,30 @@ use wiser_store::faults::{
 };
 use wiser_store::{atomic_write, is_temp_debris};
 
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wiser-atomic-faults-{}", std::process::id()));
+/// A fresh scratch directory for one test, removed when the test ends. It
+/// is per process and cleared first, so files of an earlier run never mix
+/// with this one's.
+struct Scratch(PathBuf);
+
+fn scratch(name: &str) -> Scratch {
+    let dir =
+        std::env::temp_dir().join(format!("wiser-atomic-faults-{name}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+    Scratch(dir)
+}
+
+impl Scratch {
+    /// The path of `file` inside the directory.
+    fn path(&self, file: &str) -> PathBuf {
+        self.0.join(file)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Staging debris next to `path`, by the debris naming pattern.
@@ -37,7 +57,8 @@ fn debris_for(path: &Path) -> Vec<PathBuf> {
 
 /// The shared fatal-fault checklist: commit v1, inject, attempt v2.
 fn assert_fails_closed(name: &str, stage: WriteStage, kind: FaultKind) {
-    let path = scratch(name);
+    let dir = scratch(name);
+    let path = dir.path(name);
     clear_faults();
     atomic_write(&path, b"committed v1").unwrap();
 
@@ -55,7 +76,6 @@ fn assert_fails_closed(name: &str, stage: WriteStage, kind: FaultKind) {
     // The fault disarmed itself: the next write goes through.
     atomic_write(&path, b"committed v2").unwrap();
     assert_eq!(fs::read(&path).unwrap(), b"committed v2");
-    let _ = fs::remove_file(&path);
 }
 
 #[test]
@@ -91,28 +111,28 @@ fn enospc_at_rename_fails_closed() {
 fn dir_sync_failure_is_not_fatal() {
     // The directory fsync is best-effort durability, not consistency: a
     // failure there must not fail a write whose rename already happened.
-    let path = scratch("dirsync.bin");
+    let dir = scratch("dirsync");
+    let path = dir.path("dirsync.bin");
     clear_faults();
     inject_fault(WriteStage::DirSync, FaultKind::Enospc, 0);
     atomic_write(&path, b"survives").unwrap();
     assert_eq!(fs::read(&path).unwrap(), b"survives");
     assert_eq!(debris_for(&path), Vec::<PathBuf>::new());
-    let _ = fs::remove_file(&path);
 }
 
 #[test]
 fn eintr_is_retried_at_every_stage() {
     // A signal landing in any stage's syscall must be invisible to the
     // caller: the protocol retries and the write commits.
+    let dir = scratch("eintr");
     for (i, stage) in ALL_STAGES.into_iter().enumerate() {
-        let path = scratch(&format!("eintr-{i}.bin"));
+        let path = dir.path(&format!("eintr-{i}.bin"));
         clear_faults();
         atomic_write(&path, b"old").unwrap();
         inject_fault(stage, FaultKind::Eintr, 0);
         atomic_write(&path, b"new contents").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"new contents", "{stage:?}");
         assert_eq!(debris_for(&path), Vec::<PathBuf>::new(), "{stage:?}");
-        let _ = fs::remove_file(&path);
     }
 }
 
@@ -120,9 +140,9 @@ fn eintr_is_retried_at_every_stage() {
 fn first_ever_write_failure_leaves_no_file_at_all() {
     // Failing the very first write of a target must not conjure a
     // partial target into existence.
+    let dir = scratch("first");
     for stage in [WriteStage::Create, WriteStage::Write, WriteStage::Fsync] {
-        let path = scratch("first.bin");
-        let _ = fs::remove_file(&path);
+        let path = dir.path("first.bin");
         clear_faults();
         inject_fault(stage, FaultKind::Enospc, 0);
         assert!(atomic_write(&path, b"never lands").is_err(), "{stage:?}");
@@ -135,7 +155,8 @@ fn first_ever_write_failure_leaves_no_file_at_all() {
 fn nth_occurrence_targeting_skips_earlier_writes() {
     // A sweep can aim the fault at the Nth write of a multi-write
     // operation; earlier writes of the same thread go through untouched.
-    let path = scratch("nth.bin");
+    let dir = scratch("nth");
+    let path = dir.path("nth.bin");
     clear_faults();
     inject_fault(WriteStage::Fsync, FaultKind::Enospc, 2);
     atomic_write(&path, b"one").unwrap();
@@ -143,5 +164,4 @@ fn nth_occurrence_targeting_skips_earlier_writes() {
     let err = atomic_write(&path, b"three").unwrap_err();
     assert_eq!(err.raw_os_error(), Some(28), "{err}");
     assert_eq!(fs::read(&path).unwrap(), b"two");
-    let _ = fs::remove_file(&path);
 }

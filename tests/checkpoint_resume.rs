@@ -28,40 +28,42 @@ fn modules() -> Vec<wiser_isa::Module> {
 }
 
 /// The run's full identity, exactly as the CLI records it in a fresh
-/// checkpoint. All configuration flows out of this spec via
+/// checkpoint of `run long_haul --size test --seed 5 --checkpoint-every
+/// 2000`. All configuration flows out of this spec via
 /// [`CheckpointSpec::to_config`], so the killed run, the resumed run and
 /// the golden run share one config by construction.
 fn spec(modules: &[wiser_isa::Module]) -> CheckpointSpec {
-    let defaults = OptiwiseConfig::default();
-    CheckpointSpec {
-        module_hash: module_fingerprint(modules),
-        workload: WORKLOAD.into(),
-        label: WORKLOAD.into(),
-        size: "test".into(),
-        arch: "xeon".into(),
-        overrides: Vec::new(),
+    let config = OptiwiseConfig {
         rand_seed: SEED,
-        period: defaults.sampler.period,
-        jitter: defaults.sampler.jitter,
-        sampler_seed: defaults.sampler.seed,
-        attribution: defaults.sampler.attribution,
-        stacks: defaults.sampler.stacks,
-        stack_profiling: defaults.dbi.stack_profiling,
-        merge_threshold: defaults.analysis.merge_threshold,
-        max_insns: defaults.max_insns,
-        strict: false,
-        allow_partial: true,
-        selective: defaults.selective,
-        hot_threshold: defaults.hot_threshold,
-        exhaustive_counters: defaults.exhaustive_counters,
-        checkpoint_every: CADENCE,
+        ..OptiwiseConfig::default()
+    };
+    let hash = module_fingerprint(modules);
+    CheckpointSpec::from_config(hash, WORKLOAD, "test", "xeon", &[], &config, CADENCE)
+}
+
+/// A fresh scratch directory for one test, removed when the test ends. It
+/// is per process and cleared first, so files of an earlier run never mix
+/// with this one's.
+struct Scratch(PathBuf);
+
+fn scratch(name: &str) -> Scratch {
+    let dir = std::env::temp_dir().join(format!("wiser-sweep-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    Scratch(dir)
+}
+
+impl Scratch {
+    /// The path of `file` inside the directory.
+    fn path(&self, file: &str) -> PathBuf {
+        self.0.join(file)
     }
 }
 
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wiser-sweep-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Runs the pipeline once, checkpointing to `path`, with optional injected
@@ -133,8 +135,9 @@ fn kill_at_every_checkpoint_boundary_then_resume_is_byte_identical() {
 
     let mut kill_points: Vec<u64> = (0..total).step_by(CADENCE as usize).collect();
     kill_points.push(total - 1);
+    let dir = scratch("kill");
     for kill_at in kill_points {
-        let path = scratch(&format!("kill-{kill_at}.owp"));
+        let path = dir.path(&format!("kill-{kill_at}.owp"));
         let mut faulty = config.clone();
         faulty.fault.kill_after_insns = Some(kill_at);
         let err = expect_kill(run_checkpointed(
@@ -158,7 +161,6 @@ fn kill_at_every_checkpoint_boundary_then_resume_is_byte_identical() {
             golden,
             "resume after kill at {kill_at} diverged from the golden profile"
         );
-        let _ = std::fs::remove_file(&path);
     }
 }
 
@@ -175,7 +177,8 @@ fn crash_mid_write_after_sampling_restores_one_pass_and_replays_the_other() {
     let mut config = spec.to_config(1).unwrap();
     config.concurrent_passes = false;
 
-    let path = scratch("mixed.owp");
+    let dir = scratch("mixed");
+    let path = dir.path("mixed.owp");
     let golden_run = run_checkpointed(
         &modules,
         &config,
@@ -242,7 +245,6 @@ fn crash_mid_write_after_sampling_restores_one_pass_and_replays_the_other() {
     );
     assert_eq!(resumed.attempts.1, 1, "counts pass must replay");
     assert_eq!(profile_bytes(&resumed), golden);
-    let _ = std::fs::remove_file(&path);
 }
 
 /// Resuming the same checkpoint with concurrent passes changes nothing:
@@ -259,7 +261,8 @@ fn resume_is_jobs_invariant() {
     let golden_run = run_optiwise_ctl(&modules, &sequential, RunControl::default()).unwrap();
     let golden = profile_bytes(&golden_run);
 
-    let path = scratch("jobs-invariant.owp");
+    let dir = scratch("jobs-invariant");
+    let path = dir.path("jobs-invariant.owp");
     let mut faulty = concurrent.clone();
     faulty.fault.kill_after_insns = Some(3 * CADENCE);
     expect_kill(run_checkpointed(
@@ -285,7 +288,6 @@ fn resume_is_jobs_invariant() {
     let stored = StoredProfile::from_bytes(&golden).unwrap();
     assert_eq!(stored.meta.arch, spec.arch);
     assert_eq!(stored.uarch, Some(wiser_sim::CoreConfig::xeon_like()));
-    let _ = std::fs::remove_file(&path);
 }
 
 /// A checkpoint taken against one build must refuse to resume another:

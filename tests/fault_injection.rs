@@ -8,6 +8,8 @@ use optiwise::{
     module_fingerprint, report, run_optiwise, run_optiwise_ctl, AnalysisMode, CancelToken,
     OptiwiseConfig, OptiwiseError, PassEvent, RunControl, DEFAULT_DIVERGENCE_THRESHOLD,
 };
+use std::path::PathBuf;
+
 use wiser_isa::Module;
 use wiser_sim::{FaultPlan, TruncationReason};
 use wiser_store::{Checkpoint, CheckpointSpec, CheckpointWriter};
@@ -183,10 +185,29 @@ fn spec_for(modules: &[Module], cfg: &OptiwiseConfig, every: u64) -> CheckpointS
     CheckpointSpec::from_config(hash, "counted_loop", "test", "xeon", &[], cfg, every)
 }
 
-fn scratch_path(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("wiser-fault-{}", std::process::id()));
+/// A fresh scratch directory for one test, removed when the test ends. It
+/// is per process and cleared first, so files of an earlier run never mix
+/// with this one's.
+struct Scratch(PathBuf);
+
+fn scratch(name: &str) -> Scratch {
+    let dir = std::env::temp_dir().join(format!("wiser-fault-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+    Scratch(dir)
+}
+
+impl Scratch {
+    /// The path of `file` inside the directory.
+    fn path(&self, file: &str) -> PathBuf {
+        self.0.join(file)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn expect_killed(result: Result<optiwise::OptiwiseRun, OptiwiseError>) -> u64 {
@@ -214,7 +235,8 @@ fn kill_mid_pass_exits_9_and_checkpoint_survives() {
     let mut cfg = OptiwiseConfig::default();
     cfg.fault.kill_after_insns = Some(6_000);
 
-    let path = scratch_path("mid-pass.owp");
+    let dir = scratch("mid-pass");
+    let path = dir.path("mid-pass.owp");
     let token = CancelToken::new();
     let writer = CheckpointWriter::new(
         &path,
@@ -246,7 +268,6 @@ fn kill_mid_pass_exits_9_and_checkpoint_survives() {
         (2_000..=6_000).contains(&farthest),
         "checkpoint progress {farthest} outside (cadence, kill-point]"
     );
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -283,7 +304,8 @@ fn kill_during_checkpoint_write_keeps_previous_checkpoint_readable() {
     let modules = [counted_loop()];
     let cfg = OptiwiseConfig::default();
 
-    let path = scratch_path("torn-write.owp");
+    let dir = scratch("torn-write");
+    let path = dir.path("torn-write.owp");
     let token = CancelToken::new();
     // Crash inside the *second* persist: the initial (fresh) checkpoint
     // has already been renamed into place and must survive the torn write.
@@ -313,7 +335,6 @@ fn kill_during_checkpoint_write_keeps_previous_checkpoint_readable() {
     assert_eq!(ckpt.sample_pos, 0);
     assert_eq!(ckpt.counts_pos, 0);
     assert!(ckpt.samples.is_none() && ckpt.counts.is_none());
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
