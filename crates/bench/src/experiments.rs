@@ -5,13 +5,12 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use optiwise::{
-    module_fingerprint, report, run_optiwise, Analysis, AnalysisOptions, InsnRow, LoopStats,
-    OptiwiseConfig,
+    module_fingerprint, run_optiwise, Analysis, AnalysisOptions, InsnRow, LoopStats, OptiwiseConfig,
 };
 use wiser_dbi::{instrument_run, DbiConfig};
 use wiser_isa::{assemble, Module};
 use wiser_sampler::{sample_run, sampling_overhead, Attribution, SamplerConfig};
-use wiser_sim::{run_timed, CodeLoc, CoreConfig, LoadConfig, NoProbes, ProcessImage};
+use wiser_sim::{run_timed, CodeLoc, CoreConfig, FastMap, LoadConfig, NoProbes, ProcessImage};
 use wiser_store::{Checkpoint, CheckpointSpec};
 use wiser_workloads::InputSize;
 
@@ -24,6 +23,22 @@ fn build(name: &str, size: InputSize) -> Vec<Module> {
 
 fn pipeline(modules: &[Module], config: &OptiwiseConfig) -> optiwise::OptiwiseRun {
     run_optiwise(modules, config).expect("pipeline run")
+}
+
+/// Geometric mean; panics on empty or non-positive input in debug builds.
+fn geomean(values: &[f64]) -> f64 {
+    debug_assert!(!values.is_empty());
+    let log_sum: f64 = values.iter().map(|v| v.ln()).sum();
+    (log_sum / values.len() as f64).exp()
+}
+
+/// Samples taken at `offset` of module 0.
+fn samples_at(by_loc: &FastMap<CodeLoc, (u64, u64)>, offset: u64) -> u64 {
+    let loc = CodeLoc {
+        module: wiser_sim::ModuleId(0),
+        offset,
+    };
+    by_loc.get(&loc).map(|&(n, _)| n).unwrap_or(0)
 }
 
 fn default_config(period: u64) -> OptiwiseConfig {
@@ -145,13 +160,7 @@ pub fn fig02() -> Fig2 {
     let mut rows = Vec::new();
     let mut never = 0;
     for line in dis.lines().iter().skip(3).take(7) {
-        let samples = by_loc
-            .get(&CodeLoc {
-                module: wiser_sim::ModuleId(0),
-                offset: line.offset,
-            })
-            .map(|&(n, _)| n)
-            .unwrap_or(0);
+        let samples = samples_at(&by_loc, line.offset);
         if samples == 0 {
             never += 1;
         }
@@ -171,8 +180,6 @@ pub fn fig02() -> Fig2 {
 /// Figure 4 data: the loops of `stack_attr` and how the shared callee's time
 /// was divided among them.
 pub struct Fig4 {
-    /// Loop rows, as analyzed.
-    pub loops: Vec<LoopStats>,
     /// Cycles of loop1 (hot caller of func3).
     pub loop1_cycles: u64,
     /// Cycles of loop2 (cold caller of func3).
@@ -189,9 +196,9 @@ pub struct Fig4 {
 pub fn fig04(size: InputSize) -> Fig4 {
     let modules = build("stack_attr", size);
     let run = pipeline(&modules, &default_config(256));
-    let loops = run.analysis.loops().to_vec();
     let find = |func: &str| {
-        loops
+        run.analysis
+            .loops()
             .iter()
             .find(|l| l.function == func)
             .unwrap_or_else(|| panic!("loop in {func}"))
@@ -225,7 +232,6 @@ pub fn fig04(size: InputSize) -> Fig4 {
         loop2_cycles: loop2.cycles,
         loop1_insns: loop1.total_insns,
         loop2_insns: loop2.total_insns,
-        loops,
         example_stack: example,
     }
 }
@@ -272,33 +278,19 @@ pub fn fig06(size: InputSize) -> Fig6 {
         })
         .collect();
 
-    let mut sweep = Vec::new();
-    for t in [1u64, 2, 3, 5, 10, 100] {
-        let cfg = OptiwiseConfig {
-            analysis: AnalysisOptions {
-                merge_threshold: Some(t),
-                ..AnalysisOptions::default()
-            },
-            sampler: SamplerConfig::with_period(512),
-            ..OptiwiseConfig::default()
-        };
-        let r = pipeline(&modules, &cfg);
-        sweep.push((t, r.analysis.loops().len()));
-    }
-    let raw = pipeline(
-        &modules,
-        &OptiwiseConfig {
-            analysis: AnalysisOptions {
-                merge_threshold: None,
-                ..AnalysisOptions::default()
-            },
-            sampler: SamplerConfig::with_period(512),
-            ..OptiwiseConfig::default()
-        },
-    );
+    // Loops found under merge threshold `t` (`None`: one per back edge).
+    let loops_at = |t: Option<u64>| {
+        let mut config = default_config(512);
+        config.analysis.merge_threshold = t;
+        pipeline(&modules, &config).analysis.loops().len()
+    };
+    let sweep = [1u64, 2, 3, 5, 10, 100]
+        .iter()
+        .map(|&t| (t, loops_at(Some(t))))
+        .collect();
     Fig6 {
         merged_loops: run.analysis.loops().to_vec(),
-        raw_loops: raw.analysis.loops().len(),
+        raw_loops: loops_at(None),
         trace,
         sweep,
     }
@@ -428,12 +420,9 @@ pub fn fig07(size: InputSize) -> Fig7 {
             counts_bytes,
         });
     }
-    let geomean_sample =
-        crate::harness::geomean(&rows.iter().map(|r| r.sample_overhead).collect::<Vec<_>>());
-    let geomean_instr =
-        crate::harness::geomean(&rows.iter().map(|r| r.instr_overhead).collect::<Vec<_>>());
-    let geomean_total =
-        crate::harness::geomean(&rows.iter().map(|r| r.total_overhead).collect::<Vec<_>>());
+    let geomean_sample = geomean(&rows.iter().map(|r| r.sample_overhead).collect::<Vec<_>>());
+    let geomean_instr = geomean(&rows.iter().map(|r| r.instr_overhead).collect::<Vec<_>>());
+    let geomean_total = geomean(&rows.iter().map(|r| r.total_overhead).collect::<Vec<_>>());
     Fig7 {
         rows,
         geomean_sample,
@@ -570,26 +559,11 @@ pub fn fig08(size: InputSize) -> Fig8 {
         if line.offset + 6 * 8 < store_offset || line.offset > store_offset + 20 * 8 {
             continue;
         }
-        let samples = by_loc
-            .get(&CodeLoc {
-                module: wiser_sim::ModuleId(0),
-                offset: line.offset,
-            })
-            .map(|&(n, _)| n)
-            .unwrap_or(0);
+        let samples = samples_at(&by_loc, line.offset);
         rows.push((line.offset, line.text.clone(), samples));
     }
-    let get = |off: u64| {
-        by_loc
-            .get(&CodeLoc {
-                module: wiser_sim::ModuleId(0),
-                offset: off,
-            })
-            .map(|&(n, _)| n)
-            .unwrap_or(0)
-    };
-    let store_samples = get(store_offset);
-    let successor_samples = get(store_offset + 8);
+    let store_samples = samples_at(&by_loc, store_offset);
+    let successor_samples = samples_at(&by_loc, store_offset + 8);
     let max_other = rows
         .iter()
         .filter(|(off, _, _)| *off != store_offset && *off != store_offset + 8)
@@ -767,7 +741,7 @@ pub fn case_studies(size: InputSize) -> Vec<CaseStudy> {
         .map(|&(base, opt, paper)| {
             let cycles = |name: &str| {
                 let modules = build(name, size);
-                let image = ProcessImage::load_single_set(&modules);
+                let image = ProcessImage::load(&modules, &LoadConfig::default()).expect("load");
                 run_timed(
                     &image,
                     0,
@@ -867,25 +841,6 @@ pub fn attribution_accuracy(size: InputSize) -> AttributionAccuracy {
 }
 
 // ---------------------------------------------------------------------------
-// Text rendering helpers shared by the fig binaries
-// ---------------------------------------------------------------------------
-
-/// Renders annotated instruction rows (reused by several binaries).
-pub fn render_annotated(rows: &[InsnRow], total_cycles: u64) -> String {
-    report::annotate(rows, total_cycles)
-}
-
-trait LoadExt {
-    fn load_single_set(modules: &[Module]) -> ProcessImage;
-}
-
-impl LoadExt for ProcessImage {
-    fn load_single_set(modules: &[Module]) -> ProcessImage {
-        ProcessImage::load(modules, &LoadConfig::default()).expect("load")
-    }
-}
-
-// ---------------------------------------------------------------------------
 // PGO speedup — profile-guided rewriting closed into a verification loop
 // ---------------------------------------------------------------------------
 
@@ -981,4 +936,16 @@ pub fn pgo_speedup(size: InputSize) -> Vec<PgoSpeedupRow> {
             }
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn geomean_basics() {
+        assert!((geomean(&[4.0]) - 4.0).abs() < 1e-12);
+        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
+        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
+    }
 }
