@@ -1,8 +1,10 @@
 //! Dominator-tree construction (Cooper–Harvey–Kennedy iterative algorithm).
 
-use wiser_sim::{FastMap, FastSet};
-
 use crate::graph::{BlockId, Cfg};
+
+/// Marks a block with no immediate dominator (or no reverse-postorder
+/// position): unreachable from the entry, or outside the function.
+const NONE: usize = usize::MAX;
 
 /// Immediate-dominator table for one function's subgraph.
 #[derive(Clone, Debug)]
@@ -10,8 +12,8 @@ pub struct Dominators {
     /// Blocks of the function in reverse postorder.
     pub rpo: Vec<BlockId>,
     /// `idom[block]` — immediate dominator; the entry dominates itself.
-    /// Blocks unreachable from the entry are absent.
-    idom: FastMap<BlockId, BlockId>,
+    /// Blocks unreachable from the entry hold [`NONE`].
+    idom: Vec<BlockId>,
     entry: BlockId,
 }
 
@@ -19,37 +21,40 @@ impl Dominators {
     /// Computes dominators for the function containing `entry`, following
     /// only intra-function edges of `cfg`.
     pub fn compute(cfg: &Cfg, entry: BlockId) -> Dominators {
-        // Reverse postorder over the reachable subgraph.
-        let mut visited = FastSet::default();
-        let mut postorder = Vec::new();
+        // Reverse postorder over the reachable subgraph; `order_of` marks a
+        // block visited before it receives its position.
+        let mut order_of = vec![NONE; cfg.blocks.len()];
+        let mut rpo = Vec::new();
         let mut stack: Vec<(BlockId, usize)> = vec![(entry, 0)];
-        visited.insert(entry);
+        order_of[entry] = 0;
         while let Some(&mut (node, ref mut next)) = stack.last_mut() {
             let succs = &cfg.blocks[node].succs;
             if *next < succs.len() {
                 let (succ, _) = succs[*next];
                 *next += 1;
-                if visited.insert(succ) {
+                if order_of[succ] == NONE {
+                    order_of[succ] = 0;
                     stack.push((succ, 0));
                 }
             } else {
-                postorder.push(node);
+                rpo.push(node);
                 stack.pop();
             }
         }
-        let rpo: Vec<BlockId> = postorder.iter().rev().copied().collect();
-        let order_of: FastMap<BlockId, usize> =
-            rpo.iter().enumerate().map(|(i, &b)| (b, i)).collect();
+        rpo.reverse();
+        for (i, &b) in rpo.iter().enumerate() {
+            order_of[b] = i;
+        }
 
-        let mut idom: FastMap<BlockId, BlockId> = Default::default();
-        idom.insert(entry, entry);
+        let mut idom = vec![NONE; cfg.blocks.len()];
+        idom[entry] = entry;
         let mut changed = true;
         while changed {
             changed = false;
             for &b in rpo.iter().skip(1) {
                 let mut new_idom: Option<BlockId> = None;
                 for &p in &cfg.blocks[b].preds {
-                    if !idom.contains_key(&p) {
+                    if idom[p] == NONE {
                         continue; // unreachable or not yet processed
                     }
                     new_idom = Some(match new_idom {
@@ -58,8 +63,8 @@ impl Dominators {
                     });
                 }
                 if let Some(n) = new_idom {
-                    if idom.get(&b) != Some(&n) {
-                        idom.insert(b, n);
+                    if idom[b] != n {
+                        idom[b] = n;
                         changed = true;
                     }
                 }
@@ -71,7 +76,7 @@ impl Dominators {
     /// Whether `a` dominates `b`. Reflexive. Unreachable blocks dominate
     /// nothing and are dominated by nothing.
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        if !self.idom.contains_key(&b) {
+        if !self.reachable(b) {
             return false;
         }
         let mut cur = b;
@@ -82,8 +87,8 @@ impl Dominators {
             if cur == self.entry {
                 return false;
             }
-            match self.idom.get(&cur) {
-                Some(&next) if next != cur => cur = next,
+            match self.idom[cur] {
+                next if next != cur && next != NONE => cur = next,
                 _ => return false,
             }
         }
@@ -91,30 +96,24 @@ impl Dominators {
 
     /// Immediate dominator, if reachable.
     pub fn idom(&self, b: BlockId) -> Option<BlockId> {
-        self.idom.get(&b).copied()
+        self.idom.get(b).copied().filter(|&d| d != NONE)
     }
 
     /// Whether the block is reachable from the entry.
     pub fn reachable(&self, b: BlockId) -> bool {
-        self.idom.contains_key(&b)
+        self.idom(b).is_some()
     }
 }
 
-fn intersect(
-    mut a: BlockId,
-    mut b: BlockId,
-    idom: &FastMap<BlockId, BlockId>,
-    order: &FastMap<BlockId, usize>,
-) -> BlockId {
+fn intersect(mut a: BlockId, mut b: BlockId, idom: &[BlockId], order: &[usize]) -> BlockId {
     loop {
         if a == b {
             return a;
         }
-        let (oa, ob) = (order[&a], order[&b]);
-        if oa > ob {
-            a = idom[&a];
+        if order[a] > order[b] {
+            a = idom[a];
         } else {
-            b = idom[&b];
+            b = idom[b];
         }
     }
 }
@@ -122,6 +121,7 @@ fn intersect(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::BlockCounts;
     use crate::graph::{build_cfg, Cfg};
     use wiser_dbi::{instrument_run, DbiConfig};
     use wiser_isa::assemble;
@@ -131,7 +131,11 @@ mod tests {
         let module = assemble("t", src).unwrap();
         let image = ProcessImage::load_single(&module).unwrap();
         let counts = instrument_run(&image, &DbiConfig::default()).unwrap();
-        build_cfg(ModuleId(0), &image.modules[0].linked, &counts)
+        build_cfg(
+            ModuleId(0),
+            &image.modules[0].linked,
+            &BlockCounts::stored(&counts),
+        )
     }
 
     #[test]

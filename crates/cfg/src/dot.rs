@@ -56,6 +56,7 @@ pub fn function_to_dot(cfg: &Cfg, function: usize, forest: &LoopForest) -> Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::BlockCounts;
     use crate::graph::build_cfg;
     use crate::loops::{find_all_loops, MERGE_THRESHOLD};
     use wiser_dbi::{instrument_run, DbiConfig};
@@ -83,7 +84,11 @@ mod tests {
         .unwrap();
         let image = ProcessImage::load_single(&module).unwrap();
         let counts = instrument_run(&image, &DbiConfig::default()).unwrap();
-        let cfg = build_cfg(ModuleId(0), &image.modules[0].linked, &counts);
+        let cfg = build_cfg(
+            ModuleId(0),
+            &image.modules[0].linked,
+            &BlockCounts::stored(&counts),
+        );
         let forests = find_all_loops(&cfg, Some(MERGE_THRESHOLD));
         let dot = function_to_dot(&cfg, 0, &forests[0]);
         assert!(dot.starts_with("digraph"));

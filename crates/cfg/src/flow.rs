@@ -22,8 +22,6 @@
 //! system and the planner only suppresses what that system provably
 //! reproduces.
 
-use std::collections::BTreeSet;
-
 use wiser_dbi::{BlockCount, CostModel, CounterPlacement, CountsProfile, TermKind};
 use wiser_isa::Module;
 use wiser_sim::{CodeLoc, FastMap, FastSet, ModuleId};
@@ -37,23 +35,41 @@ const MAX_CANDIDATES: usize = 2_000;
 
 /// One unknown of the flow system: a block's vertex counter, or a
 /// conditional block's fall-through counter.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Var {
     Count(usize),
     Fallthrough(usize),
 }
 
-/// `Σ coeff · var + constant = 0`. Flow coefficients accumulate to ±1 (a
-/// conditional self-loop cancels its own vertex term to 0, which is dropped
-/// — a self-loop's vertex counter is invisible to pure edge flow and only
-/// the global instruction-conservation equation can pin it down).
-struct Equation {
-    terms: Vec<(Var, i64)>,
-    constant: i128,
+impl Var {
+    /// The variable's dense slot: `Count(i)` is `2i`, `Fallthrough(i)` is
+    /// `2i + 1`.
+    fn slot(self) -> usize {
+        match self {
+            Var::Count(i) => 2 * i,
+            Var::Fallthrough(i) => 2 * i + 1,
+        }
+    }
 }
 
+/// Sort key that puts slots in [`Var`] order: every vertex counter by
+/// block, then every fall-through counter by block.
+fn var_order(slot: usize) -> (usize, usize) {
+    (slot & 1, slot >> 1)
+}
+
+/// Equations `Σ coeff · var + constant = 0` over dense variable slots.
+/// Flow coefficients accumulate to ±1 (a conditional self-loop cancels its
+/// own vertex term to 0, which is dropped — a self-loop's vertex counter is
+/// invisible to pure edge flow and only the global instruction-conservation
+/// equation can pin it down).
 struct FlowSystem {
-    equations: Vec<Equation>,
+    /// `(slot, coeff)` terms of every equation, back to back; each
+    /// equation's terms are in [`Var`] order.
+    terms: Vec<(usize, i64)>,
+    /// Per equation, in solving order: the end of its terms in `terms`
+    /// and its constant.
+    equations: Vec<(usize, i128)>,
 }
 
 impl FlowSystem {
@@ -62,62 +78,48 @@ impl FlowSystem {
     /// first block ever dispatched) plus the traversal counts of every
     /// inbound edge. Indirect-branch targets are hash counters that are
     /// never suppressed, so they enter as constants.
-    /// Builds the per-block flow equations plus one global
-    /// instruction-conservation equation `Σ len·count = total`: the profile's
-    /// exact dynamic instruction total determines one more unknown than pure
-    /// edge flow can — in particular the vertex counter of a self-loop,
-    /// whose own flow equation cancels to nothing.
-    fn with_total(blocks: &[BlockCount], total: u64) -> FlowSystem {
-        let mut system = FlowSystem::new(blocks);
-        let mut terms: Vec<(Var, i64)> = blocks
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.len > 0)
-            .map(|(i, b)| (Var::Count(i), b.len as i64))
-            .collect();
-        terms.sort_unstable();
-        system.equations.push(Equation {
-            terms,
-            constant: -(total as i128),
-        });
-        system
-    }
-
-    fn new(blocks: &[BlockCount]) -> FlowSystem {
+    ///
+    /// Then one global instruction-conservation equation
+    /// `Σ len·count = total`: the profile's exact dynamic instruction total
+    /// determines one more unknown than pure edge flow can — in particular
+    /// the vertex counter of a self-loop, whose own flow equation cancels
+    /// to nothing.
+    fn new(blocks: &[BlockCount], total: u64) -> FlowSystem {
         let index: FastMap<CodeLoc, usize> = blocks
             .iter()
             .enumerate()
             .map(|(i, b)| (b.entry, i))
             .collect();
-        let mut terms: Vec<FastMap<Var, i64>> =
-            (0..blocks.len()).map(|_| FastMap::default()).collect();
+        // `(equation, slot, coeff)` of every flow term; terms of one
+        // variable in one equation are summed below.
+        let mut raw: Vec<(usize, usize, i64)> = Vec::with_capacity(3 * blocks.len());
         let mut constants: Vec<i128> = vec![0; blocks.len()];
-        for (i, t) in terms.iter_mut().enumerate() {
-            *t.entry(Var::Count(i)).or_insert(0) -= 1;
-        }
+        raw.extend((0..blocks.len()).map(|i| (i, Var::Count(i).slot(), -1)));
         if !blocks.is_empty() {
             constants[0] += 1;
         }
         for (a, b) in blocks.iter().enumerate() {
+            let count = Var::Count(a).slot();
+            let fallthrough = Var::Fallthrough(a).slot();
             match b.term {
                 TermKind::DirectJump | TermKind::DirectCall => {
                     if let Some(&j) = b.direct_target.as_ref().and_then(|t| index.get(t)) {
-                        *terms[j].entry(Var::Count(a)).or_insert(0) += 1;
+                        raw.push((j, count, 1));
                     }
                 }
                 TermKind::Syscall => {
                     if let Some(&j) = index.get(&b.fallthrough_loc()) {
-                        *terms[j].entry(Var::Count(a)).or_insert(0) += 1;
+                        raw.push((j, count, 1));
                     }
                 }
                 TermKind::CondBranch => {
                     // Taken edge traverses `count - fallthrough` times.
                     if let Some(&j) = b.direct_target.as_ref().and_then(|t| index.get(t)) {
-                        *terms[j].entry(Var::Count(a)).or_insert(0) += 1;
-                        *terms[j].entry(Var::Fallthrough(a)).or_insert(0) -= 1;
+                        raw.push((j, count, 1));
+                        raw.push((j, fallthrough, -1));
                     }
                     if let Some(&j) = index.get(&b.fallthrough_loc()) {
-                        *terms[j].entry(Var::Fallthrough(a)).or_insert(0) += 1;
+                        raw.push((j, fallthrough, 1));
                     }
                 }
                 TermKind::Indirect => {
@@ -130,32 +132,51 @@ impl FlowSystem {
                 TermKind::Fallthrough => {}
             }
         }
-        let equations = terms
-            .into_iter()
-            .zip(constants)
-            .map(|(map, constant)| {
-                let mut terms: Vec<(Var, i64)> = map.into_iter().filter(|&(_, c)| c != 0).collect();
-                terms.sort_unstable();
-                Equation { terms, constant }
-            })
-            .collect();
-        FlowSystem { equations }
+        raw.sort_unstable_by_key(|&(eq, slot, _)| (eq, var_order(slot)));
+
+        let mut terms: Vec<(usize, i64)> = Vec::with_capacity(raw.len() + blocks.len());
+        let mut equations: Vec<(usize, i128)> = Vec::with_capacity(blocks.len() + 1);
+        let mut raw = raw.into_iter().peekable();
+        for (eq, constant) in constants.into_iter().enumerate() {
+            while let Some((_, slot, mut coeff)) = raw.next_if(|&(e, _, _)| e == eq) {
+                while let Some((_, _, c)) = raw.next_if(|&(e, s, _)| e == eq && s == slot) {
+                    coeff += c;
+                }
+                if coeff != 0 {
+                    terms.push((slot, coeff));
+                }
+            }
+            equations.push((terms.len(), constant));
+        }
+        terms.extend(
+            blocks
+                .iter()
+                .enumerate()
+                .filter(|(_, b)| b.len > 0)
+                .map(|(i, b)| (Var::Count(i).slot(), b.len as i64)),
+        );
+        equations.push((terms.len(), -(total as i128)));
+        FlowSystem { terms, equations }
     }
 
-    /// Repeated substitution sweeps: any equation with exactly one unknown
-    /// of unit coefficient yields that unknown. Deterministic (fixed
-    /// equation order, exact integer arithmetic) so the planner and the
-    /// analysis-time recovery always agree.
-    fn solve(&self, knowns: &mut FastMap<Var, u64>) {
+    /// Repeated substitution sweeps over `knowns` (indexed by slot): any
+    /// equation with exactly one unknown of unit coefficient yields that
+    /// unknown. Deterministic (fixed equation order, exact integer
+    /// arithmetic) so the planner and the analysis-time recovery always
+    /// agree.
+    fn solve(&self, knowns: &mut [Option<u64>]) {
         loop {
             let mut progress = false;
-            for eq in &self.equations {
-                let mut unknown: Option<(Var, i64)> = None;
-                let mut total = eq.constant;
+            let mut start = 0;
+            for &(end, constant) in &self.equations {
+                let terms = &self.terms[start..end];
+                start = end;
+                let mut unknown: Option<(usize, i64)> = None;
+                let mut total = constant;
                 let mut solvable = true;
-                for &(v, c) in &eq.terms {
-                    match knowns.get(&v) {
-                        Some(&val) => total += c as i128 * val as i128,
+                for &(v, c) in terms {
+                    match knowns[v] {
+                        Some(val) => total += c as i128 * val as i128,
                         None if unknown.is_none() => unknown = Some((v, c)),
                         None => {
                             solvable = false;
@@ -173,7 +194,7 @@ impl FlowSystem {
                     }
                     let val = -total / c;
                     if (0..=u64::MAX as i128).contains(&val) {
-                        knowns.insert(v, val as u64);
+                        knowns[v] = Some(val as u64);
                         progress = true;
                     }
                 }
@@ -184,27 +205,32 @@ impl FlowSystem {
         }
     }
 
-    /// Whether solving with `suppressed` removed from the knowns reproduces
-    /// every suppressed value exactly.
-    fn recovers_exactly(&self, truth: &FastMap<Var, u64>, suppressed: &BTreeSet<Var>) -> bool {
-        let mut knowns: FastMap<Var, u64> = truth
-            .iter()
-            .filter(|(v, _)| !suppressed.contains(v))
-            .map(|(&v, &x)| (v, x))
-            .collect();
-        self.solve(&mut knowns);
-        suppressed.iter().all(|v| knowns.get(v) == truth.get(v))
+    /// Whether solving with the `suppressed` slots removed from `truth`
+    /// reproduces every suppressed value exactly. `knowns` is scratch.
+    fn recovers_exactly(
+        &self,
+        truth: &[Option<u64>],
+        suppressed: &[usize],
+        knowns: &mut Vec<Option<u64>>,
+    ) -> bool {
+        knowns.clear();
+        knowns.extend_from_slice(truth);
+        for &s in suppressed {
+            knowns[s] = None;
+        }
+        self.solve(knowns);
+        suppressed.iter().all(|&s| knowns[s] == truth[s])
     }
 }
 
-/// Every counter value of the profile: vertex counters for all blocks,
-/// fall-through counters for conditional blocks.
-fn truth_of(blocks: &[BlockCount]) -> FastMap<Var, u64> {
-    let mut truth = FastMap::default();
+/// Every counter value of the profile by slot: vertex counters for all
+/// blocks, fall-through counters for conditional blocks.
+fn truth_of(blocks: &[BlockCount]) -> Vec<Option<u64>> {
+    let mut truth = vec![None; 2 * blocks.len()];
     for (i, b) in blocks.iter().enumerate() {
-        truth.insert(Var::Count(i), b.count);
+        truth[Var::Count(i).slot()] = Some(b.count);
         if b.term == TermKind::CondBranch {
-            truth.insert(Var::Fallthrough(i), b.fallthrough);
+            truth[Var::Fallthrough(i).slot()] = Some(b.fallthrough);
         }
     }
     truth
@@ -235,7 +261,7 @@ pub fn optimize_placement(counts: &mut CountsProfile, modules: &[Module], model:
     let mut interior: FastSet<CodeLoc> = FastSet::default();
     for (m, module) in modules.iter().enumerate() {
         let module_id = ModuleId(m as u32);
-        let cfg = build_cfg(module_id, module, counts);
+        let cfg = build_cfg(module_id, module, &BlockCounts::stored(counts));
         for f in &cfg.functions {
             let Some(entry) = f.entry else { continue };
             let dom = Dominators::compute(&cfg, entry);
@@ -284,14 +310,16 @@ pub fn optimize_placement(counts: &mut CountsProfile, modules: &[Module], model:
 
     let total_insns = counts.total_insns();
     let truth = truth_of(&counts.blocks);
-    let system = FlowSystem::with_total(&counts.blocks, total_insns);
-    let mut suppressed: BTreeSet<Var> = BTreeSet::new();
+    let system = FlowSystem::new(&counts.blocks, total_insns);
+    let mut suppressed: Vec<usize> = Vec::new();
+    let mut knowns: Vec<Option<u64>> = Vec::with_capacity(truth.len());
     for c in candidates {
-        suppressed.insert(c.var);
-        if !system.recovers_exactly(&truth, &suppressed) {
-            suppressed.remove(&c.var);
+        suppressed.push(c.var.slot());
+        if !system.recovers_exactly(&truth, &suppressed, &mut knowns) {
+            suppressed.pop();
         }
     }
+    suppressed.sort_unstable_by_key(|&s| var_order(s));
 
     // Apply: account the saved charges against the original counts, then
     // erase the suppressed values.
@@ -299,19 +327,16 @@ pub fn optimize_placement(counts: &mut CountsProfile, modules: &[Module], model:
     let mut fallthrough_suppressed: Vec<u32> = Vec::new();
     let mut saved_insns: u64 = 0;
     let mut saved_charges: u64 = 0;
-    for v in &suppressed {
-        match *v {
-            Var::Count(i) => {
-                vertex_suppressed.push(i as u32);
-                saved_insns += counts.blocks[i].count.saturating_mul(model.vertex_counter);
-                saved_charges += counts.blocks[i].count;
-            }
-            Var::Fallthrough(i) => {
-                fallthrough_suppressed.push(i as u32);
-                saved_insns += counts.blocks[i].count.saturating_mul(model.cond_edge);
-                saved_charges += counts.blocks[i].count;
-            }
+    for &s in &suppressed {
+        let i = s >> 1;
+        if s & 1 == 0 {
+            vertex_suppressed.push(i as u32);
+            saved_insns += counts.blocks[i].count.saturating_mul(model.vertex_counter);
+        } else {
+            fallthrough_suppressed.push(i as u32);
+            saved_insns += counts.blocks[i].count.saturating_mul(model.cond_edge);
         }
+        saved_charges += counts.blocks[i].count;
     }
     for b in &counts.blocks {
         if matches!(
@@ -339,81 +364,146 @@ pub fn optimize_placement(counts: &mut CountsProfile, modules: &[Module], model:
     });
 }
 
-/// Recovers the suppressed counters of a placed profile by flow
-/// conservation, returning a profile whose block and edge counts are
-/// bit-identical to what exhaustive counting would have produced (the
-/// planner only suppressed values this very solve provably reproduces).
-///
-/// Profiles without placement (or already recovered) come back unchanged.
+/// The block and fall-through counts of a profile with any suppressed
+/// counters recovered by flow conservation. It borrows the profile: a
+/// recovery holds only the solved counter values, so analysing a stored
+/// run copies nothing of it.
+pub struct BlockCounts<'a> {
+    profile: &'a CountsProfile,
+    /// Every counter by slot after the solve, when the profile carries a
+    /// placement still to recover; `None` reads the stored counters.
+    solved: Option<Vec<Option<u64>>>,
+}
+
+impl<'a> BlockCounts<'a> {
+    /// The counters as stored, with nothing recovered: for profiles
+    /// counted exhaustively, or to read a placement's erased zeros.
+    pub fn stored(profile: &'a CountsProfile) -> BlockCounts<'a> {
+        BlockCounts {
+            profile,
+            solved: None,
+        }
+    }
+
+    /// Recovers the suppressed counters of a placed profile: every count
+    /// reads bit-identical to what exhaustive counting would have produced
+    /// (the planner only suppressed values this very solve provably
+    /// reproduces). Profiles without placement, or already recovered,
+    /// read as stored.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when a suppressed counter cannot be derived —
+    /// possible only for a profile whose placement was not produced by
+    /// [`optimize_placement`] on the same block table (corruption or a
+    /// version-skewed encoder).
+    pub fn recover(profile: &'a CountsProfile) -> Result<BlockCounts<'a>, String> {
+        let Some(placement) = profile.placement.as_ref().filter(|p| !p.recovered) else {
+            return Ok(BlockCounts::stored(profile));
+        };
+        let n = profile.blocks.len();
+        for &i in placement
+            .vertex_suppressed
+            .iter()
+            .chain(&placement.fallthrough_suppressed)
+        {
+            if i as usize >= n {
+                return Err(format!("placement references block {i} of {n}"));
+            }
+        }
+        let mut knowns = truth_of(&profile.blocks);
+        for &i in &placement.vertex_suppressed {
+            knowns[Var::Count(i as usize).slot()] = None;
+        }
+        for &i in &placement.fallthrough_suppressed {
+            knowns[Var::Fallthrough(i as usize).slot()] = None;
+        }
+        FlowSystem::new(&profile.blocks, placement.total_insns).solve(&mut knowns);
+
+        for &i in &placement.vertex_suppressed {
+            if knowns[Var::Count(i as usize).slot()].is_none() {
+                return Err(format!("vertex counter of block {i} is not recoverable"));
+            }
+        }
+        for &i in &placement.fallthrough_suppressed {
+            if knowns[Var::Fallthrough(i as usize).slot()].is_none() {
+                return Err(format!(
+                    "fall-through counter of block {i} is not recoverable"
+                ));
+            }
+        }
+        let counts = BlockCounts {
+            profile,
+            solved: Some(knowns),
+        };
+        // The stored total participates in the solve; cross-check the
+        // result against it so a corrupted or version-skewed placement
+        // fails loudly instead of mis-recovering.
+        let recovered_total = counts.total_insns();
+        if recovered_total != placement.total_insns {
+            return Err(format!(
+                "recovered total {recovered_total} contradicts the placement's \
+                 recorded total {}",
+                placement.total_insns
+            ));
+        }
+        Ok(counts)
+    }
+
+    /// The profile the counts belong to.
+    pub fn profile(&self) -> &'a CountsProfile {
+        self.profile
+    }
+
+    /// Executions of block `i`.
+    pub fn count(&self, i: usize) -> u64 {
+        self.read(Var::Count(i), self.profile.blocks[i].count)
+    }
+
+    /// Fall-through executions of block `i` (conditional blocks only).
+    pub fn fallthrough(&self, i: usize) -> u64 {
+        self.read(Var::Fallthrough(i), self.profile.blocks[i].fallthrough)
+    }
+
+    fn read(&self, var: Var, stored: u64) -> u64 {
+        match &self.solved {
+            Some(knowns) => knowns[var.slot()].unwrap_or(stored),
+            None => stored,
+        }
+    }
+
+    /// Per-instruction execution counts, as [`CountsProfile::insn_counts`].
+    pub fn insn_counts(&self) -> FastMap<CodeLoc, u64> {
+        self.profile.insn_counts_with(|i| self.count(i))
+    }
+
+    /// Total dynamic instructions (sum of block count × len).
+    pub fn total_insns(&self) -> u64 {
+        (0..self.profile.blocks.len())
+            .map(|i| self.count(i) * self.profile.blocks[i].len as u64)
+            .sum()
+    }
+}
+
+/// Recovers the suppressed counters of a placed profile into a copy of it
+/// whose block and edge counts are bit-identical to what exhaustive
+/// counting would have produced, marked recovered. Profiles without
+/// placement (or already recovered) come back unchanged.
 ///
 /// # Errors
 ///
-/// Returns a description when a suppressed counter cannot be derived —
-/// possible only for a profile whose placement was not produced by
-/// [`optimize_placement`] on the same block table (corruption or a
-/// version-skewed encoder).
+/// As [`BlockCounts::recover`].
 pub fn recover(counts: &CountsProfile) -> Result<CountsProfile, String> {
-    let Some(placement) = &counts.placement else {
-        return Ok(counts.clone());
-    };
-    if placement.recovered {
-        return Ok(counts.clone());
-    }
-    let n = counts.blocks.len();
-    for &i in placement
-        .vertex_suppressed
-        .iter()
-        .chain(&placement.fallthrough_suppressed)
-    {
-        if i as usize >= n {
-            return Err(format!("placement references block {i} of {n}"));
-        }
-    }
-    let vset: FastSet<usize> = placement
-        .vertex_suppressed
-        .iter()
-        .map(|&i| i as usize)
-        .collect();
-    let fset: FastSet<usize> = placement
-        .fallthrough_suppressed
-        .iter()
-        .map(|&i| i as usize)
-        .collect();
-    let mut knowns: FastMap<Var, u64> = FastMap::default();
-    for (i, b) in counts.blocks.iter().enumerate() {
-        if !vset.contains(&i) {
-            knowns.insert(Var::Count(i), b.count);
-        }
-        if b.term == TermKind::CondBranch && !fset.contains(&i) {
-            knowns.insert(Var::Fallthrough(i), b.fallthrough);
-        }
-    }
-    FlowSystem::with_total(&counts.blocks, placement.total_insns).solve(&mut knowns);
-
+    let recovered = BlockCounts::recover(counts)?;
     let mut out = counts.clone();
-    for &i in &placement.vertex_suppressed {
-        out.blocks[i as usize].count = *knowns
-            .get(&Var::Count(i as usize))
-            .ok_or_else(|| format!("vertex counter of block {i} is not recoverable"))?;
-    }
-    for &i in &placement.fallthrough_suppressed {
-        out.blocks[i as usize].fallthrough = *knowns
-            .get(&Var::Fallthrough(i as usize))
-            .ok_or_else(|| format!("fall-through counter of block {i} is not recoverable"))?;
-    }
-    // The stored total participates in the solve; cross-check the written
-    // result against it so a corrupted or version-skewed placement fails
-    // loudly instead of mis-recovering.
-    let recovered_total = out.total_insns();
-    if recovered_total != placement.total_insns {
-        return Err(format!(
-            "recovered total {recovered_total} contradicts the placement's \
-             recorded total {}",
-            placement.total_insns
-        ));
-    }
-    if let Some(pl) = out.placement.as_mut() {
-        pl.recovered = true;
+    if recovered.solved.is_some() {
+        for (i, b) in out.blocks.iter_mut().enumerate() {
+            b.count = recovered.count(i);
+            b.fallthrough = recovered.fallthrough(i);
+        }
+        if let Some(pl) = out.placement.as_mut() {
+            pl.recovered = true;
+        }
     }
     Ok(out)
 }

@@ -6,11 +6,12 @@
 //! blocks that cover each instruction.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
 
-use wiser_dbi::{CountsProfile, TermKind};
+use wiser_dbi::TermKind;
 use wiser_isa::{Module, INSN_BYTES};
 use wiser_sim::{CodeLoc, FastMap, ModuleId};
+
+use crate::flow::BlockCounts;
 
 /// Index of a basic block within a [`Cfg`].
 pub type BlockId = usize;
@@ -74,13 +75,12 @@ pub struct Cfg {
     pub blocks: Vec<CfgBlock>,
     /// Functions (only those containing executed code).
     pub functions: Vec<FuncCfg>,
-    by_offset: FastMap<u64, BlockId>,
 }
 
 impl Cfg {
     /// The block starting exactly at `offset`.
     pub fn block_at(&self, offset: u64) -> Option<BlockId> {
-        self.by_offset.get(&offset).copied()
+        block_starting(&self.blocks, offset)
     }
 
     /// The block containing `offset`.
@@ -104,58 +104,62 @@ struct TermAgg {
     count: u64,
     fallthrough: u64,
     direct_target: Option<CodeLoc>,
-    targets: BTreeMap<CodeLoc, u64>,
+    /// Indirect targets with counts, sorted by target and merged.
+    targets: Vec<(CodeLoc, u64)>,
 }
 
-/// Builds the CFG of one module from the instrumentation profile.
+/// Builds the CFG of one module from the instrumentation profile's block
+/// counts (recovered, when a counter placement suppressed some).
 ///
 /// Blocks never executed are absent (dynamic profiling cannot see them);
 /// the analysis layer treats missing counts as zero.
-pub fn build_cfg(module_id: ModuleId, module: &Module, counts: &CountsProfile) -> Cfg {
+pub fn build_cfg(module_id: ModuleId, module: &Module, counts: &BlockCounts<'_>) -> Cfg {
     // 1. Per-instruction execution counts and terminator aggregation, for
     //    this module only.
-    let mut insn_count: BTreeMap<u64, u64> = BTreeMap::new();
+    let profile = counts.profile();
+    let mut insn_count: Vec<(u64, u64)> = Vec::new();
     let mut terms: FastMap<u64, TermAgg> = FastMap::default();
-    let mut leaders: BTreeSet<u64> = BTreeSet::new();
+    let mut leaders: Vec<u64> = Vec::new();
 
-    for b in counts.blocks.iter().filter(|b| b.entry.module == module_id) {
-        leaders.insert(b.entry.offset);
-        for i in 0..b.len as u64 {
-            *insn_count
-                .entry(b.entry.offset + i * INSN_BYTES)
-                .or_insert(0) += b.count;
+    for (k, b) in profile.blocks.iter().enumerate() {
+        if b.entry.module != module_id {
+            continue;
         }
+        let count = counts.count(k);
+        leaders.push(b.entry.offset);
+        insn_count.extend((0..b.len as u64).map(|i| (b.entry.offset + i * INSN_BYTES, count)));
         let term_offset = b.entry.offset + (b.len as u64 - 1) * INSN_BYTES;
         let agg = terms.entry(term_offset).or_insert_with(|| TermAgg {
             kind: b.term,
             count: 0,
             fallthrough: 0,
             direct_target: b.direct_target,
-            targets: BTreeMap::new(),
+            targets: Vec::new(),
         });
-        agg.count += b.count;
-        agg.fallthrough += b.fallthrough;
-        for (t, c) in &b.targets {
-            *agg.targets.entry(*t).or_insert(0) += c;
-        }
+        agg.count += count;
+        agg.fallthrough += counts.fallthrough(k);
+        agg.targets.extend_from_slice(&b.targets);
     }
+    // Overlapping blocks sum per instruction and per indirect target.
+    merge_sorted(&mut insn_count);
 
     // Branch targets are leaders too (same-module only), as are the
     // fall-through successors of conditional branches, calls and syscalls.
-    for (offset, agg) in &terms {
+    for (offset, agg) in &mut terms {
+        merge_sorted(&mut agg.targets);
         if let Some(t) = agg.direct_target {
             if t.module == module_id {
-                leaders.insert(t.offset);
+                leaders.push(t.offset);
             }
         }
-        for t in agg.targets.keys() {
+        for (t, _) in &agg.targets {
             if t.module == module_id {
-                leaders.insert(t.offset);
+                leaders.push(t.offset);
             }
         }
         match agg.kind {
             TermKind::CondBranch | TermKind::DirectCall | TermKind::Syscall => {
-                leaders.insert(offset + INSN_BYTES);
+                leaders.push(offset + INSN_BYTES);
             }
             TermKind::Indirect => {
                 // Calls fall through on return; returns/jumps do not. The
@@ -165,31 +169,29 @@ pub fn build_cfg(module_id: ModuleId, module: &Module, counts: &CountsProfile) -
             _ => {}
         }
     }
+    leaders.sort_unstable();
+    leaders.dedup();
 
     // 2. Carve executed instructions into compiler blocks.
     let mut blocks: Vec<CfgBlock> = Vec::new();
-    let mut by_offset: FastMap<u64, BlockId> = FastMap::default();
-    let executed: Vec<u64> = insn_count.keys().copied().collect();
     let mut i = 0;
-    while i < executed.len() {
-        let start = executed[i];
-        let count = insn_count[&start];
+    while i < insn_count.len() {
+        let (start, count) = insn_count[i];
         let mut len = 1u32;
         loop {
-            let here = executed[i + len as usize - 1];
+            let here = insn_count[i + len as usize - 1].0;
             if terms.contains_key(&here) {
                 break; // terminator ends the block
             }
             let next = start + len as u64 * INSN_BYTES;
-            if i + (len as usize) >= executed.len() || executed[i + len as usize] != next {
+            if i + (len as usize) >= insn_count.len() || insn_count[i + len as usize].0 != next {
                 break; // next instruction never executed
             }
-            if leaders.contains(&next) {
+            if leaders.binary_search(&next).is_ok() {
                 break; // split point
             }
             len += 1;
         }
-        by_offset.insert(start, blocks.len());
         blocks.push(CfgBlock {
             start,
             len,
@@ -249,15 +251,13 @@ pub fn build_cfg(module_id: ModuleId, module: &Module, counts: &CountsProfile) -
     let mut call_edges: Vec<(BlockId, CodeLoc, u64)> = Vec::new();
     for (id, block) in blocks.iter().enumerate() {
         let fidx = block.function;
-        let same_function = |target: u64, blocks: &Vec<CfgBlock>, by: &FastMap<u64, BlockId>| {
-            by.get(&target)
-                .copied()
-                .filter(|&t| blocks[t].function == fidx)
+        let same_function = |target: u64, blocks: &[CfgBlock]| {
+            block_starting(blocks, target).filter(|&t| blocks[t].function == fidx)
         };
         let term_offset = block.terminator_offset();
         let Some(agg) = terms.get(&term_offset) else {
             // Block split by a leader: unconditional fall-through.
-            if let Some(&next) = by_offset.get(&block.end()) {
+            if let Some(next) = block_starting(&blocks, block.end()) {
                 if blocks[next].function == fidx {
                     edges.push((id, next, block.count));
                 }
@@ -268,7 +268,7 @@ pub fn build_cfg(module_id: ModuleId, module: &Module, counts: &CountsProfile) -
             TermKind::DirectJump => {
                 if let Some(t) = agg.direct_target {
                     if t.module == module_id {
-                        if let Some(tid) = same_function(t.offset, &blocks, &by_offset) {
+                        if let Some(tid) = same_function(t.offset, &blocks) {
                             edges.push((id, tid, agg.count.min(block.count)));
                         }
                     }
@@ -278,14 +278,14 @@ pub fn build_cfg(module_id: ModuleId, module: &Module, counts: &CountsProfile) -
                 // Shares of this block's executions, derived as in §IV-C:
                 // fall-through counted, taken derived.
                 let (ft, taken) = apportion(block.count, agg.count, agg.fallthrough);
-                if let Some(&next) = by_offset.get(&block.end()) {
+                if let Some(next) = block_starting(&blocks, block.end()) {
                     if blocks[next].function == fidx && ft > 0 {
                         edges.push((id, next, ft));
                     }
                 }
                 if let Some(t) = agg.direct_target {
                     if t.module == module_id && taken > 0 {
-                        if let Some(tid) = same_function(t.offset, &blocks, &by_offset) {
+                        if let Some(tid) = same_function(t.offset, &blocks) {
                             edges.push((id, tid, taken));
                         }
                     }
@@ -295,14 +295,14 @@ pub fn build_cfg(module_id: ModuleId, module: &Module, counts: &CountsProfile) -
                 if let Some(t) = agg.direct_target {
                     call_edges.push((id, t, block.count));
                 }
-                if let Some(&next) = by_offset.get(&block.end()) {
+                if let Some(next) = block_starting(&blocks, block.end()) {
                     if blocks[next].function == fidx {
                         edges.push((id, next, block.count));
                     }
                 }
             }
             TermKind::Syscall => {
-                if let Some(&next) = by_offset.get(&block.end()) {
+                if let Some(next) = block_starting(&blocks, block.end()) {
                     if blocks[next].function == fidx {
                         edges.push((id, next, block.count));
                     }
@@ -320,7 +320,7 @@ pub fn build_cfg(module_id: ModuleId, module: &Module, counts: &CountsProfile) -
                         let c_scaled = scale(*c, share, agg.count);
                         call_edges.push((id, *t, c_scaled));
                     }
-                    if let Some(&next) = by_offset.get(&block.end()) {
+                    if let Some(next) = block_starting(&blocks, block.end()) {
                         if blocks[next].function == fidx {
                             edges.push((id, next, block.count));
                         }
@@ -330,7 +330,7 @@ pub fn build_cfg(module_id: ModuleId, module: &Module, counts: &CountsProfile) -
                     // (switch tables); others are tail transfers.
                     for (t, c) in &agg.targets {
                         if t.module == module_id {
-                            if let Some(tid) = same_function(t.offset, &blocks, &by_offset) {
+                            if let Some(tid) = same_function(t.offset, &blocks) {
                                 let c_scaled = scale(*c, block.count.min(agg.count), agg.count);
                                 edges.push((id, tid, c_scaled));
                             }
@@ -339,7 +339,7 @@ pub fn build_cfg(module_id: ModuleId, module: &Module, counts: &CountsProfile) -
                 }
             }
             TermKind::Fallthrough => {
-                if let Some(&next) = by_offset.get(&block.end()) {
+                if let Some(next) = block_starting(&blocks, block.end()) {
                     if blocks[next].function == fidx {
                         edges.push((id, next, block.count));
                     }
@@ -364,8 +364,24 @@ pub fn build_cfg(module_id: ModuleId, module: &Module, counts: &CountsProfile) -
         module: module_id,
         blocks,
         functions,
-        by_offset,
     }
+}
+
+/// Sorts `(key, count)` pairs by key and sums the counts of equal keys.
+fn merge_sorted<K: Ord + Copy>(v: &mut Vec<(K, u64)>) {
+    v.sort_unstable_by_key(|&(k, _)| k);
+    v.dedup_by(|(k, c), (k0, c0)| {
+        let same = k == k0;
+        if same {
+            *c0 += *c;
+        }
+        same
+    });
+}
+
+/// The block of `blocks` (sorted by start) starting exactly at `offset`.
+fn block_starting(blocks: &[CfgBlock], offset: u64) -> Option<BlockId> {
+    blocks.binary_search_by_key(&offset, |b| b.start).ok()
 }
 
 /// A conditional terminator can belong to several overlapping DynamoRIO
@@ -398,7 +414,11 @@ mod tests {
         let module = assemble("t", src).unwrap();
         let image = ProcessImage::load_single(&module).unwrap();
         let counts = instrument_run(&image, &DbiConfig::default()).unwrap();
-        let cfg = build_cfg(ModuleId(0), &image.modules[0].linked, &counts);
+        let cfg = build_cfg(
+            ModuleId(0),
+            &image.modules[0].linked,
+            &BlockCounts::stored(&counts),
+        );
         (cfg, image)
     }
 

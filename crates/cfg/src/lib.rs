@@ -14,6 +14,6 @@ mod loops;
 
 pub use dom::Dominators;
 pub use dot::function_to_dot;
-pub use flow::{optimize_placement, recover};
+pub use flow::{optimize_placement, recover, BlockCounts};
 pub use graph::{build_cfg, BlockId, Cfg, CfgBlock, FuncCfg};
 pub use loops::{find_all_loops, find_loops, Loop, LoopForest, MergeIteration, MERGE_THRESHOLD};

@@ -8,8 +8,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use wiser_sim::FastMap;
-
 use crate::dom::Dominators;
 use crate::graph::{BlockId, Cfg};
 
@@ -70,6 +68,7 @@ impl Loop {
 #[derive(Clone, Debug)]
 struct RawLoop {
     header: BlockId,
+    tail: BlockId,
     body: BTreeSet<BlockId>,
     back_edge_freq: u64,
 }
@@ -225,7 +224,6 @@ impl LoopForest {
 pub fn find_loops(cfg: &Cfg, dom: &Dominators, function: usize, t: Option<u64>) -> LoopForest {
     // 1. Back edges: u -> v where v dominates u.
     let mut raw: Vec<RawLoop> = Vec::new();
-    let mut tails: FastMap<(BlockId, BlockId), BlockId> = FastMap::default(); // (header, idx)->tail (for trace)
     for &u in &cfg.functions[function].blocks {
         if !dom.reachable(u) {
             continue;
@@ -233,9 +231,9 @@ pub fn find_loops(cfg: &Cfg, dom: &Dominators, function: usize, t: Option<u64>) 
         for &(v, freq) in &cfg.blocks[u].succs {
             if dom.dominates(v, u) {
                 let body = natural_loop_body(cfg, v, u);
-                tails.insert((v, raw.len()), u);
                 raw.push(RawLoop {
                     header: v,
+                    tail: u,
                     body,
                     back_edge_freq: freq,
                 });
@@ -243,24 +241,24 @@ pub fn find_loops(cfg: &Cfg, dom: &Dominators, function: usize, t: Option<u64>) 
         }
     }
 
-    // 2. Group by header; merge per algorithm 2.
-    let mut by_header: FastMap<BlockId, Vec<(usize, BlockId)>> = FastMap::default(); // header -> (raw idx, tail)
-    for (i, l) in raw.iter().enumerate() {
-        let tail = tails[&(l.header, i)];
-        by_header.entry(l.header).or_default().push((i, tail));
-    }
+    // 2. Group by header, each group's loops in discovery order; merge
+    //    per algorithm 2.
+    let mut by_header: Vec<(BlockId, usize, BlockId)> = raw
+        .iter()
+        .enumerate()
+        .map(|(i, l)| (l.header, i, l.tail))
+        .collect();
+    by_header.sort_by_key(|&(header, _, _)| header);
 
     let mut merged: Vec<Loop> = Vec::new();
     let mut merge_trace: Vec<MergeIteration> = Vec::new();
-    let mut headers: Vec<BlockId> = by_header.keys().copied().collect();
-    headers.sort_unstable();
-    for header in headers {
-        let group = &by_header[&header];
+    for group in by_header.chunk_by(|a, b| a.0 == b.0) {
+        let header = group[0].0;
         if group.len() == 1 || t.is_none() {
-            for &(i, _) in group {
+            for &(_, i, _) in group {
                 merged.push(Loop {
                     header,
-                    body: raw[i].body.clone(),
+                    body: std::mem::take(&mut raw[i].body),
                     back_edge_freq: raw[i].back_edge_freq,
                     function,
                     parent: None,
@@ -271,7 +269,8 @@ pub fn find_loops(cfg: &Cfg, dom: &Dominators, function: usize, t: Option<u64>) 
         }
         let t = t.unwrap();
         // Algorithm 2. `inner_loops` sorted by body size ascending.
-        let mut inner: Vec<(usize, BlockId)> = group.clone();
+        let mut inner: Vec<(usize, BlockId)> =
+            group.iter().map(|&(_, i, tail)| (i, tail)).collect();
         inner.sort_by_key(|&(i, _)| raw[i].body.len());
         while !inner.is_empty() {
             let mut current: Vec<(usize, BlockId)> = Vec::new();
@@ -402,6 +401,7 @@ pub fn find_all_loops(cfg: &Cfg, t: Option<u64>) -> Vec<LoopForest> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::BlockCounts;
     use crate::graph::build_cfg;
     use wiser_dbi::{instrument_run, DbiConfig};
     use wiser_isa::assemble;
@@ -411,7 +411,11 @@ mod tests {
         let module = assemble("t", src).unwrap();
         let image = ProcessImage::load_single(&module).unwrap();
         let counts = instrument_run(&image, &DbiConfig::default()).unwrap();
-        build_cfg(ModuleId(0), &image.modules[0].linked, &counts)
+        build_cfg(
+            ModuleId(0),
+            &image.modules[0].linked,
+            &BlockCounts::stored(&counts),
+        )
     }
 
     #[test]

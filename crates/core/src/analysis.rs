@@ -9,7 +9,7 @@
 use std::borrow::Cow;
 use std::collections::HashSet;
 
-use wiser_cfg::{build_cfg, find_all_loops, Cfg, LoopForest, MERGE_THRESHOLD};
+use wiser_cfg::{build_cfg, find_all_loops, BlockCounts, Cfg, LoopForest, MERGE_THRESHOLD};
 use wiser_dbi::CountsProfile;
 use wiser_isa::{symbolized, Disassembly, Module, INSN_BYTES};
 use wiser_sampler::SampleProfile;
@@ -245,18 +245,14 @@ impl Analysis {
     ) -> Result<Analysis, OptiwiseError> {
         // A profile carrying a minimal counter placement has some block and
         // fall-through counters suppressed; reconstruct the exact values by
-        // flow conservation before anything downstream reads them. The
-        // planner only accepts suppressions it proved recoverable, so a
+        // flow conservation before anything downstream reads them; the
+        // recovery borrows the profile and keeps only the solved counters.
+        // The planner only accepts suppressions it proved recoverable, so a
         // failure here means the profile was corrupted in transit.
-        let recovered_storage;
-        let counts = if counts.placement.as_ref().is_some_and(|p| !p.recovered) {
-            recovered_storage = wiser_cfg::recover(counts).map_err(|e| {
-                OptiwiseError::Internal(format!("counter-placement recovery failed: {e}"))
-            })?;
-            &recovered_storage
-        } else {
-            counts
-        };
+        let recovered = BlockCounts::recover(counts).map_err(|e| {
+            OptiwiseError::Internal(format!("counter-placement recovery failed: {e}"))
+        })?;
+        let counts = &recovered;
         // Per-module structure. Modules are independent here (disassembly,
         // CFG recovery, loop forests only need the module and the counts),
         // so the stage fans out over `opts.jobs` workers; shards come back
@@ -350,7 +346,7 @@ impl Analysis {
             }
         }
         // Callee instruction totals attributed to the calling function.
-        for (&site, &callee_insns) in &counts.callee_counts {
+        for (&site, &callee_insns) in &counts.profile().callee_counts {
             if let Some(fid) = func_of(&mut funcs, site) {
                 funcs[fid].incl_insns += callee_insns;
             }
@@ -380,7 +376,12 @@ impl Analysis {
                                 module: ModuleId(mi as u32),
                                 offset: block.terminator_offset(),
                             };
-                            callee_insns += counts.callee_counts.get(&site).copied().unwrap_or(0);
+                            callee_insns += counts
+                                .profile()
+                                .callee_counts
+                                .get(&site)
+                                .copied()
+                                .unwrap_or(0);
                         }
                         for k in 0..block.len as u64 {
                             if let Some((file, line)) =
@@ -433,6 +434,12 @@ impl Analysis {
         // Global ids of the loops a block is credited to, innermost first,
         // by (module, block): many samples share a block.
         let mut chains: FastMap<(u32, usize), Vec<usize>> = FastMap::default();
+        // Function ids by location, looked up where `func_of` would be
+        // called: many samples share a location, and an id never changes.
+        let mut fid_at: FastMap<CodeLoc, Option<usize>> = FastMap::default();
+        let mut fid_of = |funcs: &mut Vec<FuncStats>, loc: CodeLoc| {
+            *fid_at.entry(loc).or_insert_with(|| func_of(funcs, loc))
+        };
         for s in &samples.samples {
             total_cycles += s.weight;
             seen_funcs.clear();
@@ -448,7 +455,7 @@ impl Analysis {
                     // Sample in cold code (sampling skid); functions still
                     // get self-credit below.
                     if depth == 0 {
-                        if let Some(fid) = func_of(&mut funcs, loc) {
+                        if let Some(fid) = fid_of(&mut funcs, loc) {
                             funcs[fid].self_cycles += s.weight;
                             funcs[fid].self_samples += 1;
                             if credited_fids.insert(fid) {
@@ -465,7 +472,7 @@ impl Analysis {
                 if !seen_funcs.insert((loc.module.0, fidx)) {
                     continue;
                 }
-                if let Some(fid) = func_of(&mut funcs, loc) {
+                if let Some(fid) = fid_of(&mut funcs, loc) {
                     if depth == 0 {
                         funcs[fid].self_cycles += s.weight;
                         funcs[fid].self_samples += 1;
@@ -690,7 +697,7 @@ impl Analysis {
 fn reconcile(
     mods: &[ModuleAnalysis],
     samples: &SampleProfile,
-    counts: &CountsProfile,
+    counts: &BlockCounts<'_>,
     insn_counts: &FastMap<CodeLoc, u64>,
     mode: AnalysisMode,
     hot: Option<&HashSet<(u32, String)>>,
@@ -699,7 +706,7 @@ fn reconcile(
         sampled_retired: samples.retired,
         counted_insns: counts.total_insns(),
         samples_truncated: samples.truncated.clone(),
-        counts_truncated: counts.truncated.clone(),
+        counts_truncated: counts.profile().truncated.clone(),
         ..JoinDiagnostics::default()
     };
     if let Some(r) = &d.samples_truncated {

@@ -1,38 +1,56 @@
 //! Text report rendering: the tables OptiWISE prints for its users.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crate::analysis::{Analysis, AnalysisMode};
 use crate::diff::{DiffClass, DiffReport, DiffRow};
 use crate::tables::ProfileTables;
 use crate::types::{FuncStats, InsnRow, LineStats, LoopStats};
 
-/// Formats `part` as a 7-character percentage cell of `whole`. An empty or
+/// A 7-character percentage cell of `part` in `whole`. An empty or
 /// degraded profile has `whole == 0`: there is no meaningful percentage, so
 /// the cell renders `-` instead of `NaN`/`0.0%`.
-fn pct_cell(part: u64, whole: u64) -> String {
-    if whole == 0 {
-        format!("{:>7}", "-")
-    } else {
-        format!("{:>6.1}%", 100.0 * part as f64 / whole as f64)
+struct Pct(u64, u64);
+
+impl fmt::Display for Pct {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Pct(part, whole) = *self;
+        if whole == 0 {
+            write!(f, "{:>7}", "-")
+        } else {
+            write!(f, "{:>6.1}%", 100.0 * part as f64 / whole as f64)
+        }
     }
 }
 
-fn fmt_opt(v: Option<f64>) -> String {
-    match v {
-        Some(x) if x >= 100.0 => format!("{x:.0}"),
-        Some(x) => format!("{x:.2}"),
-        None => "-".to_string(),
+/// An optional ratio (IPC, CPI): two decimals below 100, none from 100
+/// on, `-` when absent; right-aligned to the formatter's width.
+struct Ratio(Option<f64>);
+
+impl fmt::Display for Ratio {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let w = f.width().unwrap_or(0);
+        match self.0 {
+            Some(x) if x >= 100.0 => write!(f, "{x:>w$.0}"),
+            Some(x) => write!(f, "{x:>w$.2}"),
+            None => write!(f, "{:>w$}", "-"),
+        }
     }
 }
 
 /// Renders the function table (top `limit` by self cycles).
 pub fn functions_table(analysis: &Analysis, limit: usize) -> String {
-    functions_table_rows(analysis.functions(), analysis.total_cycles, limit)
+    let mut out = String::new();
+    functions_table_rows(&mut out, analysis.functions(), analysis.total_cycles, limit);
+    out
 }
 
-fn functions_table_rows(functions: &[FuncStats], total_cycles: u64, limit: usize) -> String {
-    let mut out = String::new();
+fn functions_table_rows(
+    out: &mut String,
+    functions: &[FuncStats],
+    total_cycles: u64,
+    limit: usize,
+) {
     let _ = writeln!(
         out,
         "{:<28} {:>7} {:>7} {:>14} {:>7} {:>7}",
@@ -50,12 +68,12 @@ fn functions_table_rows(functions: &[FuncStats], total_cycles: u64, limit: usize
         let _ = writeln!(
             out,
             "{:<28} {} {} {:>14} {:>7} {:>7}{marker}",
-            truncate(&f.name, 28),
-            pct_cell(f.self_cycles, total_cycles),
-            pct_cell(f.incl_cycles, total_cycles),
+            Clip(&f.name, 28),
+            Pct(f.self_cycles, total_cycles),
+            Pct(f.incl_cycles, total_cycles),
             f.self_insns,
-            fmt_opt(f.ipc()),
-            fmt_opt(f.cpi()),
+            Ratio(f.ipc()),
+            Ratio(f.cpi()),
         );
     }
     if any_sampling_only {
@@ -64,68 +82,72 @@ fn functions_table_rows(functions: &[FuncStats], total_cycles: u64, limit: usize
             "(* sampling-only: cold under --selective, counts not instrumented)"
         );
     }
-    out
 }
 
 /// Renders the loop table (top `limit` by attributed cycles) — the view the
 /// paper highlights for finding optimization candidates.
 pub fn loops_table(analysis: &Analysis, limit: usize) -> String {
-    loops_table_rows(analysis.loops(), analysis.total_cycles, limit)
+    let mut out = String::new();
+    loops_table_rows(&mut out, analysis.loops(), analysis.total_cycles, limit);
+    out
 }
 
-fn loops_table_rows(loops: &[LoopStats], total_cycles: u64, limit: usize) -> String {
-    let mut out = String::new();
+fn loops_table_rows(out: &mut String, loops: &[LoopStats], total_cycles: u64, limit: usize) {
     let _ = writeln!(
         out,
         "{:<24} {:<16} {:>7} {:>10} {:>9} {:>9} {:>7} {:>7}",
         "LOOP (function)", "LINES", "CYCLE%", "ITERS", "INVOCS", "INS/ITER", "CPI", "DEPTH"
     );
+    let mut lines = String::new();
     for l in loops.iter().take(limit) {
-        let lines = match &l.lines {
-            Some((file, lo, hi)) if lo == hi => format!("{}:{}", short_file(file), lo),
-            Some((file, lo, hi)) => format!("{}:{}-{}", short_file(file), lo, hi),
-            None => format!("@{:#x}", l.header_offset),
+        lines.clear();
+        let _ = match &l.lines {
+            Some((file, lo, hi)) if lo == hi => write!(lines, "{}:{}", short_file(file), lo),
+            Some((file, lo, hi)) => write!(lines, "{}:{}-{}", short_file(file), lo, hi),
+            None => write!(lines, "@{:#x}", l.header_offset),
         };
         let _ = writeln!(
             out,
             "{:<24} {:<16} {} {:>10} {:>9} {:>9.1} {:>7} {:>7}",
-            truncate(&l.function, 24),
-            truncate(&lines, 16),
-            pct_cell(l.cycles, total_cycles),
+            Clip(&l.function, 24),
+            Clip(&lines, 16),
+            Pct(l.cycles, total_cycles),
             l.iterations,
             l.invocations,
             l.insns_per_iteration(),
-            fmt_opt(l.cpi()),
+            Ratio(l.cpi()),
             l.depth,
         );
     }
-    out
 }
 
 /// Renders the source-line table.
 pub fn lines_table(analysis: &Analysis, limit: usize) -> String {
-    lines_table_rows(analysis.lines(), analysis.total_cycles, limit)
+    let mut out = String::new();
+    lines_table_rows(&mut out, analysis.lines(), analysis.total_cycles, limit);
+    out
 }
 
-fn lines_table_rows(lines: &[LineStats], total_cycles: u64, limit: usize) -> String {
-    let mut out = String::new();
+fn lines_table_rows(out: &mut String, lines: &[LineStats], total_cycles: u64, limit: usize) {
     let _ = writeln!(
         out,
         "{:<28} {:>7} {:>12} {:>12} {:>7}",
         "FILE:LINE", "CYCLE%", "CYCLES", "EXECS", "CPI"
     );
+    let mut key = String::new();
     for l in lines.iter().take(limit) {
+        key.clear();
+        let _ = write!(key, "{}:{}", short_file(&l.file), l.line);
         let _ = writeln!(
             out,
             "{:<28} {} {:>12} {:>12} {:>7}",
-            truncate(&format!("{}:{}", short_file(&l.file), l.line), 28),
-            pct_cell(l.cycles, total_cycles),
+            Clip(&key, 28),
+            Pct(l.cycles, total_cycles),
             l.cycles,
             l.count,
-            fmt_opt(l.cpi()),
+            Ratio(l.cpi()),
         );
     }
-    out
 }
 
 /// Renders per-instruction rows in the figure 1 / figure 10 style:
@@ -142,12 +164,12 @@ pub fn annotate(rows: &[InsnRow], total_cycles: u64) -> String {
             out,
             "{:>8x}  {:<34} {:>8} {:>10} {:>12} {:>8} {}",
             r.loc.offset,
-            truncate(&r.text, 34),
+            Clip(&r.text, 34),
             r.samples,
             r.cycles,
             r.count,
-            fmt_opt(r.cpi),
-            pct_cell(r.cycles, total_cycles),
+            Ratio(r.cpi),
+            Pct(r.cycles, total_cycles),
         );
     }
     out
@@ -211,13 +233,14 @@ pub fn full_report(analysis: &Analysis, limit: usize) -> String {
     if !diag.is_empty() {
         let _ = writeln!(out, "\n-- run health --\n{diag}");
     }
-    let _ = writeln!(
-        out,
-        "\n-- functions --\n{}",
-        functions_table(analysis, limit)
-    );
-    let _ = writeln!(out, "-- loops --\n{}", loops_table(analysis, limit));
-    let _ = writeln!(out, "-- lines --\n{}", lines_table(analysis, limit));
+    let total = analysis.total_cycles;
+    let _ = writeln!(out, "\n-- functions --");
+    functions_table_rows(&mut out, analysis.functions(), total, limit);
+    let _ = writeln!(out, "\n-- loops --");
+    loops_table_rows(&mut out, analysis.loops(), total, limit);
+    let _ = writeln!(out, "\n-- lines --");
+    lines_table_rows(&mut out, analysis.lines(), total, limit);
+    let _ = writeln!(out);
     out
 }
 
@@ -246,26 +269,36 @@ pub fn tables_report(tables: &ProfileTables, limit: usize) -> String {
             "!! DEGRADED: sampling-only analysis (no instruction counts)"
         );
     }
-    let _ = writeln!(
-        out,
-        "\n-- functions --\n{}",
-        functions_table_rows(&tables.functions, tables.total_cycles, limit)
-    );
-    let _ = writeln!(
-        out,
-        "-- loops --\n{}",
-        loops_table_rows(&tables.loops, tables.total_cycles, limit)
-    );
-    let _ = writeln!(
-        out,
-        "-- lines --\n{}",
-        lines_table_rows(&tables.lines, tables.total_cycles, limit)
-    );
+    let total = tables.total_cycles;
+    let _ = writeln!(out, "\n-- functions --");
+    functions_table_rows(&mut out, &tables.functions, total, limit);
+    let _ = writeln!(out, "\n-- loops --");
+    loops_table_rows(&mut out, &tables.loops, total, limit);
+    let _ = writeln!(out, "\n-- lines --");
+    lines_table_rows(&mut out, &tables.lines, total, limit);
+    let _ = writeln!(out);
     out
 }
 
-fn diff_table(rows: &[DiffRow], limit: usize) -> String {
-    let mut out = String::new();
+/// One OLD or NEW cell of a diff row, right-aligned to the formatter's
+/// width.
+enum Value {
+    Ratio(Option<f64>),
+    Count(u64),
+    Absent,
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Value::Ratio(v) => Ratio(v).fmt(f),
+            Value::Count(n) => n.fmt(f),
+            Value::Absent => f.pad("-"),
+        }
+    }
+}
+
+fn diff_table(out: &mut String, rows: &[DiffRow], limit: usize) {
     let _ = writeln!(
         out,
         "{:<44} {:>8} {:>8} {:>9} {:>9} {:<12}",
@@ -274,36 +307,29 @@ fn diff_table(rows: &[DiffRow], limit: usize) -> String {
     for r in rows.iter().take(limit) {
         let (old_v, new_v) = match (r.old, r.new) {
             (Some(o), Some(n)) => match r.metric {
-                crate::diff::DiffMetric::Cpi => (fmt_opt(o.cpi), fmt_opt(n.cpi)),
-                crate::diff::DiffMetric::Execs => (o.execs.to_string(), n.execs.to_string()),
-                crate::diff::DiffMetric::Cycles => (o.cycles.to_string(), n.cycles.to_string()),
+                crate::diff::DiffMetric::Cpi => (Value::Ratio(o.cpi), Value::Ratio(n.cpi)),
+                crate::diff::DiffMetric::Execs => (Value::Count(o.execs), Value::Count(n.execs)),
+                crate::diff::DiffMetric::Cycles => (Value::Count(o.cycles), Value::Count(n.cycles)),
             },
-            (Some(o), None) => (o.cycles.to_string(), "-".to_string()),
-            (None, Some(n)) => ("-".to_string(), n.cycles.to_string()),
-            (None, None) => ("-".to_string(), "-".to_string()),
+            (Some(o), None) => (Value::Count(o.cycles), Value::Absent),
+            (None, Some(n)) => (Value::Absent, Value::Count(n.cycles)),
+            (None, None) => (Value::Absent, Value::Absent),
         };
-        let delta = match r.class {
+        let _ = write!(out, "{:<44} {old_v:>8} {new_v:>8} ", Clip(&r.key, 44));
+        let _ = match r.class {
             DiffClass::Added | DiffClass::Removed | DiffClass::CoverageChange => {
-                format!("{:>9}", "-")
+                write!(out, "{:>9}", "-")
             }
-            _ if r.delta_pct.is_infinite() => format!("{:>9}", "+inf"),
-            _ => format!("{:>+8.1}%", r.delta_pct),
+            _ if r.delta_pct.is_infinite() => write!(out, "{:>9}", "+inf"),
+            _ => write!(out, "{:>+8.1}%", r.delta_pct),
         };
-        let noise = if r.noise_pct.is_infinite() {
-            format!("{:>9}", "-")
+        let _ = if r.noise_pct.is_infinite() {
+            write!(out, " {:>9}", "-")
         } else {
-            format!("{:>8.1}%", r.noise_pct)
+            write!(out, " {:>8.1}%", r.noise_pct)
         };
-        let _ = writeln!(
-            out,
-            "{:<44} {:>8} {:>8} {delta} {noise} {:<12}",
-            truncate(&r.key, 44),
-            old_v,
-            new_v,
-            r.class,
-        );
+        let _ = writeln!(out, " {:<12}", r.class);
     }
-    out
 }
 
 /// Renders the differential report: summary line, then the function, loop
@@ -324,21 +350,30 @@ pub fn diff_report(report: &DiffReport, limit: usize) -> String {
             report.config_changes(),
         );
     }
-    let _ = writeln!(
-        out,
-        "\n-- functions --\n{}",
-        diff_table(&report.functions, limit)
-    );
-    let _ = writeln!(out, "-- loops --\n{}", diff_table(&report.loops, limit));
-    let _ = writeln!(out, "-- lines --\n{}", diff_table(&report.lines, limit));
+    let _ = writeln!(out, "\n-- functions --");
+    diff_table(&mut out, &report.functions, limit);
+    let _ = writeln!(out, "\n-- loops --");
+    diff_table(&mut out, &report.loops, limit);
+    let _ = writeln!(out, "\n-- lines --");
+    diff_table(&mut out, &report.lines, limit);
+    let _ = writeln!(out);
     out
 }
 
-fn truncate(s: &str, max: usize) -> String {
-    if s.len() <= max {
-        s.to_string()
-    } else {
-        format!("{}…", &s[..max.saturating_sub(1)])
+/// `s` cut to `max` bytes, the cut marked `…`; left-aligned to the
+/// formatter's width.
+struct Clip<'a>(&'a str, usize);
+
+impl fmt::Display for Clip<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Clip(s, max) = *self;
+        if s.len() <= max {
+            return f.pad(s);
+        }
+        let head = &s[..max.saturating_sub(1)];
+        let w = f.width().unwrap_or(0);
+        let chars = head.chars().count() + 1;
+        write!(f, "{head}…{:w$}", "", w = w.saturating_sub(chars))
     }
 }
 
@@ -388,17 +423,30 @@ mod tests {
         assert!(!text.contains("NaN"), "{text}");
         assert!(!text.contains("inf"), "{text}");
         assert!(text.contains('-'), "{text}");
-        assert_eq!(pct_cell(5, 0), format!("{:>7}", "-"));
-        assert_eq!(pct_cell(1, 2), "  50.0%");
+        assert_eq!(Pct(5, 0).to_string(), format!("{:>7}", "-"));
+        assert_eq!(Pct(1, 2).to_string(), "  50.0%");
         // The dash cell keeps column width so tables stay aligned.
-        assert_eq!(pct_cell(5, 0).len(), pct_cell(1, 2).len());
+        assert_eq!(Pct(5, 0).to_string().len(), Pct(1, 2).to_string().len());
     }
 
     #[test]
     fn truncation() {
-        assert_eq!(truncate("short", 10), "short");
-        let t = truncate("averyverylongname", 8);
+        assert_eq!(Clip("short", 10).to_string(), "short");
+        let t = Clip("averyverylongname", 8).to_string();
         assert!(t.chars().count() <= 8);
+        // A cut cell pads to its column by characters, `…` counting one.
+        assert_eq!(format!("[{:<6}]", Clip("aé-long", 4)), "[aé…   ]");
+        assert_eq!(format!("[{:<6}]", Clip("ab", 4)), "[ab    ]");
+    }
+
+    #[test]
+    fn value_cells_pad_like_their_text() {
+        for (v, text) in [(Some(1.5), "1.50"), (Some(123.4), "123"), (None, "-")] {
+            assert_eq!(format!("{:>7}", Ratio(v)), format!("{text:>7}"));
+            assert_eq!(format!("{:>8}", Value::Ratio(v)), format!("{text:>8}"));
+        }
+        assert_eq!(format!("{:>8}", Value::Count(42)), format!("{:>8}", "42"));
+        assert_eq!(format!("{:>8}", Value::Absent), format!("{:>8}", "-"));
     }
 
     #[test]

@@ -169,14 +169,22 @@ impl CountsProfile {
     /// Per-instruction execution counts: each block contributes its count to
     /// every instruction it covers; overlapping blocks sum.
     pub fn insn_counts(&self) -> FastMap<CodeLoc, u64> {
+        self.insn_counts_with(|i| self.blocks[i].count)
+    }
+
+    /// [`CountsProfile::insn_counts`] with block `i` counted `count(i)`
+    /// times instead of its stored count: the view of a profile whose
+    /// suppressed counters were recovered without copying it.
+    pub fn insn_counts_with(&self, count: impl Fn(usize) -> u64) -> FastMap<CodeLoc, u64> {
         let mut map: FastMap<CodeLoc, u64> = FastMap::default();
-        for b in &self.blocks {
+        for (k, b) in self.blocks.iter().enumerate() {
+            let n = count(k);
             for i in 0..b.len as u64 {
                 let loc = CodeLoc {
                     module: b.entry.module,
                     offset: b.entry.offset + i * wiser_isa::INSN_BYTES,
                 };
-                *map.entry(loc).or_insert(0) += b.count;
+                *map.entry(loc).or_insert(0) += n;
             }
         }
         map
@@ -206,7 +214,7 @@ impl CountsProfile {
     /// Returns a description of the first inconsistency.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.module_names.len();
-        let check = |loc: CodeLoc, what: &str| -> Result<(), String> {
+        let check = |loc: CodeLoc, what: std::fmt::Arguments<'_>| -> Result<(), String> {
             if (loc.module.0 as usize) >= n {
                 Err(format!(
                     "{what} references undeclared module {}",
@@ -238,7 +246,7 @@ impl CountsProfile {
             }
         }
         for (i, b) in self.blocks.iter().enumerate() {
-            check(b.entry, &format!("block {i}"))?;
+            check(b.entry, format_args!("block {i}"))?;
             if b.entry
                 .offset
                 .checked_add((b.len as u64).saturating_mul(wiser_isa::INSN_BYTES))
@@ -256,14 +264,14 @@ impl CountsProfile {
                 ));
             }
             if let Some(t) = b.direct_target {
-                check(t, &format!("block {i} target"))?;
+                check(t, format_args!("block {i} target"))?;
             }
             for (t, _) in &b.targets {
-                check(*t, &format!("block {i} indirect target"))?;
+                check(*t, format_args!("block {i} indirect target"))?;
             }
         }
         for site in self.callee_counts.keys() {
-            check(*site, "callee site")?;
+            check(*site, format_args!("callee site"))?;
         }
         Ok(())
     }

@@ -38,7 +38,7 @@ mod regs;
 mod transforms;
 
 use optiwise::{ProfileTables, TransformLog};
-use wiser_cfg::build_cfg;
+use wiser_cfg::{build_cfg, BlockCounts};
 use wiser_dbi::CountsProfile;
 use wiser_isa::{IsaError, Module};
 use wiser_sim::ModuleId;
@@ -134,7 +134,7 @@ pub fn optimize_modules(
             out.push(module.clone());
             continue;
         };
-        let cfg = build_cfg(ModuleId(module_id), module, counts);
+        let cfg = build_cfg(ModuleId(module_id), module, &BlockCounts::stored(counts));
         let ctx = transforms::Ctx {
             module,
             module_id,

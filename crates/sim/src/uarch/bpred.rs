@@ -8,7 +8,7 @@
 
 use wiser_isa::CtiKind;
 
-use crate::trace::{BranchOutcome, ExecRecord, FlowEvent};
+use crate::trace::{BranchOutcome, ExecRecord};
 use crate::uarch::config::BpredConfig;
 
 /// Counts of executed and mispredicted transfers by kind.
@@ -139,10 +139,6 @@ impl BranchPredictor {
         }
         self.ras.push(ret_addr);
     }
-
-    /// Call-stack effect on the RAS is handled inside [`process`]; flow
-    /// events are exposed for completeness.
-    pub fn note_flow(&mut self, _flow: &FlowEvent) {}
 }
 
 #[cfg(test)]

@@ -453,7 +453,7 @@ impl CoreConfig {
     }
 
     /// Sets one field by its override key (the names emitted by
-    /// [`CoreConfig::to_pairs`]). Cache fields are dotted (`l1d.size`);
+    /// [`CoreConfig::for_each_pair`]). Cache fields are dotted (`l1d.size`);
     /// `commit_mode` accepts `in_order`/`inorder` and
     /// `early_release`/`early`. Unknown keys and unparsable values return a
     /// typed error; the value is **not** re-validated here — call
@@ -527,54 +527,68 @@ impl CoreConfig {
         }
     }
 
-    /// Serialises the full configuration as `(key, value)` pairs in a fixed
+    /// Visits the full configuration as `(key, value)` pairs in a fixed
     /// order, exhaustively covering every field [`CoreConfig::apply_override`]
     /// accepts: applying the pairs of any config onto any base reconstructs
-    /// it exactly. This is the wire form of the `UCFG` store section.
+    /// it exactly. This is the one list of keys, and its order is the wire
+    /// order of the `UCFG` store section.
+    pub fn for_each_pair(&self, mut f: impl FnMut(&'static str, &dyn std::fmt::Display)) {
+        f("fetch_width", &self.fetch_width);
+        f("dispatch_width", &self.dispatch_width);
+        f("issue_width", &self.issue_width);
+        f("commit_width", &self.commit_width);
+        f("rob_size", &self.rob_size);
+        f("iq_size", &self.iq_size);
+        f("frontend_latency", &self.frontend_latency);
+        f("mispredict_penalty", &self.mispredict_penalty);
+        f("commit_mode", &commit_mode_name(self.commit_mode));
+        f("int_alu_units", &self.int_alu_units);
+        f("int_mul_units", &self.int_mul_units);
+        f("int_div_units", &self.int_div_units);
+        f("fp_units", &self.fp_units);
+        f("fp_div_units", &self.fp_div_units);
+        f("load_ports", &self.load_ports);
+        f("store_ports", &self.store_ports);
+        f("mshrs", &self.mshrs);
+        f("int_mul_latency", &self.int_mul_latency);
+        f("int_div_latency", &self.int_div_latency);
+        f("fp_latency", &self.fp_latency);
+        f("fp_div_latency", &self.fp_div_latency);
+        f("fp_sqrt_latency", &self.fp_sqrt_latency);
+        f("syscall_latency", &self.syscall_latency);
+        for (keys, c) in [
+            (
+                ["l1i.size", "l1i.assoc", "l1i.line", "l1i.latency"],
+                &self.mem.l1i,
+            ),
+            (
+                ["l1d.size", "l1d.assoc", "l1d.line", "l1d.latency"],
+                &self.mem.l1d,
+            ),
+            (
+                ["l2.size", "l2.assoc", "l2.line", "l2.latency"],
+                &self.mem.l2,
+            ),
+            (
+                ["l3.size", "l3.assoc", "l3.line", "l3.latency"],
+                &self.mem.l3,
+            ),
+        ] {
+            f(keys[0], &c.size);
+            f(keys[1], &c.assoc);
+            f(keys[2], &c.line);
+            f(keys[3], &c.latency);
+        }
+        f("mem_latency", &self.mem.mem_latency);
+        f("pht_bits", &self.bpred.pht_bits);
+        f("btb_entries", &self.bpred.btb_entries);
+        f("ras_depth", &self.bpred.ras_depth);
+    }
+
+    /// The pairs of [`CoreConfig::for_each_pair`], collected as strings.
     pub fn to_pairs(&self) -> Vec<(String, String)> {
         let mut pairs: Vec<(String, String)> = Vec::new();
-        let mut p = |k: &str, v: String| pairs.push((k.to_string(), v));
-        p("fetch_width", self.fetch_width.to_string());
-        p("dispatch_width", self.dispatch_width.to_string());
-        p("issue_width", self.issue_width.to_string());
-        p("commit_width", self.commit_width.to_string());
-        p("rob_size", self.rob_size.to_string());
-        p("iq_size", self.iq_size.to_string());
-        p("frontend_latency", self.frontend_latency.to_string());
-        p("mispredict_penalty", self.mispredict_penalty.to_string());
-        p(
-            "commit_mode",
-            commit_mode_name(self.commit_mode).to_string(),
-        );
-        p("int_alu_units", self.int_alu_units.to_string());
-        p("int_mul_units", self.int_mul_units.to_string());
-        p("int_div_units", self.int_div_units.to_string());
-        p("fp_units", self.fp_units.to_string());
-        p("fp_div_units", self.fp_div_units.to_string());
-        p("load_ports", self.load_ports.to_string());
-        p("store_ports", self.store_ports.to_string());
-        p("mshrs", self.mshrs.to_string());
-        p("int_mul_latency", self.int_mul_latency.to_string());
-        p("int_div_latency", self.int_div_latency.to_string());
-        p("fp_latency", self.fp_latency.to_string());
-        p("fp_div_latency", self.fp_div_latency.to_string());
-        p("fp_sqrt_latency", self.fp_sqrt_latency.to_string());
-        p("syscall_latency", self.syscall_latency.to_string());
-        for (name, c) in [
-            ("l1i", &self.mem.l1i),
-            ("l1d", &self.mem.l1d),
-            ("l2", &self.mem.l2),
-            ("l3", &self.mem.l3),
-        ] {
-            p(&format!("{name}.size"), c.size.to_string());
-            p(&format!("{name}.assoc"), c.assoc.to_string());
-            p(&format!("{name}.line"), c.line.to_string());
-            p(&format!("{name}.latency"), c.latency.to_string());
-        }
-        p("mem_latency", self.mem.mem_latency.to_string());
-        p("pht_bits", self.bpred.pht_bits.to_string());
-        p("btb_entries", self.bpred.btb_entries.to_string());
-        p("ras_depth", self.bpred.ras_depth.to_string());
+        self.for_each_pair(|k, v| pairs.push((k.to_string(), v.to_string())));
         pairs
     }
 }

@@ -294,6 +294,9 @@ const NO_LINK: u64 = u64::MAX;
 const DEPS: usize = 5;
 /// Cycles without progress after which the model is declared deadlocked.
 const DEADLOCK_CYCLES: u64 = 5_000_000;
+/// Smallest size at which the store-forwarding map is pruned of retired
+/// stores.
+const STORE_PRUNE_FLOOR: usize = 256;
 
 /// A consumer-list link: the consumer's seq and which of its `deps` slots
 /// holds the next link.
@@ -451,6 +454,8 @@ impl OoOCore {
 
         let mut last_writer: [u64; 24] = [NO_PRODUCER; 24];
         let mut last_store_blk: FastMap<u64, u64> = FastMap::default();
+        // Size at which retired store entries are next pruned.
+        let mut store_prune_at = STORE_PRUNE_FLOOR;
 
         // Non-pipelined units per divider pool: busy-until cycles.
         let mut div_busy: [Vec<u64>; 2] = [
@@ -828,16 +833,20 @@ impl OoOCore {
 
             // ---- cleanup & termination ---------------------------------------
             // Committed (or released) and executed: drop from the slab. Stale
-            // store-block entries are dropped lazily; the map only needs
-            // producers that are still in flight, and lookups tolerate retired
-            // seqs (they read as "ready").
+            // store-block entries are dropped lazily, once the map has doubled
+            // since the last prune; the map only needs producers that are
+            // still in flight, and lookups tolerate retired seqs (dispatch
+            // reads a producer below `base_seq` as ready, as it reads none).
             while base_seq < rob_head && slab[0].done_cycle <= cycle {
                 slab.pop_front();
                 base_seq += 1;
                 active = true;
             }
-            if last_store_blk.len() > 1 << 16 {
+            if last_store_blk.len() >= store_prune_at {
                 last_store_blk.retain(|_, &mut seq| seq >= base_seq);
+                store_prune_at = (2 * last_store_blk.len()).max(STORE_PRUNE_FLOOR);
+                // Room to grow to the next prune, and no more.
+                last_store_blk.shrink_to(store_prune_at);
             }
 
             if lookahead.is_none() && slab.is_empty() {

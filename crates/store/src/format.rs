@@ -21,6 +21,7 @@
 //! Every decode error is an [`StoreError`] carrying the absolute byte
 //! offset where decoding failed and the section tag if inside one.
 
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -135,9 +136,13 @@ pub struct RawSection<'a> {
 
 impl RawSection<'_> {
     /// The tag as text, less the spaces that pad a short tag such as
-    /// `JOB ` (lossy for non-ASCII tags).
-    pub fn tag_name(&self) -> String {
-        String::from_utf8_lossy(&self.tag).trim_end().to_owned()
+    /// `JOB ` (lossy for non-ASCII tags). Borrowed from the tag unless it
+    /// is not UTF-8.
+    pub fn tag_name(&self) -> Cow<'_, str> {
+        match String::from_utf8_lossy(&self.tag) {
+            Cow::Borrowed(name) => Cow::Borrowed(name.trim_end()),
+            Cow::Owned(name) => Cow::Owned(name.trim_end().to_owned()),
+        }
     }
 }
 
@@ -235,7 +240,7 @@ pub fn section_spans(data: &[u8]) -> Result<Vec<(String, u64, u64)>, StoreError>
         .iter()
         .map(|s| {
             (
-                s.tag_name(),
+                s.tag_name().into_owned(),
                 s.payload_offset,
                 s.payload_offset + s.payload.len() as u64,
             )
@@ -253,6 +258,13 @@ impl ByteWriter {
     /// A fresh, empty writer.
     pub fn new() -> ByteWriter {
         ByteWriter::default()
+    }
+
+    /// A fresh writer with room for `bytes` before it grows.
+    pub fn with_capacity(bytes: usize) -> ByteWriter {
+        ByteWriter {
+            buf: Vec::with_capacity(bytes),
+        }
     }
 
     /// Consumes the writer, returning the payload.
@@ -347,14 +359,14 @@ pub struct ByteReader<'a> {
     data: &'a [u8],
     pos: usize,
     base: u64,
-    section: String,
+    section: Cow<'a, str>,
     budget: DecodeBudget,
 }
 
 impl<'a> ByteReader<'a> {
     /// A reader over `section`'s payload starting at absolute offset
     /// `base`, with no allocation budget (trusted input).
-    pub fn new(payload: &'a [u8], base: u64, section: impl Into<String>) -> ByteReader<'a> {
+    pub fn new(payload: &'a [u8], base: u64, section: impl Into<Cow<'a, str>>) -> ByteReader<'a> {
         ByteReader::with_budget(payload, base, section, DecodeBudget::unbounded())
     }
 
@@ -364,7 +376,7 @@ impl<'a> ByteReader<'a> {
     pub fn with_budget(
         payload: &'a [u8],
         base: u64,
-        section: impl Into<String>,
+        section: impl Into<Cow<'a, str>>,
         budget: DecodeBudget,
     ) -> ByteReader<'a> {
         ByteReader {
@@ -383,7 +395,7 @@ impl<'a> ByteReader<'a> {
 
     /// An error at the current position, tagged with this section.
     pub fn error(&self, message: impl Into<String>) -> StoreError {
-        StoreError::in_section(self.offset(), self.section.clone(), message)
+        StoreError::in_section(self.offset(), &*self.section, message)
     }
 
     /// Bytes not yet consumed. Lets decoders accept older images that
@@ -438,22 +450,25 @@ impl<'a> ByteReader<'a> {
     /// the budget (the one decode-side allocation whose size the wire
     /// dictates directly).
     pub fn string(&mut self, what: &str) -> Result<String, StoreError> {
+        self.str(what).map(str::to_owned)
+    }
+
+    /// [`ByteReader::string`] borrowed from the payload, for a value read
+    /// and dropped without being kept. It charges the budget exactly as
+    /// `string` does, so both fail on the same bytes with the same error.
+    pub fn str(&mut self, what: &str) -> Result<&'a str, StoreError> {
         let at = self.offset();
         let len = self.u32(what)? as usize;
         if self.budget.charge(len as u64).is_err() {
             return Err(StoreError::in_section(
                 at,
-                self.section.clone(),
+                &*self.section,
                 format!("{what} of {len} bytes exceeds the decode allocation budget"),
             ));
         }
         let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| {
-            StoreError::in_section(
-                at,
-                self.section.clone(),
-                format!("{what} is not UTF-8: {e}"),
-            )
+        std::str::from_utf8(bytes).map_err(|e| {
+            StoreError::in_section(at, &*self.section, format!("{what} is not UTF-8: {e}"))
         })
     }
 
@@ -471,7 +486,7 @@ impl<'a> ByteReader<'a> {
         if implausible {
             return Err(StoreError::in_section(
                 at,
-                self.section.clone(),
+                &*self.section,
                 format!("implausible {what} count {n} ({remaining} bytes remain)"),
             ));
         }
@@ -511,7 +526,7 @@ impl<'a> ByteReader<'a> {
         if let Err(limit) = self.budget.charge(need) {
             return Err(StoreError::in_section(
                 at,
-                self.section.clone(),
+                &*self.section,
                 format!(
                     "{what} count {n} needs {need} bytes in memory, \
                      exceeding the {limit}-byte decode allocation budget"

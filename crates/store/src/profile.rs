@@ -21,7 +21,7 @@
 //! section so pre-selective readers skip it as unknown. Decoders lacking
 //! `COVR` derive every function's coverage from the analysis mode.
 //! `UCFG` records the run's complete resolved uarch configuration as
-//! `(key, value)` string pairs (the `CoreConfig::to_pairs` wire form), so
+//! `(key, value)` string pairs (the `CoreConfig::for_each_pair` wire form), so
 //! an archived run is self-describing even when its `META.arch` preset
 //! name later changes meaning; readers predating `UCFG` skip it as
 //! unknown, and unknown *keys* inside it are skipped as future fields.
@@ -34,6 +34,7 @@
 //! (`callee_counts`) is sorted first — so the same run serializes to the
 //! same bytes whatever the thread count.
 
+use std::fmt::Write as _;
 use std::mem::size_of;
 
 use optiwise::{
@@ -342,14 +343,21 @@ fn decode_meta(r: &mut ByteReader<'_>) -> Result<RunMeta, StoreError> {
     })
 }
 
+/// Writes the pairs of [`CoreConfig::for_each_pair`] in its order, each
+/// value formatted through one reused buffer.
 fn encode_uarch(core: &CoreConfig) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    let pairs = core.to_pairs();
-    w.u64(pairs.len() as u64);
-    for (key, value) in &pairs {
+    let mut n = 0u64;
+    core.for_each_pair(|_, _| n += 1);
+    // Keys and values are short: about 24 bytes a pair with their lengths.
+    let mut w = ByteWriter::with_capacity(8 + 24 * n as usize);
+    w.u64(n);
+    let mut value = String::new();
+    core.for_each_pair(|key, v| {
+        value.clear();
+        let _ = write!(value, "{v}");
         w.string(key);
-        w.string(value);
-    }
+        w.string(&value);
+    });
     w.into_bytes()
 }
 
@@ -358,12 +366,12 @@ fn decode_uarch(r: &mut ByteReader<'_>) -> Result<CoreConfig, StoreError> {
     let mut core = CoreConfig::xeon_like();
     for _ in 0..n {
         let at = r.offset();
-        let key = r.string("uarch key")?;
-        let value = r.string("uarch value")?;
+        let key = r.str("uarch key")?;
+        let value = r.str("uarch value")?;
         // An unrecognised key is a field from a newer tool: skip it
         // (forward compat within the section). A known key with an
         // unparsable value is corruption and fails closed.
-        if let Err(e) = core.apply_override(&key, &value) {
+        if let Err(e) = core.apply_override(key, value) {
             if e.kind != ConfigErrorKind::UnknownKey {
                 return Err(StoreError::in_section(at, "UCFG", e.to_string()));
             }
@@ -438,7 +446,9 @@ fn get_module_names(r: &mut ByteReader<'_>) -> Result<Vec<String>, StoreError> {
 }
 
 pub(crate) fn encode_samples(p: &SampleProfile) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+    // Each sample is a location, a weight and a framed stack of locations.
+    let frames: usize = p.samples.iter().map(|s| s.stack.len()).sum();
+    let mut w = ByteWriter::with_capacity(256 + 28 * p.samples.len() + 12 * frames);
     put_module_names(&mut w, &p.module_names);
     w.u64(p.period);
     w.u64(p.total_cycles);
@@ -511,7 +521,8 @@ fn term_from_code(c: u8) -> Option<TermKind> {
 }
 
 pub(crate) fn encode_counts(p: &CountsProfile) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+    // A block without indirect targets takes 50 to 62 bytes.
+    let mut w = ByteWriter::with_capacity(256 + 64 * p.blocks.len());
     put_module_names(&mut w, &p.module_names);
     w.u8(p.stack_profiling as u8);
     w.u64(p.cost.native_insns);
@@ -1098,6 +1109,130 @@ mod tests {
         ]);
         let err = StoredProfile::from_bytes(&image).unwrap_err();
         assert!(err.message.contains("rob_size"), "{err}");
+    }
+
+    /// The `UCFG` encoding as written through `CoreConfig::to_pairs`: the
+    /// reference the pair-visitor encoder must reproduce byte for byte.
+    fn ucfg_from_pairs(core: &CoreConfig) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        let pairs = core.to_pairs();
+        w.u64(pairs.len() as u64);
+        for (key, value) in &pairs {
+            w.string(key);
+            w.string(value);
+        }
+        w.into_bytes()
+    }
+
+    fn ucfg_image(payload: Vec<u8>) -> Vec<u8> {
+        let p = stored();
+        write_store(&[
+            (TAG_META, encode_meta(&p.meta)),
+            (TAG_TABL, encode_tables(&p.tables)),
+            (TAG_UCFG, payload),
+        ])
+    }
+
+    #[test]
+    fn ucfg_codec_matches_the_pair_list_and_round_trips() {
+        let set = |k: &str, v: &str| (k.to_string(), v.to_string());
+        let overridden = CoreConfig::resolve(
+            "xeon",
+            &[
+                set("commit_mode", "early"),
+                set("l2.size", "524288"),
+                set("rob_size", "96"),
+                set("btb_entries", "2048"),
+            ],
+        )
+        .unwrap();
+        let mut cores: Vec<CoreConfig> = wiser_sim::ARCH_NAMES
+            .iter()
+            .map(|n| CoreConfig::by_name(n).unwrap())
+            .collect();
+        cores.push(overridden);
+        for core in cores {
+            let payload = encode_uarch(&core);
+            assert_eq!(payload, ucfg_from_pairs(&core), "{core:?}");
+            let back = StoredProfile::from_bytes(&ucfg_image(payload)).unwrap();
+            assert_eq!(back.uarch, Some(core));
+        }
+        assert_eq!(overridden.mem.l2.size, 524_288);
+        assert_eq!(overridden.commit_mode, wiser_sim::CommitMode::EarlyRelease);
+    }
+
+    #[test]
+    fn ucfg_decode_errors_are_unchanged() {
+        // Bad value: the error sits at the pair's first byte and carries
+        // the config error's text.
+        let mut w = ByteWriter::new();
+        w.u64(2);
+        w.string("fetch_width");
+        w.string("4");
+        w.string("rob_size");
+        w.string("lots");
+        let image = ucfg_image(w.into_bytes());
+        let ucfg = crate::format::section_spans(&image).unwrap()[2].1;
+        let err = StoredProfile::from_bytes(&image).unwrap_err();
+        let pair = ucfg + 8 + (4 + 11) + (4 + 1);
+        let expected = CoreConfig::xeon_like()
+            .apply_override("rob_size", "lots")
+            .unwrap_err()
+            .to_string();
+        assert_eq!(
+            (err.offset, err.section.as_deref(), err.message.as_str()),
+            (pair, Some("UCFG"), expected.as_str())
+        );
+
+        // A hostile pair count: wire-plausible, but over the budget in
+        // memory, charged as two `String`s a pair.
+        let mut w = ByteWriter::new();
+        w.u64(64);
+        for _ in 0..64 {
+            w.string("k000");
+            w.string("v000");
+        }
+        let image = ucfg_image(w.into_bytes());
+        let ucfg = crate::format::section_spans(&image).unwrap()[2].1;
+        let limits = ResourceLimits {
+            max_decode_alloc: 1024,
+            ..ResourceLimits::default()
+        };
+        let err = StoredProfile::from_bytes_limited(&image, &limits).unwrap_err();
+        let need = 64 * 2 * size_of::<String>();
+        assert_eq!(
+            (err.offset, err.section.as_deref(), err.message),
+            (
+                ucfg,
+                Some("UCFG"),
+                format!(
+                    "uarch pair count count 64 needs {need} bytes in memory, \
+                     exceeding the 1024-byte decode allocation budget"
+                )
+            )
+        );
+
+        // A key longer than the budget left fails at its length prefix,
+        // though the decoder borrows it rather than copying it.
+        let mut w = ByteWriter::new();
+        w.u64(1);
+        w.string(&"k".repeat(2000));
+        w.string("1");
+        let image = ucfg_image(w.into_bytes());
+        let ucfg = crate::format::section_spans(&image).unwrap()[2].1;
+        let limits = ResourceLimits {
+            max_decode_alloc: 1000,
+            ..ResourceLimits::default()
+        };
+        let err = StoredProfile::from_bytes_limited(&image, &limits).unwrap_err();
+        assert_eq!(
+            (err.offset, err.section.as_deref(), err.message.as_str()),
+            (
+                ucfg + 8,
+                Some("UCFG"),
+                "uarch key of 2000 bytes exceeds the decode allocation budget"
+            )
+        );
     }
 
     #[test]

@@ -423,7 +423,7 @@ fn sample_profile_roundtrip() {
 /// program was generated with.
 #[test]
 fn loop_forest_recovers_random_nests() {
-    use wiser_cfg::{build_cfg, find_all_loops, MERGE_THRESHOLD};
+    use wiser_cfg::{build_cfg, find_all_loops, BlockCounts, MERGE_THRESHOLD};
 
     let mut gen = Gen::new(0x07);
     for _ in 0..12 {
@@ -462,7 +462,11 @@ fn loop_forest_recovers_random_nests() {
         let module = asm.finish().expect("nest assembles");
         let image = ProcessImage::load_single(&module).expect("loads");
         let counts = instrument_run(&image, &DbiConfig::default()).expect("instruments");
-        let cfg = build_cfg(wiser_sim::ModuleId(0), &image.modules[0].linked, &counts);
+        let cfg = build_cfg(
+            wiser_sim::ModuleId(0),
+            &image.modules[0].linked,
+            &BlockCounts::stored(&counts),
+        );
         let forest = &find_all_loops(&cfg, Some(MERGE_THRESHOLD))[0];
 
         assert_eq!(forest.loops.len(), depth);
