@@ -38,13 +38,7 @@ impl fmt::Display for Ratio {
     }
 }
 
-/// Renders the function table (top `limit` by self cycles).
-pub fn functions_table(analysis: &Analysis, limit: usize) -> String {
-    let mut out = String::new();
-    functions_table_rows(&mut out, analysis.functions(), analysis.total_cycles, limit);
-    out
-}
-
+/// Appends the function table (top `limit` by self cycles) to `out`.
 fn functions_table_rows(
     out: &mut String,
     functions: &[FuncStats],
@@ -84,14 +78,8 @@ fn functions_table_rows(
     }
 }
 
-/// Renders the loop table (top `limit` by attributed cycles) — the view the
-/// paper highlights for finding optimization candidates.
-pub fn loops_table(analysis: &Analysis, limit: usize) -> String {
-    let mut out = String::new();
-    loops_table_rows(&mut out, analysis.loops(), analysis.total_cycles, limit);
-    out
-}
-
+/// Appends the loop table (top `limit` by attributed cycles) to `out` —
+/// the view the paper highlights for finding optimization candidates.
 fn loops_table_rows(out: &mut String, loops: &[LoopStats], total_cycles: u64, limit: usize) {
     let _ = writeln!(
         out,
@@ -121,13 +109,7 @@ fn loops_table_rows(out: &mut String, loops: &[LoopStats], total_cycles: u64, li
     }
 }
 
-/// Renders the source-line table.
-pub fn lines_table(analysis: &Analysis, limit: usize) -> String {
-    let mut out = String::new();
-    lines_table_rows(&mut out, analysis.lines(), analysis.total_cycles, limit);
-    out
-}
-
+/// Appends the source-line table to `out`.
 fn lines_table_rows(out: &mut String, lines: &[LineStats], total_cycles: u64, limit: usize) {
     let _ = writeln!(
         out,
