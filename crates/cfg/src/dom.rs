@@ -24,7 +24,7 @@ impl Dominators {
         // Reverse postorder over the reachable subgraph; `order_of` marks a
         // block visited before it receives its position.
         let mut order_of = vec![NONE; cfg.blocks.len()];
-        let mut rpo = Vec::new();
+        let mut rpo = Vec::with_capacity(cfg.blocks.len());
         let mut stack: Vec<(BlockId, usize)> = vec![(entry, 0)];
         order_of[entry] = 0;
         while let Some(&mut (node, ref mut next)) = stack.last_mut() {

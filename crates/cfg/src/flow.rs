@@ -472,11 +472,6 @@ impl<'a> BlockCounts<'a> {
         }
     }
 
-    /// Per-instruction execution counts, as [`CountsProfile::insn_counts`].
-    pub fn insn_counts(&self) -> FastMap<CodeLoc, u64> {
-        self.profile.insn_counts_with(|i| self.count(i))
-    }
-
     /// Total dynamic instructions (sum of block count × len).
     pub fn total_insns(&self) -> u64 {
         (0..self.profile.blocks.len())

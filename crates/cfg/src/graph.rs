@@ -117,35 +117,63 @@ pub fn build_cfg(module_id: ModuleId, module: &Module, counts: &BlockCounts<'_>)
     // 1. Per-instruction execution counts and terminator aggregation, for
     //    this module only.
     let profile = counts.profile();
-    let mut insn_count: Vec<(u64, u64)> = Vec::new();
-    let mut terms: FastMap<u64, TermAgg> = FastMap::default();
-    let mut leaders: Vec<u64> = Vec::new();
+    let ours = profile
+        .blocks
+        .iter()
+        .filter(|b| b.entry.module == module_id)
+        .count();
+    let mut spans: Vec<(u64, u32, u64)> = Vec::with_capacity(ours);
+    // (terminator offset, block index) of every block.
+    let mut ends: Vec<(u64, usize)> = Vec::with_capacity(ours);
+    // A block's start, and its terminator's direct target and fall-through.
+    let mut leaders: Vec<u64> = Vec::with_capacity(3 * ours);
 
     for (k, b) in profile.blocks.iter().enumerate() {
         if b.entry.module != module_id {
             continue;
         }
-        let count = counts.count(k);
         leaders.push(b.entry.offset);
-        insn_count.extend((0..b.len as u64).map(|i| (b.entry.offset + i * INSN_BYTES, count)));
-        let term_offset = b.entry.offset + (b.len as u64 - 1) * INSN_BYTES;
-        let agg = terms.entry(term_offset).or_insert_with(|| TermAgg {
-            kind: b.term,
-            count: 0,
-            fallthrough: 0,
-            direct_target: b.direct_target,
-            targets: Vec::new(),
-        });
-        agg.count += count;
+        spans.push((b.entry.offset, b.len, counts.count(k)));
+        ends.push((b.entry.offset + (b.len as u64 - 1) * INSN_BYTES, k));
+    }
+    // One aggregate per terminator, sorted by offset. Blocks sharing one
+    // sum their counts; the first in profile order gives its kind and
+    // direct target.
+    ends.sort_unstable();
+    let mut terms: Vec<(u64, TermAgg)> = Vec::with_capacity(ends.len());
+    for (offset, k) in ends {
+        let b = &profile.blocks[k];
+        if terms.last().is_none_or(|&(last, _)| last != offset) {
+            terms.push((
+                offset,
+                TermAgg {
+                    kind: b.term,
+                    count: 0,
+                    fallthrough: 0,
+                    direct_target: b.direct_target,
+                    targets: Vec::new(),
+                },
+            ));
+        }
+        let agg = &mut terms.last_mut().expect("pushed above").1;
+        agg.count += counts.count(k);
         agg.fallthrough += counts.fallthrough(k);
         agg.targets.extend_from_slice(&b.targets);
     }
-    // Overlapping blocks sum per instruction and per indirect target.
+    // Overlapping blocks sum per instruction and per indirect target. The
+    // blocks go in by start offset, so the sort mostly finds sorted runs.
+    spans.sort_unstable_by_key(|&(start, _, _)| start);
+    let mut insn_count: Vec<(u64, u64)> =
+        Vec::with_capacity(spans.iter().map(|&(_, len, _)| len as usize).sum());
+    for (start, len, count) in spans {
+        insn_count.extend((0..len as u64).map(|i| (start + i * INSN_BYTES, count)));
+    }
     merge_sorted(&mut insn_count);
 
     // Branch targets are leaders too (same-module only), as are the
     // fall-through successors of conditional branches, calls and syscalls.
     for (offset, agg) in &mut terms {
+        let offset = *offset;
         merge_sorted(&mut agg.targets);
         if let Some(t) = agg.direct_target {
             if t.module == module_id {
@@ -172,22 +200,30 @@ pub fn build_cfg(module_id: ModuleId, module: &Module, counts: &BlockCounts<'_>)
     leaders.sort_unstable();
     leaders.dedup();
 
-    // 2. Carve executed instructions into compiler blocks.
-    let mut blocks: Vec<CfgBlock> = Vec::new();
+    // 2. Carve executed instructions into compiler blocks. The offsets
+    //    tested only grow, so one cursor into each sorted list finds them.
+    let (mut terms_at, mut leaders_at) = (
+        terms.iter().map(|&(offset, _)| offset).peekable(),
+        leaders.iter().copied().peekable(),
+    );
+    // Usually one block per leader.
+    let mut blocks: Vec<CfgBlock> = Vec::with_capacity(leaders.len());
     let mut i = 0;
     while i < insn_count.len() {
         let (start, count) = insn_count[i];
         let mut len = 1u32;
         loop {
             let here = insn_count[i + len as usize - 1].0;
-            if terms.contains_key(&here) {
+            while terms_at.next_if(|&t| t < here).is_some() {}
+            if terms_at.peek() == Some(&here) {
                 break; // terminator ends the block
             }
             let next = start + len as u64 * INSN_BYTES;
             if i + (len as usize) >= insn_count.len() || insn_count[i + len as usize].0 != next {
                 break; // next instruction never executed
             }
-            if leaders.binary_search(&next).is_ok() {
+            while leaders_at.next_if(|&l| l < next).is_some() {}
+            if leaders_at.peek() == Some(&next) {
                 break; // split point
             }
             len += 1;
@@ -255,7 +291,7 @@ pub fn build_cfg(module_id: ModuleId, module: &Module, counts: &BlockCounts<'_>)
             block_starting(blocks, target).filter(|&t| blocks[t].function == fidx)
         };
         let term_offset = block.terminator_offset();
-        let Some(agg) = terms.get(&term_offset) else {
+        let Ok(at) = terms.binary_search_by_key(&term_offset, |&(offset, _)| offset) else {
             // Block split by a leader: unconditional fall-through.
             if let Some(next) = block_starting(&blocks, block.end()) {
                 if blocks[next].function == fidx {
@@ -264,6 +300,7 @@ pub fn build_cfg(module_id: ModuleId, module: &Module, counts: &BlockCounts<'_>)
             }
             continue;
         };
+        let agg = &terms[at].1;
         match agg.kind {
             TermKind::DirectJump => {
                 if let Some(t) = agg.direct_target {

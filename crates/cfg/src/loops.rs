@@ -6,7 +6,7 @@
 //! and which are merely different control paths of one program loop
 //! (figure 6 / Table I).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::dom::Dominators;
 use crate::graph::{BlockId, Cfg};
@@ -19,8 +19,9 @@ pub const MERGE_THRESHOLD: u64 = 3;
 pub struct Loop {
     /// Loop header block.
     pub header: BlockId,
-    /// Blocks in the loop body (header included).
-    pub body: BTreeSet<BlockId>,
+    /// Blocks in the loop body (header included), sorted ascending with no
+    /// repeats.
+    pub body: Vec<BlockId>,
     /// Total traversals of this loop's back edges (≈ iteration count).
     pub back_edge_freq: u64,
     /// Function index in the CFG.
@@ -32,6 +33,16 @@ pub struct Loop {
 }
 
 impl Loop {
+    /// Whether `block` is in the loop body.
+    pub fn contains(&self, block: BlockId) -> bool {
+        self.body.binary_search(&block).is_ok()
+    }
+
+    /// Whether every block of this loop's body is in `other`'s.
+    pub fn is_within(&self, other: &Loop) -> bool {
+        is_subset(&self.body, &other.body)
+    }
+
     /// Times the loop was entered from outside its body: header executions
     /// minus arrivals from inside the body. For loops sharing a header with
     /// a nested loop this correctly discounts the *inner* loop's back edges
@@ -40,7 +51,7 @@ impl Loop {
         let header_count = cfg.blocks[self.header].count;
         let mut from_inside = 0;
         for &p in &cfg.blocks[self.header].preds {
-            if self.body.contains(&p) {
+            if self.contains(p) {
                 from_inside += cfg.blocks[p]
                     .succs
                     .iter()
@@ -69,7 +80,7 @@ impl Loop {
 struct RawLoop {
     header: BlockId,
     tail: BlockId,
-    body: BTreeSet<BlockId>,
+    body: Vec<BlockId>,
     back_edge_freq: u64,
 }
 
@@ -105,29 +116,34 @@ impl LoopForest {
     /// weight. In that case the block belongs to the smallest containing
     /// loop and only its strict supersets.
     pub fn loops_containing(&self, block: BlockId) -> Vec<usize> {
-        let mut ids: Vec<usize> = self
-            .loops
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.body.contains(&block))
-            .map(|(i, _)| i)
-            .collect();
+        let mut chain = Vec::new();
+        self.extend_loops_containing(block, &mut chain);
+        chain
+    }
+
+    /// Appends [`LoopForest::loops_containing`] to `out`, so that one buffer
+    /// can hold the chains of many blocks.
+    pub fn extend_loops_containing(&self, block: BlockId, out: &mut Vec<usize>) {
+        let start = out.len();
+        out.extend((0..self.loops.len()).filter(|&i| self.loops[i].contains(block)));
         // Innermost = smallest body. Stable sort keeps declaration order for
         // equal sizes, so the winner among same-size overlapping bodies is
         // deterministic.
-        ids.sort_by_key(|&i| self.loops[i].body.len());
+        out[start..].sort_by_key(|&i| self.loops[i].body.len());
         // Keep only loops nesting everything already kept: each block is
         // attributed to exactly one loop per nesting level.
-        let mut chain: Vec<usize> = Vec::with_capacity(ids.len());
-        for id in ids {
-            if chain
+        let mut kept = start;
+        for k in start..out.len() {
+            let id = out[k];
+            if out[start..kept]
                 .iter()
-                .all(|&kept| self.loops[id].body.is_superset(&self.loops[kept].body))
+                .all(|&inner| self.loops[inner].is_within(&self.loops[id]))
             {
-                chain.push(id);
+                out[kept] = id;
+                kept += 1;
             }
         }
-        chain
+        out.truncate(kept);
     }
 
     /// The innermost loop containing the block.
@@ -153,7 +169,7 @@ impl LoopForest {
             for j in i + 1..self.loops.len() {
                 let a = &self.loops[i].body;
                 let b = &self.loops[j].body;
-                let inter = a.intersection(b).count();
+                let inter = intersection_len(a, b);
                 if inter != 0 && inter != a.len().min(b.len()) {
                     return Err(format!(
                         "loops {i} (header {}) and {j} (header {}) partially \
@@ -172,7 +188,7 @@ impl LoopForest {
                 return Err(format!("loop {i} is its own parent"));
             }
             let parent = &self.loops[p];
-            if !parent.body.is_superset(&l.body) {
+            if !l.is_within(parent) {
                 return Err(format!("parent {p} of loop {i} does not contain its body"));
             }
             if parent.depth >= l.depth {
@@ -197,7 +213,7 @@ impl LoopForest {
             let mut exclusive_total = 0usize;
             let mut prev_len = 0usize;
             for (k, &i) in ids.iter().enumerate() {
-                if k > 0 && !self.loops[i].body.is_superset(&self.loops[ids[k - 1]].body) {
+                if k > 0 && !self.loops[ids[k - 1]].is_within(&self.loops[i]) {
                     return Err(format!(
                         "header {header}: split levels {} and {i} are not nested",
                         ids[k - 1]
@@ -222,6 +238,18 @@ impl LoopForest {
 /// threshold `t` (pass [`MERGE_THRESHOLD`] for the paper's value; `None`
 /// disables merging, yielding one loop per back edge).
 pub fn find_loops(cfg: &Cfg, dom: &Dominators, function: usize, t: Option<u64>) -> LoopForest {
+    find_loops_with(cfg, dom, function, t, &mut BodyScratch::default())
+}
+
+/// [`find_loops`] with the natural-loop scratch space of a caller that
+/// analyses several functions of one CFG.
+fn find_loops_with(
+    cfg: &Cfg,
+    dom: &Dominators,
+    function: usize,
+    t: Option<u64>,
+    scratch: &mut BodyScratch,
+) -> LoopForest {
     // 1. Back edges: u -> v where v dominates u.
     let mut raw: Vec<RawLoop> = Vec::new();
     for &u in &cfg.functions[function].blocks {
@@ -230,7 +258,7 @@ pub fn find_loops(cfg: &Cfg, dom: &Dominators, function: usize, t: Option<u64>) 
         }
         for &(v, freq) in &cfg.blocks[u].succs {
             if dom.dominates(v, u) {
-                let body = natural_loop_body(cfg, v, u);
+                let body = natural_loop_body(cfg, v, u, scratch);
                 raw.push(RawLoop {
                     header: v,
                     tail: u,
@@ -280,7 +308,7 @@ pub fn find_loops(cfg: &Cfg, dom: &Dominators, function: usize, t: Option<u64>) 
                     .iter()
                     .filter(|&&(j, _)| {
                         j != i
-                            && raw[i].body.is_subset(&raw[j].body)
+                            && is_subset(&raw[i].body, &raw[j].body)
                             && raw[i].body.len() < raw[j].body.len()
                     })
                     .map(|&(j, _)| raw[j].back_edge_freq)
@@ -296,12 +324,14 @@ pub fn find_loops(cfg: &Cfg, dom: &Dominators, function: usize, t: Option<u64>) 
                 current.push(remaining.remove(0));
             }
             // The union of `current` is this level's program loop.
-            let mut body = BTreeSet::new();
+            let mut body = Vec::new();
             let mut freq = 0;
             for &(i, _) in &current {
-                body.extend(raw[i].body.iter().copied());
+                body.extend_from_slice(&raw[i].body);
                 freq += raw[i].back_edge_freq;
             }
+            body.sort_unstable();
+            body.dedup();
             merge_trace.push(MergeIteration {
                 header,
                 merged_tails: current.iter().map(|&(_, t)| t).collect(),
@@ -332,7 +362,7 @@ pub fn find_loops(cfg: &Cfg, dom: &Dominators, function: usize, t: Option<u64>) 
             let (small, big) = (&merged[i], &merged[j]);
             let strict = small.body.len() < big.body.len()
                 || (small.body.len() == big.body.len() && small.header != big.header);
-            if strict && small.body.is_subset(&big.body) {
+            if strict && small.is_within(big) {
                 let better = match best {
                     None => true,
                     Some(b) => merged[j].body.len() < merged[b].body.len(),
@@ -366,32 +396,79 @@ pub fn find_loops(cfg: &Cfg, dom: &Dominators, function: usize, t: Option<u64>) 
     }
 }
 
+/// Scratch space of [`natural_loop_body`], reused across the back edges of
+/// one CFG.
+#[derive(Default)]
+struct BodyScratch {
+    stack: Vec<BlockId>,
+    /// `mark[block] == round` once `block` joined the current body.
+    mark: Vec<usize>,
+    round: usize,
+}
+
 /// Standard natural-loop body: all blocks that reach `tail` without passing
-/// through `header`, plus the header.
-fn natural_loop_body(cfg: &Cfg, header: BlockId, tail: BlockId) -> BTreeSet<BlockId> {
-    let mut body: BTreeSet<BlockId> = BTreeSet::new();
-    body.insert(header);
-    let mut stack = vec![tail];
+/// through `header`, plus the header, sorted.
+fn natural_loop_body(
+    cfg: &Cfg,
+    header: BlockId,
+    tail: BlockId,
+    scratch: &mut BodyScratch,
+) -> Vec<BlockId> {
+    scratch.mark.resize(cfg.blocks.len(), 0);
+    scratch.round += 1;
+    let BodyScratch { stack, mark, round } = scratch;
+    mark[header] = *round;
+    let mut body = vec![header];
+    stack.clear();
+    stack.push(tail);
     while let Some(b) = stack.pop() {
-        if body.insert(b) {
-            for &p in &cfg.blocks[b].preds {
-                stack.push(p);
+        if mark[b] != *round {
+            mark[b] = *round;
+            body.push(b);
+            stack.extend_from_slice(&cfg.blocks[b].preds);
+        }
+    }
+    body.sort_unstable();
+    body
+}
+
+/// Whether sorted `small` is a subset of sorted `big`, by one merge walk.
+fn is_subset(small: &[BlockId], big: &[BlockId]) -> bool {
+    if small.len() > big.len() {
+        return false;
+    }
+    let mut rest = big.iter();
+    small.iter().all(|b| rest.find(|&x| x >= b) == Some(b))
+}
+
+/// Number of blocks two sorted bodies share.
+fn intersection_len(a: &[BlockId], b: &[BlockId]) -> usize {
+    let (mut i, mut j, mut shared) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                shared += 1;
+                i += 1;
+                j += 1;
             }
         }
     }
-    body
+    shared
 }
 
 /// Convenience: loop analysis for every function of a CFG, with the paper's
 /// merge threshold.
 pub fn find_all_loops(cfg: &Cfg, t: Option<u64>) -> Vec<LoopForest> {
+    let mut scratch = BodyScratch::default();
     cfg.functions
         .iter()
         .enumerate()
         .map(|(fidx, f)| match f.entry {
             Some(entry) => {
                 let dom = Dominators::compute(cfg, entry);
-                find_loops(cfg, &dom, fidx, t)
+                find_loops_with(cfg, &dom, fidx, t, &mut scratch)
             }
             None => LoopForest::default(),
         })
@@ -619,7 +696,7 @@ mod tests {
             let containing = f.loops_containing(b);
             for w in containing.windows(2) {
                 assert!(
-                    f.loops[w[1]].body.is_superset(&f.loops[w[0]].body),
+                    f.loops[w[0]].is_within(&f.loops[w[1]]),
                     "block {b}: loops {containing:?} are not a nesting chain"
                 );
             }
@@ -682,7 +759,7 @@ mod tests {
     fn check_laminar_rejects_partial_overlap_and_bad_parents() {
         let mk = |body: &[BlockId], parent, depth| Loop {
             header: body[0],
-            body: body.iter().copied().collect(),
+            body: body.to_vec(),
             back_edge_freq: 1,
             function: 0,
             parent,
@@ -706,6 +783,51 @@ mod tests {
             merge_trace: vec![],
         };
         assert!(f.check_laminar().unwrap_err().contains("shallower"));
+    }
+
+    #[test]
+    fn sorted_body_set_operations() {
+        assert!(is_subset(&[], &[1, 2]));
+        assert!(is_subset(&[2, 5], &[1, 2, 3, 5]));
+        assert!(!is_subset(&[2, 4], &[1, 2, 3, 5]));
+        assert!(!is_subset(&[1, 2, 3], &[1, 2]));
+        assert!(!is_subset(&[6], &[1, 2, 3, 5]));
+        assert_eq!(intersection_len(&[0, 1, 2], &[2, 3]), 1);
+        assert_eq!(intersection_len(&[0, 2, 4, 6], &[1, 2, 3, 4, 6, 9]), 3);
+        assert_eq!(intersection_len(&[], &[1]), 0);
+    }
+
+    #[test]
+    fn loop_bodies_are_sorted_without_repeats() {
+        let cfg = cfg_of(
+            r#"
+            .func _start global
+                li x8, 30
+                li x9, 0
+            head:
+                subi x8, x8, 1
+                andi x1, x8, 1
+                beq x1, x9, even
+                bne x8, x9, head
+                jmp done
+            even:
+                addi x2, x2, 1
+                bne x8, x9, head
+            done:
+                li x0, 0
+                syscall
+            .endfunc
+            .entry _start
+            "#,
+        );
+        for t in [None, Some(MERGE_THRESHOLD)] {
+            for f in find_all_loops(&cfg, t) {
+                for l in &f.loops {
+                    assert!(l.body.windows(2).all(|w| w[0] < w[1]), "{:?}", l.body);
+                    assert!(l.contains(l.header));
+                }
+            }
+        }
     }
 
     #[test]

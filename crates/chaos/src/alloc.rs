@@ -1,7 +1,8 @@
 //! Allocation tracking for the fuzz engine's resource-budget invariant.
 //!
 //! [`TrackingAllocator`] wraps the system allocator and keeps *per-thread*
-//! counters of live and peak allocated bytes. Binaries that want the fuzz
+//! counters of live and peak allocated bytes, and of allocation and
+//! reallocation calls. Binaries that want the fuzz
 //! engine's allocation invariant enforced install it as their
 //! `#[global_allocator]`; when it is not installed the counters simply
 //! never move and the engine skips the check (detected by
@@ -30,6 +31,14 @@ thread_local! {
     /// [`CURRENT`] at the last [`reset_peak`]: the baseline that
     /// [`peak`] measures growth against.
     static BASELINE: Cell<u64> = const { Cell::new(0) };
+    /// Successful `alloc`/`alloc_zeroed` calls made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Successful `realloc` calls made by this thread.
+    static REALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+    counter.with(|n| n.set(n.get() + 1));
 }
 
 fn grow(bytes: u64) {
@@ -53,6 +62,7 @@ unsafe impl GlobalAlloc for TrackingAllocator {
         let p = System.alloc(layout);
         if !p.is_null() {
             grow(layout.size() as u64);
+            bump(&ALLOCATIONS);
         }
         p
     }
@@ -61,6 +71,7 @@ unsafe impl GlobalAlloc for TrackingAllocator {
         let p = System.alloc_zeroed(layout);
         if !p.is_null() {
             grow(layout.size() as u64);
+            bump(&ALLOCATIONS);
         }
         p
     }
@@ -75,6 +86,7 @@ unsafe impl GlobalAlloc for TrackingAllocator {
         if !p.is_null() {
             shrink(layout.size() as u64);
             grow(new_size as u64);
+            bump(&REALLOCATIONS);
         }
         p
     }
@@ -96,6 +108,19 @@ pub fn peak() -> u64 {
     let high = PEAK.with(Cell::get);
     let base = BASELINE.with(Cell::get);
     high.saturating_sub(base)
+}
+
+/// Allocations (`alloc` and `alloc_zeroed` calls) the calling thread has
+/// made since it started; the difference of two readings counts the calls
+/// between them. Zero when [`TrackingAllocator`] is not installed.
+pub fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Reallocations the calling thread has made since it started, read like
+/// [`allocations`].
+pub fn reallocations() -> u64 {
+    REALLOCATIONS.with(Cell::get)
 }
 
 /// Whether the tracking allocator is actually installed in this binary,

@@ -285,6 +285,28 @@ mod tests {
     }
 
     #[test]
+    fn allocation_and_reallocation_calls_are_counted_per_thread() {
+        let (a0, r0) = (alloc::allocations(), alloc::reallocations());
+        let mut v: Vec<u64> = Vec::with_capacity(1);
+        v.extend(0..100);
+        let boxed = std::hint::black_box(Box::new(7u64));
+        assert_eq!(alloc::allocations() - a0, 2);
+        assert!(alloc::reallocations() - r0 >= 1);
+        drop((v, boxed));
+        // Each thread counts its own calls from zero.
+        let on_thread = std::thread::scope(|s| {
+            s.spawn(|| {
+                let (a, r) = (alloc::allocations(), alloc::reallocations());
+                std::hint::black_box(vec![0u8; 64]);
+                (alloc::allocations() - a, alloc::reallocations() - r)
+            })
+            .join()
+            .expect("thread runs")
+        });
+        assert_eq!(on_thread, (1, 0));
+    }
+
+    #[test]
     fn allocation_bombs_are_caught_when_tracking_is_installed() {
         assert!(
             alloc::tracking_installed(),

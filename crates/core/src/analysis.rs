@@ -12,8 +12,8 @@ use std::collections::HashSet;
 use wiser_cfg::{build_cfg, find_all_loops, BlockCounts, Cfg, LoopForest, MERGE_THRESHOLD};
 use wiser_dbi::CountsProfile;
 use wiser_isa::{symbolized, Disassembly, Module, INSN_BYTES};
-use wiser_sampler::SampleProfile;
-use wiser_sim::{CodeLoc, FastMap, FastSet, ModuleId, TruncationReason};
+use wiser_sampler::{Sample, SampleProfile};
+use wiser_sim::{CodeLoc, FastMap, ModuleId, TruncationReason};
 
 use crate::error::OptiwiseError;
 use crate::types::{Coverage, FuncStats, InsnRow, LineStats, LoopStats};
@@ -121,12 +121,96 @@ impl ModuleAnalysis {
     }
 }
 
+/// What the two profiles say about one instruction.
+#[derive(Clone, Copy, Debug, Default)]
+struct InsnSlot {
+    /// Summed execution count; `None` when no counted block covers it.
+    count: Option<u64>,
+    /// Samples on it.
+    samples: u64,
+    /// Their summed weight.
+    cycles: u64,
+}
+
+impl InsnSlot {
+    fn add(&mut self, other: &InsnSlot) {
+        if let Some(c) = other.count {
+            self.count = Some(self.count.unwrap_or(0) + c);
+        }
+        self.samples += other.samples;
+        self.cycles += other.cycles;
+    }
+
+    fn is_empty(&self) -> bool {
+        self.count.is_none() && self.samples == 0
+    }
+}
+
+/// Per-instruction counts and samples: one slot per instruction of each
+/// analysed module's text, and a map for any location outside them (a
+/// profile may name a misaligned offset, one past a module's text, or a
+/// module the analysis lacks).
+struct InsnTable {
+    /// `dense[module][offset / INSN_BYTES]`.
+    dense: Vec<Vec<InsnSlot>>,
+    stray: FastMap<CodeLoc, InsnSlot>,
+}
+
+impl InsnTable {
+    fn new(mods: &[ModuleAnalysis]) -> InsnTable {
+        InsnTable {
+            dense: mods
+                .iter()
+                .map(|m| vec![InsnSlot::default(); m.module.insn_count() as usize])
+                .collect(),
+            stray: FastMap::default(),
+        }
+    }
+
+    fn index(&self, loc: CodeLoc) -> Option<(usize, usize)> {
+        let slots = self.dense.get(loc.module.0 as usize)?;
+        let i = usize::try_from(loc.offset / INSN_BYTES).ok()?;
+        (loc.offset.is_multiple_of(INSN_BYTES) && i < slots.len())
+            .then_some((loc.module.0 as usize, i))
+    }
+
+    fn slot_mut(&mut self, loc: CodeLoc) -> &mut InsnSlot {
+        match self.index(loc) {
+            Some((m, i)) => &mut self.dense[m][i],
+            None => self.stray.entry(loc).or_default(),
+        }
+    }
+
+    fn get(&self, loc: CodeLoc) -> InsnSlot {
+        match self.index(loc) {
+            Some((m, i)) => self.dense[m][i],
+            None => self.stray.get(&loc).copied().unwrap_or_default(),
+        }
+    }
+
+    /// Every counted or sampled location: the modules' instructions in
+    /// module and offset order, then the stray ones in map order.
+    fn iter(&self) -> impl Iterator<Item = (CodeLoc, &InsnSlot)> {
+        let dense = self.dense.iter().enumerate().flat_map(|(m, slots)| {
+            slots.iter().enumerate().map(move |(i, slot)| {
+                let loc = CodeLoc {
+                    module: ModuleId(m as u32),
+                    offset: i as u64 * INSN_BYTES,
+                };
+                (loc, slot)
+            })
+        });
+        dense
+            .chain(self.stray.iter().map(|(&loc, slot)| (loc, slot)))
+            .filter(|(_, slot)| !slot.is_empty())
+    }
+}
+
 /// The fused OptiWISE analysis result.
 pub struct Analysis {
     /// Per-module artifacts, indexed by module id.
     pub modules: Vec<ModuleAnalysis>,
-    insn_counts: FastMap<CodeLoc, u64>,
-    insn_samples: FastMap<CodeLoc, (u64, u64)>,
+    insns: InsnTable,
     funcs: Vec<FuncStats>,
     loops: Vec<LoopStats>,
     lines: Vec<LineStats>,
@@ -292,24 +376,65 @@ impl Analysis {
             };
         let mods: Vec<ModuleAnalysis> = shards.into_iter().collect::<Result<_, _>>()?;
 
-        let insn_counts: FastMap<CodeLoc, u64> = counts.insn_counts();
-        let insn_samples = samples.by_location();
+        // Per-instruction execution counts: overlapping blocks sum.
+        let mut insns = InsnTable::new(&mods);
+        for (k, b) in counts.profile().blocks.iter().enumerate() {
+            let n = counts.count(k);
+            for i in 0..b.len as u64 {
+                let slot = insns.slot_mut(CodeLoc {
+                    module: b.entry.module,
+                    offset: b.entry.offset + i * INSN_BYTES,
+                });
+                slot.count = Some(slot.count.unwrap_or(0) + n);
+            }
+        }
+        // Samples grouped by chain (the sampled location, then its call
+        // stack) with their summed weight and count. Every credit below is
+        // a sum, and what a sample credits depends on its chain alone, so
+        // attributing each distinct chain once is exact.
+        let chains = group_chains(&samples.samples);
+        for c in &chains {
+            let slot = insns.slot_mut(c.sample.loc);
+            slot.samples += c.samples;
+            slot.cycles += c.weight;
+        }
 
         // ---- function table ------------------------------------------------
         // One map per module from function name to index in `funcs`. A
         // symbol's name is borrowed from the module, so a lookup allocates
         // nothing; a name is copied only when its function is first seen.
+        // An instruction's function symbol comes from a per-module table,
+        // and a symbol's function id is kept once its name was looked up.
         let mut func_ids: Vec<FastMap<Cow<'_, str>, usize>> =
             mods.iter().map(|_| FastMap::default()).collect();
+        let symbol_by_insn: Vec<Vec<Option<u32>>> = mods
+            .iter()
+            .map(|m| m.module.function_index_by_insn())
+            .collect();
+        let mut fid_by_symbol: Vec<Vec<Option<usize>>> = mods
+            .iter()
+            .map(|m| vec![None; m.module.symbols.len()])
+            .collect();
         let mut funcs: Vec<FuncStats> = Vec::new();
         let mut func_of = |funcs: &mut Vec<FuncStats>, loc: CodeLoc| -> Option<usize> {
-            let m = mods.get(loc.module.0 as usize)?;
-            let ids = &mut func_ids[loc.module.0 as usize];
-            let name = match m.module.function_at(loc.offset) {
-                Some(sym) => Cow::Borrowed(sym.name.as_str()),
+            let mi = loc.module.0 as usize;
+            let m = mods.get(mi)?;
+            let symbol = match insns.index(loc) {
+                Some((_, i)) => symbol_by_insn[mi][i].map(|k| k as usize),
+                None => m.module.function_index_at(loc.offset),
+            };
+            if let Some(fid) = symbol.and_then(|k| fid_by_symbol[mi][k]) {
+                return Some(fid);
+            }
+            let ids = &mut func_ids[mi];
+            let name = match symbol {
+                Some(k) => Cow::Borrowed(m.module.symbols[k].name.as_str()),
                 None => Cow::Owned(format!("<anon@{:#x}>", loc.offset)),
             };
             if let Some(&fid) = ids.get(&*name) {
+                if let Some(k) = symbol {
+                    fid_by_symbol[mi][k] = Some(fid);
+                }
                 return Some(fid);
             }
             // Coverage is decided by the pre-run instrumentation plan,
@@ -336,13 +461,18 @@ impl Analysis {
                 coverage,
             });
             ids.insert(name, funcs.len() - 1);
+            if let Some(k) = symbol {
+                fid_by_symbol[mi][k] = Some(funcs.len() - 1);
+            }
             Some(funcs.len() - 1)
         };
 
         // Execution counts per function.
-        for (&loc, &count) in &insn_counts {
-            if let Some(fid) = func_of(&mut funcs, loc) {
-                funcs[fid].self_insns += count;
+        for (loc, slot) in insns.iter() {
+            if let Some(count) = slot.count {
+                if let Some(fid) = func_of(&mut funcs, loc) {
+                    funcs[fid].self_insns += count;
+                }
             }
         }
         // Callee instruction totals attributed to the calling function.
@@ -356,14 +486,16 @@ impl Analysis {
         }
 
         // ---- loop table ----------------------------------------------------
-        // Flatten forests into a global list; map (module, function, local
-        // loop index) -> global index.
-        let mut loop_ids: FastMap<(u32, usize, usize), usize> = FastMap::default();
+        // Flatten forests into a global list, forest by forest: local loop
+        // `li` of function `fi` in module `mi` gets global index
+        // `loop_base[mi][fi] + li`.
+        let mut loop_base: Vec<Vec<usize>> = Vec::with_capacity(mods.len());
         let mut loops: Vec<LoopStats> = Vec::new();
         for (mi, m) in mods.iter().enumerate() {
-            for (fi, forest) in m.forests.iter().enumerate() {
-                for (li, l) in forest.loops.iter().enumerate() {
-                    loop_ids.insert((mi as u32, fi, li), loops.len());
+            let mut bases = Vec::with_capacity(m.forests.len());
+            for forest in &m.forests {
+                bases.push(loops.len());
+                for l in &forest.loops {
                     // Body instruction total and callee totals.
                     let mut body_insns = 0;
                     let mut callee_insns = 0;
@@ -413,41 +545,47 @@ impl Analysis {
                     });
                 }
             }
+            loop_base.push(bases);
         }
         // Parent pointers to global indices.
         for (mi, m) in mods.iter().enumerate() {
             for (fi, forest) in m.forests.iter().enumerate() {
+                let base = loop_base[mi][fi];
                 for (li, l) in forest.loops.iter().enumerate() {
                     if let Some(p) = l.parent {
-                        let gid = loop_ids[&(mi as u32, fi, li)];
-                        loops[gid].parent = loop_ids.get(&(mi as u32, fi, p)).copied();
+                        loops[base + li].parent = (p < forest.loops.len()).then_some(base + p);
                     }
                 }
             }
         }
 
         // ---- sample attribution via stacks ----------------------------------
+        // Once per distinct chain, crediting its summed weight and count.
+        // What a chain has credited is marked with its number, so the
+        // most-recent-instance rule is a property of the chain and folding
+        // samples keeps it.
         let mut total_cycles = 0;
-        let mut seen_funcs: FastSet<(u32, usize)> = FastSet::default();
-        let mut credited_fids: FastSet<usize> = FastSet::default();
-        let mut credited_loops: FastSet<usize> = FastSet::default();
-        // Global ids of the loops a block is credited to, innermost first,
-        // by (module, block): many samples share a block.
-        let mut chains: FastMap<(u32, usize), Vec<usize>> = FastMap::default();
-        // Function ids by location, looked up where `func_of` would be
-        // called: many samples share a location, and an id never changes.
-        let mut fid_at: FastMap<CodeLoc, Option<usize>> = FastMap::default();
-        let mut fid_of = |funcs: &mut Vec<FuncStats>, loc: CodeLoc| {
-            *fid_at.entry(loc).or_insert_with(|| func_of(funcs, loc))
-        };
-        for s in &samples.samples {
-            total_cycles += s.weight;
-            seen_funcs.clear();
-            credited_fids.clear();
-            credited_loops.clear();
+        let mut seen_funcs: Vec<Vec<u64>> = mods
+            .iter()
+            .map(|m| vec![0; m.cfg.functions.len()])
+            .collect();
+        // Functions first seen here take the next id, so this grows one
+        // slot at a time and allocates the same whatever order the chains
+        // come in.
+        let mut credited_fids: Vec<u64> = vec![0; funcs.len()];
+        let mut credited_loops: Vec<u64> = vec![0; loops.len()];
+        // Global ids of the loops a block is credited to, innermost first:
+        // `loop_chains[start..end]` for the range cached per block.
+        let mut loop_chains: Vec<usize> = Vec::new();
+        let mut chain_at: Vec<Vec<Option<(usize, usize)>>> = mods
+            .iter()
+            .map(|m| vec![None; m.cfg.blocks.len()])
+            .collect();
+        for (chain_no, c) in (1..).zip(&chains) {
+            let (weight, n) = (c.weight, c.samples);
+            total_cycles += weight;
             // Chain: sample PC first, then call sites innermost-first.
-            let chain = std::iter::once(s.loc).chain(s.stack.iter().rev().copied());
-            for (depth, loc) in chain.enumerate() {
+            for (depth, loc) in chain_of(c.sample).enumerate() {
                 let Some(m) = mods.get(loc.module.0 as usize) else {
                     continue;
                 };
@@ -455,11 +593,11 @@ impl Analysis {
                     // Sample in cold code (sampling skid); functions still
                     // get self-credit below.
                     if depth == 0 {
-                        if let Some(fid) = fid_of(&mut funcs, loc) {
-                            funcs[fid].self_cycles += s.weight;
-                            funcs[fid].self_samples += 1;
-                            if credited_fids.insert(fid) {
-                                funcs[fid].incl_cycles += s.weight;
+                        if let Some(fid) = func_of(&mut funcs, loc) {
+                            funcs[fid].self_cycles += weight;
+                            funcs[fid].self_samples += n;
+                            if first_in_chain(&mut credited_fids, fid, chain_no) {
+                                funcs[fid].incl_cycles += weight;
                             }
                         }
                     }
@@ -469,29 +607,32 @@ impl Analysis {
                 // Most-recent-instance rule for recursion (§IV-D): later
                 // (outer) occurrences of an already-seen function do not
                 // receive inclusive credit again.
-                if !seen_funcs.insert((loc.module.0, fidx)) {
+                if !first_in_chain(&mut seen_funcs[loc.module.0 as usize], fidx, chain_no) {
                     continue;
                 }
-                if let Some(fid) = fid_of(&mut funcs, loc) {
+                if let Some(fid) = func_of(&mut funcs, loc) {
                     if depth == 0 {
-                        funcs[fid].self_cycles += s.weight;
-                        funcs[fid].self_samples += 1;
+                        funcs[fid].self_cycles += weight;
+                        funcs[fid].self_samples += n;
                     }
-                    if credited_fids.insert(fid) {
-                        funcs[fid].incl_cycles += s.weight;
+                    if first_in_chain(&mut credited_fids, fid, chain_no) {
+                        funcs[fid].incl_cycles += weight;
                     }
                 }
-                let chain = chains.entry((loc.module.0, block)).or_insert_with(|| {
-                    m.forests[fidx]
-                        .loops_containing(block)
-                        .into_iter()
-                        .map(|li| loop_ids[&(loc.module.0, fidx, li)])
-                        .collect()
-                });
-                for &gid in chain.iter() {
-                    if credited_loops.insert(gid) {
-                        loops[gid].cycles += s.weight;
-                        loops[gid].samples += 1;
+                let (start, end) =
+                    *chain_at[loc.module.0 as usize][block].get_or_insert_with(|| {
+                        let start = loop_chains.len();
+                        m.forests[fidx].extend_loops_containing(block, &mut loop_chains);
+                        let base = loop_base[loc.module.0 as usize][fidx];
+                        for li in &mut loop_chains[start..] {
+                            *li += base;
+                        }
+                        (start, loop_chains.len())
+                    });
+                for &gid in &loop_chains[start..end] {
+                    if first_in_chain(&mut credited_loops, gid, chain_no) {
+                        loops[gid].cycles += weight;
+                        loops[gid].samples += n;
                     }
                 }
             }
@@ -500,35 +641,29 @@ impl Analysis {
         // ---- line table ------------------------------------------------------
         // Keyed by (module, file, line) with the file name borrowed from the
         // module; a row copies it once. Every location that was counted or
-        // sampled is visited once.
+        // sampled is visited once, in offset order within a module, so a
+        // run of instructions on one line is summed before one map lookup.
         let mut line_map: FastMap<(u32, &str, u32), LineStats> = FastMap::default();
-        let sampled_only = insn_samples
-            .keys()
-            .filter(|loc| !insn_counts.contains_key(loc));
-        for &loc in insn_counts.keys().chain(sampled_only) {
+        let mut run: Option<((u32, &str, u32), InsnSlot)> = None;
+        for (loc, slot) in insns.iter() {
             let Some(m) = mods.get(loc.module.0 as usize) else {
                 continue;
             };
             let Some((file, line)) = m.module.line_at(loc.offset) else {
                 continue;
             };
-            let entry = line_map
-                .entry((loc.module.0, file, line))
-                .or_insert_with(|| LineStats {
-                    module: loc.module.0,
-                    file: file.to_string(),
-                    line,
-                    cycles: 0,
-                    samples: 0,
-                    count: 0,
-                });
-            if let Some(&(s, w)) = insn_samples.get(&loc) {
-                entry.samples += s;
-                entry.cycles += w;
+            let key = (loc.module.0, file, line);
+            match &mut run {
+                Some((k, sums)) if *k == key => sums.add(slot),
+                _ => {
+                    if let Some((k, sums)) = run.replace((key, *slot)) {
+                        add_line(&mut line_map, k, &sums);
+                    }
+                }
             }
-            if let Some(&c) = insn_counts.get(&loc) {
-                entry.count += c;
-            }
+        }
+        if let Some((k, sums)) = run {
+            add_line(&mut line_map, k, &sums);
         }
         let mut lines: Vec<LineStats> = line_map.into_values().collect();
         lines.sort_by(|a, b| {
@@ -561,18 +696,23 @@ impl Analysis {
         for (new, &old) in order.iter().enumerate() {
             new_index[old] = new;
         }
-        let mut sorted: Vec<LoopStats> = order.iter().map(|&i| loops[i].clone()).collect();
-        for l in &mut sorted {
-            l.parent = l.parent.map(|old| new_index[old]);
-        }
-        let loops = sorted;
+        let mut unsorted: Vec<Option<LoopStats>> = loops.into_iter().map(Some).collect();
+        let loops: Vec<LoopStats> = order
+            .iter()
+            .map(|&i| {
+                let mut l = unsorted[i]
+                    .take()
+                    .expect("a permutation visits each loop once");
+                l.parent = l.parent.map(|old| new_index[old]);
+                l
+            })
+            .collect();
 
-        let diagnostics = reconcile(&mods, samples, counts, &insn_counts, mode, hot);
+        let diagnostics = reconcile(&mods, samples, counts, &insns, mode, hot);
 
         Ok(Analysis {
             modules: mods,
-            insn_counts,
-            insn_samples,
+            insns,
             funcs,
             loops,
             lines,
@@ -606,12 +746,13 @@ impl Analysis {
 
     /// Execution count of one instruction.
     pub fn count_at(&self, loc: CodeLoc) -> u64 {
-        self.insn_counts.get(&loc).copied().unwrap_or(0)
+        self.insns.get(loc).count.unwrap_or(0)
     }
 
     /// `(samples, cycles)` attributed to one instruction.
     pub fn samples_at(&self, loc: CodeLoc) -> (u64, u64) {
-        self.insn_samples.get(&loc).copied().unwrap_or((0, 0))
+        let slot = self.insns.get(loc);
+        (slot.samples, slot.cycles)
     }
 
     /// Fused per-instruction rows for one function (figure 10 view).
@@ -645,17 +786,18 @@ impl Analysis {
     /// descending.
     pub fn hottest_insns(&self, limit: usize) -> Vec<InsnRow> {
         let mut rows: Vec<InsnRow> = self
-            .insn_samples
+            .insns
             .iter()
-            .map(|(&loc, &(samples, cycles))| {
-                let count = self.count_at(loc);
+            .filter(|(_, slot)| slot.samples > 0)
+            .map(|(loc, slot)| {
+                let count = slot.count.unwrap_or(0);
                 InsnRow {
                     loc,
                     text: String::new(),
-                    samples,
-                    cycles,
+                    samples: slot.samples,
+                    cycles: slot.cycles,
                     count,
-                    cpi: (count > 0).then(|| cycles as f64 / count as f64),
+                    cpi: (count > 0).then(|| slot.cycles as f64 / count as f64),
                 }
             })
             .collect();
@@ -670,6 +812,100 @@ impl Analysis {
         }
         rows
     }
+}
+
+/// The samples of one chain: the first of them, and their summed weight
+/// and count.
+struct ChainGroup<'a> {
+    sample: &'a Sample,
+    weight: u64,
+    samples: u64,
+}
+
+/// A sample's chain: its location, then its stack's call sites innermost
+/// first.
+fn chain_of(s: &Sample) -> impl Iterator<Item = CodeLoc> + '_ {
+    std::iter::once(s.loc).chain(s.stack.iter().rev().copied())
+}
+
+/// Groups `samples` by chain, in order of each chain's first sample.
+///
+/// The chains form a trie over a sample's stack, outermost call site first,
+/// then its location: a node is a prefix, and its child for the next
+/// location is found by `(node, location)`. Keying on one fixed-width
+/// location at a time, not on a whole chain, keeps the fast hasher's
+/// seeded keys safe from a profile crafted to collide (DESIGN.md,
+/// "Hashing"). Samples come in time order, and neighbours mostly share a
+/// stack, so a stack equal to the previous sample's reuses its node.
+fn group_chains(samples: &[Sample]) -> Vec<ChainGroup<'_>> {
+    const NO_GROUP: usize = usize::MAX;
+    let mut child: FastMap<(usize, CodeLoc), usize> = FastMap::default();
+    // The group of the chain ending at each node; node 0 is the root.
+    let mut group_at: Vec<usize> = Vec::with_capacity(samples.len() + 1);
+    group_at.push(NO_GROUP);
+    let mut step = |group_at: &mut Vec<usize>, node: usize, loc: CodeLoc| {
+        *child.entry((node, loc)).or_insert_with(|| {
+            group_at.push(NO_GROUP);
+            group_at.len() - 1
+        })
+    };
+    let mut groups: Vec<ChainGroup<'_>> = Vec::with_capacity(samples.len());
+    let mut last: Option<(&[CodeLoc], usize)> = None;
+    for s in samples {
+        let stack_node = match last {
+            Some((stack, node)) if stack == s.stack.as_slice() => node,
+            _ => s
+                .stack
+                .iter()
+                .fold(0, |node, &loc| step(&mut group_at, node, loc)),
+        };
+        last = Some((&s.stack, stack_node));
+        let node = step(&mut group_at, stack_node, s.loc);
+        if group_at[node] == NO_GROUP {
+            group_at[node] = groups.len();
+            groups.push(ChainGroup {
+                sample: s,
+                weight: 0,
+                samples: 0,
+            });
+        }
+        let g = &mut groups[group_at[node]];
+        g.weight += s.weight;
+        g.samples += 1;
+    }
+    groups
+}
+
+/// Marks `i` as credited by chain number `chain` (numbers start at 1),
+/// returning whether this is the chain's first credit to it.
+fn first_in_chain(marks: &mut Vec<u64>, i: usize, chain: u64) -> bool {
+    if marks.len() <= i {
+        marks.resize(i + 1, 0);
+    }
+    let first = marks[i] != chain;
+    marks[i] = chain;
+    first
+}
+
+/// Adds one run of instructions' sums to the line row `key`, making the row
+/// if it is the line's first.
+fn add_line<'m>(
+    line_map: &mut FastMap<(u32, &'m str, u32), LineStats>,
+    key: (u32, &'m str, u32),
+    sums: &InsnSlot,
+) {
+    let (module, file, line) = key;
+    let entry = line_map.entry(key).or_insert_with(|| LineStats {
+        module,
+        file: file.to_string(),
+        line,
+        cycles: 0,
+        samples: 0,
+        count: 0,
+    });
+    entry.samples += sums.samples;
+    entry.cycles += sums.cycles;
+    entry.count += sums.count.unwrap_or(0);
 }
 
 /// The divergence-detection pass (§IV-F): cross-checks the two profiles
@@ -698,7 +934,7 @@ fn reconcile(
     mods: &[ModuleAnalysis],
     samples: &SampleProfile,
     counts: &BlockCounts<'_>,
-    insn_counts: &FastMap<CodeLoc, u64>,
+    insns: &InsnTable,
     mode: AnalysisMode,
     hot: Option<&HashSet<(u32, String)>>,
 ) -> JoinDiagnostics {
@@ -729,40 +965,50 @@ fn reconcile(
             .push("selective instrumentation: reconciliation restricted to hot functions".into());
     }
 
+    // Every check below depends on the sampled location alone, so it runs
+    // once per location with that location's sample count and weight.
     let mut total_weight = 0u64;
-    for s in &samples.samples {
-        total_weight += s.weight;
-        if (s.loc.module.0 as usize) >= mods.len() {
-            d.unknown_module_samples += 1;
+    for (
+        loc,
+        &InsnSlot {
+            samples: n,
+            cycles: weight,
+            ..
+        },
+    ) in insns.iter()
+    {
+        if n == 0 {
+            continue;
+        }
+        total_weight += weight;
+        if (loc.module.0 as usize) >= mods.len() {
+            d.unknown_module_samples += n;
             continue;
         }
         if let Some(set) = hot {
-            let in_hot = mods[s.loc.module.0 as usize]
+            let in_hot = mods[loc.module.0 as usize]
                 .module
-                .function_at(s.loc.offset)
-                .is_some_and(|sym| set.contains(&(s.loc.module.0, sym.name.clone())));
+                .function_at(loc.offset)
+                .is_some_and(|sym| set.contains(&(loc.module.0, sym.name.clone())));
             if !in_hot {
                 continue;
             }
         }
         let executed = |offset: u64| {
-            insn_counts
-                .get(&CodeLoc {
-                    module: s.loc.module,
-                    offset,
-                })
-                .copied()
-                .unwrap_or(0)
-                > 0
+            let at = CodeLoc {
+                module: loc.module,
+                offset,
+            };
+            insns.get(at).count.unwrap_or(0) > 0
         };
         // Sampling skid displaces a sample at most one instruction past the
         // stalling one, so a sample whose immediate predecessor executed is
         // legitimate even if its own count is zero (e.g. the never-taken
         // fall-through after a loop's back edge).
-        let skid_excused = s.loc.offset >= INSN_BYTES && executed(s.loc.offset - INSN_BYTES);
-        if !executed(s.loc.offset) && !skid_excused {
-            d.phantom_samples += 1;
-            d.phantom_cycles += s.weight;
+        let skid_excused = loc.offset >= INSN_BYTES && executed(loc.offset - INSN_BYTES);
+        if !executed(loc.offset) && !skid_excused {
+            d.phantom_samples += n;
+            d.phantom_cycles += weight;
         }
     }
 
@@ -823,7 +1069,15 @@ mod tests {
     use wiser_sampler::{sample_run, SamplerConfig};
     use wiser_sim::{CoreConfig, LoadConfig, ProcessImage};
 
+    use crate::ProfileTables;
+
     fn analyze(src: &str, period: u64) -> Analysis {
+        let (modules, samples, counts) = profiles(src, period);
+        Analysis::new(&modules, &samples, &counts, AnalysisOptions::default())
+    }
+
+    /// The linked modules and both profiles of `src`.
+    fn profiles(src: &str, period: u64) -> (Vec<Module>, SampleProfile, CountsProfile) {
         let module = assemble("t", src).unwrap();
         // Different ASLR seeds for the two runs, as in real life.
         let cfg_a = LoadConfig {
@@ -853,7 +1107,126 @@ mod tests {
         )
         .unwrap();
         let modules: Vec<Module> = image_b.modules.iter().map(|m| m.linked.clone()).collect();
-        Analysis::new(&modules, &samples, &counts, AnalysisOptions::default())
+        (modules, samples, counts)
+    }
+
+    /// A recursive function with a loop, called from a loop: its samples'
+    /// stacks repeat a function, so the most-recent-instance rule applies.
+    const RECURSIVE: &str = r#"
+        .func rec
+        .loc "rec.c" 1
+            push fp
+            mov fp, sp
+            li x3, 0
+            beq x1, x3, base
+            subi x1, x1, 1
+            call rec
+        .loc "rec.c" 2
+        base:
+            li x2, 40
+        spin:
+            udiv x4, x2, x2
+            subi x2, x2, 1
+            bne x2, x3, spin
+            mov sp, fp
+            pop fp
+            ret
+        .endfunc
+        .func _start global
+        .loc "rec.c" 3
+            li x8, 30
+            li x9, 0
+        top:
+            li x1, 4
+            call rec
+            subi x8, x8, 1
+            bne x8, x9, top
+            li x0, 0
+            syscall
+        .endfunc
+        .entry _start
+    "#;
+
+    /// The report and the tables of one analysis, for comparing two.
+    fn rendered(
+        modules: &[Module],
+        samples: &SampleProfile,
+        counts: &CountsProfile,
+    ) -> (String, ProfileTables) {
+        let a = Analysis::new(modules, samples, counts, AnalysisOptions::default());
+        (
+            crate::report::full_report(&a, usize::MAX),
+            ProfileTables::from_analysis(&a),
+        )
+    }
+
+    /// Samples are attributed once per distinct chain, in map order; the
+    /// result must not depend on the order samples arrive in.
+    #[test]
+    fn sample_order_does_not_change_the_analysis() {
+        for src in [DIV_LOOP, RECURSIVE] {
+            let (modules, samples, counts) = profiles(src, 256);
+            assert!(
+                samples.samples.len() > 50,
+                "{} samples",
+                samples.samples.len()
+            );
+            let want = rendered(&modules, &samples, &counts);
+            let mut reversed = samples.clone();
+            reversed.samples.reverse();
+            assert!(rendered(&modules, &reversed, &counts) == want, "reversed");
+            let mut shuffled = samples.clone();
+            let mut state = 0x853c_49e6_748f_ea9bu64;
+            for i in (1..shuffled.samples.len()).rev() {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                shuffled.samples.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            assert!(rendered(&modules, &shuffled, &counts) == want, "shuffled");
+        }
+    }
+
+    /// Folding sums each chain's samples: a profile holding every sample
+    /// twice credits every function, loop and line exactly twice.
+    #[test]
+    fn duplicated_samples_double_every_credit() {
+        let (modules, samples, counts) = profiles(RECURSIVE, 256);
+        let mut doubled = samples.clone();
+        doubled.samples.extend(samples.samples.iter().cloned());
+        let once = Analysis::new(&modules, &samples, &counts, AnalysisOptions::default());
+        let twice = Analysis::new(&modules, &doubled, &counts, AnalysisOptions::default());
+        assert_eq!(twice.total_cycles, 2 * once.total_cycles);
+        let recursive = once.function("rec").expect("rec sampled");
+        assert!(recursive.incl_cycles > 0 && recursive.incl_cycles < once.total_cycles);
+        assert_eq!(once.functions().len(), twice.functions().len());
+        for (a, b) in once.functions().iter().zip(twice.functions()) {
+            assert_eq!((a.module, &a.name), (b.module, &b.name));
+            assert_eq!(b.self_cycles, 2 * a.self_cycles, "{}", a.name);
+            assert_eq!(b.incl_cycles, 2 * a.incl_cycles, "{}", a.name);
+            assert_eq!(b.self_samples, 2 * a.self_samples, "{}", a.name);
+            assert_eq!((b.self_insns, b.incl_insns), (a.self_insns, a.incl_insns));
+        }
+        assert!(!once.loops().is_empty());
+        assert_eq!(once.loops().len(), twice.loops().len());
+        for (a, b) in once.loops().iter().zip(twice.loops()) {
+            assert_eq!(
+                (&a.function, a.header_offset),
+                (&b.function, b.header_offset)
+            );
+            assert_eq!(b.cycles, 2 * a.cycles, "loop at {:#x}", a.header_offset);
+            assert_eq!(b.samples, 2 * a.samples, "loop at {:#x}", a.header_offset);
+        }
+        assert!(once.lines().len() >= 3);
+        assert_eq!(once.lines().len(), twice.lines().len());
+        for (a, b) in once.lines().iter().zip(twice.lines()) {
+            assert_eq!((&a.file, a.line), (&b.file, b.line));
+            assert_eq!((b.cycles, b.samples), (2 * a.cycles, 2 * a.samples));
+        }
+        for row in once.hottest_insns(usize::MAX) {
+            let (n, cycles) = twice.samples_at(row.loc);
+            assert_eq!((n, cycles), (2 * row.samples, 2 * row.cycles));
+        }
     }
 
     const DIV_LOOP: &str = r#"

@@ -244,10 +244,7 @@ pub fn check_modules(
             for bid in &ma.cfg.functions[fidx].blocks {
                 let ids = forest.loops_containing(*bid);
                 for w in ids.windows(2) {
-                    if !forest.loops[w[1]]
-                        .body
-                        .is_superset(&forest.loops[w[0]].body)
-                    {
+                    if !forest.loops[w[0]].is_within(&forest.loops[w[1]]) {
                         out.push(Discrepancy {
                             class: DiscrepancyClass::JoinBug,
                             check: "loop-attribution-chain",

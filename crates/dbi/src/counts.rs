@@ -169,16 +169,9 @@ impl CountsProfile {
     /// Per-instruction execution counts: each block contributes its count to
     /// every instruction it covers; overlapping blocks sum.
     pub fn insn_counts(&self) -> FastMap<CodeLoc, u64> {
-        self.insn_counts_with(|i| self.blocks[i].count)
-    }
-
-    /// [`CountsProfile::insn_counts`] with block `i` counted `count(i)`
-    /// times instead of its stored count: the view of a profile whose
-    /// suppressed counters were recovered without copying it.
-    pub fn insn_counts_with(&self, count: impl Fn(usize) -> u64) -> FastMap<CodeLoc, u64> {
         let mut map: FastMap<CodeLoc, u64> = FastMap::default();
-        for (k, b) in self.blocks.iter().enumerate() {
-            let n = count(k);
+        for b in &self.blocks {
+            let n = b.count;
             for i in 0..b.len as u64 {
                 let loc = CodeLoc {
                     module: b.entry.module,

@@ -69,6 +69,13 @@ pub struct Symbol {
     pub global: bool,
 }
 
+impl Symbol {
+    /// Whether this is a function symbol in the text section.
+    pub fn is_text_function(&self) -> bool {
+        self.kind == SymbolKind::Func && self.section == Section::Text
+    }
+}
+
 /// A relocation patching the 32-bit immediate field of the instruction at
 /// `text_offset` with the absolute address of `symbol` plus `addend`.
 ///
@@ -160,14 +167,39 @@ impl Module {
         })
     }
 
-    /// Finds the function symbol containing the given text offset.
+    /// Finds the function symbol containing the given text offset: the
+    /// first in symbol order, should two overlap.
     pub fn function_at(&self, offset: u64) -> Option<&Symbol> {
-        self.symbols.iter().find(|s| {
-            s.kind == SymbolKind::Func
-                && s.section == Section::Text
-                && offset >= s.offset
-                && offset < s.offset + s.size
-        })
+        self.function_index_at(offset).map(|k| &self.symbols[k])
+    }
+
+    /// The index in `symbols` of [`Module::function_at`].
+    pub fn function_index_at(&self, offset: u64) -> Option<usize> {
+        self.symbols
+            .iter()
+            .position(|s| s.is_text_function() && offset >= s.offset && offset < s.offset + s.size)
+    }
+
+    /// The index in `symbols` of [`Module::function_at`] of each
+    /// instruction, by instruction index (`offset / INSN_BYTES`), or
+    /// `None`: every lookup of the text at once, in one pass over the
+    /// symbols.
+    pub fn function_index_by_insn(&self) -> Vec<Option<u32>> {
+        let mut at = vec![None; self.insn_count() as usize];
+        // Last symbol first, so the first one covering an instruction is
+        // the one left there.
+        for (k, s) in self.symbols.iter().enumerate().rev() {
+            if !s.is_text_function() {
+                continue;
+            }
+            let first = s.offset.div_ceil(INSN_BYTES).min(at.len() as u64) as usize;
+            let end = s.offset.saturating_add(s.size).div_ceil(INSN_BYTES);
+            let end = end.min(at.len() as u64) as usize;
+            for slot in &mut at[first..end.max(first)] {
+                *slot = Some(k as u32);
+            }
+        }
+        at
     }
 
     /// Looks up a symbol by name.
@@ -322,6 +354,44 @@ mod tests {
         let m = tiny_module();
         assert_eq!(m.function_at(8).unwrap().name, "main");
         assert!(m.function_at(24).is_none());
+    }
+
+    #[test]
+    fn function_index_by_insn_matches_function_at() {
+        let mut m = tiny_module();
+        for _ in 0..9 {
+            m.text.extend_from_slice(&encode_insn(&Insn::Nop));
+        }
+        let func = |name: &str, offset, size| Symbol {
+            name: name.into(),
+            section: Section::Text,
+            offset,
+            size,
+            kind: SymbolKind::Func,
+            global: false,
+        };
+        // Overlapping, unaligned, zero-sized, past-the-end and data symbols.
+        m.symbols.push(func("inner", 16, 16));
+        m.symbols.push(func("late", 30, 20));
+        m.symbols.push(func("empty", 64, 0));
+        m.symbols.push(func("tail", 88, 1000));
+        m.symbols.push(Symbol {
+            kind: SymbolKind::Object,
+            ..func("table", 40, 16)
+        });
+        m.symbols.push(Symbol {
+            section: Section::Data,
+            ..func("data_fn", 72, 8)
+        });
+        let by_insn = m.function_index_by_insn();
+        assert_eq!(by_insn.len() as u64, m.insn_count());
+        for (i, &k) in by_insn.iter().enumerate() {
+            let want = m
+                .function_at(i as u64 * INSN_BYTES)
+                .map(|s| s.name.as_str());
+            let got = k.map(|k| m.symbols[k as usize].name.as_str());
+            assert_eq!(got, want, "instruction {i}");
+        }
     }
 
     #[test]

@@ -72,8 +72,22 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// Folds `data` into the running (inverted) CRC-32 state `crc`.
-fn crc_update(mut crc: u32, data: &[u8]) -> u32 {
+/// Folds `data` into the running (inverted) CRC-32 state `crc`: by
+/// carry-less multiplication where the CPU has it and the input is long
+/// enough to pay for the set-up, else by [`crc_update_portable`], which is
+/// the reference both paths are tested against.
+fn crc_update(crc: u32, data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= clmul::MIN_LEN && std::arch::is_x86_feature_detected!("pclmulqdq") {
+        // SAFETY: the CPU has PCLMULQDQ (checked above), and SSE2 is part
+        // of every x86_64 CPU.
+        return unsafe { clmul::crc_update(crc, data) };
+    }
+    crc_update_portable(crc, data)
+}
+
+/// [`crc_update`] by slicing-by-8 table lookups, on every architecture.
+fn crc_update_portable(mut crc: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut words = data.chunks_exact(8);
     for w in &mut words {
@@ -92,6 +106,97 @@ fn crc_update(mut crc: u32, data: &[u8]) -> u32 {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
     }
     crc
+}
+
+/// CRC-32 by PCLMULQDQ folding: Intel's "Fast CRC Computation for Generic
+/// Polynomials Using PCLMULQDQ Instruction" for the bit-reflected IEEE
+/// polynomial, four 128-bit lanes folded 64 bytes at a time, then one lane
+/// 16 bytes at a time, reduced to 64 bits and finished by a Barrett
+/// reduction. Bytes past the last whole 16-byte block go to the portable
+/// path.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si32, _mm_cvtsi32_si128,
+        _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Shortest input taken: the four lanes load 64 bytes before folding.
+    pub const MIN_LEN: usize = 64;
+
+    // Each constant is `(x^n mod P(x))` bit-reflected and shifted left by
+    // one, for the `n` in its comment; `P` is the 33-bit reflected
+    // polynomial and `U` is `x^64 / P(x)` reflected.
+    const K1: i64 = 0x1_5444_2bd4; // n = 4 * 128 + 32
+    const K2: i64 = 0x1_c6e4_1596; // n = 4 * 128 - 32
+    const K3: i64 = 0x1_7519_97d0; // n = 128 + 32
+    const K4: i64 = 0x0_ccaa_009e; // n = 128 - 32
+    const K5: i64 = 0x1_63cd_6124; // n = 64
+    const P: i64 = 0x1_db71_0641;
+    const U: i64 = 0x1_f701_1641;
+
+    /// [`super::crc_update`] for `data` of at least [`MIN_LEN`] bytes.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support PCLMULQDQ.
+    #[target_feature(enable = "pclmulqdq,sse2")]
+    pub unsafe fn crc_update(crc: u32, mut data: &[u8]) -> u32 {
+        debug_assert!(data.len() >= MIN_LEN);
+        let mut x3 = next(&mut data);
+        let mut x2 = next(&mut data);
+        let mut x1 = next(&mut data);
+        let mut x0 = next(&mut data);
+        x3 = _mm_xor_si128(x3, _mm_cvtsi32_si128(crc as i32));
+
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        while data.len() >= 64 {
+            x3 = fold(x3, next(&mut data), k1k2);
+            x2 = fold(x2, next(&mut data), k1k2);
+            x1 = fold(x1, next(&mut data), k1k2);
+            x0 = fold(x0, next(&mut data), k1k2);
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold(x3, x2, k3k4);
+        x = fold(x, x1, k3k4);
+        x = fold(x, x0, k3k4);
+        while data.len() >= 16 {
+            x = fold(x, next(&mut data), k3k4);
+        }
+
+        // 128 bits to 64, then Barrett: the CRC is bits 32..64 of the sum.
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x10>(x, k3k4),
+            _mm_srli_si128::<8>(x),
+        );
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(x),
+        );
+        let pu = _mm_set_epi64x(U, P);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), pu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pu);
+        let crc = _mm_cvtsi128_si32(_mm_srli_si128::<4>(_mm_xor_si128(x, t2))) as u32;
+        super::crc_update_portable(crc, data)
+    }
+
+    /// Folds lane `a` forward by the distance `keys` encodes and adds `b`.
+    #[target_feature(enable = "pclmulqdq,sse2")]
+    fn fold(a: __m128i, b: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(a, keys);
+        let hi = _mm_clmulepi64_si128::<0x11>(a, keys);
+        _mm_xor_si128(_mm_xor_si128(b, lo), hi)
+    }
+
+    /// Loads the next 16 bytes of `data` and steps past them.
+    #[target_feature(enable = "sse2")]
+    fn next(data: &mut &[u8]) -> __m128i {
+        let (block, rest) = data.split_at(16);
+        *data = rest;
+        // SAFETY: `block` is 16 readable bytes; the load is unaligned.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast::<__m128i>()) }
+    }
 }
 
 /// IEEE CRC-32 of `data` (the polynomial used by zip/png/ethernet).
@@ -415,16 +520,22 @@ impl<'a> ByteReader<'a> {
         Ok(())
     }
 
+    #[inline]
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], StoreError> {
         if self.data.len() - self.pos < n {
-            return Err(self.error(format!(
-                "section truncated: needed {n} bytes for {what}, {} remain",
-                self.data.len() - self.pos
-            )));
+            return Err(self.truncated(n, what));
         }
         let slice = &self.data[self.pos..self.pos + n];
         self.pos += n;
         Ok(slice)
+    }
+
+    #[cold]
+    fn truncated(&self, n: usize, what: &str) -> StoreError {
+        self.error(format!(
+            "section truncated: needed {n} bytes for {what}, {} remain",
+            self.data.len() - self.pos
+        ))
     }
 
     /// Reads one byte.
@@ -548,7 +659,7 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    /// The one-byte-at-a-time CRC-32 the sliced one must equal.
+    /// The one-byte-at-a-time CRC-32 both fast paths must equal.
     fn crc32_bytewise(data: &[u8]) -> u32 {
         let mut crc = !0u32;
         for &b in data {
@@ -557,24 +668,96 @@ mod tests {
         !crc
     }
 
+    /// Deterministic pseudo-random bytes (an LCG's top byte).
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// The portable path and the dispatched one (carry-less multiplication
+    /// on a CPU that has it) equal the bytewise CRC on every length up to
+    /// 4 KiB and a few past 64 KiB, at every start offset within 16 bytes,
+    /// so every alignment of the 16-byte loads and every tail length is
+    /// covered. The portable path is called directly, so it is tested on
+    /// every host.
     #[test]
-    fn sliced_crc_matches_bytewise() {
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut byte = || {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (state >> 56) as u8
+    fn crc_paths_match_bytewise_at_every_length_and_offset() {
+        let data = noise(70_000, 0x9e37_79b9_7f4a_7c15);
+        for offset in 0..16 {
+            // The bytewise state after each byte is the reference for every
+            // prefix length in one pass.
+            let mut reference = !0u32;
+            for len in 0..=4096 {
+                let slice = &data[offset..offset + len];
+                assert_eq!(
+                    crc_update_portable(!0, slice),
+                    reference,
+                    "portable {offset}+{len}"
+                );
+                assert_eq!(
+                    crc_update(!0, slice),
+                    reference,
+                    "dispatched {offset}+{len}"
+                );
+                if let Some(&b) = data.get(offset + len) {
+                    reference =
+                        (reference >> 8) ^ CRC_TABLES[0][((reference ^ b as u32) & 0xff) as usize];
+                }
+            }
+        }
+        for len in [65_536, 65_549, 69_983] {
+            let slice = &data[len % 16..][..len];
+            let want = crc32_bytewise(slice);
+            assert_eq!(!crc_update_portable(!0, slice), want, "portable {len}");
+            assert_eq!(crc32(slice), want, "dispatched {len}");
+        }
+    }
+
+    /// An update split anywhere continues exactly: a section's CRC is its
+    /// tag, then its payload.
+    #[test]
+    fn crc_update_split_at_random_points_matches_one_pass() {
+        let data = noise(9_000, 7);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut below = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
         };
-        let payloads = (0..=64usize)
-            .chain([255, 1000, 4099])
-            .map(|len| (0..len).map(|_| byte()).collect::<Vec<u8>>());
-        for p in payloads {
-            assert_eq!(crc32(&p), crc32_bytewise(&p), "length {}", p.len());
+        for _ in 0..500 {
+            let len = below(data.len() + 1);
+            let offset = below(data.len() - len + 1);
+            let slice = &data[offset..offset + len];
+            let split = below(len + 1);
+            let want = crc32_bytewise(slice);
+            let (a, b) = slice.split_at(split);
+            assert_eq!(
+                !crc_update(crc_update(!0, a), b),
+                want,
+                "{len} split at {split}"
+            );
+            assert_eq!(
+                !crc_update_portable(crc_update_portable(!0, a), b),
+                want,
+                "portable {len} split at {split}"
+            );
+        }
+        for p in (0..=300usize)
+            .chain([1000, 4099])
+            .map(|len| noise(len, len as u64))
+        {
             let tagged = [b"SAMP".as_slice(), &p].concat();
             assert_eq!(
                 section_crc(*b"SAMP", &p),
-                crc32(&tagged),
+                crc32_bytewise(&tagged),
                 "length {}",
                 p.len()
             );
