@@ -1,9 +1,11 @@
-//! Allocation ceilings for re-analysing a stored run.
+//! Allocation ceilings for re-analysing and diffing a stored run.
 //!
 //! For a few suite programs at test size on `xeon`, the archived-run path
 //! (`StoredProfile::from_bytes`, `Analysis::try_new`, `full_report`, the
 //! tables and `to_bytes`) must make no more heap allocations and
-//! reallocations than the recorded ceiling. The binary installs
+//! reallocations than the recorded ceiling, and so must diffing the
+//! program's `xeon` tables against its `neoverse` ones (`diff_tables` and
+//! `diff_report`). The binary installs
 //! `wiser_chaos::alloc::TrackingAllocator`, whose counters are per thread,
 //! so the other tests running alongside do not disturb the count.
 //!
@@ -12,8 +14,11 @@
 //! A change that lowers a count re-records its ceiling from the failure
 //! message of a run with the ceiling set to 0.
 
-use optiwise::report::full_report;
-use optiwise::{run_optiwise, Analysis, AnalysisOptions, OptiwiseConfig, ProfileTables};
+use optiwise::report::{diff_report, full_report};
+use optiwise::{
+    diff_tables, run_optiwise, Analysis, AnalysisOptions, DiffOptions, OptiwiseConfig,
+    ProfileTables,
+};
 use wiser_chaos::alloc::{allocations, reallocations, TrackingAllocator};
 use wiser_isa::Module;
 use wiser_sim::{CoreConfig, LoadConfig, ProcessImage};
@@ -32,23 +37,32 @@ const CEILINGS: &[(&str, u64, u64)] = &[
     ("nab_like", 206, 20),
 ];
 
+/// `(program, allocations, reallocations)`: the most one diff of the
+/// program's stored `xeon` tables against its `neoverse` ones may make.
+const DIFF_CEILINGS: &[(&str, u64, u64)] = &[
+    ("mcf_like", 127, 122),
+    ("gcc_like", 41, 30),
+    ("leela_like", 31, 28),
+    ("nab_like", 25, 16),
+];
+
 /// Rows per report table, as `optiwise run` prints by default.
 const TOP: usize = 15;
 
-/// The linked modules of `name` and the `.owp` image of its `xeon` run.
-fn stored_run(name: &str) -> (Vec<Module>, Vec<u8>) {
+/// The linked modules of `name` and the `.owp` image of its run on `arch`.
+fn stored_run(name: &str, arch: &str) -> (Vec<Module>, Vec<u8>) {
     let modules = wiser_workloads::by_name(name)
         .expect("suite workload")
         .build(InputSize::Test)
         .expect("assembles");
-    let core = CoreConfig::xeon_like();
+    let core = CoreConfig::by_name(arch).expect("preset");
     let cfg = OptiwiseConfig {
         core,
         concurrent_passes: false,
         ..OptiwiseConfig::default()
     };
     let run = run_optiwise(&modules, &cfg).expect("pipeline runs");
-    let owp = StoredProfile::from_run(name, &run, cfg.rand_seed, "xeon", core).to_bytes();
+    let owp = StoredProfile::from_run(name, &run, cfg.rand_seed, arch, core).to_bytes();
     let image = ProcessImage::load(&modules, &LoadConfig::default()).expect("loads");
     let linked = image.modules.iter().map(|m| m.linked.clone()).collect();
     (linked, owp)
@@ -78,7 +92,7 @@ fn reanalysing_a_stored_run_stays_under_its_allocation_ceilings() {
     let mut measured = Vec::new();
     let mut over = Vec::new();
     for &(name, max_allocs, max_reallocs) in CEILINGS {
-        let (linked, owp) = stored_run(name);
+        let (linked, owp) = stored_run(name, "xeon");
         let (allocs, reallocs) = reanalysis_calls(&linked, &owp);
         // A second pass must count the same: nothing is cached between
         // analyses.
@@ -87,6 +101,49 @@ fn reanalysing_a_stored_run_stays_under_its_allocation_ceilings() {
             (allocs, reallocs),
             "{name}"
         );
+        measured.push(format!("    (\"{name}\", {allocs}, {reallocs}),"));
+        if allocs > max_allocs || reallocs > max_reallocs {
+            over.push(format!(
+                "{name}: {allocs} allocations (ceiling {max_allocs}), \
+                 {reallocs} reallocations (ceiling {max_reallocs})"
+            ));
+        }
+    }
+    assert!(
+        over.is_empty(),
+        "{}\nmeasured:\n{}",
+        over.join("\n"),
+        measured.join("\n")
+    );
+}
+
+/// Allocations and reallocations of one diff of `old` against `new` and
+/// its report, on this thread.
+fn diff_calls(old: &ProfileTables, new: &ProfileTables) -> (u64, u64) {
+    let options = DiffOptions {
+        config_changed: true,
+        ..DiffOptions::default()
+    };
+    let (a0, r0) = (allocations(), reallocations());
+    let diff = diff_tables(old, new, options);
+    let text = diff_report(&diff, TOP);
+    let calls = (allocations() - a0, reallocations() - r0);
+    assert!(diff.rows().count() > 0 && !text.is_empty());
+    calls
+}
+
+#[test]
+fn diffing_two_stored_runs_stays_under_its_allocation_ceilings() {
+    let tables = |name: &str, arch: &str| {
+        let (_, owp) = stored_run(name, arch);
+        StoredProfile::from_bytes(&owp).expect("decodes").tables
+    };
+    let mut measured = Vec::new();
+    let mut over = Vec::new();
+    for &(name, max_allocs, max_reallocs) in DIFF_CEILINGS {
+        let (old, new) = (tables(name, "xeon"), tables(name, "neoverse"));
+        let (allocs, reallocs) = diff_calls(&old, &new);
+        assert_eq!(diff_calls(&old, &new), (allocs, reallocs), "{name}");
         measured.push(format!("    (\"{name}\", {allocs}, {reallocs}),"));
         if allocs > max_allocs || reallocs > max_reallocs {
             over.push(format!(
