@@ -221,7 +221,7 @@ pub fn fig04(size: InputSize) -> Fig4 {
                 }
             };
             out.push_str(&format!("  {:<24} <- sample PC\n", describe(s.loc)));
-            for frame in s.stack.iter().rev() {
+            for frame in run.samples.stack(s).iter().rev() {
                 out.push_str(&format!("  {:<24} <- call site\n", describe(*frame)));
             }
             out

@@ -5,7 +5,8 @@
 //! `wiser-chaos`; this module defines what to fuzz: the `.owp` profile
 //! decoder, the checkpoint decoder, the archive manifest decoder and the
 //! daemon's JSONL codec, each wrapped as a [`Surface`] whose decode
-//! re-encodes canonically on acceptance. Seeds fan out on the shared
+//! re-encodes canonically on acceptance (and, for a profile, first renders
+//! its tables as `optiwise show` does). Seeds fan out on the shared
 //! `wiser-par` pool exactly like `selfcheck`, and the report is assembled
 //! in seed order, so the output is byte-identical for every `--jobs`
 //! count. Any invariant violation exits 13
@@ -200,9 +201,13 @@ fn build_surfaces(opts: &Options) -> Result<Vec<Surface>, OptiwiseError> {
                 name: "profile",
                 corpus: profile_corpus()?,
                 decode: Box::new(move |bytes| {
-                    StoredProfile::from_bytes_limited(bytes, &ResourceLimits::fuzzing())
-                        .map(|p| p.to_bytes())
-                        .map_err(|e| e.to_string())
+                    let profile =
+                        StoredProfile::from_bytes_limited(bytes, &ResourceLimits::fuzzing())
+                            .map_err(|e| e.to_string())?;
+                    // `optiwise show` renders what it decodes: every row of
+                    // an accepted image must render too.
+                    optiwise::report::tables_report(&profile.tables, usize::MAX);
+                    Ok(profile.to_bytes())
                 }),
                 structured: Some(owp_structured(true)),
                 alloc_budget: budget,

@@ -12,7 +12,7 @@ use std::collections::HashSet;
 use wiser_cfg::{build_cfg, find_all_loops, BlockCounts, Cfg, LoopForest, MERGE_THRESHOLD};
 use wiser_dbi::CountsProfile;
 use wiser_isa::{symbolized, Disassembly, Module, INSN_BYTES};
-use wiser_sampler::{Sample, SampleProfile};
+use wiser_sampler::SampleProfile;
 use wiser_sim::{CodeLoc, FastMap, ModuleId, TruncationReason};
 
 use crate::error::OptiwiseError;
@@ -392,9 +392,9 @@ impl Analysis {
         // stack) with their summed weight and count. Every credit below is
         // a sum, and what a sample credits depends on its chain alone, so
         // attributing each distinct chain once is exact.
-        let chains = group_chains(&samples.samples);
+        let chains = group_chains(samples);
         for c in &chains {
-            let slot = insns.slot_mut(c.sample.loc);
+            let slot = insns.slot_mut(c.loc);
             slot.samples += c.samples;
             slot.cycles += c.weight;
         }
@@ -585,7 +585,7 @@ impl Analysis {
             let (weight, n) = (c.weight, c.samples);
             total_cycles += weight;
             // Chain: sample PC first, then call sites innermost-first.
-            for (depth, loc) in chain_of(c.sample).enumerate() {
+            for (depth, loc) in c.chain().enumerate() {
                 let Some(m) = mods.get(loc.module.0 as usize) else {
                     continue;
                 };
@@ -814,21 +814,25 @@ impl Analysis {
     }
 }
 
-/// The samples of one chain: the first of them, and their summed weight
-/// and count.
+/// The samples of one chain: its location and stack, and the samples'
+/// summed weight and count.
 struct ChainGroup<'a> {
-    sample: &'a Sample,
+    loc: CodeLoc,
+    stack: &'a [CodeLoc],
     weight: u64,
     samples: u64,
 }
 
-/// A sample's chain: its location, then its stack's call sites innermost
-/// first.
-fn chain_of(s: &Sample) -> impl Iterator<Item = CodeLoc> + '_ {
-    std::iter::once(s.loc).chain(s.stack.iter().rev().copied())
+impl ChainGroup<'_> {
+    /// The chain: its location, then its stack's call sites innermost
+    /// first.
+    fn chain(&self) -> impl Iterator<Item = CodeLoc> + '_ {
+        std::iter::once(self.loc).chain(self.stack.iter().rev().copied())
+    }
 }
 
-/// Groups `samples` by chain, in order of each chain's first sample.
+/// Groups `profile`'s samples by chain, in order of each chain's first
+/// sample.
 ///
 /// The chains form a trie over a sample's stack, outermost call site first,
 /// then its location: a node is a prefix, and its child for the next
@@ -837,8 +841,9 @@ fn chain_of(s: &Sample) -> impl Iterator<Item = CodeLoc> + '_ {
 /// seeded keys safe from a profile crafted to collide (DESIGN.md,
 /// "Hashing"). Samples come in time order, and neighbours mostly share a
 /// stack, so a stack equal to the previous sample's reuses its node.
-fn group_chains(samples: &[Sample]) -> Vec<ChainGroup<'_>> {
+fn group_chains(profile: &SampleProfile) -> Vec<ChainGroup<'_>> {
     const NO_GROUP: usize = usize::MAX;
+    let samples = &profile.samples;
     let mut child: FastMap<(usize, CodeLoc), usize> = FastMap::default();
     // The group of the chain ending at each node; node 0 is the root.
     let mut group_at: Vec<usize> = Vec::with_capacity(samples.len() + 1);
@@ -852,19 +857,20 @@ fn group_chains(samples: &[Sample]) -> Vec<ChainGroup<'_>> {
     let mut groups: Vec<ChainGroup<'_>> = Vec::with_capacity(samples.len());
     let mut last: Option<(&[CodeLoc], usize)> = None;
     for s in samples {
+        let stack = profile.stack(s);
         let stack_node = match last {
-            Some((stack, node)) if stack == s.stack.as_slice() => node,
-            _ => s
-                .stack
+            Some((previous, node)) if previous == stack => node,
+            _ => stack
                 .iter()
                 .fold(0, |node, &loc| step(&mut group_at, node, loc)),
         };
-        last = Some((&s.stack, stack_node));
+        last = Some((stack, stack_node));
         let node = step(&mut group_at, stack_node, s.loc);
         if group_at[node] == NO_GROUP {
             group_at[node] = groups.len();
             groups.push(ChainGroup {
-                sample: s,
+                loc: s.loc,
+                stack,
                 weight: 0,
                 samples: 0,
             });

@@ -86,9 +86,10 @@ impl DiffClass {
     }
 }
 
-impl fmt::Display for DiffClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl DiffClass {
+    /// The class as reports print it.
+    pub fn name(self) -> &'static str {
+        match self {
             DiffClass::Regression => "REGRESSION",
             DiffClass::Improvement => "improvement",
             DiffClass::Noise => "noise",
@@ -96,7 +97,13 @@ impl fmt::Display for DiffClass {
             DiffClass::Removed => "removed",
             DiffClass::CoverageChange => "coverage",
             DiffClass::ConfigChange => "config",
-        })
+        }
+    }
+}
+
+impl fmt::Display for DiffClass {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -223,150 +230,147 @@ impl DiffReport {
 /// is deterministic: regressions first, then by |delta| descending, then by
 /// key.
 pub fn diff_tables(old: &ProfileTables, new: &ProfileTables, options: DiffOptions) -> DiffReport {
-    let functions = align(
-        old.functions.iter().map(|f| {
-            (
-                format!("{}:{}", old.module_name(f.module), f.name),
-                DiffSide {
-                    cycles: f.self_cycles,
-                    samples: f.self_samples,
-                    execs: f.self_insns,
-                    cpi: f.cpi(),
-                    coverage: Some(f.coverage),
-                },
-            )
-        }),
-        new.functions.iter().map(|f| {
-            (
-                format!("{}:{}", new.module_name(f.module), f.name),
-                DiffSide {
-                    cycles: f.self_cycles,
-                    samples: f.self_samples,
-                    execs: f.self_insns,
-                    cpi: f.cpi(),
-                    coverage: Some(f.coverage),
-                },
-            )
-        }),
-        options,
-    );
-    let loop_key = |t: &ProfileTables, l: &crate::types::LoopStats| {
-        let site = match &l.lines {
-            Some((file, lo, _)) => format!("{file}:{lo}"),
-            None => format!("@{:#x}", l.header_offset),
-        };
-        format!("{}:{}:{site}", t.module_name(l.module), l.function)
-    };
-    let loops = align(
-        old.loops.iter().map(|l| {
-            (
-                loop_key(old, l),
-                DiffSide {
-                    cycles: l.cycles,
-                    samples: l.samples,
-                    execs: l.total_insns,
-                    cpi: l.cpi(),
-                    coverage: None,
-                },
-            )
-        }),
-        new.loops.iter().map(|l| {
-            (
-                loop_key(new, l),
-                DiffSide {
-                    cycles: l.cycles,
-                    samples: l.samples,
-                    execs: l.total_insns,
-                    cpi: l.cpi(),
-                    coverage: None,
-                },
-            )
-        }),
-        options,
-    );
-    let lines = align(
-        old.lines.iter().map(|l| {
-            (
-                format!("{}:{}:{}", old.module_name(l.module), l.file, l.line),
-                DiffSide {
-                    cycles: l.cycles,
-                    samples: l.samples,
-                    execs: l.count,
-                    cpi: l.cpi(),
-                    coverage: None,
-                },
-            )
-        }),
-        new.lines.iter().map(|l| {
-            (
-                format!("{}:{}:{}", new.module_name(l.module), l.file, l.line),
-                DiffSide {
-                    cycles: l.cycles,
-                    samples: l.samples,
-                    execs: l.count,
-                    cpi: l.cpi(),
-                    coverage: None,
-                },
-            )
-        }),
-        options,
-    );
+    let mut functions = Keyed::with_capacity(old.functions.len() + new.functions.len());
+    let mut loops = Keyed::with_capacity(old.loops.len() + new.loops.len());
+    let mut lines = Keyed::with_capacity(old.lines.len() + new.lines.len());
+    for (t, is_new) in [(old, false), (new, true)] {
+        for f in &t.functions {
+            let side = DiffSide {
+                cycles: f.self_cycles,
+                samples: f.self_samples,
+                execs: f.self_insns,
+                cpi: f.cpi(),
+                coverage: Some(f.coverage),
+            };
+            functions.add(&[&t.module_name(f.module), ":", &f.name], is_new, side);
+        }
+        for l in &t.loops {
+            let side = DiffSide {
+                cycles: l.cycles,
+                samples: l.samples,
+                execs: l.total_insns,
+                cpi: l.cpi(),
+                coverage: None,
+            };
+            let module = t.module_name(l.module);
+            let mut buf = [0; 20];
+            match &l.lines {
+                Some((file, lo, _)) => {
+                    let lo = wiser_sim::decimal(u64::from(*lo), &mut buf);
+                    let key = [&*module, ":", &l.function, ":", file, ":", lo];
+                    loops.add(&key, is_new, side);
+                }
+                None => {
+                    let header = crate::cells::hex(l.header_offset, &mut buf);
+                    loops.add(&[&module, ":", &l.function, ":@", header], is_new, side);
+                }
+            }
+        }
+        for l in &t.lines {
+            let side = DiffSide {
+                cycles: l.cycles,
+                samples: l.samples,
+                execs: l.count,
+                cpi: l.cpi(),
+                coverage: None,
+            };
+            let mut buf = [0; 20];
+            let line = wiser_sim::decimal(u64::from(l.line), &mut buf);
+            let key = [&*t.module_name(l.module), ":", &l.file, ":", line];
+            lines.add(&key, is_new, side);
+        }
+    }
     DiffReport {
         options,
-        functions,
-        loops,
-        lines,
+        functions: functions.align(options),
+        loops: loops.align(options),
+        lines: lines.align(options),
     }
 }
 
-fn align(
-    old: impl Iterator<Item = (String, DiffSide)>,
-    new: impl Iterator<Item = (String, DiffSide)>,
-    options: DiffOptions,
-) -> Vec<DiffRow> {
-    // Duplicate keys (e.g. the same function in two modules of the same
-    // name) are merged by summation, keeping alignment total.
-    let mut merged: std::collections::BTreeMap<String, (Option<DiffSide>, Option<DiffSide>)> =
-        std::collections::BTreeMap::new();
-    let accumulate = |slot: &mut Option<DiffSide>, side: DiffSide| {
-        let s = slot.get_or_insert(DiffSide {
-            cycles: 0,
-            samples: 0,
-            execs: 0,
-            cpi: None,
-            coverage: None,
-        });
-        s.cycles += side.cycles;
-        s.samples += side.samples;
-        s.execs += side.execs;
-        s.cpi = (s.execs > 0).then(|| s.cycles as f64 / s.execs as f64);
-        // Any partially-covered contribution taints the merged row.
-        s.coverage = match (s.coverage, side.coverage) {
-            (Some(Coverage::SamplingOnly), _) | (_, Some(Coverage::SamplingOnly)) => {
-                Some(Coverage::SamplingOnly)
-            }
-            (a, b) => a.or(b),
-        };
-    };
-    for (key, side) in old {
-        accumulate(&mut merged.entry(key).or_default().0, side);
-    }
-    for (key, side) in new {
-        accumulate(&mut merged.entry(key).or_default().1, side);
+/// The rows of one table of both runs, their keys laid end to end in one
+/// text.
+struct Keyed {
+    text: String,
+    /// Each row's key, as a range of `text`; whether it is the new run's;
+    /// and its observation.
+    rows: Vec<(std::ops::Range<usize>, bool, DiffSide)>,
+}
+
+impl Keyed {
+    fn with_capacity(rows: usize) -> Keyed {
+        Keyed {
+            // Keys run to a few dozen bytes.
+            text: String::with_capacity(48 * rows),
+            rows: Vec::with_capacity(rows),
+        }
     }
 
-    let mut rows: Vec<DiffRow> = merged
-        .into_iter()
-        .map(|(key, (old, new))| classify(key, old, new, options))
-        .collect();
-    rows.sort_by(|a, b| {
-        a.class
-            .rank()
-            .cmp(&b.class.rank())
-            .then(b.delta_pct.abs().total_cmp(&a.delta_pct.abs()))
-            .then_with(|| a.key.cmp(&b.key))
-    });
-    rows
+    /// Adds a row of the old or (`is_new`) the new run, keyed by `parts`
+    /// joined.
+    fn add(&mut self, parts: &[&str], is_new: bool, side: DiffSide) {
+        let start = self.text.len();
+        for part in parts {
+            self.text.push_str(part);
+        }
+        self.rows.push((start..self.text.len(), is_new, side));
+    }
+
+    /// Merges the rows of each key and classifies them; see
+    /// [`diff_tables`] for the order.
+    fn align(mut self, options: DiffOptions) -> Vec<DiffRow> {
+        // Duplicate keys (e.g. the same function in two modules of the same
+        // name) are merged by summation, keeping alignment total.
+        let accumulate = |slot: &mut Option<DiffSide>, side: DiffSide| {
+            let s = slot.get_or_insert(DiffSide {
+                cycles: 0,
+                samples: 0,
+                execs: 0,
+                cpi: None,
+                coverage: None,
+            });
+            s.cycles += side.cycles;
+            s.samples += side.samples;
+            s.execs += side.execs;
+            s.cpi = (s.execs > 0).then(|| s.cycles as f64 / s.execs as f64);
+            // Any partially-covered contribution taints the merged row.
+            s.coverage = match (s.coverage, side.coverage) {
+                (Some(Coverage::SamplingOnly), _) | (_, Some(Coverage::SamplingOnly)) => {
+                    Some(Coverage::SamplingOnly)
+                }
+                (a, b) => a.or(b),
+            };
+        };
+        // Sorted by key, the rows of one key are adjacent; a key's place in
+        // the text keeps the old run's rows first, each in table order.
+        let text = &self.text;
+        self.rows.sort_unstable_by(|a, b| {
+            (&text[a.0.clone()], a.0.start).cmp(&(&text[b.0.clone()], b.0.start))
+        });
+        let mut rows: Vec<DiffRow> = Vec::with_capacity(self.rows.len());
+        let mut keyed = self.rows.iter().peekable();
+        while let Some((range, is_new, side)) = keyed.next() {
+            let key = &text[range.clone()];
+            let mut sides = (None, None);
+            let mut add = |is_new: bool, side: DiffSide| {
+                accumulate(if is_new { &mut sides.1 } else { &mut sides.0 }, side);
+            };
+            add(*is_new, *side);
+            while let Some((_, is_new, side)) = keyed.next_if(|next| &text[next.0.clone()] == key) {
+                add(*is_new, *side);
+            }
+            rows.push(classify(key.to_string(), sides.0, sides.1, options));
+        }
+        // Keys are unique now, so this order is total.
+        rows.sort_unstable_by(|a, b| {
+            a.class
+                .rank()
+                .cmp(&b.class.rank())
+                .then(b.delta_pct.abs().total_cmp(&a.delta_pct.abs()))
+                .then_with(|| a.key.cmp(&b.key))
+        });
+        rows
+    }
 }
 
 fn classify(

@@ -21,6 +21,7 @@
 
 mod analysis;
 mod blocks;
+mod cells;
 pub mod diff;
 mod error;
 pub mod export;

@@ -1,41 +1,64 @@
 //! Text report rendering: the tables OptiWISE prints for its users.
 
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 
 use crate::analysis::{Analysis, AnalysisMode};
-use crate::diff::{DiffClass, DiffReport, DiffRow};
+use crate::cells::{clip, fixed, hex, right, uint};
+use crate::diff::{DiffClass, DiffMetric, DiffReport, DiffRow};
 use crate::tables::ProfileTables;
 use crate::types::{FuncStats, InsnRow, LineStats, LoopStats};
 
-/// A 7-character percentage cell of `part` in `whole`. An empty or
+/// Appends a 7-character percentage cell of `part` in `whole`. An empty or
 /// degraded profile has `whole == 0`: there is no meaningful percentage, so
 /// the cell renders `-` instead of `NaN`/`0.0%`.
-struct Pct(u64, u64);
-
-impl fmt::Display for Pct {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let Pct(part, whole) = *self;
-        if whole == 0 {
-            write!(f, "{:>7}", "-")
-        } else {
-            write!(f, "{:>6.1}%", 100.0 * part as f64 / whole as f64)
-        }
+fn pct(out: &mut String, part: u64, whole: u64) {
+    if whole == 0 {
+        right(out, "-", 7);
+    } else {
+        fixed(out, 100.0 * part as f64 / whole as f64, 1, false, 6);
+        out.push('%');
     }
 }
 
-/// An optional ratio (IPC, CPI): two decimals below 100, none from 100
-/// on, `-` when absent; right-aligned to the formatter's width.
-struct Ratio(Option<f64>);
-
-impl fmt::Display for Ratio {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let w = f.width().unwrap_or(0);
-        match self.0 {
-            Some(x) if x >= 100.0 => write!(f, "{x:>w$.0}"),
-            Some(x) => write!(f, "{x:>w$.2}"),
-            None => write!(f, "{:>w$}", "-"),
-        }
+/// Appends an optional ratio (IPC, CPI) right-aligned in `width`: two
+/// decimals below 100, none from 100 on, `-` when absent.
+fn ratio(out: &mut String, x: Option<f64>, width: usize) {
+    match x {
+        Some(x) if x >= 100.0 => fixed(out, x, 0, false, width),
+        Some(x) => fixed(out, x, 2, false, width),
+        None => right(out, "-", width),
     }
+}
+
+/// Appends a report's totals line. The overall IPC is `-` without cycles
+/// (an empty profile) or counts (a degraded sampling-only run), never
+/// `NaN`/`inf`/a misleading 0.00.
+fn totals_line(out: &mut String, wall_cycles: u64, total_insns: u64) {
+    out.push_str("total cycles (sampled): ");
+    uint(out, wall_cycles, 0);
+    out.push_str("   total instructions (counted): ");
+    uint(out, total_insns, 0);
+    out.push_str("   overall IPC: ");
+    if wall_cycles == 0 || total_insns == 0 {
+        out.push('-');
+    } else {
+        fixed(out, total_insns as f64 / wall_cycles as f64, 2, false, 0);
+    }
+    out.push('\n');
+}
+
+/// The tables' header lines, column for column as their rows are laid out.
+const FUNCTIONS_HEADER: &str =
+    "FUNCTION                       SELF%   INCL%          INSNS     IPC     CPI\n";
+const LOOPS_HEADER: &str = "LOOP (function)          LINES             CYCLE%      ITERS    INVOCS  INS/ITER     CPI   DEPTH\n";
+const LINES_HEADER: &str =
+    "FILE:LINE                     CYCLE%       CYCLES        EXECS     CPI\n";
+const DIFF_HEADER: &str = "KEY                                               OLD      NEW    DELTA%    NOISE% CLASS       \n";
+
+/// Room for a report of three tables of `rows` rows, `limit` shown of each:
+/// about 100 bytes a row, and 512 for the rest.
+fn report_bytes(rows: [usize; 3], limit: usize) -> usize {
+    512 + 104 * rows.iter().map(|&n| n.min(limit)).sum::<usize>()
 }
 
 /// Appends the function table (top `limit` by self cycles) to `out`.
@@ -45,30 +68,25 @@ fn functions_table_rows(
     total_cycles: u64,
     limit: usize,
 ) {
-    let _ = writeln!(
-        out,
-        "{:<28} {:>7} {:>7} {:>14} {:>7} {:>7}",
-        "FUNCTION", "SELF%", "INCL%", "INSNS", "IPC", "CPI"
-    );
+    out.push_str(FUNCTIONS_HEADER);
     let mut any_sampling_only = false;
     for f in functions.iter().take(limit) {
-        let marker = match f.coverage {
-            crate::Coverage::Counted => "",
-            crate::Coverage::SamplingOnly => {
-                any_sampling_only = true;
-                " *"
-            }
-        };
-        let _ = writeln!(
-            out,
-            "{:<28} {} {} {:>14} {:>7} {:>7}{marker}",
-            Clip(&f.name, 28),
-            Pct(f.self_cycles, total_cycles),
-            Pct(f.incl_cycles, total_cycles),
-            f.self_insns,
-            Ratio(f.ipc()),
-            Ratio(f.cpi()),
-        );
+        clip(out, &f.name, 28, 28);
+        out.push(' ');
+        pct(out, f.self_cycles, total_cycles);
+        out.push(' ');
+        pct(out, f.incl_cycles, total_cycles);
+        out.push(' ');
+        uint(out, f.self_insns, 14);
+        out.push(' ');
+        ratio(out, f.ipc(), 7);
+        out.push(' ');
+        ratio(out, f.cpi(), 7);
+        if f.coverage == crate::Coverage::SamplingOnly {
+            any_sampling_only = true;
+            out.push_str(" *");
+        }
+        out.push('\n');
     }
     if any_sampling_only {
         let _ = writeln!(
@@ -81,54 +99,64 @@ fn functions_table_rows(
 /// Appends the loop table (top `limit` by attributed cycles) to `out` —
 /// the view the paper highlights for finding optimization candidates.
 fn loops_table_rows(out: &mut String, loops: &[LoopStats], total_cycles: u64, limit: usize) {
-    let _ = writeln!(
-        out,
-        "{:<24} {:<16} {:>7} {:>10} {:>9} {:>9} {:>7} {:>7}",
-        "LOOP (function)", "LINES", "CYCLE%", "ITERS", "INVOCS", "INS/ITER", "CPI", "DEPTH"
-    );
+    out.push_str(LOOPS_HEADER);
     let mut lines = String::new();
+    let mut buf = [0; 20];
     for l in loops.iter().take(limit) {
         lines.clear();
-        let _ = match &l.lines {
-            Some((file, lo, hi)) if lo == hi => write!(lines, "{}:{}", short_file(file), lo),
-            Some((file, lo, hi)) => write!(lines, "{}:{}-{}", short_file(file), lo, hi),
-            None => write!(lines, "@{:#x}", l.header_offset),
-        };
-        let _ = writeln!(
-            out,
-            "{:<24} {:<16} {} {:>10} {:>9} {:>9.1} {:>7} {:>7}",
-            Clip(&l.function, 24),
-            Clip(&lines, 16),
-            Pct(l.cycles, total_cycles),
-            l.iterations,
-            l.invocations,
-            l.insns_per_iteration(),
-            Ratio(l.cpi()),
-            l.depth,
-        );
+        match &l.lines {
+            Some((file, lo, hi)) => {
+                lines.push_str(short_file(file));
+                lines.push(':');
+                uint(&mut lines, u64::from(*lo), 0);
+                if lo != hi {
+                    lines.push('-');
+                    uint(&mut lines, u64::from(*hi), 0);
+                }
+            }
+            None => {
+                lines.push('@');
+                lines.push_str(hex(l.header_offset, &mut buf));
+            }
+        }
+        clip(out, &l.function, 24, 24);
+        out.push(' ');
+        clip(out, &lines, 16, 16);
+        out.push(' ');
+        pct(out, l.cycles, total_cycles);
+        out.push(' ');
+        uint(out, l.iterations, 10);
+        out.push(' ');
+        uint(out, l.invocations, 9);
+        out.push(' ');
+        fixed(out, l.insns_per_iteration(), 1, false, 9);
+        out.push(' ');
+        ratio(out, l.cpi(), 7);
+        out.push(' ');
+        uint(out, l.depth as u64, 7);
+        out.push('\n');
     }
 }
 
 /// Appends the source-line table to `out`.
 fn lines_table_rows(out: &mut String, lines: &[LineStats], total_cycles: u64, limit: usize) {
-    let _ = writeln!(
-        out,
-        "{:<28} {:>7} {:>12} {:>12} {:>7}",
-        "FILE:LINE", "CYCLE%", "CYCLES", "EXECS", "CPI"
-    );
+    out.push_str(LINES_HEADER);
     let mut key = String::new();
     for l in lines.iter().take(limit) {
         key.clear();
-        let _ = write!(key, "{}:{}", short_file(&l.file), l.line);
-        let _ = writeln!(
-            out,
-            "{:<28} {} {:>12} {:>12} {:>7}",
-            Clip(&key, 28),
-            Pct(l.cycles, total_cycles),
-            l.cycles,
-            l.count,
-            Ratio(l.cpi()),
-        );
+        key.push_str(short_file(&l.file));
+        key.push(':');
+        uint(&mut key, u64::from(l.line), 0);
+        clip(out, &key, 28, 28);
+        out.push(' ');
+        pct(out, l.cycles, total_cycles);
+        out.push(' ');
+        uint(out, l.cycles, 12);
+        out.push(' ');
+        uint(out, l.count, 12);
+        out.push(' ');
+        ratio(out, l.cpi(), 7);
+        out.push('\n');
     }
 }
 
@@ -141,18 +169,22 @@ pub fn annotate(rows: &[InsnRow], total_cycles: u64) -> String {
         "{:>8}  {:<34} {:>8} {:>10} {:>12} {:>8} {:>7}",
         "OFFSET", "INSTRUCTION", "SAMPLES", "CYCLES", "EXECS", "CPI", "CYCLE%"
     );
+    let mut buf = [0; 20];
     for r in rows {
-        let _ = writeln!(
-            out,
-            "{:>8x}  {:<34} {:>8} {:>10} {:>12} {:>8} {}",
-            r.loc.offset,
-            Clip(&r.text, 34),
-            r.samples,
-            r.cycles,
-            r.count,
-            Ratio(r.cpi),
-            Pct(r.cycles, total_cycles),
-        );
+        right(&mut out, &hex(r.loc.offset, &mut buf)[2..], 8);
+        out.push_str("  ");
+        clip(&mut out, &r.text, 34, 34);
+        out.push(' ');
+        uint(&mut out, r.samples, 8);
+        out.push(' ');
+        uint(&mut out, r.cycles, 10);
+        out.push(' ');
+        uint(&mut out, r.count, 12);
+        out.push(' ');
+        ratio(&mut out, r.cpi, 8);
+        out.push(' ');
+        pct(&mut out, r.cycles, total_cycles);
+        out.push('\n');
     }
     out
 }
@@ -192,25 +224,14 @@ pub fn diagnostics_section(analysis: &Analysis) -> String {
 
 /// The full default report: summary, run health, functions, loops, lines.
 pub fn full_report(analysis: &Analysis, limit: usize) -> String {
-    let mut out = String::new();
+    let rows = [
+        analysis.functions().len(),
+        analysis.loops().len(),
+        analysis.lines().len(),
+    ];
+    let mut out = String::with_capacity(report_bytes(rows, limit));
     let _ = writeln!(out, "== OptiWISE report ==");
-    // No cycles (empty profile) or no counts (degraded sampling-only run)
-    // means there is no IPC to report — render `-`, never `NaN`/`inf`/a
-    // misleading 0.00.
-    let overall_ipc = if analysis.wall_cycles == 0 || analysis.total_insns == 0 {
-        "-".to_string()
-    } else {
-        format!(
-            "{:.2}",
-            analysis.total_insns as f64 / analysis.wall_cycles as f64
-        )
-    };
-    let _ = writeln!(
-        out,
-        "total cycles (sampled): {}   total instructions (counted): {}   overall IPC: {overall_ipc}",
-        analysis.wall_cycles,
-        analysis.total_insns,
-    );
+    totals_line(&mut out, analysis.wall_cycles, analysis.total_insns);
     let diag = diagnostics_section(analysis);
     if !diag.is_empty() {
         let _ = writeln!(out, "\n-- run health --\n{diag}");
@@ -230,21 +251,14 @@ pub fn full_report(analysis: &Analysis, limit: usize) -> String {
 /// of `optiwise show`. The run-health section is unavailable (diagnostics
 /// are not persisted), but mode degradation still is.
 pub fn tables_report(tables: &ProfileTables, limit: usize) -> String {
-    let mut out = String::new();
+    let rows = [
+        tables.functions.len(),
+        tables.loops.len(),
+        tables.lines.len(),
+    ];
+    let mut out = String::with_capacity(report_bytes(rows, limit));
     let _ = writeln!(out, "== OptiWISE report ==");
-    let overall_ipc = if tables.wall_cycles == 0 || tables.total_insns == 0 {
-        "-".to_string()
-    } else {
-        format!(
-            "{:.2}",
-            tables.total_insns as f64 / tables.wall_cycles as f64
-        )
-    };
-    let _ = writeln!(
-        out,
-        "total cycles (sampled): {}   total instructions (counted): {}   overall IPC: {overall_ipc}",
-        tables.wall_cycles, tables.total_insns,
-    );
+    totals_line(&mut out, tables.wall_cycles, tables.total_insns);
     if tables.mode == AnalysisMode::SamplingOnly {
         let _ = writeln!(
             out,
@@ -262,62 +276,63 @@ pub fn tables_report(tables: &ProfileTables, limit: usize) -> String {
     out
 }
 
-/// One OLD or NEW cell of a diff row, right-aligned to the formatter's
-/// width.
-enum Value {
-    Ratio(Option<f64>),
-    Count(u64),
-    Absent,
-}
-
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            Value::Ratio(v) => Ratio(v).fmt(f),
-            Value::Count(n) => n.fmt(f),
-            Value::Absent => f.pad("-"),
-        }
+/// Appends one OLD or NEW cell of a diff row: the side's value of the
+/// row's metric, its cycles when the other side is missing, or `-`.
+fn diff_value(out: &mut String, row: &DiffRow, side: Option<crate::diff::DiffSide>) {
+    const W: usize = 8;
+    match (side, row.old.is_some() && row.new.is_some()) {
+        (Some(s), true) => match row.metric {
+            DiffMetric::Cpi => ratio(out, s.cpi, W),
+            DiffMetric::Execs => uint(out, s.execs, W),
+            DiffMetric::Cycles => uint(out, s.cycles, W),
+        },
+        (Some(s), false) => uint(out, s.cycles, W),
+        (None, _) => right(out, "-", W),
     }
 }
 
 fn diff_table(out: &mut String, rows: &[DiffRow], limit: usize) {
-    let _ = writeln!(
-        out,
-        "{:<44} {:>8} {:>8} {:>9} {:>9} {:<12}",
-        "KEY", "OLD", "NEW", "DELTA%", "NOISE%", "CLASS"
-    );
+    out.push_str(DIFF_HEADER);
     for r in rows.iter().take(limit) {
-        let (old_v, new_v) = match (r.old, r.new) {
-            (Some(o), Some(n)) => match r.metric {
-                crate::diff::DiffMetric::Cpi => (Value::Ratio(o.cpi), Value::Ratio(n.cpi)),
-                crate::diff::DiffMetric::Execs => (Value::Count(o.execs), Value::Count(n.execs)),
-                crate::diff::DiffMetric::Cycles => (Value::Count(o.cycles), Value::Count(n.cycles)),
-            },
-            (Some(o), None) => (Value::Count(o.cycles), Value::Absent),
-            (None, Some(n)) => (Value::Absent, Value::Count(n.cycles)),
-            (None, None) => (Value::Absent, Value::Absent),
-        };
-        let _ = write!(out, "{:<44} {old_v:>8} {new_v:>8} ", Clip(&r.key, 44));
-        let _ = match r.class {
+        clip(out, &r.key, 44, 44);
+        out.push(' ');
+        diff_value(out, r, r.old);
+        out.push(' ');
+        diff_value(out, r, r.new);
+        out.push(' ');
+        match r.class {
             DiffClass::Added | DiffClass::Removed | DiffClass::CoverageChange => {
-                write!(out, "{:>9}", "-")
+                right(out, "-", 9);
             }
-            _ if r.delta_pct.is_infinite() => write!(out, "{:>9}", "+inf"),
-            _ => write!(out, "{:>+8.1}%", r.delta_pct),
-        };
-        let _ = if r.noise_pct.is_infinite() {
-            write!(out, " {:>9}", "-")
+            _ if r.delta_pct.is_infinite() => right(out, "+inf", 9),
+            _ => {
+                fixed(out, r.delta_pct, 1, true, 8);
+                out.push('%');
+            }
+        }
+        out.push(' ');
+        if r.noise_pct.is_infinite() {
+            right(out, "-", 9);
         } else {
-            write!(out, " {:>8.1}%", r.noise_pct)
-        };
-        let _ = writeln!(out, " {:<12}", r.class);
+            fixed(out, r.noise_pct, 1, false, 8);
+            out.push('%');
+        }
+        // The class's `Display` ignores width: no padding after it.
+        out.push(' ');
+        out.push_str(r.class.name());
+        out.push('\n');
     }
 }
 
 /// Renders the differential report: summary line, then the function, loop
 /// and line tables (each already sorted regressions-first).
 pub fn diff_report(report: &DiffReport, limit: usize) -> String {
-    let mut out = String::new();
+    let rows = [
+        report.functions.len(),
+        report.loops.len(),
+        report.lines.len(),
+    ];
+    let mut out = String::with_capacity(report_bytes(rows, limit));
     let (reg, imp, noise) = report.summary();
     let _ = writeln!(out, "== OptiWISE diff ==");
     let _ = writeln!(
@@ -340,23 +355,6 @@ pub fn diff_report(report: &DiffReport, limit: usize) -> String {
     diff_table(&mut out, &report.lines, limit);
     let _ = writeln!(out);
     out
-}
-
-/// `s` cut to `max` bytes, the cut marked `…`; left-aligned to the
-/// formatter's width.
-struct Clip<'a>(&'a str, usize);
-
-impl fmt::Display for Clip<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let Clip(s, max) = *self;
-        if s.len() <= max {
-            return f.pad(s);
-        }
-        let head = &s[..max.saturating_sub(1)];
-        let w = f.width().unwrap_or(0);
-        let chars = head.chars().count() + 1;
-        write!(f, "{head}…{:w$}", "", w = w.saturating_sub(chars))
-    }
 }
 
 fn short_file(path: &str) -> &str {
@@ -405,30 +403,86 @@ mod tests {
         assert!(!text.contains("NaN"), "{text}");
         assert!(!text.contains("inf"), "{text}");
         assert!(text.contains('-'), "{text}");
-        assert_eq!(Pct(5, 0).to_string(), format!("{:>7}", "-"));
-        assert_eq!(Pct(1, 2).to_string(), "  50.0%");
+        let cell = |part, whole| {
+            let mut out = String::new();
+            pct(&mut out, part, whole);
+            out
+        };
+        assert_eq!(cell(5, 0), format!("{:>7}", "-"));
+        assert_eq!(cell(1, 2), "  50.0%");
         // The dash cell keeps column width so tables stay aligned.
-        assert_eq!(Pct(5, 0).to_string().len(), Pct(1, 2).to_string().len());
+        assert_eq!(cell(5, 0).len(), cell(1, 2).len());
     }
 
     #[test]
-    fn truncation() {
-        assert_eq!(Clip("short", 10).to_string(), "short");
-        let t = Clip("averyverylongname", 8).to_string();
-        assert!(t.chars().count() <= 8);
-        // A cut cell pads to its column by characters, `…` counting one.
-        assert_eq!(format!("[{:<6}]", Clip("aé-long", 4)), "[aé…   ]");
-        assert_eq!(format!("[{:<6}]", Clip("ab", 4)), "[ab    ]");
-    }
-
-    #[test]
-    fn value_cells_pad_like_their_text() {
+    fn ratio_cells_pad_like_their_text() {
         for (v, text) in [(Some(1.5), "1.50"), (Some(123.4), "123"), (None, "-")] {
-            assert_eq!(format!("{:>7}", Ratio(v)), format!("{text:>7}"));
-            assert_eq!(format!("{:>8}", Value::Ratio(v)), format!("{text:>8}"));
+            for width in [7, 8] {
+                let mut out = String::new();
+                ratio(&mut out, v, width);
+                assert_eq!(out, format!("{text:>width$}"));
+            }
         }
-        assert_eq!(format!("{:>8}", Value::Count(42)), format!("{:>8}", "42"));
-        assert_eq!(format!("{:>8}", Value::Absent), format!("{:>8}", "-"));
+    }
+
+    /// Names and files of two-byte characters put every odd byte offset
+    /// inside a character, and each column's cut (`max - 1` bytes: 27, 23,
+    /// 15 and, after the `clips:` key prefix, 43) at an odd one.
+    #[test]
+    fn non_ascii_names_are_cut_on_char_boundaries() {
+        let name = "é".repeat(30);
+        let file = format!("{}.c", "é".repeat(20));
+        let src = format!(
+            ".func {name} global\n.loc \"src/{file}\" 3\n li x8, 20000\n li x9, 0\n\
+             loop:\n addi x1, x1, 1\n subi x8, x8, 1\n bne x8, x9, loop\n\
+             li x1, 0\n li x0, 0\n syscall\n.endfunc\n.entry {name}\n"
+        );
+        let module = wiser_isa::assemble("clips", &src).unwrap();
+        let run = crate::run_optiwise(&[module], &crate::OptiwiseConfig::default()).unwrap();
+        let tables = ProfileTables::from_analysis(&run.analysis);
+        assert!(!tables.loops.is_empty() && !tables.lines.is_empty());
+        let diff = crate::diff_tables(&tables, &tables, crate::DiffOptions::default());
+        for text in [
+            full_report(&run.analysis, 15),
+            tables_report(&tables, 15),
+            diff_report(&diff, 15),
+        ] {
+            for cut in [13, 11, 7] {
+                let clipped = format!("{}…", "é".repeat(cut));
+                assert!(text.contains(&clipped), "{clipped} missing from\n{text}");
+            }
+        }
+        let shown = diff_report(&diff, 15);
+        assert!(
+            shown.contains(&format!("clips:{}…", "é".repeat(18))),
+            "{shown}"
+        );
+    }
+
+    #[test]
+    fn headers_are_their_column_formats() {
+        let headers = [
+            format!(
+                "{:<28} {:>7} {:>7} {:>14} {:>7} {:>7}\n",
+                "FUNCTION", "SELF%", "INCL%", "INSNS", "IPC", "CPI"
+            ),
+            format!(
+                "{:<24} {:<16} {:>7} {:>10} {:>9} {:>9} {:>7} {:>7}\n",
+                "LOOP (function)", "LINES", "CYCLE%", "ITERS", "INVOCS", "INS/ITER", "CPI", "DEPTH"
+            ),
+            format!(
+                "{:<28} {:>7} {:>12} {:>12} {:>7}\n",
+                "FILE:LINE", "CYCLE%", "CYCLES", "EXECS", "CPI"
+            ),
+            format!(
+                "{:<44} {:>8} {:>8} {:>9} {:>9} {:<12}\n",
+                "KEY", "OLD", "NEW", "DELTA%", "NOISE%", "CLASS"
+            ),
+        ];
+        assert_eq!(
+            headers,
+            [FUNCTIONS_HEADER, LOOPS_HEADER, LINES_HEADER, DIFF_HEADER]
+        );
     }
 
     #[test]

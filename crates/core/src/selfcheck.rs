@@ -580,7 +580,7 @@ pub fn check_modules(
             out.push(Discrepancy {
                 class,
                 check: "module-cycles",
-                entity: tables.module_name(mi as u32),
+                entity: tables.module_name(mi as u32).into_owned(),
                 got,
                 want,
                 bound: b,

@@ -6,6 +6,8 @@
 //! diffed without rebuilding (or even having) the program it came from.
 //! `wiser-store` serializes this type; [`crate::diff`] aligns two of them.
 
+use std::borrow::Cow;
+
 use crate::analysis::{Analysis, AnalysisMode};
 use crate::types::{FuncStats, LineStats, LoopStats};
 
@@ -53,11 +55,11 @@ impl ProfileTables {
     /// Name of module `index`, or a placeholder for out-of-range indices
     /// (possible in tables decoded from a file written by a different
     /// module set).
-    pub fn module_name(&self, index: u32) -> String {
-        self.modules
-            .get(index as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("<module {index}>"))
+    pub fn module_name(&self, index: u32) -> Cow<'_, str> {
+        match self.modules.get(index as usize) {
+            Some(name) => Cow::Borrowed(name),
+            None => Cow::Owned(format!("<module {index}>")),
+        }
     }
 
     /// Structural consistency check: every row's module index refers to a

@@ -14,7 +14,7 @@ mod profile;
 mod sampler;
 
 pub use config::{Attribution, SamplerConfig, StackMode};
-pub use profile::{Sample, SampleProfile};
+pub use profile::{FrameRange, Sample, SampleProfile};
 pub use sampler::{
     sample_run, sample_run_ctl, sampling_overhead, PerfSampler, SAMPLE_SERVICE_COST,
 };

@@ -19,7 +19,7 @@ use wiser_sim::{
 };
 
 use crate::config::{Attribution, SamplerConfig, StackMode};
-use crate::profile::{Sample, SampleProfile};
+use crate::profile::{FrameRange, Sample, SampleProfile};
 
 /// Approximate cycles of overhead each serviced sample costs the profiled
 /// program (interrupt entry/exit plus perf's record writing). At the default
@@ -44,6 +44,8 @@ pub struct PerfSampler<'a> {
     pending_since: u64,
     last_sample_cycle: u64,
     samples: Vec<Sample>,
+    /// The frame arena of `samples`' stacks.
+    frames: Vec<CodeLoc>,
     unmapped: u64,
     /// Checkpoint cadence and sink; the timed driver polls its token.
     ctl: PassControl<'a, SampleProfile>,
@@ -78,6 +80,7 @@ impl<'a> PerfSampler<'a> {
             pending_since: 0,
             last_sample_cycle: 0,
             samples: Vec::new(),
+            frames: Vec::new(),
             unmapped: 0,
             ctl: PassControl::default(),
             next_ckpt: u64::MAX,
@@ -157,16 +160,17 @@ impl<'a> PerfSampler<'a> {
             self.unmapped += 1;
             return;
         };
-        let stack = match self.cfg.stacks {
-            StackMode::None => Vec::new(),
-            StackMode::Accurate => point
-                .arch_stack
-                .iter()
-                // Frames hold return addresses; report the call site,
-                // bounded to the containing function/module range.
-                .filter_map(|&ret| self.call_site_of(ret))
-                .collect(),
-        };
+        let start = self.frames.len();
+        if self.cfg.stacks == StackMode::Accurate {
+            // Frames hold return addresses; report the call site, bounded
+            // to the containing function/module range.
+            for &ret in point.arch_stack {
+                if let Some(site) = self.call_site_of(ret) {
+                    self.frames.push(site);
+                }
+            }
+        }
+        let stack = FrameRange::new(start, self.frames.len());
         self.samples.push(Sample { loc, weight, stack });
     }
 
@@ -183,11 +187,19 @@ impl<'a> PerfSampler<'a> {
     ) -> SampleProfile {
         let module_names = std::mem::take(&mut self.module_names);
         let samples = std::mem::take(&mut self.samples);
-        self.profile(module_names, samples, total_cycles, retired, truncated)
+        let frames = std::mem::take(&mut self.frames);
+        self.profile(
+            module_names,
+            samples,
+            frames,
+            total_cycles,
+            retired,
+            truncated,
+        )
     }
 
-    /// The profile of `samples` (the recorded ones, in order) less those
-    /// the config's [`wiser_sim::FaultPlan`] drops — modelling samples lost
+    /// The profile of `samples` (the recorded ones, in order, their stacks
+    /// in `frames`) less those the config's [`wiser_sim::FaultPlan`] drops — modelling samples lost
     /// in perf's ring buffer. Both the finished profile and the checkpoint
     /// snapshots are built here, so a snapshot is exactly the profile a
     /// cancellation at that point would produce.
@@ -195,6 +207,7 @@ impl<'a> PerfSampler<'a> {
         &self,
         module_names: Vec<String>,
         samples: impl IntoIterator<Item = Sample>,
+        frames: Vec<CodeLoc>,
         total_cycles: u64,
         retired: u64,
         truncated: Option<TruncationReason>,
@@ -214,6 +227,7 @@ impl<'a> PerfSampler<'a> {
         SampleProfile {
             module_names,
             samples,
+            frames,
             period: self.cfg.period,
             total_cycles,
             // Dropped samples behave like unmapped ones: cycles we know
@@ -250,10 +264,11 @@ impl Prober for PerfSampler<'_> {
             // apart, so the snapshot lands within one period of the
             // requested cadence — close enough, since resume replays the
             // pass deterministically rather than splicing at this point.
-            let samples = self.samples.iter().cloned();
+            let samples = self.samples.iter().copied();
+            let frames = self.frames.clone();
             let cut = Some(TruncationReason::Cancelled(point.retired));
             let names = self.module_names.clone();
-            let snap = self.profile(names, samples, point.cycle, point.retired, cut);
+            let snap = self.profile(names, samples, frames, point.cycle, point.retired, cut);
             self.next_ckpt = self.ctl.checkpoint(point.retired, snap);
         }
         if !self.pending && point.cycle >= self.next_interrupt {
@@ -498,7 +513,10 @@ mod tests {
             .filter(|s| {
                 s.loc.offset >= spin.offset
                     && s.loc.offset < spin.offset + spin.size
-                    && s.stack.iter().any(|f| f.offset == call_site_offset)
+                    && profile
+                        .stack(s)
+                        .iter()
+                        .any(|f| f.offset == call_site_offset)
             })
             .count();
         assert!(in_spin_with_stack > 10, "{in_spin_with_stack}");

@@ -33,8 +33,8 @@ pub use timed::{run_timed, run_timed_partial_ctl, TimedRun};
 // direct `wiser-par` dependency.
 pub use trace::{BranchOutcome, ExecRecord, FlowEvent};
 pub use uarch::{
-    BpredConfig, BpredStats, CacheConfig, CacheStats, CommitMode, ConfigError, ConfigErrorKind,
-    CoreConfig, CoreStats, CoreWork, MemHierConfig, NoProbes, OoOCore, ProbePoint, Prober,
-    ARCH_NAMES, MAX_LATENCY,
+    decimal, BpredConfig, BpredStats, CacheConfig, CacheStats, CommitMode, ConfigError,
+    ConfigErrorKind, ConfigField, CoreConfig, CoreStats, CoreWork, MemHierConfig, NoProbes,
+    OoOCore, ProbePoint, Prober, ARCH_NAMES, MAX_LATENCY,
 };
 pub use wiser_par::{CancelCause, CancelToken};

@@ -243,8 +243,8 @@ pub struct CoreConfig {
 /// checkpoint resume and sweep config specs.
 pub const ARCH_NAMES: &[&str] = &["xeon", "neoverse", "tiny"];
 
-fn parse_uint<T: std::str::FromStr>(field: &str, value: &str) -> Result<T, ConfigError> {
-    value.parse().map_err(|_| {
+fn parse_uint(field: &str, value: &str, max: u64) -> Result<u64, ConfigError> {
+    value.parse().ok().filter(|&v| v <= max).ok_or_else(|| {
         ConfigError::of(
             ConfigErrorKind::BadValue,
             field,
@@ -269,6 +269,120 @@ fn commit_mode_name(mode: CommitMode) -> &'static str {
     match mode {
         CommitMode::InOrder => "in_order",
         CommitMode::EarlyRelease => "early_release",
+    }
+}
+
+/// The decimal digits of `n` (as `Display` writes them), built at the end
+/// of `buf`, which needs room for them: 20 bytes hold any `u64`.
+#[inline]
+pub fn decimal(mut n: u64, buf: &mut [u8]) -> &str {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
+}
+
+/// The canonical decimal text of an integer at most `max`: ASCII digits
+/// only, no sign, no whitespace and no leading zero. `None` for any other
+/// text, which may still parse through the general path.
+fn canonical_uint(text: &[u8], max: u64) -> Option<u64> {
+    if text.is_empty() || text.len() > 20 || (text[0] == b'0' && text.len() > 1) {
+        return None;
+    }
+    let mut n: u64 = 0;
+    for &b in text {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        n = n.checked_mul(10)?.checked_add(u64::from(digit))?;
+    }
+    (n <= max).then_some(n)
+}
+
+/// How a [`ConfigField`] holds its value.
+#[derive(Clone, Copy)]
+enum FieldKind {
+    /// An unsigned integer of at most `max`, read and written widened to
+    /// `u64`.
+    Uint {
+        max: u64,
+        get: fn(&CoreConfig) -> u64,
+        set: fn(&mut CoreConfig, u64),
+    },
+    /// [`CoreConfig::commit_mode`], by name.
+    CommitMode,
+}
+
+/// One field of [`CoreConfig::FIELDS`]: its override key and where its
+/// value lives.
+#[derive(Clone, Copy)]
+pub struct ConfigField {
+    /// The override key (`rob_size`, `l1d.size`, ...).
+    pub key: &'static str,
+    kind: FieldKind,
+}
+
+/// A [`FieldKind::Uint`] entry of [`CoreConfig::FIELDS`] for the field at
+/// `path`, of integer type `ty`.
+macro_rules! uint_field {
+    ($key:literal, $ty:ty, $($path:ident).+) => {
+        ConfigField {
+            key: $key,
+            kind: FieldKind::Uint {
+                max: <$ty>::MAX as u64,
+                get: |c| c.$($path).+ as u64,
+                set: |c, v| c.$($path).+ = v as $ty,
+            },
+        }
+    };
+}
+
+impl ConfigField {
+    /// Sets this field of `core` from the (trimmed) override text `value`.
+    fn apply(&self, core: &mut CoreConfig, value: &str) -> Result<(), ConfigError> {
+        match self.kind {
+            FieldKind::Uint { max, set, .. } => set(core, parse_uint(self.key, value, max)?),
+            FieldKind::CommitMode => core.commit_mode = parse_commit_mode(value)?,
+        }
+        Ok(())
+    }
+
+    /// The value text of this field of `core`, as
+    /// [`CoreConfig::for_each_pair`] gives it; integers are built in `buf`.
+    pub fn value<'b>(&self, core: &CoreConfig, buf: &'b mut [u8; 20]) -> &'b str {
+        match self.kind {
+            FieldKind::Uint { get, .. } => decimal(get(core), buf),
+            FieldKind::CommitMode => commit_mode_name(core.commit_mode),
+        }
+    }
+
+    /// Sets this field of `core` from `value` when it is the canonical text
+    /// [`ConfigField::value`] writes (for an integer: ASCII digits, no sign,
+    /// no leading zero, within the field's type), and returns whether it
+    /// was. Text it refuses goes through [`CoreConfig::apply_override`],
+    /// which accepts it, or explains why not, exactly as for `--set`.
+    pub fn set_canonical(&self, core: &mut CoreConfig, value: &[u8]) -> bool {
+        match self.kind {
+            FieldKind::Uint { max, set, .. } => match canonical_uint(value, max) {
+                Some(v) => set(core, v),
+                None => return false,
+            },
+            FieldKind::CommitMode => {
+                core.commit_mode = match value {
+                    b"in_order" => CommitMode::InOrder,
+                    b"early_release" => CommitMode::EarlyRelease,
+                    _ => return false,
+                }
+            }
+        }
+        true
     }
 }
 
@@ -460,56 +574,11 @@ impl CoreConfig {
     /// [`CoreConfig::validate`] once all overrides are applied.
     pub fn apply_override(&mut self, key: &str, value: &str) -> Result<(), ConfigError> {
         let key = key.trim();
-        let value = value.trim();
-        match key {
-            "fetch_width" => self.fetch_width = parse_uint(key, value)?,
-            "dispatch_width" => self.dispatch_width = parse_uint(key, value)?,
-            "issue_width" => self.issue_width = parse_uint(key, value)?,
-            "commit_width" => self.commit_width = parse_uint(key, value)?,
-            "rob_size" => self.rob_size = parse_uint(key, value)?,
-            "iq_size" => self.iq_size = parse_uint(key, value)?,
-            "frontend_latency" => self.frontend_latency = parse_uint(key, value)?,
-            "mispredict_penalty" => self.mispredict_penalty = parse_uint(key, value)?,
-            "commit_mode" => self.commit_mode = parse_commit_mode(value)?,
-            "int_alu_units" => self.int_alu_units = parse_uint(key, value)?,
-            "int_mul_units" => self.int_mul_units = parse_uint(key, value)?,
-            "int_div_units" => self.int_div_units = parse_uint(key, value)?,
-            "fp_units" => self.fp_units = parse_uint(key, value)?,
-            "fp_div_units" => self.fp_div_units = parse_uint(key, value)?,
-            "load_ports" => self.load_ports = parse_uint(key, value)?,
-            "store_ports" => self.store_ports = parse_uint(key, value)?,
-            "mshrs" => self.mshrs = parse_uint(key, value)?,
-            "int_mul_latency" => self.int_mul_latency = parse_uint(key, value)?,
-            "int_div_latency" => self.int_div_latency = parse_uint(key, value)?,
-            "fp_latency" => self.fp_latency = parse_uint(key, value)?,
-            "fp_div_latency" => self.fp_div_latency = parse_uint(key, value)?,
-            "fp_sqrt_latency" => self.fp_sqrt_latency = parse_uint(key, value)?,
-            "syscall_latency" => self.syscall_latency = parse_uint(key, value)?,
-            "mem_latency" => self.mem.mem_latency = parse_uint(key, value)?,
-            "pht_bits" => self.bpred.pht_bits = parse_uint(key, value)?,
-            "btb_entries" => self.bpred.btb_entries = parse_uint(key, value)?,
-            "ras_depth" => self.bpred.ras_depth = parse_uint(key, value)?,
-            _ => {
-                let (level, field) = key
-                    .split_once('.')
-                    .ok_or_else(|| ConfigError::unknown(key))?;
-                let cache = match level {
-                    "l1i" => &mut self.mem.l1i,
-                    "l1d" => &mut self.mem.l1d,
-                    "l2" => &mut self.mem.l2,
-                    "l3" => &mut self.mem.l3,
-                    _ => return Err(ConfigError::unknown(key)),
-                };
-                match field {
-                    "size" => cache.size = parse_uint(key, value)?,
-                    "assoc" => cache.assoc = parse_uint(key, value)?,
-                    "line" => cache.line = parse_uint(key, value)?,
-                    "latency" => cache.latency = parse_uint(key, value)?,
-                    _ => return Err(ConfigError::unknown(key)),
-                }
-            }
-        }
-        Ok(())
+        let field = CoreConfig::FIELDS
+            .iter()
+            .find(|f| f.key == key)
+            .ok_or_else(|| ConfigError::unknown(key))?;
+        field.apply(self, value.trim())
     }
 
     /// Splits a `key=value` override spec (as passed to `--set`) into its
@@ -527,62 +596,66 @@ impl CoreConfig {
         }
     }
 
-    /// Visits the full configuration as `(key, value)` pairs in a fixed
-    /// order, exhaustively covering every field [`CoreConfig::apply_override`]
-    /// accepts: applying the pairs of any config onto any base reconstructs
-    /// it exactly. This is the one list of keys, and its order is the wire
-    /// order of the `UCFG` store section.
-    pub fn for_each_pair(&self, mut f: impl FnMut(&'static str, &dyn std::fmt::Display)) {
-        f("fetch_width", &self.fetch_width);
-        f("dispatch_width", &self.dispatch_width);
-        f("issue_width", &self.issue_width);
-        f("commit_width", &self.commit_width);
-        f("rob_size", &self.rob_size);
-        f("iq_size", &self.iq_size);
-        f("frontend_latency", &self.frontend_latency);
-        f("mispredict_penalty", &self.mispredict_penalty);
-        f("commit_mode", &commit_mode_name(self.commit_mode));
-        f("int_alu_units", &self.int_alu_units);
-        f("int_mul_units", &self.int_mul_units);
-        f("int_div_units", &self.int_div_units);
-        f("fp_units", &self.fp_units);
-        f("fp_div_units", &self.fp_div_units);
-        f("load_ports", &self.load_ports);
-        f("store_ports", &self.store_ports);
-        f("mshrs", &self.mshrs);
-        f("int_mul_latency", &self.int_mul_latency);
-        f("int_div_latency", &self.int_div_latency);
-        f("fp_latency", &self.fp_latency);
-        f("fp_div_latency", &self.fp_div_latency);
-        f("fp_sqrt_latency", &self.fp_sqrt_latency);
-        f("syscall_latency", &self.syscall_latency);
-        for (keys, c) in [
-            (
-                ["l1i.size", "l1i.assoc", "l1i.line", "l1i.latency"],
-                &self.mem.l1i,
-            ),
-            (
-                ["l1d.size", "l1d.assoc", "l1d.line", "l1d.latency"],
-                &self.mem.l1d,
-            ),
-            (
-                ["l2.size", "l2.assoc", "l2.line", "l2.latency"],
-                &self.mem.l2,
-            ),
-            (
-                ["l3.size", "l3.assoc", "l3.line", "l3.latency"],
-                &self.mem.l3,
-            ),
-        ] {
-            f(keys[0], &c.size);
-            f(keys[1], &c.assoc);
-            f(keys[2], &c.line);
-            f(keys[3], &c.latency);
+    /// Every field, keyed as [`CoreConfig::apply_override`] takes it: the
+    /// one list of keys. Its order is [`CoreConfig::for_each_pair`]'s and
+    /// the wire order of the `UCFG` store section.
+    pub const FIELDS: &'static [ConfigField] = &[
+        uint_field!("fetch_width", u32, fetch_width),
+        uint_field!("dispatch_width", u32, dispatch_width),
+        uint_field!("issue_width", u32, issue_width),
+        uint_field!("commit_width", u32, commit_width),
+        uint_field!("rob_size", usize, rob_size),
+        uint_field!("iq_size", usize, iq_size),
+        uint_field!("frontend_latency", u64, frontend_latency),
+        uint_field!("mispredict_penalty", u64, mispredict_penalty),
+        ConfigField {
+            key: "commit_mode",
+            kind: FieldKind::CommitMode,
+        },
+        uint_field!("int_alu_units", u32, int_alu_units),
+        uint_field!("int_mul_units", u32, int_mul_units),
+        uint_field!("int_div_units", u32, int_div_units),
+        uint_field!("fp_units", u32, fp_units),
+        uint_field!("fp_div_units", u32, fp_div_units),
+        uint_field!("load_ports", u32, load_ports),
+        uint_field!("store_ports", u32, store_ports),
+        uint_field!("mshrs", u32, mshrs),
+        uint_field!("int_mul_latency", u64, int_mul_latency),
+        uint_field!("int_div_latency", u64, int_div_latency),
+        uint_field!("fp_latency", u64, fp_latency),
+        uint_field!("fp_div_latency", u64, fp_div_latency),
+        uint_field!("fp_sqrt_latency", u64, fp_sqrt_latency),
+        uint_field!("syscall_latency", u64, syscall_latency),
+        uint_field!("l1i.size", u64, mem.l1i.size),
+        uint_field!("l1i.assoc", usize, mem.l1i.assoc),
+        uint_field!("l1i.line", u64, mem.l1i.line),
+        uint_field!("l1i.latency", u64, mem.l1i.latency),
+        uint_field!("l1d.size", u64, mem.l1d.size),
+        uint_field!("l1d.assoc", usize, mem.l1d.assoc),
+        uint_field!("l1d.line", u64, mem.l1d.line),
+        uint_field!("l1d.latency", u64, mem.l1d.latency),
+        uint_field!("l2.size", u64, mem.l2.size),
+        uint_field!("l2.assoc", usize, mem.l2.assoc),
+        uint_field!("l2.line", u64, mem.l2.line),
+        uint_field!("l2.latency", u64, mem.l2.latency),
+        uint_field!("l3.size", u64, mem.l3.size),
+        uint_field!("l3.assoc", usize, mem.l3.assoc),
+        uint_field!("l3.line", u64, mem.l3.line),
+        uint_field!("l3.latency", u64, mem.l3.latency),
+        uint_field!("mem_latency", u64, mem.mem_latency),
+        uint_field!("pht_bits", u32, bpred.pht_bits),
+        uint_field!("btb_entries", usize, bpred.btb_entries),
+        uint_field!("ras_depth", usize, bpred.ras_depth),
+    ];
+
+    /// Visits the full configuration as `(key, value)` pairs in the order
+    /// of [`CoreConfig::FIELDS`]: applying the pairs of any config onto any
+    /// base reconstructs it exactly.
+    pub fn for_each_pair(&self, mut f: impl FnMut(&'static str, &str)) {
+        let mut buf = [0; 20];
+        for field in CoreConfig::FIELDS {
+            f(field.key, field.value(self, &mut buf));
         }
-        f("mem_latency", &self.mem.mem_latency);
-        f("pht_bits", &self.bpred.pht_bits);
-        f("btb_entries", &self.bpred.btb_entries);
-        f("ras_depth", &self.bpred.ras_depth);
     }
 
     /// The pairs of [`CoreConfig::for_each_pair`], collected as strings.
@@ -709,6 +782,96 @@ mod tests {
             }
             assert_eq!(rebuilt, source, "round trip for {name}");
         }
+    }
+
+    #[test]
+    fn field_table_keys_are_unique_and_cover_every_field() {
+        let keys: std::collections::BTreeSet<&str> =
+            CoreConfig::FIELDS.iter().map(|f| f.key).collect();
+        assert_eq!(keys.len(), CoreConfig::FIELDS.len());
+        // Setting every field of one preset onto another through the table
+        // reconstructs it, so no field is missing.
+        let source = CoreConfig::tiny();
+        let mut rebuilt = CoreConfig::neoverse_like();
+        let mut buf = [0; 20];
+        for field in CoreConfig::FIELDS {
+            let text = field.value(&source, &mut buf).to_string();
+            assert!(field.set_canonical(&mut rebuilt, text.as_bytes()), "{text}");
+        }
+        assert_eq!(rebuilt, source);
+    }
+
+    #[test]
+    fn decimal_matches_display() {
+        let mut buf = [0; 20];
+        for n in [
+            0,
+            1,
+            9,
+            10,
+            99,
+            100,
+            4096,
+            u64::from(u32::MAX),
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            assert_eq!(decimal(n, &mut buf), n.to_string());
+        }
+    }
+
+    #[test]
+    fn canonical_text_sets_what_apply_override_sets() {
+        let texts = [
+            "0",
+            "7",
+            "96",
+            "007",
+            "00",
+            "+7",
+            "-7",
+            " 7",
+            "7 ",
+            "",
+            "x",
+            "4294967295",
+            "4294967296",
+            "18446744073709551615",
+            "18446744073709551616",
+            "in_order",
+            "early_release",
+            "inorder",
+            "early",
+        ];
+        for field in CoreConfig::FIELDS {
+            for text in texts {
+                let mut fast = CoreConfig::tiny();
+                if !field.set_canonical(&mut fast, text.as_bytes()) {
+                    continue;
+                }
+                let mut slow = CoreConfig::tiny();
+                slow.apply_override(field.key, text).unwrap();
+                assert_eq!(fast, slow, "{}={text}", field.key);
+                // Canonical text is exactly what the field writes back.
+                let mut buf = [0; 20];
+                assert_eq!(field.value(&fast, &mut buf), text, "{}", field.key);
+            }
+        }
+        let rob = CoreConfig::FIELDS
+            .iter()
+            .find(|f| f.key == "rob_size")
+            .unwrap();
+        let fetch = CoreConfig::FIELDS
+            .iter()
+            .find(|f| f.key == "fetch_width")
+            .unwrap();
+        let mut c = CoreConfig::tiny();
+        for refused in ["007", "+7", " 7", "", "18446744073709551616"] {
+            assert!(!rob.set_canonical(&mut c, refused.as_bytes()), "{refused}");
+        }
+        assert!(rob.set_canonical(&mut c, b"18446744073709551615"));
+        assert!(!fetch.set_canonical(&mut c, b"4294967296"));
+        assert!(fetch.set_canonical(&mut c, b"4294967295"));
     }
 
     #[test]

@@ -644,7 +644,7 @@ impl CheckpointWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wiser_sampler::Sample;
+    use wiser_sampler::{FrameRange, Sample};
     use wiser_sim::{CodeLoc, ModuleId, TruncationReason};
 
     fn spec() -> CheckpointSpec {
@@ -682,8 +682,9 @@ mod tests {
                     offset: 8,
                 },
                 weight: 2048,
-                stack: vec![],
+                stack: FrameRange::default(),
             }],
+            frames: vec![],
             period: 2048,
             total_cycles: 2100,
             unmapped: 0,

@@ -447,6 +447,11 @@ impl DecodeBudget {
         self.used.get()
     }
 
+    /// Whether charging `bytes` now would succeed.
+    fn fits(&self, bytes: u64) -> bool {
+        self.used.get().saturating_add(bytes) <= self.limit || unsafe_prealloc()
+    }
+
     fn charge(&self, bytes: u64) -> Result<(), u64> {
         let total = self.used.get().saturating_add(bytes);
         if total > self.limit && !unsafe_prealloc() {
@@ -509,6 +514,19 @@ impl<'a> ByteReader<'a> {
         self.data.len() - self.pos
     }
 
+    /// The bytes not yet consumed, without consuming them.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.data[self.pos..]
+    }
+
+    /// Whether the budget has room for `n × mem_elem_size` bytes more,
+    /// charging nothing: for sizing one buffer whose parts are charged
+    /// later, one by one.
+    pub fn budget_fits(&self, n: usize, mem_elem_size: usize) -> bool {
+        self.budget
+            .fits((n as u64).saturating_mul(mem_elem_size as u64))
+    }
+
     /// Fails unless the payload was fully consumed.
     pub fn expect_end(&self) -> Result<(), StoreError> {
         if self.pos != self.data.len() {
@@ -536,6 +554,11 @@ impl<'a> ByteReader<'a> {
             "section truncated: needed {n} bytes for {what}, {} remain",
             self.data.len() - self.pos
         ))
+    }
+
+    /// Reads the next `n` bytes.
+    pub fn slice(&mut self, n: usize, what: &str) -> Result<&'a [u8], StoreError> {
+        self.take(n, what)
     }
 
     /// Reads one byte.
@@ -569,6 +592,14 @@ impl<'a> ByteReader<'a> {
     /// `string` does, so both fail on the same bytes with the same error.
     pub fn str(&mut self, what: &str) -> Result<&'a str, StoreError> {
         let at = self.offset();
+        let bytes = self.bytes(what)?;
+        self.utf8(at, bytes, what)
+    }
+
+    /// The bytes of a length-prefixed string, unchecked: [`ByteReader::str`]
+    /// without its UTF-8 check, charging the budget as it does.
+    pub fn bytes(&mut self, what: &str) -> Result<&'a [u8], StoreError> {
+        let at = self.offset();
         let len = self.u32(what)? as usize;
         if self.budget.charge(len as u64).is_err() {
             return Err(StoreError::in_section(
@@ -577,7 +608,12 @@ impl<'a> ByteReader<'a> {
                 format!("{what} of {len} bytes exceeds the decode allocation budget"),
             ));
         }
-        let bytes = self.take(len, what)?;
+        self.take(len, what)
+    }
+
+    /// The UTF-8 check [`ByteReader::str`] makes of `bytes`, a string
+    /// whose length prefix is at absolute offset `at`, with the same error.
+    pub fn utf8(&self, at: u64, bytes: &'a [u8], what: &str) -> Result<&'a str, StoreError> {
         std::str::from_utf8(bytes).map_err(|e| {
             StoreError::in_section(at, &*self.section, format!("{what} is not UTF-8: {e}"))
         })

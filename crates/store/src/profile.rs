@@ -34,7 +34,6 @@
 //! (`callee_counts`) is sorted first — so the same run serializes to the
 //! same bytes whatever the thread count.
 
-use std::fmt::Write as _;
 use std::mem::size_of;
 
 use optiwise::{
@@ -42,7 +41,7 @@ use optiwise::{
     ProfileTables, ResourceLimits, StoreError, TransformKind, TransformLog, TransformRecord,
 };
 use wiser_dbi::{BlockCount, CounterPlacement, CountsProfile, InstrumentationCost, TermKind};
-use wiser_sampler::{Sample, SampleProfile};
+use wiser_sampler::{FrameRange, Sample, SampleProfile};
 use wiser_sim::{CodeLoc, ConfigErrorKind, CoreConfig, FastMap, ModuleId, TruncationReason};
 
 use crate::checkpoint::{decode_ckpt, encode_ckpt, Checkpoint, CheckpointSpec};
@@ -344,30 +343,46 @@ fn decode_meta(r: &mut ByteReader<'_>) -> Result<RunMeta, StoreError> {
 }
 
 /// Writes the pairs of [`CoreConfig::for_each_pair`] in its order, each
-/// value formatted through one reused buffer.
+/// value's digits built in one reused buffer.
 fn encode_uarch(core: &CoreConfig) -> Vec<u8> {
-    let mut n = 0u64;
-    core.for_each_pair(|_, _| n += 1);
+    let fields = CoreConfig::FIELDS;
     // Keys and values are short: about 24 bytes a pair with their lengths.
-    let mut w = ByteWriter::with_capacity(8 + 24 * n as usize);
-    w.u64(n);
-    let mut value = String::new();
-    core.for_each_pair(|key, v| {
-        value.clear();
-        let _ = write!(value, "{v}");
-        w.string(key);
-        w.string(&value);
-    });
+    let mut w = ByteWriter::with_capacity(8 + 24 * fields.len());
+    w.len(fields.len());
+    let mut buf = [0; 20];
+    for field in fields {
+        w.string(field.key);
+        w.string(field.value(core, &mut buf));
+    }
     w.into_bytes()
 }
 
+/// Decodes the pairs onto the `xeon` preset. A pair whose key is its
+/// [`CoreConfig::FIELDS`] entry's, and whose value is that field's
+/// canonical text, is set directly; any other pair (another order, an
+/// unknown key, an alias or a non-canonical value) goes through
+/// [`CoreConfig::apply_override`]. Both paths read and charge the same
+/// bytes, so the result and every error are the same as if every pair
+/// took the second.
 fn decode_uarch(r: &mut ByteReader<'_>) -> Result<CoreConfig, StoreError> {
     let n = r.len_mem(16, 2 * size_of::<String>(), "uarch pair count")?;
     let mut core = CoreConfig::xeon_like();
-    for _ in 0..n {
+    for i in 0..n {
         let at = r.offset();
-        let key = r.str("uarch key")?;
-        let value = r.str("uarch value")?;
+        let key = r.bytes("uarch key")?;
+        let field = CoreConfig::FIELDS
+            .get(i)
+            .filter(|f| f.key.as_bytes() == key);
+        let key = match field {
+            Some(f) => f.key,
+            None => r.utf8(at, key, "uarch key")?,
+        };
+        let value_at = r.offset();
+        let value = r.bytes("uarch value")?;
+        if field.is_some_and(|f| f.set_canonical(&mut core, value)) {
+            continue;
+        }
+        let value = r.utf8(value_at, value, "uarch value")?;
         // An unrecognised key is a field from a newer tool: skip it
         // (forward compat within the section). A known key with an
         // unparsable value is corruption and fails closed.
@@ -459,12 +474,38 @@ pub(crate) fn encode_samples(p: &SampleProfile) -> Vec<u8> {
     for s in &p.samples {
         put_loc(&mut w, s.loc);
         w.u64(s.weight);
-        w.len(s.stack.len());
-        for frame in &s.stack {
+        let stack = p.stack(s);
+        w.len(stack.len());
+        for frame in stack {
             put_loc(&mut w, *frame);
         }
     }
     w.into_bytes()
+}
+
+/// The frames the `n` samples at the start of `rest` hold, read from their
+/// depth fields, or 0 when those do not frame (the decode then meets the
+/// fault itself).
+fn frames_ahead(mut rest: &[u8], n: usize) -> usize {
+    let mut frames = 0usize;
+    for _ in 0..n {
+        // A sample: a 12-byte location, an 8-byte weight, an 8-byte depth,
+        // then 12 bytes a frame.
+        let Some(depth) = rest.get(20..28) else {
+            return 0;
+        };
+        let depth = u64::from_le_bytes(depth.try_into().expect("8 bytes"));
+        let Some(len) = usize::try_from(depth)
+            .ok()
+            .and_then(|d| d.checked_mul(12)?.checked_add(28))
+            .filter(|&len| len <= rest.len())
+        else {
+            return 0;
+        };
+        rest = &rest[len..];
+        frames += (len - 28) / 12;
+    }
+    frames
 }
 
 pub(crate) fn decode_samples(r: &mut ByteReader<'_>) -> Result<SampleProfile, StoreError> {
@@ -476,19 +517,37 @@ pub(crate) fn decode_samples(r: &mut ByteReader<'_>) -> Result<SampleProfile, St
     let truncated = get_truncation(r)?;
     let n = r.len_mem(28, size_of::<Sample>(), "sample count")?;
     let mut samples = Vec::with_capacity(n);
+    // One arena for every stack, sized once. Its frames are charged per
+    // stack below, as they are read; when the budget could not cover them
+    // all, the arena starts empty and the decode fails at the stack that
+    // runs it out.
+    let ahead = frames_ahead(r.rest(), n);
+    let mut frames = Vec::with_capacity(if r.budget_fits(ahead, size_of::<CodeLoc>()) {
+        ahead
+    } else {
+        0
+    });
     for _ in 0..n {
         let loc = get_loc(r, "sample loc")?;
         let weight = r.u64("sample weight")?;
         let depth = r.len_mem(12, size_of::<CodeLoc>(), "stack depth")?;
-        let mut stack = Vec::with_capacity(depth);
-        for _ in 0..depth {
-            stack.push(get_loc(r, "stack frame")?);
+        let start = frames.len();
+        // `len_mem` has checked that the frames' bytes are all there.
+        let stack = r.slice(12 * depth, "stack frame")?;
+        frames.extend(stack.chunks_exact(12).map(|b| CodeLoc {
+            module: ModuleId(u32::from_le_bytes(b[..4].try_into().expect("4 bytes"))),
+            offset: u64::from_le_bytes(b[4..].try_into().expect("8 bytes")),
+        }));
+        if u32::try_from(frames.len()).is_err() {
+            return Err(r.error("stack frames exceed the 2^32-frame arena"));
         }
+        let stack = FrameRange::new(start, frames.len());
         samples.push(Sample { loc, weight, stack });
     }
     Ok(SampleProfile {
         module_names,
         samples,
+        frames,
         period,
         total_cycles,
         unmapped,
@@ -1233,6 +1292,169 @@ mod tests {
                 "uarch key of 2000 bytes exceeds the decode allocation budget"
             )
         );
+    }
+
+    /// The `UCFG` decode from before the canonical path: every pair as
+    /// text through `apply_override`. The reference the codec must match.
+    fn reference_decode_uarch(r: &mut ByteReader<'_>) -> Result<CoreConfig, StoreError> {
+        let n = r.len_mem(16, 2 * size_of::<String>(), "uarch pair count")?;
+        let mut core = CoreConfig::xeon_like();
+        for _ in 0..n {
+            let at = r.offset();
+            let key = r.str("uarch key")?;
+            let value = r.str("uarch value")?;
+            if let Err(e) = core.apply_override(key, value) {
+                if e.kind != ConfigErrorKind::UnknownKey {
+                    return Err(StoreError::in_section(at, "UCFG", e.to_string()));
+                }
+            }
+        }
+        Ok(core)
+    }
+
+    /// A `UCFG` payload of raw `(key, value)` byte pairs, which need not be
+    /// UTF-8.
+    fn raw_ucfg(pairs: &[(&[u8], &[u8])]) -> Vec<u8> {
+        let mut out = (pairs.len() as u64).to_le_bytes().to_vec();
+        for (key, value) in pairs {
+            for text in [key, value] {
+                out.extend_from_slice(&(text.len() as u32).to_le_bytes());
+                out.extend_from_slice(text);
+            }
+        }
+        out
+    }
+
+    /// Decodes `payload` with the codec and with the reference, under one
+    /// budget each, and asserts the same config or the same error.
+    fn assert_decodes_like_the_reference(payload: &[u8], limit: u64) {
+        let decode = |f: fn(&mut ByteReader<'_>) -> Result<CoreConfig, StoreError>| {
+            let budget = DecodeBudget::new(limit);
+            whole(
+                &mut ByteReader::with_budget(payload, 100, "UCFG", budget),
+                f,
+            )
+        };
+        assert_eq!(
+            decode(decode_uarch),
+            decode(reference_decode_uarch),
+            "{:?}",
+            String::from_utf8_lossy(payload)
+        );
+    }
+
+    #[test]
+    fn ucfg_pairs_off_the_canonical_path_decode_as_apply_override_does() {
+        let canonical = CoreConfig::neoverse_like().to_pairs();
+        let base: Vec<(&[u8], &[u8])> = canonical
+            .iter()
+            .map(|(k, v)| (k.as_bytes(), v.as_bytes()))
+            .collect();
+        // Pair 4 is `rob_size`, a usize; pair 0 `fetch_width`, a u32.
+        assert_eq!(CoreConfig::FIELDS[4].key, "rob_size");
+        let with = |i: usize, key: &'static [u8], value: &'static [u8]| {
+            let mut pairs = base.clone();
+            pairs[i] = (key, value);
+            raw_ucfg(&pairs)
+        };
+        let mut payloads = vec![raw_ucfg(&base)];
+        let mut reversed = base.clone();
+        reversed.reverse();
+        payloads.push(raw_ucfg(&reversed));
+        let mut unknown_first = base.clone();
+        unknown_first.insert(0, (b"quantum_bits", b"12"));
+        payloads.push(raw_ucfg(&unknown_first));
+        for value in [
+            &b" 96"[..],
+            b"96 ",
+            b"\t96",
+            b"+96",
+            b"-96",
+            b"096",
+            b"00",
+            b"0",
+            b"18446744073709551615",
+            b"18446744073709551616",
+            b"99999999999999999999999",
+            b"",
+            b"lots",
+            b"9\xff",
+        ] {
+            payloads.push(with(4, b"rob_size", value));
+        }
+        for value in [&b"4294967295"[..], b"4294967296", b"+4", b"04"] {
+            payloads.push(with(0, b"fetch_width", value));
+        }
+        for value in [
+            &b"in_order"[..],
+            b"inorder",
+            b"early",
+            b"early_release",
+            b" early_release",
+            b"sideways",
+        ] {
+            payloads.push(with(8, b"commit_mode", value));
+        }
+        payloads.push(with(4, b" rob_size", b"96"));
+        payloads.push(with(4, b"rob_size ", b"96"));
+        payloads.push(with(4, b"iq_size", b"96"));
+        payloads.push(with(4, b"rob\xffsize", b"96"));
+        payloads.push(with(4, b"warp_drive", b"lots"));
+        let mut truncated = raw_ucfg(&base);
+        truncated.truncate(truncated.len() - 3);
+        payloads.push(truncated);
+        for payload in &payloads {
+            assert_decodes_like_the_reference(payload, u64::MAX);
+            // Budgets that run out at every pair fail at the same byte.
+            for limit in (0..payload.len() as u64 + 64 * 48).step_by(97) {
+                assert_decodes_like_the_reference(payload, limit);
+            }
+        }
+    }
+
+    #[test]
+    fn random_configs_round_trip_to_identical_ucfg_bytes() {
+        let mut state = 0x0c0f_fee5_eed5_u64;
+        let mut next = || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..500 {
+            // Each field set through `apply_override` from `Display` text:
+            // the encoder must write exactly that text back.
+            let mut core = CoreConfig::tiny();
+            let mut pairs: Vec<(String, String)> = Vec::new();
+            for field in CoreConfig::FIELDS {
+                let value = if field.key == "commit_mode" {
+                    ["in_order", "early_release"][(next() & 1) as usize].to_string()
+                } else {
+                    let v = next() >> (next() % 64);
+                    let v = if core.apply_override(field.key, &v.to_string()).is_ok() {
+                        v
+                    } else {
+                        v & u64::from(u32::MAX)
+                    };
+                    v.to_string()
+                };
+                core.apply_override(field.key, &value).unwrap();
+                pairs.push((field.key.to_string(), value));
+            }
+            let payload = encode_uarch(&core);
+            let mut reference = ByteWriter::new();
+            reference.len(pairs.len());
+            for (key, value) in &pairs {
+                reference.string(key);
+                reference.string(value);
+            }
+            assert_eq!(payload, reference.into_bytes());
+            let back = whole(&mut ByteReader::new(&payload, 0, "UCFG"), decode_uarch).unwrap();
+            assert_eq!(back, core);
+            assert_eq!(encode_uarch(&back), payload);
+        }
     }
 
     #[test]

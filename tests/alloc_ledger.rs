@@ -5,7 +5,8 @@
 //! tables and `to_bytes`) must make no more heap allocations and
 //! reallocations than the recorded ceiling, and so must diffing the
 //! program's `xeon` tables against its `neoverse` ones (`diff_tables` and
-//! `diff_report`). The binary installs
+//! `diff_report`), and decoding a profile must cost the same allocations
+//! whatever its sample count. The binary installs
 //! `wiser_chaos::alloc::TrackingAllocator`, whose counters are per thread,
 //! so the other tests running alongside do not disturb the count.
 //!
@@ -31,19 +32,19 @@ static TRACKING: TrackingAllocator = TrackingAllocator;
 /// `(program, allocations, reallocations)`: the most one re-analysis of
 /// the program's stored `xeon` run may make.
 const CEILINGS: &[(&str, u64, u64)] = &[
-    ("mcf_like", 421, 58),
-    ("gcc_like", 188, 35),
-    ("leela_like", 230, 29),
-    ("nab_like", 206, 20),
+    ("mcf_like", 395, 51),
+    ("gcc_like", 179, 29),
+    ("leela_like", 158, 23),
+    ("nab_like", 139, 15),
 ];
 
 /// `(program, allocations, reallocations)`: the most one diff of the
 /// program's stored `xeon` tables against its `neoverse` ones may make.
 const DIFF_CEILINGS: &[(&str, u64, u64)] = &[
-    ("mcf_like", 127, 122),
-    ("gcc_like", 41, 30),
-    ("leela_like", 31, 28),
-    ("nab_like", 25, 16),
+    ("mcf_like", 59, 0),
+    ("gcc_like", 21, 0),
+    ("leela_like", 17, 0),
+    ("nab_like", 15, 0),
 ];
 
 /// Rows per report table, as `optiwise run` prints by default.
@@ -158,4 +159,29 @@ fn diffing_two_stored_runs_stays_under_its_allocation_ceilings() {
         over.join("\n"),
         measured.join("\n")
     );
+}
+
+/// Allocations and reallocations of one decode of `owp`, on this thread.
+fn decode_calls(owp: &[u8]) -> (u64, u64) {
+    let (a0, r0) = (allocations(), reallocations());
+    let stored = StoredProfile::from_bytes(owp).expect("decodes");
+    let calls = (allocations() - a0, reallocations() - r0);
+    assert!(stored.samples.is_some());
+    calls
+}
+
+#[test]
+fn decoding_a_profile_costs_the_same_allocations_whatever_its_sample_count() {
+    for &(name, ..) in CEILINGS {
+        let (_, owp) = stored_run(name, "xeon");
+        let mut stored = StoredProfile::from_bytes(&owp).expect("decodes");
+        let samples = stored.samples.as_mut().expect("raw samples");
+        let once = samples.clone();
+        for s in &once.samples {
+            samples.push(s.loc, s.weight, once.stack(s).iter().copied());
+        }
+        assert!(!once.frames.is_empty(), "{name} has no stacks");
+        let doubled = stored.to_bytes();
+        assert_eq!(decode_calls(&doubled), decode_calls(&owp), "{name}");
+    }
 }

@@ -81,7 +81,7 @@ fn dropped_samples_never_lose_cycles() {
     assert_eq!(faulty.samples.total_cycles, clean.samples.total_cycles);
     // And the same fault plan drops the same samples every time.
     let again = run_optiwise(&[counted_loop()], &cfg).unwrap();
-    assert_eq!(again.samples.samples, faulty.samples.samples);
+    assert_eq!(again.samples, faulty.samples);
 }
 
 #[test]

@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use optiwise::OptiwiseConfig;
 use wiser_dbi::{instrument_run, DbiConfig};
 use wiser_isa::{decode_insn, encode_insn, AluOp, Cond, FpCmp, FpOp, Fpr, Gpr, Insn, Scale, Width};
-use wiser_sampler::{Sample, SampleProfile};
+use wiser_sampler::SampleProfile;
 use wiser_sim::{
     run_timed, run_timed_partial_ctl, CommitMode, CoreConfig, FaultPlan, Interp, Memory, NoProbes,
     ProbePoint, Prober, ProcessImage, Step, ARCH_NAMES, MAX_LATENCY, PAGE_SIZE,
@@ -378,31 +378,26 @@ fn sample_profile_roundtrip() {
     let mut gen = Gen::new(0x06);
     for _ in 0..100 {
         let period = gen.range(1, 100_000);
-        let mut samples = Vec::new();
-        for _ in 0..gen.range(0, 40) {
-            let stack = (0..gen.range(0, 4))
-                .map(|_| wiser_sim::CodeLoc {
-                    module: wiser_sim::ModuleId(gen.range(0, 3) as u32),
-                    offset: gen.range(0, 0x10000) & !7,
-                })
-                .collect();
-            samples.push(Sample {
-                loc: wiser_sim::CodeLoc {
-                    module: wiser_sim::ModuleId(gen.range(0, 3) as u32),
-                    offset: gen.range(0, 0x10000) & !7,
-                },
-                weight: gen.range(0, 100_000),
-                stack,
-            });
-        }
-        let profile = SampleProfile {
+        let mut profile = SampleProfile {
             module_names: vec!["a".into(), "b".into(), "c".into()],
-            samples,
             period,
             total_cycles: period * 1000,
             unmapped: 3,
             ..SampleProfile::default()
         };
+        for _ in 0..gen.range(0, 40) {
+            let stack: Vec<_> = (0..gen.range(0, 4))
+                .map(|_| wiser_sim::CodeLoc {
+                    module: wiser_sim::ModuleId(gen.range(0, 3) as u32),
+                    offset: gen.range(0, 0x10000) & !7,
+                })
+                .collect();
+            let loc = wiser_sim::CodeLoc {
+                module: wiser_sim::ModuleId(gen.range(0, 3) as u32),
+                offset: gen.range(0, 0x10000) & !7,
+            };
+            profile.push(loc, gen.range(0, 100_000), stack);
+        }
         let mut ckpt = Checkpoint::fresh(CheckpointSpec::from_config(
             0,
             "generated",

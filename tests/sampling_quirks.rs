@@ -184,7 +184,7 @@ fn two_module_samples_and_stacks_stay_within_module_text() {
             "sample at {:?} outside its module's text",
             s.loc
         );
-        for f in &s.stack {
+        for f in profile.stack(s) {
             assert!(
                 f.offset < text_size(f.module),
                 "stack frame at {f:?} outside its module's text"
@@ -218,7 +218,7 @@ fn two_module_samples_and_stacks_stay_within_module_text() {
     };
     let unwound = in_lib
         .iter()
-        .filter(|s| s.stack.contains(&call_site))
+        .filter(|s| profile.stack(s).contains(&call_site))
         .count();
     assert!(
         unwound > 10,
@@ -266,7 +266,7 @@ fn skid_excuse_is_bounded_at_module_offset_zero() {
             offset,
         },
         weight: 100,
-        stack: Vec::new(),
+        stack: wiser_sampler::FrameRange::default(),
     };
     let samples = wiser_sampler::SampleProfile {
         module_names: vec![module.name.clone()],
