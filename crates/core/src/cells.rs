@@ -29,7 +29,7 @@ pub(crate) fn right(out: &mut String, text: &str, width: usize) {
 }
 
 /// Appends `text` left-aligned in `width` characters.
-pub(crate) fn left(out: &mut String, text: &str, width: usize) {
+fn left(out: &mut String, text: &str, width: usize) {
     out.push_str(text);
     pad(out, width.saturating_sub(text.chars().count()));
 }
