@@ -116,14 +116,15 @@ pub(crate) fn hex(n: u64, buf: &mut [u8; 20]) -> &str {
     std::str::from_utf8(&buf[at..]).expect("ASCII")
 }
 
-/// Appends `s` cut to `max` bytes, the cut marked `…`, left-aligned in
-/// `width` characters. The cut falls on the last character boundary at or
-/// before `max - 1` bytes, so a multi-byte character is never split.
-pub(crate) fn clip(out: &mut String, s: &str, max: usize, width: usize) {
-    if s.len() <= max {
+/// Appends `s` left-aligned in `width` characters, cut to `width` bytes
+/// when longer, the cut marked `…`. The cut falls on the last character
+/// boundary at or before `width - 1` bytes, so a multi-byte character is
+/// never split.
+pub(crate) fn clip(out: &mut String, s: &str, width: usize) {
+    if s.len() <= width {
         return left(out, s, width);
     }
-    let mut cut = max.saturating_sub(1);
+    let mut cut = width.saturating_sub(1);
     while !s.is_char_boundary(cut) {
         cut -= 1;
     }
@@ -352,22 +353,23 @@ mod tests {
 
     #[test]
     fn clip_cuts_on_a_char_boundary() {
-        let clipped = |s: &str, max: usize, width: usize| {
+        let clipped = |s: &str, width: usize| {
             let mut out = String::new();
-            clip(&mut out, s, max, width);
+            clip(&mut out, s, width);
             out
         };
-        assert_eq!(clipped("short", 10, 0), "short");
-        assert_eq!(clipped("averyverylongname", 8, 8), "averyve…");
+        assert_eq!(clipped("short", 10), "short     ");
+        assert_eq!(clipped("averyverylongname", 8), "averyve…");
         // A cut cell pads to its column by characters, `…` counting one.
-        assert_eq!(clipped("aé-long", 4, 6), "aé…   ");
-        assert_eq!(clipped("ab", 4, 6), "ab    ");
+        assert_eq!(clipped("aé-long", 6), "aé-l… ");
+        assert_eq!(clipped("aé-long", 4), "aé… ");
         // The cut would split `é` (bytes 26..28): it moves back before it.
         let name = format!("{}é_long_suffix", "a".repeat(26));
-        assert_eq!(clipped(&name, 28, 28), format!("{}…", "a".repeat(26)) + " ");
-        for max in 1..name.len() {
-            let cell = clipped(&name, max, 0);
-            assert!(cell.len() <= max + '…'.len_utf8(), "{cell}");
+        assert_eq!(clipped(&name, 28), format!("{}… ", "a".repeat(26)));
+        for width in 1..name.len() {
+            let cell = clipped(&name, width);
+            assert!(cell.len() <= width + '…'.len_utf8(), "{cell}");
+            assert_eq!(cell.chars().count(), width, "{cell}");
         }
     }
 }

@@ -71,7 +71,7 @@ fn functions_table_rows(
     out.push_str(FUNCTIONS_HEADER);
     let mut any_sampling_only = false;
     for f in functions.iter().take(limit) {
-        clip(out, &f.name, 28, 28);
+        clip(out, &f.name, 28);
         out.push(' ');
         pct(out, f.self_cycles, total_cycles);
         out.push(' ');
@@ -119,9 +119,9 @@ fn loops_table_rows(out: &mut String, loops: &[LoopStats], total_cycles: u64, li
                 lines.push_str(hex(l.header_offset, &mut buf));
             }
         }
-        clip(out, &l.function, 24, 24);
+        clip(out, &l.function, 24);
         out.push(' ');
-        clip(out, &lines, 16, 16);
+        clip(out, &lines, 16);
         out.push(' ');
         pct(out, l.cycles, total_cycles);
         out.push(' ');
@@ -147,7 +147,7 @@ fn lines_table_rows(out: &mut String, lines: &[LineStats], total_cycles: u64, li
         key.push_str(short_file(&l.file));
         key.push(':');
         uint(&mut key, u64::from(l.line), 0);
-        clip(out, &key, 28, 28);
+        clip(out, &key, 28);
         out.push(' ');
         pct(out, l.cycles, total_cycles);
         out.push(' ');
@@ -173,7 +173,7 @@ pub fn annotate(rows: &[InsnRow], total_cycles: u64) -> String {
     for r in rows {
         right(&mut out, &hex(r.loc.offset, &mut buf)[2..], 8);
         out.push_str("  ");
-        clip(&mut out, &r.text, 34, 34);
+        clip(&mut out, &r.text, 34);
         out.push(' ');
         uint(&mut out, r.samples, 8);
         out.push(' ');
@@ -294,7 +294,7 @@ fn diff_value(out: &mut String, row: &DiffRow, side: Option<crate::diff::DiffSid
 fn diff_table(out: &mut String, rows: &[DiffRow], limit: usize) {
     out.push_str(DIFF_HEADER);
     for r in rows.iter().take(limit) {
-        clip(out, &r.key, 44, 44);
+        clip(out, &r.key, 44);
         out.push(' ');
         diff_value(out, r, r.old);
         out.push(' ');
